@@ -278,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file2")
     p.add_argument("--kind", required=True, help="qvar|riesz|mixed|nikolskiihat")
     p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--p", default=None, help="integrability (for qvar, the exponent q)")
+    p.add_argument("--p", default=None, help="finite integrability, required "
+                                             "(for qvar, the exponent q)")
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--interval", default=None)
     p.add_argument("--max-nested", type=int, default=512, dest="max_nested")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -28,7 +28,9 @@ from .exceptions import DimensionMismatchError, GridMismatchError, ParameterErro
 from .norms import (
     _check_delta,
     _check_nested,
+    _check_q,
     _check_riesz_p,
+    _finite_p,
     _require_uniform,
     dp_partition_sup,
     dp_power_table,
@@ -57,11 +59,14 @@ class LevelDistanceSpec:
         if self.level < 1:
             raise ParameterError(f"tensor level must be >= 1, got {self.level}")
         if self.kind is DistKind.QVAR:
-            if self.p < 1.0:
-                raise ParameterError("q-variation distance needs q >= 1")
+            _check_q(self.p)
         else:
             _check_delta(self.delta)
-            _check_riesz_p(self.delta, self.p)
+            _check_dist_p(self.delta, self.p)
+
+
+def _check_dist_p(delta, p):
+    return _finite_p(_check_riesz_p(delta, p), "a Riesz-type distance")
 
 
 def _check_pair(x1: GroupPath, x2: GroupPath, k: int):
@@ -75,10 +80,22 @@ def _check_pair(x1: GroupPath, x2: GroupPath, k: int):
         raise ParameterError(f"tensor level must be in 1..{x1.depth}, got {k}")
 
 
-@lru_cache(maxsize=8)
+# x1 -> x2 -> level-difference matrices.  Paths hash by identity and are
+# held weakly, so an entry lives exactly as long as both of its paths: the
+# per-level calls on one pair share the matrices, and dropping either path
+# frees them.
+_LEVEL_DIFFS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def _all_level_diffs(x1: GroupPath, x2: GroupPath) -> tuple[np.ndarray, ...]:
-    # paths hash by identity; a small LRU keeps the matrices alive across the
-    # per-level calls of one aggregate without pinning a whole family run
+    per_x1 = _LEVEL_DIFFS.setdefault(x1, WeakKeyDictionary())
+    mats = per_x1.get(x2)
+    if mats is None:
+        mats = per_x1[x2] = _level_diffs(x1, x2)
+    return mats
+
+
+def _level_diffs(x1: GroupPath, x2: GroupPath) -> tuple[np.ndarray, ...]:
     m = len(x1.grid)
     mats = [np.zeros((m, m)) for _ in range(x1.depth + 1)]
     for i in range(m):
@@ -99,8 +116,7 @@ def level_diff_matrix(x1: GroupPath, x2: GroupPath, k: int) -> np.ndarray:
 
 def rho_qvar_level(x1, x2, q: float, k: int, interval=None) -> float:
     """Level-k q-variation distance ( sup_P sum D_k^(q/k) )^(k/q)."""
-    if q < 1.0:
-        raise ParameterError(f"q-variation distance needs q >= 1, got {q}")
+    q = _check_q(q)
     _check_pair(x1, x2, k)
     d = level_diff_matrix(x1, x2, k)
     lo, hi = x1.grid.resolve_interval(interval)
@@ -110,7 +126,7 @@ def rho_qvar_level(x1, x2, q: float, k: int, interval=None) -> float:
 def rho_riesz_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:
     """Level-k Riesz distance ( sup_P sum D_k^(p/k) / (v-u)^(delta*p-1) )^(k/p)."""
     _check_delta(delta)
-    _check_riesz_p(delta, p)
+    p = _check_dist_p(delta, p)
     _check_pair(x1, x2, k)
     d = level_diff_matrix(x1, x2, k)
     times = x1.grid.times
@@ -129,7 +145,7 @@ def rho_mixed_level(x1, x2, delta: float, p: float, k: int, interval=None,
     with inner exponent q = 1/delta; the inner table costs O(M^3).
     """
     _check_delta(delta)
-    _check_riesz_p(delta, p)
+    p = _check_dist_p(delta, p)
     _check_pair(x1, x2, k)
     lo, hi = x1.grid.resolve_interval(interval)
     if hi == lo:
@@ -155,7 +171,7 @@ def rho_nikolskii_hat_level(x1, x2, delta: float, p: float, k: int, interval=Non
     outer: partition sup of the inner values to the power p/k.
     """
     _check_delta(delta)
-    _check_riesz_p(delta, p)
+    p = _check_dist_p(delta, p)
     _check_pair(x1, x2, k)
     _require_uniform(x1)
     lo, hi = x1.grid.resolve_interval(interval)

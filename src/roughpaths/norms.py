@@ -18,19 +18,23 @@ Partition suprema run over grid points only and are computed by an exact
 O(M^2) dynamic program; the nested kinds (mixed, refined Nikolskii)
 precompute an O(M^2)-cell table of inner values at O(M) each, i.e. O(M^3)
 total, and are therefore capped at ``max_nested`` grid intervals (default
-512) unless the caller raises the cap explicitly.  Nikolskii shifts h run
+512) unless the caller raises the cap explicitly.  The mixed kind's inner
+table of q-variation powers (``dp_power_table``) is a column-vectorised
+O(M^3) DP, one masked NumPy max per column, whose values are bit-identical
+to the per-cell recursion of ``dp_partition_sup``.  Nikolskii shifts h run
 over integer multiples of the uniform mesh with a left Riemann sum for the
 inner integral; the fractional Sobolev double integral uses the tensor-grid
 quadrature with the diagonal band |u-v| < mesh excluded.
 
 Riesz variation with p = infinity is the Hoelder seminorm by definition.
-Infinite integrability is passed as the sentinel ``P_INF``, never as a
-float.
+Infinite integrability is the sentinel ``P_INF``; a float inf passed as p is
+mapped to it, and a NaN or missing p raises ``ParameterError``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,35 +79,76 @@ class NormSpec:
         k, d, p = self.kind, self.delta, self.p
         if k is NormKind.HOELDER:
             _check_delta(d)
-        elif k is NormKind.QVAR:
-            if p is P_INF or p < 1.0:
-                raise ParameterError("q-variation needs a finite exponent q >= 1")
+            return
+        if k is NormKind.QVAR:
+            p = _check_q(p)
         elif k in (NormKind.RIESZ, NormKind.MIXED):
             _check_delta(d)
-            _check_riesz_p(d, p)
+            p = _check_riesz_p(d, p)
         elif k in (NormKind.NIKOLSKII, NormKind.REFINED_NIKOLSKII):
             _check_delta(d)
-            if p is not P_INF and p < 1.0:
-                raise ParameterError("Nikolskii norms need p >= 1")
-        elif k is NormKind.FRAC_SOBOLEV:
-            if not 0.0 < d < 1.0:
-                raise ParameterError("fractional Sobolev needs delta in (0, 1)")
-            if p is P_INF or p < 1.0:
-                raise ParameterError("fractional Sobolev needs finite p >= 1")
+            p = _check_nikolskii_p(p)
+        else:
+            p = _check_frac_sobolev(d, p)
+        object.__setattr__(self, "p", p)
 
 
 def _check_delta(delta):
-    if not 0.0 < delta <= 1.0:
+    if delta is None or not 0.0 < delta <= 1.0:
         raise ParameterError(f"delta must lie in (0, 1], got {delta}")
 
 
-def _check_riesz_p(delta, p):
+def _check_p(p):
+    """The integrability exponent p, with a float infinity mapped to ``P_INF``.
+
+    Every entry point that takes p goes through here, so a float inf selects
+    the same formula as the sentinel; a missing or NaN p raises.
+    """
     if p is P_INF:
-        return
-    if p * delta < 1.0 - 1e-12:
+        return p
+    if p is None:
+        raise ParameterError("an integrability exponent p is required")
+    if math.isnan(p):
+        raise ParameterError("the integrability exponent p is NaN")
+    return P_INF if p == math.inf else p
+
+
+def _finite_p(p, what):
+    if p is P_INF:
+        raise ParameterError(f"{what} needs a finite p")
+    return p
+
+
+def _check_q(q):
+    q = _finite_p(_check_p(q), "q-variation")
+    if q < 1.0:
+        raise ParameterError(f"q-variation needs an exponent q >= 1, got {q}")
+    return q
+
+
+def _check_riesz_p(delta, p):
+    p = _check_p(p)
+    if p is not P_INF and p * delta < 1.0 - 1e-12:
         raise ParameterError(
             f"Riesz-type norms need p >= 1/delta (got p={p}, 1/delta={1/delta:.6g})"
         )
+    return p
+
+
+def _check_nikolskii_p(p):
+    p = _check_p(p)
+    if p is not P_INF and p < 1.0:
+        raise ParameterError(f"Nikolskii norms need p >= 1, got {p}")
+    return p
+
+
+def _check_frac_sobolev(delta, p):
+    if delta is None or not 0.0 < delta < 1.0:
+        raise ParameterError(f"fractional Sobolev needs delta in (0, 1), got {delta}")
+    p = _finite_p(_check_p(p), "fractional Sobolev")
+    if p < 1.0:
+        raise ParameterError(f"fractional Sobolev needs p >= 1, got {p}")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +178,27 @@ def dp_partition_sup(weight: np.ndarray, lo: int, hi: int) -> float:
 
 
 def dp_power_table(weight: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Partition suprema for every subinterval: B[i, j] = dp_partition_sup(weight, i, j)."""
+    """Partition suprema for every subinterval: B[i, j] = dp_partition_sup(weight, i, j).
+
+    Column j is filled for all rows at once from the finished columns < j:
+    B[i, j] = max_{i <= k < j} ( B[i, k] + weight[k, j] ).  The candidates
+    with k < i are left out of the max by its ``where`` mask rather than by
+    adding -inf, so an infinite weight gives inf, as in the recursion.
+    Every candidate is the same single addition and max is exact, so the
+    table equals the per-cell recursion bit for bit.  Scratch memory is one
+    (hi-lo+1)^2 float buffer and a boolean mask of that shape.
+    """
     b = np.zeros_like(weight)
-    for i in range(lo, hi):
-        row = b[i]
-        for j in range(i + 1, hi + 1):
-            row[j] = np.max(row[i:j] + weight[i:j, j])
+    if hi <= lo:
+        return b
+    n = hi - lo + 1
+    keep = np.triu(np.ones((n, n), dtype=bool))  # keep[i, k]: k >= i
+    buf = np.empty(n * n)
+    for j in range(lo + 1, hi + 1):
+        c = j - lo
+        cand = buf[: c * c].reshape(c, c)
+        np.add(b[lo:j, lo:j], weight[lo:j, j], out=cand)
+        np.max(cand, axis=1, initial=-np.inf, where=keep[:c, :c], out=b[lo:j, j])
     return b
 
 
@@ -205,8 +265,7 @@ def holder_norm(path, delta: float, interval=None) -> float:
 
 def qvar_norm(path, q: float, interval=None) -> float:
     """q-variation ( sup_P sum d(f_u, f_v)^q )^(1/q), exact over grid partitions."""
-    if q < 1.0:
-        raise ParameterError(f"q-variation needs q >= 1, got {q}")
+    q = _check_q(q)
     times, dist = _path_data(path)
     lo, hi = path.grid.resolve_interval(interval)
     if q == 1.0 and path.has_true_metric:
@@ -217,7 +276,7 @@ def qvar_norm(path, q: float, interval=None) -> float:
 def riesz_norm(path, delta: float, p, interval=None) -> float:
     """Riesz variation ( sup_P sum d^p / (v-u)^(delta*p-1) )^(1/p); p = P_INF is Hoelder."""
     _check_delta(delta)
-    _check_riesz_p(delta, p)
+    p = _check_riesz_p(delta, p)
     if p is P_INF:
         return holder_norm(path, delta, interval)
     times, dist = _path_data(path)
@@ -228,7 +287,7 @@ def riesz_norm(path, delta: float, p, interval=None) -> float:
 def mixed_norm(path, delta: float, p, interval=None, max_nested: int = 512) -> float:
     """Mixed Hoelder-variation norm: Riesz weights built from block (1/delta)-variations."""
     _check_delta(delta)
-    _check_riesz_p(delta, p)
+    p = _check_riesz_p(delta, p)
     times, _ = _path_data(path)
     lo, hi = path.grid.resolve_interval(interval)
     if hi == lo:
@@ -267,8 +326,7 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     integral becomes a maximum.
     """
     _check_delta(delta)
-    if p is not P_INF and p < 1.0:
-        raise ParameterError(f"Nikolskii norms need p >= 1, got {p}")
+    p = _check_nikolskii_p(p)
     _require_uniform(path)
     times, dist = _path_data(path)
     lo, hi = path.grid.resolve_interval(interval)
@@ -324,11 +382,10 @@ def refined_nikolskii_norm(path, delta: float, p, interval=None, max_nested: int
     monotone under interval inclusion, so the full interval dominates).
     """
     _check_delta(delta)
+    p = _check_nikolskii_p(p)
     _require_uniform(path)
     if p is P_INF:
         return nikolskii_norm(path, delta, p, interval)
-    if p < 1.0:
-        raise ParameterError(f"Nikolskii norms need p >= 1, got {p}")
     lo, hi = path.grid.resolve_interval(interval)
     if hi == lo:
         return 0.0
@@ -343,10 +400,7 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
     ( sum_{i != j} d(f_i, f_j)^p / |t_j - t_i|^(1 + delta*p) * mesh^2 )^(1/p),
     cells closer than one mesh to the diagonal excluded.
     """
-    if not 0.0 < delta < 1.0:
-        raise ParameterError(f"fractional Sobolev needs delta in (0, 1), got {delta}")
-    if p is P_INF or p < 1.0:
-        raise ParameterError("fractional Sobolev needs finite p >= 1")
+    p = _check_frac_sobolev(delta, p)
     _require_uniform(path)
     times, dist = _path_data(path)
     lo, hi = path.grid.resolve_interval(interval)
@@ -376,30 +430,34 @@ class IntervalNormTable:
 
 def interval_norm_table(path, kind: NormKind, delta=None, p=None, interval=None,
                         max_nested: int = 512) -> IntervalNormTable:
-    """Build the full subinterval table for a pair-sup or partition-sup norm."""
+    """Build the full subinterval table for a pair-sup or partition-sup norm.
+
+    The Riesz, mixed and Nikolskii tables need a finite p.
+    """
     times, dist = _path_data(path)
     lo, hi = path.grid.resolve_interval(interval)
     _check_nested(lo, hi, max_nested)
     if kind is NormKind.HOELDER:
-        ratio = np.zeros_like(dist)
-        iu = np.triu_indices(len(times), k=1)
-        ratio[iu] = dist[iu] / (times[iu[1]] - times[iu[0]]) ** delta
+        _check_delta(delta)
+        # vals[i, j] = max of ratio[a, b] over i <= a < b <= j: running maxima
+        # along each row, then up each column
+        ratio = dist[lo : hi + 1, lo : hi + 1] / _dt_upper(times[lo : hi + 1]) ** delta
+        run = np.maximum.accumulate(ratio, axis=1)
         vals = np.zeros_like(dist)
-        for i in range(hi - 1, lo - 1, -1):
-            for j in range(i + 1, hi + 1):
-                vals[i, j] = max(ratio[i, j], vals[i + 1, j] if i + 1 < j else 0.0,
-                                 vals[i, j - 1] if j - 1 > i else 0.0)
+        vals[lo : hi + 1, lo : hi + 1] = np.maximum.accumulate(run[::-1], axis=0)[::-1]
         return IntervalNormTable(kind, delta, None, vals)
     if kind is NormKind.QVAR:
-        q = p
+        q = _check_q(p)
         b = qvar_power_table(path, q, lo, hi)
         return IntervalNormTable(kind, None, q, b ** (1.0 / q))
     if kind is NormKind.RIESZ:
-        _check_riesz_p(delta, p)
+        _check_delta(delta)
+        p = _finite_p(_check_riesz_p(delta, p), "the Riesz interval table")
         b = dp_power_table(_riesz_weight(dist, times, delta, p), lo, hi)
         return IntervalNormTable(kind, delta, p, b ** (1.0 / p))
     if kind is NormKind.MIXED:
-        _check_riesz_p(delta, p)
+        _check_delta(delta)
+        p = _finite_p(_check_riesz_p(delta, p), "the mixed interval table")
         inner = qvar_power_table(path, 1.0 / delta, lo, hi)
         iu = np.triu_indices(len(times), k=1)
         w = np.zeros_like(inner)
@@ -407,6 +465,8 @@ def interval_norm_table(path, kind: NormKind, delta=None, p=None, interval=None,
         b = dp_power_table(w, lo, hi)
         return IntervalNormTable(kind, delta, p, b ** (1.0 / p))
     if kind is NormKind.NIKOLSKII:
+        _check_delta(delta)
+        p = _finite_p(_check_nikolskii_p(p), "the Nikolskii interval table")
         _require_uniform(path)
         t = nikolskii_power_table(path, delta, p, lo, hi)
         return IntervalNormTable(kind, delta, p, t ** (1.0 / p))

@@ -176,6 +176,24 @@ def test_dist_depth1_matches_difference_norm(tmp_path, capsys, rng):
     assert got == pytest.approx(riesz_norm(diff, 0.45, 4.0), rel=1e-10)
 
 
+@pytest.mark.parametrize("p_args", [["--p", "inf"], []])
+def test_dist_infinite_or_missing_p_exit3(tmp_path, capsys, rng, p_args):
+    p1 = random_walk_path(rng, 8, 2)
+    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_path_csv(p1, f1)
+    write_path_csv(EuclideanPath(p1.grid, 1.1 * p1.values), f2)
+    for kind in ("riesz", "mixed", "nikolskiihat", "qvar"):
+        code = main(["dist", str(f1), str(f2), "--kind", kind, *p_args])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_norm_nan_p_exit3(linear_csv):
+    assert main(["norm", linear_csv, "--kind", "rieszv", "--delta", "0.5",
+                 "--p", "nan"]) == 3
+
+
 def test_dist_grid_mismatch_exit4(tmp_path, rng):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_path_csv(random_walk_path(rng, 8, 1), f1)

@@ -1,3 +1,7 @@
+import gc
+import math
+import weakref
+
 import pytest
 
 from roughpaths import (
@@ -6,6 +10,7 @@ from roughpaths import (
     EuclideanPath,
     GridMismatchError,
     LevelDistanceSpec,
+    P_INF,
     ParameterError,
     lift,
     mixed_norm,
@@ -18,6 +23,7 @@ from roughpaths import (
     rho_riesz_level,
     riesz_norm,
 )
+from roughpaths.distances import level_diff_matrix
 from roughpaths.oracle import (
     oracle_rho_mixed,
     oracle_rho_nikolskii_hat,
@@ -72,6 +78,18 @@ def test_spec_validation():
         LevelDistanceSpec(DistKind.RIESZ, delta=0.45, p=1.5, level=1)
     with pytest.raises(ParameterError):
         LevelDistanceSpec(DistKind.QVAR, p=0.5, level=1)
+    with pytest.raises(ParameterError):
+        LevelDistanceSpec(DistKind.RIESZ, delta=0.45, p=math.inf, level=1)
+
+
+@pytest.mark.parametrize("p", [P_INF, math.inf, None, math.nan])
+def test_infinite_or_missing_p_rejected(rng, p):
+    x1, x2, _, _ = make_pair(rng)
+    for fn in (rho_riesz_level, rho_mixed_level, rho_nikolskii_hat_level):
+        with pytest.raises(ParameterError):
+            fn(x1, x2, 0.45, p, 1)
+    with pytest.raises(ParameterError):
+        rho_qvar_level(x1, x2, p, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -171,3 +189,13 @@ def test_mixed_nested_cap(rng):
     x1, x2, _, _ = make_pair(rng, intervals=24)
     with pytest.raises(ParameterError):
         rho_mixed_level(x1, x2, 0.45, 4.0, 1, max_nested=8)
+
+
+def test_level_diff_cache_dies_with_paths(rng):
+    x1, x2, _, _ = make_pair(rng)
+    mat = level_diff_matrix(x1, x2, 2)
+    assert level_diff_matrix(x1, x2, 2) is mat  # shared across the per-level calls
+    ref = weakref.ref(mat)
+    del mat, x1, x2
+    gc.collect()
+    assert ref() is None

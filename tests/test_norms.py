@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from roughpaths import (
     P_INF,
@@ -20,7 +24,9 @@ from roughpaths import (
     refined_nikolskii_norm,
     riesz_norm,
 )
+from roughpaths.norms import dp_partition_sup, dp_power_table
 from roughpaths.oracle import (
+    enumerate_partition_supremum,
     oracle_mixed,
     oracle_nikolskii,
     oracle_qvar,
@@ -86,6 +92,28 @@ def test_holder_zero_length_interval():
 def test_riesz_inf_dispatches_to_holder():
     f = zigzag()
     assert riesz_norm(f, 0.5, P_INF) == holder_norm(f, 0.5)
+
+
+def test_float_inf_p_is_the_sentinel():
+    f = random_walk_path(np.random.default_rng(11), 64, 2)
+    assert riesz_norm(f, 0.5, float("inf")) == holder_norm(f, 0.5)
+    assert mixed_norm(f, 0.5, math.inf) == mixed_norm(f, 0.5, P_INF)
+    assert nikolskii_norm(f, 0.5, np.inf) == nikolskii_norm(f, 0.5, P_INF)
+    assert NormSpec(NormKind.RIESZ, delta=0.5, p=float("inf")).p is P_INF
+
+
+def test_nan_or_missing_p_rejected():
+    f = zigzag()
+    for call in (lambda: riesz_norm(f, 0.5, float("nan")),
+                 lambda: mixed_norm(f, 0.5, None),
+                 lambda: qvar_norm(f, float("nan")),
+                 lambda: qvar_norm(f, P_INF),
+                 lambda: nikolskii_norm(f, 0.5, float("nan")),
+                 lambda: frac_sobolev_norm(f, 0.5, float("inf")),
+                 lambda: NormSpec(NormKind.RIESZ, delta=0.5, p=float("nan")),
+                 lambda: NormSpec(NormKind.QVAR, p=None)):
+        with pytest.raises(ParameterError):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +396,13 @@ def test_norms_of_lifted_path(rng):
 
 def test_interval_table_monotone_in_inclusion(rng):
     f = random_walk_path(rng, 10, 1)
+    t, x = f.grid.times, f.values[:, 0]
+    hol = interval_norm_table(f, NormKind.HOELDER, delta=0.5).values
+    for i in range(11):
+        for j in range(i + 1, 11):
+            pair_sup = max(abs(x[b] - x[a]) / (t[b] - t[a]) ** 0.5
+                           for a in range(i, j) for b in range(a + 1, j + 1))
+            assert hol[i, j] == pytest.approx(pair_sup, rel=1e-12)
     for kind, kwargs in (
         (NormKind.HOELDER, {"delta": 0.5}),
         (NormKind.QVAR, {"p": 2.0}),
@@ -403,3 +438,50 @@ def test_single_interval_grid_one_pair_value():
     assert qvar_norm(f, 2.0) == pytest.approx(2.0)
     assert riesz_norm(f, 0.5, 4.0) == pytest.approx(2.0 / 0.5 ** (0.5 - 0.25))
     assert holder_norm(f, 0.5) == pytest.approx(2.0 / np.sqrt(0.5))
+
+
+def test_interval_table_needs_finite_p(rng):
+    f = random_walk_path(rng, 10, 1)
+    for kind in (NormKind.NIKOLSKII, NormKind.RIESZ, NormKind.MIXED):
+        for p in (P_INF, float("inf"), None):
+            with pytest.raises(ParameterError):
+                interval_norm_table(f, kind, delta=0.5, p=p)
+
+
+# ---------------------------------------------------------------------------
+# the nested partition table against the per-cell DP and the enumeration
+# ---------------------------------------------------------------------------
+
+@st.composite
+def weight_windows(draw):
+    n = draw(st.integers(2, 12))
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo, n - 1))
+    cell = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+    w = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        w[draw(st.integers(0, n - 2)), n - 1] = np.inf
+    return w, lo, hi
+
+
+INF_AT_LO = np.triu(np.full((8, 8), 0.5), 1)
+INF_AT_LO[3, 5] = np.inf
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(weight_windows())
+@example((INF_AT_LO, 2, 7))
+@example((np.zeros((6, 6)), 1, 5))
+def test_power_table_equals_cellwise_dp(case):
+    w, lo, hi = case
+    b = dp_power_table(w, lo, hi)
+    assert not np.isnan(b).any()
+    inside = np.zeros(b.shape, dtype=bool)
+    for i in range(lo, hi + 1):
+        for j in range(i + 1, hi + 1):
+            inside[i, j] = True
+            assert b[i, j] == dp_partition_sup(w, i, j)
+            assert b[i, j] == pytest.approx(enumerate_partition_supremum(w, i, j), rel=1e-12)
+    assert not b[~inside].any()
+    if np.isinf(w[lo:hi, lo + 1 : hi + 1]).any():
+        assert b[lo, hi] == np.inf
