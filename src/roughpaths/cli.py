@@ -31,7 +31,6 @@ from .exceptions import (
     BlowUpError,
     CsvFormatError,
     GridMismatchError,
-    NonUniformGridError,
     ParameterError,
     RoughPathsError,
 )
@@ -101,12 +100,19 @@ _NORM_KINDS = {k.value: k for k in NormKind}
 _DIST_KINDS = {k.value: k for k in DistKind}
 
 
+def _parse_float(text, option):
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ParameterError(f"{option} must be a number, got {text!r}") from exc
+
+
 def _parse_p(text):
     if text is None:
         return None
     if text.strip().lower() in ("inf", "infinity"):
         return P_INF
-    return float(text)
+    return _parse_float(text, "--p")
 
 
 def _parse_interval(text):
@@ -211,7 +217,7 @@ def cmd_solve(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ParameterError(f"cannot read field spec {args.field}: {exc}") from exc
     v = VectorField.from_spec(spec)
-    y0 = np.array([float(t) for t in args.y0.split(",")])
+    y0 = np.array([_parse_float(t, "--y0") for t in args.y0.split(",")])
     if args.depth == 1:
         cfg = RdeConfig(depth=1, substeps=args.substeps, scheme=Scheme.EULER_BV)
         y = solve_bv(y0, v, driver, cfg)
@@ -263,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default=None, help="integrability (number or 'inf'); "
                                              "for qvar this is the exponent q")
     p.add_argument("--interval", default=None, help="subinterval s:t (grid points)")
-    p.add_argument("--max-nested", type=int, default=512, dest="max_nested")
+    p.add_argument("--max-nested", type=int, default=512, dest="max_nested",
+                   help="grid-interval cap of the O(M^3) refinednikolskii norm")
     p.add_argument("--json", default=None, help="also write a JSON result")
     p.set_defaults(fn=cmd_norm)
 
@@ -282,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
                                              "(for qvar, the exponent q)")
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--interval", default=None)
-    p.add_argument("--max-nested", type=int, default=512, dest="max_nested")
+    p.add_argument("--max-nested", type=int, default=512, dest="max_nested",
+                   help="grid-interval cap of the O(M^3) nikolskiihat distance")
     p.add_argument("--json", default=None)
     p.set_defaults(fn=cmd_dist)
 
@@ -317,9 +325,6 @@ def main(argv=None) -> int:
     except BlowUpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    except (ParameterError, NonUniformGridError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
     except RoughPathsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER

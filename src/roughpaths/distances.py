@@ -7,7 +7,9 @@ increments X_{i,j} = X_i^{-1} x X_j), the level-k distances are
 * q-variation      ( sup_P sum D_k(u, v)^(q/k) )^(k/q)
 * Riesz            ( sup_P sum D_k(u, v)^(p/k) / (v-u)^(delta*p-1) )^(k/p)
 * mixed            as Riesz, with the level-k (1/delta)-variation distance
-                   of the block in place of D_k(u, v)
+                   of the block in place of D_k(u, v); equal to Riesz on
+                   every grid and computed as Riesz (the proof in ``norms``
+                   applied to D_k^(1/k))
 * Nikolskii-hat    outer partition sup of the level-k Nikolskii distance
                    powers of the blocks (uniform grids only)
 
@@ -32,8 +34,8 @@ from .norms import (
     _check_riesz_p,
     _finite_p,
     _require_uniform,
+    _riesz_weight,
     dp_partition_sup,
-    dp_power_table,
     shift_sup_table,
 )
 from .paths import GroupPath
@@ -128,38 +130,15 @@ def rho_riesz_level(x1, x2, delta: float, p: float, k: int, interval=None) -> fl
     _check_delta(delta)
     p = _check_dist_p(delta, p)
     _check_pair(x1, x2, k)
-    d = level_diff_matrix(x1, x2, k)
-    times = x1.grid.times
+    w = _riesz_weight(level_diff_matrix(x1, x2, k), x1.grid.times, delta, p, k)
     lo, hi = x1.grid.resolve_interval(interval)
-    w = np.zeros_like(d)
-    iu = np.triu_indices(len(times), k=1)
-    w[iu] = d[iu] ** (p / k) * (times[iu[1]] - times[iu[0]]) ** (1.0 - delta * p)
     return dp_partition_sup(w, lo, hi) ** (k / p)
 
 
-def rho_mixed_level(x1, x2, delta: float, p: float, k: int, interval=None,
-                    max_nested: int = 512) -> float:
-    """Level-k mixed Hoelder-variation distance.
-
-    ( sup_P sum rho_qvar_level(...;[u,v])^(p/k) / (v-u)^(delta*p-1) )^(k/p)
-    with inner exponent q = 1/delta; the inner table costs O(M^3).
-    """
-    _check_delta(delta)
-    p = _check_dist_p(delta, p)
-    _check_pair(x1, x2, k)
-    lo, hi = x1.grid.resolve_interval(interval)
-    if hi == lo:
-        return 0.0
-    _check_nested(lo, hi, max_nested)
-    d = level_diff_matrix(x1, x2, k)
-    q = 1.0 / delta
-    inner = dp_power_table(d ** (q / k), lo, hi)  # = rho_qvar^(q/k) per block
-    times = x1.grid.times
-    w = np.zeros_like(inner)
-    iu = np.triu_indices(len(times), k=1)
-    # rho_qvar^(p/k) = inner^(p/q)
-    w[iu] = inner[iu] ** (p / q) * (times[iu[1]] - times[iu[0]]) ** (1.0 - delta * p)
-    return dp_partition_sup(w, lo, hi) ** (k / p)
+def rho_mixed_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:
+    """Level-k mixed distance ( sup_P sum rho_qvar_level(...;[u,v])^(p/k) /
+    (v-u)^(delta*p-1) )^(k/p), q = 1/delta; equal to ``rho_riesz_level``."""
+    return rho_riesz_level(x1, x2, delta, p, k, interval)
 
 
 def rho_nikolskii_hat_level(x1, x2, delta: float, p: float, k: int, interval=None,
@@ -202,10 +181,8 @@ def rho_level(x1, x2, kind: DistKind, *, delta=None, p=None, k=1, interval=None,
     """Single-level dispatcher used by rho_aggregate and the CLI."""
     if kind is DistKind.QVAR:
         return rho_qvar_level(x1, x2, p, k, interval)
-    if kind is DistKind.RIESZ:
+    if kind in (DistKind.RIESZ, DistKind.MIXED):
         return rho_riesz_level(x1, x2, delta, p, k, interval)
-    if kind is DistKind.MIXED:
-        return rho_mixed_level(x1, x2, delta, p, k, interval, max_nested)
     if kind is DistKind.NIKOLSKII_HAT:
         return rho_nikolskii_hat_level(x1, x2, delta, p, k, interval, max_nested)
     raise ParameterError(f"unknown distance kind {kind}")

@@ -8,23 +8,50 @@ for group paths):
 * q-variation      ( sup_P sum d(f_u, f_v)^q )^(1/q)
 * Riesz variation  ( sup_P sum d(f_u, f_v)^p / (v-u)^(delta*p-1) )^(1/p)
 * mixed            as Riesz, with the block's (1/delta)-variation in place
-                   of the endpoint distance
+                   of the endpoint distance; equal to Riesz on every grid
+                   (below) and computed as Riesz
 * Nikolskii        sup_h h^(-delta) ( int d(f_u, f_{u+h})^p du )^(1/p)
 * refined Nikolskii( sup_P sum ||f||_{Nikolskii;[u,v]}^p )^(1/p)
 * fractional       ( iint d(f_u, f_v)^p / |v-u|^(1+delta*p) du dv )^(1/p)
   Sobolev
 
 Partition suprema run over grid points only and are computed by an exact
-O(M^2) dynamic program; the nested kinds (mixed, refined Nikolskii)
-precompute an O(M^2)-cell table of inner values at O(M) each, i.e. O(M^3)
-total, and are therefore capped at ``max_nested`` grid intervals (default
-512) unless the caller raises the cap explicitly.  The mixed kind's inner
-table of q-variation powers (``dp_power_table``) is a column-vectorised
-O(M^3) DP, one masked NumPy max per column, whose values are bit-identical
-to the per-cell recursion of ``dp_partition_sup``.  Nikolskii shifts h run
-over integer multiples of the uniform mesh with a left Riemann sum for the
-inner integral; the fractional Sobolev double integral uses the tensor-grid
+O(M^2) dynamic program.  Refined Nikolskii precomputes an O(M^2)-cell table
+of inner values at O(M) each, i.e. O(M^3) total, and is therefore capped at
+``max_nested`` grid intervals (default 512) unless the caller raises the cap
+explicitly; ``interval_norm_table`` takes the same cap.  The table of
+q-variation powers over all subintervals (``qvar_power_table``, used by
+interval tables and control functions) is a column-vectorised O(M^3) DP,
+one masked NumPy max per column, whose values are bit-identical to the
+per-cell recursion of ``dp_partition_sup``.  Nikolskii shifts h run over
+integer multiples of the uniform mesh with a left Riemann sum for the inner
+integral; the fractional Sobolev double integral uses the tensor-grid
 quadrature with the diagonal band |u-v| < mesh excluded.
+
+Mixed equals Riesz on every grid.  Let q = 1/delta, and split a block I at
+grid points into blocks J_j with endpoint distances d_j.
+
+* Riesz <= mixed: d(f_u, f_v) <= ||f||_{q-var;[u,v]} (one-block partition).
+* mixed <= Riesz for delta*p >= 1, i.e. p >= q.  Write d_j^q = a_j b_j with
+  b_j = |J_j|^(q(delta*p-1)/p).  As q(delta*p-1) = p-q, Hoelder's inequality
+  with exponents p/q and p/(p-q) gives
+      sum_j d_j^q <= (sum_j d_j^p / |J_j|^(delta*p-1))^(q/p) |I|^((p-q)/p),
+  i.e. (sum_j d_j^q)^(p/q) / |I|^(delta*p-1) <= sum_j d_j^p / |J_j|^(delta*p-1).
+  Refining each block of a partition by its optimal sub-partition thus
+  gives a Riesz sum at least the mixed sum.
+  ``_check_riesz_p`` admits delta*p down to 1 - 1e-12; there
+  (sum_j d_j^q)^(p/q) <= sum_j d_j^p still holds and the length factors
+  bound the norms' ratio by (T/h)^(1e-12/p), h the smallest grid step.
+* p = infinity: with H the Hoelder seminorm, sum_j d_j^q <= H^q |I|, so no
+  block's q-variation exceeds H |I|^delta and mixed equals Hoelder, which
+  is Riesz at p = infinity.
+
+No triangle inequality is used, so the identity also holds for the
+quasi-metric surrogate of group paths and, level by level, for the
+distances of ``distances`` (apply it to D_k^(1/k)).  ``mixed_norm`` is
+therefore ``riesz_norm``, an O(M^2) DP; the nested definition is kept only
+as the independent reference of the checks ``verify.check_riesz_eq_mixed``
+and ``verify.check_distance_equivalences``.
 
 Riesz variation with p = infinity is the Hoelder seminorm by definition.
 Infinite integrability is the sentinel ``P_INF``; a float inf passed as p is
@@ -216,11 +243,12 @@ def _dt_upper(times: np.ndarray) -> np.ndarray:
     return np.where(dt > 0, dt, np.inf)  # inf keeps unused cells harmless
 
 
-def _riesz_weight(dist, times, delta, p):
+def _riesz_weight(dist, times, delta, p, k=1):
+    # block weights dist^(p/k) / (v-u)^(delta*p-1); k > 1 for level-k distances
     w = np.zeros_like(dist)
     iu = np.triu_indices(len(times), k=1)
     dt = (times[iu[1]] - times[iu[0]]) ** (1.0 - delta * p)
-    w[iu] = dist[iu] ** p * dt
+    w[iu] = dist[iu] ** (p / k) * dt
     return w
 
 
@@ -284,24 +312,9 @@ def riesz_norm(path, delta: float, p, interval=None) -> float:
     return dp_partition_sup(_riesz_weight(dist, times, delta, p), lo, hi) ** (1.0 / p)
 
 
-def mixed_norm(path, delta: float, p, interval=None, max_nested: int = 512) -> float:
-    """Mixed Hoelder-variation norm: Riesz weights built from block (1/delta)-variations."""
-    _check_delta(delta)
-    p = _check_riesz_p(delta, p)
-    times, _ = _path_data(path)
-    lo, hi = path.grid.resolve_interval(interval)
-    if hi == lo:
-        return 0.0
-    _check_nested(lo, hi, max_nested)
-    q = 1.0 / delta
-    inner = qvar_power_table(path, q, lo, hi)  # powers ||.||^q
-    if p is P_INF:
-        window = inner[lo : hi + 1, lo : hi + 1] ** delta  # = ||.||_{q-var}
-        return float(np.max(window / _dt_upper(times[lo : hi + 1]) ** delta))
-    iu = np.triu_indices(len(times), k=1)
-    w = np.zeros_like(inner)
-    w[iu] = inner[iu] ** (delta * p) * (times[iu[1]] - times[iu[0]]) ** (1.0 - delta * p)
-    return dp_partition_sup(w, lo, hi) ** (1.0 / p)
+def mixed_norm(path, delta: float, p, interval=None) -> float:
+    """Mixed Hoelder-variation norm; equal to ``riesz_norm`` on every grid."""
+    return riesz_norm(path, delta, p, interval)
 
 
 def _nikolskii_power(dist, times, delta, p, lo, hi) -> float:
@@ -450,19 +463,10 @@ def interval_norm_table(path, kind: NormKind, delta=None, p=None, interval=None,
         q = _check_q(p)
         b = qvar_power_table(path, q, lo, hi)
         return IntervalNormTable(kind, None, q, b ** (1.0 / q))
-    if kind is NormKind.RIESZ:
+    if kind in (NormKind.RIESZ, NormKind.MIXED):  # mixed equals Riesz on the grid
         _check_delta(delta)
-        p = _finite_p(_check_riesz_p(delta, p), "the Riesz interval table")
+        p = _finite_p(_check_riesz_p(delta, p), f"the {kind.value} interval table")
         b = dp_power_table(_riesz_weight(dist, times, delta, p), lo, hi)
-        return IntervalNormTable(kind, delta, p, b ** (1.0 / p))
-    if kind is NormKind.MIXED:
-        _check_delta(delta)
-        p = _finite_p(_check_riesz_p(delta, p), "the mixed interval table")
-        inner = qvar_power_table(path, 1.0 / delta, lo, hi)
-        iu = np.triu_indices(len(times), k=1)
-        w = np.zeros_like(inner)
-        w[iu] = inner[iu] ** (delta * p) * (times[iu[1]] - times[iu[0]]) ** (1.0 - delta * p)
-        b = dp_power_table(w, lo, hi)
         return IntervalNormTable(kind, delta, p, b ** (1.0 / p))
     if kind is NormKind.NIKOLSKII:
         _check_delta(delta)
@@ -480,10 +484,8 @@ def compute_norm(path, spec: NormSpec, max_nested: int = 512) -> float:
         return holder_norm(path, spec.delta, spec.interval)
     if k is NormKind.QVAR:
         return qvar_norm(path, spec.p, spec.interval)
-    if k is NormKind.RIESZ:
+    if k in (NormKind.RIESZ, NormKind.MIXED):
         return riesz_norm(path, spec.delta, spec.p, spec.interval)
-    if k is NormKind.MIXED:
-        return mixed_norm(path, spec.delta, spec.p, spec.interval, max_nested)
     if k is NormKind.NIKOLSKII:
         return nikolskii_norm(path, spec.delta, spec.p, spec.interval)
     if k is NormKind.REFINED_NIKOLSKII:

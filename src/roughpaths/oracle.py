@@ -62,8 +62,6 @@ def enumerate_partition_supremum(weight, lo: int, hi: int) -> float:
 
 def _dist_fn(path):
     if isinstance(path, EuclideanPath):
-        if path.metric is not None:
-            return lambda i, j: path.metric(path.values[i], path.values[j])
         return lambda i, j: float(np.linalg.norm(path.values[j] - path.values[i]))
     if isinstance(path, GroupPath):
         return lambda i, j: group_distance(path.values[i], path.values[j])

@@ -12,9 +12,8 @@ points only; that is the discrete definition of every norm in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -95,16 +94,10 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class EuclideanPath:
-    """R^n-valued samples on a grid, identified with their linear interpolant.
-
-    ``metric`` optionally overrides the Euclidean distance between two value
-    vectors; norms computed from a custom metric lose the exact q=1 shortcut
-    (it relies on the triangle inequality).
-    """
+    """R^n-valued samples on a grid, identified with their linear interpolant."""
 
     grid: TimeGrid
     values: np.ndarray
-    metric: Callable[[np.ndarray, np.ndarray], float] | None = field(default=None)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float, copy=True)
@@ -132,20 +125,13 @@ class EuclideanPath:
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        """Pairwise distances d(f_i, f_j), shape (M+1, M+1)."""
-        if self.metric is not None:
-            m = len(self.grid)
-            out = np.zeros((m, m))
-            for i in range(m):
-                for j in range(i + 1, m):
-                    out[i, j] = out[j, i] = self.metric(self.values[i], self.values[j])
-            return out
+        """Pairwise Euclidean distances |f_j - f_i|, shape (M+1, M+1)."""
         diff = self.values[:, None, :] - self.values[None, :, :]
         return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
     @property
     def has_true_metric(self) -> bool:
-        return self.metric is None
+        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,12 +273,10 @@ def resample_uniform(path: EuclideanPath, intervals: int) -> EuclideanPath:
     # endpoint values preserved exactly
     new[0] = path.values[0]
     new[-1] = path.values[-1]
-    return EuclideanPath(grid, new, metric=path.metric)
+    return EuclideanPath(grid, new)
 
 
 def time_reversed(path: EuclideanPath) -> EuclideanPath:
     """Time reversal t -> T - t (grid re-anchored at 0)."""
     t = path.grid.times
-    return EuclideanPath(
-        TimeGrid(t[-1] - t[::-1]), path.values[::-1], metric=path.metric
-    )
+    return EuclideanPath(TimeGrid(t[-1] - t[::-1]), path.values[::-1])

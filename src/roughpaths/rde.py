@@ -194,18 +194,31 @@ class VectorField:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "VectorField":
-        family = FieldFamily(spec["family"].lower())
-        coeffs = spec["coefficients"]
+        """Field from its JSON spec; a missing key or an unknown family raises
+        ``ParameterError``."""
+        try:
+            family = FieldFamily(str(spec.get("family")).lower())
+        except ValueError:
+            raise ParameterError(f"the field spec needs a family from "
+                                 f"{[f.value for f in FieldFamily]}, got "
+                                 f"{spec.get('family')!r}") from None
+        try:
+            coeffs = spec["coefficients"]
+            matrices = coeffs["matrices"]
+            offsets = coeffs["offsets"] if family is FieldFamily.AFFINE else coeffs.get("offsets")
+            if family is FieldFamily.POLYNOMIAL:
+                n, m = int(spec["n"]), int(spec["m"])
+        except KeyError as exc:
+            raise ParameterError(f"the field spec lacks the key {exc}") from None
         gamma = float(spec.get("lip_gamma", 2.5))
         radius = float(spec.get("box_radius", 10.0))
         if family is FieldFamily.LINEAR:
-            return cls.linear(coeffs["matrices"], gamma, radius)
+            return cls.linear(matrices, gamma, radius)
         if family is FieldFamily.AFFINE:
-            return cls.affine(coeffs["matrices"], coeffs["offsets"], gamma, radius)
-        n, m = int(spec["n"]), int(spec["m"])
+            return cls.affine(matrices, offsets, gamma, radius)
         return cls.polynomial(
-            coeffs.get("offsets", np.zeros((n, m))),
-            coeffs["matrices"],
+            np.zeros((n, m)) if offsets is None else offsets,
+            matrices,
             coeffs.get("quadratics", np.zeros((n, m, m, m))),
             gamma, radius,
         )

@@ -526,7 +526,7 @@ def check_bv_identity(paths_with_derivs, p, tol=0.01, quad_points=8192,
         lp = (np.trapezoid(speed**p, tq)) ** (1.0 / p)
         vals = {
             "riesz": riesz_norm(f, 1.0, p),
-            "mixed": mixed_norm(f, 1.0, p, max_nested=max_nested),
+            "mixed": mixed_norm(f, 1.0, p),
             "refined_nikolskii": refined_nikolskii_norm(f, 1.0, p, max_nested=max_nested),
         }
         for k, v in vals.items():
@@ -596,12 +596,32 @@ def check_norm_superadditivity(paths, delta, p, seed=0) -> list[CheckRecord]:
     ]
 
 
+def _nested_mixed(x1, delta, p, x2=None, k=1) -> float:
+    """Mixed norm of ``x1`` (``x2`` None) or level-k mixed distance of the
+    pair by the nested definition (an O(M^3) table of block q-variation
+    powers, q = 1/delta): the independent reference for the Riesz = mixed
+    grid identity that serves ``mixed_norm`` and ``rho_mixed_level``."""
+    times = x1.grid.times
+    m = len(times) - 1
+    q = 1.0 / delta
+    if x2 is None:
+        inner, expo, root = qvar_power_table(x1, q, 0, m), delta * p, 1.0 / p
+    else:
+        d = level_diff_matrix(x1, x2, k)
+        inner, expo, root = dp_power_table(d ** (q / k), 0, m), p / q, k / p
+    iu = np.triu_indices(m + 1, k=1)
+    w = np.zeros_like(inner)
+    w[iu] = inner[iu] ** expo * (times[iu[1]] - times[iu[0]]) ** (1.0 - delta * p)
+    return dp_partition_sup(w, 0, m) ** root
+
+
 def check_riesz_eq_mixed(paths, delta, p) -> CheckRecord:
-    """Grid equality of the Riesz and mixed norms (constant 1 both ways)."""
+    """Grid equality of the Riesz norm and the nested mixed norm (constant 1
+    both ways)."""
     dev = 0.0
     for f in paths:
         a = riesz_norm(f, delta, p)
-        b = mixed_norm(f, delta, p)
+        b = _nested_mixed(f, delta, p)
         dev = max(dev, abs(a - b) / max(a, b, 1e-300))
     return equality_record("riesz_eq_mixed", dev,
                            params={"delta": delta, "p": p, "paths": len(paths)},
@@ -641,9 +661,10 @@ def check_riesz_characterization(paths, refined_paths, delta, p) -> list[CheckRe
 # ---------------------------------------------------------------------------
 
 def check_distance_equivalences(pairs, delta, p, refined_pairs=None) -> list[CheckRecord]:
-    """Distance-level analogues: grid equality rho_riesz = rho_mixed per
-    level, reported two-sided constants against the Nikolskii-hat distance
-    (with the Nikolskii-hat ball bound logged), and symmetry."""
+    """Distance-level analogues: grid equality of rho_riesz and the nested
+    rho_mixed per level, reported two-sided constants against the
+    Nikolskii-hat distance (with the Nikolskii-hat ball bound logged), and
+    symmetry."""
     depth = pairs[0][0].depth
     pr = {"delta": delta, "p": p, "depth": depth, "pairs": len(pairs)}
     dev = 0.0
@@ -652,13 +673,13 @@ def check_distance_equivalences(pairs, delta, p, refined_pairs=None) -> list[Che
     for x1, x2 in pairs:
         for k in range(1, depth + 1):
             a = rho_riesz_level(x1, x2, delta, p, k)
-            b = rho_mixed_level(x1, x2, delta, p, k)
+            b = _nested_mixed(x1, delta, p, x2, k)
             dev = max(dev, abs(a - b) / max(a, b, 1e-300))
             nh = rho_nikolskii_hat_level(x1, x2, delta, p, k)
             c1 = max(c1, _safe_ratio(nh, b))
             c2 = max(c2, _safe_ratio(b, nh))
         for x in (x1, x2):
-            ball = max(ball, _group_refined_nikolskii(x, delta, p))
+            ball = max(ball, refined_nikolskii_norm(x, delta, p))
     x1, x2 = pairs[0]
     sym_dev = abs(
         rho_aggregate(x1, x2, DistKind.RIESZ, delta=delta, p=p)
@@ -687,10 +708,6 @@ def check_distance_equivalences(pairs, delta, p, refined_pairs=None) -> list[Che
                                     max(_safe_ratio(c0, cf), _safe_ratio(cf, c0)), 2.0,
                                     constant=1.0, params=pr))
     return recs
-
-
-def _group_refined_nikolskii(x: GroupPath, delta, p) -> float:
-    return refined_nikolskii_norm(x, delta, p)
 
 
 @dataclass(frozen=True)

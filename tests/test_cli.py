@@ -194,6 +194,13 @@ def test_norm_nan_p_exit3(linear_csv):
                  "--p", "nan"]) == 3
 
 
+def test_norm_non_numeric_p_exit3(linear_csv, capsys):
+    assert main(["norm", linear_csv, "--kind", "rieszv", "--delta", "0.5",
+                 "--p", "abc"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_dist_grid_mismatch_exit4(tmp_path, rng):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_path_csv(random_walk_path(rng, 8, 1), f1)
@@ -252,6 +259,31 @@ def test_solve_constant_field_affine_output(tmp_path, capsys):
     write_path_csv(EuclideanPath.from_function(TimeGrid.uniform(10), lambda t: t), f)
     assert main(["solve", str(f), "--field", str(fj), "--y0", "1.0"]) == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(3.0)
+
+
+def test_solve_non_numeric_y0_exit3(tmp_path, field_json, capsys):
+    f = tmp_path / "t.csv"
+    write_path_csv(EuclideanPath.from_function(TimeGrid.uniform(10), lambda t: t), f)
+    assert main(["solve", str(f), "--field", field_json, "--y0", "abc"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "linear", "m": 1, "n": 1},
+    {"family": "linear", "m": 1, "n": 1, "coefficients": {}},
+    {"family": "affine", "m": 1, "n": 1, "coefficients": {"matrices": [[[1.0]]]}},
+    {"family": "spline", "m": 1, "n": 1, "coefficients": {"matrices": [[[1.0]]]}},
+    {"m": 1, "n": 1, "coefficients": {"matrices": [[[1.0]]]}},
+], ids=["no-coefficients", "no-matrices", "no-offsets", "unknown-family", "no-family"])
+def test_solve_bad_field_spec_exit3(tmp_path, capsys, spec):
+    fj = tmp_path / "f.json"
+    fj.write_text(json.dumps(spec))
+    f = tmp_path / "t.csv"
+    write_path_csv(EuclideanPath.from_function(TimeGrid.uniform(10), lambda t: t), f)
+    assert main(["solve", str(f), "--field", str(fj), "--y0", "1.0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_solve_blow_up_exit5(tmp_path, capsys):

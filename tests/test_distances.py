@@ -23,13 +23,14 @@ from roughpaths import (
     rho_riesz_level,
     riesz_norm,
 )
-from roughpaths.distances import level_diff_matrix
+from roughpaths.distances import level_diff_matrix, rho_level
 from roughpaths.oracle import (
     oracle_rho_mixed,
     oracle_rho_nikolskii_hat,
     oracle_rho_qvar,
     oracle_rho_riesz,
 )
+from roughpaths.verify import _nested_mixed
 from conftest import random_walk_path
 
 
@@ -137,10 +138,12 @@ def test_riesz_equals_mixed_distance(rng):
         x1, x2, _, _ = make_pair(rng, intervals=12)
         for delta, p in ((0.4, 3.0), (0.45, 4.0), (0.6, 8.0)):
             for k in (1, 2):
+                # against the nested definition: the grid identity of ``norms``
                 a = rho_riesz_level(x1, x2, delta, p, k)
-                b = rho_mixed_level(x1, x2, delta, p, k)
+                b = _nested_mixed(x1, delta, p, x2, k)
                 assert a == pytest.approx(b, rel=1e-9)
                 assert a <= b * (1 + 1e-9)  # the constant-1 direction on its own
+                assert rho_mixed_level(x1, x2, delta, p, k) == a
 
 
 def test_symmetry_exact(rng):
@@ -185,10 +188,19 @@ def test_nikolskii_hat_needs_uniform_grid(rng):
         rho_nikolskii_hat_level(x1, x2, 0.45, 4.0, 1)
 
 
-def test_mixed_nested_cap(rng):
+def test_nested_cap_on_nikolskii_hat_only(rng):
     x1, x2, _, _ = make_pair(rng, intervals=24)
     with pytest.raises(ParameterError):
-        rho_mixed_level(x1, x2, 0.45, 4.0, 1, max_nested=8)
+        rho_nikolskii_hat_level(x1, x2, 0.45, 4.0, 1, max_nested=8)
+    with pytest.raises(ParameterError):
+        rho_level(x1, x2, DistKind.NIKOLSKII_HAT, delta=0.45, p=4.0, k=1, max_nested=8)
+    # the mixed distance is the O(M^2) Riesz DP and has no cap
+    big1, big2, _, _ = make_pair(rng, intervals=2048)
+    for k in (1, 2):
+        riesz = rho_riesz_level(big1, big2, 0.45, 4.0, k)
+        assert rho_mixed_level(big1, big2, 0.45, 4.0, k) == riesz
+        assert rho_level(big1, big2, DistKind.MIXED, delta=0.45, p=4.0, k=k,
+                         max_nested=8) == riesz
 
 
 def test_level_diff_cache_dies_with_paths(rng):

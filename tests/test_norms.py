@@ -33,6 +33,7 @@ from roughpaths.oracle import (
     oracle_refined_nikolskii,
     oracle_riesz,
 )
+from roughpaths.verify import _nested_mixed
 from conftest import random_walk_path
 
 
@@ -182,11 +183,16 @@ def test_riesz_oracle_equality(rng):
 # ---------------------------------------------------------------------------
 
 def test_mixed_equals_riesz_on_grid(rng):
+    # against the nested definition: the grid identity proved in ``norms``
     for _ in range(15):
         f = random_walk_path(rng, int(rng.integers(4, 20)), 2, uniform=False)
         for delta, p in ((0.4, 3.0), (0.45, 4.0), (0.6, 8.0)):
-            a, b = riesz_norm(f, delta, p), mixed_norm(f, delta, p)
+            a, b = riesz_norm(f, delta, p), _nested_mixed(f, delta, p)
             assert a == pytest.approx(b, rel=1e-9)
+            assert mixed_norm(f, delta, p) == a
+        tables = [interval_norm_table(f, kind, delta=0.45, p=4.0).values
+                  for kind in (NormKind.RIESZ, NormKind.MIXED)]
+        np.testing.assert_array_equal(tables[0], tables[1])
 
 
 def test_mixed_linear_closed_form():
@@ -201,12 +207,22 @@ def test_mixed_oracle_equality(rng):
         )
 
 
-def test_mixed_nested_cap():
+def test_nested_cap_on_refined_nikolskii_only():
     f = random_walk_path(np.random.default_rng(0), 40, 1)
+    spec = NormSpec(NormKind.REFINED_NIKOLSKII, delta=0.5, p=4.0)
     with pytest.raises(ParameterError):
-        mixed_norm(f, 0.5, 4.0, max_nested=16)
+        refined_nikolskii_norm(f, 0.5, 4.0, max_nested=16)
+    with pytest.raises(ParameterError):
+        compute_norm(f, spec, max_nested=16)
     # explicit override accepts the cost
-    mixed_norm(f, 0.5, 4.0, max_nested=40)
+    assert refined_nikolskii_norm(f, 0.5, 4.0, max_nested=40) == compute_norm(
+        f, spec, max_nested=40)
+    # the mixed norm is the O(M^2) Riesz DP and has no cap
+    big = random_walk_path(np.random.default_rng(1), 2048, 2)
+    riesz = riesz_norm(big, 0.45, 4.0)
+    assert mixed_norm(big, 0.45, 4.0) == riesz
+    assert compute_norm(big, NormSpec(NormKind.MIXED, delta=0.45, p=4.0),
+                        max_nested=16) == riesz
 
 
 def test_mixed_p_inf_is_blockwise_holder_of_qvar():
@@ -391,7 +407,7 @@ def test_norms_of_lifted_path(rng):
     f = random_walk_path(rng, 10, 2)
     x = lift(f, 2)
     assert qvar_norm(x, 2.5) > 0
-    assert riesz_norm(x, 0.45, 4.0) == pytest.approx(mixed_norm(x, 0.45, 4.0), rel=1e-9)
+    assert riesz_norm(x, 0.45, 4.0) == pytest.approx(_nested_mixed(x, 0.45, 4.0), rel=1e-9)
 
 
 def test_interval_table_monotone_in_inclusion(rng):
@@ -426,6 +442,7 @@ def test_compute_norm_dispatch(rng):
         (NormSpec(NormKind.HOELDER, delta=0.5), holder_norm(f, 0.5)),
         (NormSpec(NormKind.QVAR, p=2.0), qvar_norm(f, 2.0)),
         (NormSpec(NormKind.RIESZ, delta=0.45, p=4.0), riesz_norm(f, 0.45, 4.0)),
+        (NormSpec(NormKind.MIXED, delta=0.45, p=4.0), riesz_norm(f, 0.45, 4.0)),
         (NormSpec(NormKind.NIKOLSKII, delta=0.45, p=4.0), nikolskii_norm(f, 0.45, 4.0)),
         (NormSpec(NormKind.FRAC_SOBOLEV, delta=0.3, p=2.0), frac_sobolev_norm(f, 0.3, 2.0)),
     ]

@@ -199,11 +199,3 @@ def test_group_distance_matrix_matches_pointwise(rng):
             assert d[i, j] == pytest.approx(
                 group_distance(x.values[i], x.values[j]), rel=1e-11, abs=1e-13
             )
-
-
-def test_custom_metric_respected():
-    grid = TimeGrid.uniform(2)
-    path = EuclideanPath(grid, [[0.0], [1.0], [3.0]],
-                         metric=lambda a, b: abs(float(b[0] - a[0])) ** 0.5)
-    assert path.distance_matrix[0, 2] == pytest.approx(3.0 ** 0.5)
-    assert not path.has_true_metric

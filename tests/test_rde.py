@@ -253,7 +253,7 @@ def test_output_regularity_transfer(rng):
     norms = []
     for s in (1, 2, 4):
         y = solve_bv([0.1, -0.2], v, x, RdeConfig(substeps=s))
-        norms.append(mixed_norm(y, 0.45, 4.0, max_nested=200))
+        norms.append(mixed_norm(y, 0.45, 4.0))
     assert all(np.isfinite(norms))
     for a, b in zip(norms, norms[1:]):
         assert 0.8 <= a / b <= 1.25
