@@ -222,7 +222,7 @@ def cmd_solve(args) -> int:
         cfg = RdeConfig(depth=1, substeps=args.substeps, scheme=Scheme.EULER_BV)
         y = solve_bv(y0, v, driver, cfg)
     else:
-        cfg = RdeConfig(depth=args.depth, scheme=Scheme.ROUGH_EULER)
+        cfg = RdeConfig(depth=args.depth, substeps=args.substeps, scheme=Scheme.ROUGH_EULER)
         y = solve_rough(y0, v, lift(driver, args.depth), cfg)
     if args.out:
         write_path_csv(y, args.out)

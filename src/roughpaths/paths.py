@@ -2,9 +2,12 @@
 
 Paths are known only at grid points.  Euclidean paths are identified with
 their piecewise-linear interpolant; lifting computes the exact truncated
-signature of that interpolant segment by segment (Chen's identity), and a
-group path stores the running signatures X_{0,t_j}, so that the increment
-X_{i,j} = X_i^{-1} x X_j costs one inverse and one multiply.
+signature of that interpolant.  A group path stores the running signatures
+X_{0,t_j} as stacked levels, one read-only (M+1, n^k) array per level k
+(row j is level k of X_{0,t_j}, flattened in C order).  ``lift`` builds
+level k by one cumulative sum over the grid (Chen's identity), and the
+increments X_{i,j} = X_i^{-1} x X_j of a whole row i come from one batched
+inverse of the path and one batched multiply (``tensor_core.stacked_mul``).
 
 All partition/pair suprema elsewhere in the library are taken over grid
 points only; that is the discrete definition of every norm in this package.
@@ -21,10 +24,11 @@ from .exceptions import ParameterError
 from .tensor_core import (
     MAX_DEPTH,
     GroupElement,
+    TruncatedTensor,
     group_inverse,
     group_mul,
-    identity_element,
-    segment_exp,
+    stacked_inverse,
+    stacked_mul,
 )
 
 
@@ -136,48 +140,77 @@ class EuclideanPath:
 
 @dataclass(frozen=True, eq=False)
 class GroupPath:
-    """Group-valued path of running signatures: values[j] = X_{0,t_j}, values[0] = id."""
+    """Group-valued path of running signatures X_{0,t_j}, stored as stacked levels.
+
+    ``levels[k]`` is a read-only array of shape ``(M+1, dim^k)`` whose row j
+    is level k of X_{0,t_j} flattened in C order; level 0 is all ones and
+    row 0 is the identity.  ``from_elements`` builds a path from one
+    ``GroupElement`` per grid point, and ``values`` gives the elements back.
+    """
 
     grid: TimeGrid
-    values: tuple[GroupElement, ...]
+    levels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.values) != len(self.grid):
-            raise ParameterError("one group element per grid point required")
-        g0 = self.values[0]
-        from .tensor_core import level_norms
-
-        if np.max(level_norms(g0)) > 0.0:
+        try:
+            levels = tuple(np.array(lv, dtype=float) for lv in self.levels)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"levels must be numeric arrays (GroupPath.from_elements "
+                                 f"builds a path from group elements): {exc}") from None
+        if not 1 <= len(levels) - 1 <= MAX_DEPTH:
+            raise ParameterError(f"depth must be in 1..{MAX_DEPTH}, got {len(levels) - 1}")
+        rows = len(self.grid)
+        dim = levels[1].shape[-1] if levels[1].ndim == 2 else 0
+        for k, lv in enumerate(levels):
+            if dim < 1 or lv.shape != (rows, dim**k):
+                raise ParameterError(f"level {k} must have shape ({rows}, dim**{k}) "
+                                     f"with dim >= 1, got {lv.shape}")
+            if not np.all(np.isfinite(lv)):
+                raise ParameterError(f"level {k} contains non-finite entries")
+            lv.flags.writeable = False
+        if np.any(levels[0] != 1.0):
+            raise ParameterError("group elements need level-0 entry exactly 1")
+        if any(lv[0].any() for lv in levels[1:]):
             raise ParameterError("a group path starts at the identity")
-        for g in self.values[1:]:
-            if g.dim != g0.dim or g.depth != g0.depth:
-                raise ParameterError("all group elements must share dim/depth")
+        object.__setattr__(self, "levels", levels)
+
+    @classmethod
+    def from_elements(cls, grid: TimeGrid, elements) -> "GroupPath":
+        """Path with ``elements[j]`` = X_{0,t_j}, one element per grid point."""
+        elements = tuple(elements)
+        if len(elements) != len(grid):
+            raise ParameterError("one group element per grid point required")
+        g0 = elements[0]
+        if any(g.dim != g0.dim or g.depth != g0.depth for g in elements):
+            raise ParameterError("all group elements must share dim/depth")
+        return cls(grid, tuple(np.stack([g.level(k).reshape(-1) for g in elements])
+                               for k in range(g0.depth + 1)))
 
     @property
     def dim(self) -> int:
-        return self.values[0].dim
+        return self.levels[1].shape[1]
 
     @property
     def depth(self) -> int:
-        return self.values[0].depth
+        return len(self.levels) - 1
+
+    def element(self, j: int) -> GroupElement:
+        """X_{0,t_j} as a ``GroupElement``."""
+        return GroupElement(TruncatedTensor(self.dim, self.depth,
+                                            tuple(lv[j] for lv in self.levels)))
 
     @cached_property
-    def _stacked_levels(self) -> list[np.ndarray]:
-        """Level k flattened across the grid: shape (M+1, dim^k)."""
-        n = self.dim
-        return [
-            np.stack([g.level(k).reshape(n**k) for g in self.values])
-            for k in range(self.depth + 1)
-        ]
+    def values(self) -> tuple[GroupElement, ...]:
+        """Every X_{0,t_j} as a ``GroupElement``, built on first use."""
+        return tuple(self.element(j) for j in range(len(self.grid)))
 
     @cached_property
     def _stacked_inverses(self) -> list[np.ndarray]:
-        n = self.dim
-        invs = [group_inverse(g) for g in self.values]
-        return [
-            np.stack([g.level(k).reshape(n**k) for g in invs])
-            for k in range(self.depth + 1)
-        ]
+        """Levels of X_{0,t_j}^{-1}, stacked like ``levels``."""
+        inv = stacked_inverse(self.levels)
+        if not all(np.isfinite(lv).all() for lv in inv):
+            raise ParameterError("the inverse of the path overflows")
+        return inv
 
     def increment_level_row(self, i: int) -> list[np.ndarray]:
         """Flattened levels of X_{i,j} for every j, one (M+1, dim^k) array per k.
@@ -185,17 +218,7 @@ class GroupPath:
         Row j holds pi_k(X_i^{-1} x X_j); only entries with j >= i are
         meaningful increments, but the formula is evaluated for all j.
         """
-        inv = self._stacked_inverses
-        val = self._stacked_levels
-        out = []
-        for k in range(self.depth + 1):
-            acc = np.zeros_like(val[k])
-            for a in range(k + 1):
-                left = inv[a][i]
-                right = val[k - a]
-                acc += (left[None, :, None] * right[:, None, :]).reshape(acc.shape[0], -1)
-            out.append(acc)
-        return out
+        return stacked_mul([lv[i:i + 1] for lv in self._stacked_inverses], self.levels)
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
@@ -228,34 +251,49 @@ class GroupPath:
 def lift(path: EuclideanPath, depth: int) -> GroupPath:
     """Exact signature lift of the piecewise-linear interpolant.
 
-    values[j] = exp(d_1) x ... x exp(d_j) with d_i the i-th raw increment;
-    by Chen's identity this is the signature of the interpolant on [0, t_j].
+    Row j is exp(d_1) x ... x exp(d_j) with d_i the i-th raw increment; by
+    Chen's identity this is the signature of the interpolant on [0, t_j].
+    Level k is one cumulative sum over the grid of the step increments
+
+        S^k_{j+1} - S^k_j = e_k + S^1_j x e_{k-1} + ... + S^{k-1}_j x e_1,
+
+    e_i = d^(x)i / i! as ``segment_exp`` computes it and S_j the running
+    signature, built level by level from the lower levels.  Terms are added
+    in this order, the order of ``group_mul(S_j, segment_exp(d, depth))``,
+    so the levels equal that per-step chain bit for bit.
     """
-    if depth > MAX_DEPTH:
-        raise ParameterError(f"depth {depth} exceeds the cap {MAX_DEPTH}")
-    g = identity_element(path.dim, depth)
-    values = [g]
-    for delta in path.increments():
-        g = group_mul(g, segment_exp(delta, depth))
-        values.append(g)
-    return GroupPath(path.grid, tuple(values))
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ParameterError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
+    d = path.increments()
+    steps = d.shape[0]
+    e = [np.ones((steps, 1))]
+    for k in range(1, depth + 1):
+        e.append((e[-1][:, :, None] * d[:, None, :]).reshape(steps, -1) / k)
+    s = [np.ones((steps + 1, 1))]
+    for k in range(1, depth + 1):
+        inc = 0.0
+        for i in range(k):
+            term = s[i][:-1, :, None] * e[k - i][:, None, :]
+            inc = inc + term.reshape(steps, -1)
+        s.append(np.cumsum(np.vstack([np.zeros((1, inc.shape[1])), inc]), axis=0))
+    return GroupPath(path.grid, tuple(s))
 
 
 def increment(x: GroupPath, i: int, j: int) -> GroupElement:
     """Group increment X_{i,j} = X_i^{-1} x X_j for grid indices i <= j."""
     if i > j:
         raise ParameterError(f"increment needs i <= j, got ({i}, {j})")
-    return group_mul(group_inverse(x.values[i]), x.values[j])
+    return group_mul(group_inverse(x.element(i)), x.element(j))
 
 
 def signature(x: GroupPath) -> GroupElement:
     """Full-path signature X_{0,M}."""
-    return x.values[-1]
+    return x.element(-1)
 
 
 def level1_path(x: GroupPath) -> EuclideanPath:
     """Euclidean projection t_j -> pi_1(X_{0,t_j})."""
-    return EuclideanPath(x.grid, np.stack([g.level(1) for g in x.values]))
+    return EuclideanPath(x.grid, x.levels[1])
 
 
 def resample_uniform(path: EuclideanPath, intervals: int) -> EuclideanPath:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .exceptions import BlowUpError, DimensionMismatchError, ParameterError
 from .paths import EuclideanPath, GroupPath, TimeGrid
-from .tensor_core import group_inverse, group_mul
+from .tensor_core import stacked_inverse, stacked_mul
 
 
 class FieldFamily(enum.Enum):
@@ -194,8 +194,10 @@ class VectorField:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "VectorField":
-        """Field from its JSON spec; a missing key or an unknown family raises
-        ``ParameterError``."""
+        """Field from its JSON spec; a missing or wrongly typed entry or an
+        unknown family raises ``ParameterError``."""
+        if not isinstance(spec, dict):
+            raise ParameterError("the field spec must be a JSON object")
         try:
             family = FieldFamily(str(spec.get("family")).lower())
         except ValueError:
@@ -204,24 +206,59 @@ class VectorField:
                                  f"{spec.get('family')!r}") from None
         try:
             coeffs = spec["coefficients"]
-            matrices = coeffs["matrices"]
+            if not isinstance(coeffs, dict):
+                raise ParameterError("the field spec entry 'coefficients' must be an object")
+            matrices = _spec_array(coeffs["matrices"], "matrices", 3)
             offsets = coeffs["offsets"] if family is FieldFamily.AFFINE else coeffs.get("offsets")
             if family is FieldFamily.POLYNOMIAL:
-                n, m = int(spec["n"]), int(spec["m"])
+                n, m = _spec_size(spec["n"], "n"), _spec_size(spec["m"], "m")
         except KeyError as exc:
             raise ParameterError(f"the field spec lacks the key {exc}") from None
-        gamma = float(spec.get("lip_gamma", 2.5))
-        radius = float(spec.get("box_radius", 10.0))
+        offsets = None if offsets is None else _spec_array(offsets, "offsets", 2)
+        gamma = _spec_float(spec.get("lip_gamma", 2.5), "lip_gamma")
+        radius = _spec_float(spec.get("box_radius", 10.0), "box_radius")
         if family is FieldFamily.LINEAR:
             return cls.linear(matrices, gamma, radius)
         if family is FieldFamily.AFFINE:
             return cls.affine(matrices, offsets, gamma, radius)
+        quadratics = coeffs.get("quadratics")
         return cls.polynomial(
             np.zeros((n, m)) if offsets is None else offsets,
             matrices,
-            coeffs.get("quadratics", np.zeros((n, m, m, m))),
+            np.zeros((n, m, m, m)) if quadratics is None
+            else _spec_array(quadratics, "quadratics", 4),
             gamma, radius,
         )
+
+
+def _spec_array(value, name: str, ndim: int) -> np.ndarray:
+    """Field spec entry ``name`` as a float array with ``ndim`` axes."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(f"the field spec entry {name!r} is not a numeric array") from None
+    if a.ndim != ndim:
+        raise ParameterError(f"the field spec entry {name!r} needs {ndim} axes, got {a.ndim}")
+    return a
+
+
+def _spec_float(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"the field spec entry {name!r} must be a number, "
+                             f"got {value!r}") from None
+
+
+def _spec_size(value, name: str) -> int:
+    try:
+        size = int(value)
+    except (TypeError, ValueError):
+        size = 0
+    if size < 1:
+        raise ParameterError(f"the field spec entry {name!r} must be a positive integer, "
+                             f"got {value!r}")
+    return size
 
 
 @dataclass(frozen=True)
@@ -280,22 +317,30 @@ def solve_bv(y0, v: VectorField, x: EuclideanPath, config: RdeConfig = RdeConfig
 
 
 def _euler_step_increment(v: VectorField, y: np.ndarray, g) -> np.ndarray:
-    """Step-N Euler increment sum over words of (V_word Id)(y) pi_k(g)^word."""
+    """Step-N Euler increment sum over words of (V_word Id)(y) pi_k(g)^word.
+
+    ``g[k]`` is level k of the step's group increment as an array of shape
+    ``(n,) * k`` (k = 1..N; ``g[0]`` is not read).
+    """
     vmat = v.value(y)                       # (m, n)
-    out = vmat @ g.level(1)
-    if g.depth >= 2:
+    out = vmat @ g[1]
+    if len(g) > 2:
         jac = v.jac(y)                      # (i, a, b)
-        out = out + np.einsum("jab,bi,ij->a", jac, vmat, g.level(2))
-    if g.depth >= 3:
+        out = out + np.einsum("jab,bi,ij->a", jac, vmat, g[2])
+    if len(g) > 3:
         hes = v.hess(y)                     # (k, a, b, c)
-        g3 = g.level(3)
+        g3 = g[3]
         out = out + np.einsum("kabc,bi,cj,ijk->a", hes, vmat, vmat, g3)
         out = out + np.einsum("kab,jbc,ci,ijk->a", jac, jac, vmat, g3)
     return out
 
 
 def solve_rough(y0, v: VectorField, x: GroupPath, config: RdeConfig) -> EuclideanPath:
-    """Step-N Euler for dY = V(Y) dX along a group-valued driver."""
+    """Step-N Euler for dY = V(Y) dX along a group-valued driver.
+
+    The one-step increments X_j^{-1} x X_{j+1} of all steps come from one
+    batched inverse and one batched multiply before the step loop.
+    """
     if config.scheme is not Scheme.ROUGH_EULER:
         raise ParameterError("solve_rough needs the rough Euler scheme")
     if x.depth != config.depth:
@@ -307,11 +352,14 @@ def solve_rough(y0, v: VectorField, x: GroupPath, config: RdeConfig) -> Euclidea
     y0 = np.asarray(y0, dtype=float).reshape(-1)
     if y0.size != v.m:
         raise DimensionMismatchError(f"y0 has dim {y0.size}, field state dim {v.m}")
+    steps = x.grid.intervals
+    inc = stacked_mul(stacked_inverse([lv[:-1] for lv in x.levels]),
+                      [lv[1:] for lv in x.levels])
+    inc = [lv.reshape((steps,) + (x.dim,) * k) for k, lv in enumerate(inc)]
     ys = [y0]
     y = y0
-    for j in range(x.grid.intervals):
-        g = group_mul(group_inverse(x.values[j]), x.values[j + 1])
-        y = y + _euler_step_increment(v, y, g)
+    for j in range(steps):
+        y = y + _euler_step_increment(v, y, [lv[j] for lv in inc])
         _check_box(y, y0, v.box_radius, float(x.grid.times[j + 1]))
         ys.append(y)
     return EuclideanPath(x.grid, np.stack(ys))

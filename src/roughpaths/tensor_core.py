@@ -15,6 +15,14 @@ with the Euclidean norm on each level.  It is exactly 1-homogeneous under
 dilation and equivalent to the Carnot-Caratheodory norm up to ball-box
 constants; ``oracle.cc_norm_bruteforce`` gives an independent depth-2 CC
 value for calibrating that equivalence.
+
+Batched kernels.  ``stacked_mul`` and ``stacked_inverse`` work on stacked
+levels: one ``(N, n^k)`` array per level k, row r holding the C-order
+flattened level k of the r-th element (rows of 1 broadcast against rows of
+N).  They are the only implementation of the product and the inverse:
+``tensor_mul``, ``group_mul`` and ``group_inverse`` are their N = 1 calls, so
+one element and a stacked path get the same floating-point operations in the
+same order, and batched results equal per-element ones bit for bit.
 """
 
 from __future__ import annotations
@@ -145,24 +153,52 @@ def _check_compatible(a, b):
         )
 
 
+def stacked_mul(a, b) -> list[np.ndarray]:
+    """Row-wise truncated tensor product of stacked levels.
+
+    ``a[k]`` and ``b[k]`` have shape ``(N, n^k)`` (or ``(1, n^k)``, which
+    broadcasts); level k of the result is 0 + sum_{i=0..k} a_i x b_{k-i},
+    added in that order, each outer product flattened in C order.
+    """
+    out = []
+    for k in range(len(a)):
+        acc = 0.0
+        for i in range(k + 1):
+            term = a[i][:, :, None] * b[k - i][:, None, :]
+            acc = acc + term.reshape(term.shape[0], -1)
+        out.append(acc)
+    return out
+
+
+def stacked_inverse(levels) -> list[np.ndarray]:
+    """Row-wise group inverse of stacked levels via the finite Neumann series.
+
+    With u = 1 - g (no level-0 part, hence nilpotent in the truncated
+    algebra), g^{-1} = sum_{k=0..N} u^(x)k exactly; level 0 of the input is
+    not read and level 0 of the result is 1.
+    """
+    rows = levels[1].shape[0]
+    unit = [np.ones((rows, 1))] + [np.zeros_like(lv) for lv in levels[1:]]
+    u = [np.zeros((rows, 1))] + [-lv for lv in levels[1:]]
+    acc, power = unit, unit
+    for _ in range(len(levels) - 1):
+        power = stacked_mul(power, u)
+        acc = [x + y for x, y in zip(acc, power)]
+    return [np.ones((rows, 1))] + acc[1:]
+
+
+def _rows(t: TruncatedTensor) -> list[np.ndarray]:
+    return [lv.reshape(1, -1) for lv in t.levels]
+
+
+def _from_row(dim: int, depth: int, levels) -> TruncatedTensor:
+    return TruncatedTensor(dim, depth, tuple(lv[0] for lv in levels))
+
+
 def tensor_mul(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
     """Truncated tensor product: pi_k(a x b) = sum_{i+j=k} pi_i(a) x pi_j(b)."""
     _check_compatible(a, b)
-    dim, depth = a.dim, a.depth
-    out = []
-    for k in range(depth + 1):
-        acc = np.zeros((dim,) * k)
-        for i in range(k + 1):
-            acc = acc + np.multiply.outer(a.levels[i], b.levels[k - i])
-        out.append(acc)
-    return TruncatedTensor(dim, depth, tuple(out))
-
-
-def _tensor_add(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
-    _check_compatible(a, b)
-    return TruncatedTensor(
-        a.dim, a.depth, tuple(x + y for x, y in zip(a.levels, b.levels))
-    )
+    return _from_row(a.dim, a.depth, stacked_mul(_rows(a), _rows(b)))
 
 
 def group_mul(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -170,22 +206,8 @@ def group_mul(g: GroupElement, h: GroupElement) -> GroupElement:
 
 
 def group_inverse(g: GroupElement) -> GroupElement:
-    """Group inverse via the finite Neumann series.
-
-    With u = 1 - g (no level-0 part, hence nilpotent in the truncated
-    algebra), g^{-1} = sum_{k=0..N} u^(x)k exactly.
-    """
-    dim, depth = g.dim, g.depth
-    u_levels = [np.zeros(())] + [-g.level(k) for k in range(1, depth + 1)]
-    u = TruncatedTensor(dim, depth, tuple(u_levels))
-    acc = unit_tensor(dim, depth)
-    power = unit_tensor(dim, depth)
-    for _ in range(depth):
-        power = tensor_mul(power, u)
-        acc = _tensor_add(acc, power)
-    return GroupElement(
-        TruncatedTensor(dim, depth, (np.ones(()),) + acc.levels[1:])
-    )
+    """Group inverse via the finite Neumann series (``stacked_inverse``)."""
+    return GroupElement(_from_row(g.dim, g.depth, stacked_inverse(_rows(g.tensor))))
 
 
 def dilate(g: GroupElement, lam: float) -> GroupElement:

@@ -275,13 +275,26 @@ def test_solve_non_numeric_y0_exit3(tmp_path, field_json, capsys):
     {"family": "affine", "m": 1, "n": 1, "coefficients": {"matrices": [[[1.0]]]}},
     {"family": "spline", "m": 1, "n": 1, "coefficients": {"matrices": [[[1.0]]]}},
     {"m": 1, "n": 1, "coefficients": {"matrices": [[[1.0]]]}},
-], ids=["no-coefficients", "no-matrices", "no-offsets", "unknown-family", "no-family"])
+    {"family": "linear", "m": 1, "n": 1, "coefficients": []},
+    {"family": "linear", "m": 1, "n": 1, "coefficients": {"matrices": "abc"}},
+    {"family": "polynomial", "m": 1, "n": "x", "coefficients": {"matrices": [[[1.0]]]}},
+], ids=["no-coefficients", "no-matrices", "no-offsets", "unknown-family", "no-family",
+        "coefficients-list", "matrices-string", "n-not-integer"])
 def test_solve_bad_field_spec_exit3(tmp_path, capsys, spec):
     fj = tmp_path / "f.json"
     fj.write_text(json.dumps(spec))
     f = tmp_path / "t.csv"
     write_path_csv(EuclideanPath.from_function(TimeGrid.uniform(10), lambda t: t), f)
     assert main(["solve", str(f), "--field", str(fj), "--y0", "1.0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_solve_rough_rejects_substeps_exit3(tmp_path, field_json, capsys):
+    f = tmp_path / "t.csv"
+    write_path_csv(EuclideanPath.from_function(TimeGrid.uniform(10), lambda t: t), f)
+    assert main(["solve", str(f), "--field", field_json, "--y0", "1.0",
+                 "--depth", "2", "--substeps", "7"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughpaths import (
     EuclideanPath,
@@ -8,6 +10,7 @@ from roughpaths import (
     TimeGrid,
     group_inverse,
     group_mul,
+    grouplike_defect,
     identity_element,
     increment,
     level1_path,
@@ -85,6 +88,38 @@ def test_lift_constant_path_all_identity():
             assert np.abs(g.level(k)).max() == 0.0
 
 
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 40), st.booleans(),
+       st.sampled_from([1e-3, 1.0, 10.0]), st.integers(0, 2**32 - 1))
+def test_lift_equals_per_step_chen_chain(dim, depth, intervals, uniform, scale, seed):
+    path = random_walk_path(np.random.default_rng(seed), intervals, dim, scale, uniform)
+    x = lift(path, depth)
+    g = identity_element(dim, depth)
+    chain = [g]
+    for delta in path.increments():
+        g = group_mul(g, segment_exp(delta, depth))
+        chain.append(g)
+    for k in range(depth + 1):
+        assert np.array_equal(x.levels[k], np.stack([h.level(k).reshape(-1) for h in chain]))
+        assert np.array_equal(x._stacked_inverses[k],
+                              np.stack([group_inverse(h).level(k).reshape(-1) for h in chain]))
+    assert all(grouplike_defect(h) <= 1e-12 for h in x.values)
+    again = GroupPath.from_elements(path.grid, x.values)
+    assert all(np.array_equal(a, b) for a, b in zip(again.levels, x.levels))
+
+
+def test_group_path_levels_validated():
+    grid = TimeGrid.uniform(2)
+    good = lift(EuclideanPath(grid, [[0.0], [1.0], [0.5]]), 2).levels
+    for levels in (good[:1], (good[0], good[1][:2], good[2]),
+                   (good[0], good[1], np.full((3, 1), np.nan)),
+                   (np.zeros((3, 1)), good[1], good[2]), (good[0], good[1] + 1.0, good[2]),
+                   (good[0], good[1], "abc")):
+        with pytest.raises(ParameterError):
+            GroupPath(grid, levels)
+    assert not GroupPath(grid, good).levels[1].flags.writeable
+
+
 def test_lift_depth_cap():
     path = EuclideanPath(TimeGrid.uniform(2), np.zeros((3, 2)))
     with pytest.raises(ParameterError):
@@ -147,7 +182,7 @@ def test_group_path_starts_at_identity(rng):
     grid = TimeGrid.uniform(2)
     bad = (segment_exp([1.0], 2), identity_element(1, 2), identity_element(1, 2))
     with pytest.raises(ParameterError):
-        GroupPath(grid, bad)
+        GroupPath.from_elements(grid, bad)
 
 
 # ---------------------------------------------------------------------------

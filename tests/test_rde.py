@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughpaths import (
     BlowUpError,
@@ -13,6 +15,8 @@ from roughpaths import (
     TimeGrid,
     TruncatedTensor,
     VectorField,
+    group_inverse,
+    group_mul,
     identity_element,
     ito_lyons,
     lift,
@@ -21,6 +25,7 @@ from roughpaths import (
     solve_rough,
 )
 from roughpaths.paths import GroupPath
+from roughpaths.rde import _euler_step_increment
 from conftest import random_walk_path
 
 
@@ -162,7 +167,7 @@ def test_pure_area_with_commuting_fields_stays_put():
     a = 0.5
     l2 = np.array([[0.0, a], [-a, 0.0]])
     g = GroupElement(TruncatedTensor(2, 2, (np.array(1.0), np.zeros(2), l2)))
-    x = GroupPath(TimeGrid([0.0, 1.0]), (identity_element(2, 2), g))
+    x = GroupPath.from_elements(TimeGrid([0.0, 1.0]), (identity_element(2, 2), g))
     fields = np.stack([np.eye(2), 2.0 * np.eye(2)])
     v = VectorField.linear(fields)
     y = solve_rough([1.0, 2.0], v, x, RdeConfig(depth=2, scheme=Scheme.ROUGH_EULER))
@@ -263,3 +268,28 @@ def test_driver_dim_mismatch(rng):
     v = VectorField.linear(np.zeros((3, 2, 2)))
     with pytest.raises(DimensionMismatchError):
         solve_bv([0.0, 0.0], v, random_walk_path(rng, 5, 2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 40),
+       st.sampled_from(list(FieldFamily)), st.integers(0, 2**32 - 1))
+def test_solve_rough_equals_per_step_loop(dim, depth, intervals, family, seed):
+    rng = np.random.default_rng(seed)
+    x = lift(random_walk_path(rng, intervals, dim), depth)
+    lin = 0.4 * rng.standard_normal((dim, 2, 2))
+    const = 0.4 * rng.standard_normal((dim, 2))
+    if family is FieldFamily.LINEAR:
+        v = VectorField.linear(lin, box_radius=1e6)
+    elif family is FieldFamily.AFFINE:
+        v = VectorField.affine(lin, const, box_radius=1e6)
+    else:
+        v = VectorField.polynomial(const, lin, 0.1 * rng.standard_normal((dim, 2, 2, 2)),
+                                   box_radius=1e6)
+    y0 = rng.uniform(-1.0, 1.0, 2)
+    got = solve_rough(y0, v, x, RdeConfig(depth=depth, scheme=Scheme.ROUGH_EULER))
+    y, ys = y0, [y0]
+    for j in range(intervals):
+        g = group_mul(group_inverse(x.values[j]), x.values[j + 1])
+        y = y + _euler_step_increment(v, y, [g.level(k) for k in range(depth + 1)])
+        ys.append(y)
+    assert np.array_equal(got.values, np.stack(ys))

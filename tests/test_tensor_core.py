@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughpaths import (
     DimensionMismatchError,
@@ -17,6 +19,7 @@ from roughpaths import (
     tensor_mul,
     unit_tensor,
 )
+from roughpaths.tensor_core import stacked_inverse, stacked_mul
 from conftest import random_group_element, random_tensor
 
 
@@ -235,3 +238,57 @@ def test_quasi_triangle_with_frozen_constant(rng):
 def test_distance_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         group_distance(identity_element(2, 2), identity_element(3, 2))
+
+
+# ---------------------------------------------------------------------------
+# batched kernels
+# ---------------------------------------------------------------------------
+
+def _loop_mul(a, b, dim):
+    """Row by row: level k = 0 + sum_i multiply.outer(a_i, b_{k-i}), rows of 1 broadcast."""
+    rows = max(a[0].shape[0], b[0].shape[0])
+    out = [np.empty((rows, dim**k)) for k in range(len(a))]
+    for r in range(rows):
+        ra, rb = min(r, a[0].shape[0] - 1), min(r, b[0].shape[0] - 1)
+        for k in range(len(a)):
+            acc = np.zeros((dim,) * k)
+            for i in range(k + 1):
+                acc = acc + np.multiply.outer(a[i][ra].reshape((dim,) * i),
+                                              b[k - i][rb].reshape((dim,) * (k - i)))
+            out[k][r] = acc.ravel()
+    return out
+
+
+def _loop_inverse(g, dim):
+    """Row by row: the Neumann series sum_k (1 - g)^(x)k with ``_loop_mul``."""
+    rows, depth = g[0].shape[0], len(g) - 1
+    unit = [np.ones((rows, 1))] + [np.zeros((rows, dim**k)) for k in range(1, depth + 1)]
+    u = [np.zeros((rows, 1))] + [-g[k] for k in range(1, depth + 1)]
+    acc, power = unit, unit
+    for _ in range(depth):
+        power = _loop_mul(power, u, dim)
+        acc = [x + y for x, y in zip(acc, power)]
+    return [np.ones((rows, 1))] + acc[1:]
+
+
+@st.composite
+def stacked_operands(draw):
+    dim, depth = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 40))
+    one_row = draw(st.sampled_from([None, "a", "b"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def levels(r):
+        return [rng.standard_normal((r, dim**k)) for k in range(depth + 1)]
+
+    return dim, levels(1 if one_row == "a" else rows), levels(1 if one_row == "b" else rows)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(stacked_operands())
+def test_stacked_kernels_equal_per_element_loops(case):
+    dim, a, b = case
+    for got, want in zip(stacked_mul(a, b), _loop_mul(a, b, dim)):
+        assert np.array_equal(got, want)
+    for got, want in zip(stacked_inverse(b), _loop_inverse(b, dim)):
+        assert np.array_equal(got, want)
