@@ -14,7 +14,8 @@ representation, so identical inputs give byte-identical reports.
 
 Exit codes: 0 success; 1 verification failure; 2 CSV parse error (message
 carries the line number); 3 parameter violation or unknown suite; 4 grid
-mismatch; 5 solver blow-up (message carries the exit time).
+mismatch; 5 solver blow-up (message carries the exit time); 6 unexpected
+internal error (one ``error:`` line naming the exception, no traceback).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ EXIT_PARSE = 2
 EXIT_PARAMETER = 3
 EXIT_GRID = 4
 EXIT_BLOWUP = 5
+EXIT_INTERNAL = 6
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +330,10 @@ def main(argv=None) -> int:
     except RoughPathsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
+    except Exception as exc:  # a defect, not a user error: never exit 1 or trace back
+        message = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from .norms import (
     _finite_p,
     _require_uniform,
     _riesz_weight,
+    dense_columns,
     dp_partition_sup,
     shift_sup_table,
 )
@@ -122,7 +123,7 @@ def rho_qvar_level(x1, x2, q: float, k: int, interval=None) -> float:
     _check_pair(x1, x2, k)
     d = level_diff_matrix(x1, x2, k)
     lo, hi = x1.grid.resolve_interval(interval)
-    return dp_partition_sup(d ** (q / k), lo, hi) ** (k / q)
+    return dp_partition_sup([dense_columns(d, lo, hi) ** (q / k)], lo, hi) ** (k / q)
 
 
 def rho_riesz_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:
@@ -130,9 +131,10 @@ def rho_riesz_level(x1, x2, delta: float, p: float, k: int, interval=None) -> fl
     _check_delta(delta)
     p = _check_dist_p(delta, p)
     _check_pair(x1, x2, k)
-    w = _riesz_weight(level_diff_matrix(x1, x2, k), x1.grid.times, delta, p, k)
     lo, hi = x1.grid.resolve_interval(interval)
-    return dp_partition_sup(w, lo, hi) ** (k / p)
+    w = _riesz_weight(dense_columns(level_diff_matrix(x1, x2, k), lo, hi), x1.grid.times,
+                      lo, lo + 1, delta, p, k)
+    return dp_partition_sup([w], lo, hi) ** (k / p)
 
 
 def rho_mixed_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:
@@ -160,7 +162,7 @@ def rho_nikolskii_hat_level(x1, x2, delta: float, p: float, k: int, interval=Non
     d = level_diff_matrix(x1, x2, k)
     times = x1.grid.times
     inner = shift_sup_table(d, times, lo, hi, p / k, -delta * p)
-    return dp_partition_sup(inner, lo, hi) ** (k / p)
+    return dp_partition_sup([dense_columns(inner, lo, hi)], lo, hi) ** (k / p)
 
 
 def rho_aggregate(x1, x2, kind: DistKind, delta: float | None = None,

@@ -16,17 +16,40 @@ for group paths):
   Sobolev
 
 Partition suprema run over grid points only and are computed by an exact
-O(M^2) dynamic program.  Refined Nikolskii precomputes an O(M^2)-cell table
-of inner values at O(M) each, i.e. O(M^3) total, and is therefore capped at
-``max_nested`` grid intervals (default 512) unless the caller raises the cap
-explicitly; ``interval_norm_table`` takes the same cap.  The table of
-q-variation powers over all subintervals (``qvar_power_table``, used by
-interval tables and control functions) is a column-vectorised O(M^3) DP,
-one masked NumPy max per column, whose values are bit-identical to the
-per-cell recursion of ``dp_partition_sup``.  Nikolskii shifts h run over
-integer multiples of the uniform mesh with a left Riemann sum for the inner
-integral; the fractional Sobolev double integral uses the tensor-grid
-quadrature with the diagonal band |u-v| < mesh excluded.
+O(M^2) dynamic program, ``dp_partition_sup``, that consumes its weight
+columns in blocks.  The five single-value families stream on Euclidean
+paths: their distances come from the path values, about ``_BLOCK_CELLS``
+cells at a time, so no (M+1)^2 matrix is built and memory is O(M).
+
+* Hoelder: the maximum of the block maxima.
+* q-variation, Riesz (and so mixed): the DP fed block by block.
+* Nikolskii: one diagonal d(f_r, f_(r+m)) per shift m.
+* fractional Sobolev: a sum accumulated over blocks.
+
+These give the values of the dense formulas bit for bit, except fractional
+Sobolev, whose blockwise sum may move the last ulp.  Group paths feed the
+same code blocks sliced from their cached distance matrix.  Where a table
+over all subintervals is needed the dense matrix stays: interval tables,
+``qvar_power_table`` and refined Nikolskii.  Refined Nikolskii precomputes
+an O(M^2)-cell table of inner values at O(M) each, i.e. O(M^3) total, and
+is therefore capped at ``max_nested`` grid intervals (default 512) unless
+the caller raises the cap explicitly; ``interval_norm_table`` takes the same
+cap.  The table of q-variation powers over all subintervals is a
+column-vectorised O(M^3) DP, ``dp_power_table``, one masked NumPy max per
+column, whose values are bit-identical to the per-cell recursion.  Nikolskii
+shifts h run over integer multiples of the uniform mesh with a left Riemann
+sum for the inner integral; the fractional Sobolev double integral uses the
+tensor-grid quadrature with the diagonal band |u-v| < mesh excluded.
+
+Large powers d^p can leave the float range.  The q-variation and Riesz
+kernels divide the distances by a scale s, the power of two at or above
+b = 2 max_i d(f_lo, f_i), when (b/2)^p or b^p leaves the normal range (the
+largest distance lies between them), and multiply the root by s (the norms
+are 1-homogeneous in d); otherwise s = 1.0 and the division is exact.  The scale does not cover the time factors: a Riesz,
+Nikolskii or fractional Sobolev weight multiplies d^p by a power of the
+block length after the power is taken, so at very large delta*p (150 on a
+64-step grid in one measured case) powers of small distances can still
+underflow.
 
 Mixed equals Riesz on every grid.  Let q = 1/delta, and split a block I at
 grid points into blocks J_j with endpoint distances d_j.
@@ -182,30 +205,105 @@ def _check_frac_sobolev(delta, p):
 # shared machinery
 # ---------------------------------------------------------------------------
 
-def _path_data(path):
+#: Cells (rows x columns x dim) of one streamed block of Euclidean distances.
+#: It bounds the scratch memory of the single-value norms (2 MB per float
+#: array) whatever the grid size; a block has at least one column.
+_BLOCK_CELLS = 1 << 18
+
+
+def _check_path(path):
     if not isinstance(path, (EuclideanPath, GroupPath)):
         raise ParameterError(f"unsupported path type {type(path).__name__}")
+
+
+def _path_data(path):
+    _check_path(path)
     return path.grid.times, path.distance_matrix
 
 
-def dp_partition_sup(weight: np.ndarray, lo: int, hi: int) -> float:
+def dense_columns(matrix: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Columns lo+1..hi of a dense matrix, rows [lo, hi], as one column block.
+
+    Row c of the result is column lo+1+c, ``matrix[lo:hi+1, lo+1+c]``.
+    """
+    return matrix[lo : hi + 1, lo + 1 : hi + 1].T
+
+
+def _columns(path, lo, hi):
+    """Distances d(f_i, f_j) of the columns j = lo+1..hi, in blocks.
+
+    Yields ``(j0, block)`` with ``block[c, r]`` = d(f_(lo+r), f_(j0+c)) for at
+    least every r with lo+r < j0+c.  Euclidean paths compute the blocks from
+    their values, about ``_BLOCK_CELLS`` cells at a time, so no (M+1)^2
+    matrix is built; group paths slice their cached distance matrix.
+    """
+    if isinstance(path, GroupPath):
+        if hi > lo:
+            yield lo + 1, dense_columns(path.distance_matrix, lo, hi)
+        return
+    width = max(1, _BLOCK_CELLS // ((hi - lo + 1) * path.dim))
+    for j0 in range(lo + 1, hi + 1, width):
+        yield j0, path.distance_block(lo, j0, min(j0 + width, hi + 1))
+
+
+def _shift_distances(path, m, lo, hi) -> np.ndarray:
+    """d(f_r, f_(r+m)) for r in [lo, hi - m]."""
+    if isinstance(path, GroupPath):
+        return np.diagonal(path.distance_matrix, m)[lo : hi - m + 1]
+    return path.shift_distances(m, lo, hi)
+
+
+def _gaps(times, lo, j0, block, fill) -> np.ndarray:
+    # t_j - t_i over the cells of a column block whose first row is column
+    # j0 (see ``_columns``); ``fill`` in the cells with i >= j
+    gap = times[j0 : j0 + block.shape[0], None] - times[None, lo : lo + block.shape[1]]
+    return np.where(gap > 0, gap, fill)
+
+
+def _scale(path, lo, hi, power) -> float:
+    """Divisor s of the distances on [lo, hi] before they are raised to ``power``.
+
+    The largest distance there lies in [b/2, b], b = 2 max_i d(f_lo, f_i)
+    (triangle inequality).  s is 1.0, an exact no-op, unless the power of
+    b/2 or of b leaves the normal float range; then s is the power of two at
+    or above b, so the scaled distances lie in [0, 1].  The norms are
+    1-homogeneous in d, so the root times s is the norm.
+    """
+    if isinstance(path, GroupPath):
+        radius = path.distance_matrix[lo, lo : hi + 1].max()
+    else:
+        radius = np.linalg.norm(path.values[lo : hi + 1] - path.values[lo], axis=1).max()
+    bound = 2.0 * float(radius)
+    if bound == 0.0 or -1022.0 <= power * (math.log2(bound) - 1.0) < power * math.log2(bound) < 1024.0:
+        return 1.0
+    return 2.0 ** math.ceil(math.log2(bound))
+
+
+def dp_partition_sup(columns, lo: int, hi: int) -> float:
     """Exact sup over grid partitions of [lo, hi] of the summed block weights.
 
-    ``weight[i, j]`` is the (nonnegative) weight of block [t_i, t_j]; the
-    recursion best[j] = max_i ( best[i] + weight[i, j] ) visits every
-    partition into consecutive blocks.
+    ``columns`` is an iterable of 2-D blocks whose rows, in order, are the
+    weight columns j = lo+1, ..., hi: the row of column j holds the
+    (nonnegative) weight of block [t_i, t_j] at position i - lo, for at
+    least every i in [lo, j).  The recursion
+    best[j] = max_i ( best[i] + weight[i, j] ) visits every partition into
+    consecutive blocks.  Single-value norms of Euclidean paths stream the
+    blocks from the path values; a caller with a dense weight matrix passes
+    ``[dense_columns(weight, lo, hi)]``.
     """
     if hi <= lo:
         return 0.0
-    best = np.empty(hi - lo + 1)
-    best[0] = 0.0
-    for j in range(lo + 1, hi + 1):
-        best[j - lo] = np.max(best[: j - lo] + weight[lo:j, j])
+    best = np.zeros(hi - lo + 1)
+    c = 1
+    for block in columns:
+        for r in range(block.shape[0]):
+            best[c] = (best[:c] + block[r, :c]).max()
+            c += 1
     return float(best[-1])
 
 
 def dp_power_table(weight: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Partition suprema for every subinterval: B[i, j] = dp_partition_sup(weight, i, j).
+    """Partition suprema for every subinterval: B[i, j] = sup over partitions of [i, j].
 
     Column j is filled for all rows at once from the finished columns < j:
     B[i, j] = max_{i <= k < j} ( B[i, k] + weight[k, j] ).  The candidates
@@ -230,8 +328,8 @@ def dp_power_table(weight: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def _onevar_power_table(dist: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    # For q = 1 and a true metric the finest partition is optimal (triangle
-    # inequality), so the table collapses to prefix sums of consecutive steps.
+    # For q = 1 the finest partition is optimal (triangle inequality, which
+    # both path metrics satisfy), so the table is prefix sums of the steps.
     steps = np.concatenate([[0.0], np.cumsum(np.diagonal(dist, 1)[lo:hi])])
     b = np.zeros_like(dist)
     b[lo : hi + 1, lo : hi + 1] = np.maximum(steps[None, :] - steps[:, None], 0.0)
@@ -243,19 +341,16 @@ def _dt_upper(times: np.ndarray) -> np.ndarray:
     return np.where(dt > 0, dt, np.inf)  # inf keeps unused cells harmless
 
 
-def _riesz_weight(dist, times, delta, p, k=1):
-    # block weights dist^(p/k) / (v-u)^(delta*p-1); k > 1 for level-k distances
-    w = np.zeros_like(dist)
-    iu = np.triu_indices(len(times), k=1)
-    dt = (times[iu[1]] - times[iu[0]]) ** (1.0 - delta * p)
-    w[iu] = dist[iu] ** (p / k) * dt
-    return w
+def _riesz_weight(block, times, lo, j0, delta, p, k=1):
+    # weights d^(p/k) / (v-u)^(delta*p-1) of a column block; k > 1 for
+    # level-k distances.  Cells with i >= j, never read by a DP, get a unit gap.
+    return block ** (p / k) * _gaps(times, lo, j0, block, 1.0) ** (1.0 - delta * p)
 
 
 def qvar_power_table(path, q, lo, hi) -> np.ndarray:
     """Table of q-variation powers ||f||_{q-var;[i,j]}^q over [lo, hi]."""
     times, dist = _path_data(path)
-    if q == 1.0 and path.has_true_metric:
+    if q == 1.0:
         return _onevar_power_table(dist, lo, hi)
     return dp_power_table(dist**q, lo, hi)
 
@@ -283,22 +378,25 @@ def _require_uniform(path):
 def holder_norm(path, delta: float, interval=None) -> float:
     """Hoelder seminorm sup_{u<v} d(f_u, f_v) / (v-u)^delta over grid pairs."""
     _check_delta(delta)
-    times, dist = _path_data(path)
+    _check_path(path)
+    times = path.grid.times
     lo, hi = path.grid.resolve_interval(interval)
-    if hi == lo:
-        return 0.0
-    window = dist[lo : hi + 1, lo : hi + 1] / _dt_upper(times[lo : hi + 1]) ** delta
-    return float(np.max(window))
+    best = 0.0
+    for j0, block in _columns(path, lo, hi):
+        best = max(best, float(np.max(block / _gaps(times, lo, j0, block, np.inf) ** delta)))
+    return best
 
 
 def qvar_norm(path, q: float, interval=None) -> float:
     """q-variation ( sup_P sum d(f_u, f_v)^q )^(1/q), exact over grid partitions."""
     q = _check_q(q)
-    times, dist = _path_data(path)
+    _check_path(path)
     lo, hi = path.grid.resolve_interval(interval)
-    if q == 1.0 and path.has_true_metric:
-        return float(np.sum(np.diagonal(dist, 1)[lo:hi]))
-    return dp_partition_sup(dist**q, lo, hi) ** (1.0 / q)
+    if q == 1.0:  # the finest partition is optimal (triangle inequality)
+        return float(np.sum(_shift_distances(path, 1, lo, hi)))
+    s = _scale(path, lo, hi, q)
+    powers = ((block / s) ** q for _, block in _columns(path, lo, hi))
+    return dp_partition_sup(powers, lo, hi) ** (1.0 / q) * s
 
 
 def riesz_norm(path, delta: float, p, interval=None) -> float:
@@ -307,9 +405,13 @@ def riesz_norm(path, delta: float, p, interval=None) -> float:
     p = _check_riesz_p(delta, p)
     if p is P_INF:
         return holder_norm(path, delta, interval)
-    times, dist = _path_data(path)
+    _check_path(path)
+    times = path.grid.times
     lo, hi = path.grid.resolve_interval(interval)
-    return dp_partition_sup(_riesz_weight(dist, times, delta, p), lo, hi) ** (1.0 / p)
+    s = _scale(path, lo, hi, p)
+    weights = (_riesz_weight(block / s, times, lo, j0, delta, p)
+               for j0, block in _columns(path, lo, hi))
+    return dp_partition_sup(weights, lo, hi) ** (1.0 / p) * s
 
 
 def mixed_norm(path, delta: float, p, interval=None) -> float:
@@ -317,43 +419,34 @@ def mixed_norm(path, delta: float, p, interval=None) -> float:
     return riesz_norm(path, delta, p, interval)
 
 
-def _nikolskii_power(dist, times, delta, p, lo, hi) -> float:
-    """(N^{delta,p}-seminorm of the restriction to [lo, hi])^p, uniform mesh."""
-    span = hi - lo
-    if span == 0:
-        return 0.0
-    dt = (times[hi] - times[lo]) / span
-    best = 0.0
-    for m in range(1, span + 1):
-        # left Riemann sum over r = lo .. hi-m-1 (exclusive right endpoint)
-        s = float(np.sum(np.diagonal(dist, m)[lo : hi - m] ** p))
-        best = max(best, (m * dt) ** (-delta * p) * dt * s)
-    return best
-
-
 def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     """Nikolskii seminorm sup_h h^(-delta) ( int_s^{t-h} d(f_u, f_{u+h})^p du )^(1/p).
 
     Shifts h are integer multiples of the uniform mesh; the integral is a
     left Riemann sum over grid points in [s, t-h).  For p = P_INF the inner
-    integral becomes a maximum.
+    integral becomes a maximum.  Each shift reads one diagonal d(f_r, f_(r+m)).
     """
     _check_delta(delta)
     p = _check_nikolskii_p(p)
     _require_uniform(path)
-    times, dist = _path_data(path)
+    _check_path(path)
+    times = path.grid.times
     lo, hi = path.grid.resolve_interval(interval)
     span = hi - lo
     if span == 0:
         return 0.0
     dt = (times[hi] - times[lo]) / span
+    best = 0.0
     if p is P_INF:
-        best = 0.0
         for m in range(1, span + 1):
-            seg = np.diagonal(dist, m)[lo : hi - m + 1]
+            seg = _shift_distances(path, m, lo, hi)
             best = max(best, (m * dt) ** (-delta) * float(np.max(seg)))
         return best
-    return _nikolskii_power(dist, times, delta, p, lo, hi) ** (1.0 / p)
+    for m in range(1, span + 1):
+        # left Riemann sum over r = lo .. hi-m-1 (exclusive right endpoint)
+        total = float(np.sum(_shift_distances(path, m, lo, hi - 1) ** p))
+        best = max(best, (m * dt) ** (-delta * p) * dt * total)
+    return best ** (1.0 / p)
 
 
 def shift_sup_table(dist: np.ndarray, times: np.ndarray, lo: int, hi: int,
@@ -404,27 +497,30 @@ def refined_nikolskii_norm(path, delta: float, p, interval=None, max_nested: int
         return 0.0
     _check_nested(lo, hi, max_nested)
     t = nikolskii_power_table(path, delta, p, lo, hi)
-    return dp_partition_sup(t, lo, hi) ** (1.0 / p)
+    return dp_partition_sup([dense_columns(t, lo, hi)], lo, hi) ** (1.0 / p)
 
 
 def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
     """Fractional Sobolev (Sobolev-Slobodeckij) seminorm by tensor-grid quadrature.
 
     ( sum_{i != j} d(f_i, f_j)^p / |t_j - t_i|^(1 + delta*p) * mesh^2 )^(1/p),
-    cells closer than one mesh to the diagonal excluded.
+    cells closer than one mesh to the diagonal excluded.  The sum over i < j
+    is accumulated block by block.
     """
     p = _check_frac_sobolev(delta, p)
     _require_uniform(path)
-    times, dist = _path_data(path)
+    _check_path(path)
+    times = path.grid.times
     lo, hi = path.grid.resolve_interval(interval)
     if hi == lo:
         return 0.0
     dt = (times[hi] - times[lo]) / (hi - lo)
-    iu = np.triu_indices(hi - lo + 1, k=1)
-    d = dist[lo : hi + 1, lo : hi + 1][iu]
-    gap = times[lo : hi + 1][iu[1]] - times[lo : hi + 1][iu[0]]
-    total = 2.0 * float(np.sum(d**p / gap ** (1.0 + delta * p))) * dt * dt
-    return total ** (1.0 / p)
+    total = 0.0
+    for j0, block in _columns(path, lo, hi):
+        gap = _gaps(times, lo, j0, block, np.inf)
+        d = np.where(gap < np.inf, block, 0.0)  # cells i >= j add 0, never inf/inf
+        total += float(np.sum(d**p / gap ** (1.0 + delta * p)))
+    return (2.0 * total * dt * dt) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +562,7 @@ def interval_norm_table(path, kind: NormKind, delta=None, p=None, interval=None,
     if kind in (NormKind.RIESZ, NormKind.MIXED):  # mixed equals Riesz on the grid
         _check_delta(delta)
         p = _finite_p(_check_riesz_p(delta, p), f"the {kind.value} interval table")
-        b = dp_power_table(_riesz_weight(dist, times, delta, p), lo, hi)
+        b = dp_power_table(_riesz_weight(dist.T, times, 0, 0, delta, p).T, lo, hi)
         return IntervalNormTable(kind, delta, p, b ** (1.0 / p))
     if kind is NormKind.NIKOLSKII:
         _check_delta(delta)

@@ -96,6 +96,11 @@ class TimeGrid:
         return i, j
 
 
+def _euclidean_norm(diff: np.ndarray) -> np.ndarray:
+    # the one distance formula of Euclidean paths: norms over the last axis
+    return np.sqrt(np.einsum("...k,...k->...", diff, diff))
+
+
 @dataclass(frozen=True, eq=False)
 class EuclideanPath:
     """R^n-valued samples on a grid, identified with their linear interpolant."""
@@ -130,12 +135,21 @@ class EuclideanPath:
     @cached_property
     def distance_matrix(self) -> np.ndarray:
         """Pairwise Euclidean distances |f_j - f_i|, shape (M+1, M+1)."""
-        diff = self.values[:, None, :] - self.values[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        return self.distance_block(0, 0, len(self.grid))
 
-    @property
-    def has_true_metric(self) -> bool:
-        return True
+    def distance_block(self, lo: int, j0: int, j1: int) -> np.ndarray:
+        """Distances |f_i - f_j| for rows i in [lo, j1) and columns j in [j0, j1).
+
+        Column j is stored as the contiguous row j - j0 of the result, so
+        ``distance_block(lo, j0, j1)[c, r]`` is |f_(lo+r) - f_(j0+c)|.
+        """
+        v = self.values
+        return _euclidean_norm(v[j0:j1, None, :] - v[None, lo:j1, :])
+
+    def shift_distances(self, m: int, lo: int, hi: int) -> np.ndarray:
+        """Distances |f_r - f_(r+m)| for r in [lo, hi - m]."""
+        v = self.values
+        return _euclidean_norm(v[lo:hi - m + 1] - v[lo + m:hi + 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,10 +253,6 @@ class GroupPath:
         homog = sym[1:] ** (1.0 / ks[:, None, None])
         return homog.max(axis=0)
 
-    @property
-    def has_true_metric(self) -> bool:
-        return True
-
 
 # ---------------------------------------------------------------------------
 # operations
@@ -262,8 +272,8 @@ def lift(path: EuclideanPath, depth: int) -> GroupPath:
     in this order, the order of ``group_mul(S_j, segment_exp(d, depth))``,
     so the levels equal that per-step chain bit for bit.
     """
-    if not 1 <= depth <= MAX_DEPTH:
-        raise ParameterError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
+    if not isinstance(depth, (int, np.integer)) or not 1 <= depth <= MAX_DEPTH:
+        raise ParameterError(f"depth must be an integer in 1..{MAX_DEPTH}, got {depth!r}")
     d = path.increments()
     steps = d.shape[0]
     e = [np.ones((steps, 1))]

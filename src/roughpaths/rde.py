@@ -87,15 +87,15 @@ class VectorField:
 
     @classmethod
     def linear(cls, matrices, gamma=2.5, box_radius=10.0) -> "VectorField":
-        a = np.asarray(matrices, dtype=float)
+        a = _field_array(matrices, "matrices", 3)
         n, m = a.shape[0], a.shape[1]
         return cls(FieldFamily.LINEAR, m, n, np.zeros((n, m)), a,
                    np.zeros((n, m, m, m)), gamma, box_radius)
 
     @classmethod
     def affine(cls, matrices, offsets, gamma=2.5, box_radius=10.0) -> "VectorField":
-        a = np.asarray(matrices, dtype=float)
-        c = np.asarray(offsets, dtype=float)
+        a = _field_array(matrices, "matrices", 3)
+        c = _field_array(offsets, "offsets", 2)
         n, m = a.shape[0], a.shape[1]
         return cls(FieldFamily.AFFINE, m, n, c, a, np.zeros((n, m, m, m)),
                    gamma, box_radius)
@@ -103,9 +103,9 @@ class VectorField:
     @classmethod
     def polynomial(cls, constants, matrices, quadratics, gamma=2.5,
                    box_radius=10.0) -> "VectorField":
-        c = np.asarray(constants, dtype=float)
-        a = np.asarray(matrices, dtype=float)
-        q = np.asarray(quadratics, dtype=float)
+        c = _field_array(constants, "offsets", 2)
+        a = _field_array(matrices, "matrices", 3)
+        q = _field_array(quadratics, "quadratics", 4)
         q = 0.5 * (q + np.swapaxes(q, 2, 3))
         n, m = a.shape[0], a.shape[1]
         return cls(FieldFamily.POLYNOMIAL, m, n, c, a, q, gamma, box_radius)
@@ -208,13 +208,12 @@ class VectorField:
             coeffs = spec["coefficients"]
             if not isinstance(coeffs, dict):
                 raise ParameterError("the field spec entry 'coefficients' must be an object")
-            matrices = _spec_array(coeffs["matrices"], "matrices", 3)
+            matrices = coeffs["matrices"]
             offsets = coeffs["offsets"] if family is FieldFamily.AFFINE else coeffs.get("offsets")
             if family is FieldFamily.POLYNOMIAL:
                 n, m = _spec_size(spec["n"], "n"), _spec_size(spec["m"], "m")
         except KeyError as exc:
             raise ParameterError(f"the field spec lacks the key {exc}") from None
-        offsets = None if offsets is None else _spec_array(offsets, "offsets", 2)
         gamma = _spec_float(spec.get("lip_gamma", 2.5), "lip_gamma")
         radius = _spec_float(spec.get("box_radius", 10.0), "box_radius")
         if family is FieldFamily.LINEAR:
@@ -225,20 +224,19 @@ class VectorField:
         return cls.polynomial(
             np.zeros((n, m)) if offsets is None else offsets,
             matrices,
-            np.zeros((n, m, m, m)) if quadratics is None
-            else _spec_array(quadratics, "quadratics", 4),
+            np.zeros((n, m, m, m)) if quadratics is None else quadratics,
             gamma, radius,
         )
 
 
-def _spec_array(value, name: str, ndim: int) -> np.ndarray:
-    """Field spec entry ``name`` as a float array with ``ndim`` axes."""
+def _field_array(value, name: str, ndim: int) -> np.ndarray:
+    """Field coefficient ``name`` as a float array with ``ndim`` axes."""
     try:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ParameterError(f"the field spec entry {name!r} is not a numeric array") from None
+        raise ParameterError(f"the field entry {name!r} is not a numeric array") from None
     if a.ndim != ndim:
-        raise ParameterError(f"the field spec entry {name!r} needs {ndim} axes, got {a.ndim}")
+        raise ParameterError(f"the field entry {name!r} needs {ndim} axes, got {a.ndim}")
     return a
 
 

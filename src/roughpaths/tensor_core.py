@@ -16,6 +16,17 @@ dilation and equivalent to the Carnot-Caratheodory norm up to ball-box
 constants; ``oracle.cc_norm_bruteforce`` gives an independent depth-2 CC
 value for calibrating that equivalence.
 
+It is subadditive, |gh| <= |g| + |h|, so d(g, h) = |g^{-1} h| is a true
+metric.  The Euclidean norm is multiplicative on tensor products and
+|pi_i(g)| <= |g|^i, hence
+
+    |pi_k(gh)| <= sum_{i=0..k} |pi_i(g)| |pi_{k-i}(h)|
+               <= sum_i |g|^i |h|^(k-i) <= (|g| + |h|)^k.
+
+The same bound holds for (gh)^{-1} = h^{-1} g^{-1}, as |g^{-1}| = |g| by the
+symmetric definition.  The q = 1 variation of a path is therefore the sum
+of its grid steps.
+
 Batched kernels.  ``stacked_mul`` and ``stacked_inverse`` work on stacked
 levels: one ``(N, n^k)`` array per level k, row r holding the C-order
 flattened level k of the r-th element (rows of 1 broadcast against rows of

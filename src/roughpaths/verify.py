@@ -29,6 +29,7 @@ from .distances import (
 )
 from .exceptions import BlowUpError, ParameterError
 from .norms import (
+    dense_columns,
     dp_partition_sup,
     dp_power_table,
     frac_sobolev_norm,
@@ -612,7 +613,7 @@ def _nested_mixed(x1, delta, p, x2=None, k=1) -> float:
     iu = np.triu_indices(m + 1, k=1)
     w = np.zeros_like(inner)
     w[iu] = inner[iu] ** expo * (times[iu[1]] - times[iu[0]]) ** (1.0 - delta * p)
-    return dp_partition_sup(w, 0, m) ** root
+    return dp_partition_sup([dense_columns(w, 0, m)], 0, m) ** root
 
 
 def check_riesz_eq_mixed(paths, delta, p) -> CheckRecord:
@@ -757,7 +758,7 @@ def check_control_function(x1, x2, delta, p) -> list[CheckRecord]:
     iu = np.triu_indices(t.size, k=1)
     w = np.zeros_like(omega.matrix)
     w[iu] = omega.matrix[iu] ** (delta * p) * (t[iu[1]] - t[iu[0]]) ** (1.0 - delta * p)
-    lhs = dp_partition_sup(w, 0, t.size - 1)
+    lhs = dp_partition_sup([dense_columns(w, 0, t.size - 1)], 0, t.size - 1)
     bound = mixed_norm(x1, delta, p) ** p + mixed_norm(x2, delta, p) ** p + 1.0
     recs.append(reported_record("control_riesz_sum_constant", _safe_ratio(lhs, bound),
                                 params={"delta": delta, "p": p},

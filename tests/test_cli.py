@@ -116,6 +116,16 @@ def test_norm_parse_error_exit(tmp_path):
     assert main(["norm", str(bad), "--kind", "qvar", "--p", "2"]) == 2
 
 
+def test_unexpected_exception_exit6(linear_csv, capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise ZeroDivisionError("an internal defect\nspanning two lines")
+
+    monkeypatch.setattr("roughpaths.cli.compute_norm", crash)
+    assert main(["norm", linear_csv, "--kind", "qvar", "--p", "2"]) == 6
+    err = capsys.readouterr().err
+    assert err == "error: internal error: ZeroDivisionError: an internal defect spanning two lines\n"
+
+
 # ---------------------------------------------------------------------------
 # sig command
 # ---------------------------------------------------------------------------

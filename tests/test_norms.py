@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from roughpaths import (
     frac_sobolev_norm,
     holder_norm,
     interval_norm_table,
+    level1_path,
     lift,
     mixed_norm,
     nikolskii_norm,
@@ -24,7 +27,8 @@ from roughpaths import (
     refined_nikolskii_norm,
     riesz_norm,
 )
-from roughpaths.norms import dp_partition_sup, dp_power_table
+from roughpaths import norms as norms_module
+from roughpaths.norms import dense_columns, dp_partition_sup, dp_power_table
 from roughpaths.oracle import (
     enumerate_partition_supremum,
     oracle_mixed,
@@ -497,8 +501,147 @@ def test_power_table_equals_cellwise_dp(case):
     for i in range(lo, hi + 1):
         for j in range(i + 1, hi + 1):
             inside[i, j] = True
-            assert b[i, j] == dp_partition_sup(w, i, j)
+            assert b[i, j] == dp_partition_sup([dense_columns(w, i, j)], i, j)
             assert b[i, j] == pytest.approx(enumerate_partition_supremum(w, i, j), rel=1e-12)
     assert not b[~inside].any()
     if np.isinf(w[lo:hi, lo + 1 : hi + 1]).any():
         assert b[lo, hi] == np.inf
+
+
+# ---------------------------------------------------------------------------
+# streamed single-value norms against the dense formulas
+# ---------------------------------------------------------------------------
+
+def _dense_dp(w, lo, hi):
+    best = np.zeros(hi - lo + 1)
+    for j in range(lo + 1, hi + 1):
+        best[j - lo] = np.max(best[: j - lo] + w[lo:j, j])
+    return float(best[-1])
+
+
+def _dense_values(f, lo, hi):
+    """Every streamed family by its dense formula on ``distance_matrix``."""
+    dist, t = f.distance_matrix, f.grid.times
+    iu = np.triu_indices(len(t), k=1)
+    gap = t[iu[1]] - t[iu[0]]
+    dt_up = t[None, :] - t[:, None]
+    dt_up = np.where(dt_up > 0, dt_up, np.inf)[lo : hi + 1, lo : hi + 1]
+    w = np.zeros_like(dist)
+    w[iu] = dist[iu] ** 4.0 * gap ** (1.0 - 0.5 * 4.0)
+    out = {
+        "holder": float(np.max(dist[lo : hi + 1, lo : hi + 1] / dt_up ** 0.4)),
+        "riesz_inf": float(np.max(dist[lo : hi + 1, lo : hi + 1] / dt_up ** 0.5)),
+        "qvar": _dense_dp(dist**2.5, lo, hi) ** (1.0 / 2.5),
+        "qvar1": float(np.sum(np.diagonal(dist, 1)[lo:hi])),
+        "riesz": _dense_dp(w, lo, hi) ** (1.0 / 4.0),
+    }
+    if f.grid.is_uniform:
+        span, mesh = hi - lo, (t[hi] - t[lo]) / (hi - lo)
+        out["nikolskii"] = max(
+            (m * mesh) ** (-0.4 * 3.0) * mesh * float(np.sum(np.diagonal(dist, m)[lo : hi - m] ** 3.0))
+            for m in range(1, span + 1)) ** (1.0 / 3.0)
+        out["nikolskii_inf"] = max(
+            (m * mesh) ** (-0.4) * float(np.max(np.diagonal(dist, m)[lo : hi - m + 1]))
+            for m in range(1, span + 1))
+        a, b = np.triu_indices(span + 1, k=1)
+        d = dist[lo : hi + 1, lo : hi + 1][a, b]
+        g = t[lo : hi + 1][b] - t[lo : hi + 1][a]
+        out["frac"] = (2.0 * float(np.sum(d**3.0 / g ** (1.0 + 0.3 * 3.0))) * mesh * mesh) ** (1.0 / 3.0)
+    return out
+
+
+def _streamed_values(f, iv):
+    out = {
+        "holder": holder_norm(f, 0.4, iv),
+        "riesz_inf": riesz_norm(f, 0.5, P_INF, iv),
+        "qvar": qvar_norm(f, 2.5, iv),
+        "qvar1": qvar_norm(f, 1.0, iv),
+        "riesz": riesz_norm(f, 0.5, 4.0, iv),
+    }
+    if f.grid.is_uniform:
+        out["nikolskii"] = nikolskii_norm(f, 0.4, 3.0, iv)
+        out["nikolskii_inf"] = nikolskii_norm(f, 0.4, P_INF, iv)
+        out["frac"] = frac_sobolev_norm(f, 0.3, 3.0, iv)
+    return out
+
+
+@st.composite
+def streamed_cases(draw):
+    dim = draw(st.integers(1, 5))
+    intervals = draw(st.integers(2, 600))
+    uniform = draw(st.booleans())
+    lo = draw(st.integers(0, intervals - 2))
+    hi = draw(st.integers(lo + 2, intervals))
+    cells = draw(st.sampled_from([1, 5, 97, 1 << 18]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return dim, intervals, uniform, lo, hi, cells, seed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(streamed_cases())
+@example((3, 600, True, 17, 583, 97, 1))
+@example((5, 300, False, 0, 300, 1 << 18, 2))
+def test_streamed_norms_equal_dense_formulas(case):
+    dim, intervals, uniform, lo, hi, cells, seed = case
+    rng = np.random.default_rng(seed)
+    f = random_walk_path(rng, intervals, dim, scale=float(rng.uniform(0.1, 10.0)),
+                         uniform=uniform)
+    hi = min(hi, len(f.grid) - 1)  # non-uniform grids may merge points
+    lo = min(lo, hi - 1)
+    t = f.grid.times
+    iv = None if (lo, hi) == (0, len(t) - 1) else (t[lo], t[hi])
+    with mock.patch.object(norms_module, "_BLOCK_CELLS", cells):
+        got = _streamed_values(f, iv)
+    want = _dense_values(f, lo, hi)
+    assert got.keys() == want.keys()
+    for name, value in got.items():
+        if name == "frac":  # the blockwise sum may move the last ulp
+            assert value == pytest.approx(want[name], rel=1e-14)
+        else:
+            assert value == want[name], name
+
+
+def test_streamed_norms_on_group_path_equal_dense_formulas(rng):
+    x = lift(random_walk_path(rng, 40, 2), 2)
+    t = x.grid.times
+    got = _streamed_values(x, (t[3], t[37]))
+    want = _dense_values(x, 3, 37)
+    for name, value in got.items():
+        if name == "frac":
+            assert value == pytest.approx(want[name], rel=1e-14)
+        else:
+            assert value == want[name], name
+    for f in (x, level1_path(x)):  # a one-point interval has norm 0
+        assert set(_streamed_values(f, (t[5], t[5])).values()) == {0.0}
+
+
+def test_large_powers_are_scaled_not_overflowed(rng):
+    f = random_walk_path(rng, 64, 2)
+    big = EuclideanPath(f.grid, 1e3 * f.values)
+    small = EuclideanPath(f.grid, 1e-3 * f.values)
+    got = riesz_norm(big, 0.5, 128.0)
+    assert math.isfinite(got)
+    assert got == pytest.approx(1e3 * riesz_norm(f, 0.5, 128.0), rel=1e-12)
+    got = qvar_norm(small, 200.0)
+    assert got > 0.0
+    assert got == pytest.approx(1e-3 * qvar_norm(f, 200.0), rel=1e-12)
+    # the largest distance lies in [b/2, b]: b^p in range does not suffice
+    for norm in (lambda g: qvar_norm(g, 128.0), lambda g: riesz_norm(g, 0.5, 128.0)):
+        assert norm(small) == pytest.approx(1e-3 * norm(f), rel=1e-12)
+    with np.errstate(over="ignore"):  # unscaled, as the parent formula
+        assert not math.isnan(frac_sobolev_norm(big, 0.5, 300.0))
+
+
+def test_single_value_norms_need_no_dense_matrix(rng):
+    # the (M+1)^2 distance matrix alone would take 537 MB at M = 8192
+    f = random_walk_path(rng, 8192, 2)
+    for norm in (lambda: holder_norm(f, 0.5), lambda: qvar_norm(f, 2.5),
+                 lambda: riesz_norm(f, 0.5, 4.0)):
+        tracemalloc.start()
+        try:
+            assert norm() > 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+    assert "distance_matrix" not in vars(f)

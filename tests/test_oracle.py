@@ -11,7 +11,7 @@ from roughpaths import (
     identity_element,
     segment_exp,
 )
-from roughpaths.norms import dp_partition_sup
+from roughpaths.norms import dense_columns, dp_partition_sup
 from roughpaths.oracle import (
     cc_norm_bruteforce,
     enumerate_partition_supremum,
@@ -54,7 +54,7 @@ def test_enumeration_matches_dp_random(rng):
         m = int(rng.integers(2, 11))
         w = np.triu(rng.uniform(0.0, 1.0, (m + 1, m + 1)), k=1)
         a = enumerate_partition_supremum(w, 0, m)
-        b = dp_partition_sup(w, 0, m)
+        b = dp_partition_sup([dense_columns(w, 0, m)], 0, m)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
 
 

@@ -126,6 +126,14 @@ def test_lift_depth_cap():
         lift(path, 5)
 
 
+@pytest.mark.parametrize("depth", [2.0, "2", None])
+def test_lift_rejects_non_integer_depth(depth):
+    path = EuclideanPath(TimeGrid.uniform(2), np.zeros((3, 2)))
+    with pytest.raises(ParameterError):
+        lift(path, depth)
+    assert lift(path, np.int64(2)).depth == 2
+
+
 def test_increment_identity_and_telescoping(rng):
     path = random_walk_path(rng, 8, 2)
     x = lift(path, 2)

@@ -49,6 +49,20 @@ def test_field_families_validate():
     np.testing.assert_allclose(v.value([5.0]), [[2.0]])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: VectorField.linear([1.0, 2.0]),
+    lambda: VectorField.linear("abc"),
+    lambda: VectorField.affine([1.0, 2.0], [[0.0]]),
+    lambda: VectorField.affine([[[1.0]]], [1.0]),
+    lambda: VectorField.polynomial([[0.0]], [1.0, 2.0], np.zeros((1, 1, 1, 1))),
+    lambda: VectorField.polynomial([[0.0]], [[[1.0]]], [[0.0]]),
+], ids=["linear-1d", "linear-text", "affine-1d", "affine-offsets-1d",
+        "polynomial-1d", "polynomial-quadratics-2d"])
+def test_field_constructors_reject_malformed_arrays(build):
+    with pytest.raises(ParameterError):
+        build()
+
+
 def test_field_evaluation_linear():
     a = np.array([[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [1.0, 0.0]]])
     v = VectorField.linear(a)
