@@ -99,13 +99,13 @@ def _all_level_diffs(x1: GroupPath, x2: GroupPath) -> tuple[np.ndarray, ...]:
 
 
 def _level_diffs(x1: GroupPath, x2: GroupPath) -> tuple[np.ndarray, ...]:
+    # levels k = 1..N; the row pass reads the upper triangle j >= i0 only
     m = len(x1.grid)
-    mats = [np.zeros((m, m)) for _ in range(x1.depth + 1)]
-    for i in range(m):
-        r1 = x1.increment_level_row(i)
-        r2 = x2.increment_level_row(i)
+    mats = [np.zeros((m, m)) for _ in range(x1.depth)]
+    for (i0, i1, c0, r1), (*_, r2) in zip(x1.increment_blocks(upper=True),
+                                          x2.increment_blocks(upper=True)):
         for k in range(1, x1.depth + 1):
-            mats[k][i, i:] = np.linalg.norm((r1[k] - r2[k])[i:], axis=1)
+            mats[k - 1][i0:i1, c0:] = np.triu(np.linalg.norm(r1[k] - r2[k], axis=-1).T)
     for mt in mats:
         mt.flags.writeable = False
     return tuple(mats)
@@ -114,7 +114,7 @@ def _level_diffs(x1: GroupPath, x2: GroupPath) -> tuple[np.ndarray, ...]:
 def level_diff_matrix(x1: GroupPath, x2: GroupPath, k: int) -> np.ndarray:
     """Matrix of |pi_k(X1_{i,j} - X2_{i,j})| over all grid pairs (upper triangle)."""
     _check_pair(x1, x2, k)
-    return _all_level_diffs(x1, x2)[k]
+    return _all_level_diffs(x1, x2)[k - 1]
 
 
 def rho_qvar_level(x1, x2, q: float, k: int, interval=None) -> float:

@@ -45,11 +45,14 @@ Large powers d^p can leave the float range.  The q-variation and Riesz
 kernels divide the distances by a scale s, the power of two at or above
 b = 2 max_i d(f_lo, f_i), when (b/2)^p or b^p leaves the normal range (the
 largest distance lies between them), and multiply the root by s (the norms
-are 1-homogeneous in d); otherwise s = 1.0 and the division is exact.  The scale does not cover the time factors: a Riesz,
-Nikolskii or fractional Sobolev weight multiplies d^p by a power of the
-block length after the power is taken, so at very large delta*p (150 on a
-64-step grid in one measured case) powers of small distances can still
-underflow.
+are 1-homogeneous in d); otherwise s = 1.0 and the division is exact.  A
+Riesz weight also multiplies d^p by the time factor g^(1-delta*p) of the
+block length g after the power is taken.  When an O(M) range check finds
+that this product can leave the normal range, the time factor is folded
+into the base, (d/s * g^((1-delta*p)/p))^p, with s the power of two at or
+above the largest base; otherwise the weight is formed as written.  The
+Nikolskii and fractional Sobolev time factors are not covered: at very
+large delta*p their powers of small distances can still underflow.
 
 Mixed equals Riesz on every grid.  Let q = 1/delta, and split a block I at
 grid points into blocks J_j with endpoint distances d_j.
@@ -260,23 +263,58 @@ def _gaps(times, lo, j0, block, fill) -> np.ndarray:
     return np.where(gap > 0, gap, fill)
 
 
-def _scale(path, lo, hi, power) -> float:
-    """Divisor s of the distances on [lo, hi] before they are raised to ``power``.
-
-    The largest distance there lies in [b/2, b], b = 2 max_i d(f_lo, f_i)
-    (triangle inequality).  s is 1.0, an exact no-op, unless the power of
-    b/2 or of b leaves the normal float range; then s is the power of two at
-    or above b, so the scaled distances lie in [0, 1].  The norms are
-    1-homogeneous in d, so the root times s is the norm.
-    """
+def _distance_bound(path, lo, hi) -> float:
+    """b = 2 max_i d(f_lo, f_i): every distance on [lo, hi] is at most b and
+    the largest is at least b/2 (triangle inequality)."""
     if isinstance(path, GroupPath):
         radius = path.distance_matrix[lo, lo : hi + 1].max()
     else:
         radius = np.linalg.norm(path.values[lo : hi + 1] - path.values[lo], axis=1).max()
-    bound = 2.0 * float(radius)
+    return 2.0 * float(radius)
+
+
+def _scale(bound, power) -> float:
+    """Divisor s of the distances, bounded by ``bound``, before they are raised to ``power``.
+
+    s is 1.0, an exact no-op, unless the power of b/2 or of b leaves the
+    normal float range; then s is the power of two at or above b, so the
+    scaled distances lie in [0, 1].  The norms are 1-homogeneous in d, so
+    the root times s is the norm.
+    """
     if bound == 0.0 or -1022.0 <= power * (math.log2(bound) - 1.0) < power * math.log2(bound) < 1024.0:
         return 1.0
     return 2.0 ** math.ceil(math.log2(bound))
+
+
+def _riesz_unfused_fits(path, lo, hi, delta, p, bound, s) -> bool:
+    """Whether the Riesz weights (d/s)^p * g^e, e = 1 - delta*p, may be formed as written.
+
+    O(M) bounds in log2 units, g the block length t_j - t_i.  The time
+    factor g^e is monotone in g, so its extremes sit at the shortest step and
+    at t_hi - t_lo.  A block of length g has d <= min(bound, g L), L the
+    largest step distance over its time step, so a weight is at most
+    p log2(min(bound, g L)/s) + e log2 g, piecewise linear in log2 g with its
+    maximum at an end or at the kink g = bound/L.  The largest step weight
+    is a lower bound of the partition sup.  A d-power that underflows loses
+    less than 2^-1022 times the time factor, so the product as written is
+    kept when neither factor nor product overflows or underflows and hi - lo
+    such losses stay below 2^-64 of that lower bound.
+    """
+    steps = _shift_distances(path, 1, lo, hi)
+    if not steps.any():
+        return True
+    times = path.grid.times
+    e = 1.0 - delta * p
+    dt = np.diff(times[lo : hi + 1])
+    shortest, span = float(dt.min()), float(times[hi] - times[lo])
+    factor = (e * math.log2(span), e * math.log2(shortest))
+    speed = float(np.max(steps / dt))
+    top = max(p * math.log2(min(bound, g * speed) / s) + e * math.log2(g)
+              for g in (shortest, min(max(bound / speed, shortest), span), span))
+    with np.errstate(divide="ignore"):
+        floor = float(np.max(p * np.log2(steps / s) + e * np.log2(dt)))
+    return (min(factor) >= -1022.0 and max(factor) < 1024.0 and top < 1024.0
+            and max(max(factor), 0.0) - 1022.0 + math.log2(hi - lo) + 64.0 <= floor)
 
 
 def dp_partition_sup(columns, lo: int, hi: int) -> float:
@@ -394,7 +432,7 @@ def qvar_norm(path, q: float, interval=None) -> float:
     lo, hi = path.grid.resolve_interval(interval)
     if q == 1.0:  # the finest partition is optimal (triangle inequality)
         return float(np.sum(_shift_distances(path, 1, lo, hi)))
-    s = _scale(path, lo, hi, q)
+    s = _scale(_distance_bound(path, lo, hi), q)
     powers = ((block / s) ** q for _, block in _columns(path, lo, hi))
     return dp_partition_sup(powers, lo, hi) ** (1.0 / q) * s
 
@@ -408,9 +446,21 @@ def riesz_norm(path, delta: float, p, interval=None) -> float:
     _check_path(path)
     times = path.grid.times
     lo, hi = path.grid.resolve_interval(interval)
-    s = _scale(path, lo, hi, p)
-    weights = (_riesz_weight(block / s, times, lo, j0, delta, p)
-               for j0, block in _columns(path, lo, hi))
+    bound = _distance_bound(path, lo, hi)
+    s = _scale(bound, p)
+    if hi == lo or _riesz_unfused_fits(path, lo, hi, delta, p, bound, s):
+        weights = (_riesz_weight(block / s, times, lo, j0, delta, p)
+                   for j0, block in _columns(path, lo, hi))
+    else:
+        # fold the time factor into the base, (d/s * g^(e/p))^p with
+        # e = 1 - delta*p, s the power of two at or above the largest base
+        # (a first pass over the blocks; unread cells get g = inf)
+        def bases(j0, block):
+            return block * _gaps(times, lo, j0, block, np.inf) ** ((1.0 - delta * p) / p)
+
+        s = 2.0 ** math.ceil(math.log2(max(float(bases(j0, block).max())
+                                           for j0, block in _columns(path, lo, hi))))
+        weights = (bases(j0, block / s) ** p for j0, block in _columns(path, lo, hi))
     return dp_partition_sup(weights, lo, hi) ** (1.0 / p) * s
 
 

@@ -5,9 +5,12 @@ their piecewise-linear interpolant; lifting computes the exact truncated
 signature of that interpolant.  A group path stores the running signatures
 X_{0,t_j} as stacked levels, one read-only (M+1, n^k) array per level k
 (row j is level k of X_{0,t_j}, flattened in C order).  ``lift`` builds
-level k by one cumulative sum over the grid (Chen's identity), and the
-increments X_{i,j} = X_i^{-1} x X_j of a whole row i come from one batched
-inverse of the path and one batched multiply (``tensor_core.stacked_mul``).
+level k by one cumulative sum over the grid (Chen's identity).  The
+increments X_{i,j} = X_i^{-1} x X_j come from one batched inverse of the
+path and a row pass (``GroupPath.increment_blocks``): one broadcasting
+``tensor_core.stacked_mul`` call per block of rows against the columns,
+which feeds the distance matrix and the level-difference matrices of
+``distances``.
 
 All partition/pair suprema elsewhere in the library are taken over grid
 points only; that is the discrete definition of every norm in this package.
@@ -30,6 +33,9 @@ from .tensor_core import (
     stacked_inverse,
     stacked_mul,
 )
+
+#: Increment entries (rows x columns x dim^depth) per block of the row pass.
+_ROW_BLOCK_CELLS = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,13 +232,24 @@ class GroupPath:
             raise ParameterError("the inverse of the path overflows")
         return inv
 
-    def increment_level_row(self, i: int) -> list[np.ndarray]:
-        """Flattened levels of X_{i,j} for every j, one (M+1, dim^k) array per k.
+    def increment_blocks(self, upper: bool = False):
+        """Row pass over the increments X_{i,j} = X_i^{-1} x X_j, in blocks of rows.
 
-        Row j holds pi_k(X_i^{-1} x X_j); only entries with j >= i are
-        meaningful increments, but the formula is evaluated for all j.
+        Yields ``(i0, i1, c0, levels)`` for consecutive row ranges [i0, i1)
+        covering the grid, with c0 = 0, or c0 = i0 with ``upper`` (columns
+        j >= i0 only).  ``levels[k]`` has shape ``(M+1 - c0, i1 - i0, dim^k)``,
+        columns first, and entry ``[c, r]`` is pi_k(X_{i0+r, c0+c}) flattened
+        in C order.  One ``stacked_mul`` call per block of about
+        ``_ROW_BLOCK_CELLS`` entries.
         """
-        return stacked_mul([lv[i:i + 1] for lv in self._stacked_inverses], self.levels)
+        m = len(self.grid)
+        inv, i0 = self._stacked_inverses, 0
+        while i0 < m:
+            c0 = i0 if upper else 0
+            i1 = min(m, i0 + max(1, _ROW_BLOCK_CELLS // ((m - c0) * self.dim**self.depth)))
+            yield i0, i1, c0, stacked_mul([lv[None, i0:i1] for lv in inv],
+                                          [lv[c0:, None] for lv in self.levels])
+            i0 = i1
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
@@ -240,18 +257,22 @@ class GroupPath:
 
         Uses d(X_i, X_j) = max_k max(|pi_k(X_{i,j})|, |pi_k(X_{j,i})|)^(1/k);
         the reversed increment is exactly the inverse of the forward one, so
-        the matrix of ordered level norms suffices.
+        the matrix of ordered level norms suffices (it is filled transposed,
+        as the row pass yields columns first).  The power is one call over
+        the stacked levels: whether NumPy's power loop takes its square-root
+        shortcut for the exponent 1/2 depends on the array layout, and a
+        per-level call would move level-2 values on grids of 64 points or
+        fewer by an ulp.
         """
         m = len(self.grid)
-        ks = np.arange(1, self.depth + 1)
-        level_norm = np.zeros((self.depth + 1, m, m))
-        for i in range(m):
-            rows = self.increment_level_row(i)
+        level = np.empty((self.depth, m, m))
+        for i0, i1, _, rows in self.increment_blocks():
             for k in range(1, self.depth + 1):
-                level_norm[k, i, :] = np.linalg.norm(rows[k], axis=1)
-        sym = np.maximum(level_norm, np.transpose(level_norm, (0, 2, 1)))
-        homog = sym[1:] ** (1.0 / ks[:, None, None])
-        return homog.max(axis=0)
+                level[k - 1, :, i0:i1] = np.linalg.norm(rows[k], axis=-1)
+        sym = np.maximum(level, np.transpose(level, (0, 2, 1)))
+        del level
+        ks = np.arange(1, self.depth + 1)
+        return (sym ** (1.0 / ks[:, None, None])).max(axis=0)
 
 
 # ---------------------------------------------------------------------------

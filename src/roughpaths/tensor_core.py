@@ -28,12 +28,16 @@ symmetric definition.  The q = 1 variation of a path is therefore the sum
 of its grid steps.
 
 Batched kernels.  ``stacked_mul`` and ``stacked_inverse`` work on stacked
-levels: one ``(N, n^k)`` array per level k, row r holding the C-order
-flattened level k of the r-th element (rows of 1 broadcast against rows of
-N).  They are the only implementation of the product and the inverse:
-``tensor_mul``, ``group_mul`` and ``group_inverse`` are their N = 1 calls, so
-one element and a stacked path get the same floating-point operations in the
-same order, and batched results equal per-element ones bit for bit.
+levels: one ``(*batch, n^k)`` array per level k, the last axis holding the
+C-order flattened level k of one element.  Leading batch axes broadcast
+(axes of 1 against axes of N), so a path's rows times a single element is an
+``(N, n^k)`` by ``(1, n^k)`` call, and a block of rows times a block of
+columns, as in the row pass of ``paths``, a ``(1, R, n^k)`` by
+``(C, 1, n^k)`` call.  They are the only implementation of the product and
+the inverse: ``tensor_mul``, ``group_mul`` and ``group_inverse`` are their
+one-element calls, so one element and a stacked path get the same
+floating-point operations in the same order, and batched results equal
+per-element ones bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ def _frozen_level(block, dim: int, k: int) -> np.ndarray:
     if arr.size != dim**k:
         raise ParameterError(f"level {k} needs {dim**k} entries, got {arr.size}")
     arr = arr.reshape((dim,) * k)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():  # ndarray.all, not np.all: runs for every level of every element
         raise ParameterError(f"level {k} contains non-finite entries")
     arr.flags.writeable = False
     return arr
@@ -165,37 +169,43 @@ def _check_compatible(a, b):
 
 
 def stacked_mul(a, b) -> list[np.ndarray]:
-    """Row-wise truncated tensor product of stacked levels.
+    """Element-wise truncated tensor product of stacked levels.
 
-    ``a[k]`` and ``b[k]`` have shape ``(N, n^k)`` (or ``(1, n^k)``, which
-    broadcasts); level k of the result is 0 + sum_{i=0..k} a_i x b_{k-i},
-    added in that order, each outer product flattened in C order.
+    ``a[k]`` and ``b[k]`` have shape ``(*batch, n^k)`` with the same number
+    of axes; their batch axes broadcast against each other.  Level k of the
+    result, C-contiguous of shape ``(*batch, n^k)``, is
+    0 + sum_{i=0..k} a_i x b_{k-i}, added in that order, each outer product
+    flattened in C order.  The products run on contiguous copies with all
+    axes reversed, level axis first, so the first batch axis (the longest,
+    in the callers' layout) is the inner loop rather than the n^k entries.
     """
+    ta = [np.ascontiguousarray(x.T)[:, None] for x in a]
+    tb = [np.ascontiguousarray(x.T)[None] for x in b]
+    shape = (-1, *map(max, a[0].shape[-2::-1], b[0].shape[-2::-1]))
     out = []
     for k in range(len(a)):
-        acc = 0.0
+        acc = 0.0  # the first += makes a new array, 0.0 + term; the rest add in place
         for i in range(k + 1):
-            term = a[i][:, :, None] * b[k - i][:, None, :]
-            acc = acc + term.reshape(term.shape[0], -1)
-        out.append(acc)
+            acc += (ta[i] * tb[k - i]).reshape(shape)
+        out.append(np.ascontiguousarray(acc.T))
     return out
 
 
 def stacked_inverse(levels) -> list[np.ndarray]:
-    """Row-wise group inverse of stacked levels via the finite Neumann series.
+    """Element-wise group inverse of stacked levels via the finite Neumann series.
 
     With u = 1 - g (no level-0 part, hence nilpotent in the truncated
     algebra), g^{-1} = sum_{k=0..N} u^(x)k exactly; level 0 of the input is
     not read and level 0 of the result is 1.
     """
-    rows = levels[1].shape[0]
-    unit = [np.ones((rows, 1))] + [np.zeros_like(lv) for lv in levels[1:]]
-    u = [np.zeros((rows, 1))] + [-lv for lv in levels[1:]]
+    scalar = levels[1].shape[:-1] + (1,)
+    unit = [np.ones(scalar)] + [np.zeros_like(lv) for lv in levels[1:]]
+    u = [np.zeros(scalar)] + [-lv for lv in levels[1:]]
     acc, power = unit, unit
     for _ in range(len(levels) - 1):
         power = stacked_mul(power, u)
         acc = [x + y for x, y in zip(acc, power)]
-    return [np.ones((rows, 1))] + acc[1:]
+    return [np.ones(scalar)] + acc[1:]
 
 
 def _rows(t: TruncatedTensor) -> list[np.ndarray]:

@@ -1,8 +1,12 @@
 import gc
 import math
 import weakref
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughpaths import (
     DimensionMismatchError,
@@ -12,6 +16,9 @@ from roughpaths import (
     LevelDistanceSpec,
     P_INF,
     ParameterError,
+    group_inverse,
+    group_mul,
+    increment,
     lift,
     mixed_norm,
     qvar_norm,
@@ -23,6 +30,7 @@ from roughpaths import (
     rho_riesz_level,
     riesz_norm,
 )
+from roughpaths import paths
 from roughpaths.distances import level_diff_matrix, rho_level
 from roughpaths.oracle import (
     oracle_rho_mixed,
@@ -211,3 +219,48 @@ def test_level_diff_cache_dies_with_paths(rng):
     del mat, x1, x2
     gc.collect()
     assert ref() is None
+
+
+def _level_norms(g, depth):
+    return np.array([np.linalg.norm(g.level(k).ravel(), axis=-1) for k in range(1, depth + 1)])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(2, 2**12))
+def test_row_pass_equals_per_pair_increments(dim, depth, intervals, seed, cells):
+    rng = np.random.default_rng(seed)
+    p1 = random_walk_path(rng, intervals, dim, uniform=False)
+    p2 = EuclideanPath(p1.grid, p1.values + 0.2 * rng.standard_normal(p1.values.shape))
+    m = len(p1.grid)
+
+    # X_{i,j} as ``increment`` forms it, group_mul(group_inverse(X_i), X_j),
+    # for every ordered pair; the inverses are computed once per point
+    def increments(x, upper):
+        inv = [group_inverse(g) for g in x.values]
+        return {(i, j): group_mul(inv[i], x.values[j])
+                for i in range(m) for j in range(i if upper else 0, m)}
+
+    x1, x2 = lift(p1, depth), lift(p2, depth)
+    g1, g2 = increments(x1, False), increments(x2, True)
+    i, j = sorted(rng.integers(0, m, 2))
+    assert all(np.array_equal(a, b) for a, b in zip(increment(x1, i, j).tensor.levels,
+                                                    g1[i, j].tensor.levels))
+    diffs = np.zeros((depth, m, m))
+    for (i, j), g in g2.items():
+        diffs[:, i, j] = [np.linalg.norm((g1[i, j].level(k) - g.level(k)).ravel(), axis=-1)
+                          for k in range(1, depth + 1)]
+    norms = np.zeros((depth, m, m))
+    for (i, j), g in g1.items():
+        norms[:, i, j] = _level_norms(g, depth)
+    sym = np.maximum(norms, norms.transpose(0, 2, 1))
+    ks = np.arange(1, depth + 1)
+    dist = (sym ** (1.0 / ks[:, None, None])).max(axis=0)
+    # a budget of 1 cell makes every block one row, so block edges fall on every row
+    for budget in (1, cells):
+        x1, x2 = lift(p1, depth), lift(p2, depth)
+        with mock.patch.object(paths, "_ROW_BLOCK_CELLS", budget):
+            assert np.array_equal(x1.distance_matrix, dist)
+            for k in range(1, depth + 1):
+                assert np.array_equal(level_diff_matrix(x1, x2, k), diffs[k - 1])

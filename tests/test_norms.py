@@ -632,6 +632,20 @@ def test_large_powers_are_scaled_not_overflowed(rng):
         assert not math.isnan(frac_sobolev_norm(big, 0.5, 300.0))
 
 
+def test_riesz_time_factor_folded_into_base_at_large_delta_p():
+    # g^(1 - delta*p) = 2^894 on one step of 64: formed after the power, the
+    # product overflows at c = 4.5 (seed 1) and (d/s)^p of short blocks underflows
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        steps = rng.standard_normal((64, 2)) / np.sqrt(64)
+        walk = EuclideanPath(TimeGrid.uniform(64), np.vstack([np.zeros((1, 2)),
+                                                              np.cumsum(steps, axis=0)]))
+        want = riesz_norm(walk, 0.5, 300)
+        for c in (1e-3, 4.5, 1e3):
+            scaled = EuclideanPath(walk.grid, c * walk.values)
+            assert riesz_norm(scaled, 0.5, 300) / c == pytest.approx(want, rel=1e-12)
+
+
 def test_single_value_norms_need_no_dense_matrix(rng):
     # the (M+1)^2 distance matrix alone would take 537 MB at M = 8192
     f = random_walk_path(rng, 8192, 2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,6 +231,19 @@ def test_distance_matrix_euclidean(rng):
     i, j = 2, 4
     assert d[i, j] == pytest.approx(np.linalg.norm(path.values[j] - path.values[i]))
     assert np.allclose(d, d.T)
+
+
+def test_group_distance_matrix_memory(rng):
+    # the level norms, their symmetric max and its powers: two (depth, M+1, M+1)
+    # stacks of 6.3 MB each here, plus blocks of the row pass
+    x = lift(random_walk_path(rng, 512, 2), 3)
+    tracemalloc.start()
+    try:
+        x.distance_matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20
 
 
 def test_group_distance_matrix_matches_pointwise(rng):

@@ -245,43 +245,46 @@ def test_distance_dimension_mismatch():
 # ---------------------------------------------------------------------------
 
 def _loop_mul(a, b, dim):
-    """Row by row: level k = 0 + sum_i multiply.outer(a_i, b_{k-i}), rows of 1 broadcast."""
-    rows = max(a[0].shape[0], b[0].shape[0])
-    out = [np.empty((rows, dim**k)) for k in range(len(a))]
-    for r in range(rows):
-        ra, rb = min(r, a[0].shape[0] - 1), min(r, b[0].shape[0] - 1)
+    """Element by element: level k = 0 + sum_i multiply.outer(a_i, b_{k-i}), batch axes of 1 broadcast."""
+    batch = np.broadcast_shapes(a[0].shape[:-1], b[0].shape[:-1])
+    out = [np.empty(batch + (dim**k,)) for k in range(len(a))]
+    for idx in np.ndindex(batch):
+        ra = tuple(min(r, n - 1) for r, n in zip(idx, a[0].shape))
+        rb = tuple(min(r, n - 1) for r, n in zip(idx, b[0].shape))
         for k in range(len(a)):
             acc = np.zeros((dim,) * k)
             for i in range(k + 1):
                 acc = acc + np.multiply.outer(a[i][ra].reshape((dim,) * i),
                                               b[k - i][rb].reshape((dim,) * (k - i)))
-            out[k][r] = acc.ravel()
+            out[k][idx] = acc.ravel()
     return out
 
 
 def _loop_inverse(g, dim):
-    """Row by row: the Neumann series sum_k (1 - g)^(x)k with ``_loop_mul``."""
-    rows, depth = g[0].shape[0], len(g) - 1
-    unit = [np.ones((rows, 1))] + [np.zeros((rows, dim**k)) for k in range(1, depth + 1)]
-    u = [np.zeros((rows, 1))] + [-g[k] for k in range(1, depth + 1)]
+    """Element by element: the Neumann series sum_k (1 - g)^(x)k with ``_loop_mul``."""
+    batch, depth = g[0].shape[:-1], len(g) - 1
+    unit = [np.ones(batch + (1,))] + [np.zeros(batch + (dim**k,)) for k in range(1, depth + 1)]
+    u = [np.zeros(batch + (1,))] + [-g[k] for k in range(1, depth + 1)]
     acc, power = unit, unit
     for _ in range(depth):
         power = _loop_mul(power, u, dim)
         acc = [x + y for x, y in zip(acc, power)]
-    return [np.ones((rows, 1))] + acc[1:]
+    return [np.ones(batch + (1,))] + acc[1:]
 
 
 @st.composite
 def stacked_operands(draw):
     dim, depth = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     rows = draw(st.integers(1, 40))
-    one_row = draw(st.sampled_from([None, "a", "b"]))
+    layout = draw(st.sampled_from([None, "a", "b", "block"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    def levels(r):
-        return [rng.standard_normal((r, dim**k)) for k in range(depth + 1)]
+    def levels(*batch):
+        return [rng.standard_normal(batch + (dim**k,)) for k in range(depth + 1)]
 
-    return dim, levels(1 if one_row == "a" else rows), levels(1 if one_row == "b" else rows)
+    if layout == "block":  # a block of rows against a block of columns, as the row pass
+        return dim, levels(draw(st.integers(1, 12)), 1), levels(1, rows)
+    return dim, levels(1 if layout == "a" else rows), levels(1 if layout == "b" else rows)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
