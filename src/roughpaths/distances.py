@@ -29,7 +29,6 @@ import numpy as np
 from .exceptions import DimensionMismatchError, GridMismatchError, ParameterError
 from .norms import (
     _check_delta,
-    _check_nested,
     _check_q,
     _check_riesz_p,
     _finite_p,
@@ -37,7 +36,7 @@ from .norms import (
     _riesz_weight,
     dense_columns,
     dp_partition_sup,
-    shift_sup_table,
+    shift_partition_sup,
 )
 from .paths import GroupPath
 
@@ -143,48 +142,41 @@ def rho_mixed_level(x1, x2, delta: float, p: float, k: int, interval=None) -> fl
     return rho_riesz_level(x1, x2, delta, p, k, interval)
 
 
-def rho_nikolskii_hat_level(x1, x2, delta: float, p: float, k: int, interval=None,
-                            max_nested: int = 512) -> float:
+def rho_nikolskii_hat_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:
     """Level-k refined Nikolskii distance on a uniform common grid.
 
     Inner value per block [u, v]: sup over shifts h of
     h^(-delta*k) ( left Riemann sum of D_k(r, r+h)^(p/k) )^(k/p);
-    outer: partition sup of the inner values to the power p/k.
+    outer: partition sup of the inner values to the power p/k, one
+    ``shift_partition_sup`` sweep over the columns of D_k, O(M^2).
     """
     _check_delta(delta)
     p = _check_dist_p(delta, p)
     _check_pair(x1, x2, k)
     _require_uniform(x1)
     lo, hi = x1.grid.resolve_interval(interval)
-    if hi == lo:
-        return 0.0
-    _check_nested(lo, hi, max_nested)
     d = level_diff_matrix(x1, x2, k)
-    times = x1.grid.times
-    inner = shift_sup_table(d, times, lo, hi, p / k, -delta * p)
-    return dp_partition_sup([dense_columns(inner, lo, hi)], lo, hi) ** (k / p)
+    return shift_partition_sup([dense_columns(d, lo, hi)], x1.grid.times, lo, hi,
+                               p / k, -delta * p) ** (k / p)
 
 
 def rho_aggregate(x1, x2, kind: DistKind, delta: float | None = None,
-                  p: float | None = None, interval=None,
-                  max_nested: int = 512) -> float:
+                  p: float | None = None, interval=None) -> float:
     """Aggregate distance: max over tensor levels k = 1..N of the level-k value."""
     _check_pair(x1, x2, 1)
     vals = [
-        rho_level(x1, x2, kind, delta=delta, p=p, k=k, interval=interval,
-                  max_nested=max_nested)
+        rho_level(x1, x2, kind, delta=delta, p=p, k=k, interval=interval)
         for k in range(1, x1.depth + 1)
     ]
     return max(vals)
 
 
-def rho_level(x1, x2, kind: DistKind, *, delta=None, p=None, k=1, interval=None,
-              max_nested: int = 512) -> float:
+def rho_level(x1, x2, kind: DistKind, *, delta=None, p=None, k=1, interval=None) -> float:
     """Single-level dispatcher used by rho_aggregate and the CLI."""
     if kind is DistKind.QVAR:
         return rho_qvar_level(x1, x2, p, k, interval)
     if kind in (DistKind.RIESZ, DistKind.MIXED):
         return rho_riesz_level(x1, x2, delta, p, k, interval)
     if kind is DistKind.NIKOLSKII_HAT:
-        return rho_nikolskii_hat_level(x1, x2, delta, p, k, interval, max_nested)
+        return rho_nikolskii_hat_level(x1, x2, delta, p, k, interval)
     raise ParameterError(f"unknown distance kind {kind}")

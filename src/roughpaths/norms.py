@@ -17,29 +17,49 @@ for group paths):
 
 Partition suprema run over grid points only and are computed by an exact
 O(M^2) dynamic program, ``dp_partition_sup``, that consumes its weight
-columns in blocks.  The five single-value families stream on Euclidean
-paths: their distances come from the path values, about ``_BLOCK_CELLS``
-cells at a time, so no (M+1)^2 matrix is built and memory is O(M).
+columns in blocks.  The single-value families and refined Nikolskii stream
+on Euclidean paths: their distances come from the path values, about
+``_BLOCK_CELLS`` cells at a time, so no (M+1)^2 matrix is built and memory
+is O(M).
 
 * Hoelder: the maximum of the block maxima.
 * q-variation, Riesz (and so mixed): the DP fed block by block.
 * Nikolskii: one diagonal d(f_r, f_(r+m)) per shift m.
 * fractional Sobolev: a sum accumulated over blocks.
+* refined Nikolskii: the fused sweep ``shift_partition_sup`` (below).
 
 These give the values of the dense formulas bit for bit, except fractional
 Sobolev, whose blockwise sum may move the last ulp.  Group paths feed the
 same code blocks sliced from their cached distance matrix.  Where a table
-over all subintervals is needed the dense matrix stays: interval tables,
-``qvar_power_table`` and refined Nikolskii.  Refined Nikolskii precomputes
-an O(M^2)-cell table of inner values at O(M) each, i.e. O(M^3) total, and
-is therefore capped at ``max_nested`` grid intervals (default 512) unless
-the caller raises the cap explicitly; ``interval_norm_table`` takes the same
-cap.  The table of q-variation powers over all subintervals is a
-column-vectorised O(M^3) DP, ``dp_power_table``, one masked NumPy max per
-column, whose values are bit-identical to the per-cell recursion.  Nikolskii
-shifts h run over integer multiples of the uniform mesh with a left Riemann
-sum for the inner integral; the fractional Sobolev double integral uses the
-tensor-grid quadrature with the diagonal band |u-v| < mesh excluded.
+over all subintervals is the output the dense matrix stays: interval tables
+and ``qvar_power_table``.  Interval tables are O(M^3) and capped at
+``max_nested`` grid intervals (default 512) unless the caller raises the cap
+explicitly; no other function has a cap.  The table of q-variation powers
+over all subintervals is ``dp_power_table``, an O(M^3) DP in push form (one
+NumPy max per finished column), whose values are bit-identical to the
+per-cell recursion.  Nikolskii shifts h run over integer multiples of the
+uniform mesh with a left Riemann sum for the inner integral; the fractional
+Sobolev double integral uses the tensor-grid quadrature with the diagonal
+band |u-v| < mesh excluded.
+
+Refined Nikolskii (and, level by level, the Nikolskii-hat distance of
+``distances``) is a partition sup of inner Nikolskii values.  On a uniform
+mesh dt let c_m = (m dt)^(-delta*p) dt and S_m[k] = sum_{lo <= r < k}
+d(f_r, f_(r+m))^p.  The inner value of a block [i, j] is
+T[i, j] = max_{1 <= m <= j-i} c_m (S_m[j-m] - S_m[i]) (``shift_sup_table``;
+the shift m = j-i gives 0), and the outer DP is
+best[j] = max_{i < j} (best[i] + T[i, j]).  Both maxima run over the pairs
+(i, m) with i + m <= j, so they may be swapped:
+
+    best[j] = max_m ( c_m S_m[j-m] + R_m[j-m] ),
+    R_m[k]  = max_{lo <= i <= k} ( best[i] - c_m S_m[i] ).
+
+Column j advances every running sum a_m = S_m[j-m] by d(j-m, j)^p and
+every running max R_m by the one new index i = j-m, so the sweep costs
+O(M) per column and O(M^2) in all, with no inner table.  The arithmetic
+order changes from best[i] + c (a - b) to (best[i] - c b) + c a, and the
+sums start at lo rather than at 0: values move in the last ulps.  As
+S_m[lo] = 0, every term is at most best[j], so no cancellation is amplified.
 
 Large powers d^p can leave the float range.  The q-variation and Riesz
 kernels divide the distances by a scale s, the power of two at or above
@@ -50,9 +70,15 @@ Riesz weight also multiplies d^p by the time factor g^(1-delta*p) of the
 block length g after the power is taken.  When an O(M) range check finds
 that this product can leave the normal range, the time factor is folded
 into the base, (d/s * g^((1-delta*p)/p))^p, with s the power of two at or
-above the largest base; otherwise the weight is formed as written.  The
-Nikolskii and fractional Sobolev time factors are not covered: at very
-large delta*p their powers of small distances can still underflow.
+above the largest base; otherwise the weight is formed as written.
+Nikolskii and fractional Sobolev sums are formed as written and kept
+unless an O(M) check after the sum (``_sum_kept``) finds a time factor out
+of range, a non-finite sum, or underflow losses that could reach 2^-64 of
+it.  Then Nikolskii scales each shift by the power of two at or above its
+largest distance (its time factor is constant within the shift), and
+fractional Sobolev folds its time factor into the base as Riesz does.  The
+refined Nikolskii sweep raises ``ParameterError`` on the same kind of check
+rather than return 0, inf or NaN.
 
 Mixed equals Riesz on every grid.  Let q = 1/delta, and split a block I at
 grid points into blocks J_j with endpoint distances d_j.
@@ -317,6 +343,39 @@ def _riesz_unfused_fits(path, lo, hi, delta, p, bound, s) -> bool:
             and max(max(factor), 0.0) - 1022.0 + math.log2(hi - lo) + 64.0 <= floor)
 
 
+def _sum_kept(path, lo, hi, total, count, factors) -> bool:
+    """Whether a sum of at most ``count`` terms d^p * c, formed as written, is kept.
+
+    ``factors`` are log2 of the extreme time factors c.  The sum is kept
+    when every factor lies in the normal float range, the sum is finite, and
+    the d-powers and terms lost to underflow (less than 2^-1022 times a
+    factor, or 2^-1022, each) add up to at most 2^-64 of it; a zero sum
+    with zero step distances (a constant path) is kept too.  O(M) at most.
+    """
+    if not (-1022.0 <= min(factors) and max(factors) <= 1022.0 and math.isfinite(total)):
+        return False
+    if total > 0.0 and math.log2(total) >= max(max(factors), 0.0) - 958.0 + math.log2(count):
+        return True
+    return total == 0.0 and not _shift_distances(path, 1, lo, hi).any()
+
+
+def _fused_weights(path, lo, hi, p, e):
+    """The terms (d/s)^p * g^e with the time factor folded into the base.
+
+    Returns s and the column blocks of (d/s * g^(e/p))^p, s the power of two
+    at or above the largest base (a first pass over the blocks); unread
+    cells get g = inf and so weight 0.
+    """
+    times = path.grid.times
+
+    def bases(j0, block):
+        return block * _gaps(times, lo, j0, block, np.inf) ** (e / p)
+
+    s = 2.0 ** math.ceil(math.log2(max(float(bases(j0, block).max())
+                                       for j0, block in _columns(path, lo, hi))))
+    return s, (bases(j0, block / s) ** p for j0, block in _columns(path, lo, hi))
+
+
 def dp_partition_sup(columns, lo: int, hi: int) -> float:
     """Exact sup over grid partitions of [lo, hi] of the summed block weights.
 
@@ -343,25 +402,28 @@ def dp_partition_sup(columns, lo: int, hi: int) -> float:
 def dp_power_table(weight: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Partition suprema for every subinterval: B[i, j] = sup over partitions of [i, j].
 
-    Column j is filled for all rows at once from the finished columns < j:
-    B[i, j] = max_{i <= k < j} ( B[i, k] + weight[k, j] ).  The candidates
-    with k < i are left out of the max by its ``where`` mask rather than by
-    adding -inf, so an infinite weight gives inf, as in the recursion.
-    Every candidate is the same single addition and max is exact, so the
-    table equals the per-cell recursion bit for bit.  Scratch memory is one
-    (hi-lo+1)^2 float buffer and a boolean mask of that shape.
+    B[i, j] = max_{i <= k < j} ( B[i, k] + weight[k, j] ), filled in push
+    form: the cells i < j of the window start at -inf, and each finished
+    column k pushes its candidates B[i, k] + weight[k, j] for all rows
+    i <= k and columns j > k at once, one NumPy ``maximum`` per column.
+    No candidate with k < i is ever formed, so no mask is needed and an
+    infinite weight gives inf, as in the recursion.  Every candidate is the
+    same single addition and max is exact, so the table equals the per-cell
+    recursion bit for bit.  The pushes read about (hi-lo)^3/6 cells;
+    scratch memory is one buffer of at most (hi-lo+1)^2/4 floats.
     """
     b = np.zeros_like(weight)
-    if hi <= lo:
-        return b
     n = hi - lo + 1
-    keep = np.triu(np.ones((n, n), dtype=bool))  # keep[i, k]: k >= i
-    buf = np.empty(n * n)
-    for j in range(lo + 1, hi + 1):
-        c = j - lo
-        cand = buf[: c * c].reshape(c, c)
-        np.add(b[lo:j, lo:j], weight[lo:j, j], out=cand)
-        np.max(cand, axis=1, initial=-np.inf, where=keep[:c, :c], out=b[lo:j, j])
+    if n <= 1:
+        return b
+    t = b[lo : hi + 1, lo : hi + 1]
+    w = weight[lo : hi + 1, lo : hi + 1]
+    t[np.triu_indices(n, 1)] = -np.inf
+    buf = np.empty((n // 2 + 1) * ((n + 1) // 2 + 1))
+    for k in range(n - 1):
+        cand = buf[: (k + 1) * (n - k - 1)].reshape(k + 1, n - k - 1)
+        np.add(t[: k + 1, k, None], w[k, None, k + 1 :], out=cand)
+        np.maximum(t[: k + 1, k + 1 :], cand, out=t[: k + 1, k + 1 :])
     return b
 
 
@@ -396,8 +458,8 @@ def qvar_power_table(path, q, lo, hi) -> np.ndarray:
 def _check_nested(lo, hi, max_nested):
     if hi - lo > max_nested:
         raise ParameterError(
-            f"nested norm over {hi - lo} grid intervals exceeds max_nested="
-            f"{max_nested}; the inner-table build is O(M^3), pass a larger "
+            f"interval table over {hi - lo} grid intervals exceeds max_nested="
+            f"{max_nested}; the table build is O(M^3), pass a larger "
             "max_nested explicitly to accept the cost"
         )
 
@@ -452,15 +514,7 @@ def riesz_norm(path, delta: float, p, interval=None) -> float:
         weights = (_riesz_weight(block / s, times, lo, j0, delta, p)
                    for j0, block in _columns(path, lo, hi))
     else:
-        # fold the time factor into the base, (d/s * g^(e/p))^p with
-        # e = 1 - delta*p, s the power of two at or above the largest base
-        # (a first pass over the blocks; unread cells get g = inf)
-        def bases(j0, block):
-            return block * _gaps(times, lo, j0, block, np.inf) ** ((1.0 - delta * p) / p)
-
-        s = 2.0 ** math.ceil(math.log2(max(float(bases(j0, block).max())
-                                           for j0, block in _columns(path, lo, hi))))
-        weights = (bases(j0, block / s) ** p for j0, block in _columns(path, lo, hi))
+        s, weights = _fused_weights(path, lo, hi, p, 1.0 - delta * p)
     return dp_partition_sup(weights, lo, hi) ** (1.0 / p) * s
 
 
@@ -492,11 +546,25 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
             seg = _shift_distances(path, m, lo, hi)
             best = max(best, (m * dt) ** (-delta) * float(np.max(seg)))
         return best
-    for m in range(1, span + 1):
-        # left Riemann sum over r = lo .. hi-m-1 (exclusive right endpoint)
-        total = float(np.sum(_shift_distances(path, m, lo, hi - 1) ** p))
-        best = max(best, (m * dt) ** (-delta * p) * dt * total)
-    return best ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        for m in range(1, span + 1):
+            # left Riemann sum over r = lo .. hi-m-1 (exclusive right endpoint)
+            total = float(np.sum(_shift_distances(path, m, lo, hi - 1) ** p))
+            best = max(best, (m * dt) ** (-delta * p) * dt * total)
+    # time factors (m*mesh)^(-delta*p) and that times mesh, extreme at m = 1, span
+    factors = [-delta * p * math.log2(m * dt) + u for m in (1, span) for u in (0.0, math.log2(dt))]
+    if _sum_kept(path, lo, hi - 1, best, span, factors):
+        return best ** (1.0 / p)
+    # out of range: scale shift m by s_m, the power of two at or above its
+    # largest distance; the time factor is constant within a shift, so
+    # ( c_m sum d^p )^(1/p) = s_m h^(-delta) ( mesh sum (d/s_m)^p )^(1/p)
+    best = 0.0
+    for m in range(1, span):
+        seg = _shift_distances(path, m, lo, hi - 1)
+        if seg.any():
+            s = 2.0 ** math.ceil(math.log2(float(seg.max())))
+            best = max(best, s * (m * dt) ** (-delta) * (dt * float(np.sum((seg / s) ** p))) ** (1.0 / p))
+    return best
 
 
 def shift_sup_table(dist: np.ndarray, times: np.ndarray, lo: int, hi: int,
@@ -525,29 +593,73 @@ def shift_sup_table(dist: np.ndarray, times: np.ndarray, lo: int, hi: int,
     return t
 
 
-def nikolskii_power_table(path, delta, p, lo, hi) -> np.ndarray:
-    """Inner-norm powers T[i, j] = ||f||_{Nikolskii;[i,j]}^p for all blocks in [lo, hi]."""
-    times, dist = _path_data(path)
-    return shift_sup_table(dist, times, lo, hi, p, -delta * p)
+def shift_partition_sup(columns, times: np.ndarray, lo: int, hi: int,
+                        power: float, hexp: float) -> float:
+    """Partition sup of the ``shift_sup_table`` values over [lo, hi], in O(M^2).
+
+    Equals ``dp_partition_sup([dense_columns(shift_sup_table(...), lo, hi)])``
+    without the table: with c_m = (m*mesh)^hexp * mesh and S_m[k] the sum of
+    d(r, r+m)^power over lo <= r < k, the DP runs
+    best[j] = max_m ( c_m S_m[j-m] + R_m ), R_m = max_{i <= j-m} (best[i] - c_m S_m[i]),
+    keeping a_m = S_m[j-m] and R_m for every shift m as it goes (see the
+    module docstring).  ``columns`` are the distance column blocks of
+    ``dp_partition_sup``; column j adds d(j-m, j)^power to a_m after
+    best[j] is taken.
+
+    An O(M) check after the sweep raises ``ParameterError`` when the value is
+    not finite, or when the powers or coefficients that left the normal float
+    range could have lost more than 2^-64 of it; a zero value with zero step
+    distances is returned as 0.
+    """
+    span = hi - lo
+    if span <= 0:
+        return 0.0
+    dt = (times[hi] - times[lo]) / span
+    acc, run = np.zeros(span), np.zeros(span)
+    best, steps = np.zeros(span + 1), np.zeros(span)
+    c = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = (np.arange(1, span + 1) * dt) ** hexp * dt
+        for block in columns:
+            for col in block:
+                ca = coef[:c] * acc[:c]
+                np.maximum(run[:c], best[c - 1 :: -1] - ca, out=run[:c])
+                best[c] = (ca + run[:c]).max()
+                acc[:c] += col[c - 1 :: -1] ** power
+                steps[c - 1] = col[c - 1]
+                c += 1
+    value = float(best[-1])
+    # underflow loses less than 2^-1022 per power (times c_m) and per product
+    # c_m a_m, and less than 2^-1022 a_m through a subnormal c_m; the last
+    # column's distances enter no Riemann sum
+    tiny = 2.0**-1022
+    lost = tiny * span * (float(coef.max()) + 1.0) + tiny * float(acc[coef < tiny].sum())
+    if not (math.isfinite(value) and np.isfinite(coef).all()
+            and (value >= 2.0**64 * lost or (value == 0.0 and not steps[:-1].any()))):
+        raise ParameterError(
+            f"the Nikolskii-type partition sum at power {power:g} leaves the float range "
+            "(the result would be 0, inf or NaN); rescale the path"
+        )
+    return value
 
 
-def refined_nikolskii_norm(path, delta: float, p, interval=None, max_nested: int = 512) -> float:
+def refined_nikolskii_norm(path, delta: float, p, interval=None) -> float:
     """Refined Nikolskii norm ( sup_P sum ||f||_{Nikolskii;[u,v]}^p )^(1/p).
 
     For p = P_INF this is the plain Nikolskii sup itself (the inner norm is
     monotone under interval inclusion, so the full interval dominates).
+    Otherwise one ``shift_partition_sup`` sweep over the distance columns,
+    O(M^2) time and, on Euclidean paths, O(M) memory.
     """
     _check_delta(delta)
     p = _check_nikolskii_p(p)
     _require_uniform(path)
     if p is P_INF:
         return nikolskii_norm(path, delta, p, interval)
+    _check_path(path)
     lo, hi = path.grid.resolve_interval(interval)
-    if hi == lo:
-        return 0.0
-    _check_nested(lo, hi, max_nested)
-    t = nikolskii_power_table(path, delta, p, lo, hi)
-    return dp_partition_sup([dense_columns(t, lo, hi)], lo, hi) ** (1.0 / p)
+    columns = (block for _, block in _columns(path, lo, hi))
+    return shift_partition_sup(columns, path.grid.times, lo, hi, p, -delta * p) ** (1.0 / p)
 
 
 def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
@@ -566,11 +678,18 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
         return 0.0
     dt = (times[hi] - times[lo]) / (hi - lo)
     total = 0.0
-    for j0, block in _columns(path, lo, hi):
-        gap = _gaps(times, lo, j0, block, np.inf)
-        d = np.where(gap < np.inf, block, 0.0)  # cells i >= j add 0, never inf/inf
-        total += float(np.sum(d**p / gap ** (1.0 + delta * p)))
-    return (2.0 * total * dt * dt) ** (1.0 / p)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for j0, block in _columns(path, lo, hi):
+            gap = _gaps(times, lo, j0, block, np.inf)
+            d = np.where(gap < np.inf, block, 0.0)  # cells i >= j add 0, never inf/inf
+            total += float(np.sum(d**p / gap ** (1.0 + delta * p)))
+    span, e = hi - lo, -(1.0 + delta * p)
+    if _sum_kept(path, lo, hi, total, span * (span + 1) / 2,
+                 [e * math.log2(dt), e * math.log2(span * dt)]):
+        return (2.0 * total * dt * dt) ** (1.0 / p)
+    # out of range: fold the time factor into the base, as ``riesz_norm`` does
+    s, weights = _fused_weights(path, lo, hi, p, e)
+    return (2.0 * sum(float(np.sum(w)) for w in weights) * dt * dt) ** (1.0 / p) * s
 
 
 # ---------------------------------------------------------------------------
@@ -618,12 +737,12 @@ def interval_norm_table(path, kind: NormKind, delta=None, p=None, interval=None,
         _check_delta(delta)
         p = _finite_p(_check_nikolskii_p(p), "the Nikolskii interval table")
         _require_uniform(path)
-        t = nikolskii_power_table(path, delta, p, lo, hi)
+        t = shift_sup_table(dist, times, lo, hi, p, -delta * p)
         return IntervalNormTable(kind, delta, p, t ** (1.0 / p))
     raise ParameterError(f"no interval table for kind {kind}")
 
 
-def compute_norm(path, spec: NormSpec, max_nested: int = 512) -> float:
+def compute_norm(path, spec: NormSpec) -> float:
     """Evaluate the norm selected by ``spec`` on ``path``."""
     k = spec.kind
     if k is NormKind.HOELDER:
@@ -635,7 +754,7 @@ def compute_norm(path, spec: NormSpec, max_nested: int = 512) -> float:
     if k is NormKind.NIKOLSKII:
         return nikolskii_norm(path, spec.delta, spec.p, spec.interval)
     if k is NormKind.REFINED_NIKOLSKII:
-        return refined_nikolskii_norm(path, spec.delta, spec.p, spec.interval, max_nested)
+        return refined_nikolskii_norm(path, spec.delta, spec.p, spec.interval)
     if k is NormKind.FRAC_SOBOLEV:
         return frac_sobolev_norm(path, spec.delta, spec.p, spec.interval)
     raise ParameterError(f"unknown norm kind {k}")

@@ -258,21 +258,22 @@ class GroupPath:
         Uses d(X_i, X_j) = max_k max(|pi_k(X_{i,j})|, |pi_k(X_{j,i})|)^(1/k);
         the reversed increment is exactly the inverse of the forward one, so
         the matrix of ordered level norms suffices (it is filled transposed,
-        as the row pass yields columns first).  The power is one call over
-        the stacked levels: whether NumPy's power loop takes its square-root
-        shortcut for the exponent 1/2 depends on the array layout, and a
-        per-level call would move level-2 values on grids of 64 points or
-        fewer by an ulp.
+        as the row pass yields columns first).  Each level takes its root in
+        its own call on a contiguous (M+1, M+1) array, ``np.sqrt`` for k = 2
+        and the power 1/k for k >= 3, so a distance does not depend on the
+        grid size or the array layout.
         """
         m = len(self.grid)
         level = np.empty((self.depth, m, m))
         for i0, i1, _, rows in self.increment_blocks():
             for k in range(1, self.depth + 1):
                 level[k - 1, :, i0:i1] = np.linalg.norm(rows[k], axis=-1)
-        sym = np.maximum(level, np.transpose(level, (0, 2, 1)))
-        del level
-        ks = np.arange(1, self.depth + 1)
-        return (sym ** (1.0 / ks[:, None, None])).max(axis=0)
+        dist = np.maximum(level[0], level[0].T)
+        for k in range(2, self.depth + 1):
+            sym = np.maximum(level[k - 1], level[k - 1].T)
+            root = np.sqrt(sym, out=sym) if k == 2 else np.power(sym, 1.0 / k, out=sym)
+            np.maximum(dist, root, out=dist)
+        return dist
 
 
 # ---------------------------------------------------------------------------

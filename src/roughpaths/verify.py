@@ -516,8 +516,7 @@ def check_sobolev_nikolskii(paths, delta=0.3, delta_prime=0.45, p=4.0,
     ]
 
 
-def check_bv_identity(paths_with_derivs, p, tol=0.01, quad_points=8192,
-                      max_nested=2048) -> list[CheckRecord]:
+def check_bv_identity(paths_with_derivs, p, tol=0.01, quad_points=8192) -> list[CheckRecord]:
     """At regularity 1 the Riesz, mixed and refined Nikolskii norms all equal
     the L^p norm of the derivative; compared against direct quadrature."""
     worst = {"riesz": 0.0, "mixed": 0.0, "refined_nikolskii": 0.0}
@@ -528,7 +527,7 @@ def check_bv_identity(paths_with_derivs, p, tol=0.01, quad_points=8192,
         vals = {
             "riesz": riesz_norm(f, 1.0, p),
             "mixed": mixed_norm(f, 1.0, p),
-            "refined_nikolskii": refined_nikolskii_norm(f, 1.0, p, max_nested=max_nested),
+            "refined_nikolskii": refined_nikolskii_norm(f, 1.0, p),
         }
         for k, v in vals.items():
             worst[k] = max(worst[k], abs(v - lp) / lp)

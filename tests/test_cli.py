@@ -126,6 +126,29 @@ def test_unexpected_exception_exit6(linear_csv, capsys, monkeypatch):
     assert err == "error: internal error: ZeroDivisionError: an internal defect spanning two lines\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "{csv}"],  # --kind missing
+    ["sig", "{csv}", "--depth", "x"],
+    ["norm", "{csv}", "--kind", "refinednikolskii", "--p", "4", "--max-nested", "600"],
+    ["dist", "{csv}", "{csv}", "--kind", "nikolskiihat", "--p", "4", "--max-nested", "600"],
+    [],
+    ["nope"],
+], ids=["missing-kind", "depth-not-int", "norm-max-nested", "dist-max-nested", "no-command",
+        "unknown-command"])
+def test_usage_errors_exit3(linear_csv, capsys, argv):
+    assert main([a.format(csv=linear_csv) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["norm", "--help"], ["dist", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: roughpaths")
+
+
 # ---------------------------------------------------------------------------
 # sig command
 # ---------------------------------------------------------------------------

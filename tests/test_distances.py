@@ -14,11 +14,14 @@ from roughpaths import (
     EuclideanPath,
     GridMismatchError,
     LevelDistanceSpec,
+    NormKind,
     P_INF,
     ParameterError,
+    TimeGrid,
     group_inverse,
     group_mul,
     increment,
+    interval_norm_table,
     lift,
     mixed_norm,
     qvar_norm,
@@ -32,6 +35,7 @@ from roughpaths import (
 )
 from roughpaths import paths
 from roughpaths.distances import level_diff_matrix, rho_level
+from roughpaths.norms import dense_columns, dp_partition_sup, shift_sup_table
 from roughpaths.oracle import (
     oracle_rho_mixed,
     oracle_rho_nikolskii_hat,
@@ -196,19 +200,22 @@ def test_nikolskii_hat_needs_uniform_grid(rng):
         rho_nikolskii_hat_level(x1, x2, 0.45, 4.0, 1)
 
 
-def test_nested_cap_on_nikolskii_hat_only(rng):
-    x1, x2, _, _ = make_pair(rng, intervals=24)
-    with pytest.raises(ParameterError):
+def test_no_nested_cap_on_nikolskii_hat(rng):
+    x1, x2, p1, _ = make_pair(rng, intervals=24)
+    with pytest.raises(TypeError):
         rho_nikolskii_hat_level(x1, x2, 0.45, 4.0, 1, max_nested=8)
+    # the cap stays on the O(M^3) interval tables
     with pytest.raises(ParameterError):
-        rho_level(x1, x2, DistKind.NIKOLSKII_HAT, delta=0.45, p=4.0, k=1, max_nested=8)
-    # the mixed distance is the O(M^2) Riesz DP and has no cap
+        interval_norm_table(x1, NormKind.NIKOLSKII, 0.45, 4.0, max_nested=8)
+    # the Nikolskii-hat and mixed distances are O(M^2) sweeps without a cap
     big1, big2, _, _ = make_pair(rng, intervals=2048)
     for k in (1, 2):
         riesz = rho_riesz_level(big1, big2, 0.45, 4.0, k)
         assert rho_mixed_level(big1, big2, 0.45, 4.0, k) == riesz
-        assert rho_level(big1, big2, DistKind.MIXED, delta=0.45, p=4.0, k=k,
-                         max_nested=8) == riesz
+        assert rho_level(big1, big2, DistKind.MIXED, delta=0.45, p=4.0, k=k) == riesz
+        nhat = rho_nikolskii_hat_level(big1, big2, 0.45, 4.0, k)
+        assert 0.0 < nhat < math.inf
+        assert rho_level(big1, big2, DistKind.NIKOLSKII_HAT, delta=0.45, p=4.0, k=k) == nhat
 
 
 def test_level_diff_cache_dies_with_paths(rng):
@@ -255,8 +262,9 @@ def test_row_pass_equals_per_pair_increments(dim, depth, intervals, seed, cells)
     for (i, j), g in g1.items():
         norms[:, i, j] = _level_norms(g, depth)
     sym = np.maximum(norms, norms.transpose(0, 2, 1))
-    ks = np.arange(1, depth + 1)
-    dist = (sym ** (1.0 / ks[:, None, None])).max(axis=0)
+    # one root per contiguous level: sqrt at k = 2, the power 1/k above
+    dist = np.max([sym[0], np.sqrt(sym[1]) if depth > 1 else sym[0],
+                   *(sym[k - 1] ** (1.0 / k) for k in range(3, depth + 1))], axis=0)
     # a budget of 1 cell makes every block one row, so block edges fall on every row
     for budget in (1, cells):
         x1, x2 = lift(p1, depth), lift(p2, depth)
@@ -264,3 +272,46 @@ def test_row_pass_equals_per_pair_increments(dim, depth, intervals, seed, cells)
             assert np.array_equal(x1.distance_matrix, dist)
             for k in range(1, depth + 1):
                 assert np.array_equal(level_diff_matrix(x1, x2, k), diffs[k - 1])
+
+
+# ---------------------------------------------------------------------------
+# the fused Nikolskii-hat sweep against the table DP and the oracle
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 11), st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 3),
+       st.sampled_from([(0.3, 4.0), (0.45, 4.0), (0.5, 2.5), (1.0, 7.0)]), st.data())
+def test_nikolskii_hat_sweep_equals_table_dp_and_oracle(m, seed, dim, depth, dp, data):
+    delta, p = dp
+    x1, x2, _, _ = make_pair(np.random.default_rng(seed), intervals=m, dim=dim, depth=depth,
+                             eps=0.5)
+    k = data.draw(st.integers(1, depth))
+    lo = data.draw(st.integers(0, m - 1))
+    hi = data.draw(st.integers(lo + 1, m))
+    times = x1.grid.times
+    span = (times[lo], times[hi])
+    got = rho_nikolskii_hat_level(x1, x2, delta, p, k, span)
+    table = shift_sup_table(level_diff_matrix(x1, x2, k), times, lo, hi, p / k, -delta * p)
+    want = dp_partition_sup([dense_columns(table, lo, hi)], lo, hi) ** (k / p)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(oracle_rho_nikolskii_hat(x1, x2, delta, p, k, span), rel=1e-9)
+
+
+def test_nikolskii_hat_out_of_float_range_raises(rng):
+    x1, x2, p1, p2 = make_pair(rng, intervals=64)
+    assert rho_nikolskii_hat_level(x1, x1, 0.5, 300.0, 1) == 0.0  # zero, not out of range
+    for c in (1e-3, 1e3):
+        y1, y2 = (lift(EuclideanPath(p.grid, c * p.values), 2) for p in (p1, p2))
+        with pytest.raises(ParameterError):
+            rho_nikolskii_hat_level(y1, y2, 0.5, 300.0, 1)
+
+
+def test_group_distances_do_not_depend_on_grid_size(rng):
+    # a prefix of the grid gives the top-left block of the distance matrix
+    f = random_walk_path(rng, 200, 2)
+    for depth in (2, 3, 4):
+        whole = lift(f, depth).distance_matrix
+        for points in (20, 49, 65, 81, 130):
+            prefix = EuclideanPath(TimeGrid(f.grid.times[:points]), f.values[:points])
+            assert np.array_equal(lift(prefix, depth).distance_matrix,
+                                  whole[:points, :points])

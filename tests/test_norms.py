@@ -211,22 +211,25 @@ def test_mixed_oracle_equality(rng):
         )
 
 
-def test_nested_cap_on_refined_nikolskii_only():
+def test_nested_cap_on_interval_tables_only():
     f = random_walk_path(np.random.default_rng(0), 40, 1)
-    spec = NormSpec(NormKind.REFINED_NIKOLSKII, delta=0.5, p=4.0)
-    with pytest.raises(ParameterError):
+    # the O(M^3) interval tables keep the cap, with an explicit override
+    for kind, delta, p in ((NormKind.NIKOLSKII, 0.5, 4.0), (NormKind.RIESZ, 0.5, 4.0),
+                           (NormKind.QVAR, None, 2.5), (NormKind.HOELDER, 0.5, None)):
+        with pytest.raises(ParameterError):
+            interval_norm_table(f, kind, delta, p, max_nested=16)
+        assert interval_norm_table(f, kind, delta, p, max_nested=40).values.shape == (41, 41)
+    # refined Nikolskii and mixed are O(M^2) sweeps without a cap
+    with pytest.raises(TypeError):
         refined_nikolskii_norm(f, 0.5, 4.0, max_nested=16)
-    with pytest.raises(ParameterError):
-        compute_norm(f, spec, max_nested=16)
-    # explicit override accepts the cost
-    assert refined_nikolskii_norm(f, 0.5, 4.0, max_nested=40) == compute_norm(
-        f, spec, max_nested=40)
-    # the mixed norm is the O(M^2) Riesz DP and has no cap
     big = random_walk_path(np.random.default_rng(1), 2048, 2)
+    spec = NormSpec(NormKind.REFINED_NIKOLSKII, delta=0.5, p=4.0)
+    refined = refined_nikolskii_norm(big, 0.5, 4.0)
+    assert compute_norm(big, spec) == refined
+    assert nikolskii_norm(big, 0.5, 4.0) <= refined < math.inf
     riesz = riesz_norm(big, 0.45, 4.0)
     assert mixed_norm(big, 0.45, 4.0) == riesz
-    assert compute_norm(big, NormSpec(NormKind.MIXED, delta=0.45, p=4.0),
-                        max_nested=16) == riesz
+    assert compute_norm(big, NormSpec(NormKind.MIXED, delta=0.45, p=4.0)) == riesz
 
 
 def test_mixed_p_inf_is_blockwise_holder_of_qvar():
@@ -659,3 +662,100 @@ def test_single_value_norms_need_no_dense_matrix(rng):
             tracemalloc.stop()
         assert peak < 64 * 2**20
     assert "distance_matrix" not in vars(f)
+
+
+# ---------------------------------------------------------------------------
+# the fused refined Nikolskii sweep and the push-form power table
+# ---------------------------------------------------------------------------
+
+@st.composite
+def nikolskii_cases(draw):
+    m = draw(st.integers(1, 11))  # at most 12 grid points
+    lo = draw(st.integers(0, m - 1))
+    hi = draw(st.integers(lo + 1, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 3))
+    values = np.vstack([np.zeros((1, dim)), np.cumsum(rng.standard_normal((m, dim)), axis=0)])
+    f = EuclideanPath(TimeGrid.uniform(m, draw(st.sampled_from([1.0, 2.5]))), values)
+    path = lift(f, draw(st.integers(2, 3))) if draw(st.booleans()) else f
+    delta = draw(st.sampled_from([0.3, 0.45, 0.5, 1.0]))
+    p = draw(st.sampled_from([1.0, 2.0, 2.5, 4.0, 7.0]))
+    return path, lo, hi, delta, p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(nikolskii_cases())
+def test_shift_partition_sup_equals_table_dp_and_oracle(case):
+    path, lo, hi, delta, p = case
+    times = path.grid.times
+    span = (times[lo], times[hi])
+    got = refined_nikolskii_norm(path, delta, p, span)
+    dist = path.distance_matrix
+    # the dense columns give the streamed value bit for bit
+    assert got == norms_module.shift_partition_sup(
+        [dense_columns(dist, lo, hi)], times, lo, hi, p, -delta * p) ** (1.0 / p)
+    table = norms_module.shift_sup_table(dist, times, lo, hi, p, -delta * p)
+    want = dp_partition_sup([dense_columns(table, lo, hi)], lo, hi) ** (1.0 / p)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(oracle_refined_nikolskii(path, delta, p, span), rel=1e-9)
+
+
+def _cellwise_power_table(w, lo, hi):
+    # B[i, j] = max_{i <= k < j} (B[i, k] + w[k, j]), one cell at a time
+    b = np.zeros_like(w)
+    for i in range(lo, hi + 1):
+        for j in range(i + 1, hi + 1):
+            b[i, j] = max(b[i, k] + w[k, j] for k in range(i, j))
+    return b
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(weight_windows())
+@example((INF_AT_LO, 2, 7))
+@example((np.full((5, 5), np.inf), 0, 4))
+def test_push_power_table_equals_cellwise_recursion(case):
+    w, lo, hi = case
+    assert (dp_power_table(w, lo, hi) == _cellwise_power_table(w, lo, hi)).all()
+
+
+def test_refined_nikolskii_needs_no_dense_matrix(rng):
+    # the (M+1)^2 inner table alone would take 537 MB at M = 8192
+    f = random_walk_path(rng, 8192, 2)
+    tracemalloc.start()
+    try:
+        assert refined_nikolskii_norm(f, 0.5, 4.0) >= nikolskii_norm(f, 0.5, 4.0) > 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert "distance_matrix" not in vars(f)
+
+
+def _nikolskii_as_written(f, delta, p):
+    # the in-range formula: c_m = (m mesh)^(-delta p) mesh times the sum of d^p
+    m_all, v = f.grid.intervals, f.values
+    dt = f.grid.times[-1] / m_all
+    return max((m * dt) ** (-delta * p) * dt
+               * float(np.sum(np.linalg.norm(v[m:-1] - v[: -1 - m], axis=1) ** p))
+               for m in range(1, m_all + 1)) ** (1.0 / p)
+
+
+def test_nikolskii_family_at_large_p(rng):
+    # at delta = 0.5, p = 300 the powers d^p of a walk scaled by 1e-3 or 1e3
+    # underflow or overflow; the time factor (m mesh)^(-150) is constant per shift
+    f = random_walk_path(rng, 64, 2)
+    nik, sob = nikolskii_norm(f, 0.5, 300.0), frac_sobolev_norm(f, 0.5, 300.0)
+    assert nik == _nikolskii_as_written(f, 0.5, 300.0)  # in range: the formula as written
+    assert refined_nikolskii_norm(f, 0.5, 300.0) == pytest.approx(nik, rel=1e-12)
+    for c in (1e-3, 1e3):
+        g = EuclideanPath(f.grid, c * f.values)
+        assert nikolskii_norm(g, 0.5, 300.0) == pytest.approx(c * nik, rel=1e-12)
+        assert frac_sobolev_norm(g, 0.5, 300.0) == pytest.approx(c * sob, rel=1e-12)
+        with pytest.raises(ParameterError):
+            refined_nikolskii_norm(g, 0.5, 300.0)
+        assert refined_nikolskii_norm(g, 0.5, P_INF) == pytest.approx(
+            c * refined_nikolskii_norm(f, 0.5, P_INF), rel=1e-12)
+    # zero distances are not a range failure
+    flat = EuclideanPath(f.grid, np.ones_like(f.values))
+    for norm in (nikolskii_norm, frac_sobolev_norm, refined_nikolskii_norm):
+        assert norm(flat, 0.5, 300.0) == 0.0
