@@ -92,7 +92,15 @@ def write_path_csv(path_obj: EuclideanPath, path) -> None:
     lines = ["t," + ",".join(f"x{i}" for i in range(1, path_obj.dim + 1))]
     for t, row in zip(path_obj.grid.times, path_obj.values):
         lines.append(",".join(repr(float(v)) for v in [t, *row]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path, text) -> None:
+    """Write one output file; an unwritable path is a parameter error (exit 3)."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +165,7 @@ def cmd_norm(args) -> int:
             "value": value,
             "grid_points": len(f.grid),
         }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        _write_text(args.json, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -174,7 +182,7 @@ def cmd_sig(args) -> int:
     text = json.dumps(payload, indent=2)
     print(text)
     if args.json:
-        Path(args.json).write_text(text + "\n")
+        _write_text(args.json, text + "\n")
     return 0
 
 
@@ -208,7 +216,7 @@ def cmd_dist(args) -> int:
             "value": value,
             "levels": {str(k): v for k, v in levels.items()},
         }
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        _write_text(args.json, json.dumps(payload, indent=2) + "\n")
     return 0
 
 

@@ -37,10 +37,15 @@ and ``qvar_power_table``.  Interval tables are O(M^3) and capped at
 explicitly; no other function has a cap.  The table of q-variation powers
 over all subintervals is ``dp_power_table``, an O(M^3) DP in push form (one
 NumPy max per finished column), whose values are bit-identical to the
-per-cell recursion.  Nikolskii shifts h run over integer multiples of the
-uniform mesh with a left Riemann sum for the inner integral; the fractional
-Sobolev double integral uses the tensor-grid quadrature with the diagonal
-band |u-v| < mesh excluded.
+per-cell recursion.  Both DPs take leading batch axes: ``dp_power_table``
+weights of shape ``(*batch, N, N)`` and ``dp_partition_sup`` column blocks
+of shape ``(*batch, rows, cols)``, so one Python loop over the columns
+serves a stack of same-grid matrices (the verify reference runs a family
+of paths this way), with the values of the per-matrix calls bit for bit;
+the batch-free calls are the case ``batch = ()``.  Nikolskii shifts h run
+over integer multiples of the uniform mesh with a left Riemann sum for the
+inner integral; the fractional Sobolev double integral uses the
+tensor-grid quadrature with the diagonal band |u-v| < mesh excluded.
 
 Refined Nikolskii (and, level by level, the Nikolskii-hat distance of
 ``distances``) is a partition sup of inner Nikolskii values.  On a uniform
@@ -103,7 +108,8 @@ quasi-metric surrogate of group paths and, level by level, for the
 distances of ``distances`` (apply it to D_k^(1/k)).  ``mixed_norm`` is
 therefore ``riesz_norm``, an O(M^2) DP; the nested definition is kept only
 as the independent reference of the checks ``verify.check_riesz_eq_mixed``
-and ``verify.check_distance_equivalences``.
+and ``verify.check_distance_equivalences``, computed per family by
+``verify._nested_mixed``.
 
 Riesz variation with p = infinity is the Hoelder seminorm by definition.
 Infinite integrability is the sentinel ``P_INF``; a float inf passed as p is
@@ -253,9 +259,10 @@ def _path_data(path):
 def dense_columns(matrix: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Columns lo+1..hi of a dense matrix, rows [lo, hi], as one column block.
 
-    Row c of the result is column lo+1+c, ``matrix[lo:hi+1, lo+1+c]``.
+    Row c of the result is column lo+1+c, ``matrix[..., lo:hi+1, lo+1+c]``;
+    leading batch axes of a stack of matrices are kept.
     """
-    return matrix[lo : hi + 1, lo + 1 : hi + 1].T
+    return np.swapaxes(matrix[..., lo : hi + 1, lo + 1 : hi + 1], -1, -2)
 
 
 def _columns(path, lo, hi):
@@ -376,27 +383,29 @@ def _fused_weights(path, lo, hi, p, e):
     return s, (bases(j0, block / s) ** p for j0, block in _columns(path, lo, hi))
 
 
-def dp_partition_sup(columns, lo: int, hi: int) -> float:
+def dp_partition_sup(columns, lo: int, hi: int, batch: tuple = ()):
     """Exact sup over grid partitions of [lo, hi] of the summed block weights.
 
-    ``columns`` is an iterable of 2-D blocks whose rows, in order, are the
-    weight columns j = lo+1, ..., hi: the row of column j holds the
-    (nonnegative) weight of block [t_i, t_j] at position i - lo, for at
-    least every i in [lo, j).  The recursion
+    ``columns`` is an iterable of blocks of shape ``(*batch, rows, cols)``
+    whose rows, in order, are the weight columns j = lo+1, ..., hi: the row
+    of column j holds the (nonnegative) weight of block [t_i, t_j] at
+    position i - lo, for at least every i in [lo, j).  The recursion
     best[j] = max_i ( best[i] + weight[i, j] ) visits every partition into
-    consecutive blocks.  Single-value norms of Euclidean paths stream the
-    blocks from the path values; a caller with a dense weight matrix passes
-    ``[dense_columns(weight, lo, hi)]``.
+    consecutive blocks, for every batch index at once.  Single-value norms
+    of Euclidean paths stream the blocks from the path values; a caller with
+    a dense weight matrix, or a stack of them, passes
+    ``[dense_columns(weight, lo, hi)]``.  Returns a float when ``batch`` is
+    empty, otherwise the array of suprema of shape ``batch``.
     """
     if hi <= lo:
-        return 0.0
-    best = np.zeros(hi - lo + 1)
+        return np.zeros(batch) if batch else 0.0
+    best = np.zeros((*batch, hi - lo + 1))
     c = 1
     for block in columns:
-        for r in range(block.shape[0]):
-            best[c] = (best[:c] + block[r, :c]).max()
+        for r in range(block.shape[-2]):
+            best[..., c] = np.maximum.reduce(best[..., :c] + block[..., r, :c], axis=-1)
             c += 1
-    return float(best[-1])
+    return best[..., -1] if batch else float(best[-1])
 
 
 def dp_power_table(weight: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -406,24 +415,29 @@ def dp_power_table(weight: np.ndarray, lo: int, hi: int) -> np.ndarray:
     form: the cells i < j of the window start at -inf, and each finished
     column k pushes its candidates B[i, k] + weight[k, j] for all rows
     i <= k and columns j > k at once, one NumPy ``maximum`` per column.
-    No candidate with k < i is ever formed, so no mask is needed and an
-    infinite weight gives inf, as in the recursion.  Every candidate is the
-    same single addition and max is exact, so the table equals the per-cell
-    recursion bit for bit.  The pushes read about (hi-lo)^3/6 cells;
-    scratch memory is one buffer of at most (hi-lo+1)^2/4 floats.
+    ``weight`` may carry leading batch axes, ``(*batch, N, N)``; each
+    column's push then serves every matrix of the stack, and B has the
+    same shape.  No candidate with k < i is ever formed, so no mask is
+    needed and an infinite weight gives inf, as in the recursion.  Every
+    candidate is the same single addition and max is exact, so the table
+    equals the per-cell recursion bit for bit, batched or not.  The pushes
+    read about (hi-lo)^3/6 cells per matrix; scratch memory is one buffer of
+    at most (hi-lo+1)^2/4 floats per matrix.
     """
     b = np.zeros_like(weight)
     n = hi - lo + 1
     if n <= 1:
         return b
-    t = b[lo : hi + 1, lo : hi + 1]
-    w = weight[lo : hi + 1, lo : hi + 1]
-    t[np.triu_indices(n, 1)] = -np.inf
-    buf = np.empty((n // 2 + 1) * ((n + 1) // 2 + 1))
+    batch = weight.shape[:-2]
+    size = math.prod(batch)
+    t = b[..., lo : hi + 1, lo : hi + 1]
+    w = weight[..., lo : hi + 1, lo : hi + 1]
+    t[(..., *np.triu_indices(n, 1))] = -np.inf
+    buf = np.empty(size * (n // 2 + 1) * ((n + 1) // 2 + 1))
     for k in range(n - 1):
-        cand = buf[: (k + 1) * (n - k - 1)].reshape(k + 1, n - k - 1)
-        np.add(t[: k + 1, k, None], w[k, None, k + 1 :], out=cand)
-        np.maximum(t[: k + 1, k + 1 :], cand, out=t[: k + 1, k + 1 :])
+        cand = buf[: size * (k + 1) * (n - k - 1)].reshape(*batch, k + 1, n - k - 1)
+        np.add(t[..., : k + 1, k, None], w[..., k, None, k + 1 :], out=cand)
+        np.maximum(t[..., : k + 1, k + 1 :], cand, out=t[..., : k + 1, k + 1 :])
     return b
 
 

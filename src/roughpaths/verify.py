@@ -596,42 +596,81 @@ def check_norm_superadditivity(paths, delta, p, seed=0) -> list[CheckRecord]:
     ]
 
 
-def _nested_mixed(x1, delta, p, x2=None, k=1) -> float:
-    """Mixed norm of ``x1`` (``x2`` None) or level-k mixed distance of the
-    pair by the nested definition (an O(M^3) table of block q-variation
-    powers, q = 1/delta): the independent reference for the Riesz = mixed
-    grid identity that serves ``mixed_norm`` and ``rho_mixed_level``."""
-    times = x1.grid.times
-    m = len(times) - 1
+#: Cells of one stacked (items, M+1, M+1) array of ``_nested_mixed``: a
+#: family is served in chunks of about this size.
+_FAMILY_CELLS = 1 << 16
+
+
+def _family_chunks(family, k):
+    """Consecutive runs of ``family`` on one grid, each within ``_FAMILY_CELLS``."""
+    chunk, times = [], None
+    for item in family:
+        t = (item if k is None else item[0]).grid.times
+        if chunk and ((len(chunk) + 1) * t.size**2 > _FAMILY_CELLS
+                      or not np.array_equal(t, times)):
+            yield times, chunk
+            chunk = []
+        chunk.append(item)
+        times = t
+    if chunk:
+        yield times, chunk
+
+
+def _distance_stack(chunk, k) -> np.ndarray:
+    # Euclidean distances straight from the values, so no path caches a matrix
+    if k is not None:
+        return np.stack([level_diff_matrix(x1, x2, k) for x1, x2 in chunk])
+    return np.stack([f.distance_block(0, 0, len(f.grid)) if isinstance(f, EuclideanPath)
+                     else f.distance_matrix for f in chunk])
+
+
+def _nested_mixed(family, delta, ps, k=None) -> list[list[float]]:
+    """Nested-definition mixed norms of the paths of ``family`` (``k`` None),
+    or level-k mixed distances of its pairs ``(x1, x2)``, for every p of
+    ``ps``: entry [a][b] is the value of item b at p = ps[a].
+
+    The independent reference for the Riesz = mixed grid identity that
+    serves ``mixed_norm`` and ``rho_mixed_level``.  Items on one grid are
+    stacked in chunks; each chunk builds its O(M^3) table of block
+    q-variation powers, q = 1/delta, once with the batched
+    ``dp_power_table`` and runs the outer partition DP once per p with the
+    batched ``dp_partition_sup``.  Each root is taken on a Python float.
+    """
     q = 1.0 / delta
-    if x2 is None:
-        inner, expo, root = qvar_power_table(x1, q, 0, m), delta * p, 1.0 / p
-    else:
-        d = level_diff_matrix(x1, x2, k)
-        inner, expo, root = dp_power_table(d ** (q / k), 0, m), p / q, k / p
-    iu = np.triu_indices(m + 1, k=1)
-    w = np.zeros_like(inner)
-    w[iu] = inner[iu] ** expo * (times[iu[1]] - times[iu[0]]) ** (1.0 - delta * p)
-    return dp_partition_sup([dense_columns(w, 0, m)], 0, m) ** root
+    values = [[] for _ in ps]
+    for times, chunk in _family_chunks(family, k):
+        m = len(times) - 1
+        iu = np.triu_indices(m + 1, k=1)
+        d = _distance_stack(chunk, k) ** (q if k is None else q / k)
+        inner = dp_power_table(d, 0, m)[:, iu[0], iu[1]]
+        gap = times[iu[1]] - times[iu[0]]
+        w = np.zeros_like(d)  # each p rewrites the cells i < j
+        for out, p in zip(values, ps):
+            expo, root = (delta * p, 1.0 / p) if k is None else (p / q, k / p)
+            w[:, iu[0], iu[1]] = inner ** expo * gap ** (1.0 - delta * p)
+            best = dp_partition_sup([dense_columns(w, 0, m)], 0, m, batch=(len(chunk),))
+            out.extend(float(v) ** root for v in best)
+    return values
 
 
-def check_riesz_eq_mixed(paths, delta, p) -> CheckRecord:
+def check_riesz_eq_mixed(paths, delta, ps) -> list[CheckRecord]:
     """Grid equality of the Riesz norm and the nested mixed norm (constant 1
-    both ways)."""
-    dev = 0.0
-    for f in paths:
-        a = riesz_norm(f, delta, p)
-        b = _nested_mixed(f, delta, p)
-        dev = max(dev, abs(a - b) / max(a, b, 1e-300))
-    return equality_record("riesz_eq_mixed", dev,
-                           params={"delta": delta, "p": p, "paths": len(paths)},
-                           notes="grid equality, constant 1 in both directions")
+    both ways), one record per p of ``ps``."""
+    recs = []
+    for p, nested in zip(ps, _nested_mixed(paths, delta, ps)):
+        dev = 0.0
+        for f, b in zip(paths, nested):
+            a = riesz_norm(f, delta, p)
+            dev = max(dev, abs(a - b) / max(a, b, 1e-300))
+        recs.append(equality_record("riesz_eq_mixed", dev,
+                                    params={"delta": delta, "p": p, "paths": len(paths)},
+                                    notes="grid equality, constant 1 in both directions"))
+    return recs
 
 
 def check_riesz_characterization(paths, refined_paths, delta, p) -> list[CheckRecord]:
-    """Grid equality of the Riesz and mixed norms plus reported two-sided
-    constants between the mixed and refined Nikolskii norms with refinement
-    stability."""
+    """Reported two-sided constants between the mixed and refined Nikolskii
+    norms with refinement stability."""
     pr = {"delta": delta, "p": p, "paths": len(paths)}
 
     def two_sided(fams):
@@ -645,7 +684,7 @@ def check_riesz_characterization(paths, refined_paths, delta, p) -> list[CheckRe
 
     c1, c2 = two_sided(paths)
     c1f, c2f = two_sided(refined_paths)
-    recs = [check_riesz_eq_mixed(paths, delta, p)]
+    recs = []
     for name, c0, cf in (("charact_nhat_over_mixed", c1, c1f),
                          ("charact_mixed_over_nhat", c2, c2f)):
         recs.append(reported_record(name, c0, params=pr,
@@ -667,13 +706,14 @@ def check_distance_equivalences(pairs, delta, p, refined_pairs=None) -> list[Che
     symmetry."""
     depth = pairs[0][0].depth
     pr = {"delta": delta, "p": p, "depth": depth, "pairs": len(pairs)}
+    nested = [_nested_mixed(pairs, delta, [p], k)[0] for k in range(1, depth + 1)]
     dev = 0.0
     c1 = c2 = 0.0
     ball = 0.0
-    for x1, x2 in pairs:
+    for i, (x1, x2) in enumerate(pairs):
         for k in range(1, depth + 1):
             a = rho_riesz_level(x1, x2, delta, p, k)
-            b = _nested_mixed(x1, delta, p, x2, k)
+            b = nested[k - 1][i]
             dev = max(dev, abs(a - b) / max(a, b, 1e-300))
             nh = rho_nikolskii_hat_level(x1, x2, delta, p, k)
             c1 = max(c1, _safe_ratio(nh, b))
@@ -1124,9 +1164,8 @@ def suite_characterization(seed=0, family_count=100, grid_size=64) -> list[Check
     subset = paths[:10]
     fine = [resample_uniform(f, grid_size * 2) for f in subset]
     for delta in (0.4, 0.6):
-        for p in (3.0, 5.0, 8.0):
-            recs.append(check_riesz_eq_mixed(paths, delta, p))
-    recs.extend(check_riesz_characterization(subset, fine, 0.45, 4.0)[1:])
+        recs.extend(check_riesz_eq_mixed(paths, delta, (3.0, 5.0, 8.0)))
+    recs.extend(check_riesz_characterization(subset, fine, 0.45, 4.0))
     return recs
 
 
@@ -1179,6 +1218,8 @@ def run_suite(name: str, seed: int = 0, out_dir=None) -> tuple[list[CheckRecord]
     else:
         raise ParameterError(f"unknown suite {name!r}; choose from "
                              f"{sorted(SUITES)} or 'all'")
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
     records = []
     for n in names:
         records.extend(SUITES[n](seed=seed))
@@ -1186,7 +1227,10 @@ def run_suite(name: str, seed: int = 0, out_dir=None) -> tuple[list[CheckRecord]
     ok = suite_ok(records)
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_report_json(records, out / f"{name}_report.json")
-        write_report_csv(records, out / f"{name}_report.csv")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            write_report_json(records, out / f"{name}_report.json")
+            write_report_csv(records, out / f"{name}_report.csv")
+        except OSError as exc:
+            raise ParameterError(f"cannot write {out}: {exc}") from exc
     return records, ok

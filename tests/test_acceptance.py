@@ -142,7 +142,7 @@ def test_criterion_03_explicit_constant_inequalities(family_100, pair_family_20)
         for delta, p in ((0.4, 3.0), (0.6, 8.0)):
             for k in (1, 2):
                 lhs = rho_riesz_level(x1, x2, delta, p, k)
-                rhs = verify._nested_mixed(x1, delta, p, x2, k)
+                rhs = verify._nested_mixed([(x1, x2)], delta, [p], k)[0][0]
                 dist_ok = dist_ok and lhs <= rhs * (1 + 1e-9)
     ok = hard_ok and dist_ok
     _report(3, "constant-1 inequalities (interpolation bound, pointwise bound, "
@@ -157,15 +157,14 @@ def test_criterion_03_explicit_constant_inequalities(family_100, pair_family_20)
 def test_criterion_04_grid_equalities(family_100, pair_family_20):
     worst_norm = 0.0
     for delta in (0.4, 0.6):
-        for p in (3.0, 5.0, 8.0):
-            rec = verify.check_riesz_eq_mixed(family_100, delta, p)
+        for rec in verify.check_riesz_eq_mixed(family_100, delta, (3.0, 5.0, 8.0)):
             worst_norm = max(worst_norm, rec.lhs)
     worst_dist = 0.0
     for x1, x2 in pair_family_20[:8]:
         for delta, p in ((0.4, 3.0), (0.45, 4.0), (0.6, 8.0)):
             for k in (1, 2):
                 a = rho_riesz_level(x1, x2, delta, p, k)
-                b = verify._nested_mixed(x1, delta, p, x2, k)
+                b = verify._nested_mixed([(x1, x2)], delta, [p], k)[0][0]
                 worst_dist = max(worst_dist, abs(a - b) / max(a, b, 1e-300))
     ok = worst_norm <= 1e-9 and worst_dist <= 1e-9
     _report(4, "riesz = mixed and rho_riesz = rho_mixed on the grid within 1e-9",

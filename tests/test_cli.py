@@ -362,3 +362,30 @@ def test_verify_algebra_pass_and_deterministic(tmp_path, capsys):
 
 def test_verify_unknown_suite_exit3(capsys):
     assert main(["verify", "--suite", "nope"]) == 3
+
+
+@pytest.mark.parametrize("suite", ["algebra", "lipschitz"])
+def test_verify_negative_seed_exit3(tmp_path, capsys, suite):
+    out = tmp_path / "reports"
+    assert main(["verify", "--suite", suite, "--seed", "-1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["norm", "sig", "dist", "solve", "verify"])
+def test_unwritable_output_exit3(tmp_path, field_json, capsys, command):
+    f = tmp_path / "t.csv"
+    write_path_csv(EuclideanPath.from_function(TimeGrid.uniform(10), lambda t: t), f)
+    missing = str(tmp_path / "missing-dir" / "out")
+    argv = {
+        "norm": ["norm", str(f), "--kind", "hoelder", "--delta", "0.5", "--json", missing],
+        "sig": ["sig", str(f), "--json", missing],
+        "dist": ["dist", str(f), str(f), "--kind", "riesz", "--p", "4", "--json", missing],
+        "solve": ["solve", str(f), "--field", field_json, "--y0", "1.0", "--out", missing],
+        # the report directory names an existing file
+        "verify": ["verify", "--suite", "distances", "--out", str(f)],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1

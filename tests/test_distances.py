@@ -152,7 +152,7 @@ def test_riesz_equals_mixed_distance(rng):
             for k in (1, 2):
                 # against the nested definition: the grid identity of ``norms``
                 a = rho_riesz_level(x1, x2, delta, p, k)
-                b = _nested_mixed(x1, delta, p, x2, k)
+                b = _nested_mixed([(x1, x2)], delta, [p], k)[0][0]
                 assert a == pytest.approx(b, rel=1e-9)
                 assert a <= b * (1 + 1e-9)  # the constant-1 direction on its own
                 assert rho_mixed_level(x1, x2, delta, p, k) == a

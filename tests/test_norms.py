@@ -191,7 +191,7 @@ def test_mixed_equals_riesz_on_grid(rng):
     for _ in range(15):
         f = random_walk_path(rng, int(rng.integers(4, 20)), 2, uniform=False)
         for delta, p in ((0.4, 3.0), (0.45, 4.0), (0.6, 8.0)):
-            a, b = riesz_norm(f, delta, p), _nested_mixed(f, delta, p)
+            a, b = riesz_norm(f, delta, p), _nested_mixed([f], delta, [p])[0][0]
             assert a == pytest.approx(b, rel=1e-9)
             assert mixed_norm(f, delta, p) == a
         tables = [interval_norm_table(f, kind, delta=0.45, p=4.0).values
@@ -414,7 +414,8 @@ def test_norms_of_lifted_path(rng):
     f = random_walk_path(rng, 10, 2)
     x = lift(f, 2)
     assert qvar_norm(x, 2.5) > 0
-    assert riesz_norm(x, 0.45, 4.0) == pytest.approx(_nested_mixed(x, 0.45, 4.0), rel=1e-9)
+    assert riesz_norm(x, 0.45, 4.0) == pytest.approx(_nested_mixed([x], 0.45, [4.0])[0][0],
+                                                     rel=1e-9)
 
 
 def test_interval_table_monotone_in_inclusion(rng):
@@ -476,16 +477,30 @@ def test_interval_table_needs_finite_p(rng):
 # the nested partition table against the per-cell DP and the enumeration
 # ---------------------------------------------------------------------------
 
+def _draw_weights(draw, n):
+    cell = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+    w = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        w[draw(st.integers(0, n - 2)), n - 1] = np.inf
+    return w
+
+
 @st.composite
 def weight_windows(draw):
     n = draw(st.integers(2, 12))
     lo = draw(st.integers(0, n - 1))
     hi = draw(st.integers(lo, n - 1))
-    cell = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
-    w = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n))).reshape(n, n)
-    if draw(st.booleans()):
-        w[draw(st.integers(0, n - 2)), n - 1] = np.inf
-    return w, lo, hi
+    return _draw_weights(draw, n), lo, hi
+
+
+@st.composite
+def weight_stacks(draw):
+    # weight_windows on one window, stacked under one or two batch axes,
+    # and a split of the window's columns into two blocks
+    w, lo, hi = draw(weight_windows())
+    batch = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    mats = [w] + [_draw_weights(draw, w.shape[0]) for _ in range(math.prod(batch) - 1)]
+    return np.stack(mats).reshape(*batch, *w.shape), lo, hi, draw(st.integers(0, hi - lo))
 
 
 INF_AT_LO = np.triu(np.full((8, 8), 0.5), 1)
@@ -509,6 +524,21 @@ def test_power_table_equals_cellwise_dp(case):
     assert not b[~inside].any()
     if np.isinf(w[lo:hi, lo + 1 : hi + 1]).any():
         assert b[lo, hi] == np.inf
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(weight_stacks())
+@example((np.stack([INF_AT_LO, np.zeros((8, 8))]), 2, 7, 3))
+def test_batched_dp_kernels_equal_per_slice_calls(case):
+    w, lo, hi, split = case
+    batch = w.shape[:-2]
+    table = dp_power_table(w, lo, hi)
+    cols = dense_columns(w, lo, hi)
+    best = dp_partition_sup([cols[..., :split, :], cols[..., split:, :]], lo, hi, batch)
+    assert table.shape == w.shape and best.shape == batch
+    for idx in np.ndindex(batch):
+        assert np.array_equal(table[idx], dp_power_table(w[idx], lo, hi))
+        assert best[idx] == dp_partition_sup([dense_columns(w[idx], lo, hi)], lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from roughpaths import EuclideanPath, TimeGrid, lift
+from roughpaths import EuclideanPath, TimeGrid, lift, resample_uniform
 from roughpaths import verify
+from roughpaths.distances import level_diff_matrix
+from roughpaths.norms import dense_columns, dp_partition_sup, dp_power_table
 from roughpaths.verify import (
     CheckRecord,
     PathFamily,
@@ -211,6 +213,39 @@ def test_run_suite_algebra_writes_reports(tmp_path):
     assert (tmp_path / "algebra_report.csv").exists()
     cats = {r.category for r in records}
     assert "negative_control" in cats
+
+
+def _one_path_nested_mixed(f, delta, p, x2=None, k=1):
+    # the nested definition for one path or pair with the batch-free kernels
+    m = len(f.grid) - 1
+    q = 1.0 / delta
+    if x2 is None:
+        d, expo, root = f.distance_block(0, 0, m + 1) ** q, delta * p, 1 / p
+    else:
+        d, expo, root = level_diff_matrix(f, x2, k) ** (q / k), p / q, k / p
+    inner = dp_power_table(d, 0, m)
+    iu = np.triu_indices(m + 1, k=1)
+    w = np.zeros_like(inner)
+    w[iu] = inner[iu] ** expo * (f.grid.times[iu[1]] - f.grid.times[iu[0]]) ** (1.0 - delta * p)
+    return dp_partition_sup([dense_columns(w, 0, m)], 0, m) ** root
+
+
+def test_nested_mixed_family_equals_one_path_calls(monkeypatch):
+    # chunks of at most three items; the family also changes grid twice
+    monkeypatch.setattr(verify, "_FAMILY_CELLS", 3 * 33**2)
+    paths = verify._mixed_family(5, 8, 32)
+    paths.insert(5, resample_uniform(paths[0], 40))
+    assert [len(c) for _, c in verify._family_chunks(paths, None)] == [3, 2, 1, 3]
+    ps = (3.0, 5.0, 8.0)
+    values = verify._nested_mixed(paths, 0.4, ps)
+    assert all("distance_matrix" not in f.__dict__ for f in paths)
+    for p, row in zip(ps, values):
+        assert row == [_one_path_nested_mixed(f, 0.4, p) for f in paths]
+        assert row == [verify._nested_mixed([f], 0.4, [p])[0][0] for f in paths]
+    pairs = RoughPairFamily(7, 32, dim=2, depth=2, seed=9).pairs()
+    for k in (1, 2):
+        row = verify._nested_mixed(pairs, 0.45, [4.0], k)[0]
+        assert row == [_one_path_nested_mixed(x1, 0.45, 4.0, x2, k) for x1, x2 in pairs]
 
 
 def test_embedding_chain_degenerate_on_constant_path():
