@@ -3,9 +3,10 @@
 Everything here is written to be obviously correct rather than fast: full
 enumeration over all partitions of an interval (so the interval may span at
 most 12 grid points), plain double loops for the reference norms/distances,
-and a penalty-free constrained minimizer for the depth-2
-Carnot-Caratheodory norm.  None of it shares code with the dynamic
-programs in ``norms``/``distances``.
+a penalty-free constrained minimizer for the depth-2
+Carnot-Caratheodory norm, and the step-N Euler increment written term by
+term with einsum.  None of it shares code with the dynamic programs in
+``norms``/``distances`` or with the step maps in ``rde``.
 """
 
 from __future__ import annotations
@@ -183,6 +184,31 @@ def oracle_rho_nikolskii_hat(x1, x2, delta, p, k, interval=None) -> float:
         for u in range(lo, hi) for v in range(u + 1, hi + 1)
     }
     return enumerate_partition_supremum(lambda u, v: inner[u, v], lo, hi) ** (k / p)
+
+
+# ---------------------------------------------------------------------------
+# reference RDE step (einsum over the field's value and derivatives)
+# ---------------------------------------------------------------------------
+
+def euler_step_increment(v, y: np.ndarray, g) -> np.ndarray:
+    """Step-N Euler increment sum over words of (V_word Id)(y) pi_k(g)^word.
+
+    ``v`` is a ``VectorField``; ``g[k]`` is level k of the step's group
+    increment as an array of shape ``(n,) * k`` (k = 1..N; ``g[0]`` is not
+    read).  The solvers in ``rde`` build the same step from flattened
+    coefficients; this is the formula written out term by term.
+    """
+    vmat = v.value(y)                       # (m, n)
+    out = vmat @ g[1]
+    if len(g) > 2:
+        jac = v.jac(y)                      # (i, a, b)
+        out = out + np.einsum("jab,bi,ij->a", jac, vmat, g[2])
+    if len(g) > 3:
+        hes = v.hess(y)                     # (k, a, b, c)
+        g3 = g[3]
+        out = out + np.einsum("kabc,bi,cj,ijk->a", hes, vmat, vmat, g3)
+        out = out + np.einsum("kab,jbc,ci,ijk->a", jac, jac, vmat, g3)
+    return out
 
 
 # ---------------------------------------------------------------------------

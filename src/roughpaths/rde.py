@@ -16,8 +16,25 @@ Two schemes for dY = V(Y) dX with V = (V_1, ..., V_n):
 
 Vector fields come in linear / affine / quadratic-polynomial families with
 analytic first and second derivatives.  Solutions that leave the field's
-validity box (a Euclidean ball around the initial condition) raise
-``BlowUpError`` carrying the exit time.
+validity box (a Euclidean ball around the initial condition), or whose state
+is no longer finite, raise ``BlowUpError`` carrying the exit time.
+
+Step maps.  Both solvers run on the stacked increments of all steps: the
+driver increments divided by the substep count for ``solve_bv`` (depth 1),
+and levels 1..N of X_j^{-1} x X_{j+1} from one batched inverse and multiply
+for ``solve_rough``.  For a field without a quadratic part,
+V_i(y) = c_i + A_i y, the word (i_1..i_k) contributes
+A_{i_k} ... A_{i_2} (c_{i_1} + A_{i_1} y), so each step is affine in the
+state, Y_{j+1} = P_j Y_j + k_j, with [k_j | P_j - I] the sum over words of
+pi(X_{t_j,t_{j+1}})^word times that word's matrix.  At depth 1 a quadratic
+part adds the column block sum_i dX^i Q_i acting on Y_j (x) Y_j.  All maps
+are built before the loop, word by word with elementwise products (so a map
+does not depend on how many steps are built with it), and the loop is one
+matrix-vector product per step on the monomials (1, Y_j[, Y_j (x) Y_j]).  A
+quadratic field at depth 2 or 3 is evaluated at every step from flattened
+coefficient matrices.  The box is tested once, on all states, after the
+loop; arithmetic past a blow-up is silent.  ``oracle.euler_step_increment``
+keeps the term-by-term formula as the independent reference.
 """
 
 from __future__ import annotations
@@ -75,6 +92,8 @@ class VectorField:
                 raise ParameterError(f"{name} contains non-finite entries")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        if not self.box_radius > 0.0:
+            raise ParameterError(f"box_radius must be positive, got {self.box_radius}")
         q = self.quad
         if not np.allclose(q, np.swapaxes(q, 2, 3)):
             raise ParameterError("quadratic blocks must be symmetric in the last two axes")
@@ -113,19 +132,20 @@ class VectorField:
     # -- evaluation ---------------------------------------------------------
 
     def value(self, y: np.ndarray) -> np.ndarray:
-        """V(y) as an (m, n) matrix; column i is V_i(y)."""
+        """V(y) as an (m, n) matrix; column i is V_i(y).  Points stacked
+        along leading axes, shape (..., m), give shape (..., m, n)."""
         y = np.asarray(y, dtype=float)
-        out = self.const + np.einsum("iab,b->ia", self.lin, y)
+        out = self.const + np.einsum("iab,...b->...ia", self.lin, y)
         if self.quad.any():
-            out = out + np.einsum("iabc,b,c->ia", self.quad, y, y)
-        return out.T
+            out = out + np.einsum("iabc,...b,...c->...ia", self.quad, y, y)
+        return np.swapaxes(out, -1, -2)
 
     def jac(self, y: np.ndarray) -> np.ndarray:
-        """J[i, a, b] = d V_i^a / d y_b."""
+        """J[i, a, b] = d V_i^a / d y_b; shape (..., n, m, m) for stacked points."""
         y = np.asarray(y, dtype=float)
-        j = self.lin.copy()
+        j = np.broadcast_to(self.lin, y.shape[:-1] + self.lin.shape).copy()
         if self.quad.any():
-            j = j + 2.0 * np.einsum("iabc,c->iab", self.quad, y)
+            j = j + 2.0 * np.einsum("iabc,...c->...iab", self.quad, y)
         return j
 
     def hess(self, y: np.ndarray) -> np.ndarray:
@@ -165,15 +185,8 @@ class VectorField:
         radius = self.box_radius if radius is None else radius
         rng = np.random.default_rng(seed)
         pts = center + radius * rng.uniform(-1.0, 1.0, size=(samples, self.m))
-        best = 0.0
-        for y in pts:
-            best = max(
-                best,
-                float(np.linalg.norm(self.value(y))),
-                float(np.linalg.norm(self.jac(y).ravel())),
-                float(np.linalg.norm(self.hess(y).ravel())),
-            )
-        return best
+        return max(max_point_norm(self.value(pts)), max_point_norm(self.jac(pts)),
+                   float(np.linalg.norm(self.hess(center).ravel())) if samples else 0.0)
 
     # -- JSON spec ----------------------------------------------------------
 
@@ -229,6 +242,12 @@ class VectorField:
         )
 
 
+def max_point_norm(stack: np.ndarray) -> float:
+    """Largest Frobenius norm over the points stacked along the first axis."""
+    flat = stack.reshape(stack.shape[0], int(np.prod(stack.shape[1:])))
+    return float(np.linalg.norm(flat, axis=1).max(initial=0.0))
+
+
 def _field_array(value, name: str, ndim: int) -> np.ndarray:
     """Field coefficient ``name`` as a float array with ``ndim`` axes."""
     try:
@@ -281,9 +300,127 @@ class RdeConfig:
             )
 
 
-def _check_box(y, y0, radius, t):
-    if np.linalg.norm(y - y0) > radius:
-        raise BlowUpError(t)
+def _initial_state(y0, v: VectorField) -> np.ndarray:
+    """``y0`` as a finite float vector of the field's state dimension."""
+    try:
+        y0 = np.array(y0, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        raise ParameterError("y0 must be a numeric vector") from None
+    if y0.size != v.m:
+        raise DimensionMismatchError(f"y0 has dim {y0.size}, field state dim {v.m}")
+    if not np.all(np.isfinite(y0)):
+        raise ParameterError("y0 contains non-finite entries")
+    return y0
+
+
+def _step_maps(v: VectorField, levels) -> np.ndarray:
+    """Euler step maps: Y_{j+1} = G_j (1, Y_j[, Y_j (x) Y_j]), shape (steps, m, width).
+
+    ``levels[k-1]`` holds level k of every step's increment, shape
+    ``(steps, n**k)``, its words (i_1..i_k) flattened in C order.  The word
+    matrices of level 1 are [c_i | A_i], with the block Q_i on y (x) y for a
+    quadratic field, which runs here at depth 1 only; those of level k are
+    A_{i_k} times the level k-1 ones, so for an affine field the word's
+    matrix is that of (V_{i_1} ... V_{i_k} Id)(y) acting on (1, y).  The maps
+    are summed word by word with elementwise products, so each step's map
+    does not depend on the others.
+    """
+    n, m = v.n, v.m
+    parts = [v.const[:, :, None], v.lin]
+    if v.quad.any():
+        parts.append(v.quad.reshape(n, m, m * m))
+    words = np.concatenate(parts, axis=2)
+    maps = np.zeros((levels[0].shape[0], m, words.shape[2]))
+    for k, g in enumerate(levels):
+        if k:
+            words = (v.lin[None] @ words[:, None]).reshape(-1, m, words.shape[2])
+        for col, word in zip(g.T, words):
+            maps += col[:, None, None] * word
+    maps[:, :, 1:1 + m] += np.eye(m)
+    return maps
+
+
+def _map_steps(maps: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """States Y_0..Y_S of Y_{j+1} = G_j mu(Y_j), one matrix-vector product a step.
+
+    Row j of one buffer holds the monomials mu(Y_j) = (1, Y_j[, Y_j (x) Y_j]),
+    so the product writes Y_{j+1} in place.
+    """
+    steps, m, width = maps.shape
+    mono = np.zeros((steps + 1, width))
+    mono[:, 0] = 1.0
+    mono[0, 1:1 + m] = y0
+    ys = mono[:, 1:1 + m]
+    if width == 1 + m:
+        for g, mu, out in zip(maps, mono, ys[1:]):
+            np.matmul(g, mu, out=out)
+    else:
+        square = mono[:, 1 + m:].reshape(steps + 1, m, m)
+        for g, mu, out, sq, col, row in zip(maps, mono, ys[1:], square,
+                                            ys[:, :, None], ys[:, None]):
+            np.multiply(col, row, out=sq)
+            np.matmul(g, mu, out=out)
+    return ys
+
+
+def _polynomial_steps(v: VectorField, y0: np.ndarray, levels) -> np.ndarray:
+    """Step-N Euler states, N = 2 or 3, for a field with a quadratic part.
+
+    Evaluated one step at a time: V(y), row i equal to V_i(y), is one
+    matrix product with the monomials (1, y, y (x) y), the Jacobian one with
+    (1, y), and the level-2 and level-3 terms are flattened matrix products
+    over these.
+    """
+    m, n, depth = v.m, v.n, len(levels)
+    vf = np.concatenate([v.const.reshape(n * m, 1), v.lin.reshape(n * m, m),
+                         v.quad.reshape(n * m, m * m)], axis=1)
+    # jf @ (1, y) is the Jacobian laid out as J[a, (j, b)] = d V_j^a / d y_b
+    jf = np.concatenate([v.lin.transpose(1, 0, 2).reshape(m * n * m, 1),
+                         2.0 * v.quad.transpose(1, 0, 2, 3).reshape(m * n * m, m)], axis=1)
+    hess = 2.0 * v.quad.transpose(1, 3, 2, 0).reshape(m, m * m * n)   # [a, (c, b, k)]
+    steps = levels[0].shape[0]
+    g1 = levels[0]
+    g2t = levels[1].reshape(steps, n, n).transpose(0, 2, 1).copy()      # [j, i] = g2[i, j]
+    if depth > 2:
+        g3t = levels[2].reshape(steps, n, n, n).transpose(0, 2, 1, 3).copy()  # [j, i, k]
+    mono = np.empty(1 + m + m * m)
+    mono[0] = 1.0
+    square = mono[1 + m:].reshape(m, m)
+    y, ys = y0, [y0]
+    for j in range(steps):
+        mono[1:1 + m] = y
+        np.multiply.outer(y, y, out=square)
+        vt = (vf @ mono).reshape(n, m)
+        jac = (jf @ mono[:1 + m]).reshape(m, n * m)
+        inc = g1[j] @ vt + jac @ (g2t[j] @ vt).ravel()
+        if depth > 2:
+            u = vt.T @ g3t[j]                    # [j, c, k] = sum_i V_i^c g3[i, j, k]
+            inc = inc + hess @ (vt.T @ u.reshape(n, m * n)).ravel()
+            inc = inc + jac @ (jac @ u.reshape(n * m, n)).T.ravel()
+        y = y + inc
+        ys.append(y)
+    return np.stack(ys)
+
+
+def _euler_steps(v: VectorField, y0: np.ndarray, levels, times) -> np.ndarray:
+    """States Y_0..Y_S of the step-N Euler scheme along stacked increments.
+
+    A field without a quadratic part, and any field at depth 1, runs one
+    precomputed step map per step; a quadratic field at depth 2 or 3 is
+    evaluated at every step.  Arithmetic past a blow-up is silent; the first
+    state at ``times[1:]`` outside the box, or not finite, raises
+    ``BlowUpError`` with its time.
+    """
+    with np.errstate(all="ignore"):
+        if v.quad.any() and len(levels) > 1:
+            ys = _polynomial_steps(v, y0, levels)
+        else:
+            ys = _map_steps(_step_maps(v, levels), y0)
+        dist = np.linalg.norm(ys[1:] - y0, axis=1)
+    inside = (dist <= v.box_radius) & np.isfinite(ys[1:]).all(axis=1)
+    if not inside.all():
+        raise BlowUpError(float(times[1 + np.argmin(inside)]))
+    return ys
 
 
 def solve_bv(y0, v: VectorField, x: EuclideanPath, config: RdeConfig = RdeConfig()) -> EuclideanPath:
@@ -295,50 +432,25 @@ def solve_bv(y0, v: VectorField, x: EuclideanPath, config: RdeConfig = RdeConfig
     """
     if x.dim != v.n:
         raise DimensionMismatchError(f"driver dim {x.dim} != field driver dim {v.n}")
-    y0 = np.asarray(y0, dtype=float).reshape(-1)
-    if y0.size != v.m:
-        raise DimensionMismatchError(f"y0 has dim {y0.size}, field state dim {v.m}")
+    y0 = _initial_state(y0, v)
     s = config.substeps
-    times = [0.0]
-    ys = [y0]
-    y = y0
-    tgrid = x.grid.times
-    for j, dx in enumerate(x.increments()):
-        t0, t1 = tgrid[j], tgrid[j + 1]
-        for r in range(s):
-            y = y + v.value(y) @ (dx / s)
-            t = t0 + (t1 - t0) * (r + 1) / s
-            _check_box(y, y0, v.box_radius, t)
-            times.append(t)
-            ys.append(y)
-    return EuclideanPath(TimeGrid(np.array(times)), np.stack(ys))
+    t = x.grid.times
+    sub = t[:-1, None] + (np.diff(t)[:, None] * np.arange(1, s + 1)) / s
+    times = np.concatenate([[0.0], sub.ravel()])
+    dx = np.repeat(x.increments() / s, s, axis=0)
+    return EuclideanPath(TimeGrid(times), _euler_steps(v, y0, [dx], times))
 
 
-def _euler_step_increment(v: VectorField, y: np.ndarray, g) -> np.ndarray:
-    """Step-N Euler increment sum over words of (V_word Id)(y) pi_k(g)^word.
-
-    ``g[k]`` is level k of the step's group increment as an array of shape
-    ``(n,) * k`` (k = 1..N; ``g[0]`` is not read).
-    """
-    vmat = v.value(y)                       # (m, n)
-    out = vmat @ g[1]
-    if len(g) > 2:
-        jac = v.jac(y)                      # (i, a, b)
-        out = out + np.einsum("jab,bi,ij->a", jac, vmat, g[2])
-    if len(g) > 3:
-        hes = v.hess(y)                     # (k, a, b, c)
-        g3 = g[3]
-        out = out + np.einsum("kabc,bi,cj,ijk->a", hes, vmat, vmat, g3)
-        out = out + np.einsum("kab,jbc,ci,ijk->a", jac, jac, vmat, g3)
-    return out
+def _group_increments(x: GroupPath) -> list[np.ndarray]:
+    """Levels 1..N of the one-step increments X_j^{-1} x X_{j+1}, level k of
+    shape ``(steps, n**k)``: one batched inverse and one batched multiply."""
+    inc = stacked_mul(stacked_inverse([lv[:-1] for lv in x.levels]),
+                      [lv[1:] for lv in x.levels])
+    return inc[1:]
 
 
 def solve_rough(y0, v: VectorField, x: GroupPath, config: RdeConfig) -> EuclideanPath:
-    """Step-N Euler for dY = V(Y) dX along a group-valued driver.
-
-    The one-step increments X_j^{-1} x X_{j+1} of all steps come from one
-    batched inverse and one batched multiply before the step loop.
-    """
+    """Step-N Euler for dY = V(Y) dX along a group-valued driver."""
     if config.scheme is not Scheme.ROUGH_EULER:
         raise ParameterError("solve_rough needs the rough Euler scheme")
     if x.depth != config.depth:
@@ -347,20 +459,8 @@ def solve_rough(y0, v: VectorField, x: GroupPath, config: RdeConfig) -> Euclidea
         )
     if x.dim != v.n:
         raise DimensionMismatchError(f"driver dim {x.dim} != field driver dim {v.n}")
-    y0 = np.asarray(y0, dtype=float).reshape(-1)
-    if y0.size != v.m:
-        raise DimensionMismatchError(f"y0 has dim {y0.size}, field state dim {v.m}")
-    steps = x.grid.intervals
-    inc = stacked_mul(stacked_inverse([lv[:-1] for lv in x.levels]),
-                      [lv[1:] for lv in x.levels])
-    inc = [lv.reshape((steps,) + (x.dim,) * k) for k, lv in enumerate(inc)]
-    ys = [y0]
-    y = y0
-    for j in range(steps):
-        y = y + _euler_step_increment(v, y, [lv[j] for lv in inc])
-        _check_box(y, y0, v.box_radius, float(x.grid.times[j + 1]))
-        ys.append(y)
-    return EuclideanPath(x.grid, np.stack(ys))
+    y0 = _initial_state(y0, v)
+    return EuclideanPath(x.grid, _euler_steps(v, y0, _group_increments(x), x.grid.times))
 
 
 def ito_lyons(y0, v: VectorField, x, config: RdeConfig | None = None) -> EuclideanPath:

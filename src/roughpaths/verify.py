@@ -42,7 +42,7 @@ from .norms import (
     riesz_norm,
 )
 from .paths import EuclideanPath, GroupPath, TimeGrid, lift, resample_uniform
-from .rde import RdeConfig, Scheme, VectorField, solve_bv, solve_rough
+from .rde import RdeConfig, Scheme, VectorField, max_point_norm, solve_bv, solve_rough
 from .tensor_core import (
     dilate,
     group_distance,
@@ -823,13 +823,11 @@ def field_distance(v1: VectorField, v2: VectorField, order: float, center,
     rng = np.random.default_rng(seed)
     center = np.asarray(center, dtype=float)
     pts = center + radius * rng.uniform(-1.0, 1.0, size=(samples, v1.m))
-    worst = 0.0
-    for y in pts:
-        worst = max(worst, float(np.linalg.norm(v1.value(y) - v2.value(y))))
-        if order >= 1.0:
-            worst = max(worst, float(np.linalg.norm((v1.jac(y) - v2.jac(y)).ravel())))
-        if order > 2.0:
-            worst = max(worst, float(np.linalg.norm((v1.hess(y) - v2.hess(y)).ravel())))
+    worst = max_point_norm(v1.value(pts) - v2.value(pts))
+    if order >= 1.0:
+        worst = max(worst, max_point_norm(v1.jac(pts) - v2.jac(pts)))
+    if order > 2.0 and samples:
+        worst = max(worst, float(np.linalg.norm((v1.hess(center) - v2.hess(center)).ravel())))
     return worst
 
 
@@ -1220,15 +1218,19 @@ def run_suite(name: str, seed: int = 0, out_dir=None) -> tuple[list[CheckRecord]
                              f"{sorted(SUITES)} or 'all'")
     if seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    if out_dir is not None:
+        out = Path(out_dir)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {out}: {exc}") from exc
     records = []
     for n in names:
         records.extend(SUITES[n](seed=seed))
     records.extend(negative_controls(seed=seed))
     ok = suite_ok(records)
     if out_dir is not None:
-        out = Path(out_dir)
         try:
-            out.mkdir(parents=True, exist_ok=True)
             write_report_json(records, out / f"{name}_report.json")
             write_report_csv(records, out / f"{name}_report.csv")
         except OSError as exc:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -311,8 +312,10 @@ def test_solve_non_numeric_y0_exit3(tmp_path, field_json, capsys):
     {"family": "linear", "m": 1, "n": 1, "coefficients": []},
     {"family": "linear", "m": 1, "n": 1, "coefficients": {"matrices": "abc"}},
     {"family": "polynomial", "m": 1, "n": "x", "coefficients": {"matrices": [[[1.0]]]}},
+    {"family": "linear", "m": 1, "n": 1, "coefficients": {"matrices": [[[1.0]]]},
+     "box_radius": -1.0},
 ], ids=["no-coefficients", "no-matrices", "no-offsets", "unknown-family", "no-family",
-        "coefficients-list", "matrices-string", "n-not-integer"])
+        "coefficients-list", "matrices-string", "n-not-integer", "negative-box-radius"])
 def test_solve_bad_field_spec_exit3(tmp_path, capsys, spec):
     fj = tmp_path / "f.json"
     fj.write_text(json.dumps(spec))
@@ -341,6 +344,39 @@ def test_solve_blow_up_exit5(tmp_path, capsys):
     f = tmp_path / "t.csv"
     write_path_csv(EuclideanPath.from_function(TimeGrid.uniform(400), lambda t: t), f)
     assert main(["solve", str(f), "--field", str(fj), "--y0", "2.0"]) == 5
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_solve_non_finite_state_blows_up_exit5(tmp_path, capsys, depth):
+    # entries of 1e200 overflow at the first step; at depth 3 the state turns
+    # NaN there, which no norm comparison flags
+    spec = {"family": "linear", "m": 2, "n": 1,
+            "coefficients": {"matrices": [[[1e200, -1e200], [1e200, 1e200]]]},
+            "box_radius": 10.0}
+    fj = tmp_path / "f.json"
+    fj.write_text(json.dumps(spec))
+    f = tmp_path / "t.csv"
+    write_path_csv(EuclideanPath.from_function(TimeGrid.uniform(10),
+                                               lambda t: np.sin(5 * t)), f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", str(f), "--field", str(fj), "--y0", "1,1",
+                     "--depth", str(depth)])
+    assert code == 5
+    assert capsys.readouterr().err == "error: solution left the validity box at t=0.1\n"
+
+
+@pytest.mark.parametrize("y0", ["nan,0", "0,inf"])
+@pytest.mark.parametrize("depth", ["1", "2"])
+def test_solve_non_finite_y0_exit3(tmp_path, capsys, y0, depth):
+    spec = {"family": "linear", "m": 2, "n": 1,
+            "coefficients": {"matrices": [[[0.0, 1.0], [-1.0, 0.0]]]}}
+    fj = tmp_path / "f.json"
+    fj.write_text(json.dumps(spec))
+    f = tmp_path / "t.csv"
+    write_path_csv(EuclideanPath.from_function(TimeGrid.uniform(10), lambda t: t), f)
+    assert main(["solve", str(f), "--field", str(fj), "--y0", y0, "--depth", depth]) == 3
+    assert capsys.readouterr().err == "error: y0 contains non-finite entries\n"
 
 
 # ---------------------------------------------------------------------------

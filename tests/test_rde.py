@@ -24,8 +24,9 @@ from roughpaths import (
     solve_bv,
     solve_rough,
 )
+from roughpaths.oracle import euler_step_increment
 from roughpaths.paths import GroupPath
-from roughpaths.rde import _euler_step_increment
+from roughpaths.rde import _euler_steps, _group_increments, _step_maps
 from conftest import random_walk_path
 
 
@@ -56,8 +57,10 @@ def test_field_families_validate():
     lambda: VectorField.affine([[[1.0]]], [1.0]),
     lambda: VectorField.polynomial([[0.0]], [1.0, 2.0], np.zeros((1, 1, 1, 1))),
     lambda: VectorField.polynomial([[0.0]], [[[1.0]]], [[0.0]]),
+    lambda: VectorField.linear([[[1.0]]], box_radius=float("nan")),
+    lambda: VectorField.affine([[[1.0]]], [[0.0]], box_radius=0.0),
 ], ids=["linear-1d", "linear-text", "affine-1d", "affine-offsets-1d",
-        "polynomial-1d", "polynomial-quadratics-2d"])
+        "polynomial-1d", "polynomial-quadratics-2d", "box-radius-nan", "box-radius-zero"])
 def test_field_constructors_reject_malformed_arrays(build):
     with pytest.raises(ParameterError):
         build()
@@ -289,21 +292,142 @@ def test_driver_dim_mismatch(rng):
        st.sampled_from(list(FieldFamily)), st.integers(0, 2**32 - 1))
 def test_solve_rough_equals_per_step_loop(dim, depth, intervals, family, seed):
     rng = np.random.default_rng(seed)
-    x = lift(random_walk_path(rng, intervals, dim), depth)
-    lin = 0.4 * rng.standard_normal((dim, 2, 2))
-    const = 0.4 * rng.standard_normal((dim, 2))
-    if family is FieldFamily.LINEAR:
-        v = VectorField.linear(lin, box_radius=1e6)
-    elif family is FieldFamily.AFFINE:
-        v = VectorField.affine(lin, const, box_radius=1e6)
-    else:
-        v = VectorField.polynomial(const, lin, 0.1 * rng.standard_normal((dim, 2, 2, 2)),
-                                   box_radius=1e6)
+    x = _area_driver(random_walk_path(rng, 3 * intervals, dim), depth)
+    v = _random_field(rng, family, dim, 2, 0.4)
     y0 = rng.uniform(-1.0, 1.0, 2)
     got = solve_rough(y0, v, x, RdeConfig(depth=depth, scheme=Scheme.ROUGH_EULER))
+    inc = _group_increments(x)
     y, ys = y0, [y0]
     for j in range(intervals):
         g = group_mul(group_inverse(x.values[j]), x.values[j + 1])
-        y = y + _euler_step_increment(v, y, [g.level(k) for k in range(depth + 1)])
+        levels = [g.level(k).reshape(1, -1) for k in range(1, depth + 1)]
+        assert all(np.array_equal(lv[j], one[0]) for lv, one in zip(inc, levels))
+        y = _euler_steps(v, y, levels, x.grid.times[j:j + 2])[-1]
         ys.append(y)
     assert np.array_equal(got.values, np.stack(ys))
+
+
+@pytest.mark.parametrize("n, m, depth, quadratic", [
+    (1, 1, 1, True), (3, 5, 1, True), (2, 3, 1, False), (3, 4, 2, False),
+    (1, 5, 3, False), (3, 5, 3, False),
+])
+def test_batched_step_maps_equal_one_step_maps(rng, n, m, depth, quadratic):
+    family = FieldFamily.POLYNOMIAL if quadratic else FieldFamily.AFFINE
+    v = _random_field(rng, family, n, m, 1.0)
+    levels = [rng.standard_normal((1024, n**k)) for k in range(1, depth + 1)]
+    maps = _step_maps(v, levels)
+    for j in range(0, 1024, 37):
+        assert np.array_equal(maps[j], _step_maps(v, [lv[j:j + 1] for lv in levels])[0])
+
+
+def _random_field(rng, family, n, m, scale, box_radius=1e6):
+    lin = scale * rng.standard_normal((n, m, m))
+    const = scale * rng.standard_normal((n, m))
+    if family is FieldFamily.LINEAR:
+        return VectorField.linear(lin, box_radius=box_radius)
+    if family is FieldFamily.AFFINE:
+        return VectorField.affine(lin, const, box_radius=box_radius)
+    quad = 0.25 * scale * rng.standard_normal((n, m, m, m))
+    return VectorField.polynomial(const, lin, quad, box_radius=box_radius)
+
+
+def _random_driver(rng, intervals, dim, uniform):
+    if uniform:
+        grid = TimeGrid.uniform(intervals)
+    else:
+        t = np.cumsum(rng.uniform(0.1, 2.0, intervals))
+        grid = TimeGrid(np.concatenate([[0.0], t / t[-1]]))
+    steps = rng.standard_normal((intervals, dim)) * np.sqrt(np.diff(grid.times))[:, None]
+    return EuclideanPath(grid, np.vstack([np.zeros((1, dim)), np.cumsum(steps, axis=0)]))
+
+
+def _area_driver(fine: EuclideanPath, depth):
+    """Lift of ``fine`` seen at every third point: unlike a lifted polygon,
+    whose one-step increments exp(dx) have symmetric higher levels, these
+    steps carry area."""
+    return GroupPath(TimeGrid(fine.grid.times[::3]),
+                     [lv[::3] for lv in lift(fine, depth).levels])
+
+
+def _assert_close_to(got, want):
+    scale = max(1.0, float(np.abs(want).max()))
+    assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("family", list(FieldFamily))
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 20),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_solvers_match_oracle_step_loop(family, depth, n, m, substeps, intervals,
+                                        uniform, seed):
+    rng = np.random.default_rng(seed)
+    x = _random_driver(rng, 3 * intervals, n, uniform)
+    v = _random_field(rng, family, n, m, 0.5)
+    y0 = rng.uniform(-1.0, 1.0, m)
+
+    got = solve_bv(y0, v, x, RdeConfig(substeps=substeps))
+    y, ys, times = y0, [y0], [0.0]
+    t = x.grid.times
+    for j, dx in enumerate(x.increments()):
+        for r in range(substeps):
+            y = y + euler_step_increment(v, y, [None, dx / substeps])
+            ys.append(y)
+            times.append(t[j] + (t[j + 1] - t[j]) * (r + 1) / substeps)
+    assert np.array_equal(got.grid.times, times)
+    _assert_close_to(got.values, np.stack(ys))
+
+    xg = _area_driver(x, depth)
+    got = solve_rough(y0, v, xg, RdeConfig(depth=depth, scheme=Scheme.ROUGH_EULER))
+    y, ys = y0, [y0]
+    for j in range(intervals):
+        g = group_mul(group_inverse(xg.values[j]), xg.values[j + 1])
+        y = y + euler_step_increment(v, y, [g.level(k) for k in range(depth + 1)])
+        ys.append(y)
+    _assert_close_to(got.values, np.stack(ys))
+
+
+@pytest.mark.parametrize("depth, exit_time", [(1, 0.2), (2, 0.1), (3, 0.1)])
+def test_non_finite_state_leaves_the_box(depth, exit_time):
+    # an infinite box holds every finite state: depth 1 overflows at the
+    # second step, depth 2 at the first, and depth 3 turns NaN at the first,
+    # whose norm compares False with anything
+    v = VectorField.linear([[[1e200, -1e200], [1e200, 1e200]]], box_radius=np.inf)
+    x = EuclideanPath.from_function(TimeGrid.uniform(10), lambda t: np.sin(5 * t))
+    with pytest.raises(BlowUpError) as err:
+        if depth == 1:
+            solve_bv([1.0, 1.0], v, x)
+        else:
+            solve_rough([1.0, 1.0], v, lift(x, depth),
+                        RdeConfig(depth=depth, scheme=Scheme.ROUGH_EULER))
+    assert err.value.exit_time == exit_time
+
+
+def test_blow_up_time_is_the_first_state_outside():
+    x = time_path(10)
+    cfg = RdeConfig(substeps=2)
+    y = solve_bv([1.0], VectorField.linear([[[1.0]]], box_radius=100.0), x, cfg)
+    first = int(np.argmax(np.abs(y.values[:, 0] - 1.0) > 0.5))
+    with pytest.raises(BlowUpError) as err:
+        solve_bv([1.0], VectorField.linear([[[1.0]]], box_radius=0.5), x, cfg)
+    assert 0 < first and err.value.exit_time == y.grid.times[first]
+
+
+@pytest.mark.parametrize("y0", [[np.nan, 0.0], [0.0, np.inf], ["a", "b"]])
+def test_solvers_reject_bad_initial_condition(y0):
+    v = VectorField.linear(np.zeros((1, 2, 2)))
+    x = time_path(4)
+    with pytest.raises(ParameterError, match="y0"):
+        solve_bv(y0, v, x)
+    with pytest.raises(ParameterError, match="y0"):
+        solve_rough(y0, v, lift(x, 2), RdeConfig(depth=2, scheme=Scheme.ROUGH_EULER))
+
+
+def test_stacked_field_evaluation_equals_point_calls(rng):
+    v = _random_field(rng, FieldFamily.POLYNOMIAL, 2, 3, 1.0)
+    pts = rng.standard_normal((4, 5, 3))
+    vals, jacs = v.value(pts), v.jac(pts)
+    assert vals.shape == (4, 5, 3, 2) and jacs.shape == (4, 5, 2, 3, 3)
+    for idx in np.ndindex(4, 5):
+        np.testing.assert_allclose(vals[idx], v.value(pts[idx]), rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(jacs[idx], v.jac(pts[idx]), rtol=1e-14, atol=1e-14)

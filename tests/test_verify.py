@@ -206,6 +206,19 @@ def test_run_suite_unknown_name():
         run_suite("nope")
 
 
+def test_run_suite_bad_out_dir_fails_before_any_suite(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "SUITES", {"distances": lambda seed: ran.append(seed) or []})
+    monkeypatch.setattr(verify, "negative_controls", lambda seed: ran.append(seed) or [])
+    f = tmp_path / "afile"
+    f.write_text("x")
+    with pytest.raises(verify.ParameterError, match="cannot write"):
+        run_suite("distances", seed=0, out_dir=f)
+    with pytest.raises(verify.ParameterError, match="cannot write"):
+        run_suite("all", seed=0, out_dir=f / "below")
+    assert ran == []
+
+
 def test_run_suite_algebra_writes_reports(tmp_path):
     records, ok = run_suite("algebra", seed=0, out_dir=tmp_path)
     assert ok
@@ -298,6 +311,33 @@ def test_field_distance_zero_for_same_field(rng):
 
     v = VectorField.affine(rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2)))
     assert field_distance(v, v, 1.5, np.zeros(2), 1.0) == 0.0
+
+
+def test_field_distance_and_lip_norm_equal_point_loops(rng):
+    from roughpaths import VectorField
+    from roughpaths.verify import field_distance
+
+    v1 = VectorField.polynomial(rng.standard_normal((2, 3)), rng.standard_normal((2, 3, 3)),
+                                rng.standard_normal((2, 3, 3, 3)))
+    v2 = VectorField.polynomial(rng.standard_normal((2, 3)), rng.standard_normal((2, 3, 3)),
+                                rng.standard_normal((2, 3, 3, 3)))
+    center, radius = rng.standard_normal(3), 1.5
+    pts = center + radius * np.random.default_rng(4).uniform(-1.0, 1.0, size=(40, 3))
+    for order in (0.0, 1.5, 2.5):
+        want = 0.0
+        for y in pts:
+            want = max(want, np.linalg.norm(v1.value(y) - v2.value(y)))
+            if order >= 1.0:
+                want = max(want, np.linalg.norm(v1.jac(y) - v2.jac(y)))
+            if order > 2.0:
+                want = max(want, np.linalg.norm(v1.hess(y) - v2.hess(y)))
+        got = field_distance(v1, v2, order, center, radius, samples=40, seed=4)
+        assert got == pytest.approx(want, rel=1e-14)
+    want = max(max(np.linalg.norm(v1.value(y)), np.linalg.norm(v1.jac(y)),
+                   np.linalg.norm(v1.hess(y))) for y in pts)
+    assert v1.lip_norm(center, radius, samples=40, seed=4) == pytest.approx(want, rel=1e-14)
+    assert field_distance(v1, v2, 2.5, center, radius, samples=0) == 0.0
+    assert v1.lip_norm(center, radius, samples=0) == 0.0
 
 
 def test_field_distance_detects_offset(rng):
