@@ -41,13 +41,11 @@ from .paths import (
 )
 from .norms import (
     P_INF,
-    IntervalNormTable,
     NormKind,
     NormSpec,
     compute_norm,
     frac_sobolev_norm,
     holder_norm,
-    interval_norm_table,
     mixed_norm,
     nikolskii_norm,
     qvar_norm,

@@ -21,6 +21,7 @@ defined here, resample before lifting instead.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
@@ -32,8 +33,10 @@ from .norms import (
     _check_q,
     _check_riesz_p,
     _finite_p,
+    _fused_weights,
+    _gaps,
     _require_uniform,
-    _riesz_weight,
+    _sum_kept,
     dense_columns,
     dp_partition_sup,
     shift_partition_sup,
@@ -116,13 +119,38 @@ def level_diff_matrix(x1: GroupPath, x2: GroupPath, k: int) -> np.ndarray:
     return _all_level_diffs(x1, x2)[k - 1]
 
 
+def _level_partition_sup(x1, x2, k: int, interval, p: float, e: float) -> float:
+    """( sup_P sum D_k(u, v)^(p/k) (v-u)^e )^(k/p) over ``interval``.
+
+    The weights are formed as written and their partition sum is kept when
+    ``norms._sum_kept`` keeps it.  Otherwise the time factor is folded into
+    the base and the bases are divided by the largest one
+    (``norms._fused_weights``), so large exponents give the finite value,
+    not 0, inf or NaN.
+    """
+    lo, hi = x1.grid.resolve_interval(interval)
+    if hi == lo:
+        return 0.0
+    times = x1.grid.times
+    cols = dense_columns(level_diff_matrix(x1, x2, k), lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = cols ** (p / k)
+        if e:
+            w = w * _gaps(times, lo, lo + 1, cols, 1.0) ** e
+    total = dp_partition_sup([w], lo, hi)
+    shortest = float(np.diff(times[lo : hi + 1]).min())
+    factors = [e * math.log2(shortest), e * math.log2(float(times[hi] - times[lo]))]
+    if _sum_kept(total, hi - lo, factors, lambda: not cols.any()):
+        return total ** (k / p)
+    s, fused = _fused_weights(lambda: [(lo + 1, cols)], times, lo, p / k, e)
+    return dp_partition_sup(fused, lo, hi) ** (k / p) * s
+
+
 def rho_qvar_level(x1, x2, q: float, k: int, interval=None) -> float:
     """Level-k q-variation distance ( sup_P sum D_k^(q/k) )^(k/q)."""
     q = _check_q(q)
     _check_pair(x1, x2, k)
-    d = level_diff_matrix(x1, x2, k)
-    lo, hi = x1.grid.resolve_interval(interval)
-    return dp_partition_sup([dense_columns(d, lo, hi) ** (q / k)], lo, hi) ** (k / q)
+    return _level_partition_sup(x1, x2, k, interval, q, 0.0)
 
 
 def rho_riesz_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:
@@ -130,10 +158,7 @@ def rho_riesz_level(x1, x2, delta: float, p: float, k: int, interval=None) -> fl
     _check_delta(delta)
     p = _check_dist_p(delta, p)
     _check_pair(x1, x2, k)
-    lo, hi = x1.grid.resolve_interval(interval)
-    w = _riesz_weight(dense_columns(level_diff_matrix(x1, x2, k), lo, hi), x1.grid.times,
-                      lo, lo + 1, delta, p, k)
-    return dp_partition_sup([w], lo, hi) ** (k / p)
+    return _level_partition_sup(x1, x2, k, interval, p, 1.0 - delta * p)
 
 
 def rho_mixed_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:

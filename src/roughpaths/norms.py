@@ -30,28 +30,29 @@ is O(M).
 
 These give the values of the dense formulas bit for bit, except fractional
 Sobolev, whose blockwise sum may move the last ulp.  Group paths feed the
-same code blocks sliced from their cached distance matrix.  Where a table
-over all subintervals is the output the dense matrix stays: interval tables
-and ``qvar_power_table``.  Interval tables are O(M^3) and capped at
-``max_nested`` grid intervals (default 512) unless the caller raises the cap
-explicitly; no other function has a cap.  The table of q-variation powers
-over all subintervals is ``dp_power_table``, an O(M^3) DP in push form (one
-NumPy max per finished column), whose values are bit-identical to the
-per-cell recursion.  Both DPs take leading batch axes: ``dp_power_table``
-weights of shape ``(*batch, N, N)`` and ``dp_partition_sup`` column blocks
-of shape ``(*batch, rows, cols)``, so one Python loop over the columns
-serves a stack of same-grid matrices (the verify reference runs a family
-of paths this way), with the values of the per-matrix calls bit for bit;
-the batch-free calls are the case ``batch = ()``.  Nikolskii shifts h run
-over integer multiples of the uniform mesh with a left Riemann sum for the
-inner integral; the fractional Sobolev double integral uses the
-tensor-grid quadrature with the diagonal band |u-v| < mesh excluded.
+same code blocks sliced from their cached distance matrix.  Every norm
+here returns one value over one interval, in O(M^2) at most, with no size
+cap; tables over all subintervals are left to the independent references
+(``oracle.shift_sup_table``, the nested mixed definition of ``verify``).
+The one table kept here is ``dp_power_table``, the q-variation powers over
+all subintervals, which the verify control function and that reference
+need: an O(M^3) DP in push form (one NumPy max per finished column), whose
+values are bit-identical to the per-cell recursion.  Both DPs take leading
+batch axes: ``dp_power_table`` weights of shape ``(*batch, N, N)`` and
+``dp_partition_sup`` column blocks of shape ``(*batch, rows, cols)``, so one
+Python loop over the columns serves a stack of same-grid matrices (the
+verify reference runs a family of paths this way), with the values of the
+per-matrix calls bit for bit; the batch-free calls are the case
+``batch = ()``.  Nikolskii shifts h run over integer multiples of the
+uniform mesh with a left Riemann sum for the inner integral; the fractional
+Sobolev double integral uses the tensor-grid quadrature with the diagonal
+band |u-v| < mesh excluded.
 
 Refined Nikolskii (and, level by level, the Nikolskii-hat distance of
 ``distances``) is a partition sup of inner Nikolskii values.  On a uniform
 mesh dt let c_m = (m dt)^(-delta*p) dt and S_m[k] = sum_{lo <= r < k}
 d(f_r, f_(r+m))^p.  The inner value of a block [i, j] is
-T[i, j] = max_{1 <= m <= j-i} c_m (S_m[j-m] - S_m[i]) (``shift_sup_table``;
+T[i, j] = max_{1 <= m <= j-i} c_m (S_m[j-m] - S_m[i]) (``oracle.shift_sup_table``;
 the shift m = j-i gives 0), and the outer DP is
 best[j] = max_{i < j} (best[i] + T[i, j]).  Both maxima run over the pairs
 (i, m) with i + m <= j, so they may be swapped:
@@ -67,21 +68,24 @@ sums start at lo rather than at 0: values move in the last ulps.  As
 S_m[lo] = 0, every term is at most best[j], so no cancellation is amplified.
 
 Large powers d^p can leave the float range.  The q-variation and Riesz
-kernels divide the distances by a scale s, the power of two at or above
-b = 2 max_i d(f_lo, f_i), when (b/2)^p or b^p leaves the normal range (the
-largest distance lies between them), and multiply the root by s (the norms
-are 1-homogeneous in d); otherwise s = 1.0 and the division is exact.  A
-Riesz weight also multiplies d^p by the time factor g^(1-delta*p) of the
-block length g after the power is taken.  When an O(M) range check finds
-that this product can leave the normal range, the time factor is folded
-into the base, (d/s * g^((1-delta*p)/p))^p, with s the power of two at or
-above the largest base; otherwise the weight is formed as written.
-Nikolskii and fractional Sobolev sums are formed as written and kept
-unless an O(M) check after the sum (``_sum_kept``) finds a time factor out
-of range, a non-finite sum, or underflow losses that could reach 2^-64 of
-it.  Then Nikolskii scales each shift by the power of two at or above its
-largest distance (its time factor is constant within the shift), and
-fractional Sobolev folds its time factor into the base as Riesz does.  The
+kernels divide the distances by a scale s when (b/2)^p or b^p leaves the
+normal range, b = 2 max_i d(f_lo, f_i) (the largest distance lies between
+them), and multiply the root by s (the norms are 1-homogeneous in d);
+otherwise s = 1.0 and the division is exact.  q-variation then divides by
+the largest distance itself, so the largest power is exactly 1 and no
+exponent makes the sum underflow.  Riesz first tries s, the power of two at
+or above b: a Riesz weight multiplies d^p by the time factor g^(1-delta*p)
+of the block length g after the power is taken.  When an O(M) range check
+finds that this product can leave the normal range, the time factor is
+folded into the base, (d g^((1-delta*p)/p) / s)^p, with s the largest base
+(``_fused_weights``); otherwise the weight is formed as written.  Nikolskii
+and fractional Sobolev sums are formed as written and kept unless an O(M)
+check after the sum (``_sum_kept``) finds a time factor out of range, a
+non-finite sum, or underflow losses that could reach 2^-64 of it.  Then
+Nikolskii divides each shift by its largest distance (its time factor is
+constant within the shift), and fractional Sobolev folds its time factor
+into the base as Riesz does.  The level distances of ``distances`` run the
+same check on their partition sums and fall back the same way.  The
 refined Nikolskii sweep raises ``ParameterError`` on the same kind of check
 rather than return 0, inf or NaN.
 
@@ -121,6 +125,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -251,11 +256,6 @@ def _check_path(path):
         raise ParameterError(f"unsupported path type {type(path).__name__}")
 
 
-def _path_data(path):
-    _check_path(path)
-    return path.grid.times, path.distance_matrix
-
-
 def dense_columns(matrix: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Columns lo+1..hi of a dense matrix, rows [lo, hi], as one column block.
 
@@ -334,8 +334,6 @@ def _riesz_unfused_fits(path, lo, hi, delta, p, bound, s) -> bool:
     such losses stay below 2^-64 of that lower bound.
     """
     steps = _shift_distances(path, 1, lo, hi)
-    if not steps.any():
-        return True
     times = path.grid.times
     e = 1.0 - delta * p
     dt = np.diff(times[lo : hi + 1])
@@ -350,37 +348,38 @@ def _riesz_unfused_fits(path, lo, hi, delta, p, bound, s) -> bool:
             and max(max(factor), 0.0) - 1022.0 + math.log2(hi - lo) + 64.0 <= floor)
 
 
-def _sum_kept(path, lo, hi, total, count, factors) -> bool:
+def _sum_kept(total, count, factors, flat) -> bool:
     """Whether a sum of at most ``count`` terms d^p * c, formed as written, is kept.
 
     ``factors`` are log2 of the extreme time factors c.  The sum is kept
     when every factor lies in the normal float range, the sum is finite, and
     the d-powers and terms lost to underflow (less than 2^-1022 times a
-    factor, or 2^-1022, each) add up to at most 2^-64 of it; a zero sum
-    with zero step distances (a constant path) is kept too.  O(M) at most.
+    factor, or 2^-1022, each) add up to at most 2^-64 of it; a zero sum is
+    kept too when ``flat()`` finds every distance zero.
     """
     if not (-1022.0 <= min(factors) and max(factors) <= 1022.0 and math.isfinite(total)):
         return False
     if total > 0.0 and math.log2(total) >= max(max(factors), 0.0) - 958.0 + math.log2(count):
         return True
-    return total == 0.0 and not _shift_distances(path, 1, lo, hi).any()
+    return total == 0.0 and flat()
 
 
-def _fused_weights(path, lo, hi, p, e):
+def _fused_weights(columns, times, lo, p, e):
     """The terms (d/s)^p * g^e with the time factor folded into the base.
 
-    Returns s and the column blocks of (d/s * g^(e/p))^p, s the power of two
-    at or above the largest base (a first pass over the blocks); unread
-    cells get g = inf and so weight 0.
+    ``columns()`` yields the distance column blocks ``(j0, block)`` of
+    ``_columns``, once per pass.  Returns s and the column blocks of
+    (d g^(e/p) / s)^p, s the largest base (a first pass over the blocks), so
+    the largest term is exactly 1; unread cells get weight 0.  Zero
+    distances give s = 1 and zero weights.
     """
-    times = path.grid.times
-
     def bases(j0, block):
-        return block * _gaps(times, lo, j0, block, np.inf) ** (e / p)
+        gap = _gaps(times, lo, j0, block, np.inf)
+        with np.errstate(invalid="ignore"):
+            return np.where(gap < np.inf, block * gap ** (e / p), 0.0)
 
-    s = 2.0 ** math.ceil(math.log2(max(float(bases(j0, block).max())
-                                       for j0, block in _columns(path, lo, hi))))
-    return s, (bases(j0, block / s) ** p for j0, block in _columns(path, lo, hi))
+    s = max(float(bases(j0, block).max()) for j0, block in columns()) or 1.0
+    return s, ((bases(j0, block) / s) ** p for j0, block in columns())
 
 
 def dp_partition_sup(columns, lo: int, hi: int, batch: tuple = ()):
@@ -441,41 +440,10 @@ def dp_power_table(weight: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return b
 
 
-def _onevar_power_table(dist: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    # For q = 1 the finest partition is optimal (triangle inequality, which
-    # both path metrics satisfy), so the table is prefix sums of the steps.
-    steps = np.concatenate([[0.0], np.cumsum(np.diagonal(dist, 1)[lo:hi])])
-    b = np.zeros_like(dist)
-    b[lo : hi + 1, lo : hi + 1] = np.maximum(steps[None, :] - steps[:, None], 0.0)
-    return b
-
-
-def _dt_upper(times: np.ndarray) -> np.ndarray:
-    dt = times[None, :] - times[:, None]
-    return np.where(dt > 0, dt, np.inf)  # inf keeps unused cells harmless
-
-
-def _riesz_weight(block, times, lo, j0, delta, p, k=1):
-    # weights d^(p/k) / (v-u)^(delta*p-1) of a column block; k > 1 for
-    # level-k distances.  Cells with i >= j, never read by a DP, get a unit gap.
-    return block ** (p / k) * _gaps(times, lo, j0, block, 1.0) ** (1.0 - delta * p)
-
-
-def qvar_power_table(path, q, lo, hi) -> np.ndarray:
-    """Table of q-variation powers ||f||_{q-var;[i,j]}^q over [lo, hi]."""
-    times, dist = _path_data(path)
-    if q == 1.0:
-        return _onevar_power_table(dist, lo, hi)
-    return dp_power_table(dist**q, lo, hi)
-
-
-def _check_nested(lo, hi, max_nested):
-    if hi - lo > max_nested:
-        raise ParameterError(
-            f"interval table over {hi - lo} grid intervals exceeds max_nested="
-            f"{max_nested}; the table build is O(M^3), pass a larger "
-            "max_nested explicitly to accept the cost"
-        )
+def _riesz_weight(block, times, lo, j0, delta, p):
+    # weights d^p / (v-u)^(delta*p-1) of a column block.  Cells with i >= j,
+    # never read by a DP, get a unit gap.
+    return block**p * _gaps(times, lo, j0, block, 1.0) ** (1.0 - delta * p)
 
 
 def _require_uniform(path):
@@ -509,7 +477,10 @@ def qvar_norm(path, q: float, interval=None) -> float:
     if q == 1.0:  # the finest partition is optimal (triangle inequality)
         return float(np.sum(_shift_distances(path, 1, lo, hi)))
     s = _scale(_distance_bound(path, lo, hi), q)
-    powers = ((block / s) ** q for _, block in _columns(path, lo, hi))
+    if s == 1.0:
+        powers = (block**q for _, block in _columns(path, lo, hi))
+    else:  # out of range: divide by the largest distance
+        s, powers = _fused_weights(partial(_columns, path, lo, hi), path.grid.times, lo, q, 0.0)
     return dp_partition_sup(powers, lo, hi) ** (1.0 / q) * s
 
 
@@ -523,12 +494,15 @@ def riesz_norm(path, delta: float, p, interval=None) -> float:
     times = path.grid.times
     lo, hi = path.grid.resolve_interval(interval)
     bound = _distance_bound(path, lo, hi)
+    if bound == 0.0:  # constant on [lo, hi]
+        return 0.0
     s = _scale(bound, p)
-    if hi == lo or _riesz_unfused_fits(path, lo, hi, delta, p, bound, s):
+    if _riesz_unfused_fits(path, lo, hi, delta, p, bound, s):
         weights = (_riesz_weight(block / s, times, lo, j0, delta, p)
                    for j0, block in _columns(path, lo, hi))
     else:
-        s, weights = _fused_weights(path, lo, hi, p, 1.0 - delta * p)
+        s, weights = _fused_weights(partial(_columns, path, lo, hi), times, lo, p,
+                                    1.0 - delta * p)
     return dp_partition_sup(weights, lo, hi) ** (1.0 / p) * s
 
 
@@ -560,58 +534,32 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
             seg = _shift_distances(path, m, lo, hi)
             best = max(best, (m * dt) ** (-delta) * float(np.max(seg)))
         return best
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, span + 1):
             # left Riemann sum over r = lo .. hi-m-1 (exclusive right endpoint)
             total = float(np.sum(_shift_distances(path, m, lo, hi - 1) ** p))
             best = max(best, (m * dt) ** (-delta * p) * dt * total)
     # time factors (m*mesh)^(-delta*p) and that times mesh, extreme at m = 1, span
     factors = [-delta * p * math.log2(m * dt) + u for m in (1, span) for u in (0.0, math.log2(dt))]
-    if _sum_kept(path, lo, hi - 1, best, span, factors):
+    if _sum_kept(best, span, factors, lambda: not _shift_distances(path, 1, lo, hi - 1).any()):
         return best ** (1.0 / p)
-    # out of range: scale shift m by s_m, the power of two at or above its
-    # largest distance; the time factor is constant within a shift, so
+    # out of range: scale shift m by s_m, its largest distance (so its largest
+    # power is exactly 1); the time factor is constant within a shift, so
     # ( c_m sum d^p )^(1/p) = s_m h^(-delta) ( mesh sum (d/s_m)^p )^(1/p)
     best = 0.0
     for m in range(1, span):
         seg = _shift_distances(path, m, lo, hi - 1)
         if seg.any():
-            s = 2.0 ** math.ceil(math.log2(float(seg.max())))
+            s = float(seg.max())
             best = max(best, s * (m * dt) ** (-delta) * (dt * float(np.sum((seg / s) ** p))) ** (1.0 / p))
     return best
 
 
-def shift_sup_table(dist: np.ndarray, times: np.ndarray, lo: int, hi: int,
-                    power: float, hexp: float) -> np.ndarray:
-    """Nikolskii-type inner table on a uniform mesh.
-
-    T[i, j] = max over shifts h = m*mesh (1 <= m <= j-i) of
-              h^hexp * mesh * sum_{r=i..j-m-1} dist[r, r+m]^power,
-    the sum being the left Riemann quadrature of the shifted increment
-    integral over [t_i, t_j - h).
-    """
-    span = hi - lo
-    t = np.zeros_like(dist)
-    if span == 0:
-        return t
-    dt = (times[hi] - times[lo]) / span
-    for m in range(1, span + 1):
-        g = np.diagonal(dist, m) ** power
-        s = np.concatenate([[0.0], np.cumsum(g)])
-        c = (m * dt) ** hexp * dt
-        js = np.arange(lo + m, hi + 1)
-        is_ = np.arange(lo, hi - m + 1)
-        block = s[js - m][None, :] - s[is_][:, None]
-        view = t[lo : hi - m + 1, lo + m : hi + 1]
-        np.maximum(view, c * block, out=view)
-    return t
-
-
 def shift_partition_sup(columns, times: np.ndarray, lo: int, hi: int,
                         power: float, hexp: float) -> float:
-    """Partition sup of the ``shift_sup_table`` values over [lo, hi], in O(M^2).
+    """Partition sup of the ``oracle.shift_sup_table`` values over [lo, hi], in O(M^2).
 
-    Equals ``dp_partition_sup([dense_columns(shift_sup_table(...), lo, hi)])``
+    Equals ``dp_partition_sup([dense_columns(oracle.shift_sup_table(...), lo, hi)])``
     without the table: with c_m = (m*mesh)^hexp * mesh and S_m[k] the sum of
     d(r, r+m)^power over lo <= r < k, the DP runs
     best[j] = max_m ( c_m S_m[j-m] + R_m ), R_m = max_{i <= j-m} (best[i] - c_m S_m[i]),
@@ -698,63 +646,17 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
             d = np.where(gap < np.inf, block, 0.0)  # cells i >= j add 0, never inf/inf
             total += float(np.sum(d**p / gap ** (1.0 + delta * p)))
     span, e = hi - lo, -(1.0 + delta * p)
-    if _sum_kept(path, lo, hi, total, span * (span + 1) / 2,
-                 [e * math.log2(dt), e * math.log2(span * dt)]):
+    if _sum_kept(total, span * (span + 1) / 2, [e * math.log2(dt), e * math.log2(span * dt)],
+                 lambda: not _shift_distances(path, 1, lo, hi).any()):
         return (2.0 * total * dt * dt) ** (1.0 / p)
     # out of range: fold the time factor into the base, as ``riesz_norm`` does
-    s, weights = _fused_weights(path, lo, hi, p, e)
+    s, weights = _fused_weights(partial(_columns, path, lo, hi), times, lo, p, e)
     return (2.0 * sum(float(np.sum(w)) for w in weights) * dt * dt) ** (1.0 / p) * s
 
 
 # ---------------------------------------------------------------------------
-# interval tables and the dispatcher
+# the dispatcher
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class IntervalNormTable:
-    """Norm of the path restricted to [t_i, t_j] for every grid pair i <= j."""
-
-    kind: NormKind
-    delta: float | None
-    p: float | PInf | None
-    values: np.ndarray
-
-
-def interval_norm_table(path, kind: NormKind, delta=None, p=None, interval=None,
-                        max_nested: int = 512) -> IntervalNormTable:
-    """Build the full subinterval table for a pair-sup or partition-sup norm.
-
-    The Riesz, mixed and Nikolskii tables need a finite p.
-    """
-    times, dist = _path_data(path)
-    lo, hi = path.grid.resolve_interval(interval)
-    _check_nested(lo, hi, max_nested)
-    if kind is NormKind.HOELDER:
-        _check_delta(delta)
-        # vals[i, j] = max of ratio[a, b] over i <= a < b <= j: running maxima
-        # along each row, then up each column
-        ratio = dist[lo : hi + 1, lo : hi + 1] / _dt_upper(times[lo : hi + 1]) ** delta
-        run = np.maximum.accumulate(ratio, axis=1)
-        vals = np.zeros_like(dist)
-        vals[lo : hi + 1, lo : hi + 1] = np.maximum.accumulate(run[::-1], axis=0)[::-1]
-        return IntervalNormTable(kind, delta, None, vals)
-    if kind is NormKind.QVAR:
-        q = _check_q(p)
-        b = qvar_power_table(path, q, lo, hi)
-        return IntervalNormTable(kind, None, q, b ** (1.0 / q))
-    if kind in (NormKind.RIESZ, NormKind.MIXED):  # mixed equals Riesz on the grid
-        _check_delta(delta)
-        p = _finite_p(_check_riesz_p(delta, p), f"the {kind.value} interval table")
-        b = dp_power_table(_riesz_weight(dist.T, times, 0, 0, delta, p).T, lo, hi)
-        return IntervalNormTable(kind, delta, p, b ** (1.0 / p))
-    if kind is NormKind.NIKOLSKII:
-        _check_delta(delta)
-        p = _finite_p(_check_nikolskii_p(p), "the Nikolskii interval table")
-        _require_uniform(path)
-        t = shift_sup_table(dist, times, lo, hi, p, -delta * p)
-        return IntervalNormTable(kind, delta, p, t ** (1.0 / p))
-    raise ParameterError(f"no interval table for kind {kind}")
-
 
 def compute_norm(path, spec: NormSpec) -> float:
     """Evaluate the norm selected by ``spec`` on ``path``."""

@@ -3,7 +3,8 @@
 Everything here is written to be obviously correct rather than fast: full
 enumeration over all partitions of an interval (so the interval may span at
 most 12 grid points), plain double loops for the reference norms/distances,
-a penalty-free constrained minimizer for the depth-2
+the dense O(M^3) Nikolskii inner table ``shift_sup_table`` (by prefix
+sums per shift), a penalty-free constrained minimizer for the depth-2
 Carnot-Caratheodory norm, and the step-N Euler increment written term by
 term with einsum.  None of it shares code with the dynamic programs in
 ``norms``/``distances`` or with the step maps in ``rde``.
@@ -129,6 +130,33 @@ def oracle_nikolskii(path, delta: float, p: float, interval=None) -> float:
     t = path.grid.times
     lo, hi = path.grid.resolve_interval(interval)
     return _oracle_nik_inner(d, t, lo, hi, delta, p) ** (1.0 / p)
+
+
+def shift_sup_table(dist: np.ndarray, times: np.ndarray, lo: int, hi: int,
+                    power: float, hexp: float) -> np.ndarray:
+    """Nikolskii-type inner table on a uniform mesh, the O(M^3) table that
+    ``norms.shift_partition_sup`` never builds.
+
+    T[i, j] = max over shifts h = m*mesh (1 <= m <= j-i) of
+              h^hexp * mesh * sum_{r=i..j-m-1} dist[r, r+m]^power,
+    the sum being the left Riemann quadrature of the shifted increment
+    integral over [t_i, t_j - h).
+    """
+    span = hi - lo
+    t = np.zeros_like(dist)
+    if span == 0:
+        return t
+    dt = (times[hi] - times[lo]) / span
+    for m in range(1, span + 1):
+        g = np.diagonal(dist, m) ** power
+        s = np.concatenate([[0.0], np.cumsum(g)])
+        c = (m * dt) ** hexp * dt
+        js = np.arange(lo + m, hi + 1)
+        is_ = np.arange(lo, hi - m + 1)
+        block = s[js - m][None, :] - s[is_][:, None]
+        view = t[lo : hi - m + 1, lo + m : hi + 1]
+        np.maximum(view, c * block, out=view)
+    return t
 
 
 # ---------------------------------------------------------------------------

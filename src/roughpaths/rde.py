@@ -40,6 +40,8 @@ keeps the term-by-term formula as the independent reference.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +94,8 @@ class VectorField:
                 raise ParameterError(f"{name} contains non-finite entries")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        for name in ("gamma", "box_radius"):
+            object.__setattr__(self, name, _field_float(getattr(self, name), name))
         if not self.box_radius > 0.0:
             raise ParameterError(f"box_radius must be positive, got {self.box_radius}")
         q = self.quad
@@ -182,7 +186,8 @@ class VectorField:
         constant vanishes for these polynomial families.
         """
         center = np.asarray(center, dtype=float)
-        radius = self.box_radius if radius is None else radius
+        radius = self.box_radius if radius is None else _field_float(radius, "radius")
+        samples = _count(samples, "samples", 0)
         rng = np.random.default_rng(seed)
         pts = center + radius * rng.uniform(-1.0, 1.0, size=(samples, self.m))
         return max(max_point_norm(self.value(pts)), max_point_norm(self.jac(pts)),
@@ -224,11 +229,10 @@ class VectorField:
             matrices = coeffs["matrices"]
             offsets = coeffs["offsets"] if family is FieldFamily.AFFINE else coeffs.get("offsets")
             if family is FieldFamily.POLYNOMIAL:
-                n, m = _spec_size(spec["n"], "n"), _spec_size(spec["m"], "m")
+                n, m = _count(spec["n"], "n", 1), _count(spec["m"], "m", 1)
         except KeyError as exc:
             raise ParameterError(f"the field spec lacks the key {exc}") from None
-        gamma = _spec_float(spec.get("lip_gamma", 2.5), "lip_gamma")
-        radius = _spec_float(spec.get("box_radius", 10.0), "box_radius")
+        gamma, radius = spec.get("lip_gamma", 2.5), spec.get("box_radius", 10.0)
         if family is FieldFamily.LINEAR:
             return cls.linear(matrices, gamma, radius)
         if family is FieldFamily.AFFINE:
@@ -259,23 +263,21 @@ def _field_array(value, name: str, ndim: int) -> np.ndarray:
     return a
 
 
-def _spec_float(value, name: str) -> float:
+def _field_float(value, name: str) -> float:
     try:
         return float(value)
     except (TypeError, ValueError):
-        raise ParameterError(f"the field spec entry {name!r} must be a number, "
+        raise ParameterError(f"the field entry {name!r} must be a number, "
                              f"got {value!r}") from None
 
 
-def _spec_size(value, name: str) -> int:
-    try:
-        size = int(value)
-    except (TypeError, ValueError):
-        size = 0
-    if size < 1:
-        raise ParameterError(f"the field spec entry {name!r} must be a positive integer, "
-                             f"got {value!r}")
-    return size
+def _count(value, name: str, low: int) -> int:
+    """``value`` as an int of at least ``low``; a whole float counts, other
+    floats, strings and booleans raise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value == int(value) >= low)):
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -289,8 +291,7 @@ class RdeConfig:
     def __post_init__(self):
         if self.depth not in (1, 2, 3):
             raise ParameterError(f"depth must be 1, 2 or 3, got {self.depth}")
-        if self.substeps < 1:
-            raise ParameterError("substeps must be >= 1")
+        object.__setattr__(self, "substeps", _count(self.substeps, "substeps", 1))
         if self.scheme is Scheme.EULER_BV and self.depth != 1:
             raise ParameterError("the BV Euler scheme runs at depth 1")
         if self.scheme is Scheme.ROUGH_EULER and self.substeps != 1:

@@ -37,7 +37,6 @@ from .norms import (
     mixed_norm,
     nikolskii_norm,
     qvar_norm,
-    qvar_power_table,
     refined_nikolskii_norm,
     riesz_norm,
 )
@@ -776,7 +775,7 @@ def build_control_function(x1: GroupPath, x2: GroupPath, delta, p) -> ControlFun
     q = 1.0 / delta
     m = len(x1.grid)
     lo, hi = 0, m - 1
-    w = qvar_power_table(x1, q, lo, hi) + qvar_power_table(x2, q, lo, hi)
+    w = sum(dp_power_table(x.distance_matrix**q, lo, hi) for x in (x1, x2))
     for k in range(1, x1.depth + 1):
         denom = rho_mixed_level(x1, x2, delta, p, k)
         if denom <= 0.0:

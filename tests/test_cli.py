@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from roughpaths import EuclideanPath, TimeGrid
+from roughpaths import DistKind, EuclideanPath, NormKind, TimeGrid
 from roughpaths.cli import main, read_path_csv, write_path_csv
 from conftest import random_walk_path
 
@@ -425,3 +430,91 @@ def test_unwritable_output_exit3(tmp_path, field_json, capsys, command):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzz: norm and dist never crash, trace back or warn
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fuzz_csvs(tmp_path_factory):
+    # 2-D paths on one uniform grid of 12 points (walks at three scales and a
+    # constant), a non-uniform grid, and a 1-D path for dimension mismatches
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(7)
+    times = np.linspace(0.0, 1.0, 12)
+    walk = np.vstack([np.zeros((1, 2)), np.cumsum(rng.standard_normal((11, 2)), axis=0)])
+    bump = np.vstack([np.zeros((1, 2)), np.cumsum(rng.standard_normal((11, 2)), axis=0)])
+    files = {
+        "walk": (walk, times), "near": (walk + 0.3 * bump, times),
+        "tiny": (1e-3 * walk, times), "huge": (1e3 * walk, times),
+        "flat": (np.ones_like(walk), times),
+        "skew": (walk, np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, 10)), [1.0]])),
+        "line": (walk[:, :1], times),
+    }
+    for name, (values, t) in files.items():
+        write_path_csv(EuclideanPath(TimeGrid(t), values), root / f"{name}.csv")
+    return {name: str(root / f"{name}.csv") for name in files}
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["0", "1", "1.5", "2", "4", "1e-300", "1e300", "5e-324", "-1",
+                     "inf", "-inf", "nan", "Infinity", "abc", ""]),
+    st.floats(1e-9, 1e9).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+# mostly admissible values, so that most calls reach the numerics
+_DELTAS = st.one_of(st.sampled_from(["0.3", "0.45", "0.5", "1", "1e-3"]),
+                    st.floats(1e-6, 1.0).map(repr), _NUMBERS)
+_PS = st.one_of(st.sampled_from(["2", "4", "8", "inf", "600", "1e4", "1e300"]),
+                st.floats(1.0, 1e6).map(repr), _NUMBERS)
+_TIMES = np.linspace(0.0, 1.0, 12).tolist()
+_GRID_SPANS = st.tuples(st.integers(0, 11), st.integers(0, 11)).map(
+    lambda ij: f"{_TIMES[ij[0]]!r}:{_TIMES[ij[1]]!r}")
+_INTERVALS = st.one_of(
+    _GRID_SPANS, _GRID_SPANS,
+    st.tuples(_NUMBERS, _NUMBERS).map(":".join),
+    st.sampled_from(["0.5", "a:b", "0:1:2"]),
+)
+
+
+@st.composite
+def cli_calls(draw):
+    names = ["walk", "near", "tiny", "huge", "flat", "skew", "line"]
+    if draw(st.booleans()):
+        argv = ["norm", draw(st.sampled_from(names)), "--kind",
+                draw(st.sampled_from([k.value for k in NormKind] * 3 + ["bogus"]))]
+    else:
+        same_grid = ["walk", "near", "tiny", "huge", "flat"]
+        argv = ["dist", draw(st.sampled_from(same_grid)),
+                draw(st.sampled_from(same_grid * 3 + ["skew", "line"])), "--kind",
+                draw(st.sampled_from([k.value for k in DistKind] * 3 + ["bogus"])),
+                "--depth", draw(st.sampled_from(["1", "2", "3", "4", "1", "2", "0"]))]
+    for option, values, odds in (("--delta", _DELTAS, 9), ("--p", _PS, 9),
+                                 ("--interval", _INTERVALS, 2)):
+        if draw(st.integers(0, 9)) < odds:
+            argv.append(f"{option}={draw(values)}")  # "=": a value may start with "-"
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cli_calls())
+@example(["dist", "walk", "near", "--kind", "riesz", "--delta", "0.5", "--p", "1e300"])
+@example(["dist", "walk", "near", "--kind", "qvar", "--p", "600", "--depth", "1"])
+@example(["norm", "tiny", "--kind", "qvar", "--p", "1000"])
+@example(["norm", "tiny", "--kind", "fracsobolev", "--delta", "0.5", "--p", "1e4"])
+@example(["norm", "flat", "--kind", "rieszv", "--delta", "0.5", "--p", "1e4"])
+def test_norm_and_dist_fuzz_exit_cleanly(fuzz_csvs, argv):
+    argv = [fuzz_csvs.get(a, a) if i in (1, 2) else a for i, a in enumerate(argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4, 5), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    if code == 0:
+        assert math.isfinite(float(out.getvalue().split("\n")[0]))
+    else:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""

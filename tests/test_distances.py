@@ -14,14 +14,12 @@ from roughpaths import (
     EuclideanPath,
     GridMismatchError,
     LevelDistanceSpec,
-    NormKind,
     P_INF,
     ParameterError,
     TimeGrid,
     group_inverse,
     group_mul,
     increment,
-    interval_norm_table,
     lift,
     mixed_norm,
     qvar_norm,
@@ -35,12 +33,13 @@ from roughpaths import (
 )
 from roughpaths import paths
 from roughpaths.distances import level_diff_matrix, rho_level
-from roughpaths.norms import dense_columns, dp_partition_sup, shift_sup_table
+from roughpaths.norms import dense_columns, dp_partition_sup
 from roughpaths.oracle import (
     oracle_rho_mixed,
     oracle_rho_nikolskii_hat,
     oracle_rho_qvar,
     oracle_rho_riesz,
+    shift_sup_table,
 )
 from roughpaths.verify import _nested_mixed
 from conftest import random_walk_path
@@ -204,9 +203,6 @@ def test_no_nested_cap_on_nikolskii_hat(rng):
     x1, x2, p1, _ = make_pair(rng, intervals=24)
     with pytest.raises(TypeError):
         rho_nikolskii_hat_level(x1, x2, 0.45, 4.0, 1, max_nested=8)
-    # the cap stays on the O(M^3) interval tables
-    with pytest.raises(ParameterError):
-        interval_norm_table(x1, NormKind.NIKOLSKII, 0.45, 4.0, max_nested=8)
     # the Nikolskii-hat and mixed distances are O(M^2) sweeps without a cap
     big1, big2, _, _ = make_pair(rng, intervals=2048)
     for k in (1, 2):
@@ -304,6 +300,28 @@ def test_nikolskii_hat_out_of_float_range_raises(rng):
         y1, y2 = (lift(EuclideanPath(p.grid, c * p.values), 2) for p in (p1, p2))
         with pytest.raises(ParameterError):
             rho_nikolskii_hat_level(y1, y2, 0.5, 300.0, 1)
+
+
+def test_level_distances_at_huge_exponents(rng):
+    # D^(p/k) underflows and g^(1 - delta p) overflows: the partition sums as
+    # written read 0 or NaN, so the bases are divided by the largest one
+    x1, x2, _, _ = make_pair(rng, intervals=64)
+    dt = 1.0 / 64
+    g = np.subtract.outer(x1.grid.times, x1.grid.times).T
+    for k in (1, 2):
+        d = level_diff_matrix(x1, x2, k)  # upper triangle
+        for q in (600.0, 1e300):
+            a = q / k  # one block carries the largest D; at most 64 blocks
+            got = rho_qvar_level(x1, x2, q, k)
+            assert d.max() <= got <= d.max() * 64 ** (1.0 / a) * (1.0 + 1e-12)
+        # with R = max D / g^(delta k), a block alone gives R g^(k/p), a sum at most R^a T
+        iu = np.triu_indices_from(d, 1)
+        r = float(np.max(d[iu] / g[iu] ** (0.5 * k)))
+        for p in (600.0, 1e300):
+            got = rho_riesz_level(x1, x2, 0.5, p, k)
+            assert r * dt ** (k / p) <= got <= r * (1.0 + 1e-12)
+            assert rho_riesz_level(x1, x1, 0.5, p, k) == 0.0
+        assert rho_qvar_level(x1, x1, 600.0, k) == 0.0
 
 
 def test_group_distances_do_not_depend_on_grid_size(rng):

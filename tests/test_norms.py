@@ -18,7 +18,6 @@ from roughpaths import (
     compute_norm,
     frac_sobolev_norm,
     holder_norm,
-    interval_norm_table,
     level1_path,
     lift,
     mixed_norm,
@@ -36,6 +35,7 @@ from roughpaths.oracle import (
     oracle_qvar,
     oracle_refined_nikolskii,
     oracle_riesz,
+    shift_sup_table,
 )
 from roughpaths.verify import _nested_mixed
 from conftest import random_walk_path
@@ -194,9 +194,6 @@ def test_mixed_equals_riesz_on_grid(rng):
             a, b = riesz_norm(f, delta, p), _nested_mixed([f], delta, [p])[0][0]
             assert a == pytest.approx(b, rel=1e-9)
             assert mixed_norm(f, delta, p) == a
-        tables = [interval_norm_table(f, kind, delta=0.45, p=4.0).values
-                  for kind in (NormKind.RIESZ, NormKind.MIXED)]
-        np.testing.assert_array_equal(tables[0], tables[1])
 
 
 def test_mixed_linear_closed_form():
@@ -211,15 +208,9 @@ def test_mixed_oracle_equality(rng):
         )
 
 
-def test_nested_cap_on_interval_tables_only():
+def test_nested_norms_have_no_size_cap():
     f = random_walk_path(np.random.default_rng(0), 40, 1)
-    # the O(M^3) interval tables keep the cap, with an explicit override
-    for kind, delta, p in ((NormKind.NIKOLSKII, 0.5, 4.0), (NormKind.RIESZ, 0.5, 4.0),
-                           (NormKind.QVAR, None, 2.5), (NormKind.HOELDER, 0.5, None)):
-        with pytest.raises(ParameterError):
-            interval_norm_table(f, kind, delta, p, max_nested=16)
-        assert interval_norm_table(f, kind, delta, p, max_nested=40).values.shape == (41, 41)
-    # refined Nikolskii and mixed are O(M^2) sweeps without a cap
+    # refined Nikolskii and mixed are O(M^2) sweeps without a cap option
     with pytest.raises(TypeError):
         refined_nikolskii_norm(f, 0.5, 4.0, max_nested=16)
     big = random_walk_path(np.random.default_rng(1), 2048, 2)
@@ -419,22 +410,31 @@ def test_norms_of_lifted_path(rng):
 
 
 def test_interval_table_monotone_in_inclusion(rng):
+    # the norms over every subinterval [t_i, t_j], one call per cell
     f = random_walk_path(rng, 10, 1)
     t, x = f.grid.times, f.values[:, 0]
-    hol = interval_norm_table(f, NormKind.HOELDER, delta=0.5).values
+    m = len(f.grid) - 1
+
+    def table(norm):
+        tbl = np.zeros((m + 1, m + 1))
+        for i in range(m + 1):
+            for j in range(i, m + 1):
+                tbl[i, j] = norm((t[i], t[j]))
+        return tbl
+
+    hol = table(lambda span: holder_norm(f, 0.5, span))
     for i in range(11):
         for j in range(i + 1, 11):
             pair_sup = max(abs(x[b] - x[a]) / (t[b] - t[a]) ** 0.5
                            for a in range(i, j) for b in range(a + 1, j + 1))
             assert hol[i, j] == pytest.approx(pair_sup, rel=1e-12)
-    for kind, kwargs in (
-        (NormKind.HOELDER, {"delta": 0.5}),
-        (NormKind.QVAR, {"p": 2.0}),
-        (NormKind.RIESZ, {"delta": 0.45, "p": 4.0}),
-        (NormKind.MIXED, {"delta": 0.45, "p": 4.0}),
+    for norm in (
+        lambda span: holder_norm(f, 0.5, span),
+        lambda span: qvar_norm(f, 2.0, span),
+        lambda span: riesz_norm(f, 0.45, 4.0, span),
+        lambda span: mixed_norm(f, 0.45, 4.0, span),
     ):
-        tbl = interval_norm_table(f, kind, **kwargs).values
-        m = len(f.grid) - 1
+        tbl = table(norm)
         for i in range(m):
             for j in range(i + 1, m + 1):
                 if i > 0:
@@ -463,14 +463,6 @@ def test_single_interval_grid_one_pair_value():
     assert qvar_norm(f, 2.0) == pytest.approx(2.0)
     assert riesz_norm(f, 0.5, 4.0) == pytest.approx(2.0 / 0.5 ** (0.5 - 0.25))
     assert holder_norm(f, 0.5) == pytest.approx(2.0 / np.sqrt(0.5))
-
-
-def test_interval_table_needs_finite_p(rng):
-    f = random_walk_path(rng, 10, 1)
-    for kind in (NormKind.NIKOLSKII, NormKind.RIESZ, NormKind.MIXED):
-        for p in (P_INF, float("inf"), None):
-            with pytest.raises(ParameterError):
-                interval_norm_table(f, kind, delta=0.5, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +671,34 @@ def test_riesz_time_factor_folded_into_base_at_large_delta_p():
             assert riesz_norm(scaled, 0.5, 300) / c == pytest.approx(want, rel=1e-12)
 
 
+def test_norms_at_huge_exponents_lie_within_their_sup_limits(rng):
+    # at q, p = 1e3 .. 1e4 every power but the largest underflows; dividing by
+    # the largest base keeps that one at exactly 1, so no norm drops to 0
+    steps = rng.standard_normal((64, 2))
+    f = EuclideanPath(TimeGrid.uniform(64),
+                      0.125 * np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)]))
+    d, dt, up = f.distance_matrix, 1.0 / 64, 1.0 + 1e-12
+    hol = holder_norm(f, 0.5)
+    # one block carries the largest distance; a partition has at most 64 blocks
+    q = 1000.0
+    assert d.max() <= qvar_norm(f, q) <= d.max() * 64 ** (1.0 / q) * up
+    p = 1e4
+    # a block [u, v] alone gives H (v-u)^(1/p); a partition sum is at most H^p T
+    assert hol * dt ** (1.0 / p) <= riesz_norm(f, 0.5, p) <= hol * up
+    # the pairs i < j weigh (d / g^delta)^p g^-1, and sum(1/g) <= 64^3
+    sob = frac_sobolev_norm(f, 0.5, p)
+    assert hol * (2.0 * dt * dt) ** (1.0 / p) <= sob <= hol * 128.0 ** (1.0 / p) * up
+    # the p -> inf limit of the left Riemann sums: shift m reads r < 64 - m
+    lim = max((m * dt) ** -0.5 * np.diagonal(d, m)[:-1].max() for m in range(1, 64))
+    for p in (1e3, 1e4):
+        assert lim * dt ** (1.0 / p) <= nikolskii_norm(f, 0.5, p) <= lim * up
+    # constant paths stay 0, with the time factors far out of range
+    flat = EuclideanPath(f.grid, np.ones_like(f.values))
+    for norm in (riesz_norm, nikolskii_norm, frac_sobolev_norm):
+        assert norm(flat, 0.5, 1e4) == 0.0
+    assert qvar_norm(flat, 1e4) == 0.0
+
+
 def test_single_value_norms_need_no_dense_matrix(rng):
     # the (M+1)^2 distance matrix alone would take 537 MB at M = 8192
     f = random_walk_path(rng, 8192, 2)
@@ -724,7 +744,7 @@ def test_shift_partition_sup_equals_table_dp_and_oracle(case):
     # the dense columns give the streamed value bit for bit
     assert got == norms_module.shift_partition_sup(
         [dense_columns(dist, lo, hi)], times, lo, hi, p, -delta * p) ** (1.0 / p)
-    table = norms_module.shift_sup_table(dist, times, lo, hi, p, -delta * p)
+    table = shift_sup_table(dist, times, lo, hi, p, -delta * p)
     want = dp_partition_sup([dense_columns(table, lo, hi)], lo, hi) ** (1.0 / p)
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(oracle_refined_nikolskii(path, delta, p, span), rel=1e-9)

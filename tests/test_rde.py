@@ -59,11 +59,27 @@ def test_field_families_validate():
     lambda: VectorField.polynomial([[0.0]], [[[1.0]]], [[0.0]]),
     lambda: VectorField.linear([[[1.0]]], box_radius=float("nan")),
     lambda: VectorField.affine([[[1.0]]], [[0.0]], box_radius=0.0),
+    lambda: VectorField.linear([[[1.0]]], box_radius="a"),
+    lambda: VectorField.linear([[[1.0]]], gamma=[2.5]),
+    lambda: VectorField.linear([[[1.0]]]).lip_norm([0.0], samples=-1),
+    lambda: VectorField.linear([[[1.0]]]).lip_norm([0.0], samples=2.5),
+    lambda: VectorField.linear([[[1.0]]]).lip_norm([0.0], radius="a"),
 ], ids=["linear-1d", "linear-text", "affine-1d", "affine-offsets-1d",
-        "polynomial-1d", "polynomial-quadratics-2d", "box-radius-nan", "box-radius-zero"])
+        "polynomial-1d", "polynomial-quadratics-2d", "box-radius-nan", "box-radius-zero",
+        "box-radius-text", "gamma-list", "lip-samples-negative", "lip-samples-float",
+        "lip-radius-text"])
 def test_field_constructors_reject_malformed_arrays(build):
     with pytest.raises(ParameterError):
         build()
+
+
+@pytest.mark.parametrize("substeps", [1.5, float("nan"), float("inf"), "2", None, True, 0, -3])
+def test_rde_config_needs_integer_substeps(substeps):
+    # 1.5 used to pass and fail later in solve_bv ("got 9 values for 17 grid points")
+    with pytest.raises(ParameterError):
+        RdeConfig(substeps=substeps)
+    for whole in (np.int64(3), 3.0):
+        assert type(RdeConfig(substeps=whole).substeps) is int
 
 
 def test_field_evaluation_linear():
