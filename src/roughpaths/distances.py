@@ -119,46 +119,63 @@ def level_diff_matrix(x1: GroupPath, x2: GroupPath, k: int) -> np.ndarray:
     return _all_level_diffs(x1, x2)[k - 1]
 
 
-def _level_partition_sup(x1, x2, k: int, interval, p: float, e: float) -> float:
-    """( sup_P sum D_k(u, v)^(p/k) (v-u)^e )^(k/p) over ``interval``.
+def _level_partition_sup(cols, times, lo, hi, k, members) -> list[float]:
+    """( sup_P sum D^(p/k) (v-u)^e )^(k/p) over [lo, hi], one value per member.
 
-    The weights are formed as written and their partition sum is kept when
-    ``norms._sum_kept`` keeps it.  Otherwise the time factor is folded into
-    the base and the bases are divided by the largest one
-    (``norms._fused_weights``), so large exponents give the finite value,
-    not 0, inf or NaN.
+    ``cols`` is a stack of dense level-k difference columns, shape
+    ``(items, hi-lo, hi-lo+1)`` (``dense_columns`` of a stack of
+    ``level_diff_matrix``), and a member ``(b, p, e)`` takes D from
+    ``cols[b]``.  The weights are formed as written; all members share one
+    batched ``dp_partition_sup``, whose slices equal the per-member DPs bit
+    for bit.  A member's partition sum is kept when ``norms._sum_kept`` keeps
+    it.  Otherwise the time factor is folded into the base and the bases are
+    divided by the largest one (``norms._fused_weights``), so large exponents
+    give the finite value, not 0, inf or NaN.
     """
-    lo, hi = x1.grid.resolve_interval(interval)
     if hi == lo:
-        return 0.0
-    times = x1.grid.times
-    cols = dense_columns(level_diff_matrix(x1, x2, k), lo, hi)
+        return [0.0] * len(members)
+    gap = _gaps(times, lo, lo + 1, cols, 1.0)
+    w = np.empty((len(members), *cols.shape[-2:]))
     with np.errstate(over="ignore", invalid="ignore"):
-        w = cols ** (p / k)
-        if e:
-            w = w * _gaps(times, lo, lo + 1, cols, 1.0) ** e
-    total = dp_partition_sup([w], lo, hi)
+        for row, (b, p, e) in zip(w, members):
+            row[...] = cols[b]
+            row **= p / k
+            if e:
+                row *= gap**e
+    totals = dp_partition_sup([w], lo, hi, batch=(len(members),))
     shortest = float(np.diff(times[lo : hi + 1]).min())
-    factors = [e * math.log2(shortest), e * math.log2(float(times[hi] - times[lo]))]
-    if _sum_kept(total, hi - lo, factors, lambda: not cols.any()):
-        return total ** (k / p)
-    s, fused = _fused_weights(lambda: [(lo + 1, cols)], times, lo, p / k, e)
-    return dp_partition_sup(fused, lo, hi) ** (k / p) * s
+    values = []
+    for (b, p, e), total in zip(members, totals):
+        total = float(total)
+        factors = [e * math.log2(shortest), e * math.log2(float(times[hi] - times[lo]))]
+        if _sum_kept(total, hi - lo, factors, lambda: not cols[b].any()):
+            values.append(total ** (k / p))
+        else:
+            s, fused = _fused_weights(lambda: [(lo + 1, cols[b])], times, lo, p / k, e)
+            values.append(dp_partition_sup(fused, lo, hi) ** (k / p) * s)
+    return values
+
+
+def _pair_columns(x1, x2, k, interval):
+    # the level-k difference columns of one pair over ``interval``, as a stack of one
+    d = level_diff_matrix(x1, x2, k)
+    lo, hi = x1.grid.resolve_interval(interval)
+    return dense_columns(d, lo, hi)[None], lo, hi
 
 
 def rho_qvar_level(x1, x2, q: float, k: int, interval=None) -> float:
     """Level-k q-variation distance ( sup_P sum D_k^(q/k) )^(k/q)."""
     q = _check_q(q)
-    _check_pair(x1, x2, k)
-    return _level_partition_sup(x1, x2, k, interval, q, 0.0)
+    cols, lo, hi = _pair_columns(x1, x2, k, interval)
+    return _level_partition_sup(cols, x1.grid.times, lo, hi, k, [(0, q, 0.0)])[0]
 
 
 def rho_riesz_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:
     """Level-k Riesz distance ( sup_P sum D_k^(p/k) / (v-u)^(delta*p-1) )^(k/p)."""
     _check_delta(delta)
     p = _check_dist_p(delta, p)
-    _check_pair(x1, x2, k)
-    return _level_partition_sup(x1, x2, k, interval, p, 1.0 - delta * p)
+    cols, lo, hi = _pair_columns(x1, x2, k, interval)
+    return _level_partition_sup(cols, x1.grid.times, lo, hi, k, [(0, p, 1.0 - delta * p)])[0]
 
 
 def rho_mixed_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:
@@ -179,10 +196,9 @@ def rho_nikolskii_hat_level(x1, x2, delta: float, p: float, k: int, interval=Non
     p = _check_dist_p(delta, p)
     _check_pair(x1, x2, k)
     _require_uniform(x1)
-    lo, hi = x1.grid.resolve_interval(interval)
-    d = level_diff_matrix(x1, x2, k)
-    return shift_partition_sup([dense_columns(d, lo, hi)], x1.grid.times, lo, hi,
-                               p / k, -delta * p) ** (k / p)
+    cols, lo, hi = _pair_columns(x1, x2, k, interval)
+    return shift_partition_sup(lambda: [(lo + 1, cols[0])], x1.grid.times, lo, hi,
+                               p / k, -delta * p, k / p)
 
 
 def rho_aggregate(x1, x2, kind: DistKind, delta: float | None = None,

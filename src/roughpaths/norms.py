@@ -37,16 +37,27 @@ cap; tables over all subintervals are left to the independent references
 The one table kept here is ``dp_power_table``, the q-variation powers over
 all subintervals, which the verify control function and that reference
 need: an O(M^3) DP in push form (one NumPy max per finished column), whose
-values are bit-identical to the per-cell recursion.  Both DPs take leading
-batch axes: ``dp_power_table`` weights of shape ``(*batch, N, N)`` and
-``dp_partition_sup`` column blocks of shape ``(*batch, rows, cols)``, so one
-Python loop over the columns serves a stack of same-grid matrices (the
-verify reference runs a family of paths this way), with the values of the
-per-matrix calls bit for bit; the batch-free calls are the case
-``batch = ()``.  Nikolskii shifts h run over integer multiples of the
-uniform mesh with a left Riemann sum for the inner integral; the fractional
-Sobolev double integral uses the tensor-grid quadrature with the diagonal
-band |u-v| < mesh excluded.
+values are bit-identical to the per-cell recursion.  Both DPs and the sweep
+``shift_partition_sup`` take leading batch axes: ``dp_power_table`` weights
+of shape ``(*batch, N, N)``, and column blocks of shape
+``(*batch, rows, cols)`` for the other two, so one Python loop over the
+columns serves a stack of same-grid matrices, with the values of the
+per-matrix calls bit for bit (elementwise ops and exact maxima; the sweep
+raises its distances as reversed 1-D arrays, where NumPy applies the C pow
+whatever the batch).  The batch-free calls are the case ``batch = ()``.
+
+Family kernels serve many values in one DP loop.  ``_riesz_family`` takes
+the stacked distance columns of paths on one grid (``_family_columns``)
+and a list of members, each a path index with its (delta, p): every member
+keeps its own scale and range check, the members formed as written share
+one batched ``dp_partition_sup``, and a member out of range takes the fused
+weights (below) on its own.  ``riesz_norm`` is the case of one path and one
+member; ``distances._level_partition_sup`` does the same for the level
+distances, and the verify checks call both, and the batched sweep, once
+per same-grid chunk of a family.  Nikolskii shifts h run over integer
+multiples of the uniform mesh with a left Riemann sum for the inner
+integral; the fractional Sobolev double integral uses the tensor-grid
+quadrature with the diagonal band |u-v| < mesh excluded.
 
 Refined Nikolskii (and, level by level, the Nikolskii-hat distance of
 ``distances``) is a partition sup of inner Nikolskii values.  On a uniform
@@ -86,8 +97,10 @@ Nikolskii divides each shift by its largest distance (its time factor is
 constant within the shift), and fractional Sobolev folds its time factor
 into the base as Riesz does.  The level distances of ``distances`` run the
 same check on their partition sums and fall back the same way.  The
-refined Nikolskii sweep raises ``ParameterError`` on the same kind of check
-rather than return 0, inf or NaN.
+refined Nikolskii sweep runs the same kind of check per slice; a slice that
+fails is swept again with the per-shift time factor folded into the base,
+(d (m mesh)^(hexp/power) / B)^power with B the largest base, so it returns
+the finite value rather than 0, inf or NaN.
 
 Mixed equals Riesz on every grid.  Let q = 1/delta, and split a block I at
 grid points into blocks J_j with endpoint distances d_j.
@@ -265,21 +278,39 @@ def dense_columns(matrix: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.swapaxes(matrix[..., lo : hi + 1, lo + 1 : hi + 1], -1, -2)
 
 
-def _columns(path, lo, hi):
+def _columns(path, lo, hi, width=None):
     """Distances d(f_i, f_j) of the columns j = lo+1..hi, in blocks.
 
     Yields ``(j0, block)`` with ``block[c, r]`` = d(f_(lo+r), f_(j0+c)) for at
     least every r with lo+r < j0+c.  Euclidean paths compute the blocks from
-    their values, about ``_BLOCK_CELLS`` cells at a time, so no (M+1)^2
-    matrix is built; group paths slice their cached distance matrix.
+    their values, ``width`` columns (by default about ``_BLOCK_CELLS`` cells)
+    at a time, so no (M+1)^2 matrix is built; group paths slice their cached
+    distance matrix.
     """
     if isinstance(path, GroupPath):
         if hi > lo:
             yield lo + 1, dense_columns(path.distance_matrix, lo, hi)
         return
-    width = max(1, _BLOCK_CELLS // ((hi - lo + 1) * path.dim))
+    width = width or max(1, _BLOCK_CELLS // ((hi - lo + 1) * path.dim))
     for j0 in range(lo + 1, hi + 1, width):
         yield j0, path.distance_block(lo, j0, min(j0 + width, hi + 1))
+
+
+def _family_columns(paths, lo, hi):
+    """The ``_columns`` blocks of paths on one grid, stacked on a leading axis.
+
+    Yields ``(j0, block)`` with ``block[b]`` the block of ``paths[b]``, about
+    ``_BLOCK_CELLS`` cells in all; one path's blocks get a length-1 axis
+    without a copy.  A distance does not depend on the block it is computed
+    in, so every slice holds the values of the path's own ``_columns``.
+    """
+    if len(paths) == 1:
+        for j0, block in _columns(paths[0], lo, hi):
+            yield j0, block[None]
+        return
+    width = max(1, _BLOCK_CELLS // ((hi - lo + 1) * sum(f.dim for f in paths)))
+    for parts in zip(*(_columns(f, lo, hi, width) for f in paths)):
+        yield parts[0][0], np.stack([block for _, block in parts])
 
 
 def _shift_distances(path, m, lo, hi) -> np.ndarray:
@@ -291,8 +322,9 @@ def _shift_distances(path, m, lo, hi) -> np.ndarray:
 
 def _gaps(times, lo, j0, block, fill) -> np.ndarray:
     # t_j - t_i over the cells of a column block whose first row is column
-    # j0 (see ``_columns``); ``fill`` in the cells with i >= j
-    gap = times[j0 : j0 + block.shape[0], None] - times[None, lo : lo + block.shape[1]]
+    # j0 (see ``_columns``), batch axes dropped; ``fill`` in the cells with i >= j
+    rows, cols = block.shape[-2:]
+    gap = times[j0 : j0 + rows, None] - times[None, lo : lo + cols]
     return np.where(gap > 0, gap, fill)
 
 
@@ -440,10 +472,56 @@ def dp_power_table(weight: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return b
 
 
-def _riesz_weight(block, times, lo, j0, delta, p):
-    # weights d^p / (v-u)^(delta*p-1) of a column block.  Cells with i >= j,
-    # never read by a DP, get a unit gap.
-    return block**p * _gaps(times, lo, j0, block, 1.0) ** (1.0 - delta * p)
+def _riesz_family(columns, paths, lo, hi, members) -> list[float]:
+    """Riesz variations over [lo, hi] of paths on one grid, one per member.
+
+    ``columns()`` yields the stacked distance column blocks of ``paths``
+    (``_family_columns``), once per pass.  A member ``(b, delta, p)`` asks
+    for ``riesz_norm(paths[b], delta, p)`` with p finite; its parameters are
+    checked here.  Each member gets its own scale s and range check
+    (``_riesz_unfused_fits``).  The members whose weights
+    (d/s)^p / (v-u)^(delta*p-1) are formed as written share one batched
+    ``dp_partition_sup``, whose slices equal the per-member DPs bit for bit;
+    a member out of range takes the fused weights on its own.  Cells with
+    i >= j, never read by a DP, get a unit gap.
+    """
+    times = paths[0].grid.times
+    values, written, bounds = [0.0] * len(members), [], {}
+    for slot, (b, delta, p) in enumerate(members):
+        _check_delta(delta)
+        p = _finite_p(_check_riesz_p(delta, p), "a Riesz family")
+        if b not in bounds:
+            bounds[b] = _distance_bound(paths[b], lo, hi)
+        if bounds[b] == 0.0:  # constant on [lo, hi]
+            continue
+        s = _scale(bounds[b], p)
+        if _riesz_unfused_fits(paths[b], lo, hi, delta, p, bounds[b], s):
+            written.append((slot, b, s, 1.0 - delta * p, p))
+            continue
+        s, weights = _fused_weights(partial(_slices, columns, b), times, lo, p, 1.0 - delta * p)
+        values[slot] = dp_partition_sup(weights, lo, hi) ** (1.0 / p) * s
+    if written:
+        def weights(j0, block):
+            gap = _gaps(times, lo, j0, block, 1.0)
+            factors = {e: gap**e for _, _, _, e, _ in written}
+            w = np.empty((len(written), *block.shape[-2:]))
+            for row, (_, b, s, e, p) in zip(w, written):
+                np.divide(block[b], s, out=row)
+                row **= p
+                row *= factors[e]
+            return w
+
+        best = dp_partition_sup((weights(j0, block) for j0, block in columns()), lo, hi,
+                                batch=(len(written),))
+        for (slot, _, s, _, p), v in zip(written, best):
+            values[slot] = float(v) ** (1.0 / p) * s
+    return values
+
+
+def _slices(columns, b):
+    # the column blocks of member path b out of a stack of them
+    for j0, block in columns():
+        yield j0, block[b]
 
 
 def _require_uniform(path):
@@ -487,23 +565,12 @@ def qvar_norm(path, q: float, interval=None) -> float:
 def riesz_norm(path, delta: float, p, interval=None) -> float:
     """Riesz variation ( sup_P sum d^p / (v-u)^(delta*p-1) )^(1/p); p = P_INF is Hoelder."""
     _check_delta(delta)
-    p = _check_riesz_p(delta, p)
-    if p is P_INF:
+    if _check_riesz_p(delta, p) is P_INF:
         return holder_norm(path, delta, interval)
     _check_path(path)
-    times = path.grid.times
     lo, hi = path.grid.resolve_interval(interval)
-    bound = _distance_bound(path, lo, hi)
-    if bound == 0.0:  # constant on [lo, hi]
-        return 0.0
-    s = _scale(bound, p)
-    if _riesz_unfused_fits(path, lo, hi, delta, p, bound, s):
-        weights = (_riesz_weight(block / s, times, lo, j0, delta, p)
-                   for j0, block in _columns(path, lo, hi))
-    else:
-        s, weights = _fused_weights(partial(_columns, path, lo, hi), times, lo, p,
-                                    1.0 - delta * p)
-    return dp_partition_sup(weights, lo, hi) ** (1.0 / p) * s
+    columns = partial(_family_columns, [path], lo, hi)
+    return _riesz_family(columns, [path], lo, hi, [(0, delta, p)])[0]
 
 
 def mixed_norm(path, delta: float, p, interval=None) -> float:
@@ -556,53 +623,102 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
 
 
 def shift_partition_sup(columns, times: np.ndarray, lo: int, hi: int,
-                        power: float, hexp: float) -> float:
+                        power: float, hexp: float, root: float, batch: tuple = ()):
     """Partition sup of the ``oracle.shift_sup_table`` values over [lo, hi], in O(M^2).
 
-    Equals ``dp_partition_sup([dense_columns(oracle.shift_sup_table(...), lo, hi)])``
-    without the table: with c_m = (m*mesh)^hexp * mesh and S_m[k] the sum of
-    d(r, r+m)^power over lo <= r < k, the DP runs
+    Returns the sup to the power ``root`` (1/power up to rounding), the value
+    of ``dp_partition_sup([dense_columns(oracle.shift_sup_table(...), lo, hi)])
+    ** root`` without the table: with c_m = (m*mesh)^hexp * mesh and S_m[k]
+    the sum of d(r, r+m)^power over lo <= r < k, the DP runs
     best[j] = max_m ( c_m S_m[j-m] + R_m ), R_m = max_{i <= j-m} (best[i] - c_m S_m[i]),
     keeping a_m = S_m[j-m] and R_m for every shift m as it goes (see the
-    module docstring).  ``columns`` are the distance column blocks of
-    ``dp_partition_sup``; column j adds d(j-m, j)^power to a_m after
-    best[j] is taken.
+    module docstring).  ``columns()`` yields the distance column blocks
+    ``(j0, block)`` of ``_columns``, once per pass; column j adds
+    d(j-m, j)^power to a_m after best[j] is taken.  Blocks may carry leading
+    batch axes, ``(*batch, rows, cols)``: the sweep then runs for every
+    slice at once and returns an array of shape ``batch``.  Its ops are
+    elementwise or exact maxima, so every slice equals the call on that
+    slice alone bit for bit.
 
-    An O(M) check after the sweep raises ``ParameterError`` when the value is
-    not finite, or when the powers or coefficients that left the normal float
-    range could have lost more than 2^-64 of it; a zero value with zero step
-    distances is returned as 0.
+    An O(M) check after the sweep finds, per slice, a value that is not
+    finite, or powers and coefficients outside the normal float range that
+    could have lost more than 2^-64 of it; a zero value with zero step
+    distances passes.  A slice that fails is swept again on its own with the
+    time factor folded into the base (``_fused_shift_sup``).
     """
     span = hi - lo
     if span <= 0:
-        return 0.0
+        return np.zeros(batch) if batch else 0.0
     dt = (times[hi] - times[lo]) / span
-    acc, run = np.zeros(span), np.zeros(span)
-    best, steps = np.zeros(span + 1), np.zeros(span)
-    c = 1
+    shifts = np.arange(1, span + 1) * dt
+    values = np.empty(batch)
     with np.errstate(over="ignore", invalid="ignore"):
-        coef = (np.arange(1, span + 1) * dt) ** hexp * dt
-        for block in columns:
-            for col in block:
-                ca = coef[:c] * acc[:c]
-                np.maximum(run[:c], best[c - 1 :: -1] - ca, out=run[:c])
-                best[c] = (ca + run[:c]).max()
-                acc[:c] += col[c - 1 :: -1] ** power
-                steps[c - 1] = col[c - 1]
-                c += 1
-    value = float(best[-1])
+        best, kept = _shift_sweep(columns(), shifts**hexp * dt, power, batch)
+        for idx in np.ndindex(batch):
+            values[idx] = (float(best[idx]) ** root if kept[idx] else
+                           _fused_shift_sup(columns, idx, lo, hi, shifts, power, hexp, root))
+    return values if batch else float(values)
+
+
+def _shift_sweep(blocks, coef, power, batch):
+    """The sweep of ``shift_partition_sup`` with coefficients ``coef`` (c_m).
+
+    Returns the partition sums best[hi] (shape ``batch``) and whether each
+    passes the range check.
+    """
+    span = coef.size
+    acc, run, steps = (np.zeros((*batch, span)) for _ in range(3))
+    best = np.zeros((*batch, span + 1))
+    flip = (slice(None, None, -1),) * len(batch)
+    c = 1
+    for _, block in blocks:
+        for r in range(block.shape[-2]):
+            ca = coef[:c] * acc[..., :c]
+            np.maximum(run[..., :c], best[..., c - 1 :: -1] - ca, out=run[..., :c])
+            best[..., c] = (ca + run[..., :c]).max(axis=-1)
+            # d(j-m, j)^power for m = 1..c, raised as one reversed 1-D array:
+            # NumPy applies the C pow there, while on positive strides it may
+            # take a SIMD pow that differs in the last ulp, so a batch would
+            # not match its slices
+            rev = np.ascontiguousarray(block[..., r, :c]).reshape(-1)[::-1] ** power
+            acc[..., :c] += rev.reshape(*batch, c)[flip]
+            steps[..., c - 1] = block[..., r, c - 1]
+            c += 1
+    value = best[..., -1]
     # underflow loses less than 2^-1022 per power (times c_m) and per product
     # c_m a_m, and less than 2^-1022 a_m through a subnormal c_m; the last
     # column's distances enter no Riemann sum
     tiny = 2.0**-1022
-    lost = tiny * span * (float(coef.max()) + 1.0) + tiny * float(acc[coef < tiny].sum())
-    if not (math.isfinite(value) and np.isfinite(coef).all()
-            and (value >= 2.0**64 * lost or (value == 0.0 and not steps[:-1].any()))):
-        raise ParameterError(
-            f"the Nikolskii-type partition sum at power {power:g} leaves the float range "
-            "(the result would be 0, inf or NaN); rescale the path"
-        )
-    return value
+    lost = tiny * span * (coef.max() + 1.0) + tiny * acc[..., coef < tiny].sum(axis=-1)
+    flat = (value == 0.0) & ~steps[..., :-1].any(axis=-1)
+    kept = np.isfinite(value) & np.isfinite(coef).all() & ((value >= 2.0**64 * lost) | flat)
+    return value, kept
+
+
+def _fused_shift_sup(columns, idx, lo, hi, shifts, power, hexp, root) -> float:
+    """The sup of ``shift_partition_sup`` for slice ``idx``, time factor folded into the base.
+
+    c_m d^power = mesh (d (m mesh)^(hexp/power))^power, so the sweep runs on
+    the bases divided by B, the largest base of a cell that enters a sum (a
+    first pass over the columns; the last column enters none), with every
+    coefficient the mesh; the largest term is then exactly mesh and the
+    value is B sup^root.  Zero distances give B = 1 and 0.
+    """
+    factor = shifts ** (hexp / power)
+
+    def bases():
+        for j0, block in columns():
+            d = block[idx]
+            j = j0 + np.arange(d.shape[-2])[:, None]
+            m = j - lo - np.arange(d.shape[-1])
+            live = (m >= 1) & (j < hi)
+            yield j0, np.where(live, d * factor[np.clip(m, 1, None) - 1], 0.0)
+
+    s = max(float(base.max()) for _, base in bases()) or 1.0
+    mesh = shifts[0]
+    best, _ = _shift_sweep(((j0, base / s) for j0, base in bases()),
+                           np.full(shifts.size, mesh), power, ())
+    return s * float(best) ** root
 
 
 def refined_nikolskii_norm(path, delta: float, p, interval=None) -> float:
@@ -620,8 +736,8 @@ def refined_nikolskii_norm(path, delta: float, p, interval=None) -> float:
         return nikolskii_norm(path, delta, p, interval)
     _check_path(path)
     lo, hi = path.grid.resolve_interval(interval)
-    columns = (block for _, block in _columns(path, lo, hi))
-    return shift_partition_sup(columns, path.grid.times, lo, hi, p, -delta * p) ** (1.0 / p)
+    return shift_partition_sup(partial(_columns, path, lo, hi), path.grid.times, lo, hi,
+                               p, -delta * p, 1.0 / p)
 
 
 def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:

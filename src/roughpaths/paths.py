@@ -299,15 +299,17 @@ def lift(path: EuclideanPath, depth: int) -> GroupPath:
     d = path.increments()
     steps = d.shape[0]
     e = [np.ones((steps, 1))]
-    for k in range(1, depth + 1):
-        e.append((e[-1][:, :, None] * d[:, None, :]).reshape(steps, -1) / k)
     s = [np.ones((steps + 1, 1))]
-    for k in range(1, depth + 1):
-        inc = 0.0
-        for i in range(k):
-            term = s[i][:-1, :, None] * e[k - i][:, None, :]
-            inc = inc + term.reshape(steps, -1)
-        s.append(np.cumsum(np.vstack([np.zeros((1, inc.shape[1])), inc]), axis=0))
+    # a level that overflows is rejected by ``GroupPath`` (ParameterError)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, depth + 1):
+            e.append((e[-1][:, :, None] * d[:, None, :]).reshape(steps, -1) / k)
+        for k in range(1, depth + 1):
+            inc = 0.0
+            for i in range(k):
+                term = s[i][:-1, :, None] * e[k - i][:, None, :]
+                inc = inc + term.reshape(steps, -1)
+            s.append(np.cumsum(np.vstack([np.zeros((1, inc.shape[1])), inc]), axis=0))
     return GroupPath(path.grid, tuple(s))
 
 

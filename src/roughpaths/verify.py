@@ -15,20 +15,24 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .distances import (
     DistKind,
+    LevelDistanceSpec,
+    _level_partition_sup,
     level_diff_matrix,
     rho_aggregate,
     rho_mixed_level,
-    rho_nikolskii_hat_level,
-    rho_riesz_level,
 )
 from .exceptions import BlowUpError, ParameterError
 from .norms import (
+    _family_columns,
+    _require_uniform,
+    _riesz_family,
     dense_columns,
     dp_partition_sup,
     dp_power_table,
@@ -39,6 +43,7 @@ from .norms import (
     qvar_norm,
     refined_nikolskii_norm,
     riesz_norm,
+    shift_partition_sup,
 )
 from .paths import EuclideanPath, GroupPath, TimeGrid, lift, resample_uniform
 from .rde import RdeConfig, Scheme, VectorField, max_point_norm, solve_bv, solve_rough
@@ -372,28 +377,31 @@ def check_embedding_chain(paths, delta, p, seed=0) -> list[CheckRecord]:
     pprime = p - 1.0
     d_ok = dprime > 0 and p * dprime >= 1.0
     p_ok = pprime * delta >= 1.0
+    # the Riesz norms at (delta, p), (delta', p) and (delta, p') of one
+    # path and interval come from one family call
+    members = [(0, delta, p)] + [(0, dprime, p)] * d_ok + [(0, delta, pprime)] * p_ok
     for f in paths:
         t = f.grid.times
         for s, u in _sub_intervals(rng, t, 3):
             iv = (s, u)
             length = u - s
-            rz = riesz_norm(f, delta, p, iv)
+            i, j = f.grid.resolve_interval(iv)
+            rz, *others = _riesz_family(partial(_family_columns, [f], i, j), [f], i, j, members)
             worst_interp = max(
                 worst_interp,
                 _safe_ratio(qvar_norm(f, 1.0 / delta, iv), rz * length ** (delta - 1.0 / p)),
             )
-            i, j = f.grid.index_of(s), f.grid.index_of(u)
             dend = float(np.linalg.norm(f.values[j] - f.values[i]))
             worst_point = max(worst_point, _safe_ratio(dend, rz * length ** (delta - 1.0 / p)))
             if d_ok:
                 worst_dmono = max(
                     worst_dmono,
-                    _safe_ratio(riesz_norm(f, dprime, p, iv), length ** (delta - dprime) * rz),
+                    _safe_ratio(others.pop(0), length ** (delta - dprime) * rz),
                 )
             if p_ok:
                 worst_pmono = max(
                     worst_pmono,
-                    _safe_ratio(riesz_norm(f, delta, pprime, iv), length ** (1.0 / pprime - 1.0 / p) * rz),
+                    _safe_ratio(others.pop(0), length ** (1.0 / pprime - 1.0 / p) * rz),
                 )
         if f.grid.is_uniform:
             worst_nik = max(
@@ -652,14 +660,51 @@ def _nested_mixed(family, delta, ps, k=None) -> list[list[float]]:
     return values
 
 
+def _family_riesz(family, delta, ps) -> list[list[float]]:
+    """``riesz_norm`` of every path of ``family`` at every p of ``ps``, laid
+    out as ``_nested_mixed``: one Riesz family call per same-grid chunk and
+    p, on distance columns computed once per chunk."""
+    values = [[] for _ in ps]
+    for times, chunk in _family_chunks(family, None):
+        m = len(times) - 1
+        blocks = list(_family_columns(chunk, 0, m))
+        for out, p in zip(values, ps):
+            out.extend(_riesz_family(lambda: blocks, chunk, 0, m,
+                                     [(b, delta, p) for b in range(len(chunk))]))
+    return values
+
+
+def _family_refined_nikolskii(family, delta, p, k=None) -> list[float]:
+    """``refined_nikolskii_norm`` of every path of ``family`` (``k`` None), or
+    ``rho_nikolskii_hat_level`` of every pair ``(x1, x2)`` at level k: one
+    batched ``shift_partition_sup`` per same-grid chunk."""
+    values = []
+    for times, chunk in _family_chunks(family, k):
+        _require_uniform(chunk[0] if k is None else chunk[0][0])
+        m = len(times) - 1
+        if k is None:
+            columns, power, root = partial(_family_columns, chunk, 0, m), p, 1.0 / p
+        else:
+            cols = _level_columns(chunk, k)
+            columns, power, root = (lambda: [(1, cols)]), p / k, k / p
+        values.extend(shift_partition_sup(columns, times, 0, m, power, -delta * p, root,
+                                          batch=(len(chunk),)).tolist())
+    return values
+
+
+def _level_columns(chunk, k):
+    # dense columns of the stacked level-k difference matrices of a chunk of pairs
+    return dense_columns(_distance_stack(chunk, k), 0, len(chunk[0][0].grid) - 1)
+
+
 def check_riesz_eq_mixed(paths, delta, ps) -> list[CheckRecord]:
     """Grid equality of the Riesz norm and the nested mixed norm (constant 1
     both ways), one record per p of ``ps``."""
     recs = []
-    for p, nested in zip(ps, _nested_mixed(paths, delta, ps)):
+    for p, riesz, nested in zip(ps, _family_riesz(paths, delta, ps),
+                                _nested_mixed(paths, delta, ps)):
         dev = 0.0
-        for f, b in zip(paths, nested):
-            a = riesz_norm(f, delta, p)
+        for a, b in zip(riesz, nested):
             dev = max(dev, abs(a - b) / max(a, b, 1e-300))
         recs.append(equality_record("riesz_eq_mixed", dev,
                                     params={"delta": delta, "p": p, "paths": len(paths)},
@@ -674,9 +719,8 @@ def check_riesz_characterization(paths, refined_paths, delta, p) -> list[CheckRe
 
     def two_sided(fams):
         c1 = c2 = 0.0
-        for f in fams:
-            mv = mixed_norm(f, delta, p)
-            nh = refined_nikolskii_norm(f, delta, p)
+        (mixed,) = _family_riesz(fams, delta, [p])  # mixed equals Riesz on every grid
+        for mv, nh in zip(mixed, _family_refined_nikolskii(fams, delta, p)):
             c1 = max(c1, _safe_ratio(nh, mv))
             c2 = max(c2, _safe_ratio(mv, nh))
         return c1, c2
@@ -698,27 +742,36 @@ def check_riesz_characterization(paths, refined_paths, delta, p) -> list[CheckRe
 # distance checks and the control function
 # ---------------------------------------------------------------------------
 
+def _family_riesz_level(pairs, delta, p, k) -> list[float]:
+    """``rho_riesz_level`` of every pair at level k: one batched level
+    partition sup per same-grid chunk."""
+    values = []
+    for times, chunk in _family_chunks(pairs, k):
+        members = [(b, p, 1.0 - delta * p) for b in range(len(chunk))]
+        values.extend(_level_partition_sup(_level_columns(chunk, k), times, 0, len(times) - 1,
+                                           k, members))
+    return values
+
+
 def check_distance_equivalences(pairs, delta, p, refined_pairs=None) -> list[CheckRecord]:
     """Distance-level analogues: grid equality of rho_riesz and the nested
     rho_mixed per level, reported two-sided constants against the
     Nikolskii-hat distance (with the Nikolskii-hat ball bound logged), and
     symmetry."""
+    LevelDistanceSpec(DistKind.RIESZ, delta, p)  # checks delta and p
     depth = pairs[0][0].depth
     pr = {"delta": delta, "p": p, "depth": depth, "pairs": len(pairs)}
-    nested = [_nested_mixed(pairs, delta, [p], k)[0] for k in range(1, depth + 1)]
     dev = 0.0
     c1 = c2 = 0.0
-    ball = 0.0
-    for i, (x1, x2) in enumerate(pairs):
-        for k in range(1, depth + 1):
-            a = rho_riesz_level(x1, x2, delta, p, k)
-            b = nested[k - 1][i]
+    for k in range(1, depth + 1):
+        for a, b, nh in zip(_family_riesz_level(pairs, delta, p, k),
+                            _nested_mixed(pairs, delta, [p], k)[0],
+                            _family_refined_nikolskii(pairs, delta, p, k)):
             dev = max(dev, abs(a - b) / max(a, b, 1e-300))
-            nh = rho_nikolskii_hat_level(x1, x2, delta, p, k)
             c1 = max(c1, _safe_ratio(nh, b))
             c2 = max(c2, _safe_ratio(b, nh))
-        for x in (x1, x2):
-            ball = max(ball, refined_nikolskii_norm(x, delta, p))
+    ball = max(max(_family_refined_nikolskii([x for x, _ in pairs], delta, p)),
+               max(_family_refined_nikolskii([x for _, x in pairs], delta, p)))
     x1, x2 = pairs[0]
     sym_dev = abs(
         rho_aggregate(x1, x2, DistKind.RIESZ, delta=delta, p=p)
@@ -735,10 +788,10 @@ def check_distance_equivalences(pairs, delta, p, refined_pairs=None) -> list[Che
     ]
     if refined_pairs is not None:
         c1f = c2f = 0.0
-        for x1, x2 in refined_pairs:
-            for k in range(1, depth + 1):
-                b = rho_mixed_level(x1, x2, delta, p, k)
-                nh = rho_nikolskii_hat_level(x1, x2, delta, p, k)
+        for k in range(1, depth + 1):
+            # rho_mixed_level equals rho_riesz_level on every grid
+            for b, nh in zip(_family_riesz_level(refined_pairs, delta, p, k),
+                             _family_refined_nikolskii(refined_pairs, delta, p, k)):
                 c1f = max(c1f, _safe_ratio(nh, b))
                 c2f = max(c2f, _safe_ratio(b, nh))
         for name, c0, cf in (("dist_nhat_over_mixed", c1, c1f),

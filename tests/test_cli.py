@@ -518,3 +518,96 @@ def test_norm_and_dist_fuzz_exit_cleanly(fuzz_csvs, argv):
         assert math.isfinite(float(out.getvalue().split("\n")[0]))
     else:
         assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+
+
+# ---------------------------------------------------------------------------
+# fuzz: solve never crashes, traces back or warns
+# ---------------------------------------------------------------------------
+
+_SCALES = st.sampled_from([1.0, 1.0, 1e-3, 1e3, 1e150, 0.0])
+_BAD_CELLS = st.sampled_from(["nan", "inf", "-inf", "", "x", "1e400", "-1e300", "5e-324"])
+
+
+@st.composite
+def driver_csvs(draw):
+    # mostly well-formed drivers, with an occasional malformed header, grid or cell
+    n = draw(st.integers(1, 3))
+    rows = draw(st.integers(0, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    horizon = draw(st.sampled_from([1.0, 1.0, 1e-9, 1e9]))
+    times = (np.linspace(0.0, horizon, rows) if draw(st.booleans())
+             else np.concatenate([[0.0], np.sort(rng.uniform(0.0, horizon, max(rows - 1, 0)))]))
+    values = draw(_SCALES) * np.cumsum(rng.standard_normal((rows, n)), axis=0)
+    cells = [[repr(float(v)) for v in (t, *row)] for t, row in zip(times, values)]
+    if cells and draw(st.integers(0, 9)) == 0:
+        cells[draw(st.integers(0, rows - 1))][draw(st.integers(0, n))] = draw(_BAD_CELLS)
+    header = "t," + ",".join(f"x{i}" for i in range(1, n + 1))
+    if draw(st.integers(0, 19)) == 0:
+        header = draw(st.sampled_from(["", "t", "x1,t", "t,x2", "t,x1,x1"]))
+    return "\n".join([header] + [",".join(c) for c in cells]) + "\n", n
+
+
+@st.composite
+def field_specs(draw, n):
+    # n driver dimensions, m state dimensions; shapes and entries mostly admissible
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.sampled_from([n, n, n, n + 1]))
+
+    def coefficient(shape):
+        if draw(st.integers(0, 19)) == 0:
+            return draw(st.sampled_from(["abc", [], [[1.0]], None, float("nan")]))
+        return (draw(_SCALES) * rng.standard_normal(shape)).tolist()
+
+    coefficients = {"matrices": coefficient((dims, m, m)), "offsets": coefficient((dims, m))}
+    if draw(st.booleans()):
+        coefficients["quadratics"] = coefficient((dims, m, m, m))
+    spec = {"family": draw(st.sampled_from(["linear", "affine", "polynomial", "Polynomial",
+                                            "bogus"])),
+            "m": draw(st.sampled_from([m, m, m, "x", 0])), "n": dims,
+            "coefficients": coefficients}
+    for key, values in (("box_radius", [10.0, 1e-6, 1e300, -1.0, float("nan"), "r"]),
+                        ("lip_gamma", [2.5, 1.0, 0.0, float("inf"), "g"])):
+        if draw(st.booleans()):
+            spec[key] = draw(st.sampled_from(values))
+    text = json.dumps(spec)  # NaN and Infinity as JSON extensions
+    if draw(st.integers(0, 19)) == 0:
+        text = draw(st.sampled_from(["", "[]", "{", "null", '"linear"', text[:-1]]))
+    y0 = ",".join(repr(float(v)) for v in draw(_SCALES) * rng.standard_normal(m))
+    if draw(st.integers(0, 9)) == 0:
+        y0 = draw(st.sampled_from(["", "1,", "nan", "1e400", "a", "1," * m + "1"]))
+    return text, y0
+
+
+@st.composite
+def solve_calls(draw):
+    csv, n = draw(driver_csvs())
+    text, y0 = draw(field_specs(n))
+    depth = draw(st.sampled_from(["1", "1", "2", "2", "3", "3", "0", "4"]))
+    substeps = draw(st.sampled_from(["1", "1", "1", "2", "5", "0", "-1"]))
+    return csv, text, ["--y0", y0, "--depth", depth, "--substeps", substeps]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(solve_calls())
+@example(("t,x1\n0.0,0.0\n1.0,1e149\n",
+          '{"family": "linear", "m": 1, "n": 1, "coefficients": {"matrices": [[[1.0]]]}}',
+          ["--y0", "1", "--depth", "3", "--substeps", "1"]))  # the lift overflows
+def test_solve_fuzz_exits_cleanly(tmp_path_factory, call):
+    csv, text, options = call
+    root = tmp_path_factory.mktemp("solve")
+    (root / "driver.csv").write_text(csv, encoding="utf-8")
+    (root / "field.json").write_text(text, encoding="utf-8")
+    argv = ["solve", str(root / "driver.csv"), "--field", str(root / "field.json"), *options]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4, 5), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    if code == 0:
+        assert all(math.isfinite(float(v)) for v in out.getvalue().strip().split(","))
+    else:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""

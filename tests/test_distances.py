@@ -293,13 +293,16 @@ def test_nikolskii_hat_sweep_equals_table_dp_and_oracle(m, seed, dim, depth, dp,
     assert got == pytest.approx(oracle_rho_nikolskii_hat(x1, x2, delta, p, k, span), rel=1e-9)
 
 
-def test_nikolskii_hat_out_of_float_range_raises(rng):
+def test_nikolskii_hat_out_of_float_range_folds_the_time_factor(rng):
+    # scaling the paths by c scales D_k by c^k: the sums as written under- or
+    # overflow at p = 300, and the folded sweep gives c^k times the value
     x1, x2, p1, p2 = make_pair(rng, intervals=64)
     assert rho_nikolskii_hat_level(x1, x1, 0.5, 300.0, 1) == 0.0  # zero, not out of range
     for c in (1e-3, 1e3):
         y1, y2 = (lift(EuclideanPath(p.grid, c * p.values), 2) for p in (p1, p2))
-        with pytest.raises(ParameterError):
-            rho_nikolskii_hat_level(y1, y2, 0.5, 300.0, 1)
+        for k in (1, 2):
+            assert rho_nikolskii_hat_level(y1, y2, 0.5, 300.0, k) == pytest.approx(
+                c**k * rho_nikolskii_hat_level(x1, x2, 0.5, 300.0, k), rel=1e-12)
 
 
 def test_level_distances_at_huge_exponents(rng):

@@ -743,7 +743,7 @@ def test_shift_partition_sup_equals_table_dp_and_oracle(case):
     dist = path.distance_matrix
     # the dense columns give the streamed value bit for bit
     assert got == norms_module.shift_partition_sup(
-        [dense_columns(dist, lo, hi)], times, lo, hi, p, -delta * p) ** (1.0 / p)
+        lambda: [(lo + 1, dense_columns(dist, lo, hi))], times, lo, hi, p, -delta * p, 1.0 / p)
     table = shift_sup_table(dist, times, lo, hi, p, -delta * p)
     want = dp_partition_sup([dense_columns(table, lo, hi)], lo, hi) ** (1.0 / p)
     assert got == pytest.approx(want, rel=1e-12)
@@ -792,7 +792,8 @@ def _nikolskii_as_written(f, delta, p):
 
 def test_nikolskii_family_at_large_p(rng):
     # at delta = 0.5, p = 300 the powers d^p of a walk scaled by 1e-3 or 1e3
-    # underflow or overflow; the time factor (m mesh)^(-150) is constant per shift
+    # underflow or overflow; the time factor (m mesh)^(-150) is constant per
+    # shift, and the refined sweep folds it into the base
     f = random_walk_path(rng, 64, 2)
     nik, sob = nikolskii_norm(f, 0.5, 300.0), frac_sobolev_norm(f, 0.5, 300.0)
     assert nik == _nikolskii_as_written(f, 0.5, 300.0)  # in range: the formula as written
@@ -801,8 +802,9 @@ def test_nikolskii_family_at_large_p(rng):
         g = EuclideanPath(f.grid, c * f.values)
         assert nikolskii_norm(g, 0.5, 300.0) == pytest.approx(c * nik, rel=1e-12)
         assert frac_sobolev_norm(g, 0.5, 300.0) == pytest.approx(c * sob, rel=1e-12)
-        with pytest.raises(ParameterError):
-            refined_nikolskii_norm(g, 0.5, 300.0)
+        refined = refined_nikolskii_norm(g, 0.5, 300.0)
+        assert refined == pytest.approx(c * refined_nikolskii_norm(f, 0.5, 300.0), rel=1e-12)
+        assert refined >= nikolskii_norm(g, 0.5, 300.0)
         assert refined_nikolskii_norm(g, 0.5, P_INF) == pytest.approx(
             c * refined_nikolskii_norm(f, 0.5, P_INF), rel=1e-12)
     # zero distances are not a range failure

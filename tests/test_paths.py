@@ -128,6 +128,14 @@ def test_lift_depth_cap():
         lift(path, 5)
 
 
+def test_lift_that_overflows_raises_without_warning():
+    # level 3 of a step of 1e150 is about 1e450: a ParameterError, not a RuntimeWarning
+    path = EuclideanPath(TimeGrid.uniform(2), [[0.0], [1e150], [0.0]])
+    assert lift(path, 2).depth == 2
+    with pytest.raises(ParameterError, match="level 3 contains non-finite entries"):
+        lift(path, 3)
+
+
 @pytest.mark.parametrize("depth", [2.0, "2", None])
 def test_lift_rejects_non_integer_depth(depth):
     path = EuclideanPath(TimeGrid.uniform(2), np.zeros((3, 2)))
