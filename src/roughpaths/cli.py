@@ -7,10 +7,11 @@ Subcommands:
     solve   integrate dY = V(Y) dX along a CSV driver
     verify  run a verification suite and persist JSON/CSV reports
 
-Path CSV format: header ``t,x1,...,xn``, one row per grid point, UTF-8,
-LF line endings, plain decimal floats; times start at 0 and increase
-strictly.  Floats in all outputs use the shortest round-trip
-representation, so identical inputs give byte-identical reports.
+Path CSV format: header ``t,x1,...,xn``, one row per grid point, UTF-8
+(a leading byte order mark is skipped), LF line endings, plain decimal
+floats; times start at 0 and increase strictly.  Floats in all outputs use
+the shortest round-trip representation, so identical inputs give
+byte-identical reports.
 
 Exit codes: 0 success; 1 verification failure; 2 CSV parse error (message
 carries the line number); 3 parameter violation, command-line usage error
@@ -22,6 +23,7 @@ internal error (one ``error:`` line naming the exception, no traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -56,9 +58,14 @@ EXIT_INTERNAL = 6
 # ---------------------------------------------------------------------------
 
 def read_path_csv(path) -> EuclideanPath:
-    """Parse a ``t,x1,...,xn`` CSV into a sampled path."""
+    """Parse a ``t,x1,...,xn`` CSV into a sampled path.
+
+    Every line's field count is checked, then one ``np.array(..., dtype=float)``
+    call converts all the fields, parsing each as ``float()`` does.  Only when
+    that fails are the lines read one by one, to name the first bad line.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CsvFormatError(0, f"cannot read {path}: {exc}") from exc
     lines = [ln for ln in text.split("\n") if ln.strip() != ""]
@@ -71,21 +78,30 @@ def read_path_csv(path) -> EuclideanPath:
         if name != f"x{i}":
             raise CsvFormatError(1, f"column {i + 1} must be named x{i}, got {name!r}")
     ncols = len(header)
-    times, rows = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    try:
+        if any(len(fields) != ncols for fields in rows):
+            raise ValueError("wrong field count")
+        table = np.array(rows, dtype=float).reshape(-1, ncols)
+    except ValueError:
+        _raise_first_bad_line(rows, ncols)
+        raise
+    try:
+        return EuclideanPath(TimeGrid(table[:, 0]), table[:, 1:])
+    except ParameterError as exc:
+        raise CsvFormatError(0, str(exc)) from exc
+
+
+def _raise_first_bad_line(rows, ncols):
+    # the error of the first data line with a wrong field count or a field
+    # that float() rejects (line numbers count the header and skip blank lines)
+    for lineno, fields in enumerate(rows, start=2):
         if len(fields) != ncols:
             raise CsvFormatError(lineno, f"expected {ncols} fields, got {len(fields)}")
         try:
-            nums = [float(f) for f in fields]
+            [float(f) for f in fields]
         except ValueError as exc:
             raise CsvFormatError(lineno, str(exc)) from exc
-        times.append(nums[0])
-        rows.append(nums[1:])
-    try:
-        return EuclideanPath(TimeGrid(np.array(times)), np.array(rows))
-    except ParameterError as exc:
-        raise CsvFormatError(0, str(exc)) from exc
 
 
 def write_path_csv(path_obj: EuclideanPath, path) -> None:
@@ -327,9 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except CsvFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

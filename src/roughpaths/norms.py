@@ -46,6 +46,18 @@ per-matrix calls bit for bit (elementwise ops and exact maxima; the sweep
 raises its distances as reversed 1-D arrays, where NumPy applies the C pow
 whatever the batch).  The batch-free calls are the case ``batch = ()``.
 
+The weight kernels work in place, on arrays they allocated.  A Euclidean
+block is a fresh array per yield of ``_columns`` (no buffer is reused across
+yields), so q-variation, Nikolskii and fractional Sobolev raise and divide
+the block itself; Hoelder, Riesz and the fused weights raise, multiply and
+divide the gaps ``_gaps`` allocated for the block, or their own weight
+buffers.  A group path's block is a read-only view of its cached matrix and
+is never written (``_raised``).  The kernels keep the ``**`` / ``**=``
+operators, which take NumPy's fast paths for the exponents 2, 0.5 and -1,
+so the values do not change.  A block's cells with i >= j, which no DP
+reads, are the upper triangle of its trailing rows x rows square, and
+``_gaps`` and ``_fill_unread`` write their fill there and nowhere else.
+
 Family kernels serve many values in one DP loop.  ``_riesz_family`` takes
 the stacked distance columns of paths on one grid (``_family_columns``)
 and a list of members, each a path index with its (delta, p): every member
@@ -284,7 +296,8 @@ def _columns(path, lo, hi, width=None):
     Yields ``(j0, block)`` with ``block[c, r]`` = d(f_(lo+r), f_(j0+c)) for at
     least every r with lo+r < j0+c.  Euclidean paths compute the blocks from
     their values, ``width`` columns (by default about ``_BLOCK_CELLS`` cells)
-    at a time, so no (M+1)^2 matrix is built; group paths slice their cached
+    at a time, so no (M+1)^2 matrix is built, each block a fresh array that
+    the caller may overwrite; group paths slice their cached, read-only
     distance matrix.
     """
     if isinstance(path, GroupPath):
@@ -320,12 +333,34 @@ def _shift_distances(path, m, lo, hi) -> np.ndarray:
     return path.shift_distances(m, lo, hi)
 
 
+def _fill_unread(a, fill):
+    """Set the cells with i >= j of a column block ``a`` to ``fill``, in place.
+
+    Row c of a block whose first row is column j0 holds the rows i = lo,
+    lo+1, ... of column j0+c, and a block has j0 - lo + rows positions, so the
+    cells with i >= j are the upper triangle, diagonal included, of its
+    trailing rows x rows square; only that square is written.
+    """
+    rows = a.shape[-2]
+    r = np.arange(rows)
+    np.copyto(a[..., a.shape[-1] - rows :], fill, where=r[:, None] <= r)
+    return a
+
+
 def _gaps(times, lo, j0, block, fill) -> np.ndarray:
     # t_j - t_i over the cells of a column block whose first row is column
     # j0 (see ``_columns``), batch axes dropped; ``fill`` in the cells with i >= j
     rows, cols = block.shape[-2:]
-    gap = times[j0 : j0 + rows, None] - times[None, lo : lo + cols]
-    return np.where(gap > 0, gap, fill)
+    return _fill_unread(times[j0 : j0 + rows, None] - times[None, lo : lo + cols], fill)
+
+
+def _raised(a, e):
+    """``a ** e``, in place when ``a`` is writable (a fresh Euclidean block);
+    a read-only group-path block is left alone.  Both give the same bits."""
+    if not a.flags.writeable:
+        return a ** e
+    a **= e
+    return a
 
 
 def _distance_bound(path, lo, hi) -> float:
@@ -351,10 +386,24 @@ def _scale(bound, power) -> float:
     return 2.0 ** math.ceil(math.log2(bound))
 
 
-def _riesz_unfused_fits(path, lo, hi, delta, p, bound, s) -> bool:
+def _step_profile(path, lo, hi):
+    """What ``_riesz_unfused_fits`` reads of a path on [lo, hi], computed once per path.
+
+    The step distances, log2 of the time steps, the shortest step, the span
+    t_hi - t_lo and the largest speed (step distance over time step).
+    """
+    steps = _shift_distances(path, 1, lo, hi)
+    times = path.grid.times
+    dt = np.diff(times[lo : hi + 1])
+    return (steps, np.log2(dt), float(dt.min()), float(times[hi] - times[lo]),
+            float(np.max(steps / dt)))
+
+
+def _riesz_unfused_fits(profile, delta, p, bound, s) -> bool:
     """Whether the Riesz weights (d/s)^p * g^e, e = 1 - delta*p, may be formed as written.
 
-    O(M) bounds in log2 units, g the block length t_j - t_i.  The time
+    ``profile`` is the path's ``_step_profile`` on [lo, hi].  O(M) bounds in
+    log2 units, g the block length t_j - t_i.  The time
     factor g^e is monotone in g, so its extremes sit at the shortest step and
     at t_hi - t_lo.  A block of length g has d <= min(bound, g L), L the
     largest step distance over its time step, so a weight is at most
@@ -365,19 +414,15 @@ def _riesz_unfused_fits(path, lo, hi, delta, p, bound, s) -> bool:
     kept when neither factor nor product overflows or underflows and hi - lo
     such losses stay below 2^-64 of that lower bound.
     """
-    steps = _shift_distances(path, 1, lo, hi)
-    times = path.grid.times
+    steps, log2_dt, shortest, span, speed = profile
     e = 1.0 - delta * p
-    dt = np.diff(times[lo : hi + 1])
-    shortest, span = float(dt.min()), float(times[hi] - times[lo])
     factor = (e * math.log2(span), e * math.log2(shortest))
-    speed = float(np.max(steps / dt))
     top = max(p * math.log2(min(bound, g * speed) / s) + e * math.log2(g)
               for g in (shortest, min(max(bound / speed, shortest), span), span))
     with np.errstate(divide="ignore"):
-        floor = float(np.max(p * np.log2(steps / s) + e * np.log2(dt)))
+        floor = float(np.max(p * np.log2(steps / s) + e * log2_dt))
     return (min(factor) >= -1022.0 and max(factor) < 1024.0 and top < 1024.0
-            and max(max(factor), 0.0) - 1022.0 + math.log2(hi - lo) + 64.0 <= floor)
+            and max(max(factor), 0.0) - 1022.0 + math.log2(steps.size) + 64.0 <= floor)
 
 
 def _sum_kept(total, count, factors, flat) -> bool:
@@ -406,12 +451,21 @@ def _fused_weights(columns, times, lo, p, e):
     distances give s = 1 and zero weights.
     """
     def bases(j0, block):
-        gap = _gaps(times, lo, j0, block, np.inf)
+        base = _gaps(times, lo, j0, block, 1.0)
         with np.errstate(invalid="ignore"):
-            return np.where(gap < np.inf, block * gap ** (e / p), 0.0)
+            base **= e / p
+            base *= block
+        return _fill_unread(base, 0.0)
+
+    def weights(s):
+        for j0, block in columns():
+            w = bases(j0, block)
+            w /= s
+            w **= p
+            yield w
 
     s = max(float(bases(j0, block).max()) for j0, block in columns()) or 1.0
-    return s, ((bases(j0, block) / s) ** p for j0, block in columns())
+    return s, weights(s)
 
 
 def dp_partition_sup(columns, lo: int, hi: int, batch: tuple = ()):
@@ -479,31 +533,38 @@ def _riesz_family(columns, paths, lo, hi, members) -> list[float]:
     (``_family_columns``), once per pass.  A member ``(b, delta, p)`` asks
     for ``riesz_norm(paths[b], delta, p)`` with p finite; its parameters are
     checked here.  Each member gets its own scale s and range check
-    (``_riesz_unfused_fits``).  The members whose weights
+    (``_riesz_unfused_fits``, on the bound and ``_step_profile`` of its path,
+    computed once per path).  The members whose weights
     (d/s)^p / (v-u)^(delta*p-1) are formed as written share one batched
     ``dp_partition_sup``, whose slices equal the per-member DPs bit for bit;
     a member out of range takes the fused weights on its own.  Cells with
     i >= j, never read by a DP, get a unit gap.
     """
     times = paths[0].grid.times
-    values, written, bounds = [0.0] * len(members), [], {}
+    values, written, bounds, profiles = [0.0] * len(members), [], {}, {}
     for slot, (b, delta, p) in enumerate(members):
         _check_delta(delta)
         p = _finite_p(_check_riesz_p(delta, p), "a Riesz family")
         if b not in bounds:
             bounds[b] = _distance_bound(paths[b], lo, hi)
+            if bounds[b] != 0.0:
+                profiles[b] = _step_profile(paths[b], lo, hi)
         if bounds[b] == 0.0:  # constant on [lo, hi]
             continue
         s = _scale(bounds[b], p)
-        if _riesz_unfused_fits(paths[b], lo, hi, delta, p, bounds[b], s):
+        if _riesz_unfused_fits(profiles[b], delta, p, bounds[b], s):
             written.append((slot, b, s, 1.0 - delta * p, p))
             continue
         s, weights = _fused_weights(partial(_slices, columns, b), times, lo, p, 1.0 - delta * p)
         values[slot] = dp_partition_sup(weights, lo, hi) ** (1.0 / p) * s
     if written:
+        exponents = list(dict.fromkeys(e for *_, e, _ in written))
+
         def weights(j0, block):
             gap = _gaps(times, lo, j0, block, 1.0)
-            factors = {e: gap**e for _, _, _, e, _ in written}
+            factors = {e: gap**e for e in exponents[1:]}
+            gap **= exponents[0]  # the gaps' last use: raised in place
+            factors[exponents[0]] = gap
             w = np.empty((len(written), *block.shape[-2:]))
             for row, (_, b, s, e, p) in zip(w, written):
                 np.divide(block[b], s, out=row)
@@ -543,7 +604,10 @@ def holder_norm(path, delta: float, interval=None) -> float:
     lo, hi = path.grid.resolve_interval(interval)
     best = 0.0
     for j0, block in _columns(path, lo, hi):
-        best = max(best, float(np.max(block / _gaps(times, lo, j0, block, np.inf) ** delta)))
+        w = _gaps(times, lo, j0, block, np.inf)
+        w **= delta
+        np.divide(block, w, out=w)
+        best = max(best, float(np.max(w)))
     return best
 
 
@@ -556,7 +620,7 @@ def qvar_norm(path, q: float, interval=None) -> float:
         return float(np.sum(_shift_distances(path, 1, lo, hi)))
     s = _scale(_distance_bound(path, lo, hi), q)
     if s == 1.0:
-        powers = (block**q for _, block in _columns(path, lo, hi))
+        powers = (_raised(block, q) for _, block in _columns(path, lo, hi))
     else:  # out of range: divide by the largest distance
         s, powers = _fused_weights(partial(_columns, path, lo, hi), path.grid.times, lo, q, 0.0)
     return dp_partition_sup(powers, lo, hi) ** (1.0 / q) * s
@@ -604,7 +668,7 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, span + 1):
             # left Riemann sum over r = lo .. hi-m-1 (exclusive right endpoint)
-            total = float(np.sum(_shift_distances(path, m, lo, hi - 1) ** p))
+            total = float(_raised(_shift_distances(path, m, lo, hi - 1), p).sum())
             best = max(best, (m * dt) ** (-delta * p) * dt * total)
     # time factors (m*mesh)^(-delta*p) and that times mesh, extreme at m = 1, span
     factors = [-delta * p * math.log2(m * dt) + u for m in (1, span) for u in (0.0, math.log2(dt))]
@@ -759,8 +823,12 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for j0, block in _columns(path, lo, hi):
             gap = _gaps(times, lo, j0, block, np.inf)
-            d = np.where(gap < np.inf, block, 0.0)  # cells i >= j add 0, never inf/inf
-            total += float(np.sum(d**p / gap ** (1.0 + delta * p)))
+            gap **= 1.0 + delta * p
+            # cells i >= j add 0, never inf/inf
+            d = _fill_unread(block if block.flags.writeable else block.copy(), 0.0)
+            d **= p
+            d /= gap
+            total += float(np.sum(d))
     span, e = hi - lo, -(1.0 + delta * p)
     if _sum_kept(total, span * (span + 1) / 2, [e * math.log2(dt), e * math.log2(span * dt)],
                  lambda: not _shift_distances(path, 1, lo, hi).any()):

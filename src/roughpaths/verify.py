@@ -662,15 +662,16 @@ def _nested_mixed(family, delta, ps, k=None) -> list[list[float]]:
 
 def _family_riesz(family, delta, ps) -> list[list[float]]:
     """``riesz_norm`` of every path of ``family`` at every p of ``ps``, laid
-    out as ``_nested_mixed``: one Riesz family call per same-grid chunk and
-    p, on distance columns computed once per chunk."""
+    out as ``_nested_mixed``: one Riesz family call per same-grid chunk, its
+    members every (path, p), on distance columns computed once per chunk."""
     values = [[] for _ in ps]
     for times, chunk in _family_chunks(family, None):
         m = len(times) - 1
         blocks = list(_family_columns(chunk, 0, m))
-        for out, p in zip(values, ps):
-            out.extend(_riesz_family(lambda: blocks, chunk, 0, m,
-                                     [(b, delta, p) for b in range(len(chunk))]))
+        got = _riesz_family(lambda: blocks, chunk, 0, m,
+                            [(b, delta, p) for p in ps for b in range(len(chunk))])
+        for i, out in enumerate(values):
+            out.extend(got[i * len(chunk) : (i + 1) * len(chunk)])
     return values
 
 

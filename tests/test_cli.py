@@ -64,6 +64,98 @@ def test_csv_parse_errors(tmp_path):
         read_path_csv(bad)
 
 
+def test_csv_with_utf8_bom(tmp_path, capsys):
+    # "CSV UTF-8" as spreadsheet programs save it starts with a byte order mark
+    f = tmp_path / "bom.csv"
+    f.write_bytes(b"\xef\xbb\xbf" + b"t,x1,x2\n0,0,0\n1,1,1\n")
+    assert main(["norm", str(f), "--kind", "hoelder"]) == 0
+    assert capsys.readouterr().out == "1.41421356237\n"
+
+
+def per_line_read(path) -> EuclideanPath:
+    """Reference reader: the path CSV converted line by line with float()."""
+    from roughpaths import CsvFormatError, ParameterError
+
+    text = path.read_text(encoding="utf-8-sig")
+    lines = [ln for ln in text.split("\n") if ln.strip() != ""]
+    if not lines:
+        raise CsvFormatError(0, "empty file")
+    ncols = len(lines[0].split(","))
+    times, rows = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != ncols:
+            raise CsvFormatError(lineno, f"expected {ncols} fields, got {len(fields)}")
+        try:
+            nums = [float(f) for f in fields]
+        except ValueError as exc:
+            raise CsvFormatError(lineno, str(exc)) from exc
+        times.append(nums[0])
+        rows.append(nums[1:])
+    try:
+        return EuclideanPath(TimeGrid(np.array(times)), np.array(rows))
+    except ParameterError as exc:
+        raise CsvFormatError(0, str(exc)) from exc
+
+
+CSV_BODIES = {
+    "crlf": "t,x1,x2\r\n0,0.5,1\r\n0.25,1e-3,-2\r\n1,3,4\r\n",
+    "blank-lines": "t,x1\n\n0,1\n  \n0.5,2\n\n\n1,3\n\n",
+    "spaces-underscores": "t,x1\n 0 , 1_000.5\n0.5\t,2_0\n1_0, -0.0 \n",
+    "bom": "\ufefft,x1\n0,1\n1,2\n",
+    "field-count": "t,x1\n0,1\n0.5,2\n0.75,1,2\n1,3,4\n",
+    "field-count-after-bad-number": "t,x1\n0,1\n0.5,x\n0.75,1,2\n",
+    "bad-number-after-field-count": "t,x1\n0,1\n0.5,1,2\n0.75,x\n",
+    "non-numeric": "t,x1,x2\n0,1,2\n0.5,2,1__0\n1,3,4\n",
+    "empty-field": "t,x1\n0,1\n0.5,\n",
+    "nan-value": "t,x1\n0,1\n0.5,nan\n1,2\n",
+    "inf-value": "t,x1\n0,1\n0.5,-Infinity\n1,2\n",
+    "nan-time": "t,x1\n0,1\nNaN,2\n1,2\n",
+    "inf-time": "t,x1\n0,1\n0.5,2\ninf,2\n",
+    "header-only": "t,x1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_BODIES))
+def test_csv_parse_equals_per_line_reading(tmp_path, name):
+    from roughpaths import CsvFormatError
+
+    f = tmp_path / f"{name}.csv"
+    f.write_bytes(CSV_BODIES[name].encode("utf-8"))
+    try:
+        want = per_line_read(f)
+    except CsvFormatError as exc:
+        with pytest.raises(CsvFormatError) as err:
+            read_path_csv(f)
+        assert (err.value.line, str(err.value)) == (exc.line, str(exc))
+        return
+    got = read_path_csv(f)
+    assert np.array_equal(got.grid.times, want.grid.times)
+    assert np.array_equal(got.values, want.values)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                                   st.sampled_from(["1_0", " 2 ", "3\r", "x", "", "1e999"])),
+                         min_size=2, max_size=3),
+                min_size=1, max_size=6))
+def test_csv_parse_equals_per_line_reading_fuzz(tmp_path_factory, rows):
+    from roughpaths import CsvFormatError
+
+    f = tmp_path_factory.mktemp("csv") / "p.csv"
+    f.write_text("t,x1\n" + "".join(",".join(r) + "\n" for r in rows))
+    try:
+        want = per_line_read(f)
+    except CsvFormatError as exc:
+        with pytest.raises(CsvFormatError) as err:
+            read_path_csv(f)
+        assert (err.value.line, str(err.value)) == (exc.line, str(exc))
+        return
+    got = read_path_csv(f)
+    assert np.array_equal(got.grid.times, want.grid.times)
+    assert np.array_equal(got.values, want.values)
+
+
 # ---------------------------------------------------------------------------
 # norm command
 # ---------------------------------------------------------------------------

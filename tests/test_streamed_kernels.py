@@ -1,0 +1,158 @@
+"""Bit-level equality of the streamed distance kernels with plain references.
+
+``paths._euclidean_norm`` is the one distance formula of Euclidean paths:
+squares taken coordinate by coordinate, the even and the odd coordinates
+each summed left to right, then the two sums added and the root taken.  The
+references here form every cell with Python floats in that order, so the
+kernels must equal them exactly, whatever the block shape; at dims 1 and 2
+there is only one rounding order and the formula equals NumPy's einsum.
+``norms._gaps`` writes its fill only in the trailing square of a block and
+must equal the full-block ``np.where`` over strictly increasing times.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from roughpaths.norms import _gaps
+from roughpaths.paths import EuclideanPath, TimeGrid, _euclidean_norm
+
+SCALES = (1e-160, 1.0, 1e150)
+
+
+def scalar_distance(a, b) -> float:
+    """|a - b| of two points with Python floats, in the declared order."""
+    sq = [(float(x) - float(y)) * (float(x) - float(y)) for x, y in zip(a, b)]
+    even = sq[0]
+    for s in sq[2::2]:
+        even += s
+    if len(sq) == 1:
+        return math.sqrt(even)
+    odd = sq[1]
+    for s in sq[3::2]:
+        odd += s
+    return math.sqrt(even + odd)
+
+
+@st.composite
+def point_sets(draw, dims=(1, 7)):
+    dim = draw(st.integers(*dims))
+    count = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from(SCALES))
+    rng = np.random.default_rng(seed)
+    # mixed magnitudes, so the two sums round differently from a plain sum
+    spread = np.exp(rng.uniform(-8.0, 8.0, (2, count, dim)))
+    a, b = rng.standard_normal((2, count, dim)) * spread * scale
+    return a, b
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(point_sets())
+def test_euclidean_norm_equals_scalar_reference(pts):
+    a, b = pts
+    got = _euclidean_norm(a.T, b.T)
+    want = np.array([scalar_distance(x, y) for x, y in zip(a, b)])
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(point_sets(dims=(1, 2)))
+def test_euclidean_norm_equals_einsum_at_dims_1_and_2(pts):
+    a, b = pts
+    diff = a - b
+    want = np.sqrt(np.einsum("...k,...k->...", diff, diff))
+    assert np.array_equal(_euclidean_norm(a.T, b.T), want)
+
+
+@st.composite
+def walks(draw):
+    dim = draw(st.integers(1, 7))
+    intervals = draw(st.integers(1, 24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from(SCALES))
+    rng = np.random.default_rng(seed)
+    values = np.cumsum(rng.standard_normal((intervals + 1, dim)), axis=0) * scale
+    return EuclideanPath(TimeGrid.uniform(intervals), values)
+
+
+@st.composite
+def column_blocks(draw):
+    f = draw(walks())
+    m = f.grid.intervals
+    lo = draw(st.integers(0, m))
+    j0 = draw(st.integers(lo, m))
+    j1 = draw(st.one_of(st.just(j0 + 1), st.integers(j0 + 1, m + 1)))
+    return f, lo, j0, j1
+
+
+@st.composite
+def shifts(draw):
+    f = draw(walks())
+    m = f.grid.intervals
+    lo = draw(st.integers(0, m - 1))
+    hi = draw(st.integers(lo + 1, m))
+    return f, draw(st.integers(1, hi - lo)), lo, hi
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(column_blocks())
+def test_distance_block_equals_scalar_reference(case):
+    # lo > 0 and one-column blocks (j1 = j0 + 1) included
+    f, lo, j0, j1 = case
+    v = f.values
+    got = f.distance_block(lo, j0, j1)
+    assert got.shape == (j1 - j0, j1 - lo)
+    want = np.array([[scalar_distance(v[j], v[i]) for i in range(lo, j1)]
+                     for j in range(j0, j1)])
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(shifts())
+def test_shift_distances_equal_scalar_reference(case):
+    f, m, lo, hi = case
+    v = f.values
+    got = f.shift_distances(m, lo, hi)
+    want = np.array([scalar_distance(v[r], v[r + m]) for r in range(lo, hi - m + 1)])
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def gap_blocks(draw):
+    intervals = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        grid = TimeGrid.uniform(intervals, draw(st.sampled_from([1.0, 1e-3, 7.5])))
+    else:
+        grid = TimeGrid(np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 2.0, intervals))]))
+    lo = draw(st.integers(0, intervals - 1))
+    j0 = draw(st.integers(lo + 1, intervals))
+    j1 = draw(st.integers(j0 + 1, intervals + 1))
+    batch = draw(st.sampled_from([(), (3,)]))
+    fill = draw(st.sampled_from([np.inf, 1.0, 0.0]))
+    return grid.times, lo, j0, np.zeros((*batch, j1 - j0, j1 - lo)), fill
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(gap_blocks())
+def test_gaps_equal_full_block_where(case):
+    times, lo, j0, block, fill = case
+    rows, cols = block.shape[-2:]
+    gap = times[j0 : j0 + rows, None] - times[None, lo : lo + cols]
+    want = np.where(gap > 0, gap, fill)
+    assert np.array_equal(_gaps(times, lo, j0, block, fill), want)
+
+
+def test_gaps_of_dense_columns():
+    # the dense column block of [lo, hi]: first row column lo+1, rows lo..hi
+    times = TimeGrid(np.array([0.0, 0.5, 0.75, 2.0, 2.25])).times
+    lo, hi = 1, 4
+    got = _gaps(times, lo, lo + 1, np.zeros((hi - lo, hi - lo + 1)), -1.0)
+    want = np.array([[0.25, -1.0, -1.0, -1.0],
+                     [1.5, 1.25, -1.0, -1.0],
+                     [1.75, 1.5, 0.25, -1.0]])
+    assert np.array_equal(got, want)
