@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,47 +62,63 @@ def read_path_csv(path) -> EuclideanPath:
     """Parse a ``t,x1,...,xn`` CSV into a sampled path.
 
     Every line's field count is checked, then one ``np.array(..., dtype=float)``
-    call converts all the fields, parsing each as ``float()`` does.  Only when
-    that fails are the lines read one by one, to name the first bad line.
+    call converts all the fields, parsing each as ``float()`` does, and one
+    vectorised check finds non-finite fields and times that do not start at
+    0 or do not increase.  Only when one of these fails are the lines read
+    one by one, to name the first bad line by its number in the file.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CsvFormatError(0, f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.split("\n") if ln.strip() != ""]
-    if not lines:
+    numbered = [(n, ln) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip() != ""]
+    if not numbered:
         raise CsvFormatError(0, "empty file")
-    header = [h.strip() for h in lines[0].split(",")]
+    head_no, head = numbered[0]
+    header = [h.strip() for h in head.split(",")]
     if header[0] != "t" or len(header) < 2:
-        raise CsvFormatError(1, "header must be t,x1,...,xn")
+        raise CsvFormatError(head_no, "header must be t,x1,...,xn")
     for i, name in enumerate(header[1:], start=1):
         if name != f"x{i}":
-            raise CsvFormatError(1, f"column {i + 1} must be named x{i}, got {name!r}")
+            raise CsvFormatError(head_no, f"column {i + 1} must be named x{i}, got {name!r}")
     ncols = len(header)
-    rows = [line.split(",") for line in lines[1:]]
+    linenos = [n for n, _ in numbered[1:]]
+    rows = [line.split(",") for _, line in numbered[1:]]
     try:
         if any(len(fields) != ncols for fields in rows):
             raise ValueError("wrong field count")
         table = np.array(rows, dtype=float).reshape(-1, ncols)
     except ValueError:
-        _raise_first_bad_line(rows, ncols)
-        raise
+        table = None
+    if table is None or not (np.isfinite(table).all() and np.all(table[:1, 0] == 0.0)
+                             and np.all(np.diff(table[:, 0]) > 0.0)):
+        _raise_first_bad_line(linenos, rows, ncols)
     try:
         return EuclideanPath(TimeGrid(table[:, 0]), table[:, 1:])
     except ParameterError as exc:
         raise CsvFormatError(0, str(exc)) from exc
 
 
-def _raise_first_bad_line(rows, ncols):
-    # the error of the first data line with a wrong field count or a field
-    # that float() rejects (line numbers count the header and skip blank lines)
-    for lineno, fields in enumerate(rows, start=2):
+def _raise_first_bad_line(linenos, rows, ncols):
+    # the error of the first data line with a wrong field count, a field that
+    # float() rejects or that is not finite, or a time that does not start
+    # at 0 or does not increase
+    prev = None
+    for lineno, fields in zip(linenos, rows):
         if len(fields) != ncols:
             raise CsvFormatError(lineno, f"expected {ncols} fields, got {len(fields)}")
         try:
-            [float(f) for f in fields]
+            nums = [float(f) for f in fields]
         except ValueError as exc:
             raise CsvFormatError(lineno, str(exc)) from exc
+        t = nums[0]
+        if not all(map(math.isfinite, nums)):
+            raise CsvFormatError(lineno, "times and values must be finite")
+        if prev is None and t != 0.0:
+            raise CsvFormatError(lineno, f"times start at 0, got {t!r}")
+        if prev is not None and not t > prev:
+            raise CsvFormatError(lineno, f"times must increase strictly, got {t!r} after {prev!r}")
+        prev = t
 
 
 def write_path_csv(path_obj: EuclideanPath, path) -> None:

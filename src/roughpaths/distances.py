@@ -21,7 +21,6 @@ defined here, resample before lifting instead.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
@@ -33,12 +32,9 @@ from .norms import (
     _check_q,
     _check_riesz_p,
     _finite_p,
-    _fused_weights,
-    _gaps,
+    _power_sup_family,
     _require_uniform,
-    _sum_kept,
     dense_columns,
-    dp_partition_sup,
     shift_partition_sup,
 )
 from .paths import GroupPath
@@ -119,43 +115,6 @@ def level_diff_matrix(x1: GroupPath, x2: GroupPath, k: int) -> np.ndarray:
     return _all_level_diffs(x1, x2)[k - 1]
 
 
-def _level_partition_sup(cols, times, lo, hi, k, members) -> list[float]:
-    """( sup_P sum D^(p/k) (v-u)^e )^(k/p) over [lo, hi], one value per member.
-
-    ``cols`` is a stack of dense level-k difference columns, shape
-    ``(items, hi-lo, hi-lo+1)`` (``dense_columns`` of a stack of
-    ``level_diff_matrix``), and a member ``(b, p, e)`` takes D from
-    ``cols[b]``.  The weights are formed as written; all members share one
-    batched ``dp_partition_sup``, whose slices equal the per-member DPs bit
-    for bit.  A member's partition sum is kept when ``norms._sum_kept`` keeps
-    it.  Otherwise the time factor is folded into the base and the bases are
-    divided by the largest one (``norms._fused_weights``), so large exponents
-    give the finite value, not 0, inf or NaN.
-    """
-    if hi == lo:
-        return [0.0] * len(members)
-    gap = _gaps(times, lo, lo + 1, cols, 1.0)
-    w = np.empty((len(members), *cols.shape[-2:]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row, (b, p, e) in zip(w, members):
-            row[...] = cols[b]
-            row **= p / k
-            if e:
-                row *= gap**e
-    totals = dp_partition_sup([w], lo, hi, batch=(len(members),))
-    shortest = float(np.diff(times[lo : hi + 1]).min())
-    values = []
-    for (b, p, e), total in zip(members, totals):
-        total = float(total)
-        factors = [e * math.log2(shortest), e * math.log2(float(times[hi] - times[lo]))]
-        if _sum_kept(total, hi - lo, factors, lambda: not cols[b].any()):
-            values.append(total ** (k / p))
-        else:
-            s, fused = _fused_weights(lambda: [(lo + 1, cols[b])], times, lo, p / k, e)
-            values.append(dp_partition_sup(fused, lo, hi) ** (k / p) * s)
-    return values
-
-
 def _pair_columns(x1, x2, k, interval):
     # the level-k difference columns of one pair over ``interval``, as a stack of one
     d = level_diff_matrix(x1, x2, k)
@@ -167,7 +126,8 @@ def rho_qvar_level(x1, x2, q: float, k: int, interval=None) -> float:
     """Level-k q-variation distance ( sup_P sum D_k^(q/k) )^(k/q)."""
     q = _check_q(q)
     cols, lo, hi = _pair_columns(x1, x2, k, interval)
-    return _level_partition_sup(cols, x1.grid.times, lo, hi, k, [(0, q, 0.0)])[0]
+    return _power_sup_family(lambda: [(lo + 1, cols)], x1.grid.times, lo, hi,
+                             [(0, q / k, 0.0, k / q)])[0]
 
 
 def rho_riesz_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:
@@ -175,7 +135,8 @@ def rho_riesz_level(x1, x2, delta: float, p: float, k: int, interval=None) -> fl
     _check_delta(delta)
     p = _check_dist_p(delta, p)
     cols, lo, hi = _pair_columns(x1, x2, k, interval)
-    return _level_partition_sup(cols, x1.grid.times, lo, hi, k, [(0, p, 1.0 - delta * p)])[0]
+    return _power_sup_family(lambda: [(lo + 1, cols)], x1.grid.times, lo, hi,
+                             [(0, p / k, 1.0 - delta * p, k / p)])[0]
 
 
 def rho_mixed_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:

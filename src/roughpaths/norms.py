@@ -48,25 +48,29 @@ whatever the batch).  The batch-free calls are the case ``batch = ()``.
 
 The weight kernels work in place, on arrays they allocated.  A Euclidean
 block is a fresh array per yield of ``_columns`` (no buffer is reused across
-yields), so q-variation, Nikolskii and fractional Sobolev raise and divide
-the block itself; Hoelder, Riesz and the fused weights raise, multiply and
-divide the gaps ``_gaps`` allocated for the block, or their own weight
-buffers.  A group path's block is a read-only view of its cached matrix and
-is never written (``_raised``).  The kernels keep the ``**`` / ``**=``
-operators, which take NumPy's fast paths for the exponents 2, 0.5 and -1,
-so the values do not change.  A block's cells with i >= j, which no DP
-reads, are the upper triangle of its trailing rows x rows square, and
-``_gaps`` and ``_fill_unread`` write their fill there and nowhere else.
+yields), so a single partition power sum, Nikolskii and fractional Sobolev
+raise and divide the block itself; Hoelder, a family of several members and
+the fused weights raise, multiply and divide the gaps ``_gaps`` allocated
+for the block, or their own weight buffers.  A group path's block is a
+read-only view of its cached matrix and is never written: ``_raised``
+raises a C-ordered copy.  The kernels keep the ``**`` / ``**=`` operators,
+which take NumPy's fast paths for the exponents 2, 0.5 and -1, so the
+values do not change.  A block's cells with i >= j, which no DP reads, are
+the upper triangle of its trailing rows x rows square, and ``_gaps`` and
+``_fill_unread`` write their fill there and nowhere else.
 
-Family kernels serve many values in one DP loop.  ``_riesz_family`` takes
-the stacked distance columns of paths on one grid (``_family_columns``)
-and a list of members, each a path index with its (delta, p): every member
-keeps its own scale and range check, the members formed as written share
-one batched ``dp_partition_sup``, and a member out of range takes the fused
-weights (below) on its own.  ``riesz_norm`` is the case of one path and one
-member; ``distances._level_partition_sup`` does the same for the level
-distances, and the verify checks call both, and the batched sweep, once
-per same-grid chunk of a family.  Nikolskii shifts h run over integer
+Every partition power sum, ( sup_P sum D^a (v-u)^e )^(1/a), has one
+kernel, ``_power_sup_family``: q-variation (a = q, e = 0), Riesz (a = p,
+e = 1 - delta*p) and the level-k q-variation and Riesz distances of
+``distances`` (a = p/k on the level-k differences) differ only in a and e.
+It takes the stacked distance columns of items on one grid
+(``_family_columns``, or ``dense_columns`` of a stack) and a list of
+members, each an item index with its (a, e) and the root, 1/a up to
+rounding (k/p for the level distances); the members share one batched
+``dp_partition_sup``, and a single member is the batch-free DP.
+``qvar_norm``, ``riesz_norm`` and the level distances are its single-member
+case, and the verify checks call it, and the batched sweep, once per
+same-grid chunk of a family.  Nikolskii shifts h run over integer
 multiples of the uniform mesh with a left Riemann sum for the inner
 integral; the fractional Sobolev double integral uses the tensor-grid
 quadrature with the diagonal band |u-v| < mesh excluded.
@@ -90,29 +94,22 @@ order changes from best[i] + c (a - b) to (best[i] - c b) + c a, and the
 sums start at lo rather than at 0: values move in the last ulps.  As
 S_m[lo] = 0, every term is at most best[j], so no cancellation is amplified.
 
-Large powers d^p can leave the float range.  The q-variation and Riesz
-kernels divide the distances by a scale s when (b/2)^p or b^p leaves the
-normal range, b = 2 max_i d(f_lo, f_i) (the largest distance lies between
-them), and multiply the root by s (the norms are 1-homogeneous in d);
-otherwise s = 1.0 and the division is exact.  q-variation then divides by
-the largest distance itself, so the largest power is exactly 1 and no
-exponent makes the sum underflow.  Riesz first tries s, the power of two at
-or above b: a Riesz weight multiplies d^p by the time factor g^(1-delta*p)
-of the block length g after the power is taken.  When an O(M) range check
-finds that this product can leave the normal range, the time factor is
-folded into the base, (d g^((1-delta*p)/p) / s)^p, with s the largest base
-(``_fused_weights``); otherwise the weight is formed as written.  Nikolskii
-and fractional Sobolev sums are formed as written and kept unless an O(M)
-check after the sum (``_sum_kept``) finds a time factor out of range, a
-non-finite sum, or underflow losses that could reach 2^-64 of it.  Then
-Nikolskii divides each shift by its largest distance (its time factor is
-constant within the shift), and fractional Sobolev folds its time factor
-into the base as Riesz does.  The level distances of ``distances`` run the
-same check on their partition sums and fall back the same way.  The
-refined Nikolskii sweep runs the same kind of check per slice; a slice that
-fails is swept again with the per-shift time factor folded into the base,
-(d (m mesh)^(hexp/power) / B)^power with B the largest base, so it returns
-the finite value rather than 0, inf or NaN.
+Large powers d^p can leave the float range, and one policy serves every
+sum: it is formed as written and kept unless an O(M) check after the sum
+(``_sum_kept``) finds a time factor out of the normal range, a non-finite
+sum, or underflow losses that could reach 2^-64 of it; a zero sum is kept
+when every distance is zero.  A partition power sum that fails takes the
+fused weights (``_fused_weights``): the time factor is folded into the
+base, (d g^(e/a) / s)^a with g the block length and s the largest base, so
+the largest term is exactly 1 and the root times s is the finite value
+rather than 0, inf or NaN.  q-variation has no time factor and so divides
+by the largest distance.  Nikolskii and fractional Sobolev sums run the
+same check; Nikolskii then divides each shift by its largest distance (its
+time factor is constant within the shift), and fractional Sobolev takes
+the fused weights.  The refined Nikolskii sweep runs the same kind of
+check per slice; a slice that fails is swept again with the per-shift time
+factor folded into the base, (d (m mesh)^(hexp/power) / B)^power with B
+the largest base.
 
 Mixed equals Riesz on every grid.  Let q = 1/delta, and split a block I at
 grid points into blocks J_j with endpoint distances d_j.
@@ -355,74 +352,16 @@ def _gaps(times, lo, j0, block, fill) -> np.ndarray:
 
 
 def _raised(a, e):
-    """``a ** e``, in place when ``a`` is writable (a fresh Euclidean block);
-    a read-only group-path block is left alone.  Both give the same bits."""
+    """``a ** e``, in place when ``a`` is writable (a fresh Euclidean block).
+
+    A read-only block (a view of a cached or dense matrix, often transposed)
+    is left alone and raised in a C-ordered copy, whose rows a DP reads
+    contiguously.  Both give the same bits.
+    """
     if not a.flags.writeable:
-        return a ** e
+        a = np.array(a, order="C")
     a **= e
     return a
-
-
-def _distance_bound(path, lo, hi) -> float:
-    """b = 2 max_i d(f_lo, f_i): every distance on [lo, hi] is at most b and
-    the largest is at least b/2 (triangle inequality)."""
-    if isinstance(path, GroupPath):
-        radius = path.distance_matrix[lo, lo : hi + 1].max()
-    else:
-        radius = np.linalg.norm(path.values[lo : hi + 1] - path.values[lo], axis=1).max()
-    return 2.0 * float(radius)
-
-
-def _scale(bound, power) -> float:
-    """Divisor s of the distances, bounded by ``bound``, before they are raised to ``power``.
-
-    s is 1.0, an exact no-op, unless the power of b/2 or of b leaves the
-    normal float range; then s is the power of two at or above b, so the
-    scaled distances lie in [0, 1].  The norms are 1-homogeneous in d, so
-    the root times s is the norm.
-    """
-    if bound == 0.0 or -1022.0 <= power * (math.log2(bound) - 1.0) < power * math.log2(bound) < 1024.0:
-        return 1.0
-    return 2.0 ** math.ceil(math.log2(bound))
-
-
-def _step_profile(path, lo, hi):
-    """What ``_riesz_unfused_fits`` reads of a path on [lo, hi], computed once per path.
-
-    The step distances, log2 of the time steps, the shortest step, the span
-    t_hi - t_lo and the largest speed (step distance over time step).
-    """
-    steps = _shift_distances(path, 1, lo, hi)
-    times = path.grid.times
-    dt = np.diff(times[lo : hi + 1])
-    return (steps, np.log2(dt), float(dt.min()), float(times[hi] - times[lo]),
-            float(np.max(steps / dt)))
-
-
-def _riesz_unfused_fits(profile, delta, p, bound, s) -> bool:
-    """Whether the Riesz weights (d/s)^p * g^e, e = 1 - delta*p, may be formed as written.
-
-    ``profile`` is the path's ``_step_profile`` on [lo, hi].  O(M) bounds in
-    log2 units, g the block length t_j - t_i.  The time
-    factor g^e is monotone in g, so its extremes sit at the shortest step and
-    at t_hi - t_lo.  A block of length g has d <= min(bound, g L), L the
-    largest step distance over its time step, so a weight is at most
-    p log2(min(bound, g L)/s) + e log2 g, piecewise linear in log2 g with its
-    maximum at an end or at the kink g = bound/L.  The largest step weight
-    is a lower bound of the partition sup.  A d-power that underflows loses
-    less than 2^-1022 times the time factor, so the product as written is
-    kept when neither factor nor product overflows or underflows and hi - lo
-    such losses stay below 2^-64 of that lower bound.
-    """
-    steps, log2_dt, shortest, span, speed = profile
-    e = 1.0 - delta * p
-    factor = (e * math.log2(span), e * math.log2(shortest))
-    top = max(p * math.log2(min(bound, g * speed) / s) + e * math.log2(g)
-              for g in (shortest, min(max(bound / speed, shortest), span), span))
-    with np.errstate(divide="ignore"):
-        floor = float(np.max(p * np.log2(steps / s) + e * log2_dt))
-    return (min(factor) >= -1022.0 and max(factor) < 1024.0 and top < 1024.0
-            and max(max(factor), 0.0) - 1022.0 + math.log2(steps.size) + 64.0 <= floor)
 
 
 def _sum_kept(total, count, factors, flat) -> bool:
@@ -526,63 +465,69 @@ def dp_power_table(weight: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return b
 
 
-def _riesz_family(columns, paths, lo, hi, members) -> list[float]:
-    """Riesz variations over [lo, hi] of paths on one grid, one per member.
+def _power_sup_family(columns, times, lo, hi, members) -> list[float]:
+    """( sup_P sum D_b(u, v)^a (v-u)^e )^r over [lo, hi], one value per member (b, a, e, r).
 
-    ``columns()`` yields the stacked distance column blocks of ``paths``
-    (``_family_columns``), once per pass.  A member ``(b, delta, p)`` asks
-    for ``riesz_norm(paths[b], delta, p)`` with p finite; its parameters are
-    checked here.  Each member gets its own scale s and range check
-    (``_riesz_unfused_fits``, on the bound and ``_step_profile`` of its path,
-    computed once per path).  The members whose weights
-    (d/s)^p / (v-u)^(delta*p-1) are formed as written share one batched
+    The one kernel of every partition power sum, r = 1/a up to rounding:
+    q-variation (a = q, e = 0, r = 1/q), Riesz (a = p, e = 1 - delta*p,
+    r = 1/p) and the level-k distances of ``distances`` (D_b the level-k
+    difference, a = p/k, r = k/p).  ``columns()`` yields, once per pass,
+    blocks ``(j0, block)`` whose slice ``block[b]`` holds the distances D_b
+    of item b laid out as by ``_columns``: the stacked blocks of
+    ``_family_columns``, or ``dense_columns`` of a stack of matrices.  A
+    writable block must be fresh on every pass, as Euclidean blocks are, for
+    a single member raises it in place; a caller that yields the same arrays
+    on every pass hands them over read-only.
+
+    The members' weights are formed as written and share one batched
     ``dp_partition_sup``, whose slices equal the per-member DPs bit for bit;
-    a member out of range takes the fused weights on its own.  Cells with
-    i >= j, never read by a DP, get a unit gap.
+    a single member runs the batch-free DP.  A member's sum is kept when
+    ``_sum_kept`` keeps it, with the time factor g^e extreme at the shortest
+    step and at t_hi - t_lo; otherwise that member alone takes the fused
+    weights.  Cells with i >= j, never read by a DP, get a unit gap.
     """
-    times = paths[0].grid.times
-    values, written, bounds, profiles = [0.0] * len(members), [], {}, {}
-    for slot, (b, delta, p) in enumerate(members):
-        _check_delta(delta)
-        p = _finite_p(_check_riesz_p(delta, p), "a Riesz family")
-        if b not in bounds:
-            bounds[b] = _distance_bound(paths[b], lo, hi)
-            if bounds[b] != 0.0:
-                profiles[b] = _step_profile(paths[b], lo, hi)
-        if bounds[b] == 0.0:  # constant on [lo, hi]
-            continue
-        s = _scale(bounds[b], p)
-        if _riesz_unfused_fits(profiles[b], delta, p, bounds[b], s):
-            written.append((slot, b, s, 1.0 - delta * p, p))
-            continue
-        s, weights = _fused_weights(partial(_slices, columns, b), times, lo, p, 1.0 - delta * p)
-        values[slot] = dp_partition_sup(weights, lo, hi) ** (1.0 / p) * s
-    if written:
-        exponents = list(dict.fromkeys(e for *_, e, _ in written))
+    if hi <= lo:
+        return [0.0] * len(members)
+    exponents = list(dict.fromkeys(e for _, _, e, _ in members if e))
 
-        def weights(j0, block):
+    def weights(j0, block):
+        if len(members) == 1:
+            w = _raised(block[members[0][0]], members[0][1])
+            rows = [w]
+        else:
+            w = rows = np.empty((len(members), *block.shape[-2:]))
+            for row, (b, a, _, _) in zip(w, members):
+                np.copyto(row, block[b])
+                row **= a
+        if exponents:
             gap = _gaps(times, lo, j0, block, 1.0)
             factors = {e: gap**e for e in exponents[1:]}
             gap **= exponents[0]  # the gaps' last use: raised in place
             factors[exponents[0]] = gap
-            w = np.empty((len(written), *block.shape[-2:]))
-            for row, (_, b, s, e, p) in zip(w, written):
-                np.divide(block[b], s, out=row)
-                row **= p
-                row *= factors[e]
-            return w
+            for row, (_, _, e, _) in zip(rows, members):
+                if e:
+                    row *= factors[e]
+        return w
 
-        best = dp_partition_sup((weights(j0, block) for j0, block in columns()), lo, hi,
-                                batch=(len(written),))
-        for (slot, _, s, _, p), v in zip(written, best):
-            values[slot] = float(v) ** (1.0 / p) * s
+    batch = (len(members),) if len(members) > 1 else ()
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = dp_partition_sup((weights(j0, block) for j0, block in columns()), lo, hi, batch)
+    shortest = float(np.diff(times[lo : hi + 1]).min())
+    span = float(times[hi] - times[lo])
+    values = []
+    for (b, a, e, root), total in zip(members, np.atleast_1d(totals)):
+        total = float(total)
+
+        def member_columns():
+            return ((j0, block[b]) for j0, block in columns())
+
+        if _sum_kept(total, hi - lo, [e * math.log2(shortest), e * math.log2(span)],
+                     lambda: not any(block.any() for _, block in member_columns())):
+            values.append(total**root)
+        else:
+            s, fused = _fused_weights(member_columns, times, lo, a, e)
+            values.append(dp_partition_sup(fused, lo, hi) ** root * s)
     return values
-
-
-def _slices(columns, b):
-    # the column blocks of member path b out of a stack of them
-    for j0, block in columns():
-        yield j0, block[b]
 
 
 def _require_uniform(path):
@@ -618,23 +563,20 @@ def qvar_norm(path, q: float, interval=None) -> float:
     lo, hi = path.grid.resolve_interval(interval)
     if q == 1.0:  # the finest partition is optimal (triangle inequality)
         return float(np.sum(_shift_distances(path, 1, lo, hi)))
-    s = _scale(_distance_bound(path, lo, hi), q)
-    if s == 1.0:
-        powers = (_raised(block, q) for _, block in _columns(path, lo, hi))
-    else:  # out of range: divide by the largest distance
-        s, powers = _fused_weights(partial(_columns, path, lo, hi), path.grid.times, lo, q, 0.0)
-    return dp_partition_sup(powers, lo, hi) ** (1.0 / q) * s
+    return _power_sup_family(partial(_family_columns, [path], lo, hi), path.grid.times, lo, hi,
+                             [(0, q, 0.0, 1.0 / q)])[0]
 
 
 def riesz_norm(path, delta: float, p, interval=None) -> float:
     """Riesz variation ( sup_P sum d^p / (v-u)^(delta*p-1) )^(1/p); p = P_INF is Hoelder."""
     _check_delta(delta)
-    if _check_riesz_p(delta, p) is P_INF:
+    p = _check_riesz_p(delta, p)
+    if p is P_INF:
         return holder_norm(path, delta, interval)
     _check_path(path)
     lo, hi = path.grid.resolve_interval(interval)
-    columns = partial(_family_columns, [path], lo, hi)
-    return _riesz_family(columns, [path], lo, hi, [(0, delta, p)])[0]
+    return _power_sup_family(partial(_family_columns, [path], lo, hi), path.grid.times, lo, hi,
+                             [(0, p, 1.0 - delta * p, 1.0 / p)])[0]
 
 
 def mixed_norm(path, delta: float, p, interval=None) -> float:

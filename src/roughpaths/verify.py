@@ -23,16 +23,18 @@ import numpy as np
 from .distances import (
     DistKind,
     LevelDistanceSpec,
-    _level_partition_sup,
     level_diff_matrix,
     rho_aggregate,
     rho_mixed_level,
 )
 from .exceptions import BlowUpError, ParameterError
 from .norms import (
+    NormKind,
+    NormSpec,
     _family_columns,
+    _finite_p,
+    _power_sup_family,
     _require_uniform,
-    _riesz_family,
     dense_columns,
     dp_partition_sup,
     dp_power_table,
@@ -370,6 +372,7 @@ def check_embedding_chain(paths, delta, p, seed=0) -> list[CheckRecord]:
     Nikolskii.  Implicit-constant inclusions are reported separately by
     ``check_inclusion_constants``.
     """
+    p = _finite_p(NormSpec(NormKind.RIESZ, delta, p).p, "a Riesz family")
     rng = np.random.default_rng([seed, 101])
     pr = {"delta": delta, "p": p, "paths": len(paths)}
     worst_interp = worst_point = worst_dmono = worst_pmono = worst_nik = 0.0
@@ -377,20 +380,24 @@ def check_embedding_chain(paths, delta, p, seed=0) -> list[CheckRecord]:
     pprime = p - 1.0
     d_ok = dprime > 0 and p * dprime >= 1.0
     p_ok = pprime * delta >= 1.0
-    # the Riesz norms at (delta, p), (delta', p) and (delta, p') of one
-    # path and interval come from one family call
-    members = [(0, delta, p)] + [(0, dprime, p)] * d_ok + [(0, delta, pprime)] * p_ok
+    # the Riesz norms at (delta, p), (delta', p) and (delta, p') and the
+    # (1/delta)-variation of one path and interval come from one kernel
+    # call; at 1/delta = 1 ``qvar_norm`` serves the variation as a step sum
+    members = ([(0, p, 1.0 - delta * p, 1.0 / p)] + [(0, p, 1.0 - dprime * p, 1.0 / p)] * d_ok
+               + [(0, pprime, 1.0 - delta * pprime, 1.0 / pprime)] * p_ok)
+    if delta != 1.0:
+        q = 1.0 / delta
+        members.append((0, q, 0.0, 1.0 / q))
     for f in paths:
         t = f.grid.times
         for s, u in _sub_intervals(rng, t, 3):
             iv = (s, u)
             length = u - s
             i, j = f.grid.resolve_interval(iv)
-            rz, *others = _riesz_family(partial(_family_columns, [f], i, j), [f], i, j, members)
-            worst_interp = max(
-                worst_interp,
-                _safe_ratio(qvar_norm(f, 1.0 / delta, iv), rz * length ** (delta - 1.0 / p)),
-            )
+            rz, *others = _power_sup_family(partial(_family_columns, [f], i, j), t, i, j,
+                                            members)
+            qv = others.pop() if delta != 1.0 else qvar_norm(f, 1.0, iv)
+            worst_interp = max(worst_interp, _safe_ratio(qv, rz * length ** (delta - 1.0 / p)))
             dend = float(np.linalg.norm(f.values[j] - f.values[i]))
             worst_point = max(worst_point, _safe_ratio(dend, rz * length ** (delta - 1.0 / p)))
             if d_ok:
@@ -662,14 +669,15 @@ def _nested_mixed(family, delta, ps, k=None) -> list[list[float]]:
 
 def _family_riesz(family, delta, ps) -> list[list[float]]:
     """``riesz_norm`` of every path of ``family`` at every p of ``ps``, laid
-    out as ``_nested_mixed``: one Riesz family call per same-grid chunk, its
-    members every (path, p), on distance columns computed once per chunk."""
+    out as ``_nested_mixed``: one ``_power_sup_family`` call per same-grid
+    chunk, its members every (path, p)."""
+    ps = [_finite_p(NormSpec(NormKind.RIESZ, delta, p).p, "a Riesz family") for p in ps]
     values = [[] for _ in ps]
     for times, chunk in _family_chunks(family, None):
         m = len(times) - 1
-        blocks = list(_family_columns(chunk, 0, m))
-        got = _riesz_family(lambda: blocks, chunk, 0, m,
-                            [(b, delta, p) for p in ps for b in range(len(chunk))])
+        got = _power_sup_family(partial(_family_columns, chunk, 0, m), times, 0, m,
+                                [(b, p, 1.0 - delta * p, 1.0 / p)
+                                 for p in ps for b in range(len(chunk))])
         for i, out in enumerate(values):
             out.extend(got[i * len(chunk) : (i + 1) * len(chunk)])
     return values
@@ -694,8 +702,11 @@ def _family_refined_nikolskii(family, delta, p, k=None) -> list[float]:
 
 
 def _level_columns(chunk, k):
-    # dense columns of the stacked level-k difference matrices of a chunk of pairs
-    return dense_columns(_distance_stack(chunk, k), 0, len(chunk[0][0].grid) - 1)
+    # dense columns of the stacked level-k difference matrices of a chunk of
+    # pairs, read-only: every pass of a kernel reads the same array
+    cols = dense_columns(_distance_stack(chunk, k), 0, len(chunk[0][0].grid) - 1)
+    cols.flags.writeable = False
+    return cols
 
 
 def check_riesz_eq_mixed(paths, delta, ps) -> list[CheckRecord]:
@@ -744,13 +755,13 @@ def check_riesz_characterization(paths, refined_paths, delta, p) -> list[CheckRe
 # ---------------------------------------------------------------------------
 
 def _family_riesz_level(pairs, delta, p, k) -> list[float]:
-    """``rho_riesz_level`` of every pair at level k: one batched level
-    partition sup per same-grid chunk."""
+    """``rho_riesz_level`` of every pair at level k: one ``_power_sup_family``
+    call per same-grid chunk."""
     values = []
     for times, chunk in _family_chunks(pairs, k):
-        members = [(b, p, 1.0 - delta * p) for b in range(len(chunk))]
-        values.extend(_level_partition_sup(_level_columns(chunk, k), times, 0, len(times) - 1,
-                                           k, members))
+        cols = _level_columns(chunk, k)
+        members = [(b, p / k, 1.0 - delta * p, k / p) for b in range(len(chunk))]
+        values.extend(_power_sup_family(lambda: [(1, cols)], times, 0, len(times) - 1, members))
     return values
 
 

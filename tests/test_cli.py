@@ -73,16 +73,17 @@ def test_csv_with_utf8_bom(tmp_path, capsys):
 
 
 def per_line_read(path) -> EuclideanPath:
-    """Reference reader: the path CSV converted line by line with float()."""
+    """Reference reader: the path CSV converted line by line with float(),
+    each error named by its line number in the file."""
     from roughpaths import CsvFormatError, ParameterError
 
     text = path.read_text(encoding="utf-8-sig")
-    lines = [ln for ln in text.split("\n") if ln.strip() != ""]
+    lines = [(n, ln) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip() != ""]
     if not lines:
         raise CsvFormatError(0, "empty file")
-    ncols = len(lines[0].split(","))
+    ncols = len(lines[0][1].split(","))
     times, rows = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         fields = line.split(",")
         if len(fields) != ncols:
             raise CsvFormatError(lineno, f"expected {ncols} fields, got {len(fields)}")
@@ -90,6 +91,13 @@ def per_line_read(path) -> EuclideanPath:
             nums = [float(f) for f in fields]
         except ValueError as exc:
             raise CsvFormatError(lineno, str(exc)) from exc
+        if not all(math.isfinite(v) for v in nums):
+            raise CsvFormatError(lineno, "times and values must be finite")
+        if not times and nums[0] != 0.0:
+            raise CsvFormatError(lineno, f"times start at 0, got {nums[0]!r}")
+        if times and not nums[0] > times[-1]:
+            raise CsvFormatError(lineno, f"times must increase strictly, got {nums[0]!r} "
+                                         f"after {times[-1]!r}")
         times.append(nums[0])
         rows.append(nums[1:])
     try:
@@ -113,7 +121,28 @@ CSV_BODIES = {
     "nan-time": "t,x1\n0,1\nNaN,2\n1,2\n",
     "inf-time": "t,x1\n0,1\n0.5,2\ninf,2\n",
     "header-only": "t,x1\n",
+    "bad-number-after-blank": "t,x1\n\n0,1\nbad,2\n",
+    "field-count-after-blank": "t,x1\n\n\n0,1\n0.5,1,2\n",
+    "blank-before-header": "\n\nt,x1\n0,1\n0.5,x\n",
+    "non-increasing": "t,x1\n0,1\n0.5,2\n0.5,3\n",
+    "non-zero-start": "t,x1\n\n0.5,1\n1,2\n",
 }
+
+
+@pytest.mark.parametrize("body, line", [
+    ("t,x1\n\n0,1\nbad,2\n", 4),
+    ("t,x1\n\n0,1\n  \n0.5,1,2\n", 5),
+    ("\n\nt,y1\n0,1\n", 3),
+    ("t,x1\n0,1\n\n0.5,nan\n", 4),
+    ("t,x1\n0,1\n0.5,2\n\n0.25,3\n", 5),
+    ("t,x1\n\n0.5,1\n1,2\n", 3),
+])
+def test_csv_errors_name_the_line_of_the_file(tmp_path, capsys, body, line):
+    # blank lines count: the number is the bad line's own line in the file
+    f = tmp_path / "p.csv"
+    f.write_text(body)
+    assert main(["norm", str(f), "--kind", "qvar", "--p", "2"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
 
 @pytest.mark.parametrize("name", sorted(CSV_BODIES))
@@ -610,6 +639,78 @@ def test_norm_and_dist_fuzz_exit_cleanly(fuzz_csvs, argv):
         assert math.isfinite(float(out.getvalue().split("\n")[0]))
     else:
         assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+
+
+@st.composite
+def csv_contents(draw):
+    """A path CSV and the number of its first bad line in the file: None when
+    it parses, 0 when it has no bad line but fewer than two data rows.
+
+    Lines are drawn as kinds: a good row, a blank line, a field float()
+    rejects, a wrong field count, a non-finite field, or a time that does
+    not increase (does not start at 0 on the first row).
+    """
+    n = draw(st.integers(1, 2))
+    lines = [""] * draw(st.integers(0, 1))
+    header = "t," + ",".join(f"x{i}" for i in range(1, n + 1))
+    bad = None
+    if draw(st.integers(0, 9)) == 0:
+        header, bad = draw(st.sampled_from(["t,y1", "x1,t", "t"])), len(lines) + 1
+    lines.append(header)
+    t, rows = None, 0
+    kinds = ["row"] * 6 + ["blank", "float", "count", "nonfinite", "order"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        good = draw(st.sampled_from([0.25, 1e-3, 7.0])) if t is not None else 0.0
+        time = good + (t or 0.0)
+        fields = [repr(time)] + [repr(draw(st.floats(-1e3, 1e3))) for _ in range(n)]
+        if kind == "float":
+            fields[draw(st.integers(0, n))] = draw(st.sampled_from(["x", "1__0", "", "0x1"]))
+        elif kind == "count":
+            fields.append("1")
+        elif kind == "nonfinite":
+            fields[draw(st.integers(0, n))] = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+        elif kind == "order":
+            fields[0] = repr(t if t is not None else draw(st.sampled_from([0.5, -1.0])))
+        else:
+            t, rows = time, rows + 1
+        lines.append(",".join(fields))
+        if kind != "row" and bad is None:
+            bad = len(lines)
+    if bad is None and rows < 2:
+        bad = 0
+    bom = "\ufeff" if draw(st.booleans()) else ""  # a byte order mark starts the file
+    return bom + "\n".join(lines) + "\n", bad
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(csv_contents(), st.sampled_from([
+    ["norm", "{f}", "--kind", "qvar", "--p", "2"],
+    ["norm", "{f}", "--kind", "rieszv", "--delta", "0.5", "--p", "4"],
+    ["norm", "{f}", "--kind", "nikolskii", "--delta", "0.5", "--p", "4"],
+    ["dist", "{f}", "{f}", "--kind", "qvar", "--p", "2", "--depth", "2"],
+    ["dist", "{f}", "{good}", "--kind", "riesz", "--delta", "0.5", "--p", "4"],
+]))
+def test_csv_contents_fuzz_exit_cleanly(tmp_path_factory, contents, argv):
+    # exit 2 exactly when the file is bad, naming its first bad line
+    text, bad = contents
+    folder = tmp_path_factory.mktemp("csv")
+    (folder / "f.csv").write_text(text, encoding="utf-8")
+    (folder / "good.csv").write_text("t,x1\n0,0\n0.25,1\n0.5,0\n")
+    argv = [a.format(f=folder / "f.csv", good=folder / "good.csv") for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4, 5), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert (code == 2) == (bad is not None), err.getvalue()
+    if bad is not None:
+        assert err.getvalue().startswith(f"error: line {bad}: "), err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """The family kernels give the per-call values bit for bit.
 
-``norms._riesz_family``, ``distances._level_partition_sup`` and the batched
-``norms.shift_partition_sup`` serve a stack of same-grid paths or pairs in
-one DP loop; ``riesz_norm``, the level distances and the refined Nikolskii
-family are their batch-of-one case.  These tests stack families (dims 1-3,
-uniform and non-uniform grids, constant members, group paths, level pairs at
-depths 1-3, sub-intervals with lo > 0, members out of the float range) and
-require ``np.array_equal`` with the calls on one item at a time.
+``norms._power_sup_family`` and the batched ``norms.shift_partition_sup``
+serve a stack of same-grid paths or pairs in one DP loop; q-variation,
+Riesz, the level distances and the refined Nikolskii family are their
+batch-of-one case.  These tests stack families (dims 1-3, uniform and
+non-uniform grids, constant members, group paths, level pairs at depths
+1-3, sub-intervals with lo > 0, members out of the float range) and require
+``np.array_equal`` with the calls on one item at a time.
 """
 
+import math
 from functools import partial
 
 import numpy as np
@@ -18,8 +19,10 @@ from hypothesis import strategies as st
 
 from roughpaths import (
     EuclideanPath,
+    GroupPath,
     TimeGrid,
     lift,
+    qvar_norm,
     refined_nikolskii_norm,
     rho_nikolskii_hat_level,
     rho_qvar_level,
@@ -27,8 +30,15 @@ from roughpaths import (
     riesz_norm,
 )
 from roughpaths import norms, verify
-from roughpaths.distances import _level_partition_sup, level_diff_matrix
-from roughpaths.norms import _family_columns, _riesz_family, dense_columns, shift_partition_sup
+from roughpaths.distances import level_diff_matrix
+from roughpaths.norms import (
+    _family_columns,
+    _power_sup_family,
+    _sum_kept,
+    dense_columns,
+    dp_partition_sup,
+    shift_partition_sup,
+)
 
 KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -69,20 +79,6 @@ def _span(path, lo, hi):
 
 
 @KERNEL_SETTINGS
-@given(families(), st.data())
-def test_riesz_family_equals_per_call_riesz(case, data):
-    paths, lo, hi = case
-    # delta = 1, p = 2000 leaves the float range on every grid: the fused weights
-    params = st.sampled_from([(0.3, 4.0), (0.5, 2.0), (0.5, 7.0), (1.0, 300.0), (1.0, 2000.0)])
-    members = data.draw(st.lists(st.tuples(st.integers(0, len(paths) - 1), params),
-                                 min_size=1, max_size=6))
-    members = [(b, delta, p) for b, (delta, p) in members] + [(0, 1.0, 2000.0)]
-    got = _riesz_family(partial(_family_columns, paths, lo, hi), paths, lo, hi, members)
-    want = [riesz_norm(paths[b], delta, p, _span(paths[b], lo, hi)) for b, delta, p in members]
-    assert np.array_equal(got, want)
-
-
-@KERNEL_SETTINGS
 @given(families(uniform=True), st.sampled_from([(0.3, 2.5), (0.45, 4.0), (0.5, 300.0),
                                                 (1.0, 7.0)]))
 def test_batched_sweep_equals_each_slice_alone(case, dp):
@@ -96,40 +92,103 @@ def test_batched_sweep_equals_each_slice_alone(case, dp):
         alone = shift_partition_sup(lambda: [(j0, block[b]) for j0, block in blocks], times,
                                     lo, hi, p, -delta * p, 1.0 / p)
         assert got[b] == alone == refined_nikolskii_norm(f, delta, p, _span(f, lo, hi))
+    # the level-k differences of pairs of lifts: the Nikolskii-hat distances,
+    # defined for p >= 1/delta
+    pairs = _pairs(paths) if isinstance(paths[0], GroupPath) and delta * p >= 1.0 else []
+    for k in range(1, paths[0].depth + 1 if pairs else 1):
+        cols = dense_columns(np.stack([level_diff_matrix(x1, x2, k) for x1, x2 in pairs]), lo, hi)
+        hat = shift_partition_sup(lambda: [(lo + 1, cols)], times, lo, hi, p / k, -delta * p,
+                                  k / p, batch=(len(pairs),))
+        assert np.array_equal(hat, [rho_nikolskii_hat_level(x1, x2, delta, p, k, _span(x1, lo, hi))
+                                    for x1, x2 in pairs])
 
 
 def _pairs(paths):
     return list(zip(paths[::2], paths[1::2])) or [(paths[0], paths[0])]
 
 
+def _dilated(f, lam):
+    # the path with its distances scaled by lam: values, or level j by lam^j
+    if isinstance(f, EuclideanPath):
+        return EuclideanPath(f.grid, f.values * lam)
+    return GroupPath(f.grid, tuple(lv * lam**j for j, lv in enumerate(f.levels)))
+
+
+def _items(paths, k, lo, hi):
+    """Column source, dense distance stack and per-call value of a kernel family.
+
+    Level k = 0 takes the paths themselves, streamed as ``qvar_norm`` and
+    ``riesz_norm`` stream them; k >= 1 takes the level-k differences of
+    pairs of the paths, read-only dense columns as the level distances pass
+    them.  The per-call value of member (b, delta, p) is the public function
+    (delta None: q-variation of exponent p).
+    """
+    times = paths[0].grid.times
+    iv = (times[lo], times[hi])
+    if k == 0:
+        dense = np.stack([f.distance_block(0, 0, len(f.grid)) if isinstance(f, EuclideanPath)
+                          else f.distance_matrix for f in paths])
+
+        def per_call(b, delta, p):
+            return (qvar_norm(paths[b], p, iv) if delta is None
+                    else riesz_norm(paths[b], delta, p, iv))
+
+        return partial(_family_columns, paths, lo, hi), dense, per_call
+    pairs = _pairs(paths)
+    dense = np.stack([level_diff_matrix(x1, x2, k) for x1, x2 in pairs])
+    cols = dense_columns(dense, lo, hi)
+    cols.flags.writeable = False
+
+    def per_call(b, delta, p):
+        return (rho_qvar_level(*pairs[b], p, k, iv) if delta is None
+                else rho_riesz_level(*pairs[b], delta, p, k, iv))
+
+    return (lambda: [(lo + 1, cols)]), dense, per_call
+
+
+# (delta, p), delta None for q-variation of exponent p; the exponents 300,
+# 600 and 2000 leave the float range on most grids (the fused weights)
+MEMBER_PARAMS = [(None, 2.5), (None, 600.0), (0.3, 4.0), (0.45, 4.0), (0.5, 2.0), (0.5, 7.0),
+                 (0.5, 600.0), (1.0, 300.0), (1.0, 2000.0)]
+
+
 @KERNEL_SETTINGS
 @given(families(), st.data())
-def test_level_family_equals_per_call_level_distances(case, data):
+def test_power_sup_family_matches_members_formula_and_scaling(case, data):
+    # Euclidean, group-path and level-difference members: batched values
+    # equal the per-call values bit for bit, a kept sum equals the dense
+    # as-written formula bit for bit, and dilating the paths by 2^+-n scales
+    # every value by 2^(+-n k), k the level (1 for the paths themselves)
     paths, lo, hi = case
-    if isinstance(paths[0], EuclideanPath):
-        paths = [lift(f, 1) for f in paths]
-    pairs = _pairs(paths)
-    k = data.draw(st.integers(1, paths[0].depth))
     times = paths[0].grid.times
-    cols = dense_columns(np.stack([level_diff_matrix(x1, x2, k) for x1, x2 in pairs]), lo, hi)
-    # q or p = 600 leaves the float range: the fused weights
-    members = data.draw(st.lists(st.tuples(st.integers(0, len(pairs) - 1),
-                                           st.sampled_from([(None, 2.5), (None, 600.0),
-                                                            (0.45, 4.0), (0.5, 600.0)])),
-                                 min_size=1, max_size=6))
-    got = _level_partition_sup(cols, times, lo, hi, k, [
-        (b, p, 0.0 if delta is None else 1.0 - delta * p) for b, (delta, p) in members])
-    want = [rho_qvar_level(*pairs[b], p, k, (times[lo], times[hi])) if delta is None
-            else rho_riesz_level(*pairs[b], delta, p, k, (times[lo], times[hi]))
-            for b, (delta, p) in members]
-    assert np.array_equal(got, want)
-    if paths[0].grid.is_uniform:
-        for delta, p in ((0.45, 4.0), (0.5, 300.0)):
-            hat = shift_partition_sup(lambda: [(lo + 1, cols)], times, lo, hi, p / k, -delta * p,
-                                      k / p, batch=(len(pairs),))
-            assert np.array_equal(hat, [rho_nikolskii_hat_level(x1, x2, delta, p, k,
-                                                                (times[lo], times[hi]))
-                                        for x1, x2 in pairs])
+    k = 0 if isinstance(paths[0], EuclideanPath) else data.draw(st.integers(0, paths[0].depth))
+    columns, dense, per_call = _items(paths, k, lo, hi)
+    drawn = data.draw(st.lists(st.tuples(st.integers(0, len(dense) - 1),
+                                         st.sampled_from(MEMBER_PARAMS)),
+                               min_size=1, max_size=6))
+    drawn = [(b, delta, p) for b, (delta, p) in drawn] + [(0, 1.0, 2000.0)]
+    root = max(k, 1)
+    members = [(b, p / root, 0.0 if delta is None else 1.0 - delta * p, root / p)
+               for b, delta, p in drawn]
+    got = _power_sup_family(columns, times, lo, hi, members)
+    assert np.array_equal(got, [per_call(*m) for m in drawn])
+
+    gap = times[None, :] - times[:, None]
+    gap[gap <= 0.0] = 1.0
+    shortest = float(np.diff(times[lo : hi + 1]).min())
+    for value, (b, a, e, r) in zip(got, members):
+        assert math.isfinite(value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = dense[b] ** a * gap**e
+            total = dp_partition_sup([dense_columns(w, lo, hi)], lo, hi)
+        factors = [e * math.log2(shortest), e * math.log2(times[hi] - times[lo])]
+        if _sum_kept(total, hi - lo, factors, lambda: not dense[b][lo : hi + 1, lo : hi + 1].any()):
+            assert value == total**r
+
+    n = data.draw(st.sampled_from([-40, -3, 3, 40]))
+    scaled, *_ = _items([_dilated(f, 2.0**n) for f in paths], k, lo, hi)
+    again = _power_sup_family(scaled, times, lo, hi, members)
+    assert np.allclose(again, np.array(got) * 2.0 ** (n * root), rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
