@@ -152,16 +152,15 @@ MEMBER_PARAMS = [(None, 2.5), (None, 600.0), (0.3, 4.0), (0.45, 4.0), (0.5, 2.0)
                  (0.5, 600.0), (1.0, 300.0), (1.0, 2000.0)]
 
 
-@KERNEL_SETTINGS
-@given(families(), st.data())
-def test_power_sup_family_matches_members_formula_and_scaling(case, data):
-    # Euclidean, group-path and level-difference members: batched values
-    # equal the per-call values bit for bit, a kept sum equals the dense
-    # as-written formula bit for bit, and dilating the paths by 2^+-n scales
-    # every value by 2^(+-n k), k the level (1 for the paths themselves)
-    paths, lo, hi = case
+def _check_power_sup_family(paths, lo, hi, k, data):
+    """The one property of ``_power_sup_family`` on the level-k members of ``paths``.
+
+    Batched values equal the per-call values bit for bit, a kept sum equals
+    the dense as-written formula bit for bit, and dilating the paths by
+    2^+-n scales every value by 2^(+-n k), k the level (1 for the paths
+    themselves).
+    """
     times = paths[0].grid.times
-    k = 0 if isinstance(paths[0], EuclideanPath) else data.draw(st.integers(0, paths[0].depth))
     columns, dense, per_call = _items(paths, k, lo, hi)
     drawn = data.draw(st.lists(st.tuples(st.integers(0, len(dense) - 1),
                                          st.sampled_from(MEMBER_PARAMS)),
@@ -189,6 +188,26 @@ def test_power_sup_family_matches_members_formula_and_scaling(case, data):
     scaled, *_ = _items([_dilated(f, 2.0**n) for f in paths], k, lo, hi)
     again = _power_sup_family(scaled, times, lo, hi, members)
     assert np.allclose(again, np.array(got) * 2.0 ** (n * root), rtol=1e-12, atol=0.0)
+
+
+@KERNEL_SETTINGS
+@given(families(), st.data())
+def test_riesz_family_equals_per_call_riesz(case, data):
+    # members on the paths themselves, Euclidean and group: Riesz, and
+    # q-variation as its exponent-0 case
+    paths, lo, hi = case
+    _check_power_sup_family(paths, lo, hi, 0, data)
+
+
+@KERNEL_SETTINGS
+@given(families(), st.data())
+def test_level_family_equals_per_call_level_distances(case, data):
+    # members on the level-k differences of pairs of lifts: the level
+    # q-variation and Riesz distances
+    paths, lo, hi = case
+    if isinstance(paths[0], EuclideanPath):
+        paths = [lift(f, 1) for f in paths]
+    _check_power_sup_family(paths, lo, hi, data.draw(st.integers(1, paths[0].depth)), data)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
