@@ -34,7 +34,6 @@ from .norms import (
     _finite_p,
     _power_sup_family,
     _require_uniform,
-    dense_columns,
     shift_partition_sup,
 )
 from .paths import GroupPath
@@ -115,28 +114,24 @@ def level_diff_matrix(x1: GroupPath, x2: GroupPath, k: int) -> np.ndarray:
     return _all_level_diffs(x1, x2)[k - 1]
 
 
-def _pair_columns(x1, x2, k, interval):
-    # the level-k difference columns of one pair over ``interval``, as a stack of one
-    d = level_diff_matrix(x1, x2, k)
-    lo, hi = x1.grid.resolve_interval(interval)
-    return dense_columns(d, lo, hi)[None], lo, hi
+def _pair_source(x1, x2, k, interval):
+    # the level-k difference matrix of one pair, a kernel source, and the interval's indices
+    return level_diff_matrix(x1, x2, k), *x1.grid.resolve_interval(interval)
 
 
 def rho_qvar_level(x1, x2, q: float, k: int, interval=None) -> float:
     """Level-k q-variation distance ( sup_P sum D_k^(q/k) )^(k/q)."""
     q = _check_q(q)
-    cols, lo, hi = _pair_columns(x1, x2, k, interval)
-    return _power_sup_family(lambda: [(lo + 1, cols)], x1.grid.times, lo, hi,
-                             [(0, q / k, 0.0, k / q)])[0]
+    d, lo, hi = _pair_source(x1, x2, k, interval)
+    return _power_sup_family([d], x1.grid.times, lo, hi, [(0, q / k, 0.0, k / q)])[0]
 
 
 def rho_riesz_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:
     """Level-k Riesz distance ( sup_P sum D_k^(p/k) / (v-u)^(delta*p-1) )^(k/p)."""
     _check_delta(delta)
     p = _check_dist_p(delta, p)
-    cols, lo, hi = _pair_columns(x1, x2, k, interval)
-    return _power_sup_family(lambda: [(lo + 1, cols)], x1.grid.times, lo, hi,
-                             [(0, p / k, 1.0 - delta * p, k / p)])[0]
+    d, lo, hi = _pair_source(x1, x2, k, interval)
+    return _power_sup_family([d], x1.grid.times, lo, hi, [(0, p / k, 1.0 - delta * p, k / p)])[0]
 
 
 def rho_mixed_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:
@@ -157,9 +152,8 @@ def rho_nikolskii_hat_level(x1, x2, delta: float, p: float, k: int, interval=Non
     p = _check_dist_p(delta, p)
     _check_pair(x1, x2, k)
     _require_uniform(x1)
-    cols, lo, hi = _pair_columns(x1, x2, k, interval)
-    return shift_partition_sup(lambda: [(lo + 1, cols[0])], x1.grid.times, lo, hi,
-                               p / k, -delta * p, k / p)
+    d, lo, hi = _pair_source(x1, x2, k, interval)
+    return shift_partition_sup([d], x1.grid.times, lo, hi, p / k, -delta * p, k / p)[0]
 
 
 def rho_aggregate(x1, x2, kind: DistKind, delta: float | None = None,

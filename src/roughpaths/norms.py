@@ -37,23 +37,24 @@ cap; tables over all subintervals are left to the independent references
 The one table kept here is ``dp_power_table``, the q-variation powers over
 all subintervals, which the verify control function and that reference
 need: an O(M^3) DP in push form (one NumPy max per finished column), whose
-values are bit-identical to the per-cell recursion.  Both DPs and the sweep
-``shift_partition_sup`` take leading batch axes: ``dp_power_table`` weights
-of shape ``(*batch, N, N)``, and column blocks of shape
-``(*batch, rows, cols)`` for the other two, so one Python loop over the
-columns serves a stack of same-grid matrices, with the values of the
-per-matrix calls bit for bit (elementwise ops and exact maxima; the sweep
-raises its distances as reversed 1-D arrays, where NumPy applies the C pow
-whatever the batch).  The batch-free calls are the case ``batch = ()``.
+values are bit-identical to the per-cell recursion.  Both DPs take leading
+batch axes: ``dp_power_table`` weights of shape ``(*batch, N, N)``, and
+``dp_partition_sup`` column blocks of shape ``(*batch, rows, cols)``, so one
+Python loop over the columns serves a stack of same-grid matrices, with the
+values of the per-matrix calls bit for bit (elementwise ops and exact
+maxima).  The batch-free calls are the case ``batch = ()``.
 
-The weight kernels work in place, on arrays they allocated.  A Euclidean
-block is a fresh array per yield of ``_columns`` (no buffer is reused across
-yields), so a single partition power sum, Nikolskii and fractional Sobolev
-raise and divide the block itself; Hoelder, a family of several members and
-the fused weights raise, multiply and divide the gaps ``_gaps`` allocated
-for the block, or their own weight buffers.  A group path's block is a
-read-only view of its cached matrix and is never written: ``_raised``
-raises a C-ordered copy.  The kernels keep the ``**`` / ``**=`` operators,
+Distances reach the kernels as *sources*: a Euclidean path, a group path,
+or a dense distance matrix such as ``distances.level_diff_matrix``.  Two
+functions read them, and only they: ``_columns`` yields the column blocks
+of one source, and ``_family_columns`` stacks the blocks of several sources
+on one grid on a leading axis.  A Euclidean block is computed from the path
+values, a fresh array per yield that the kernels may overwrite.  Every other
+source yields a read-only view of its dense matrix (``_dense``), so no
+kernel writes a caller's matrix: ``_raised`` raises such a block in a
+C-ordered copy.  Hoelder, a family of several members and the fused weights
+raise, multiply and divide the gaps ``_gaps`` allocated for the block, or
+their own weight buffers.  The kernels keep the ``**`` / ``**=`` operators,
 which take NumPy's fast paths for the exponents 2, 0.5 and -1, so the
 values do not change.  A block's cells with i >= j, which no DP reads, are
 the upper triangle of its trailing rows x rows square, and ``_gaps`` and
@@ -63,14 +64,15 @@ Every partition power sum, ( sup_P sum D^a (v-u)^e )^(1/a), has one
 kernel, ``_power_sup_family``: q-variation (a = q, e = 0), Riesz (a = p,
 e = 1 - delta*p) and the level-k q-variation and Riesz distances of
 ``distances`` (a = p/k on the level-k differences) differ only in a and e.
-It takes the stacked distance columns of items on one grid
-(``_family_columns``, or ``dense_columns`` of a stack) and a list of
-members, each an item index with its (a, e) and the root, 1/a up to
-rounding (k/p for the level distances); the members share one batched
-``dp_partition_sup``, and a single member is the batch-free DP.
-``qvar_norm``, ``riesz_norm`` and the level distances are its single-member
-case, and the verify checks call it, and the batched sweep, once per
-same-grid chunk of a family.  Nikolskii shifts h run over integer
+It takes a list of sources on one grid and a list of members, each a
+source index with its (a, e) and the root, 1/a up to rounding (k/p for the
+level distances); the members share one batched ``dp_partition_sup``, and a
+single member is the batch-free DP.  ``qvar_norm``, ``riesz_norm`` and the
+level distances are its single-member case.  The refined Nikolskii sweep
+``shift_partition_sup`` takes a list of sources the same way and sweeps
+them all at once; it raises its distances as reversed 1-D arrays, where
+NumPy applies the C pow whatever the batch.  The verify checks call both
+once per same-grid chunk of a family.  Nikolskii shifts h run over integer
 multiples of the uniform mesh with a left Riemann sum for the inner
 integral; the fractional Sobolev double integral uses the tensor-grid
 quadrature with the diagonal band |u-v| < mesh excluded.
@@ -147,7 +149,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -287,39 +288,54 @@ def dense_columns(matrix: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.swapaxes(matrix[..., lo : hi + 1, lo + 1 : hi + 1], -1, -2)
 
 
-def _columns(path, lo, hi, width=None):
-    """Distances d(f_i, f_j) of the columns j = lo+1..hi, in blocks.
+def _dense(src) -> np.ndarray:
+    """The dense (M+1, M+1) distance matrix of a source, computed afresh for a
+    Euclidean path, so that no path caches one."""
+    if isinstance(src, EuclideanPath):
+        return src.distance_block(0, 0, len(src.grid))
+    if isinstance(src, GroupPath):
+        return src.distance_matrix
+    return src
+
+
+def _columns(src, lo, hi, width=None):
+    """Distances d(f_i, f_j) of a source's columns j = lo+1..hi, in blocks.
 
     Yields ``(j0, block)`` with ``block[c, r]`` = d(f_(lo+r), f_(j0+c)) for at
-    least every r with lo+r < j0+c.  Euclidean paths compute the blocks from
-    their values, ``width`` columns (by default about ``_BLOCK_CELLS`` cells)
-    at a time, so no (M+1)^2 matrix is built, each block a fresh array that
-    the caller may overwrite; group paths slice their cached, read-only
-    distance matrix.
+    least every r with lo+r < j0+c.  A Euclidean path computes the blocks
+    from its values, ``width`` columns (by default about ``_BLOCK_CELLS``
+    cells) at a time, so no (M+1)^2 matrix is built, each block a fresh
+    array that the caller may overwrite.  Any other source yields one
+    read-only view of its dense matrix, which no caller can write.
     """
-    if isinstance(path, GroupPath):
+    if not isinstance(src, EuclideanPath):
         if hi > lo:
-            yield lo + 1, dense_columns(path.distance_matrix, lo, hi)
+            block = dense_columns(_dense(src), lo, hi)
+            block.flags.writeable = False
+            yield lo + 1, block
         return
-    width = width or max(1, _BLOCK_CELLS // ((hi - lo + 1) * path.dim))
+    width = width or max(1, _BLOCK_CELLS // ((hi - lo + 1) * src.dim))
     for j0 in range(lo + 1, hi + 1, width):
-        yield j0, path.distance_block(lo, j0, min(j0 + width, hi + 1))
+        yield j0, src.distance_block(lo, j0, min(j0 + width, hi + 1))
 
 
-def _family_columns(paths, lo, hi):
-    """The ``_columns`` blocks of paths on one grid, stacked on a leading axis.
+def _family_columns(srcs, lo, hi):
+    """The ``_columns`` blocks of sources on one grid, stacked on a leading axis.
 
-    Yields ``(j0, block)`` with ``block[b]`` the block of ``paths[b]``, about
-    ``_BLOCK_CELLS`` cells in all; one path's blocks get a length-1 axis
-    without a copy.  A distance does not depend on the block it is computed
-    in, so every slice holds the values of the path's own ``_columns``.
+    Yields ``(j0, block)`` with ``block[b]`` the block of ``srcs[b]``, about
+    ``_BLOCK_CELLS`` cells in all when every source is Euclidean, otherwise
+    one block; one source's blocks get a length-1 axis without a copy.  A
+    distance does not depend on the block it is computed in, so every slice
+    holds the values of the source's own ``_columns``.
     """
-    if len(paths) == 1:
-        for j0, block in _columns(paths[0], lo, hi):
+    if len(srcs) == 1:
+        for j0, block in _columns(srcs[0], lo, hi):
             yield j0, block[None]
         return
-    width = max(1, _BLOCK_CELLS // ((hi - lo + 1) * sum(f.dim for f in paths)))
-    for parts in zip(*(_columns(f, lo, hi, width) for f in paths)):
+    width = max(1, hi - lo)
+    if all(isinstance(f, EuclideanPath) for f in srcs):
+        width = max(1, _BLOCK_CELLS // ((hi - lo + 1) * sum(f.dim for f in srcs)))
+    for parts in zip(*(_columns(f, lo, hi, width) for f in srcs)):
         yield parts[0][0], np.stack([block for _, block in parts])
 
 
@@ -380,14 +396,13 @@ def _sum_kept(total, count, factors, flat) -> bool:
     return total == 0.0 and flat()
 
 
-def _fused_weights(columns, times, lo, p, e):
-    """The terms (d/s)^p * g^e with the time factor folded into the base.
+def _fused_weights(src, times, lo, hi, p, e):
+    """The terms (d/s)^p * g^e of a source over [lo, hi], time factor folded into the base.
 
-    ``columns()`` yields the distance column blocks ``(j0, block)`` of
-    ``_columns``, once per pass.  Returns s and the column blocks of
-    (d g^(e/p) / s)^p, s the largest base (a first pass over the blocks), so
-    the largest term is exactly 1; unread cells get weight 0.  Zero
-    distances give s = 1 and zero weights.
+    Returns s and the column blocks of (d g^(e/p) / s)^p, laid out as by
+    ``_columns``, s the largest base (a first pass over the blocks), so the
+    largest term is exactly 1; unread cells get weight 0.  Zero distances
+    give s = 1 and zero weights.
     """
     def bases(j0, block):
         base = _gaps(times, lo, j0, block, 1.0)
@@ -397,13 +412,13 @@ def _fused_weights(columns, times, lo, p, e):
         return _fill_unread(base, 0.0)
 
     def weights(s):
-        for j0, block in columns():
+        for j0, block in _columns(src, lo, hi):
             w = bases(j0, block)
             w /= s
             w **= p
             yield w
 
-    s = max(float(bases(j0, block).max()) for j0, block in columns()) or 1.0
+    s = max(float(bases(j0, block).max()) for j0, block in _columns(src, lo, hi)) or 1.0
     return s, weights(s)
 
 
@@ -465,26 +480,23 @@ def dp_power_table(weight: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return b
 
 
-def _power_sup_family(columns, times, lo, hi, members) -> list[float]:
+def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
     """( sup_P sum D_b(u, v)^a (v-u)^e )^r over [lo, hi], one value per member (b, a, e, r).
 
     The one kernel of every partition power sum, r = 1/a up to rounding:
     q-variation (a = q, e = 0, r = 1/q), Riesz (a = p, e = 1 - delta*p,
     r = 1/p) and the level-k distances of ``distances`` (D_b the level-k
-    difference, a = p/k, r = k/p).  ``columns()`` yields, once per pass,
-    blocks ``(j0, block)`` whose slice ``block[b]`` holds the distances D_b
-    of item b laid out as by ``_columns``: the stacked blocks of
-    ``_family_columns``, or ``dense_columns`` of a stack of matrices.  A
-    writable block must be fresh on every pass, as Euclidean blocks are, for
-    a single member raises it in place; a caller that yields the same arrays
-    on every pass hands them over read-only.
+    difference, a = p/k, r = k/p).  ``srcs`` are distance sources on one
+    grid (see the module docstring), D_b the distances of ``srcs[b]``, read
+    through ``_family_columns``.
 
     The members' weights are formed as written and share one batched
     ``dp_partition_sup``, whose slices equal the per-member DPs bit for bit;
-    a single member runs the batch-free DP.  A member's sum is kept when
-    ``_sum_kept`` keeps it, with the time factor g^e extreme at the shortest
-    step and at t_hi - t_lo; otherwise that member alone takes the fused
-    weights.  Cells with i >= j, never read by a DP, get a unit gap.
+    a single member runs the batch-free DP and raises a fresh Euclidean
+    block in place.  A member's sum is kept when ``_sum_kept`` keeps it,
+    with the time factor g^e extreme at the shortest step and at
+    t_hi - t_lo; otherwise that member alone takes the fused weights of its
+    source.  Cells with i >= j, never read by a DP, get a unit gap.
     """
     if hi <= lo:
         return [0.0] * len(members)
@@ -511,21 +523,18 @@ def _power_sup_family(columns, times, lo, hi, members) -> list[float]:
 
     batch = (len(members),) if len(members) > 1 else ()
     with np.errstate(over="ignore", invalid="ignore"):
-        totals = dp_partition_sup((weights(j0, block) for j0, block in columns()), lo, hi, batch)
+        blocks = _family_columns(srcs, lo, hi)
+        totals = dp_partition_sup((weights(j0, block) for j0, block in blocks), lo, hi, batch)
     shortest = float(np.diff(times[lo : hi + 1]).min())
     span = float(times[hi] - times[lo])
     values = []
     for (b, a, e, root), total in zip(members, np.atleast_1d(totals)):
         total = float(total)
-
-        def member_columns():
-            return ((j0, block[b]) for j0, block in columns())
-
         if _sum_kept(total, hi - lo, [e * math.log2(shortest), e * math.log2(span)],
-                     lambda: not any(block.any() for _, block in member_columns())):
+                     lambda: not any(block.any() for _, block in _columns(srcs[b], lo, hi))):
             values.append(total**root)
         else:
-            s, fused = _fused_weights(member_columns, times, lo, a, e)
+            s, fused = _fused_weights(srcs[b], times, lo, hi, a, e)
             values.append(dp_partition_sup(fused, lo, hi) ** root * s)
     return values
 
@@ -563,8 +572,7 @@ def qvar_norm(path, q: float, interval=None) -> float:
     lo, hi = path.grid.resolve_interval(interval)
     if q == 1.0:  # the finest partition is optimal (triangle inequality)
         return float(np.sum(_shift_distances(path, 1, lo, hi)))
-    return _power_sup_family(partial(_family_columns, [path], lo, hi), path.grid.times, lo, hi,
-                             [(0, q, 0.0, 1.0 / q)])[0]
+    return _power_sup_family([path], path.grid.times, lo, hi, [(0, q, 0.0, 1.0 / q)])[0]
 
 
 def riesz_norm(path, delta: float, p, interval=None) -> float:
@@ -575,7 +583,7 @@ def riesz_norm(path, delta: float, p, interval=None) -> float:
         return holder_norm(path, delta, interval)
     _check_path(path)
     lo, hi = path.grid.resolve_interval(interval)
-    return _power_sup_family(partial(_family_columns, [path], lo, hi), path.grid.times, lo, hi,
+    return _power_sup_family([path], path.grid.times, lo, hi,
                              [(0, p, 1.0 - delta * p, 1.0 / p)])[0]
 
 
@@ -628,42 +636,45 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     return best
 
 
-def shift_partition_sup(columns, times: np.ndarray, lo: int, hi: int,
-                        power: float, hexp: float, root: float, batch: tuple = ()):
+def shift_partition_sup(srcs, times: np.ndarray, lo: int, hi: int,
+                        power: float, hexp: float, root: float) -> list[float]:
     """Partition sup of the ``oracle.shift_sup_table`` values over [lo, hi], in O(M^2).
 
-    Returns the sup to the power ``root`` (1/power up to rounding), the value
-    of ``dp_partition_sup([dense_columns(oracle.shift_sup_table(...), lo, hi)])
-    ** root`` without the table: with c_m = (m*mesh)^hexp * mesh and S_m[k]
-    the sum of d(r, r+m)^power over lo <= r < k, the DP runs
+    Returns, for each distance source of ``srcs`` (paths or dense matrices
+    on one uniform grid, see the module docstring), the sup to the power
+    ``root`` (1/power up to rounding), the value of
+    ``dp_partition_sup([dense_columns(oracle.shift_sup_table(...), lo, hi)]) ** root``
+    without the table: with c_m = (m*mesh)^hexp * mesh and S_m[k] the sum of
+    d(r, r+m)^power over lo <= r < k, the DP runs
     best[j] = max_m ( c_m S_m[j-m] + R_m ), R_m = max_{i <= j-m} (best[i] - c_m S_m[i]),
     keeping a_m = S_m[j-m] and R_m for every shift m as it goes (see the
-    module docstring).  ``columns()`` yields the distance column blocks
-    ``(j0, block)`` of ``_columns``, once per pass; column j adds
-    d(j-m, j)^power to a_m after best[j] is taken.  Blocks may carry leading
-    batch axes, ``(*batch, rows, cols)``: the sweep then runs for every
-    slice at once and returns an array of shape ``batch``.  Its ops are
-    elementwise or exact maxima, so every slice equals the call on that
-    slice alone bit for bit.
+    module docstring); column j adds d(j-m, j)^power to a_m after best[j] is
+    taken.  Several sources are swept at once on the stacked blocks of
+    ``_family_columns``, batch ``(len(srcs),)``; one source runs the
+    batch-free sweep on its own ``_columns``.  The ops are elementwise or
+    exact maxima, so every value equals the call on its source alone bit
+    for bit.
 
-    An O(M) check after the sweep finds, per slice, a value that is not
+    An O(M) check after the sweep finds, per source, a value that is not
     finite, or powers and coefficients outside the normal float range that
     could have lost more than 2^-64 of it; a zero value with zero step
-    distances passes.  A slice that fails is swept again on its own with the
-    time factor folded into the base (``_fused_shift_sup``).
+    distances passes.  A source that fails is swept again on its own with
+    the time factor folded into the base (``_fused_shift_sup``).
     """
     span = hi - lo
     if span <= 0:
-        return np.zeros(batch) if batch else 0.0
+        return [0.0] * len(srcs)
     dt = (times[hi] - times[lo]) / span
     shifts = np.arange(1, span + 1) * dt
-    values = np.empty(batch)
+    if len(srcs) == 1:
+        batch, blocks = (), _columns(srcs[0], lo, hi)
+    else:
+        batch, blocks = (len(srcs),), _family_columns(srcs, lo, hi)
     with np.errstate(over="ignore", invalid="ignore"):
-        best, kept = _shift_sweep(columns(), shifts**hexp * dt, power, batch)
-        for idx in np.ndindex(batch):
-            values[idx] = (float(best[idx]) ** root if kept[idx] else
-                           _fused_shift_sup(columns, idx, lo, hi, shifts, power, hexp, root))
-    return values if batch else float(values)
+        best, kept = _shift_sweep(blocks, shifts**hexp * dt, power, batch)
+        return [float(value) ** root if ok else
+                _fused_shift_sup(src, lo, hi, shifts, power, hexp, root)
+                for src, value, ok in zip(srcs, np.atleast_1d(best), np.atleast_1d(kept))]
 
 
 def _shift_sweep(blocks, coef, power, batch):
@@ -701,8 +712,8 @@ def _shift_sweep(blocks, coef, power, batch):
     return value, kept
 
 
-def _fused_shift_sup(columns, idx, lo, hi, shifts, power, hexp, root) -> float:
-    """The sup of ``shift_partition_sup`` for slice ``idx``, time factor folded into the base.
+def _fused_shift_sup(src, lo, hi, shifts, power, hexp, root) -> float:
+    """The value of ``shift_partition_sup`` for one source, time factor folded into the base.
 
     c_m d^power = mesh (d (m mesh)^(hexp/power))^power, so the sweep runs on
     the bases divided by B, the largest base of a cell that enters a sum (a
@@ -713,8 +724,7 @@ def _fused_shift_sup(columns, idx, lo, hi, shifts, power, hexp, root) -> float:
     factor = shifts ** (hexp / power)
 
     def bases():
-        for j0, block in columns():
-            d = block[idx]
+        for j0, d in _columns(src, lo, hi):
             j = j0 + np.arange(d.shape[-2])[:, None]
             m = j - lo - np.arange(d.shape[-1])
             live = (m >= 1) & (j < hi)
@@ -742,8 +752,7 @@ def refined_nikolskii_norm(path, delta: float, p, interval=None) -> float:
         return nikolskii_norm(path, delta, p, interval)
     _check_path(path)
     lo, hi = path.grid.resolve_interval(interval)
-    return shift_partition_sup(partial(_columns, path, lo, hi), path.grid.times, lo, hi,
-                               p, -delta * p, 1.0 / p)
+    return shift_partition_sup([path], path.grid.times, lo, hi, p, -delta * p, 1.0 / p)[0]
 
 
 def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
@@ -776,7 +785,7 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
                  lambda: not _shift_distances(path, 1, lo, hi).any()):
         return (2.0 * total * dt * dt) ** (1.0 / p)
     # out of range: fold the time factor into the base, as ``riesz_norm`` does
-    s, weights = _fused_weights(partial(_columns, path, lo, hi), times, lo, p, e)
+    s, weights = _fused_weights(path, times, lo, hi, p, e)
     return (2.0 * sum(float(np.sum(w)) for w in weights) * dt * dt) ** (1.0 / p) * s
 
 

@@ -30,6 +30,8 @@ points only; that is the discrete definition of every norm in this package.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,6 +52,23 @@ from .tensor_core import (
 _ROW_BLOCK_CELLS = 2**15
 
 
+def _count(value, name: str, low: int) -> int:
+    """``value`` as an int of at least ``low``; a whole float counts, other
+    floats, strings and booleans raise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value == int(value) >= low)):
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _float_array(value, what: str) -> np.ndarray:
+    """``value`` as a fresh float array; strings and ragged input raise."""
+    try:
+        return np.array(value, dtype=float, copy=True)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{what} must be a numeric array: {exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Strictly increasing times t_0 = 0 < t_1 < ... < t_M."""
@@ -57,7 +76,7 @@ class TimeGrid:
     times: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float, copy=True).reshape(-1)
+        t = _float_array(self.times, "grid times").reshape(-1)
         if t.size < 2:
             raise ParameterError("a grid needs at least two points (M >= 1)")
         if not np.all(np.isfinite(t)):
@@ -71,9 +90,7 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, intervals: int, horizon: float = 1.0) -> "TimeGrid":
-        if intervals < 1:
-            raise ParameterError("need at least one interval")
-        return cls(np.linspace(0.0, horizon, intervals + 1))
+        return cls(np.linspace(0.0, horizon, _count(intervals, "intervals", 1) + 1))
 
     def __len__(self):
         return self.times.size
@@ -143,9 +160,12 @@ class EuclideanPath:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float, copy=True)
+        v = _float_array(self.values, "path values")
         if v.ndim == 1:
             v = v[:, None]
+        if v.ndim != 2 or v.shape[1] < 1:
+            raise ParameterError(f"path values need shape (points, dim) with dim >= 1, "
+                                 f"got {v.shape}")
         if v.shape[0] != len(self.grid):
             raise ParameterError(
                 f"got {v.shape[0]} values for {len(self.grid)} grid points"
@@ -361,8 +381,6 @@ def level1_path(x: GroupPath) -> EuclideanPath:
 
 def resample_uniform(path: EuclideanPath, intervals: int) -> EuclideanPath:
     """Linear interpolation onto the uniform grid with ``intervals`` steps on [0, T]."""
-    if intervals < 1:
-        raise ParameterError("need at least one interval")
     grid = TimeGrid.uniform(intervals, path.grid.horizon)
     new = np.stack(
         [

@@ -40,14 +40,12 @@ keeps the term-by-term formula as the independent reference.
 from __future__ import annotations
 
 import enum
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import BlowUpError, DimensionMismatchError, ParameterError
-from .paths import EuclideanPath, GroupPath, TimeGrid
+from .paths import EuclideanPath, GroupPath, TimeGrid, _count
 from .tensor_core import stacked_inverse, stacked_mul
 
 
@@ -269,15 +267,6 @@ def _field_float(value, name: str) -> float:
     except (TypeError, ValueError):
         raise ParameterError(f"the field entry {name!r} must be a number, "
                              f"got {value!r}") from None
-
-
-def _count(value, name: str, low: int) -> int:
-    """``value`` as an int of at least ``low``; a whole float counts, other
-    floats, strings and booleans raise."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and value == int(value) >= low)):
-        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

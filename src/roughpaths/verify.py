@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from .exceptions import BlowUpError, ParameterError
 from .norms import (
     NormKind,
     NormSpec,
-    _family_columns,
+    _dense,
     _finite_p,
     _power_sup_family,
     _require_uniform,
@@ -394,8 +393,7 @@ def check_embedding_chain(paths, delta, p, seed=0) -> list[CheckRecord]:
             iv = (s, u)
             length = u - s
             i, j = f.grid.resolve_interval(iv)
-            rz, *others = _power_sup_family(partial(_family_columns, [f], i, j), t, i, j,
-                                            members)
+            rz, *others = _power_sup_family([f], t, i, j, members)
             qv = others.pop() if delta != 1.0 else qvar_norm(f, 1.0, iv)
             worst_interp = max(worst_interp, _safe_ratio(qv, rz * length ** (delta - 1.0 / p)))
             dend = float(np.linalg.norm(f.values[j] - f.values[i]))
@@ -630,12 +628,9 @@ def _family_chunks(family, k):
         yield times, chunk
 
 
-def _distance_stack(chunk, k) -> np.ndarray:
-    # Euclidean distances straight from the values, so no path caches a matrix
-    if k is not None:
-        return np.stack([level_diff_matrix(x1, x2, k) for x1, x2 in chunk])
-    return np.stack([f.distance_block(0, 0, len(f.grid)) if isinstance(f, EuclideanPath)
-                     else f.distance_matrix for f in chunk])
+def _sources(chunk, k):
+    # the kernel sources of a chunk: its paths, or the level-k differences of its pairs
+    return chunk if k is None else [level_diff_matrix(x1, x2, k) for x1, x2 in chunk]
 
 
 def _nested_mixed(family, delta, ps, k=None) -> list[list[float]]:
@@ -655,7 +650,7 @@ def _nested_mixed(family, delta, ps, k=None) -> list[list[float]]:
     for times, chunk in _family_chunks(family, k):
         m = len(times) - 1
         iu = np.triu_indices(m + 1, k=1)
-        d = _distance_stack(chunk, k) ** (q if k is None else q / k)
+        d = np.stack([_dense(s) for s in _sources(chunk, k)]) ** (q if k is None else q / k)
         inner = dp_power_table(d, 0, m)[:, iu[0], iu[1]]
         gap = times[iu[1]] - times[iu[0]]
         w = np.zeros_like(d)  # each p rewrites the cells i < j
@@ -667,16 +662,17 @@ def _nested_mixed(family, delta, ps, k=None) -> list[list[float]]:
     return values
 
 
-def _family_riesz(family, delta, ps) -> list[list[float]]:
-    """``riesz_norm`` of every path of ``family`` at every p of ``ps``, laid
-    out as ``_nested_mixed``: one ``_power_sup_family`` call per same-grid
-    chunk, its members every (path, p)."""
+def _family_riesz(family, delta, ps, k=None) -> list[list[float]]:
+    """``riesz_norm`` of every path of ``family`` (``k`` None), or
+    ``rho_riesz_level`` of every pair ``(x1, x2)`` at level k, at every p of
+    ``ps``, laid out as ``_nested_mixed``: one ``_power_sup_family`` call per
+    same-grid chunk, its members every (item, p)."""
     ps = [_finite_p(NormSpec(NormKind.RIESZ, delta, p).p, "a Riesz family") for p in ps]
+    level = k or 1
     values = [[] for _ in ps]
-    for times, chunk in _family_chunks(family, None):
-        m = len(times) - 1
-        got = _power_sup_family(partial(_family_columns, chunk, 0, m), times, 0, m,
-                                [(b, p, 1.0 - delta * p, 1.0 / p)
+    for times, chunk in _family_chunks(family, k):
+        got = _power_sup_family(_sources(chunk, k), times, 0, len(times) - 1,
+                                [(b, p / level, 1.0 - delta * p, level / p)
                                  for p in ps for b in range(len(chunk))])
         for i, out in enumerate(values):
             out.extend(got[i * len(chunk) : (i + 1) * len(chunk)])
@@ -686,27 +682,14 @@ def _family_riesz(family, delta, ps) -> list[list[float]]:
 def _family_refined_nikolskii(family, delta, p, k=None) -> list[float]:
     """``refined_nikolskii_norm`` of every path of ``family`` (``k`` None), or
     ``rho_nikolskii_hat_level`` of every pair ``(x1, x2)`` at level k: one
-    batched ``shift_partition_sup`` per same-grid chunk."""
+    ``shift_partition_sup`` sweep per same-grid chunk."""
+    level = k or 1
     values = []
     for times, chunk in _family_chunks(family, k):
         _require_uniform(chunk[0] if k is None else chunk[0][0])
-        m = len(times) - 1
-        if k is None:
-            columns, power, root = partial(_family_columns, chunk, 0, m), p, 1.0 / p
-        else:
-            cols = _level_columns(chunk, k)
-            columns, power, root = (lambda: [(1, cols)]), p / k, k / p
-        values.extend(shift_partition_sup(columns, times, 0, m, power, -delta * p, root,
-                                          batch=(len(chunk),)).tolist())
+        values.extend(shift_partition_sup(_sources(chunk, k), times, 0, len(times) - 1,
+                                          p / level, -delta * p, level / p))
     return values
-
-
-def _level_columns(chunk, k):
-    # dense columns of the stacked level-k difference matrices of a chunk of
-    # pairs, read-only: every pass of a kernel reads the same array
-    cols = dense_columns(_distance_stack(chunk, k), 0, len(chunk[0][0].grid) - 1)
-    cols.flags.writeable = False
-    return cols
 
 
 def check_riesz_eq_mixed(paths, delta, ps) -> list[CheckRecord]:
@@ -754,17 +737,6 @@ def check_riesz_characterization(paths, refined_paths, delta, p) -> list[CheckRe
 # distance checks and the control function
 # ---------------------------------------------------------------------------
 
-def _family_riesz_level(pairs, delta, p, k) -> list[float]:
-    """``rho_riesz_level`` of every pair at level k: one ``_power_sup_family``
-    call per same-grid chunk."""
-    values = []
-    for times, chunk in _family_chunks(pairs, k):
-        cols = _level_columns(chunk, k)
-        members = [(b, p / k, 1.0 - delta * p, k / p) for b in range(len(chunk))]
-        values.extend(_power_sup_family(lambda: [(1, cols)], times, 0, len(times) - 1, members))
-    return values
-
-
 def check_distance_equivalences(pairs, delta, p, refined_pairs=None) -> list[CheckRecord]:
     """Distance-level analogues: grid equality of rho_riesz and the nested
     rho_mixed per level, reported two-sided constants against the
@@ -776,7 +748,7 @@ def check_distance_equivalences(pairs, delta, p, refined_pairs=None) -> list[Che
     dev = 0.0
     c1 = c2 = 0.0
     for k in range(1, depth + 1):
-        for a, b, nh in zip(_family_riesz_level(pairs, delta, p, k),
+        for a, b, nh in zip(_family_riesz(pairs, delta, [p], k)[0],
                             _nested_mixed(pairs, delta, [p], k)[0],
                             _family_refined_nikolskii(pairs, delta, p, k)):
             dev = max(dev, abs(a - b) / max(a, b, 1e-300))
@@ -802,7 +774,7 @@ def check_distance_equivalences(pairs, delta, p, refined_pairs=None) -> list[Che
         c1f = c2f = 0.0
         for k in range(1, depth + 1):
             # rho_mixed_level equals rho_riesz_level on every grid
-            for b, nh in zip(_family_riesz_level(refined_pairs, delta, p, k),
+            for b, nh in zip(_family_riesz(refined_pairs, delta, [p], k)[0],
                              _family_refined_nikolskii(refined_pairs, delta, p, k)):
                 c1f = max(c1f, _safe_ratio(nh, b))
                 c2f = max(c2f, _safe_ratio(b, nh))

@@ -10,7 +10,6 @@ non-uniform grids, constant members, group paths, level pairs at depths
 """
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from roughpaths import (
 from roughpaths import norms, verify
 from roughpaths.distances import level_diff_matrix
 from roughpaths.norms import (
-    _family_columns,
+    _dense,
     _power_sup_family,
     _sum_kept,
     dense_columns,
@@ -85,22 +84,19 @@ def test_batched_sweep_equals_each_slice_alone(case, dp):
     paths, lo, hi = case
     delta, p = dp
     times = paths[0].grid.times
-    blocks = list(_family_columns(paths, lo, hi))
-    got = shift_partition_sup(lambda: blocks, times, lo, hi, p, -delta * p, 1.0 / p,
-                              batch=(len(paths),))
+    got = shift_partition_sup(paths, times, lo, hi, p, -delta * p, 1.0 / p)
     for b, f in enumerate(paths):
-        alone = shift_partition_sup(lambda: [(j0, block[b]) for j0, block in blocks], times,
-                                    lo, hi, p, -delta * p, 1.0 / p)
-        assert got[b] == alone == refined_nikolskii_norm(f, delta, p, _span(f, lo, hi))
+        # a path's dense matrix, a source like any other, gives its streamed value
+        alone = shift_partition_sup([_dense(f)], times, lo, hi, p, -delta * p, 1.0 / p)
+        assert [got[b]] == alone == [refined_nikolskii_norm(f, delta, p, _span(f, lo, hi))]
     # the level-k differences of pairs of lifts: the Nikolskii-hat distances,
     # defined for p >= 1/delta
     pairs = _pairs(paths) if isinstance(paths[0], GroupPath) and delta * p >= 1.0 else []
     for k in range(1, paths[0].depth + 1 if pairs else 1):
-        cols = dense_columns(np.stack([level_diff_matrix(x1, x2, k) for x1, x2 in pairs]), lo, hi)
-        hat = shift_partition_sup(lambda: [(lo + 1, cols)], times, lo, hi, p / k, -delta * p,
-                                  k / p, batch=(len(pairs),))
-        assert np.array_equal(hat, [rho_nikolskii_hat_level(x1, x2, delta, p, k, _span(x1, lo, hi))
-                                    for x1, x2 in pairs])
+        hat = shift_partition_sup([level_diff_matrix(x1, x2, k) for x1, x2 in pairs], times,
+                                  lo, hi, p / k, -delta * p, k / p)
+        assert hat == [rho_nikolskii_hat_level(x1, x2, delta, p, k, _span(x1, lo, hi))
+                       for x1, x2 in pairs]
 
 
 def _pairs(paths):
@@ -115,35 +111,30 @@ def _dilated(f, lam):
 
 
 def _items(paths, k, lo, hi):
-    """Column source, dense distance stack and per-call value of a kernel family.
+    """Distance sources, dense distance stack and per-call value of a kernel family.
 
     Level k = 0 takes the paths themselves, streamed as ``qvar_norm`` and
-    ``riesz_norm`` stream them; k >= 1 takes the level-k differences of
-    pairs of the paths, read-only dense columns as the level distances pass
-    them.  The per-call value of member (b, delta, p) is the public function
-    (delta None: q-variation of exponent p).
+    ``riesz_norm`` stream them; k >= 1 takes the level-k difference matrices
+    of pairs of the paths, as the level distances pass them.  The per-call
+    value of member (b, delta, p) is the public function (delta None:
+    q-variation of exponent p).
     """
     times = paths[0].grid.times
     iv = (times[lo], times[hi])
     if k == 0:
-        dense = np.stack([f.distance_block(0, 0, len(f.grid)) if isinstance(f, EuclideanPath)
-                          else f.distance_matrix for f in paths])
-
         def per_call(b, delta, p):
             return (qvar_norm(paths[b], p, iv) if delta is None
                     else riesz_norm(paths[b], delta, p, iv))
 
-        return partial(_family_columns, paths, lo, hi), dense, per_call
+        return paths, np.stack([_dense(f) for f in paths]), per_call
     pairs = _pairs(paths)
-    dense = np.stack([level_diff_matrix(x1, x2, k) for x1, x2 in pairs])
-    cols = dense_columns(dense, lo, hi)
-    cols.flags.writeable = False
+    srcs = [level_diff_matrix(x1, x2, k) for x1, x2 in pairs]
 
     def per_call(b, delta, p):
         return (rho_qvar_level(*pairs[b], p, k, iv) if delta is None
                 else rho_riesz_level(*pairs[b], delta, p, k, iv))
 
-    return (lambda: [(lo + 1, cols)]), dense, per_call
+    return srcs, np.stack(srcs), per_call
 
 
 # (delta, p), delta None for q-variation of exponent p; the exponents 300,
@@ -161,7 +152,7 @@ def _check_power_sup_family(paths, lo, hi, k, data):
     themselves).
     """
     times = paths[0].grid.times
-    columns, dense, per_call = _items(paths, k, lo, hi)
+    srcs, dense, per_call = _items(paths, k, lo, hi)
     drawn = data.draw(st.lists(st.tuples(st.integers(0, len(dense) - 1),
                                          st.sampled_from(MEMBER_PARAMS)),
                                min_size=1, max_size=6))
@@ -169,7 +160,7 @@ def _check_power_sup_family(paths, lo, hi, k, data):
     root = max(k, 1)
     members = [(b, p / root, 0.0 if delta is None else 1.0 - delta * p, root / p)
                for b, delta, p in drawn]
-    got = _power_sup_family(columns, times, lo, hi, members)
+    got = _power_sup_family(srcs, times, lo, hi, members)
     assert np.array_equal(got, [per_call(*m) for m in drawn])
 
     gap = times[None, :] - times[:, None]
@@ -235,7 +226,28 @@ def test_verify_family_helpers_across_chunk_boundaries(m, count, seed, dim, dept
             pairs = _pairs(paths)
             pairs = [(x1, x2) for x1, x2 in pairs if x1.grid is x2.grid]
             for k in range(1, depth + 1):
-                assert verify._family_riesz_level(pairs, 0.45, 4.0, k) == [
-                    rho_riesz_level(x1, x2, 0.45, 4.0, k) for x1, x2 in pairs]
+                assert verify._family_riesz(pairs, 0.45, (2.5, 4.0), k) == [
+                    [rho_riesz_level(x1, x2, 0.45, p, k) for x1, x2 in pairs] for p in (2.5, 4.0)]
                 assert verify._family_refined_nikolskii(pairs, 0.45, 4.0, k) == [
                     rho_nikolskii_hat_level(x1, x2, 0.45, 4.0, k) for x1, x2 in pairs]
+
+
+@KERNEL_SETTINGS
+@given(families(uniform=True), st.sampled_from([(None, 2.5), (0.45, 4.0), (0.5, 300.0)]))
+def test_kernels_never_write_a_dense_source(case, dp):
+    # a caller's writable matrix, passed as a single member (the in-place
+    # path of a fresh Euclidean block) and to the sweep, is left unchanged,
+    # and gives the values of a read-only copy
+    paths, lo, hi = case
+    delta, p = dp
+    times = paths[0].grid.times
+    matrix = np.array(_dense(paths[0]))
+    frozen = matrix.copy()
+    frozen.flags.writeable = False
+    member = [(0, p, 0.0 if delta is None else 1.0 - delta * p, 1.0 / p)]
+    assert (_power_sup_family([matrix], times, lo, hi, member)
+            == _power_sup_family([frozen], times, lo, hi, member))
+    delta = delta or 1.0
+    assert (shift_partition_sup([matrix], times, lo, hi, p, -delta * p, 1.0 / p)
+            == shift_partition_sup([frozen], times, lo, hi, p, -delta * p, 1.0 / p))
+    assert np.array_equal(matrix, frozen)

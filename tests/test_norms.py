@@ -387,6 +387,34 @@ def test_spatial_and_time_scaling(rng):
         lam ** (-delta) * holder_norm(f, delta), rel=1e-12)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 3),
+       st.sampled_from([-40, -3, -1, 1, 3, 40]), st.sampled_from([-3, -1, 1, 2]),
+       st.sampled_from([(0.3, 4.0), (0.45, 2.5), (0.5, 300.0)]))
+def test_dilation_and_time_scaling_laws(seed, m, dim, n, tn, dp):
+    # seeded walks on uniform grids: dilating the values by 2^n scales every
+    # seminorm by 2^n; mapping the grid onto lam = 2^tn times itself scales
+    # Hoelder by lam^(-delta), the integral norms by lam^(1/p - delta), and
+    # leaves q-variation as it is; p = 300 takes the out-of-range fallbacks
+    delta, p = dp
+    f = random_walk_path(np.random.default_rng(seed), m, dim)
+    dilated = EuclideanPath(f.grid, f.values * 2.0**n)
+    lam = 2.0**tn
+    stretched = EuclideanPath(TimeGrid(f.grid.times * lam), f.values)
+    integral = lam ** (1.0 / p - delta)
+    laws = [(lambda g: holder_norm(g, delta), lam**-delta),
+            (lambda g: riesz_norm(g, delta, p), integral),
+            (lambda g: nikolskii_norm(g, delta, p), integral),
+            (lambda g: refined_nikolskii_norm(g, delta, p), integral),
+            (lambda g: frac_sobolev_norm(g, delta, p), integral)]
+    for norm, time_factor in laws:
+        value = norm(f)
+        assert math.isfinite(value)
+        assert norm(dilated) == pytest.approx(2.0**n * value, rel=1e-12, abs=0.0)
+        assert norm(stretched) == pytest.approx(time_factor * value, rel=1e-12, abs=0.0)
+    assert qvar_norm(stretched, p) == qvar_norm(f, p)
+
+
 def test_sobolev_nikolskii_embedding_constant(rng):
     delta, dp, p = 0.3, 0.45, 4.0
     const = (2.0 / ((dp - delta) * p)) ** (1 / p)
@@ -741,9 +769,9 @@ def test_shift_partition_sup_equals_table_dp_and_oracle(case):
     span = (times[lo], times[hi])
     got = refined_nikolskii_norm(path, delta, p, span)
     dist = path.distance_matrix
-    # the dense columns give the streamed value bit for bit
-    assert got == norms_module.shift_partition_sup(
-        lambda: [(lo + 1, dense_columns(dist, lo, hi))], times, lo, hi, p, -delta * p, 1.0 / p)
+    # the dense matrix, as a source, gives the streamed value bit for bit
+    assert [got] == norms_module.shift_partition_sup([dist], times, lo, hi, p, -delta * p,
+                                                     1.0 / p)
     table = shift_sup_table(dist, times, lo, hi, p, -delta * p)
     want = dp_partition_sup([dense_columns(table, lo, hi)], lo, hi) ** (1.0 / p)
     assert got == pytest.approx(want, rel=1e-12)

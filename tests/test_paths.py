@@ -30,6 +30,29 @@ from conftest import random_walk_path
 # grids
 # ---------------------------------------------------------------------------
 
+def _unit_walk():
+    return EuclideanPath(TimeGrid.uniform(2), [0.0, 1.0, 0.5])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EuclideanPath(TimeGrid.uniform(4), np.zeros((5, 2, 2))),
+    lambda: EuclideanPath(TimeGrid.uniform(4), np.zeros((5, 0))),
+    lambda: EuclideanPath(TimeGrid.uniform(2), "abc"),
+    lambda: EuclideanPath(TimeGrid.uniform(2), [[0.0, 1.0], [1.0], [2.0, 3.0]]),
+    lambda: TimeGrid("abc"),
+    lambda: TimeGrid([[0.0, 1.0], [2.0]]),
+    lambda: TimeGrid.uniform(2.5),
+    lambda: TimeGrid.uniform(float("nan")),
+    lambda: TimeGrid.uniform("3"),
+    lambda: resample_uniform(_unit_walk(), 2.5),
+], ids=["values-3d", "values-no-columns", "values-string", "values-ragged", "times-string",
+        "times-ragged", "uniform-fraction", "uniform-nan", "uniform-string",
+        "resample-fraction"])
+def test_malformed_grid_and_path_inputs_raise_parameter_error(build):
+    with pytest.raises(ParameterError):
+        build()
+
+
 def test_grid_must_start_at_zero():
     with pytest.raises(ParameterError):
         TimeGrid([0.5, 1.0])
