@@ -222,8 +222,6 @@ def cmd_sig(args) -> int:
 def cmd_dist(args) -> int:
     f1 = read_path_csv(args.file1)
     f2 = read_path_csv(args.file2)
-    if not np.array_equal(f1.grid.times, f2.grid.times):
-        raise GridMismatchError("the two paths must share one common grid")
     kind = _DIST_KINDS.get(args.kind.lower())
     if kind is None:
         raise ParameterError(f"unknown distance kind {args.kind!r}; choose from "

@@ -28,15 +28,14 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, GridMismatchError, ParameterError
 from .norms import (
-    _check_delta,
-    _check_q,
-    _check_riesz_p,
-    _finite_p,
+    P_INF,
+    NormKind,
+    _check_params,
     _power_sup_family,
     _require_uniform,
     shift_partition_sup,
 )
-from .paths import GroupPath
+from .paths import GroupPath, _count, _instance
 
 
 class DistKind(enum.Enum):
@@ -56,28 +55,34 @@ class LevelDistanceSpec:
     level: int = 1
 
     def __post_init__(self):
-        if self.level < 1:
-            raise ParameterError(f"tensor level must be >= 1, got {self.level}")
-        if self.kind is DistKind.QVAR:
-            _check_q(self.p)
-        else:
-            _check_delta(self.delta)
-            _check_dist_p(self.delta, self.p)
+        _count(self.level, "tensor level", 1)
+        _check_dist(self.kind, self.delta, self.p)
 
 
-def _check_dist_p(delta, p):
-    return _finite_p(_check_riesz_p(delta, p), "a Riesz-type distance")
+def _check_dist(kind, delta, p):
+    """p after ``norms._check_params`` of q-variation (``QVAR``) or Riesz, p finite."""
+    if not isinstance(kind, DistKind):
+        raise ParameterError(f"unknown distance kind {kind!r}")
+    p = _check_params(NormKind.QVAR if kind is DistKind.QVAR else NormKind.RIESZ, delta, p)
+    if p is P_INF:
+        raise ParameterError(f"the {kind.value} distance needs a finite p")
+    return p
 
 
-def _check_pair(x1: GroupPath, x2: GroupPath, k: int):
+def _check_pair(x1: GroupPath, x2: GroupPath, k: int) -> int:
+    """Level k as an int in 1..depth, for group paths x1, x2 of one grid, dim and depth."""
+    _instance(x1, GroupPath, "path")
+    _instance(x2, GroupPath, "path")
+    k = _count(k, "tensor level", 1)
     if not np.array_equal(x1.grid.times, x2.grid.times):
         raise GridMismatchError("distance inputs must share one common grid")
     if x1.dim != x2.dim or x1.depth != x2.depth:
         raise DimensionMismatchError(
             f"incompatible paths: (dim, depth) ({x1.dim},{x1.depth}) vs ({x2.dim},{x2.depth})"
         )
-    if not 1 <= k <= x1.depth:
+    if k > x1.depth:
         raise ParameterError(f"tensor level must be in 1..{x1.depth}, got {k}")
+    return k
 
 
 # x1 -> x2 -> level-difference matrices.  Paths hash by identity and are
@@ -110,7 +115,7 @@ def _level_diffs(x1: GroupPath, x2: GroupPath) -> tuple[np.ndarray, ...]:
 
 def level_diff_matrix(x1: GroupPath, x2: GroupPath, k: int) -> np.ndarray:
     """Matrix of |pi_k(X1_{i,j} - X2_{i,j})| over all grid pairs (upper triangle)."""
-    _check_pair(x1, x2, k)
+    k = _check_pair(x1, x2, k)
     return _all_level_diffs(x1, x2)[k - 1]
 
 
@@ -121,15 +126,14 @@ def _pair_source(x1, x2, k, interval):
 
 def rho_qvar_level(x1, x2, q: float, k: int, interval=None) -> float:
     """Level-k q-variation distance ( sup_P sum D_k^(q/k) )^(k/q)."""
-    q = _check_q(q)
+    q = _check_dist(DistKind.QVAR, None, q)
     d, lo, hi = _pair_source(x1, x2, k, interval)
     return _power_sup_family([d], x1.grid.times, lo, hi, [(0, q / k, 0.0, k / q)])[0]
 
 
 def rho_riesz_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:
     """Level-k Riesz distance ( sup_P sum D_k^(p/k) / (v-u)^(delta*p-1) )^(k/p)."""
-    _check_delta(delta)
-    p = _check_dist_p(delta, p)
+    p = _check_dist(DistKind.RIESZ, delta, p)
     d, lo, hi = _pair_source(x1, x2, k, interval)
     return _power_sup_family([d], x1.grid.times, lo, hi, [(0, p / k, 1.0 - delta * p, k / p)])[0]
 
@@ -148,8 +152,7 @@ def rho_nikolskii_hat_level(x1, x2, delta: float, p: float, k: int, interval=Non
     outer: partition sup of the inner values to the power p/k, one
     ``shift_partition_sup`` sweep over the columns of D_k, O(M^2).
     """
-    _check_delta(delta)
-    p = _check_dist_p(delta, p)
+    p = _check_dist(DistKind.NIKOLSKII_HAT, delta, p)
     _check_pair(x1, x2, k)
     _require_uniform(x1)
     d, lo, hi = _pair_source(x1, x2, k, interval)
@@ -171,7 +174,7 @@ def rho_level(x1, x2, kind: DistKind, *, delta=None, p=None, k=1, interval=None)
     """Single-level dispatcher used by rho_aggregate and the CLI."""
     if kind is DistKind.QVAR:
         return rho_qvar_level(x1, x2, p, k, interval)
-    if kind in (DistKind.RIESZ, DistKind.MIXED):
+    if kind is DistKind.RIESZ or kind is DistKind.MIXED:
         return rho_riesz_level(x1, x2, delta, p, k, interval)
     if kind is DistKind.NIKOLSKII_HAT:
         return rho_nikolskii_hat_level(x1, x2, delta, p, k, interval)

@@ -124,7 +124,7 @@ grid points into blocks J_j with endpoint distances d_j.
   i.e. (sum_j d_j^q)^(p/q) / |I|^(delta*p-1) <= sum_j d_j^p / |J_j|^(delta*p-1).
   Refining each block of a partition by its optimal sub-partition thus
   gives a Riesz sum at least the mixed sum.
-  ``_check_riesz_p`` admits delta*p down to 1 - 1e-12; there
+  ``_check_params`` admits delta*p down to 1 - 1e-12; there
   (sum_j d_j^q)^(p/q) <= sum_j d_j^p still holds and the length factors
   bound the norms' ratio by (T/h)^(1e-12/p), h the smallest grid step.
 * p = infinity: with H the Hoelder seminorm, sum_j d_j^q <= H^q |I|, so no
@@ -139,21 +139,25 @@ as the independent reference of the checks ``verify.check_riesz_eq_mixed``
 and ``verify.check_distance_equivalences``, computed per family by
 ``verify._nested_mixed``.
 
-Riesz variation with p = infinity is the Hoelder seminorm by definition.
-Infinite integrability is the sentinel ``P_INF``; a float inf passed as p is
-mapped to it, and a NaN or missing p raises ``ParameterError``.
+Riesz variation with p = infinity is the Hoelder seminorm by definition;
+infinite integrability is the sentinel ``P_INF``, and a float inf p is
+mapped to it.  The (delta, p) range of every family is decided in one
+place, ``_check_params``, whose docstring holds the range table.
+``NormSpec``, the norm functions and, through ``distances._check_dist``,
+the level distances call it at entry; the kernels trust their arguments.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NonUniformGridError, ParameterError
-from .paths import EuclideanPath, GroupPath
+from .paths import EuclideanPath, GroupPath, _instance, _real
 
 
 class PInf(enum.Enum):
@@ -180,7 +184,9 @@ class NormSpec:
     """Norm selector: family, regularity delta, integrability p, interval.
 
     QVar reads the variation exponent q from ``p`` and ignores delta;
-    Hoelder ignores p.  Riesz/mixed require p >= 1/delta.
+    Hoelder ignores p.  ``_check_params``, the range table of the families,
+    checks them at construction: a float inf p is stored as ``P_INF``, and
+    any other value as given.
     """
 
     kind: NormKind
@@ -189,78 +195,48 @@ class NormSpec:
     interval: tuple[float, float] | None = None
 
     def __post_init__(self):
-        k, d, p = self.kind, self.delta, self.p
-        if k is NormKind.HOELDER:
-            _check_delta(d)
-            return
-        if k is NormKind.QVAR:
-            p = _check_q(p)
-        elif k in (NormKind.RIESZ, NormKind.MIXED):
-            _check_delta(d)
-            p = _check_riesz_p(d, p)
-        elif k in (NormKind.NIKOLSKII, NormKind.REFINED_NIKOLSKII):
-            _check_delta(d)
-            p = _check_nikolskii_p(p)
-        else:
-            p = _check_frac_sobolev(d, p)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _check_params(self.kind, self.delta, self.p))
 
 
-def _check_delta(delta):
-    if delta is None or not 0.0 < delta <= 1.0:
-        raise ParameterError(f"delta must lie in (0, 1], got {delta}")
+def _check_params(kind, delta, p):
+    """The exponent p of family ``kind`` after checking (delta, p) against its range.
 
+    =====================  ============  ==============  ==========
+    family                 delta         p               p = inf
+    =====================  ============  ==============  ==========
+    Hoelder                (0, 1]        not read
+    q-variation (q = p)    not read      q >= 1          no
+    Riesz, mixed           (0, 1]        p >= 1/delta    yes
+    Nikolskii, refined     (0, 1]        p >= 1          yes
+    fractional Sobolev     (0, 1)        p >= 1          no
+    =====================  ============  ==============  ==========
 
-def _check_p(p):
-    """The integrability exponent p, with a float infinity mapped to ``P_INF``.
-
-    Every entry point that takes p goes through here, so a float inf selects
-    the same formula as the sentinel; a missing or NaN p raises.
+    A parameter that is read must be a real number, not a boolean, string,
+    None or NaN.  p >= 1/delta means delta * p >= 1 - 1e-12 (see the mixed =
+    Riesz proof).  A float inf p is returned as ``P_INF``, any other p as given.
     """
-    if p is P_INF:
+    if not isinstance(kind, NormKind):
+        raise ParameterError(f"unknown norm kind {kind!r}")
+    if kind is not NormKind.QVAR:
+        d, open_end = _real(delta, "delta"), kind is NormKind.FRAC_SOBOLEV
+        if not (0.0 < d < 1.0 or d == 1.0 and not open_end):
+            raise ParameterError(f"{kind.value} needs delta in (0, 1{')' if open_end else ']'}, "
+                                 f"got {delta!r}")
+    if kind is NormKind.HOELDER:
         return p
-    if p is None:
-        raise ParameterError("an integrability exponent p is required")
-    if math.isnan(p):
-        raise ParameterError("the integrability exponent p is NaN")
-    return P_INF if p == math.inf else p
-
-
-def _finite_p(p, what):
+    if isinstance(p, numbers.Real) and p == math.inf:
+        p = P_INF
     if p is P_INF:
-        raise ParameterError(f"{what} needs a finite p")
-    return p
-
-
-def _check_q(q):
-    q = _finite_p(_check_p(q), "q-variation")
-    if q < 1.0:
-        raise ParameterError(f"q-variation needs an exponent q >= 1, got {q}")
-    return q
-
-
-def _check_riesz_p(delta, p):
-    p = _check_p(p)
-    if p is not P_INF and p * delta < 1.0 - 1e-12:
-        raise ParameterError(
-            f"Riesz-type norms need p >= 1/delta (got p={p}, 1/delta={1/delta:.6g})"
-        )
-    return p
-
-
-def _check_nikolskii_p(p):
-    p = _check_p(p)
-    if p is not P_INF and p < 1.0:
-        raise ParameterError(f"Nikolskii norms need p >= 1, got {p}")
-    return p
-
-
-def _check_frac_sobolev(delta, p):
-    if delta is None or not 0.0 < delta < 1.0:
-        raise ParameterError(f"fractional Sobolev needs delta in (0, 1), got {delta}")
-    p = _finite_p(_check_p(p), "fractional Sobolev")
-    if p < 1.0:
-        raise ParameterError(f"fractional Sobolev needs p >= 1, got {p}")
+        if kind in (NormKind.QVAR, NormKind.FRAC_SOBOLEV):
+            raise ParameterError(f"{kind.value} needs a finite p")
+        return p
+    name = "q" if kind is NormKind.QVAR else "p"
+    if kind in (NormKind.RIESZ, NormKind.MIXED):
+        if _real(p, name) * delta < 1.0 - 1e-12:
+            raise ParameterError(f"Riesz-type norms need p >= 1/delta (got p={p!r}, "
+                                 f"1/delta={1 / delta:.6g})")
+    elif _real(p, name) < 1.0:
+        raise ParameterError(f"{kind.value} needs {name} >= 1, got {p!r}")
     return p
 
 
@@ -273,10 +249,7 @@ def _check_frac_sobolev(delta, p):
 #: array) whatever the grid size; a block has at least one column.
 _BLOCK_CELLS = 1 << 18
 
-
-def _check_path(path):
-    if not isinstance(path, (EuclideanPath, GroupPath)):
-        raise ParameterError(f"unsupported path type {type(path).__name__}")
+_PATHS = (EuclideanPath, GroupPath)
 
 
 def dense_columns(matrix: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -552,8 +525,8 @@ def _require_uniform(path):
 
 def holder_norm(path, delta: float, interval=None) -> float:
     """Hoelder seminorm sup_{u<v} d(f_u, f_v) / (v-u)^delta over grid pairs."""
-    _check_delta(delta)
-    _check_path(path)
+    _check_params(NormKind.HOELDER, delta, None)
+    _instance(path, _PATHS, "path")
     times = path.grid.times
     lo, hi = path.grid.resolve_interval(interval)
     best = 0.0
@@ -567,8 +540,8 @@ def holder_norm(path, delta: float, interval=None) -> float:
 
 def qvar_norm(path, q: float, interval=None) -> float:
     """q-variation ( sup_P sum d(f_u, f_v)^q )^(1/q), exact over grid partitions."""
-    q = _check_q(q)
-    _check_path(path)
+    q = _check_params(NormKind.QVAR, None, q)
+    _instance(path, _PATHS, "path")
     lo, hi = path.grid.resolve_interval(interval)
     if q == 1.0:  # the finest partition is optimal (triangle inequality)
         return float(np.sum(_shift_distances(path, 1, lo, hi)))
@@ -577,11 +550,10 @@ def qvar_norm(path, q: float, interval=None) -> float:
 
 def riesz_norm(path, delta: float, p, interval=None) -> float:
     """Riesz variation ( sup_P sum d^p / (v-u)^(delta*p-1) )^(1/p); p = P_INF is Hoelder."""
-    _check_delta(delta)
-    p = _check_riesz_p(delta, p)
+    p = _check_params(NormKind.RIESZ, delta, p)
     if p is P_INF:
         return holder_norm(path, delta, interval)
-    _check_path(path)
+    _instance(path, _PATHS, "path")
     lo, hi = path.grid.resolve_interval(interval)
     return _power_sup_family([path], path.grid.times, lo, hi,
                              [(0, p, 1.0 - delta * p, 1.0 / p)])[0]
@@ -599,10 +571,9 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     left Riemann sum over grid points in [s, t-h).  For p = P_INF the inner
     integral becomes a maximum.  Each shift reads one diagonal d(f_r, f_(r+m)).
     """
-    _check_delta(delta)
-    p = _check_nikolskii_p(p)
+    p = _check_params(NormKind.NIKOLSKII, delta, p)
+    _instance(path, _PATHS, "path")
     _require_uniform(path)
-    _check_path(path)
     times = path.grid.times
     lo, hi = path.grid.resolve_interval(interval)
     span = hi - lo
@@ -745,12 +716,11 @@ def refined_nikolskii_norm(path, delta: float, p, interval=None) -> float:
     Otherwise one ``shift_partition_sup`` sweep over the distance columns,
     O(M^2) time and, on Euclidean paths, O(M) memory.
     """
-    _check_delta(delta)
-    p = _check_nikolskii_p(p)
-    _require_uniform(path)
+    p = _check_params(NormKind.REFINED_NIKOLSKII, delta, p)
     if p is P_INF:
         return nikolskii_norm(path, delta, p, interval)
-    _check_path(path)
+    _instance(path, _PATHS, "path")
+    _require_uniform(path)
     lo, hi = path.grid.resolve_interval(interval)
     return shift_partition_sup([path], path.grid.times, lo, hi, p, -delta * p, 1.0 / p)[0]
 
@@ -762,9 +732,9 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
     cells closer than one mesh to the diagonal excluded.  The sum over i < j
     is accumulated block by block.
     """
-    p = _check_frac_sobolev(delta, p)
+    p = _check_params(NormKind.FRAC_SOBOLEV, delta, p)
+    _instance(path, _PATHS, "path")
     _require_uniform(path)
-    _check_path(path)
     times = path.grid.times
     lo, hi = path.grid.resolve_interval(interval)
     if hi == lo:
@@ -795,7 +765,7 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
 
 def compute_norm(path, spec: NormSpec) -> float:
     """Evaluate the norm selected by ``spec`` on ``path``."""
-    k = spec.kind
+    k = _instance(spec, NormSpec, "norm spec").kind
     if k is NormKind.HOELDER:
         return holder_norm(path, spec.delta, spec.interval)
     if k is NormKind.QVAR:
@@ -806,6 +776,4 @@ def compute_norm(path, spec: NormSpec) -> float:
         return nikolskii_norm(path, spec.delta, spec.p, spec.interval)
     if k is NormKind.REFINED_NIKOLSKII:
         return refined_nikolskii_norm(path, spec.delta, spec.p, spec.interval)
-    if k is NormKind.FRAC_SOBOLEV:
-        return frac_sobolev_norm(path, spec.delta, spec.p, spec.interval)
-    raise ParameterError(f"unknown norm kind {k}")
+    return frac_sobolev_norm(path, spec.delta, spec.p, spec.interval)

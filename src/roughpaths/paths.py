@@ -30,8 +30,6 @@ points only; that is the discrete definition of every norm in this package.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,6 +40,10 @@ from .tensor_core import (
     MAX_DEPTH,
     GroupElement,
     TruncatedTensor,
+    _count,
+    _float_array,
+    _instance,
+    _real,
     group_inverse,
     group_mul,
     stacked_inverse,
@@ -52,23 +54,6 @@ from .tensor_core import (
 _ROW_BLOCK_CELLS = 2**15
 
 
-def _count(value, name: str, low: int) -> int:
-    """``value`` as an int of at least ``low``; a whole float counts, other
-    floats, strings and booleans raise."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and value == int(value) >= low)):
-        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
-def _float_array(value, what: str) -> np.ndarray:
-    """``value`` as a fresh float array; strings and ragged input raise."""
-    try:
-        return np.array(value, dtype=float, copy=True)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{what} must be a numeric array: {exc}") from None
-
-
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Strictly increasing times t_0 = 0 < t_1 < ... < t_M."""
@@ -76,7 +61,7 @@ class TimeGrid:
     times: np.ndarray
 
     def __post_init__(self):
-        t = _float_array(self.times, "grid times").reshape(-1)
+        t = _float_array(self.times, "grid times", 1)
         if t.size < 2:
             raise ParameterError("a grid needs at least two points (M >= 1)")
         if not np.all(np.isfinite(t)):
@@ -90,7 +75,8 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, intervals: int, horizon: float = 1.0) -> "TimeGrid":
-        return cls(np.linspace(0.0, horizon, _count(intervals, "intervals", 1) + 1))
+        return cls(np.linspace(0.0, _real(horizon, "the horizon"),
+                               _count(intervals, "intervals", 1) + 1))
 
     def __len__(self):
         return self.times.size
@@ -114,6 +100,7 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Grid index of time ``t`` (must coincide with a grid point)."""
+        t = _real(t, "a grid time")
         i = int(np.searchsorted(self.times, t))
         for j in (i - 1, i, i + 1):
             if 0 <= j < len(self) and abs(self.times[j] - t) <= 1e-9 * max(1.0, abs(t)):
@@ -124,7 +111,10 @@ class TimeGrid:
         """Map an (s, t) time pair onto grid indices; None means [0, T]."""
         if interval is None:
             return 0, len(self) - 1
-        s, t = interval
+        try:
+            s, t = interval
+        except (TypeError, ValueError):
+            raise ParameterError(f"an interval is a pair (s, t), got {interval!r}") from None
         i, j = self.index_of(s), self.index_of(t)
         if i > j:
             raise ParameterError(f"empty interval [{s}, {t}]")
@@ -160,6 +150,7 @@ class EuclideanPath:
     values: np.ndarray
 
     def __post_init__(self):
+        _instance(self.grid, TimeGrid, "grid")
         v = _float_array(self.values, "path values")
         if v.ndim == 1:
             v = v[:, None]
@@ -220,11 +211,9 @@ class GroupPath:
     levels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        try:
-            levels = tuple(np.array(lv, dtype=float) for lv in self.levels)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"levels must be numeric arrays (GroupPath.from_elements "
-                                 f"builds a path from group elements): {exc}") from None
+        _instance(self.grid, TimeGrid, "grid")
+        levels = tuple(_float_array(lv, "group path levels")
+                       for lv in _instance(self.levels, (tuple, list), "levels"))
         if not 1 <= len(levels) - 1 <= MAX_DEPTH:
             raise ParameterError(f"depth must be in 1..{MAX_DEPTH}, got {len(levels) - 1}")
         rows = len(self.grid)
@@ -245,8 +234,9 @@ class GroupPath:
     @classmethod
     def from_elements(cls, grid: TimeGrid, elements) -> "GroupPath":
         """Path with ``elements[j]`` = X_{0,t_j}, one element per grid point."""
-        elements = tuple(elements)
-        if len(elements) != len(grid):
+        elements = tuple(_instance(g, GroupElement, "group element")
+                         for g in _instance(elements, (tuple, list), "elements"))
+        if len(elements) != len(_instance(grid, TimeGrid, "grid")):
             raise ParameterError("one group element per grid point required")
         g0 = elements[0]
         if any(g.dim != g0.dim or g.depth != g0.depth for g in elements):
@@ -345,7 +335,7 @@ def lift(path: EuclideanPath, depth: int) -> GroupPath:
     """
     if not isinstance(depth, (int, np.integer)) or not 1 <= depth <= MAX_DEPTH:
         raise ParameterError(f"depth must be an integer in 1..{MAX_DEPTH}, got {depth!r}")
-    d = path.increments()
+    d = _instance(path, EuclideanPath, "path").increments()
     steps = d.shape[0]
     e = [np.ones((steps, 1))]
     s = [np.ones((steps + 1, 1))]
@@ -364,24 +354,25 @@ def lift(path: EuclideanPath, depth: int) -> GroupPath:
 
 def increment(x: GroupPath, i: int, j: int) -> GroupElement:
     """Group increment X_{i,j} = X_i^{-1} x X_j for grid indices i <= j."""
-    if i > j:
-        raise ParameterError(f"increment needs i <= j, got ({i}, {j})")
+    i, j = _count(i, "grid index", 0), _count(j, "grid index", 0)
+    if not i <= j < len(_instance(x, GroupPath, "path").grid):
+        raise ParameterError(f"increment needs 0 <= i <= j <= {len(x.grid) - 1}, got ({i}, {j})")
     return group_mul(group_inverse(x.element(i)), x.element(j))
 
 
 def signature(x: GroupPath) -> GroupElement:
     """Full-path signature X_{0,M}."""
-    return x.element(-1)
+    return _instance(x, GroupPath, "path").element(-1)
 
 
 def level1_path(x: GroupPath) -> EuclideanPath:
     """Euclidean projection t_j -> pi_1(X_{0,t_j})."""
-    return EuclideanPath(x.grid, x.levels[1])
+    return EuclideanPath(_instance(x, GroupPath, "path").grid, x.levels[1])
 
 
 def resample_uniform(path: EuclideanPath, intervals: int) -> EuclideanPath:
     """Linear interpolation onto the uniform grid with ``intervals`` steps on [0, T]."""
-    grid = TimeGrid.uniform(intervals, path.grid.horizon)
+    grid = TimeGrid.uniform(intervals, _instance(path, EuclideanPath, "path").grid.horizon)
     new = np.stack(
         [
             np.interp(grid.times, path.grid.times, path.values[:, c])
@@ -397,5 +388,5 @@ def resample_uniform(path: EuclideanPath, intervals: int) -> EuclideanPath:
 
 def time_reversed(path: EuclideanPath) -> EuclideanPath:
     """Time reversal t -> T - t (grid re-anchored at 0)."""
-    t = path.grid.times
+    t = _instance(path, EuclideanPath, "path").grid.times
     return EuclideanPath(TimeGrid(t[-1] - t[::-1]), path.values[::-1])

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BlowUpError, DimensionMismatchError, ParameterError
-from .paths import EuclideanPath, GroupPath, TimeGrid, _count
+from .paths import EuclideanPath, GroupPath, TimeGrid, _count, _float_array, _instance, _real
 from .tensor_core import stacked_inverse, stacked_mul
 
 
@@ -80,12 +80,15 @@ class VectorField:
     box_radius: float = 10.0
 
     def __post_init__(self):
+        _instance(self.family, FieldFamily, "field family")
+        for name in ("m", "n"):
+            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
         for name, arr, shape in (
             ("const", self.const, (self.n, self.m)),
             ("lin", self.lin, (self.n, self.m, self.m)),
             ("quad", self.quad, (self.n, self.m, self.m, self.m)),
         ):
-            a = np.array(arr, dtype=float, copy=True)
+            a = _float_array(arr, name)
             if a.shape != shape:
                 raise ParameterError(f"{name} must have shape {shape}, got {a.shape}")
             if not np.all(np.isfinite(a)):
@@ -108,15 +111,15 @@ class VectorField:
 
     @classmethod
     def linear(cls, matrices, gamma=2.5, box_radius=10.0) -> "VectorField":
-        a = _field_array(matrices, "matrices", 3)
+        a = _float_array(matrices, "the field entry 'matrices'", 3)
         n, m = a.shape[0], a.shape[1]
         return cls(FieldFamily.LINEAR, m, n, np.zeros((n, m)), a,
                    np.zeros((n, m, m, m)), gamma, box_radius)
 
     @classmethod
     def affine(cls, matrices, offsets, gamma=2.5, box_radius=10.0) -> "VectorField":
-        a = _field_array(matrices, "matrices", 3)
-        c = _field_array(offsets, "offsets", 2)
+        a = _float_array(matrices, "the field entry 'matrices'", 3)
+        c = _float_array(offsets, "the field entry 'offsets'", 2)
         n, m = a.shape[0], a.shape[1]
         return cls(FieldFamily.AFFINE, m, n, c, a, np.zeros((n, m, m, m)),
                    gamma, box_radius)
@@ -124,9 +127,9 @@ class VectorField:
     @classmethod
     def polynomial(cls, constants, matrices, quadratics, gamma=2.5,
                    box_radius=10.0) -> "VectorField":
-        c = _field_array(constants, "offsets", 2)
-        a = _field_array(matrices, "matrices", 3)
-        q = _field_array(quadratics, "quadratics", 4)
+        c = _float_array(constants, "the field entry 'offsets'", 2)
+        a = _float_array(matrices, "the field entry 'matrices'", 3)
+        q = _float_array(quadratics, "the field entry 'quadratics'", 4)
         q = 0.5 * (q + np.swapaxes(q, 2, 3))
         n, m = a.shape[0], a.shape[1]
         return cls(FieldFamily.POLYNOMIAL, m, n, c, a, q, gamma, box_radius)
@@ -183,10 +186,10 @@ class VectorField:
         norms replaced by Frobenius norms); the top-derivative Hoelder
         constant vanishes for these polynomial families.
         """
-        center = np.asarray(center, dtype=float)
-        radius = self.box_radius if radius is None else _field_float(radius, "radius")
+        center = _state(center, self, "center")
+        radius = _real(self.box_radius if radius is None else radius, "radius")
         samples = _count(samples, "samples", 0)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_count(seed, "seed", 0))
         pts = center + radius * rng.uniform(-1.0, 1.0, size=(samples, self.m))
         return max(max_point_norm(self.value(pts)), max_point_norm(self.jac(pts)),
                    float(np.linalg.norm(self.hess(center).ravel())) if samples else 0.0)
@@ -250,17 +253,6 @@ def max_point_norm(stack: np.ndarray) -> float:
     return float(np.linalg.norm(flat, axis=1).max(initial=0.0))
 
 
-def _field_array(value, name: str, ndim: int) -> np.ndarray:
-    """Field coefficient ``name`` as a float array with ``ndim`` axes."""
-    try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ParameterError(f"the field entry {name!r} is not a numeric array") from None
-    if a.ndim != ndim:
-        raise ParameterError(f"the field entry {name!r} needs {ndim} axes, got {a.ndim}")
-    return a
-
-
 def _field_float(value, name: str) -> float:
     try:
         return float(value)
@@ -278,9 +270,11 @@ class RdeConfig:
     scheme: Scheme = Scheme.EULER_BV
 
     def __post_init__(self):
-        if self.depth not in (1, 2, 3):
+        _instance(self.scheme, Scheme, "scheme")
+        for name in ("depth", "substeps"):
+            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
+        if self.depth > 3:
             raise ParameterError(f"depth must be 1, 2 or 3, got {self.depth}")
-        object.__setattr__(self, "substeps", _count(self.substeps, "substeps", 1))
         if self.scheme is Scheme.EULER_BV and self.depth != 1:
             raise ParameterError("the BV Euler scheme runs at depth 1")
         if self.scheme is Scheme.ROUGH_EULER and self.substeps != 1:
@@ -290,17 +284,14 @@ class RdeConfig:
             )
 
 
-def _initial_state(y0, v: VectorField) -> np.ndarray:
-    """``y0`` as a finite float vector of the field's state dimension."""
-    try:
-        y0 = np.array(y0, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        raise ParameterError("y0 must be a numeric vector") from None
-    if y0.size != v.m:
-        raise DimensionMismatchError(f"y0 has dim {y0.size}, field state dim {v.m}")
-    if not np.all(np.isfinite(y0)):
-        raise ParameterError("y0 contains non-finite entries")
-    return y0
+def _state(y, v: VectorField, name: str = "y0") -> np.ndarray:
+    """``y`` as a finite float vector of the field's state dimension."""
+    y = _float_array(y, name).reshape(-1)
+    if y.size != v.m:
+        raise DimensionMismatchError(f"{name} has dim {y.size}, field state dim {v.m}")
+    if not np.all(np.isfinite(y)):
+        raise ParameterError(f"{name} contains non-finite entries")
+    return y
 
 
 def _step_maps(v: VectorField, levels) -> np.ndarray:
@@ -413,6 +404,12 @@ def _euler_steps(v: VectorField, y0: np.ndarray, levels, times) -> np.ndarray:
     return ys
 
 
+def _check_solve(v, x, driver, config):
+    _instance(v, VectorField, "vector field")
+    _instance(x, driver, "driver")
+    _instance(config, RdeConfig, "solver config")
+
+
 def solve_bv(y0, v: VectorField, x: EuclideanPath, config: RdeConfig = RdeConfig()) -> EuclideanPath:
     """Left-point Euler for dY = V(Y) dX along a bounded-variation driver.
 
@@ -420,9 +417,10 @@ def solve_bv(y0, v: VectorField, x: EuclideanPath, config: RdeConfig = RdeConfig
     equal parts (exact for the linear interpolant); the returned path lives
     on the substepped grid.
     """
+    _check_solve(v, x, EuclideanPath, config)
     if x.dim != v.n:
         raise DimensionMismatchError(f"driver dim {x.dim} != field driver dim {v.n}")
-    y0 = _initial_state(y0, v)
+    y0 = _state(y0, v)
     s = config.substeps
     t = x.grid.times
     sub = t[:-1, None] + (np.diff(t)[:, None] * np.arange(1, s + 1)) / s
@@ -441,6 +439,7 @@ def _group_increments(x: GroupPath) -> list[np.ndarray]:
 
 def solve_rough(y0, v: VectorField, x: GroupPath, config: RdeConfig) -> EuclideanPath:
     """Step-N Euler for dY = V(Y) dX along a group-valued driver."""
+    _check_solve(v, x, GroupPath, config)
     if config.scheme is not Scheme.ROUGH_EULER:
         raise ParameterError("solve_rough needs the rough Euler scheme")
     if x.depth != config.depth:
@@ -449,12 +448,14 @@ def solve_rough(y0, v: VectorField, x: GroupPath, config: RdeConfig) -> Euclidea
         )
     if x.dim != v.n:
         raise DimensionMismatchError(f"driver dim {x.dim} != field driver dim {v.n}")
-    y0 = _initial_state(y0, v)
+    y0 = _state(y0, v)
     return EuclideanPath(x.grid, _euler_steps(v, y0, _group_increments(x), x.grid.times))
 
 
 def ito_lyons(y0, v: VectorField, x, config: RdeConfig | None = None) -> EuclideanPath:
     """Solution map (y0, V, X) -> Y, dispatching on the driver type."""
+    if config is not None:
+        _instance(config, RdeConfig, "solver config")
     if isinstance(x, EuclideanPath):
         config = config or RdeConfig()
         if config.scheme is not Scheme.EULER_BV:

@@ -42,6 +42,8 @@ per-element ones bit for bit.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +55,52 @@ from .exceptions import DimensionMismatchError, ParameterError
 MAX_DEPTH = 4
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a finite float; booleans, strings, None, NaN and infinities raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ParameterError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _count(value, name: str, low: int) -> int:
+    """``value`` as an int of at least ``low``; a whole float counts, other
+    floats, strings and booleans raise."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value))
+    if isinstance(value, bool) or not whole or value < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _float_array(value, what: str, ndim: int | None = None) -> np.ndarray:
+    """``value`` as a fresh float array, with ``ndim`` axes if given; strings
+    and ragged input raise."""
+    try:
+        a = np.array(value, dtype=float, copy=True)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{what} must be a numeric array: {exc}") from None
+    if ndim is not None and a.ndim != ndim:
+        raise ParameterError(f"{what} must be a {ndim}-D array, got shape {a.shape}")
+    return a
+
+
+def _instance(value, cls, what: str):
+    """``value`` if it is an instance of ``cls`` (a class or a tuple of them)."""
+    if not isinstance(value, cls):
+        raise ParameterError(f"unsupported {what} type {type(value).__name__}")
+    return value
+
+
+def _shape(dim, depth) -> tuple[int, int]:
+    """``(dim, depth)`` as ints, dim >= 1 and depth in 1..MAX_DEPTH."""
+    depth = _count(depth, "depth", 1)
+    if depth > MAX_DEPTH:
+        raise ParameterError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
+    return _count(dim, "dim", 1), depth
+
+
 def _frozen_level(block, dim: int, k: int) -> np.ndarray:
-    arr = np.array(block, dtype=float, copy=True)
+    arr = _float_array(block, f"level {k}")
     if arr.size != dim**k:
         raise ParameterError(f"level {k} needs {dim**k} entries, got {arr.size}")
     arr = arr.reshape((dim,) * k)
@@ -77,18 +123,14 @@ class TruncatedTensor:
     levels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ParameterError(f"dim must be >= 1, got {self.dim}")
-        if not 1 <= self.depth <= MAX_DEPTH:
-            raise ParameterError(f"depth must be in 1..{MAX_DEPTH}, got {self.depth}")
-        if len(self.levels) != self.depth + 1:
-            raise ParameterError(
-                f"expected {self.depth + 1} level blocks, got {len(self.levels)}"
-            )
-        frozen = tuple(
-            _frozen_level(block, self.dim, k) for k, block in enumerate(self.levels)
-        )
-        object.__setattr__(self, "levels", frozen)
+        dim, depth = _shape(self.dim, self.depth)
+        levels = _instance(self.levels, (tuple, list), "levels")
+        if len(levels) != depth + 1:
+            raise ParameterError(f"expected {depth + 1} level blocks, got {len(levels)}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "levels",
+                           tuple(_frozen_level(block, dim, k) for k, block in enumerate(levels)))
 
     def level(self, k: int) -> np.ndarray:
         """Projection pi_k onto tensor level k."""
@@ -109,7 +151,7 @@ class GroupElement:
     tensor: TruncatedTensor
 
     def __post_init__(self):
-        if self.tensor.scalar != 1.0:
+        if _instance(self.tensor, TruncatedTensor, "tensor").scalar != 1.0:
             raise ParameterError(
                 f"group elements need level-0 entry exactly 1, got {self.tensor.scalar!r}"
             )
@@ -134,10 +176,12 @@ class GroupElement:
 # ---------------------------------------------------------------------------
 
 def zero_tensor(dim: int, depth: int) -> TruncatedTensor:
+    dim, depth = _shape(dim, depth)
     return TruncatedTensor(dim, depth, tuple(np.zeros((dim,) * k) for k in range(depth + 1)))
 
 
 def unit_tensor(dim: int, depth: int) -> TruncatedTensor:
+    dim, depth = _shape(dim, depth)
     levels = [np.ones(())] + [np.zeros((dim,) * k) for k in range(1, depth + 1)]
     return TruncatedTensor(dim, depth, tuple(levels))
 
@@ -148,20 +192,21 @@ def identity_element(dim: int, depth: int) -> GroupElement:
 
 def segment_exp(delta, depth: int) -> GroupElement:
     """Signature of one linear segment with increment ``delta``: pi_k = delta^(x)k / k!."""
-    delta = np.asarray(delta, dtype=float).reshape(-1)
-    if depth < 1:
-        raise ParameterError("segment_exp needs depth >= 1")
+    delta = _float_array(delta, "the increment").reshape(-1)
+    dim, depth = _shape(delta.size, depth)
     levels = [np.ones(())]
     for k in range(1, depth + 1):
         levels.append(np.multiply.outer(levels[-1], delta) / k)
-    return GroupElement(TruncatedTensor(delta.size, depth, tuple(levels)))
+    return GroupElement(TruncatedTensor(dim, depth, tuple(levels)))
 
 
 # ---------------------------------------------------------------------------
 # algebra operations
 # ---------------------------------------------------------------------------
 
-def _check_compatible(a, b):
+def _check_compatible(a, b, cls):
+    _instance(a, cls, "operand")
+    _instance(b, cls, "operand")
     if a.dim != b.dim or a.depth != b.depth:
         raise DimensionMismatchError(
             f"incompatible operands: dim/depth ({a.dim},{a.depth}) vs ({b.dim},{b.depth})"
@@ -218,24 +263,26 @@ def _from_row(dim: int, depth: int, levels) -> TruncatedTensor:
 
 def tensor_mul(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
     """Truncated tensor product: pi_k(a x b) = sum_{i+j=k} pi_i(a) x pi_j(b)."""
-    _check_compatible(a, b)
+    _check_compatible(a, b, TruncatedTensor)
     return _from_row(a.dim, a.depth, stacked_mul(_rows(a), _rows(b)))
 
 
 def group_mul(g: GroupElement, h: GroupElement) -> GroupElement:
+    _check_compatible(g, h, GroupElement)
     return GroupElement(tensor_mul(g.tensor, h.tensor))
 
 
 def group_inverse(g: GroupElement) -> GroupElement:
     """Group inverse via the finite Neumann series (``stacked_inverse``)."""
+    _instance(g, GroupElement, "group element")
     return GroupElement(_from_row(g.dim, g.depth, stacked_inverse(_rows(g.tensor))))
 
 
 def dilate(g: GroupElement, lam: float) -> GroupElement:
     """Dilation: pi_k -> lam^k * pi_k."""
-    levels = [np.ones(())] + [
-        lam**k * g.level(k) for k in range(1, g.depth + 1)
-    ]
+    _real(lam, "the dilation factor")
+    _instance(g, GroupElement, "group element")
+    levels = [np.ones(())] + [lam**k * g.level(k) for k in range(1, g.depth + 1)]
     return GroupElement(TruncatedTensor(g.dim, g.depth, tuple(levels)))
 
 
@@ -252,6 +299,7 @@ def level_norms(g: GroupElement) -> np.ndarray:
 
 def homogeneous_norm(g: GroupElement) -> float:
     """Symmetric homogeneous norm max_k max(|pi_k(g)|, |pi_k(g^-1)|)^(1/k)."""
+    _instance(g, GroupElement, "group element")
     fwd = level_norms(g)
     bwd = level_norms(group_inverse(g))
     ks = np.arange(1, g.depth + 1)
@@ -260,7 +308,7 @@ def homogeneous_norm(g: GroupElement) -> float:
 
 def group_distance(g: GroupElement, h: GroupElement) -> float:
     """Left-invariant homogeneous distance |g^{-1} x h|."""
-    _check_compatible(g, h)
+    _check_compatible(g, h, GroupElement)
     return homogeneous_norm(group_mul(group_inverse(g), h))
 
 
@@ -271,7 +319,7 @@ def grouplike_defect(g: GroupElement) -> float:
     element is a plausible signature; products of segment exponentials
     satisfy it to machine precision.
     """
-    if g.depth < 2:
+    if _instance(g, GroupElement, "group element").depth < 2:
         return 0.0
     l1, l2 = g.level(1), g.level(2)
     sym = 0.5 * (l2 + l2.T)

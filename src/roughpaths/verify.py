@@ -22,16 +22,14 @@ import numpy as np
 from .distances import (
     DistKind,
     LevelDistanceSpec,
+    _check_dist,
     level_diff_matrix,
     rho_aggregate,
     rho_mixed_level,
 )
 from .exceptions import BlowUpError, ParameterError
 from .norms import (
-    NormKind,
-    NormSpec,
     _dense,
-    _finite_p,
     _power_sup_family,
     _require_uniform,
     dense_columns,
@@ -46,7 +44,7 @@ from .norms import (
     riesz_norm,
     shift_partition_sup,
 )
-from .paths import EuclideanPath, GroupPath, TimeGrid, lift, resample_uniform
+from .paths import EuclideanPath, GroupPath, TimeGrid, _count, lift, resample_uniform
 from .rde import RdeConfig, Scheme, VectorField, max_point_norm, solve_bv, solve_rough
 from .tensor_core import (
     dilate,
@@ -371,7 +369,7 @@ def check_embedding_chain(paths, delta, p, seed=0) -> list[CheckRecord]:
     Nikolskii.  Implicit-constant inclusions are reported separately by
     ``check_inclusion_constants``.
     """
-    p = _finite_p(NormSpec(NormKind.RIESZ, delta, p).p, "a Riesz family")
+    p = _check_dist(DistKind.RIESZ, delta, p)
     rng = np.random.default_rng([seed, 101])
     pr = {"delta": delta, "p": p, "paths": len(paths)}
     worst_interp = worst_point = worst_dmono = worst_pmono = worst_nik = 0.0
@@ -667,7 +665,7 @@ def _family_riesz(family, delta, ps, k=None) -> list[list[float]]:
     ``rho_riesz_level`` of every pair ``(x1, x2)`` at level k, at every p of
     ``ps``, laid out as ``_nested_mixed``: one ``_power_sup_family`` call per
     same-grid chunk, its members every (item, p)."""
-    ps = [_finite_p(NormSpec(NormKind.RIESZ, delta, p).p, "a Riesz family") for p in ps]
+    ps = [_check_dist(DistKind.RIESZ, delta, p) for p in ps]
     level = k or 1
     values = [[] for _ in ps]
     for times, chunk in _family_chunks(family, k):
@@ -891,14 +889,13 @@ def _scaled_group_pair(p1, p2, depth, delta, p, target):
 
 
 def run_lipschitz_suite(pair_family: RoughPairFamily, delta=0.45, p=4.0,
-                        gamma=2.5, b=1.0, l=1.0, seed=0,
-                        refine_check=True) -> list[CheckRecord]:
+                        gamma=2.5, b=1.0, l=1.0, seed=0) -> list[CheckRecord]:
     """Solution-map Lipschitz ratios over a seeded family of driver pairs.
 
     For each pair, r = ||Y1 - Y2||_mixed / ( ||V1 - V2||_Lip^(gamma-1)
     + |y01 - y02| + rho_mixed(X1, X2) ).  Asserts every ratio finite, that
     the max ratio over the half ball is dominated by the max over the full
-    ball, and (optionally) stability of the max ratio within a factor 2
+    ball, and stability of the max ratio within a factor 2
     under one grid refinement.  Blow-up trials are excluded and counted.
     """
     depth = pair_family.depth
@@ -951,19 +948,18 @@ def run_lipschitz_suite(pair_family: RoughPairFamily, delta=0.45, p=4.0,
             ineq_record("lipschitz_ball_monotone", float(half.max()),
                         float(rs.max()), params=pr,
                         notes="max ratio over the half ball <= max over the full ball"))
-    if refine_check:
-        rs2, _, _ = ratios(2)
-        m1, m2 = float(rs.max()), float(rs2.max())
-        recs.append(
-            ineq_record("lipschitz_refine_stable",
-                        max(_safe_ratio(m1, m2), _safe_ratio(m2, m1)), 2.0,
-                        constant=1.0, params=pr,
-                        notes="max ratio stable within factor 2 under one refinement"))
+    rs2, _, _ = ratios(2)
+    m1, m2 = float(rs.max()), float(rs2.max())
+    recs.append(
+        ineq_record("lipschitz_refine_stable",
+                    max(_safe_ratio(m1, m2), _safe_ratio(m2, m1)), 2.0,
+                    constant=1.0, params=pr,
+                    notes="max ratio stable within factor 2 under one refinement"))
     return recs
 
 
 def run_lipschitz_bv_suite(pair_family: RoughPairFamily, p=4.0, b=1.0, l=1.0,
-                           seed=0, refine_check=True) -> list[CheckRecord]:
+                           seed=0) -> list[CheckRecord]:
     """Regularity-1 variant driven through the bounded-variation solver:
     r = ||Y1 - Y2||_mixed(1,p) / (||V1 - V2||_inf + |y01 - y02|
         + ||X1 - X2||_mixed(1,p))."""
@@ -1009,13 +1005,12 @@ def run_lipschitz_bv_suite(pair_family: RoughPairFamily, p=4.0, b=1.0, l=1.0,
                         params=pr),
         reported_record("lipschitz_bv_blowups", float(blowups), params=pr),
     ]
-    if refine_check:
-        rs2, _ = ratios(2)
-        m1, m2 = float(rs.max()), float(rs2.max())
-        recs.append(
-            ineq_record("lipschitz_bv_refine_stable",
-                        max(_safe_ratio(m1, m2), _safe_ratio(m2, m1)), 2.0,
-                        constant=1.0, params=pr))
+    rs2, _ = ratios(2)
+    m1, m2 = float(rs.max()), float(rs2.max())
+    recs.append(
+        ineq_record("lipschitz_bv_refine_stable",
+                    max(_safe_ratio(m1, m2), _safe_ratio(m2, m1)), 2.0,
+                    constant=1.0, params=pr))
     return recs
 
 
@@ -1245,21 +1240,17 @@ SUITES = {
 def run_suite(name: str, seed: int = 0, out_dir=None) -> tuple[list[CheckRecord], bool]:
     """Run one named suite (or ``all``), append the negative controls, and
     optionally persist JSON + CSV reports."""
-    if name == "all":
-        names = list(SUITES)
-    elif name in SUITES:
-        names = [name]
-    else:
+    if not isinstance(name, str) or name not in (*SUITES, "all"):
         raise ParameterError(f"unknown suite {name!r}; choose from "
                              f"{sorted(SUITES)} or 'all'")
-    if seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    names = list(SUITES) if name == "all" else [name]
+    seed = _count(seed, "seed", 0)
     if out_dir is not None:
-        out = Path(out_dir)
         try:
+            out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ParameterError(f"cannot write {out}: {exc}") from exc
+        except (OSError, TypeError) as exc:
+            raise ParameterError(f"cannot write {out_dir}: {exc}") from exc
     records = []
     for n in names:
         records.extend(SUITES[n](seed=seed))

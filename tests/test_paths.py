@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,23 @@ def _unit_walk():
 def test_malformed_grid_and_path_inputs_raise_parameter_error(build):
     with pytest.raises(ParameterError):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: qvar_norm(EuclideanPath("xyz", [0.0, 1.0, 0.5]), 2.0),
+    lambda: GroupPath([0.0, 0.5, 1.0], lift(_unit_walk(), 2).levels),
+    lambda: TimeGrid.uniform(3, "1"),
+    lambda: TimeGrid([[0, 1], [2, 3]]),
+    lambda: TimeGrid.uniform(3, float("inf")),
+    lambda: TimeGrid.uniform(2).resolve_interval((0.0,)),
+    lambda: TimeGrid.uniform(2).resolve_interval((0.0, "x")),
+], ids=["grid-string", "group-grid-list", "horizon-string", "times-2d", "horizon-inf",
+        "interval-single", "interval-string"])
+def test_grids_and_intervals_raise_parameter_error_without_warning(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError):
+            build()
 
 
 def test_grid_must_start_at_zero():
