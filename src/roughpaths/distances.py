@@ -104,10 +104,9 @@ def _level_diffs(x1: GroupPath, x2: GroupPath) -> tuple[np.ndarray, ...]:
     # levels k = 1..N; the row pass reads the upper triangle j >= i0 only
     m = len(x1.grid)
     mats = [np.zeros((m, m)) for _ in range(x1.depth)]
-    for (i0, i1, c0, r1), (*_, r2) in zip(x1.increment_blocks(upper=True),
-                                          x2.increment_blocks(upper=True)):
+    for (i0, i1, r1), (*_, r2) in zip(x1.increment_blocks(), x2.increment_blocks()):
         for k in range(1, x1.depth + 1):
-            mats[k - 1][i0:i1, c0:] = np.triu(np.linalg.norm(r1[k] - r2[k], axis=-1).T)
+            mats[k - 1][i0:i1, i0:] = np.triu(np.linalg.norm(r1[k] - r2[k], axis=-1).T)
     for mt in mats:
         mt.flags.writeable = False
     return tuple(mats)

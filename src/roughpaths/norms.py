@@ -20,20 +20,25 @@ O(M^2) dynamic program, ``dp_partition_sup``, that consumes its weight
 columns in blocks.  The single-value families and refined Nikolskii stream
 on Euclidean paths: their distances come from the path values, about
 ``_BLOCK_CELLS`` cells at a time, so no (M+1)^2 matrix is built and memory
-is O(M).
+is O(M).  The budget, 2^15 cells, keeps the few float arrays a kernel holds
+per block in the L2 cache (256 KB each).
 
 * Hoelder: the maximum of the block maxima.
 * q-variation, Riesz (and so mixed): the DP fed block by block.
 * Nikolskii: one diagonal d(f_r, f_(r+m)) per shift m.
-* fractional Sobolev: a sum accumulated over blocks.
+* fractional Sobolev: a sum accumulated over summation blocks of
+  ``_SUM_CELLS`` cells, each gathered from ``_BLOCK_CELLS`` pieces.
 * refined Nikolskii: the fused sweep ``shift_partition_sup`` (below).
 
-These give the values of the dense formulas bit for bit, except fractional
-Sobolev, whose blockwise sum may move the last ulp.  Group paths feed the
-same code blocks sliced from their cached distance matrix.  Every norm
-here returns one value over one interval, in O(M^2) at most, with no size
-cap; tables over all subintervals are left to the independent references
-(``oracle.shift_sup_table``, the nested mixed definition of ``verify``).
+These give the values of the dense formulas bit for bit, whatever the
+block size, except fractional Sobolev, whose blockwise sum may move the
+last ulp: ``np.sum`` adds pairwise, so the grouping is part of the value,
+and the summation blocks keep one size whatever ``_BLOCK_CELLS`` is.
+Group paths feed the same code blocks sliced from their cached distance
+matrix.  Every norm here returns one value over one interval, in O(M^2) at
+most, with no size cap; tables over all subintervals are left to the
+independent references (``oracle.shift_sup_table``, the nested mixed
+definition of ``verify``).
 The one table kept here is ``dp_power_table``, the q-variation powers over
 all subintervals, which the verify control function and that reference
 need: an O(M^3) DP in push form (one NumPy max per finished column), whose
@@ -108,10 +113,11 @@ rather than 0, inf or NaN.  q-variation has no time factor and so divides
 by the largest distance.  Nikolskii and fractional Sobolev sums run the
 same check; Nikolskii then divides each shift by its largest distance (its
 time factor is constant within the shift), and fractional Sobolev takes
-the fused weights.  The refined Nikolskii sweep runs the same kind of
-check per slice; a slice that fails is swept again with the per-shift time
-factor folded into the base, (d (m mesh)^(hexp/power) / B)^power with B
-the largest base.
+the fused weights in units of the mesh, where every gap is at least 1,
+with mesh^(1 - delta*p) applied outside the root.  The refined Nikolskii
+sweep runs the same kind of check per slice; a slice that fails is swept
+again with the per-shift time factor folded into the base,
+(d (m mesh)^(hexp/power) / B)^power with B the largest base.
 
 Mixed equals Riesz on every grid.  Let q = 1/delta, and split a block I at
 grid points into blocks J_j with endpoint distances d_j.
@@ -245,9 +251,18 @@ def _check_params(kind, delta, p):
 # ---------------------------------------------------------------------------
 
 #: Cells (rows x columns x dim) of one streamed block of Euclidean distances.
-#: It bounds the scratch memory of the single-value norms (2 MB per float
-#: array) whatever the grid size; a block has at least one column.
-_BLOCK_CELLS = 1 << 18
+#: It bounds the scratch memory of the single-value norms whatever the grid
+#: size, and is sized for the L2 cache: a kernel holds a few float arrays of
+#: a block at once, 256 KB each at 2^15 cells, and a sweep over budgets from
+#: 2^12 to 2^20 cells on a 2-vCPU VM was fastest per cell at 2^14 to 2^16
+#: (about 20 % faster than 2^18).  A block has at least one column.
+_BLOCK_CELLS = 1 << 15
+
+#: Cells of one summation block of fractional Sobolev.  ``np.sum`` adds a
+#: block's terms pairwise, so the grouping of the sum, and with it the last
+#: bits of the value, depends on the block size: the terms are computed in
+#: ``_BLOCK_CELLS`` pieces and gathered into summation blocks of this size.
+_SUM_CELLS = 1 << 18
 
 _PATHS = (EuclideanPath, GroupPath)
 
@@ -271,24 +286,34 @@ def _dense(src) -> np.ndarray:
     return src
 
 
-def _columns(src, lo, hi, width=None):
-    """Distances d(f_i, f_j) of a source's columns j = lo+1..hi, in blocks.
+def _width(srcs, lo, hi, cells) -> int:
+    """Columns per block of about ``cells`` cells (rows x columns x dim) of
+    sources on [lo, hi]; all of them unless every source is Euclidean."""
+    if all(isinstance(f, EuclideanPath) for f in srcs):
+        return max(1, cells // ((hi - lo + 1) * sum(f.dim for f in srcs)))
+    return max(1, hi - lo)
+
+
+def _columns(src, lo, hi, width=None, first=None):
+    """Distances d(f_i, f_j) of a source's columns j = first..hi, in blocks.
 
     Yields ``(j0, block)`` with ``block[c, r]`` = d(f_(lo+r), f_(j0+c)) for at
-    least every r with lo+r < j0+c.  A Euclidean path computes the blocks
-    from its values, ``width`` columns (by default about ``_BLOCK_CELLS``
-    cells) at a time, so no (M+1)^2 matrix is built, each block a fresh
-    array that the caller may overwrite.  Any other source yields one
-    read-only view of its dense matrix, which no caller can write.
+    least every r with lo+r < j0+c; the columns start at ``first``, by
+    default lo+1.  A Euclidean path computes the blocks from its values,
+    ``width`` columns (by default about ``_BLOCK_CELLS`` cells) at a time, so
+    no (M+1)^2 matrix is built, each block a fresh array that the caller may
+    overwrite.  Any other source yields one read-only view of its dense
+    matrix, which no caller can write.
     """
+    first = first or lo + 1
     if not isinstance(src, EuclideanPath):
-        if hi > lo:
-            block = dense_columns(_dense(src), lo, hi)
+        if hi >= first:
+            block = dense_columns(_dense(src), lo, hi)[first - lo - 1 :]
             block.flags.writeable = False
-            yield lo + 1, block
+            yield first, block
         return
-    width = width or max(1, _BLOCK_CELLS // ((hi - lo + 1) * src.dim))
-    for j0 in range(lo + 1, hi + 1, width):
+    width = width or _width([src], lo, hi, _BLOCK_CELLS)
+    for j0 in range(first, hi + 1, width):
         yield j0, src.distance_block(lo, j0, min(j0 + width, hi + 1))
 
 
@@ -305,9 +330,7 @@ def _family_columns(srcs, lo, hi):
         for j0, block in _columns(srcs[0], lo, hi):
             yield j0, block[None]
         return
-    width = max(1, hi - lo)
-    if all(isinstance(f, EuclideanPath) for f in srcs):
-        width = max(1, _BLOCK_CELLS // ((hi - lo + 1) * sum(f.dim for f in srcs)))
+    width = _width(srcs, lo, hi, _BLOCK_CELLS)
     for parts in zip(*(_columns(f, lo, hi, width) for f in srcs)):
         yield parts[0][0], np.stack([block for _, block in parts])
 
@@ -369,17 +392,19 @@ def _sum_kept(total, count, factors, flat) -> bool:
     return total == 0.0 and flat()
 
 
-def _fused_weights(src, times, lo, hi, p, e):
+def _fused_weights(src, times, lo, hi, p, e, unit=1.0):
     """The terms (d/s)^p * g^e of a source over [lo, hi], time factor folded into the base.
 
     Returns s and the column blocks of (d g^(e/p) / s)^p, laid out as by
     ``_columns``, s the largest base (a first pass over the blocks), so the
     largest term is exactly 1; unread cells get weight 0.  Zero distances
-    give s = 1 and zero weights.
+    give s = 1 and zero weights.  The block lengths g are measured in
+    multiples of ``unit``: (t_j - t_i) / unit.
     """
     def bases(j0, block):
-        base = _gaps(times, lo, j0, block, 1.0)
+        base = _gaps(times, lo, j0, block, unit)
         with np.errstate(invalid="ignore"):
+            base /= unit
             base **= e / p
             base *= block
         return _fill_unread(base, 0.0)
@@ -730,7 +755,9 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
 
     ( sum_{i != j} d(f_i, f_j)^p / |t_j - t_i|^(1 + delta*p) * mesh^2 )^(1/p),
     cells closer than one mesh to the diagonal excluded.  The sum over i < j
-    is accumulated block by block.
+    is accumulated over summation blocks of about ``_SUM_CELLS`` cells, each
+    filled from ``_BLOCK_CELLS`` pieces of terms computed on their own, so
+    a sum that the range check keeps does not depend on ``_BLOCK_CELLS``.
     """
     p = _check_params(NormKind.FRAC_SOBOLEV, delta, p)
     _instance(path, _PATHS, "path")
@@ -740,23 +767,44 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
     if hi == lo:
         return 0.0
     dt = (times[hi] - times[lo]) / (hi - lo)
+    span, e = hi - lo, -(1.0 + delta * p)
+
+    def terms(j0, block):
+        # d^p / gap^(1 + delta p) in a fresh C-ordered array; cells i >= j
+        # add 0, never inf/inf
+        gap = _gaps(times, lo, j0, block, np.inf)
+        gap **= -e
+        d = _fill_unread(block if block.flags.writeable else block.copy(), 0.0)
+        d **= p
+        d /= gap
+        return d
+
+    width, piece = (_width([path], lo, hi, cells) for cells in (_SUM_CELLS, _BLOCK_CELLS))
+    buf = np.empty(min(width, span) * (span + 1)) if piece < min(width, span) else None
     total = 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for j0, block in _columns(path, lo, hi):
-            gap = _gaps(times, lo, j0, block, np.inf)
-            gap **= 1.0 + delta * p
-            # cells i >= j add 0, never inf/inf
-            d = _fill_unread(block if block.flags.writeable else block.copy(), 0.0)
-            d **= p
-            d /= gap
-            total += float(np.sum(d))
-    span, e = hi - lo, -(1.0 + delta * p)
+        for j0 in range(lo + 1, hi + 1, width):
+            j1 = min(j0 + width, hi + 1)
+            pieces = _columns(path, lo, j1 - 1, piece, j0)
+            if buf is None:  # the summation block is one piece
+                total += float(np.sum(terms(*next(pieces))))
+                continue
+            chunk = buf[: (j1 - j0) * (j1 - lo)].reshape(j1 - j0, j1 - lo)
+            for c0, d in pieces:
+                rows = slice(c0 - j0, c0 - j0 + d.shape[0])
+                chunk[rows, : d.shape[1]] = terms(c0, d)
+                chunk[rows, d.shape[1] :] = 0.0
+            total += float(np.sum(chunk))
     if _sum_kept(total, span * (span + 1) / 2, [e * math.log2(dt), e * math.log2(span * dt)],
                  lambda: not _shift_distances(path, 1, lo, hi).any()):
         return (2.0 * total * dt * dt) ** (1.0 / p)
-    # out of range: fold the time factor into the base, as ``riesz_norm`` does
-    s, weights = _fused_weights(path, times, lo, hi, p, e)
-    return (2.0 * sum(float(np.sum(w)) for w in weights) * dt * dt) ** (1.0 / p) * s
+    # out of range: in units of the mesh every gap is at least 1, so the bases
+    # d g^(e/p) of the fused weights (as ``riesz_norm`` takes them) are at most
+    # d; mesh^(2+e) = mesh^(1 - delta*p) is applied outside the root, as two
+    # halves of its p-th root, neither of which leaves the float range
+    s, weights = _fused_weights(path, times, lo, hi, p, e, dt)
+    half = float(dt) ** ((2.0 + e) / (2.0 * p))
+    return (2.0 * sum(float(np.sum(w)) for w in weights)) ** (1.0 / p) * s * half * half
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ X_{0,t_j} as stacked levels, one read-only (M+1, n^k) array per level k
 (row j is level k of X_{0,t_j}, flattened in C order).  ``lift`` builds
 level k by one cumulative sum over the grid (Chen's identity).  The
 increments X_{i,j} = X_i^{-1} x X_j come from one batched inverse of the
-path and a row pass (``GroupPath.increment_blocks``): one broadcasting
-``tensor_core.stacked_mul`` call per block of rows against the columns,
-which feeds the distance matrix and the level-difference matrices of
-``distances``.
+path and a row pass over the upper triangle j >= i
+(``GroupPath.increment_blocks``): one broadcasting ``tensor_core.stacked_mul``
+call per block of rows against the columns to their right, which feeds the
+distance matrix and the level-difference matrices of ``distances``.
 
 Euclidean distances have one formula, ``_euclidean_norm``: with s_c the
 squared difference of coordinate c, the distance is
@@ -270,47 +270,61 @@ class GroupPath:
             raise ParameterError("the inverse of the path overflows")
         return inv
 
-    def increment_blocks(self, upper: bool = False):
-        """Row pass over the increments X_{i,j} = X_i^{-1} x X_j, in blocks of rows.
+    def increment_blocks(self):
+        """Row pass over the increments X_{i,j} = X_i^{-1} x X_j, j >= i, in blocks of rows.
 
-        Yields ``(i0, i1, c0, levels)`` for consecutive row ranges [i0, i1)
-        covering the grid, with c0 = 0, or c0 = i0 with ``upper`` (columns
-        j >= i0 only).  ``levels[k]`` has shape ``(M+1 - c0, i1 - i0, dim^k)``,
-        columns first, and entry ``[c, r]`` is pi_k(X_{i0+r, c0+c}) flattened
-        in C order.  One ``stacked_mul`` call per block of about
-        ``_ROW_BLOCK_CELLS`` entries.
+        Yields ``(i0, i1, levels)`` for consecutive row ranges [i0, i1)
+        covering the grid, with the columns j >= i0 of those rows: the upper
+        triangle, plus the cells j < i of the block's diagonal square.
+        ``levels[k]`` has shape ``(M+1 - i0, i1 - i0, dim^k)``, columns first,
+        and entry ``[c, r]`` is pi_k(X_{i0+r, i0+c}) flattened in C order.
+        One ``stacked_mul`` call per block of about ``_ROW_BLOCK_CELLS``
+        entries.
         """
         m = len(self.grid)
         inv, i0 = self._stacked_inverses, 0
         while i0 < m:
-            c0 = i0 if upper else 0
-            i1 = min(m, i0 + max(1, _ROW_BLOCK_CELLS // ((m - c0) * self.dim**self.depth)))
-            yield i0, i1, c0, stacked_mul([lv[None, i0:i1] for lv in inv],
-                                          [lv[c0:, None] for lv in self.levels])
+            i1 = min(m, i0 + max(1, _ROW_BLOCK_CELLS // ((m - i0) * self.dim**self.depth)))
+            yield i0, i1, stacked_mul([lv[None, i0:i1] for lv in inv],
+                                      [lv[i0:, None] for lv in self.levels])
             i0 = i1
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
         """Pairwise homogeneous distances d(X_i, X_j) under the max-levels surrogate, read-only.
 
-        Uses d(X_i, X_j) = max_k max(|pi_k(X_{i,j})|, |pi_k(X_{j,i})|)^(1/k);
-        the reversed increment is exactly the inverse of the forward one, so
-        the matrix of ordered level norms suffices (it is filled transposed,
-        as the row pass yields columns first).  Each level takes its root in
-        its own call on a contiguous (M+1, M+1) array, ``np.sqrt`` for k = 2
-        and the power 1/k for k >= 3, so a distance does not depend on the
-        grid size or the array layout.
+        Uses d(X_i, X_j) = max_k max(|pi_k(X_{i,j})|, |pi_k(X_{j,i})|)^(1/k),
+        filled in one pass over the upper triangle: each block of
+        ``increment_blocks`` (the forward increments X_i^{-1} x X_j, j >= i)
+        is paired with the reverse increments X_j^{-1} x X_i of the same
+        cells: in the block's diagonal square they are the transposed forward
+        ones, and right of it one more ``stacked_mul`` call on the same
+        operands in swapped roles gives them.  Per level, the norms of both,
+        their max and its root (``np.sqrt`` for k = 2, the power 1/k for
+        k >= 3) are taken on contiguous arrays of the block, and the max over
+        levels is written below the diagonal and, transposed, above it.  So a
+        distance does not depend on the grid size, the block or the array
+        layout, and no (depth, M+1, M+1) stack is built.
         """
         m = len(self.grid)
-        level = np.empty((self.depth, m, m))
-        for i0, i1, _, rows in self.increment_blocks():
+        dist = np.empty((m, m))
+        inv = self._stacked_inverses
+        for i0, i1, fwd in self.increment_blocks():
+            n = i1 - i0
+            rev = i1 < m and stacked_mul([lv[i1:, None] for lv in inv],
+                                         [lv[None, i0:i1] for lv in self.levels])
             for k in range(1, self.depth + 1):
-                level[k - 1, :, i0:i1] = np.linalg.norm(rows[k], axis=-1)
-        dist = np.maximum(level[0], level[0].T)
-        for k in range(2, self.depth + 1):
-            sym = np.maximum(level[k - 1], level[k - 1].T)
-            root = np.sqrt(sym, out=sym) if k == 2 else np.power(sym, 1.0 / k, out=sym)
-            np.maximum(dist, root, out=dist)
+                sym = np.linalg.norm(fwd[k], axis=-1)
+                np.maximum(sym[:n], sym[:n].T, out=sym[:n])
+                if rev:
+                    np.maximum(sym[n:], np.linalg.norm(rev[k], axis=-1), out=sym[n:])
+                if k == 2:
+                    np.sqrt(sym, out=sym)
+                elif k > 2:
+                    np.power(sym, 1.0 / k, out=sym)
+                block = sym if k == 1 else np.maximum(block, sym, out=block)
+            dist[i0:, i0:i1] = block  # its diagonal square is symmetric
+            dist[i0:i1, i1:] = block[n:].T
         dist.flags.writeable = False
         return dist
 

@@ -40,6 +40,8 @@ keeps the term-by-term formula as the independent reference.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,11 +256,20 @@ def max_point_norm(stack: np.ndarray) -> float:
 
 
 def _field_float(value, name: str) -> float:
+    """``value`` as a float: a real number, not a boolean, string, None, NaN
+    or an integer beyond the float range.
+
+    Infinities pass, unlike ``_real``: ``box_radius = inf`` is an unbounded
+    validity ball.
+    """
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"the field entry {name!r} must be a number, "
-                             f"got {value!r}") from None
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        x = float(value) if real else math.nan
+    except OverflowError:
+        x = math.nan
+    if math.isnan(x):
+        raise ParameterError(f"the field entry {name!r} must be a number, got {value!r}")
+    return x
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -740,6 +741,54 @@ def test_single_value_norms_need_no_dense_matrix(rng):
             tracemalloc.stop()
         assert peak < 64 * 2**20
     assert "distance_matrix" not in vars(f)
+
+
+def test_streamed_norms_keep_scratch_in_cache_sized_blocks(rng):
+    # blocks of 2^15 cells: under 1 MB per call on a 1-D walk at M = 1536,
+    # and fractional Sobolev adds its one 2 MB summation buffer; blocks of
+    # 2^18 cells peaked at 3.9 MB (q-variation) to 7.7 MB (fractional Sobolev)
+    f = random_walk_path(rng, 1536, 1)
+    for norm, bound in ((lambda: holder_norm(f, 0.5), 2), (lambda: qvar_norm(f, 2.5), 2),
+                        (lambda: riesz_norm(f, 0.5, 4.0), 2),
+                        (lambda: nikolskii_norm(f, 0.4, 4.0), 2),
+                        (lambda: refined_nikolskii_norm(f, 0.4, 4.0), 2),
+                        (lambda: frac_sobolev_norm(f, 0.4, 3.0), 4)):
+        tracemalloc.start()
+        try:
+            assert norm() > 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(2, 900), st.integers(0, 2**32 - 1), st.data())
+@example(1, 1536, 0, None)
+def test_frac_sobolev_does_not_depend_on_the_block_budget(dim, intervals, seed, data):
+    # the terms are computed in _BLOCK_CELLS pieces, summed in _SUM_CELLS blocks
+    f = random_walk_path(np.random.default_rng(seed), intervals, dim)
+    lo, hi = (0, intervals) if data is None else sorted(
+        data.draw(st.lists(st.integers(0, intervals), min_size=2, max_size=2, unique=True)))
+    t = f.grid.times
+    want = frac_sobolev_norm(f, 0.4, 3.0, (t[lo], t[hi]))
+    for cells in (1, 97, 1 << 12, 1 << 15, 1 << 18, 1 << 20):
+        with mock.patch.object(norms_module, "_BLOCK_CELLS", cells):
+            assert frac_sobolev_norm(f, 0.4, 3.0, (t[lo], t[hi])) == want
+
+
+@pytest.mark.parametrize("scale", [1e-320, 1e300])
+@pytest.mark.parametrize("delta, p", [(0.5, 2.0), (1.0 / 3.0, 3.0), (0.25, 4.0)])
+def test_frac_sobolev_on_grids_with_extreme_steps(scale, delta, p):
+    # at delta = 1/p the seminorm does not depend on the time scale; the
+    # sums as written leave the float range, so the mesh-unit fallback runs
+    values = [[0.0, 0.0], [1.0, 0.5], [0.2, 1.5], [1.0, -1.0]]
+    want = frac_sobolev_norm(EuclideanPath(TimeGrid([0.0, 1.0, 2.0, 3.0]), values), delta, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = frac_sobolev_norm(EuclideanPath(TimeGrid(scale * np.arange(4.0)), values),
+                                delta, p)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

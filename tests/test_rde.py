@@ -73,6 +73,24 @@ def test_field_constructors_reject_malformed_arrays(build):
         build()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("gamma", "2.5"), ("box_radius", "2.5"), ("gamma", True), ("box_radius", False),
+    ("gamma", float("nan")), ("gamma", np.float64("nan")), ("gamma", None),
+    ("box_radius", 10**400),
+])
+def test_field_scalars_must_be_real_numbers(name, value):
+    # float() takes strings and booleans, NaN fails no range check of gamma,
+    # and float() of a huge int raises OverflowError
+    with pytest.raises(ParameterError):
+        VectorField.linear([[[1.0]]], **{name: value})
+
+
+def test_field_scalars_accept_real_numbers_and_an_infinite_box():
+    v = VectorField.linear([[[1.0]]], gamma=np.float64(3.0), box_radius=np.inf)
+    assert (v.gamma, v.box_radius) == (3.0, np.inf)
+    assert type(v.gamma) is float and type(VectorField.linear([[[1.0]]], gamma=3).gamma) is float
+
+
 @pytest.mark.parametrize("substeps", [1.5, float("nan"), float("inf"), "2", None, True, 0, -3])
 def test_rde_config_needs_integer_substeps(substeps):
     # 1.5 used to pass and fail later in solve_bv ("got 9 values for 17 grid points")
