@@ -34,7 +34,7 @@ These give the values of the dense formulas bit for bit, whatever the
 block size, except fractional Sobolev, whose blockwise sum may move the
 last ulp: ``np.sum`` adds pairwise, so the grouping is part of the value,
 and the summation blocks keep one size whatever ``_BLOCK_CELLS`` is.
-Group paths feed the same code blocks sliced from their cached distance
+Group paths feed the same code blocks copied from their cached distance
 matrix.  Every norm here returns one value over one interval, in O(M^2) at
 most, with no size cap; tables over all subintervals are left to the
 independent references (``oracle.shift_sup_table``, the nested mixed
@@ -53,17 +53,16 @@ Distances reach the kernels as *sources*: a Euclidean path, a group path,
 or a dense distance matrix such as ``distances.level_diff_matrix``.  Two
 functions read them, and only they: ``_columns`` yields the column blocks
 of one source, and ``_family_columns`` stacks the blocks of several sources
-on one grid on a leading axis.  A Euclidean block is computed from the path
-values, a fresh array per yield that the kernels may overwrite.  Every other
-source yields a read-only view of its dense matrix (``_dense``), so no
-kernel writes a caller's matrix: ``_raised`` raises such a block in a
-C-ordered copy.  Hoelder, a family of several members and the fused weights
-raise, multiply and divide the gaps ``_gaps`` allocated for the block, or
-their own weight buffers.  The kernels keep the ``**`` / ``**=`` operators,
-which take NumPy's fast paths for the exponents 2, 0.5 and -1, so the
-values do not change.  A block's cells with i >= j, which no DP reads, are
-the upper triangle of its trailing rows x rows square, and ``_gaps`` and
-``_fill_unread`` write their fill there and nowhere else.
+on one grid on a leading axis.  One rule serves every source: each block
+is fresh, a writable C-ordered array of about ``_BLOCK_CELLS`` cells (a
+dense matrix counts as dim 1), computed from a Euclidean path's values or
+copied from the dense matrix of any other source (``_dense``).  The kernels
+raise, multiply and divide the blocks in place, and no kernel can write a
+caller's matrix.  They keep the ``**`` / ``**=`` operators on contiguous
+arrays, which take NumPy's fast paths for the exponents 2, 0.5 and -1, so
+the values do not change.  A block's cells with i >= j, which no DP reads,
+are the upper triangle of its trailing rows x rows square, and ``_gaps``
+and ``_fill_unread`` write their fill there and nowhere else.
 
 Every partition power sum, ( sup_P sum D^a (v-u)^e )^(1/a), has one
 kernel, ``_power_sup_family``: q-variation (a = q, e = 0), Riesz (a = p,
@@ -71,8 +70,8 @@ e = 1 - delta*p) and the level-k q-variation and Riesz distances of
 ``distances`` (a = p/k on the level-k differences) differ only in a and e.
 It takes a list of sources on one grid and a list of members, each a
 source index with its (a, e) and the root, 1/a up to rounding (k/p for the
-level distances); the members share one batched ``dp_partition_sup``, and a
-single member is the batch-free DP.  ``qvar_norm``, ``riesz_norm`` and the
+level distances); the members share one batched ``dp_partition_sup``, a
+single member being a batch of one.  ``qvar_norm``, ``riesz_norm`` and the
 level distances are its single-member case.  The refined Nikolskii sweep
 ``shift_partition_sup`` takes a list of sources the same way and sweeps
 them all at once; it raises its distances as reversed 1-D arrays, where
@@ -250,10 +249,10 @@ def _check_params(kind, delta, p):
 # shared machinery
 # ---------------------------------------------------------------------------
 
-#: Cells (rows x columns x dim) of one streamed block of Euclidean distances.
-#: It bounds the scratch memory of the single-value norms whatever the grid
-#: size, and is sized for the L2 cache: a kernel holds a few float arrays of
-#: a block at once, 256 KB each at 2^15 cells, and a sweep over budgets from
+#: Cells (rows x columns x dim, dim 1 for a dense source) of one column block
+#: of distances.  It bounds the scratch memory of the kernels whatever the
+#: grid size, and is sized for the L2 cache: a kernel holds a few float arrays
+#: of a block at once, 256 KB each at 2^15 cells, and a sweep over budgets from
 #: 2^12 to 2^20 cells on a 2-vCPU VM was fastest per cell at 2^14 to 2^16
 #: (about 20 % faster than 2^18).  A block has at least one column.
 _BLOCK_CELLS = 1 << 15
@@ -288,43 +287,42 @@ def _dense(src) -> np.ndarray:
 
 def _width(srcs, lo, hi, cells) -> int:
     """Columns per block of about ``cells`` cells (rows x columns x dim) of
-    sources on [lo, hi]; all of them unless every source is Euclidean."""
-    if all(isinstance(f, EuclideanPath) for f in srcs):
-        return max(1, cells // ((hi - lo + 1) * sum(f.dim for f in srcs)))
-    return max(1, hi - lo)
+    sources on [lo, hi]; a source that is not a Euclidean path counts as dim 1."""
+    dims = sum(f.dim if isinstance(f, EuclideanPath) else 1 for f in srcs)
+    return max(1, cells // ((hi - lo + 1) * dims))
 
 
 def _columns(src, lo, hi, width=None, first=None):
     """Distances d(f_i, f_j) of a source's columns j = first..hi, in blocks.
 
-    Yields ``(j0, block)`` with ``block[c, r]`` = d(f_(lo+r), f_(j0+c)) for at
-    least every r with lo+r < j0+c; the columns start at ``first``, by
-    default lo+1.  A Euclidean path computes the blocks from its values,
-    ``width`` columns (by default about ``_BLOCK_CELLS`` cells) at a time, so
-    no (M+1)^2 matrix is built, each block a fresh array that the caller may
-    overwrite.  Any other source yields one read-only view of its dense
-    matrix, which no caller can write.
+    Yields ``(j0, block)`` with ``block[c, r]`` = d(f_(lo+r), f_(j0+c)) for
+    rows lo..j1-1 of the block's columns j0..j1-1, the columns starting at
+    ``first``, by default lo+1, ``width`` columns (by default about
+    ``_BLOCK_CELLS`` cells) at a time.  Every block is a fresh, writable,
+    C-ordered array that the caller may overwrite: a Euclidean path computes
+    it from its values, so no (M+1)^2 matrix is built, and any other source
+    copies it from its dense matrix.
     """
     first = first or lo + 1
-    if not isinstance(src, EuclideanPath):
-        if hi >= first:
-            block = dense_columns(_dense(src), lo, hi)[first - lo - 1 :]
-            block.flags.writeable = False
-            yield first, block
-        return
     width = width or _width([src], lo, hi, _BLOCK_CELLS)
+    if isinstance(src, EuclideanPath):
+        block = src.distance_block
+    else:
+        dense = _dense(src)
+
+        def block(lo, j0, j1):
+            return np.array(dense[lo:j1, j0:j1].T, order="C")
     for j0 in range(first, hi + 1, width):
-        yield j0, src.distance_block(lo, j0, min(j0 + width, hi + 1))
+        yield j0, block(lo, j0, min(j0 + width, hi + 1))
 
 
 def _family_columns(srcs, lo, hi):
     """The ``_columns`` blocks of sources on one grid, stacked on a leading axis.
 
     Yields ``(j0, block)`` with ``block[b]`` the block of ``srcs[b]``, about
-    ``_BLOCK_CELLS`` cells in all when every source is Euclidean, otherwise
-    one block; one source's blocks get a length-1 axis without a copy.  A
-    distance does not depend on the block it is computed in, so every slice
-    holds the values of the source's own ``_columns``.
+    ``_BLOCK_CELLS`` cells in all; one source's blocks get a length-1 axis
+    without a copy.  A distance does not depend on the block it is computed
+    in, so every slice holds the values of the source's own ``_columns``.
     """
     if len(srcs) == 1:
         for j0, block in _columns(srcs[0], lo, hi):
@@ -338,7 +336,7 @@ def _family_columns(srcs, lo, hi):
 def _shift_distances(path, m, lo, hi) -> np.ndarray:
     """d(f_r, f_(r+m)) for r in [lo, hi - m]."""
     if isinstance(path, GroupPath):
-        return np.diagonal(path.distance_matrix, m)[lo : hi - m + 1]
+        return np.diagonal(path.distance_matrix, m)[lo : hi - m + 1].copy()
     return path.shift_distances(m, lo, hi)
 
 
@@ -361,19 +359,6 @@ def _gaps(times, lo, j0, block, fill) -> np.ndarray:
     # j0 (see ``_columns``), batch axes dropped; ``fill`` in the cells with i >= j
     rows, cols = block.shape[-2:]
     return _fill_unread(times[j0 : j0 + rows, None] - times[None, lo : lo + cols], fill)
-
-
-def _raised(a, e):
-    """``a ** e``, in place when ``a`` is writable (a fresh Euclidean block).
-
-    A read-only block (a view of a cached or dense matrix, often transposed)
-    is left alone and raised in a C-ordered copy, whose rows a DP reads
-    contiguously.  Both give the same bits.
-    """
-    if not a.flags.writeable:
-        a = np.array(a, order="C")
-    a **= e
-    return a
 
 
 def _sum_kept(total, count, factors, flat) -> bool:
@@ -488,24 +473,26 @@ def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
     grid (see the module docstring), D_b the distances of ``srcs[b]``, read
     through ``_family_columns``.
 
-    The members' weights are formed as written and share one batched
-    ``dp_partition_sup``, whose slices equal the per-member DPs bit for bit;
-    a single member runs the batch-free DP and raises a fresh Euclidean
-    block in place.  A member's sum is kept when ``_sum_kept`` keeps it,
-    with the time factor g^e extreme at the shortest step and at
-    t_hi - t_lo; otherwise that member alone takes the fused weights of its
-    source.  Cells with i >= j, never read by a DP, get a unit gap.
+    The members' weights are formed as written and share one
+    ``dp_partition_sup`` of batch ``(len(members),)``, whose slices equal
+    the per-member DPs bit for bit; a single member raises its slice of the
+    fresh block in place, several raise copies.  A member's sum is kept when
+    ``_sum_kept`` keeps it, with the time factor g^e extreme at the shortest
+    step and at t_hi - t_lo; otherwise that member alone takes the fused
+    weights of its source.  Cells with i >= j, never read by a DP, get a
+    unit gap.
     """
     if hi <= lo:
         return [0.0] * len(members)
     exponents = list(dict.fromkeys(e for _, _, e, _ in members if e))
 
     def weights(j0, block):
-        if len(members) == 1:
-            w = _raised(block[members[0][0]], members[0][1])
-            rows = [w]
+        if len(members) == 1:  # the fresh block's own slice, raised in place
+            b, a = members[0][:2]
+            w = block[b : b + 1]
+            w **= a
         else:
-            w = rows = np.empty((len(members), *block.shape[-2:]))
+            w = np.empty((len(members), *block.shape[-2:]))
             for row, (b, a, _, _) in zip(w, members):
                 np.copyto(row, block[b])
                 row **= a
@@ -514,19 +501,19 @@ def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
             factors = {e: gap**e for e in exponents[1:]}
             gap **= exponents[0]  # the gaps' last use: raised in place
             factors[exponents[0]] = gap
-            for row, (_, _, e, _) in zip(rows, members):
+            for row, (_, _, e, _) in zip(w, members):
                 if e:
                     row *= factors[e]
         return w
 
-    batch = (len(members),) if len(members) > 1 else ()
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = _family_columns(srcs, lo, hi)
-        totals = dp_partition_sup((weights(j0, block) for j0, block in blocks), lo, hi, batch)
+        totals = dp_partition_sup((weights(j0, block) for j0, block in blocks), lo, hi,
+                                  (len(members),))
     shortest = float(np.diff(times[lo : hi + 1]).min())
     span = float(times[hi] - times[lo])
     values = []
-    for (b, a, e, root), total in zip(members, np.atleast_1d(totals)):
+    for (b, a, e, root), total in zip(members, totals):
         total = float(total)
         if _sum_kept(total, hi - lo, [e * math.log2(shortest), e * math.log2(span)],
                      lambda: not any(block.any() for _, block in _columns(srcs[b], lo, hi))):
@@ -610,16 +597,18 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
         for m in range(1, span + 1):
             seg = _shift_distances(path, m, lo, hi)
             best = max(best, (m * dt) ** (-delta) * float(np.max(seg)))
-        return best
+        return float(best)
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, span + 1):
             # left Riemann sum over r = lo .. hi-m-1 (exclusive right endpoint)
-            total = float(_raised(_shift_distances(path, m, lo, hi - 1), p).sum())
+            seg = _shift_distances(path, m, lo, hi - 1)
+            seg **= p
+            total = float(seg.sum())
             best = max(best, (m * dt) ** (-delta * p) * dt * total)
     # time factors (m*mesh)^(-delta*p) and that times mesh, extreme at m = 1, span
     factors = [-delta * p * math.log2(m * dt) + u for m in (1, span) for u in (0.0, math.log2(dt))]
     if _sum_kept(best, span, factors, lambda: not _shift_distances(path, 1, lo, hi - 1).any()):
-        return best ** (1.0 / p)
+        return float(best ** (1.0 / p))
     # out of range: scale shift m by s_m, its largest distance (so its largest
     # power is exactly 1); the time factor is constant within a shift, so
     # ( c_m sum d^p )^(1/p) = s_m h^(-delta) ( mesh sum (d/s_m)^p )^(1/p)
@@ -629,7 +618,7 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
         if seg.any():
             s = float(seg.max())
             best = max(best, s * (m * dt) ** (-delta) * (dt * float(np.sum((seg / s) ** p))) ** (1.0 / p))
-    return best
+    return float(best)
 
 
 def shift_partition_sup(srcs, times: np.ndarray, lo: int, hi: int,
@@ -645,9 +634,8 @@ def shift_partition_sup(srcs, times: np.ndarray, lo: int, hi: int,
     best[j] = max_m ( c_m S_m[j-m] + R_m ), R_m = max_{i <= j-m} (best[i] - c_m S_m[i]),
     keeping a_m = S_m[j-m] and R_m for every shift m as it goes (see the
     module docstring); column j adds d(j-m, j)^power to a_m after best[j] is
-    taken.  Several sources are swept at once on the stacked blocks of
-    ``_family_columns``, batch ``(len(srcs),)``; one source runs the
-    batch-free sweep on its own ``_columns``.  The ops are elementwise or
+    taken.  The sources are swept at once on the stacked blocks of
+    ``_family_columns``, batch ``(len(srcs),)``.  The ops are elementwise or
     exact maxima, so every value equals the call on its source alone bit
     for bit.
 
@@ -662,15 +650,12 @@ def shift_partition_sup(srcs, times: np.ndarray, lo: int, hi: int,
         return [0.0] * len(srcs)
     dt = (times[hi] - times[lo]) / span
     shifts = np.arange(1, span + 1) * dt
-    if len(srcs) == 1:
-        batch, blocks = (), _columns(srcs[0], lo, hi)
-    else:
-        batch, blocks = (len(srcs),), _family_columns(srcs, lo, hi)
     with np.errstate(over="ignore", invalid="ignore"):
-        best, kept = _shift_sweep(blocks, shifts**hexp * dt, power, batch)
+        best, kept = _shift_sweep(_family_columns(srcs, lo, hi), shifts**hexp * dt, power,
+                                  (len(srcs),))
         return [float(value) ** root if ok else
                 _fused_shift_sup(src, lo, hi, shifts, power, hexp, root)
-                for src, value, ok in zip(srcs, np.atleast_1d(best), np.atleast_1d(kept))]
+                for src, value, ok in zip(srcs, best, kept)]
 
 
 def _shift_sweep(blocks, coef, power, batch):
@@ -774,30 +759,26 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
         # add 0, never inf/inf
         gap = _gaps(times, lo, j0, block, np.inf)
         gap **= -e
-        d = _fill_unread(block if block.flags.writeable else block.copy(), 0.0)
+        d = _fill_unread(block, 0.0)
         d **= p
         d /= gap
         return d
 
     width, piece = (_width([path], lo, hi, cells) for cells in (_SUM_CELLS, _BLOCK_CELLS))
-    buf = np.empty(min(width, span) * (span + 1)) if piece < min(width, span) else None
+    buf = np.empty(min(width, span) * (span + 1))
     total = 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for j0 in range(lo + 1, hi + 1, width):
             j1 = min(j0 + width, hi + 1)
-            pieces = _columns(path, lo, j1 - 1, piece, j0)
-            if buf is None:  # the summation block is one piece
-                total += float(np.sum(terms(*next(pieces))))
-                continue
             chunk = buf[: (j1 - j0) * (j1 - lo)].reshape(j1 - j0, j1 - lo)
-            for c0, d in pieces:
+            for c0, d in _columns(path, lo, j1 - 1, piece, j0):
                 rows = slice(c0 - j0, c0 - j0 + d.shape[0])
                 chunk[rows, : d.shape[1]] = terms(c0, d)
                 chunk[rows, d.shape[1] :] = 0.0
             total += float(np.sum(chunk))
     if _sum_kept(total, span * (span + 1) / 2, [e * math.log2(dt), e * math.log2(span * dt)],
                  lambda: not _shift_distances(path, 1, lo, hi).any()):
-        return (2.0 * total * dt * dt) ** (1.0 / p)
+        return float((2.0 * total * dt * dt) ** (1.0 / p))
     # out of range: in units of the mesh every gap is at least 1, so the bases
     # d g^(e/p) of the fused weights (as ``riesz_norm`` takes them) are at most
     # d; mesh^(2+e) = mesh^(1 - delta*p) is applied outside the root, as two

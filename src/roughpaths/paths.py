@@ -21,8 +21,8 @@ left to right, every step one elementwise ufunc call in place on one buffer.
 on the block it is computed in nor, being correctly rounded elementwise
 arithmetic, on the CPU.  At dims 1 to 7 this is the order of NumPy 2.4's
 ``sqrt(einsum("...k,...k->...", d, d))``, whose values it reproduces bit for
-bit.  The cached distance matrix of a group path is read-only, as the norms
-slice it without a copy.
+bit.  The cached distance matrix of a group path is read-only, as every
+caller shares it; the norms copy their column blocks out of it.
 
 All partition/pair suprema elsewhere in the library are taken over grid
 points only; that is the discrete definition of every norm in this package.

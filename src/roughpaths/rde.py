@@ -186,15 +186,20 @@ class VectorField:
 
         Maximum over sampled ball points of |V|, |DV| and |D^2 V| (operator
         norms replaced by Frobenius norms); the top-derivative Hoelder
-        constant vanishes for these polynomial families.
+        constant vanishes for these polynomial families.  A ball on which
+        one of them leaves the float range raises ``ParameterError``.
         """
         center = _state(center, self, "center")
         radius = _real(self.box_radius if radius is None else radius, "radius")
         samples = _count(samples, "samples", 0)
         rng = np.random.default_rng(_count(seed, "seed", 0))
-        pts = center + radius * rng.uniform(-1.0, 1.0, size=(samples, self.m))
-        return max(max_point_norm(self.value(pts)), max_point_norm(self.jac(pts)),
-                   float(np.linalg.norm(self.hess(center).ravel())) if samples else 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pts = center + radius * rng.uniform(-1.0, 1.0, size=(samples, self.m))
+            norms = [max_point_norm(self.value(pts)), max_point_norm(self.jac(pts)),
+                     float(np.linalg.norm(self.hess(center).ravel())) if samples else 0.0]
+        if not all(map(math.isfinite, norms)):
+            raise ParameterError(f"lip_norm leaves the float range on the ball of radius {radius!r}")
+        return max(norms)
 
     # -- JSON spec ----------------------------------------------------------
 

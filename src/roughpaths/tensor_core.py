@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,12 +64,12 @@ def _real(value, name: str) -> float:
 
 
 def _count(value, name: str, low: int) -> int:
-    """``value`` as an int of at least ``low``; a whole float counts, other
-    floats, strings and booleans raise."""
+    """``value`` as an int in ``low``..``sys.maxsize``; a whole float counts,
+    other floats, strings and booleans raise."""
     whole = isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value))
-    if isinstance(value, bool) or not whole or value < low:
-        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    if isinstance(value, bool) or not whole or not low <= value <= sys.maxsize:
+        raise ParameterError(f"{name} must be an integer in {low}..{sys.maxsize}, got {value!r}")
     return int(value)
 
 
@@ -279,10 +280,11 @@ def group_inverse(g: GroupElement) -> GroupElement:
 
 
 def dilate(g: GroupElement, lam: float) -> GroupElement:
-    """Dilation: pi_k -> lam^k * pi_k."""
-    _real(lam, "the dilation factor")
+    """Dilation: pi_k -> lam^k * pi_k; a level that overflows raises ``ParameterError``."""
+    lam = np.float64(_real(lam, "the dilation factor"))
     _instance(g, GroupElement, "group element")
-    levels = [np.ones(())] + [lam**k * g.level(k) for k in range(1, g.depth + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = [np.ones(())] + [lam**k * g.level(k) for k in range(1, g.depth + 1)]
     return GroupElement(TruncatedTensor(g.dim, g.depth, tuple(levels)))
 
 

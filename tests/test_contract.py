@@ -193,6 +193,27 @@ def malformed_calls(draw):
     return fn, params, target, value
 
 
+#: Huge finite arguments: counts beyond ``sys.maxsize``, a dilation whose
+#: powers overflow, and Lip-norm balls on which |V| leaves the float range.
+HUGE = [
+    (rp.dilate, {"g": G, "lam": 1e300}),
+    (rp.zero_tensor, {"dim": 1e300, "depth": 2}),
+    (rp.TimeGrid.uniform, {"intervals": 1e300}),
+    (FIELD.lip_norm, {"center": [0.1], "samples": 1e300}),
+    (FIELD.lip_norm, {"center": [0.1], "radius": 1e300}),
+    (FIELD.lip_norm, {"center": [1e300]}),
+]
+
+
+@pytest.mark.parametrize("fn, kwargs", HUGE,
+                         ids=[f"{fn.__qualname__}-{'-'.join(kw)}" for fn, kw in HUGE])
+def test_huge_finite_arguments_raise_parameter_errors(fn, kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rp.ParameterError):
+            fn(**kwargs)
+
+
 @pytest.mark.parametrize("fn, params", CALLS, ids=[fn.__qualname__ for fn, _ in CALLS])
 def test_valid_arguments_are_accepted(fn, params):
     result = call_with(fn, params, next(iter(params)), next(iter(params.values()))[1])

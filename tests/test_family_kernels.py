@@ -26,12 +26,15 @@ from roughpaths import (
     rho_nikolskii_hat_level,
     rho_qvar_level,
     rho_riesz_level,
+    holder_norm,
     riesz_norm,
 )
 from roughpaths import norms, verify
 from roughpaths.distances import level_diff_matrix
 from roughpaths.norms import (
+    _columns,
     _dense,
+    _family_columns,
     _power_sup_family,
     _sum_kept,
     dense_columns,
@@ -251,3 +254,40 @@ def test_kernels_never_write_a_dense_source(case, dp):
     assert (shift_partition_sup([matrix], times, lo, hi, p, -delta * p, 1.0 / p)
             == shift_partition_sup([frozen], times, lo, hi, p, -delta * p, 1.0 / p))
     assert np.array_equal(matrix, frozen)
+
+
+def test_every_source_yields_fresh_column_blocks(rng):
+    # a writable dense matrix and a group path, read from lo > 0 and from a
+    # first column past lo + 1, in blocks of any budget: each block is a
+    # C-ordered writable array of its own, holding the dense columns
+    x = lift(EuclideanPath(TimeGrid.uniform(40), _values(rng, 40, 2, 1.0, False)), 2)
+    matrix = np.array(_dense(x))
+    lo, hi = 5, 37
+    want = dense_columns(matrix, lo, hi)
+    times, iv = x.grid.times, (x.grid.times[lo], x.grid.times[hi])
+    values = []
+    for cells in (1, 7, 1 << 15):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(norms, "_BLOCK_CELLS", cells)
+            for src in (matrix, x):
+                for first in (lo + 1, lo + 4):
+                    blocks = list(_columns(src, lo, hi, first=first))
+                    rows = [block.shape[0] for _, block in blocks]
+                    assert [j0 for j0, _ in blocks] == list(first + np.cumsum([0] + rows[:-1]))
+                    assert sum(rows) == hi - first + 1
+                    for j0, block in blocks:
+                        assert block.flags.c_contiguous and block.flags.writeable
+                        assert not np.shares_memory(block, _dense(src))
+                        c = j0 - lo - 1
+                        assert block.shape[1] == j0 + block.shape[0] - lo
+                        assert np.array_equal(block, want[c : c + block.shape[0], : block.shape[1]])
+            stacked = list(_family_columns([matrix, x], lo, hi))
+            for b, src in enumerate((matrix, x)):
+                alone = list(_columns(src, lo, hi))
+                assert [j0 for j0, _ in stacked] == [j0 for j0, _ in alone]
+                assert all(np.array_equal(block[b], own)
+                           for (_, block), (_, own) in zip(stacked, alone))
+            values.append([holder_norm(x, 0.4, iv), qvar_norm(x, 2.5, iv),
+                           riesz_norm(x, 0.5, 4.0, iv), refined_nikolskii_norm(x, 0.4, 4.0, iv)]
+                          + shift_partition_sup([matrix], times, lo, hi, 4.0, -1.6, 0.25))
+    assert values[0] == values[1] == values[2]

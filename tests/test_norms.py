@@ -669,6 +669,20 @@ def test_streamed_norms_on_group_path_equal_dense_formulas(rng):
         assert set(_streamed_values(f, (t[5], t[5])).values()) == {0.0}
 
 
+@pytest.mark.parametrize("lifted", [False, True], ids=["euclidean", "group"])
+@pytest.mark.parametrize("kind", list(NormKind), ids=lambda kind: kind.value)
+def test_every_norm_kind_returns_a_python_float(kind, lifted, rng):
+    # kept sums at p = 4, the out-of-range fallbacks at p = 300 on a path
+    # scaled by 1e3, and p = infinity where the family takes it
+    f = random_walk_path(rng, 24, 2)
+    for scale, p in ((1.0, 4.0), (1e3, 300.0), (1.0, P_INF)):
+        if p is P_INF and kind in (NormKind.QVAR, NormKind.FRAC_SOBOLEV):
+            continue
+        g = EuclideanPath(f.grid, scale * f.values)
+        value = compute_norm(lift(g, 2) if lifted else g, NormSpec(kind, 0.5, p))
+        assert type(value) is float and math.isfinite(value), (p, value)
+
+
 def test_large_powers_are_scaled_not_overflowed(rng):
     f = random_walk_path(rng, 64, 2)
     big = EuclideanPath(f.grid, 1e3 * f.values)
