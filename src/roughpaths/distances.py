@@ -35,6 +35,7 @@ from .norms import (
     _require_uniform,
     shift_partition_sup,
 )
+from . import paths
 from .paths import GroupPath, _count, _instance
 
 
@@ -101,12 +102,16 @@ def _all_level_diffs(x1: GroupPath, x2: GroupPath) -> tuple[np.ndarray, ...]:
 
 
 def _level_diffs(x1: GroupPath, x2: GroupPath) -> tuple[np.ndarray, ...]:
-    # levels k = 1..N; the row pass reads the upper triangle j >= i0 only
-    m = len(x1.grid)
+    # levels k = 1..N; a row pass over the upper triangle j >= i0, blocks of
+    # about paths._ROW_BLOCK_CELLS increment entries
+    m, i0 = len(x1.grid), 0
     mats = [np.zeros((m, m)) for _ in range(x1.depth)]
-    for (i0, i1, r1), (*_, r2) in zip(x1.increment_blocks(), x2.increment_blocks()):
+    while i0 < m:
+        i1 = min(m, i0 + max(1, paths._ROW_BLOCK_CELLS // ((m - i0) * x1.dim**x1.depth)))
+        r1, r2 = (x._increments(np.s_[None, i0:i1], np.s_[i0:, None]) for x in (x1, x2))
         for k in range(1, x1.depth + 1):
             mats[k - 1][i0:i1, i0:] = np.triu(np.linalg.norm(r1[k] - r2[k], axis=-1).T)
+        i0 = i1
     for mt in mats:
         mt.flags.writeable = False
     return tuple(mats)

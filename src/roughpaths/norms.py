@@ -18,7 +18,7 @@ for group paths):
 Partition suprema run over grid points only and are computed by an exact
 O(M^2) dynamic program, ``dp_partition_sup``, that consumes its weight
 columns in blocks.  The single-value families and refined Nikolskii stream
-on Euclidean paths: their distances come from the path values, about
+on both path types: their distances come from the path, about
 ``_BLOCK_CELLS`` cells at a time, so no (M+1)^2 matrix is built and memory
 is O(M).  The budget, 2^15 cells, keeps the few float arrays a kernel holds
 per block in the L2 cache (256 KB each).
@@ -34,8 +34,8 @@ These give the values of the dense formulas bit for bit, whatever the
 block size, except fractional Sobolev, whose blockwise sum may move the
 last ulp: ``np.sum`` adds pairwise, so the grouping is part of the value,
 and the summation blocks keep one size whatever ``_BLOCK_CELLS`` is.
-Group paths feed the same code blocks copied from their cached distance
-matrix.  Every norm here returns one value over one interval, in O(M^2) at
+Group paths compute their blocks from their increments (``paths``).
+Every norm here returns one value over one interval, in O(M^2) at
 most, with no size cap; tables over all subintervals are left to the
 independent references (``oracle.shift_sup_table``, the nested mixed
 definition of ``verify``).
@@ -55,8 +55,8 @@ functions read them, and only they: ``_columns`` yields the column blocks
 of one source, and ``_family_columns`` stacks the blocks of several sources
 on one grid on a leading axis.  One rule serves every source: each block
 is fresh, a writable C-ordered array of about ``_BLOCK_CELLS`` cells (a
-dense matrix counts as dim 1), computed from a Euclidean path's values or
-copied from the dense matrix of any other source (``_dense``).  The kernels
+group path or a dense matrix counts as dim 1), computed by a path's
+``distance_block`` or copied from a dense matrix.  The kernels
 raise, multiply and divide the blocks in place, and no kernel can write a
 caller's matrix.  They keep the ``**`` / ``**=`` operators on contiguous
 arrays, which take NumPy's fast paths for the exponents 2, 0.5 and -1, so
@@ -276,8 +276,8 @@ def dense_columns(matrix: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def _dense(src) -> np.ndarray:
-    """The dense (M+1, M+1) distance matrix of a source, computed afresh for a
-    Euclidean path, so that no path caches one."""
+    """The dense (M+1, M+1) distance matrix of a source, for the references:
+    computed afresh for a Euclidean path, which caches none, cached for a group path."""
     if isinstance(src, EuclideanPath):
         return src.distance_block(0, 0, len(src.grid))
     if isinstance(src, GroupPath):
@@ -299,21 +299,16 @@ def _columns(src, lo, hi, width=None, first=None):
     rows lo..j1-1 of the block's columns j0..j1-1, the columns starting at
     ``first``, by default lo+1, ``width`` columns (by default about
     ``_BLOCK_CELLS`` cells) at a time.  Every block is a fresh, writable,
-    C-ordered array that the caller may overwrite: a Euclidean path computes
-    it from its values, so no (M+1)^2 matrix is built, and any other source
-    copies it from its dense matrix.
+    C-ordered array that the caller may overwrite: a path computes it
+    (``distance_block``), so no (M+1)^2 matrix is built, and a dense matrix
+    is copied from.
     """
     first = first or lo + 1
     width = width or _width([src], lo, hi, _BLOCK_CELLS)
-    if isinstance(src, EuclideanPath):
-        block = src.distance_block
-    else:
-        dense = _dense(src)
-
-        def block(lo, j0, j1):
-            return np.array(dense[lo:j1, j0:j1].T, order="C")
     for j0 in range(first, hi + 1, width):
-        yield j0, block(lo, j0, min(j0 + width, hi + 1))
+        j1 = min(j0 + width, hi + 1)
+        yield j0, (src.distance_block(lo, j0, j1) if isinstance(src, _PATHS)
+                   else np.array(src[lo:j1, j0:j1].T, order="C"))
 
 
 def _family_columns(srcs, lo, hi):
@@ -331,13 +326,6 @@ def _family_columns(srcs, lo, hi):
     width = _width(srcs, lo, hi, _BLOCK_CELLS)
     for parts in zip(*(_columns(f, lo, hi, width) for f in srcs)):
         yield parts[0][0], np.stack([block for _, block in parts])
-
-
-def _shift_distances(path, m, lo, hi) -> np.ndarray:
-    """d(f_r, f_(r+m)) for r in [lo, hi - m]."""
-    if isinstance(path, GroupPath):
-        return np.diagonal(path.distance_matrix, m)[lo : hi - m + 1].copy()
-    return path.shift_distances(m, lo, hi)
 
 
 def _fill_unread(a, fill):
@@ -556,7 +544,7 @@ def qvar_norm(path, q: float, interval=None) -> float:
     _instance(path, _PATHS, "path")
     lo, hi = path.grid.resolve_interval(interval)
     if q == 1.0:  # the finest partition is optimal (triangle inequality)
-        return float(np.sum(_shift_distances(path, 1, lo, hi)))
+        return float(np.sum(path.shift_distances(1, lo, hi)))
     return _power_sup_family([path], path.grid.times, lo, hi, [(0, q, 0.0, 1.0 / q)])[0]
 
 
@@ -595,26 +583,26 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     best = 0.0
     if p is P_INF:
         for m in range(1, span + 1):
-            seg = _shift_distances(path, m, lo, hi)
+            seg = path.shift_distances(m, lo, hi)
             best = max(best, (m * dt) ** (-delta) * float(np.max(seg)))
         return float(best)
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, span + 1):
             # left Riemann sum over r = lo .. hi-m-1 (exclusive right endpoint)
-            seg = _shift_distances(path, m, lo, hi - 1)
+            seg = path.shift_distances(m, lo, hi - 1)
             seg **= p
             total = float(seg.sum())
             best = max(best, (m * dt) ** (-delta * p) * dt * total)
     # time factors (m*mesh)^(-delta*p) and that times mesh, extreme at m = 1, span
     factors = [-delta * p * math.log2(m * dt) + u for m in (1, span) for u in (0.0, math.log2(dt))]
-    if _sum_kept(best, span, factors, lambda: not _shift_distances(path, 1, lo, hi - 1).any()):
+    if _sum_kept(best, span, factors, lambda: not path.shift_distances(1, lo, hi - 1).any()):
         return float(best ** (1.0 / p))
     # out of range: scale shift m by s_m, its largest distance (so its largest
     # power is exactly 1); the time factor is constant within a shift, so
     # ( c_m sum d^p )^(1/p) = s_m h^(-delta) ( mesh sum (d/s_m)^p )^(1/p)
     best = 0.0
     for m in range(1, span):
-        seg = _shift_distances(path, m, lo, hi - 1)
+        seg = path.shift_distances(m, lo, hi - 1)
         if seg.any():
             s = float(seg.max())
             best = max(best, s * (m * dt) ** (-delta) * (dt * float(np.sum((seg / s) ** p))) ** (1.0 / p))
@@ -777,7 +765,7 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
                 chunk[rows, d.shape[1] :] = 0.0
             total += float(np.sum(chunk))
     if _sum_kept(total, span * (span + 1) / 2, [e * math.log2(dt), e * math.log2(span * dt)],
-                 lambda: not _shift_distances(path, 1, lo, hi).any()):
+                 lambda: not path.shift_distances(1, lo, hi).any()):
         return float((2.0 * total * dt * dt) ** (1.0 / p))
     # out of range: in units of the mesh every gap is at least 1, so the bases
     # d g^(e/p) of the fused weights (as ``riesz_norm`` takes them) are at most

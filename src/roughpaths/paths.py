@@ -7,10 +7,10 @@ X_{0,t_j} as stacked levels, one read-only (M+1, n^k) array per level k
 (row j is level k of X_{0,t_j}, flattened in C order).  ``lift`` builds
 level k by one cumulative sum over the grid (Chen's identity).  The
 increments X_{i,j} = X_i^{-1} x X_j come from one batched inverse of the
-path and a row pass over the upper triangle j >= i
-(``GroupPath.increment_blocks``): one broadcasting ``tensor_core.stacked_mul``
-call per block of rows against the columns to their right, which feeds the
-distance matrix and the level-difference matrices of ``distances``.
+path: ``GroupPath._increments`` multiplies the inverses of some points by
+the levels of others in one broadcasting ``tensor_core.stacked_mul`` call,
+for the group distances and the level differences of ``distances``, about
+``_ROW_BLOCK_CELLS`` increment entries at a time.
 
 Euclidean distances have one formula, ``_euclidean_norm``: with s_c the
 squared difference of coordinate c, the distance is
@@ -21,8 +21,8 @@ left to right, every step one elementwise ufunc call in place on one buffer.
 on the block it is computed in nor, being correctly rounded elementwise
 arithmetic, on the CPU.  At dims 1 to 7 this is the order of NumPy 2.4's
 ``sqrt(einsum("...k,...k->...", d, d))``, whose values it reproduces bit for
-bit.  The cached distance matrix of a group path is read-only, as every
-caller shares it; the norms copy their column blocks out of it.
+bit.  A group path serves both calls from its increments (``_homogeneous``);
+no norm reads the cached dense ``distance_matrix`` of either kind of path.
 
 All partition/pair suprema elsewhere in the library are taken over grid
 points only; that is the discrete definition of every norm in this package.
@@ -50,7 +50,7 @@ from .tensor_core import (
     stacked_mul,
 )
 
-#: Increment entries (rows x columns x dim^depth) per block of the row pass.
+#: Increment entries (rows x columns x dim^depth) per ``GroupPath._increments`` call.
 _ROW_BLOCK_CELLS = 2**15
 
 
@@ -270,63 +270,60 @@ class GroupPath:
             raise ParameterError("the inverse of the path overflows")
         return inv
 
-    def increment_blocks(self):
-        """Row pass over the increments X_{i,j} = X_i^{-1} x X_j, j >= i, in blocks of rows.
-
-        Yields ``(i0, i1, levels)`` for consecutive row ranges [i0, i1)
-        covering the grid, with the columns j >= i0 of those rows: the upper
-        triangle, plus the cells j < i of the block's diagonal square.
-        ``levels[k]`` has shape ``(M+1 - i0, i1 - i0, dim^k)``, columns first,
-        and entry ``[c, r]`` is pi_k(X_{i0+r, i0+c}) flattened in C order.
-        One ``stacked_mul`` call per block of about ``_ROW_BLOCK_CELLS``
-        entries.
-        """
-        m = len(self.grid)
-        inv, i0 = self._stacked_inverses, 0
-        while i0 < m:
-            i1 = min(m, i0 + max(1, _ROW_BLOCK_CELLS // ((m - i0) * self.dim**self.depth)))
-            yield i0, i1, stacked_mul([lv[None, i0:i1] for lv in inv],
-                                      [lv[i0:, None] for lv in self.levels])
-            i0 = i1
+    def _increments(self, i, j) -> list[np.ndarray]:
+        """Levels of X_i^{-1} x X_j, ``i`` and ``j`` grid indices whose rows broadcast."""
+        return stacked_mul([lv[i] for lv in self._stacked_inverses],
+                           [lv[j] for lv in self.levels])
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        """Pairwise homogeneous distances d(X_i, X_j) under the max-levels surrogate, read-only.
-
-        Uses d(X_i, X_j) = max_k max(|pi_k(X_{i,j})|, |pi_k(X_{j,i})|)^(1/k),
-        filled in one pass over the upper triangle: each block of
-        ``increment_blocks`` (the forward increments X_i^{-1} x X_j, j >= i)
-        is paired with the reverse increments X_j^{-1} x X_i of the same
-        cells: in the block's diagonal square they are the transposed forward
-        ones, and right of it one more ``stacked_mul`` call on the same
-        operands in swapped roles gives them.  Per level, the norms of both,
-        their max and its root (``np.sqrt`` for k = 2, the power 1/k for
-        k >= 3) are taken on contiguous arrays of the block, and the max over
-        levels is written below the diagonal and, transposed, above it.  So a
-        distance does not depend on the grid size, the block or the array
-        layout, and no (depth, M+1, M+1) stack is built.
-        """
-        m = len(self.grid)
-        dist = np.empty((m, m))
-        inv = self._stacked_inverses
-        for i0, i1, fwd in self.increment_blocks():
-            n = i1 - i0
-            rev = i1 < m and stacked_mul([lv[i1:, None] for lv in inv],
-                                         [lv[None, i0:i1] for lv in self.levels])
-            for k in range(1, self.depth + 1):
-                sym = np.linalg.norm(fwd[k], axis=-1)
-                np.maximum(sym[:n], sym[:n].T, out=sym[:n])
-                if rev:
-                    np.maximum(sym[n:], np.linalg.norm(rev[k], axis=-1), out=sym[n:])
-                if k == 2:
-                    np.sqrt(sym, out=sym)
-                elif k > 2:
-                    np.power(sym, 1.0 / k, out=sym)
-                block = sym if k == 1 else np.maximum(block, sym, out=block)
-            dist[i0:, i0:i1] = block  # its diagonal square is symmetric
-            dist[i0:i1, i1:] = block[n:].T
+        """Pairwise homogeneous distances d(X_i, X_j), shape (M+1, M+1), read-only;
+        a dense reference that no norm reads."""
+        dist = self.distance_block(0, 0, len(self.grid))
         dist.flags.writeable = False
         return dist
+
+    def distance_block(self, lo: int, j0: int, j1: int) -> np.ndarray:
+        """Distances d(X_i, X_j) for rows i in [lo, j1) and columns j in [j0, j1), lo <= j0.
+
+        Laid out as ``EuclideanPath.distance_block``.  A piece of columns [c0, c1),
+        of about ``_ROW_BLOCK_CELLS`` increment entries, takes the rows i < c1,
+        reversed only below c0 (see ``_homogeneous``); its rows in [j0, c0) fill,
+        transposed, the cells below earlier pieces.
+        """
+        block = np.empty((j1 - j0, j1 - lo))
+        width = max(1, _ROW_BLOCK_CELLS // ((j1 - lo) * self.dim**self.depth))
+        for c0 in range(j0, j1, width):
+            c1 = min(c0 + width, j1)
+            # rows first: ``stacked_mul`` loops fastest over the first, longest axis
+            cols = np.s_[None, c0:c1]
+            d = block[c0 - j0 : c1 - j0, : c1 - lo] = _homogeneous(
+                self._increments(np.s_[lo:c1, None], cols),
+                self._increments(cols, np.s_[lo:c0, None])).T
+            block[: c0 - j0, c0 - lo : c1 - lo] = d[:, j0 - lo : c0 - lo].T
+        return block
+
+    def shift_distances(self, m: int, lo: int, hi: int) -> np.ndarray:
+        """Distances d(X_r, X_(r+m)) for r in [lo, hi - m]."""
+        head, tail = slice(lo, hi - m + 1), slice(lo + m, hi + 1)
+        return _homogeneous(self._increments(head, tail), self._increments(tail, head))
+
+
+def _homogeneous(fwd, rev) -> np.ndarray:
+    """max_k max(|pi_k(fwd)|, |pi_k(rev)|)^(1/k), norms over the contiguous levels and
+    one root per level (``np.sqrt`` at k = 2).  ``rev`` may omit the trailing rows of
+    ``fwd`` if they form a square, whose transpose then holds their reverses."""
+    for k in range(1, len(fwd)):
+        level = np.linalg.norm(fwd[k], axis=-1)
+        head, square = level[: len(rev[k])], level[len(rev[k]) :]
+        np.maximum(head, np.linalg.norm(rev[k], axis=-1), out=head)
+        np.maximum(square, square.T, out=square)
+        if k == 2:
+            np.sqrt(level, out=level)
+        elif k > 2:
+            np.power(level, 1.0 / k, out=level)
+        dist = level if k == 1 else np.maximum(dist, level, out=dist)
+    return dist
 
 
 # ---------------------------------------------------------------------------

@@ -165,21 +165,27 @@ class VectorField:
                            self.box_radius)
 
     def derivative_defect(self, points, h: float = 1e-5) -> float:
-        """Max relative error of the analytic Jacobian/Hessian vs central differences."""
-        worst = 0.0
-        for y in points:
-            y = np.asarray(y, dtype=float)
-            jac_fd = np.empty((self.n, self.m, self.m))
-            hess_fd = np.empty((self.n, self.m, self.m, self.m))
-            for b in range(self.m):
-                e = np.zeros(self.m)
-                e[b] = h
-                jac_fd[:, :, b] = (self.value(y + e) - self.value(y - e)).T / (2 * h)
-                hess_fd[:, :, b, :] = (self.jac(y + e) - self.jac(y - e)) / (2 * h)
-            for exact, fd in ((self.jac(y), jac_fd), (self.hess(y), hess_fd)):
-                scale = max(np.abs(exact).max(), np.abs(fd).max(), 1.0)
-                worst = max(worst, float(np.abs(exact - fd).max() / scale))
-        return worst
+        """Max relative error of the analytic Jacobian/Hessian vs central differences at
+        ``points`` (count, m), step ``h`` > 0; ``ParameterError`` off the float range."""
+        if (h := _real(h, "the step h")) <= 0.0:
+            raise ParameterError(f"the step h must be positive, got {h!r}")
+        defects = [0.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for y in _float_array(points, "points", 2):
+                y = _state(y, self, "a point")
+                jac_fd = np.empty((self.n, self.m, self.m))
+                hess_fd = np.empty((self.n, self.m, self.m, self.m))
+                for b in range(self.m):
+                    e = np.zeros(self.m)
+                    e[b] = h
+                    jac_fd[:, :, b] = (self.value(y + e) - self.value(y - e)).T / (2 * h)
+                    hess_fd[:, :, b, :] = (self.jac(y + e) - self.jac(y - e)) / (2 * h)
+                for exact, fd in ((self.jac(y), jac_fd), (self.hess(y), hess_fd)):
+                    scale = max(np.abs(exact).max(), np.abs(fd).max(), 1.0)
+                    defects.append(float(np.abs(exact - fd).max() / scale))
+        if not all(map(math.isfinite, defects)):
+            raise ParameterError("derivative_defect leaves the float range at these points")
+        return max(defects)
 
     def lip_norm(self, center, radius=None, samples: int = 256, seed: int = 0) -> float:
         """Sampled bound for the Lip-gamma norm on the validity ball.

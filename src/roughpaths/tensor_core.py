@@ -32,7 +32,7 @@ levels: one ``(*batch, n^k)`` array per level k, the last axis holding the
 C-order flattened level k of one element.  Leading batch axes broadcast
 (axes of 1 against axes of N), so a path's rows times a single element is an
 ``(N, n^k)`` by ``(1, n^k)`` call, and a block of rows times a block of
-columns, as in the row pass of ``paths``, a ``(1, R, n^k)`` by
+columns, as in the row pass of ``distances``, a ``(1, R, n^k)`` by
 ``(C, 1, n^k)`` call.  They are the only implementation of the product and
 the inverse: ``tensor_mul``, ``group_mul`` and ``group_inverse`` are their
 one-element calls, so one element and a stacked path get the same
@@ -196,8 +196,9 @@ def segment_exp(delta, depth: int) -> GroupElement:
     delta = _float_array(delta, "the increment").reshape(-1)
     dim, depth = _shape(delta.size, depth)
     levels = [np.ones(())]
-    for k in range(1, depth + 1):
-        levels.append(np.multiply.outer(levels[-1], delta) / k)
+    with np.errstate(over="ignore", invalid="ignore"):  # ``TruncatedTensor`` rejects overflow
+        for k in range(1, depth + 1):
+            levels.append(np.multiply.outer(levels[-1], delta) / k)
     return GroupElement(TruncatedTensor(dim, depth, tuple(levels)))
 
 
@@ -227,12 +228,12 @@ def stacked_mul(a, b) -> list[np.ndarray]:
     """
     ta = [np.ascontiguousarray(x.T)[:, None] for x in a]
     tb = [np.ascontiguousarray(x.T)[None] for x in b]
-    shape = (-1, *map(max, a[0].shape[-2::-1], b[0].shape[-2::-1]))
+    batch = np.broadcast_shapes(a[0].shape[:-1], b[0].shape[:-1])[::-1]
     out = []
     for k in range(len(a)):
         acc = 0.0  # the first += makes a new array, 0.0 + term; the rest add in place
         for i in range(k + 1):
-            acc += (ta[i] * tb[k - i]).reshape(shape)
+            acc += (ta[i] * tb[k - i]).reshape(a[k].shape[-1], *batch)
         out.append(np.ascontiguousarray(acc.T))
     return out
 

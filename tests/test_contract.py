@@ -147,6 +147,7 @@ CALLS = [
     (rp.VectorField.from_spec, {"spec": ("field_spec", SPEC)}),
     (FIELD.lip_norm, {"center": ("state", [0.1]), "radius": ("real", 1.0),
                       "samples": ("count", 8), "seed": ("seed", 0)}),
+    (FIELD.derivative_defect, {"points": ("array", [[0.1], [0.3]]), "h": ("real", 1e-5)}),
     (rp.solve_bv, {"y0": ("state", [0.1]), "v": ("field", FIELD), "x": ("euclidean", F),
                    "config": ("config", BV)}),
     (rp.solve_rough, {"y0": ("state", [0.1]), "v": ("field", FIELD), "x": ("group", X1),
@@ -193,10 +194,12 @@ def malformed_calls(draw):
     return fn, params, target, value
 
 
-#: Huge finite arguments: counts beyond ``sys.maxsize``, a dilation whose
-#: powers overflow, and Lip-norm balls on which |V| leaves the float range.
+#: Huge finite arguments: counts beyond ``sys.maxsize``, a dilation and a
+#: segment whose powers overflow, and Lip-norm balls on which |V| leaves the
+#: float range.
 HUGE = [
     (rp.dilate, {"g": G, "lam": 1e300}),
+    (rp.segment_exp, {"delta": [1e200, 1.0], "depth": 3}),
     (rp.zero_tensor, {"dim": 1e300, "depth": 2}),
     (rp.TimeGrid.uniform, {"intervals": 1e300}),
     (FIELD.lip_norm, {"center": [0.1], "samples": 1e300}),

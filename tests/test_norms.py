@@ -757,6 +757,34 @@ def test_single_value_norms_need_no_dense_matrix(rng):
     assert "distance_matrix" not in vars(f)
 
 
+@pytest.mark.parametrize("p", [4.0, 600.0, P_INF], ids=["in-range", "fused", "inf"])
+def test_group_path_norms_stream_without_the_dense_matrix(rng, p):
+    # every family reads a group path through distance_block or shift_distances;
+    # at p = 600 the sums leave the float range and the fused weights run
+    x = lift(random_walk_path(rng, 64, 2), 3)
+    values = [holder_norm(x, 0.5), qvar_norm(x, 2.5), qvar_norm(x, 1.0),
+              riesz_norm(x, 0.5, p), mixed_norm(x, 0.5, p), nikolskii_norm(x, 0.4, p),
+              refined_nikolskii_norm(x, 0.4, p),
+              frac_sobolev_norm(x, 0.4, 3.0 if p is P_INF else p),
+              riesz_norm(x, 0.5, p, (0.25, 0.75)), nikolskii_norm(x, 0.4, p, (0.25, 0.75))]
+    assert all(math.isfinite(v) and v > 0.0 for v in values)
+    assert "distance_matrix" not in vars(x)
+
+
+def test_group_path_norm_memory_is_flat_in_the_grid_size(rng):
+    # the (M+1)^2 distance matrix alone takes 8 MB at M = 1024, and the cached
+    # one held 10.1 MB at the peak of this call
+    x = lift(random_walk_path(rng, 1024, 2), 3)
+    tracemalloc.start()
+    try:
+        assert riesz_norm(x, 0.5, 4.0) > 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert "distance_matrix" not in vars(x)
+
+
 def test_streamed_norms_keep_scratch_in_cache_sized_blocks(rng):
     # blocks of 2^15 cells: under 1 MB per call on a 1-D walk at M = 1536,
     # and fractional Sobolev adds its one 2 MB summation buffer; blocks of

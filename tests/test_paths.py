@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from roughpaths import (
     signature,
     time_reversed,
 )
+from roughpaths import paths
 from conftest import random_walk_path
 
 
@@ -283,8 +285,9 @@ def test_distance_matrix_euclidean(rng):
 
 
 def test_group_distance_matrix_memory(rng):
-    # the (M+1)^2 result (2.1 MB here) plus the blocks of one row pass, about
-    # 3.9 MB in all; a (depth, M+1, M+1) stack of level norms took 12.2 MB
+    # the (M+1)^2 result (2.1 MB here) plus the increments of one piece of
+    # ``distance_block``, about 3.3 MB in all; a (depth, M+1, M+1) stack of
+    # level norms took 12.2 MB
     x = lift(random_walk_path(rng, 512, 2), 3)
     tracemalloc.start()
     try:
@@ -306,3 +309,48 @@ def test_group_distance_matrix_matches_pointwise(rng):
             assert d[i, j] == pytest.approx(
                 group_distance(x.values[i], x.values[j]), rel=1e-11, abs=1e-13
             )
+
+
+def _dense_group_distances(x):
+    """d(X_i, X_j) for every ordered pair, element by element: X_{i,j} as
+    ``increment`` forms it, group_mul(group_inverse(X_i), X_j), the level norms
+    over the last axis of the flattened levels (without an axis, NumPy takes a
+    1-D norm by a dot product, which may round differently), the max of the
+    forward and reverse norms, its root per level (``np.sqrt`` at k = 2, the
+    power 1/k above), and the max over levels."""
+    m, depth = len(x.grid), x.depth
+    inv = [group_inverse(g) for g in x.values]
+    norms = np.empty((depth, m, m))
+    for i in range(m):
+        for j in range(m):
+            g = group_mul(inv[i], x.values[j])
+            norms[:, i, j] = [np.linalg.norm(g.level(k).ravel(), axis=-1)
+                              for k in range(1, depth + 1)]
+    sym = np.maximum(norms, norms.transpose(0, 2, 1))
+    roots = [sym[0]] + [np.sqrt(sym[1]) if k == 2 else sym[k - 1] ** (1.0 / k)
+                        for k in range(2, depth + 1)]
+    return np.max(roots, axis=0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 24), st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 2**12),
+       st.data())
+def test_group_distance_blocks_equal_the_pointwise_formula(dim, depth, intervals, seed, uniform,
+                                                           cells, data):
+    # any budget of increment entries: a budget of 1 makes every piece one column
+    x = lift(random_walk_path(np.random.default_rng(seed), intervals, dim, uniform=uniform),
+             depth)
+    dist, m = _dense_group_distances(x), len(x.grid)
+    lo = data.draw(st.integers(0, m - 1), "lo")
+    j0 = data.draw(st.integers(lo, m - 1), "j0")
+    j1 = data.draw(st.integers(j0 + 1, m), "j1")
+    with mock.patch.object(paths, "_ROW_BLOCK_CELLS", cells):
+        assert np.array_equal(x.distance_block(lo, j0, j1), dist[lo:j1, j0:j1].T)
+        for shift in range(j1 - lo + 1):  # the last shift asks for an empty diagonal
+            got = x.shift_distances(shift, lo, j1 - 1)
+            assert np.array_equal(got, np.diagonal(dist, shift)[lo : j1 - shift])
+        assert got.shape == (0,)
+        assert np.array_equal(x.distance_matrix, dist)
+    assert not x.distance_matrix.flags.writeable

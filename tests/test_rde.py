@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,25 @@ def test_derivative_consistency(rng):
                                rng.standard_normal((2, 2, 2)), q)
     pts = rng.standard_normal((6, 2))
     assert v.derivative_defect(pts) < 1e-6
+
+
+@pytest.mark.parametrize("points, h, error", [
+    ([[0.1, 0.2]], 0.0, ParameterError),
+    ([[0.1, 0.2]], -1e-5, ParameterError),
+    ([[0.1, 0.2]], "x", ParameterError),
+    ("ab", 1e-5, ParameterError),
+    ([0.1, 0.2], 1e-5, ParameterError),
+    ([[0.1, 0.2, 0.3]], 1e-5, DimensionMismatchError),
+    ([[np.nan, 0.2]], 1e-5, ParameterError),
+    ([[1e300, 0.2]], 1e-5, ParameterError),
+], ids=["h-zero", "h-negative", "h-string", "points-string", "points-1d", "points-wide",
+        "points-nan", "points-huge"])
+def test_derivative_defect_rejects_malformed_input_without_warnings(points, h, error):
+    v = VectorField.polynomial(np.ones((2, 2)), np.ones((2, 2, 2)), np.ones((2, 2, 2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            v.derivative_defect(points, h)
 
 
 def test_field_spec_roundtrip(rng):

@@ -295,3 +295,16 @@ def test_stacked_kernels_equal_per_element_loops(case):
         assert np.array_equal(got, want)
     for got, want in zip(stacked_inverse(b), _loop_inverse(b, dim)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shapes", [((0,), (0,)), ((0, 1), (1, 5)), ((3, 1), (3, 0)),
+                                    ((1,), (0,))],
+                         ids=["empty", "empty-rows", "empty-columns", "broadcast-empty"])
+def test_stacked_kernels_on_an_empty_batch_return_empty_levels(shapes):
+    # a shift as long as the interval asks for an empty diagonal of increments
+    (sa, sb), dim, depth = shapes, 2, 3
+    a = [np.ones(sa + (dim**k,)) for k in range(depth + 1)]
+    b = [np.ones(sb + (dim**k,)) for k in range(depth + 1)]
+    batch = np.broadcast_shapes(sa, sb)
+    assert [lv.shape for lv in stacked_mul(a, b)] == [batch + (dim**k,) for k in range(depth + 1)]
+    assert [lv.shape for lv in stacked_inverse(b)] == [sb + (dim**k,) for k in range(depth + 1)]
