@@ -103,14 +103,17 @@ def _all_level_diffs(x1: GroupPath, x2: GroupPath) -> tuple[np.ndarray, ...]:
 
 def _level_diffs(x1: GroupPath, x2: GroupPath) -> tuple[np.ndarray, ...]:
     # levels k = 1..N; a row pass over the upper triangle j >= i0, blocks of
-    # about paths._ROW_BLOCK_CELLS increment entries
+    # about paths._BLOCK_PAIRS pairs, each norm the sum of squares of x1's
+    # entries less x2's (``paths._norm``)
     m, i0 = len(x1.grid), 0
     mats = [np.zeros((m, m)) for _ in range(x1.depth)]
     while i0 < m:
-        i1 = min(m, i0 + max(1, paths._ROW_BLOCK_CELLS // ((m - i0) * x1.dim**x1.depth)))
-        r1, r2 = (x._increments(np.s_[None, i0:i1], np.s_[i0:, None]) for x in (x1, x2))
+        i1 = min(m, i0 + max(1, paths._BLOCK_PAIRS // (m - i0)))
+        rows, cols = np.s_[:, i0:i1, None], np.s_[:, None, i0:]
         for k in range(1, x1.depth + 1):
-            mats[k - 1][i0:i1, i0:] = np.triu(np.linalg.norm(r1[k] - r2[k], axis=-1).T)
+            diffs = (np.subtract(e1, e2, out=e1) for e1, e2 in
+                     zip(x1._entries(k, rows, cols), x2._entries(k, rows, cols)))
+            mats[k - 1][i0:i1, i0:] = np.triu(paths._norm(diffs, x1.dim**k))
         i0 = i1
     for mt in mats:
         mt.flags.writeable = False

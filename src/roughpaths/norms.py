@@ -34,7 +34,8 @@ These give the values of the dense formulas bit for bit, whatever the
 block size, except fractional Sobolev, whose blockwise sum may move the
 last ulp: ``np.sum`` adds pairwise, so the grouping is part of the value,
 and the summation blocks keep one size whatever ``_BLOCK_CELLS`` is.
-Group paths compute their blocks from their increments (``paths``).
+Group paths compute their blocks from their level norms, summed entry
+by entry in NumPy's own order, so equal to ``np.linalg.norm`` (``paths``).
 Every norm here returns one value over one interval, in O(M^2) at
 most, with no size cap; tables over all subintervals are left to the
 independent references (``oracle.shift_sup_table``, the nested mixed

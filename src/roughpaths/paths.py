@@ -5,12 +5,35 @@ their piecewise-linear interpolant; lifting computes the exact truncated
 signature of that interpolant.  A group path stores the running signatures
 X_{0,t_j} as stacked levels, one read-only (M+1, n^k) array per level k
 (row j is level k of X_{0,t_j}, flattened in C order).  ``lift`` builds
-level k by one cumulative sum over the grid (Chen's identity).  The
-increments X_{i,j} = X_i^{-1} x X_j come from one batched inverse of the
-path: ``GroupPath._increments`` multiplies the inverses of some points by
-the levels of others in one broadcasting ``tensor_core.stacked_mul`` call,
-for the group distances and the level differences of ``distances``, about
-``_ROW_BLOCK_CELLS`` increment entries at a time.
+level k by one cumulative sum over the grid (Chen's identity).
+
+Group distances and the level differences of ``distances`` need one level
+norm |pi_k(X_{i,j})| per grid pair, X_{i,j} = X_i^{-1} x X_j.  They come from
+one primitive, ``GroupPath._entries``, which yields the n^k entries of level k
+of X_{i,j} one at a time, each an array over a block of grid pairs read from
+C-ordered (n^k, M+1) copies of the levels and of the inverses (so entry e of
+a level over all grid points is one contiguous row).  Entry e is
+
+    b_k[e] + a_1[e_1] b_{k-1}[e'] + ... + a_{k-1}[e''] b_1[e_k] + a_k[e],
+
+a = X_i^{-1}, b = X_j, the index of a_i the leading i digits of e in base n
+and that of b_{k-i} the rest, added left to right: the order of
+``tensor_core.stacked_mul``, 0 + a_0 b_k + ... + a_k b_0, whose unit level-0
+factors are left out (x * 1 = x exactly; 0 + x may differ only in the sign of
+a zero, which no square sees).  ``_norm`` squares the entries as they arrive
+and adds them in the order of NumPy's ``pairwise_sum``: fewer than 8 terms
+left to right; 8 to 128 terms in 8 accumulators r_0..r_7 (term e into
+r_(e mod 8), over the largest multiple of 8 terms), then
+((r_0 + r_1) + (r_2 + r_3)) + ((r_4 + r_5) + (r_6 + r_7)), then the rest
+left to right; more than 128 terms split at half the count rounded down to
+a multiple of 8, each part summed so and the two added.  ``np.add.reduce``
+over a contiguous axis, after its identity 0 (exact on these non-negative
+sums), is that function, and ``np.linalg.norm(x, axis=-1)`` is
+sqrt(add.reduce(x * x)), so every level norm equals that call on the dense
+increments bit for bit (pinned by test), with no (pairs x n^k) array, no
+transpose and no reduction over an axis of 2 to 8 entries.  Each block of
+pairs, about ``_BLOCK_PAIRS`` of them, amortises the n^k k NumPy calls of
+a level.
 
 Euclidean distances have one formula, ``_euclidean_norm``: with s_c the
 squared difference of coordinate c, the distance is
@@ -21,8 +44,9 @@ left to right, every step one elementwise ufunc call in place on one buffer.
 on the block it is computed in nor, being correctly rounded elementwise
 arithmetic, on the CPU.  At dims 1 to 7 this is the order of NumPy 2.4's
 ``sqrt(einsum("...k,...k->...", d, d))``, whose values it reproduces bit for
-bit.  A group path serves both calls from its increments (``_homogeneous``);
+bit.  A group path serves both calls from its level norms (``_distances``);
 no norm reads the cached dense ``distance_matrix`` of either kind of path.
+Both calls of both kinds raise ``ParameterError`` on indices outside the grid.
 
 All partition/pair suprema elsewhere in the library are taken over grid
 points only; that is the discrete definition of every norm in this package.
@@ -30,6 +54,7 @@ points only; that is the discrete definition of every norm in this package.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,11 +72,10 @@ from .tensor_core import (
     group_inverse,
     group_mul,
     stacked_inverse,
-    stacked_mul,
 )
 
-#: Increment entries (rows x columns x dim^depth) per ``GroupPath._increments`` call.
-_ROW_BLOCK_CELLS = 2**15
+#: Grid pairs per block of the level-norm kernel (``GroupPath._entries``).
+_BLOCK_PAIRS = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,11 +212,13 @@ class EuclideanPath:
         Column j is stored as the contiguous row j - j0 of the result, so
         ``distance_block(lo, j0, j1)[c, r]`` is |f_(lo+r) - f_(j0+c)|.
         """
+        lo, j0, j1 = _block_indices(lo, j0, j1, len(self.grid))
         x = self.values.T
         return _euclidean_norm(x[:, j0:j1, None], x[:, None, lo:j1])
 
     def shift_distances(self, m: int, lo: int, hi: int) -> np.ndarray:
-        """Distances |f_r - f_(r+m)| for r in [lo, hi - m]."""
+        """Distances |f_r - f_(r+m)| for r in [lo, hi - m]; m = hi - lo + 1 gives none."""
+        m, lo, hi = _shift_indices(m, lo, hi, len(self.grid))
         x = self.values.T
         return _euclidean_norm(x[:, lo:hi - m + 1], x[:, lo + m:hi + 1])
 
@@ -263,17 +289,60 @@ class GroupPath:
         return tuple(self.element(j) for j in range(len(self.grid)))
 
     @cached_property
-    def _stacked_inverses(self) -> list[np.ndarray]:
-        """Levels of X_{0,t_j}^{-1}, stacked like ``levels``."""
+    def _transposed(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Levels of X_{0,t_j}^{-1} and of X_{0,t_j}, each a C-ordered (n^k, M+1)
+        copy: entry e of level k at every grid point is the contiguous row e."""
         inv = stacked_inverse(self.levels)
         if not all(np.isfinite(lv).all() for lv in inv):
             raise ParameterError("the inverse of the path overflows")
-        return inv
+        return ([np.ascontiguousarray(lv.T) for lv in inv],
+                [np.ascontiguousarray(lv.T) for lv in self.levels])
 
-    def _increments(self, i, j) -> list[np.ndarray]:
-        """Levels of X_i^{-1} x X_j, ``i`` and ``j`` grid indices whose rows broadcast."""
-        return stacked_mul([lv[i] for lv in self._stacked_inverses],
-                           [lv[j] for lv in self.levels])
+    def _entries(self, k: int, i, j):
+        """Entries e = 0..n^k - 1 of level k of X_i^{-1} x X_j, one fresh array each.
+
+        ``i`` and ``j`` index the grid axis of the transposed levels (a leading
+        ``:`` for the entries, then grid slices whose results broadcast), and
+        entry e is added in the order of the module docstring.
+        """
+        inv, lev = self._transposed
+        a = [lv[i] for lv in inv[: k + 1]]
+        b = [lv[j] for lv in lev[: k + 1]]
+        n = self.dim
+        for e in range(n**k):
+            if k == 1:
+                yield np.add(b[1][e], a[1][e])
+                continue
+            entry = np.multiply(a[1][e // n ** (k - 1)], b[k - 1][e % n ** (k - 1)])
+            entry += b[k][e]
+            for h in range(2, k):
+                entry += a[h][e // n ** (k - h)] * b[k - h][e % n ** (k - h)]
+            entry += a[k][e]
+            yield entry
+
+    def _distances(self, i, j, rev) -> np.ndarray:
+        """d(X_i, X_j) = max_k max(|pi_k(X_i^{-1} X_j)|, |pi_k(X_j^{-1} X_i)|)^(1/k)
+        over the pairs of the ``_entries`` indices ``i`` and ``j``, one root per
+        level (``np.sqrt`` at k = 2).
+
+        The reverse norms are read at ``rev``, the indices (j, i') with i' the
+        leading indices of ``i``; the trailing ones, if any, must form a square
+        with ``j``, whose transpose then holds their reverses.  Level 1 needs no
+        reverse: it is S_1(j) - S_1(i) one way and exactly its negative the other.
+        """
+        dist = _norm(self._entries(1, i, j), self.dim)
+        for k in range(2, self.depth + 1):
+            level = _norm(self._entries(k, i, j), self.dim**k)
+            back = _norm(self._entries(k, *rev), self.dim**k)
+            head, square = level[..., : back.shape[-1]], level[..., back.shape[-1] :]
+            np.maximum(head, back, out=head)
+            np.maximum(square, square.T, out=square)
+            if k == 2:
+                np.sqrt(level, out=level)
+            else:
+                np.power(level, 1.0 / k, out=level)
+            np.maximum(dist, level, out=dist)
+        return dist
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
@@ -287,43 +356,85 @@ class GroupPath:
         """Distances d(X_i, X_j) for rows i in [lo, j1) and columns j in [j0, j1), lo <= j0.
 
         Laid out as ``EuclideanPath.distance_block``.  A piece of columns [c0, c1),
-        of about ``_ROW_BLOCK_CELLS`` increment entries, takes the rows i < c1,
-        reversed only below c0 (see ``_homogeneous``); its rows in [j0, c0) fill,
-        transposed, the cells below earlier pieces.
+        of about ``_BLOCK_PAIRS`` pairs, takes the rows i < c1, reversed only below
+        c0 (see ``_distances``); its rows in [j0, c0) fill, transposed, the cells
+        below earlier pieces.
         """
+        lo, j0, j1 = _block_indices(lo, j0, j1, len(self.grid))
         block = np.empty((j1 - j0, j1 - lo))
-        width = max(1, _ROW_BLOCK_CELLS // ((j1 - lo) * self.dim**self.depth))
+        width = max(1, _BLOCK_PAIRS // (j1 - lo))
         for c0 in range(j0, j1, width):
             c1 = min(c0 + width, j1)
-            # rows first: ``stacked_mul`` loops fastest over the first, longest axis
-            cols = np.s_[None, c0:c1]
-            d = block[c0 - j0 : c1 - j0, : c1 - lo] = _homogeneous(
-                self._increments(np.s_[lo:c1, None], cols),
-                self._increments(cols, np.s_[lo:c0, None])).T
+            cols = np.s_[:, c0:c1, None]
+            d = block[c0 - j0 : c1 - j0, : c1 - lo] = self._distances(
+                np.s_[:, None, lo:c1], cols, (cols, np.s_[:, None, lo:c0]))
             block[: c0 - j0, c0 - lo : c1 - lo] = d[:, j0 - lo : c0 - lo].T
         return block
 
     def shift_distances(self, m: int, lo: int, hi: int) -> np.ndarray:
-        """Distances d(X_r, X_(r+m)) for r in [lo, hi - m]."""
-        head, tail = slice(lo, hi - m + 1), slice(lo + m, hi + 1)
-        return _homogeneous(self._increments(head, tail), self._increments(tail, head))
+        """Distances d(X_r, X_(r+m)) for r in [lo, hi - m]; m = hi - lo + 1 gives none."""
+        m, lo, hi = _shift_indices(m, lo, hi, len(self.grid))
+        head, tail = np.s_[:, lo : hi - m + 1], np.s_[:, lo + m : hi + 1]
+        return self._distances(head, tail, (tail, head))
 
 
-def _homogeneous(fwd, rev) -> np.ndarray:
-    """max_k max(|pi_k(fwd)|, |pi_k(rev)|)^(1/k), norms over the contiguous levels and
-    one root per level (``np.sqrt`` at k = 2).  ``rev`` may omit the trailing rows of
-    ``fwd`` if they form a square, whose transpose then holds their reverses."""
-    for k in range(1, len(fwd)):
-        level = np.linalg.norm(fwd[k], axis=-1)
-        head, square = level[: len(rev[k])], level[len(rev[k]) :]
-        np.maximum(head, np.linalg.norm(rev[k], axis=-1), out=head)
-        np.maximum(square, square.T, out=square)
-        if k == 2:
-            np.sqrt(level, out=level)
-        elif k > 2:
-            np.power(level, 1.0 / k, out=level)
-        dist = level if k == 1 else np.maximum(dist, level, out=dist)
-    return dist
+def _block_indices(lo, j0, j1, points: int) -> tuple[int, int, int]:
+    """``distance_block`` indices: integers (not booleans) with 0 <= lo <= j0 <= j1 <= points."""
+    try:
+        if bool not in (type(lo), type(j0), type(j1)):
+            lo, j0, j1 = operator.index(lo), operator.index(j0), operator.index(j1)
+            if 0 <= lo <= j0 <= j1 <= points:
+                return lo, j0, j1
+    except TypeError:
+        pass
+    raise ParameterError(f"a distance block needs integers 0 <= lo <= j0 <= j1 <= {points}, "
+                         f"got ({lo!r}, {j0!r}, {j1!r})")
+
+
+def _shift_indices(m, lo, hi, points: int) -> tuple[int, int, int]:
+    """``shift_distances`` arguments: integers (not booleans) with 0 <= lo <= hi < points
+    and 1 <= m <= hi - lo + 1 (the longest shift gives an empty diagonal).  The
+    check is kept to a few C calls: norms call it once per shift."""
+    try:
+        if bool not in (type(m), type(lo), type(hi)):
+            m, lo, hi = operator.index(m), operator.index(lo), operator.index(hi)
+            if 0 <= lo <= hi < points and 1 <= m <= hi - lo + 1:
+                return m, lo, hi
+    except TypeError:
+        pass
+    raise ParameterError(f"shift distances need integers 0 <= lo <= hi <= {points - 1} and "
+                         f"1 <= m <= hi - lo + 1, got (m, lo, hi) = ({m!r}, {lo!r}, {hi!r})")
+
+
+def _norm(entries, count: int) -> np.ndarray:
+    """sqrt of the sum of squares of the ``count`` arrays of ``entries`` (fresh
+    arrays, squared in place), the sum in NumPy's pairwise order (module docstring)."""
+    total = _pairwise_sum((np.multiply(x, x, out=x) for x in entries), count)
+    return np.sqrt(total, out=total)
+
+
+def _pairwise_sum(terms, count: int) -> np.ndarray:
+    """The sum of the next ``count`` arrays of the iterator ``terms``, in the order of
+    NumPy's ``pairwise_sum``; the first array it takes holds the result."""
+    if count < 8:
+        total = next(terms)
+        for _ in range(count - 1):
+            total += next(terms)
+        return total
+    if count <= 128:
+        r = [next(terms) for _ in range(8)]
+        for _ in range(count // 8 - 1):
+            for acc in r:
+                acc += next(terms)
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            r[a] += r[b]
+        for _ in range(count % 8):
+            r[0] += next(terms)
+        return r[0]
+    half = count // 2 - count // 2 % 8
+    total = _pairwise_sum(terms, half)
+    total += _pairwise_sum(terms, count - half)
+    return total
 
 
 # ---------------------------------------------------------------------------

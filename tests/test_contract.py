@@ -98,6 +98,10 @@ CALLS = [
     (rp.lift, {"path": ("euclidean", F), "depth": ("depth", 2)}),
     (rp.increment, {"x": ("group", X1), "i": ("index", 1), "j": ("index", 3)}),
     (rp.signature, {"x": ("group", X1)}),
+    *((path.distance_block, {"lo": ("index", 0), "j0": ("index", 1), "j1": ("index", 5)})
+      for path in (F, X1)),
+    *((path.shift_distances, {"m": ("index", 1), "lo": ("index", 0), "hi": ("index", 4)})
+      for path in (F, X1)),
     (rp.level1_path, {"x": ("group", X1)}),
     (rp.resample_uniform, {"path": ("euclidean", F), "intervals": ("count", 3)}),
     (rp.time_reversed, {"path": ("euclidean", F)}),

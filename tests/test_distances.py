@@ -41,6 +41,7 @@ from roughpaths.oracle import (
     oracle_rho_riesz,
     shift_sup_table,
 )
+from roughpaths.tensor_core import stacked_inverse, stacked_mul
 from roughpaths.verify import _nested_mixed
 from conftest import random_walk_path
 
@@ -261,13 +262,48 @@ def test_row_pass_equals_per_pair_increments(dim, depth, intervals, seed, cells)
     # one root per contiguous level: sqrt at k = 2, the power 1/k above
     dist = np.max([sym[0], np.sqrt(sym[1]) if depth > 1 else sym[0],
                    *(sym[k - 1] ** (1.0 / k) for k in range(3, depth + 1))], axis=0)
-    # a budget of 1 cell makes every block one row, so block edges fall on every row
+    # a budget of 1 pair makes every block one row, so block edges fall on every row
     for budget in (1, cells):
         x1, x2 = lift(p1, depth), lift(p2, depth)
-        with mock.patch.object(paths, "_ROW_BLOCK_CELLS", budget):
+        with mock.patch.object(paths, "_BLOCK_PAIRS", budget):
             assert np.array_equal(x1.distance_matrix, dist)
             for k in range(1, depth + 1):
                 assert np.array_equal(level_diff_matrix(x1, x2, k), diffs[k - 1])
+
+
+def _row_pass_level_diffs(x1, x2):
+    """The level differences from dense ``stacked_mul`` increments, a row pass of
+    about 2^15 increment entries per block, each level norm ``np.linalg.norm`` of
+    the difference of the increments over their last axis."""
+    m, i0, depth = len(x1.grid), 0, x1.depth
+    inverses = [stacked_inverse(x.levels) for x in (x1, x2)]
+    mats = np.zeros((depth, m, m))
+    while i0 < m:
+        i1 = min(m, i0 + max(1, 2**15 // ((m - i0) * x1.dim**depth)))
+        r1, r2 = (stacked_mul([lv[None, i0:i1] for lv in inv], [lv[i0:, None] for lv in x.levels])
+                  for x, inv in zip((x1, x2), inverses))
+        for k in range(1, depth + 1):
+            mats[k - 1, i0:i1, i0:] = np.triu(np.linalg.norm(r1[k] - r2[k], axis=-1).T)
+        i0 = i1
+    return mats
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_level_diffs_equal_the_row_pass_over_increments(dim, depth):
+    rng = np.random.default_rng([dim, depth])
+    p1 = random_walk_path(rng, 14, dim, uniform=bool(depth % 2))
+    p2 = EuclideanPath(p1.grid, p1.values + 0.3 * rng.standard_normal(p1.values.shape))
+    still = EuclideanPath(p1.grid, np.zeros(p1.values.shape))
+    pairs = [(p1, p2), (still, p1)]  # a constant path has zero levels and inverses
+    want = [_row_pass_level_diffs(lift(f1, depth), lift(f2, depth)) for f1, f2 in pairs]
+    # any block size gives the same bits, down to one row per block
+    for budget in (2**14, 40, 1):
+        with mock.patch.object(paths, "_BLOCK_PAIRS", budget):
+            for (f1, f2), mats in zip(pairs, want):
+                x1, x2 = lift(f1, depth), lift(f2, depth)
+                for k in range(1, depth + 1):
+                    assert np.array_equal(level_diff_matrix(x1, x2, k), mats[k - 1])
 
 
 # ---------------------------------------------------------------------------

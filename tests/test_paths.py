@@ -26,6 +26,7 @@ from roughpaths import (
     time_reversed,
 )
 from roughpaths import paths
+from roughpaths.tensor_core import stacked_mul
 from conftest import random_walk_path
 
 
@@ -146,7 +147,7 @@ def test_lift_equals_per_step_chen_chain(dim, depth, intervals, uniform, scale, 
         chain.append(g)
     for k in range(depth + 1):
         assert np.array_equal(x.levels[k], np.stack([h.level(k).reshape(-1) for h in chain]))
-        assert np.array_equal(x._stacked_inverses[k],
+        assert np.array_equal(x._transposed[0][k].T,
                               np.stack([group_inverse(h).level(k).reshape(-1) for h in chain]))
     assert all(grouplike_defect(h) <= 1e-12 for h in x.values)
     again = GroupPath.from_elements(path.grid, x.values)
@@ -285,9 +286,9 @@ def test_distance_matrix_euclidean(rng):
 
 
 def test_group_distance_matrix_memory(rng):
-    # the (M+1)^2 result (2.1 MB here) plus the increments of one piece of
-    # ``distance_block``, about 3.3 MB in all; a (depth, M+1, M+1) stack of
-    # level norms took 12.2 MB
+    # the (M+1)^2 result (2.1 MB here) plus the entries and level norms of
+    # one piece of ``distance_block``; a (depth, M+1, M+1) stack of level
+    # norms took 12.2 MB
     x = lift(random_walk_path(rng, 512, 2), 3)
     tracemalloc.start()
     try:
@@ -339,18 +340,72 @@ def _dense_group_distances(x):
        st.data())
 def test_group_distance_blocks_equal_the_pointwise_formula(dim, depth, intervals, seed, uniform,
                                                            cells, data):
-    # any budget of increment entries: a budget of 1 makes every piece one column
+    # any budget of grid pairs: a budget of 1 makes every piece one column
     x = lift(random_walk_path(np.random.default_rng(seed), intervals, dim, uniform=uniform),
              depth)
     dist, m = _dense_group_distances(x), len(x.grid)
     lo = data.draw(st.integers(0, m - 1), "lo")
     j0 = data.draw(st.integers(lo, m - 1), "j0")
     j1 = data.draw(st.integers(j0 + 1, m), "j1")
-    with mock.patch.object(paths, "_ROW_BLOCK_CELLS", cells):
+    with mock.patch.object(paths, "_BLOCK_PAIRS", cells):
         assert np.array_equal(x.distance_block(lo, j0, j1), dist[lo:j1, j0:j1].T)
-        for shift in range(j1 - lo + 1):  # the last shift asks for an empty diagonal
+        for shift in range(1, j1 - lo + 1):  # the last shift asks for an empty diagonal
             got = x.shift_distances(shift, lo, j1 - 1)
             assert np.array_equal(got, np.diagonal(dist, shift)[lo : j1 - shift])
         assert got.shape == (0,)
         assert np.array_equal(x.distance_matrix, dist)
     assert not x.distance_matrix.flags.writeable
+
+
+def test_block_and_shift_indices_are_checked():
+    f = EuclideanPath(TimeGrid.uniform(4), np.arange(10.0).reshape(5, 2) ** 1.5)
+    for path in (f, lift(f, 2)):
+        for args in ((0, 5, 3), (-1, 0, 2), (0, 1, 6), (2, 1, 3), (0, 1.0, 3), (True, 1, 2)):
+            with pytest.raises(ParameterError):
+                path.distance_block(*args)
+        for args in ((-1, 0, 4), (0, 0, 4), (6, 0, 4), (1, 3, 2), (1, 0, 5), (1, -1, 3),
+                     (np.float64(1.0), 0, 4), (True, 0, 4), (1, False, 4)):
+            with pytest.raises(ParameterError):
+                path.shift_distances(*args)
+        # empty blocks and the empty diagonal of the longest shift are valid
+        assert path.distance_block(1, 5, 5).shape == (0, 4)
+        assert path.shift_distances(5, 0, 4).shape == (0,)
+        assert path.shift_distances(np.int64(1), 0, 4).shape == (4,)
+
+def test_pairwise_sum_is_numpy_add_reduce():
+    # NumPy reduces a contiguous axis by its pairwise sum: left to right below
+    # 8 terms, 8 accumulators up to 128, a split above; every branch and tail
+    rng = np.random.default_rng(7)
+    for count in range(1, 301):
+        x = rng.standard_normal((5, count)) ** 2 * rng.lognormal(0.0, 4.0, count)
+        got = paths._pairwise_sum((np.array(c) for c in x.T), count)
+        assert np.array_equal(got, np.add.reduce(x, axis=-1)), count
+        roots = np.sqrt(x)
+        norm = paths._norm((np.array(c) for c in roots.T), count)
+        assert np.array_equal(norm, np.linalg.norm(roots, axis=-1)), count
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_level_norms_equal_numpy_norms_of_the_increments(dim, depth, uniform):
+    # each level of the kernel against ``np.linalg.norm`` over the last axis of
+    # the ``stacked_mul`` increments, n^k up to 256: rows from lo > 0, a
+    # diagonal, and a constant path, whose levels and inverses are all zero
+    rng = np.random.default_rng([dim, depth, uniform])
+    walk = random_walk_path(rng, 11, dim, scale=float(rng.choice([1e-3, 1.0, 30.0])),
+                            uniform=uniform)
+    still = EuclideanPath(walk.grid, np.full(walk.values.shape, 0.7))
+    for x in (lift(walk, depth), lift(still, depth)):
+        inv = [lv.T for lv in x._transposed[0]]
+        for lo, c0, c1 in ((0, 0, 12), (3, 5, 9), (4, 11, 12)):
+            rows, cols = np.s_[lo:c1], np.s_[c0:c1]
+            want = stacked_mul([lv[None, rows] for lv in inv], [lv[cols, None] for lv in x.levels])
+            head, tail = np.s_[lo : c1 - 1], np.s_[lo + 1 : c1]
+            diag = stacked_mul([lv[head] for lv in inv], [lv[tail] for lv in x.levels])
+            for k in range(1, depth + 1):
+                got = paths._norm(x._entries(k, np.s_[:, None, rows], np.s_[:, cols, None]),
+                                  dim**k)
+                assert np.array_equal(got, np.linalg.norm(want[k], axis=-1))
+                got = paths._norm(x._entries(k, np.s_[:, head], np.s_[:, tail]), dim**k)
+                assert np.array_equal(got, np.linalg.norm(diag[k], axis=-1))
