@@ -14,6 +14,7 @@ from .exceptions import (
 )
 from .tensor_core import (
     MAX_DEPTH,
+    MAX_ENTRIES,
     GroupElement,
     TruncatedTensor,
     dilate,

@@ -278,12 +278,10 @@ def dense_columns(matrix: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 def _dense(src) -> np.ndarray:
     """The dense (M+1, M+1) distance matrix of a source, for the references:
-    computed afresh for a Euclidean path, which caches none, cached for a group path."""
-    if isinstance(src, EuclideanPath):
-        return src.distance_block(0, 0, len(src.grid))
-    if isinstance(src, GroupPath):
-        return src.distance_matrix
-    return src
+    ``distance_block(0, 0, M+1)`` afresh for a path of either kind.  No code
+    of the package reads a path's cached ``distance_matrix``, which would keep
+    the matrix alive with the path; the properties stay public references."""
+    return src.distance_block(0, 0, len(src.grid)) if isinstance(src, _PATHS) else src
 
 
 def _width(srcs, lo, hi, cells) -> int:

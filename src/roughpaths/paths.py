@@ -44,8 +44,9 @@ left to right, every step one elementwise ufunc call in place on one buffer.
 on the block it is computed in nor, being correctly rounded elementwise
 arithmetic, on the CPU.  At dims 1 to 7 this is the order of NumPy 2.4's
 ``sqrt(einsum("...k,...k->...", d, d))``, whose values it reproduces bit for
-bit.  A group path serves both calls from its level norms (``_distances``);
-no norm reads the cached dense ``distance_matrix`` of either kind of path.
+bit.  A group path serves both calls from its level norms (``_distances``).
+No code of the package reads the cached dense ``distance_matrix`` of either
+kind of path, which stays a public reference for callers and tests.
 Both calls of both kinds raise ``ParameterError`` on indices outside the grid.
 
 All partition/pair suprema elsewhere in the library are taken over grid
@@ -66,9 +67,11 @@ from .tensor_core import (
     GroupElement,
     TruncatedTensor,
     _count,
+    _entries,
     _float_array,
     _instance,
     _real,
+    _shape,
     group_inverse,
     group_mul,
     stacked_inverse,
@@ -100,7 +103,7 @@ class TimeGrid:
     @classmethod
     def uniform(cls, intervals: int, horizon: float = 1.0) -> "TimeGrid":
         return cls(np.linspace(0.0, _real(horizon, "the horizon"),
-                               _count(intervals, "intervals", 1) + 1))
+                               _entries(_count(intervals, "intervals", 1) + 1, "the grid")))
 
     def __len__(self):
         return self.times.size
@@ -203,7 +206,8 @@ class EuclideanPath:
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        """Pairwise Euclidean distances |f_j - f_i|, shape (M+1, M+1)."""
+        """Pairwise Euclidean distances |f_j - f_i|, shape (M+1, M+1); a public
+        dense reference that no code of the package reads."""
         return self.distance_block(0, 0, len(self.grid))
 
     def distance_block(self, lo: int, j0: int, j1: int) -> np.ndarray:
@@ -347,7 +351,7 @@ class GroupPath:
     @cached_property
     def distance_matrix(self) -> np.ndarray:
         """Pairwise homogeneous distances d(X_i, X_j), shape (M+1, M+1), read-only;
-        a dense reference that no norm reads."""
+        a public dense reference that no code of the package reads."""
         dist = self.distance_block(0, 0, len(self.grid))
         dist.flags.writeable = False
         return dist
@@ -455,9 +459,10 @@ def lift(path: EuclideanPath, depth: int) -> GroupPath:
     in this order, the order of ``group_mul(S_j, segment_exp(d, depth))``,
     so the levels equal that per-step chain bit for bit.
     """
-    if not isinstance(depth, (int, np.integer)) or not 1 <= depth <= MAX_DEPTH:
+    if not isinstance(depth, (int, np.integer)):
         raise ParameterError(f"depth must be an integer in 1..{MAX_DEPTH}, got {depth!r}")
     d = _instance(path, EuclideanPath, "path").increments()
+    _, depth = _shape(path.dim, depth)  # a boolean or a depth out of range raises
     steps = d.shape[0]
     e = [np.ones((steps, 1))]
     s = [np.ones((steps + 1, 1))]

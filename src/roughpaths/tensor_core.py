@@ -31,11 +31,9 @@ Batched kernels.  ``stacked_mul`` and ``stacked_inverse`` work on stacked
 levels: one ``(*batch, n^k)`` array per level k, the last axis holding the
 C-order flattened level k of one element.  Leading batch axes broadcast
 (axes of 1 against axes of N), so a path's rows times a single element is an
-``(N, n^k)`` by ``(1, n^k)`` call, and a block of rows times a block of
-columns, as in the row pass of ``distances``, a ``(1, R, n^k)`` by
-``(C, 1, n^k)`` call.  They are the only implementation of the product and
-the inverse: ``tensor_mul``, ``group_mul`` and ``group_inverse`` are their
-one-element calls, so one element and a stacked path get the same
+``(N, n^k)`` by ``(1, n^k)`` call.  They are the only implementation of the
+product and the inverse: ``tensor_mul``, ``group_mul`` and ``group_inverse``
+are their one-element calls, so one element and a stacked path get the same
 floating-point operations in the same order, and batched results equal
 per-element ones bit for bit.
 """
@@ -54,6 +52,11 @@ from .exceptions import DimensionMismatchError, ParameterError
 #: Hard construction-time cap on the truncation depth.  The dense multiply
 #: costs O(n^(2N)) and nothing in the library needs more than level 4.
 MAX_DEPTH = 4
+
+#: Cap on the entries of one tensor level (``_shape``) and on the points of
+#: ``TimeGrid.uniform``, checked before anything is allocated: 2^27 entries
+#: are 1 GiB of float64.
+MAX_ENTRIES = 1 << 27
 
 
 def _real(value, name: str) -> float:
@@ -92,12 +95,22 @@ def _instance(value, cls, what: str):
     return value
 
 
+def _entries(count: int, what: str) -> int:
+    """``count`` if it is within ``MAX_ENTRIES``."""
+    if count > MAX_ENTRIES:
+        raise ParameterError(f"{what} would hold {count} entries, more than {MAX_ENTRIES}")
+    return count
+
+
 def _shape(dim, depth) -> tuple[int, int]:
-    """``(dim, depth)`` as ints, dim >= 1 and depth in 1..MAX_DEPTH."""
+    """``(dim, depth)`` as ints, dim >= 1, depth in 1..MAX_DEPTH and at most
+    ``MAX_ENTRIES`` entries at the top level."""
     depth = _count(depth, "depth", 1)
     if depth > MAX_DEPTH:
         raise ParameterError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
-    return _count(dim, "dim", 1), depth
+    dim = _count(dim, "dim", 1)
+    _entries(dim**depth, "a tensor level")
+    return dim, depth
 
 
 def _frozen_level(block, dim: int, k: int) -> np.ndarray:

@@ -305,29 +305,28 @@ class RoughPairFamily:
 # elementary checks
 # ---------------------------------------------------------------------------
 
-def check_superadditivity(fn, grid_times, check_id="superadditivity", tol=HARD_TOL,
-                          product_rule=True, category="hard") -> list[CheckRecord]:
-    """Verify fn(s,t) + fn(t,u) <= fn(s,u) over all grid triples.
-
-    Also checks the product rule: fn^alpha * (t-s)^beta stays super-additive
-    for (alpha, beta) in {(0.5, 0.5), (1, 0.2)} (exponents summing >= 1).
-    """
+def _gaps(grid_times) -> np.ndarray:
+    """The (M+1, M+1) matrix of t_j - t_i, zero on and below the diagonal."""
     t = np.asarray(grid_times, dtype=float)
-    m = t.size
-    w = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            w[i, j] = fn(t[i], t[j])
+    return np.maximum(t[None, :] - t[:, None], 0.0)
+
+
+def check_superadditivity(w, grid_times, check_id="superadditivity", tol=HARD_TOL,
+                          product_rule=True, category="hard") -> list[CheckRecord]:
+    """Verify w[s,t] + w[t,u] <= w[s,u] over all grid triples s < t < u.
+
+    ``w`` is an (M+1, M+1) weight matrix on ``grid_times``; only its cells
+    i < j are read.  Also checks the product rule: w^alpha * (t-s)^beta stays
+    super-additive for (alpha, beta) in {(0.5, 0.5), (1, 0.2)} (exponents
+    summing >= 1).
+    """
+    w = np.triu(w, k=1)  # the other cells are zeroed before any power
     records = [_superadditivity_record(w, check_id, tol, category)]
     if product_rule:
-        gap = t[None, :] - t[:, None]
-        for alpha, beta in ((0.5, 0.5), (1.0, 0.2)):
-            prod = np.where(gap > 0, w**alpha * np.maximum(gap, 0.0) ** beta, 0.0)
-            records.append(
-                _superadditivity_record(
-                    prod, f"{check_id}_product_{alpha}_{beta}", tol, category
-                )
-            )
+        gap = _gaps(grid_times)
+        for alpha, beta in ((0.5, 0.5), (1.0, 0.2)):  # both factors are 0 for i >= j
+            records.append(_superadditivity_record(
+                w**alpha * gap**beta, f"{check_id}_product_{alpha}_{beta}", tol, category))
     return records
 
 
@@ -785,41 +784,23 @@ def check_distance_equivalences(pairs, delta, p, refined_pairs=None) -> list[Che
     return recs
 
 
-@dataclass(frozen=True)
-class ControlFunction:
-    """Grid control function omega(s, t) built from a pair of rough paths."""
-
-    times: np.ndarray
-    matrix: np.ndarray
-
-    def __call__(self, s: float, t: float) -> float:
-        i = int(np.searchsorted(self.times, s))
-        j = int(np.searchsorted(self.times, t))
-        i = min(max(i, 0), self.times.size - 1)
-        j = min(max(j, 0), self.times.size - 1)
-        return float(self.matrix[i, j]) if i <= j else 0.0
-
-
-def build_control_function(x1: GroupPath, x2: GroupPath, delta, p) -> ControlFunction:
-    """Control function for the pair:
+def build_control_function(x1: GroupPath, x2: GroupPath, delta, p) -> np.ndarray:
+    """Control function of the pair on the grid, as the (M+1, M+1) matrix
+    ``w[i, j]`` = omega(t_i, t_j), i < j:
 
     omega(s,t) = ||X1||_{q-var;[s,t]}^q + ||X2||_{q-var;[s,t]}^q
                  + sum_k ( rho^(k)_{q-var;[s,t]} / rho^(k)_{mixed;[0,T]} )^(q/k),
 
     q = 1/delta, with 0/0 = 0.  Super-additive on the grid by construction.
     """
-    q = 1.0 / delta
-    m = len(x1.grid)
-    lo, hi = 0, m - 1
-    w = sum(dp_power_table(x.distance_matrix**q, lo, hi) for x in (x1, x2))
+    q, hi = 1.0 / delta, len(x1.grid) - 1
+    w = sum(dp_power_table(_dense(x) ** q, 0, hi) for x in (x1, x2))
     for k in range(1, x1.depth + 1):
         denom = rho_mixed_level(x1, x2, delta, p, k)
-        if denom <= 0.0:
-            continue
-        d = level_diff_matrix(x1, x2, k)
-        table = dp_power_table(d ** (q / k), lo, hi)  # = rho_qvar^(q/k) blockwise
-        w = w + table / denom ** (q / k)
-    return ControlFunction(x1.grid.times, w)
+        if denom > 0.0:  # the table is rho_qvar^(q/k) blockwise
+            table = dp_power_table(level_diff_matrix(x1, x2, k) ** (q / k), 0, hi)
+            w = w + table / denom ** (q / k)
+    return w
 
 
 def check_control_function(x1, x2, delta, p) -> list[CheckRecord]:
@@ -830,8 +811,8 @@ def check_control_function(x1, x2, delta, p) -> list[CheckRecord]:
                                  product_rule=False)
     t = x1.grid.times
     iu = np.triu_indices(t.size, k=1)
-    w = np.zeros_like(omega.matrix)
-    w[iu] = omega.matrix[iu] ** (delta * p) * (t[iu[1]] - t[iu[0]]) ** (1.0 - delta * p)
+    w = np.zeros_like(omega)
+    w[iu] = omega[iu] ** (delta * p) * (t[iu[1]] - t[iu[0]]) ** (1.0 - delta * p)
     lhs = dp_partition_sup([dense_columns(w, 0, t.size - 1)], 0, t.size - 1)
     bound = mixed_norm(x1, delta, p) ** p + mixed_norm(x2, delta, p) ** p + 1.0
     recs.append(reported_record("control_riesz_sum_constant", _safe_ratio(lhs, bound),
@@ -1023,7 +1004,7 @@ def negative_controls(seed=0) -> list[CheckRecord]:
     """Deliberately failing checks; the suite is broken if any of them passes."""
     grid = TimeGrid.uniform(16)
     recs = check_superadditivity(
-        lambda s, t: np.sqrt(t - s), grid.times,
+        np.sqrt(_gaps(grid.times)), grid.times,
         check_id="neg_subadditive_omega", product_rule=False,
         category="negative_control",
     )
@@ -1211,9 +1192,9 @@ def suite_distances(seed=0, pair_count=20, grid_size=48) -> list[CheckRecord]:
     recs.extend(check_distance_equivalences(pairs[:4], 0.45, 4.0, refined_pairs=fine))
     x1, x2 = pairs[0]
     recs.extend(check_control_function(x1, x2, 0.45, 4.0))
-    recs.extend(check_superadditivity(lambda s, t: t - s, x1.grid.times,
-                                      check_id="superadditive_length"))
-    recs.extend(check_superadditivity(lambda s, t: (t - s) ** 2, x1.grid.times,
+    gap = _gaps(x1.grid.times)
+    recs.extend(check_superadditivity(gap, x1.grid.times, check_id="superadditive_length"))
+    recs.extend(check_superadditivity(gap**2, x1.grid.times,
                                       check_id="superadditive_square",
                                       product_rule=False))
     return recs

@@ -221,6 +221,32 @@ def test_huge_finite_arguments_raise_parameter_errors(fn, kwargs):
             fn(**kwargs)
 
 
+#: Counts whose tensor levels or grid points exceed ``MAX_ENTRIES``: sizes
+#: beyond what NumPy could allocate, so that no call tries to.
+OVERSIZED = [
+    (rp.zero_tensor, {"dim": 2**62, "depth": 1}),
+    (rp.unit_tensor, {"dim": 2**62, "depth": 1}),
+    (rp.identity_element, {"dim": 2**62, "depth": 1}),
+    (rp.TimeGrid.uniform, {"intervals": 2**62}),
+]
+
+
+@pytest.mark.parametrize("fn, kwargs", OVERSIZED, ids=[fn.__qualname__ for fn, _ in OVERSIZED])
+def test_oversized_counts_raise_parameter_errors(fn, kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rp.ParameterError, match="entries"):
+            fn(**kwargs)
+
+
+@pytest.mark.parametrize("depth", [True, False, 0, rp.MAX_DEPTH + 1])
+def test_lift_rejects_the_depths_the_tensor_constructors_reject(depth):
+    with pytest.raises(rp.ParameterError):
+        rp.zero_tensor(2, depth)
+    with pytest.raises(rp.ParameterError):
+        rp.lift(F, depth)
+
+
 @pytest.mark.parametrize("fn, params", CALLS, ids=[fn.__qualname__ for fn, _ in CALLS])
 def test_valid_arguments_are_accepted(fn, params):
     result = call_with(fn, params, next(iter(params)), next(iter(params.values()))[1])

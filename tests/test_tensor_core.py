@@ -7,6 +7,7 @@ from roughpaths import (
     DimensionMismatchError,
     GroupElement,
     ParameterError,
+    TimeGrid,
     TruncatedTensor,
     dilate,
     group_distance,
@@ -18,7 +19,9 @@ from roughpaths import (
     segment_exp,
     tensor_mul,
     unit_tensor,
+    zero_tensor,
 )
+from roughpaths import tensor_core
 from roughpaths.tensor_core import stacked_inverse, stacked_mul
 from conftest import random_group_element, random_tensor
 
@@ -46,6 +49,17 @@ def test_non_finite_entries_rejected():
 def test_depth_cap():
     with pytest.raises(ParameterError):
         unit_tensor(2, 5)
+
+
+def test_entry_cap_is_checked_at_its_boundary(monkeypatch):
+    # level 2 of dim 2 holds 4 entries, a 3-interval grid 4 points
+    monkeypatch.setattr(tensor_core, "MAX_ENTRIES", 4)
+    assert zero_tensor(2, 2).depth == unit_tensor(2, 2).depth == identity_element(2, 2).depth
+    assert len(TimeGrid.uniform(3)) == 4
+    for fn, args in ((zero_tensor, (2, 3)), (unit_tensor, (3, 2)),
+                     (identity_element, (5, 1)), (TimeGrid.uniform, (4,))):
+        with pytest.raises(ParameterError, match="more than 4"):
+            fn(*args)
 
 
 def test_group_element_needs_unit_scalar():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -48,29 +49,79 @@ def test_suite_ok_logic():
 # superadditivity checks
 # ---------------------------------------------------------------------------
 
+def _gaps(m):
+    t = TimeGrid.uniform(m).times
+    return verify._gaps(t), t
+
+
 def test_superadditivity_additive_passes():
-    recs = check_superadditivity(lambda s, t: t - s, TimeGrid.uniform(10).times)
+    gap, t = _gaps(10)
+    recs = check_superadditivity(gap, t)
     assert all(r.passed for r in recs)
 
 
 def test_superadditivity_square_passes():
-    recs = check_superadditivity(lambda s, t: (t - s) ** 2, TimeGrid.uniform(10).times,
-                                 product_rule=False)
+    gap, t = _gaps(10)
+    recs = check_superadditivity(gap**2, t, product_rule=False)
     assert recs[0].passed
 
 
 def test_superadditivity_sqrt_fails():
-    recs = check_superadditivity(lambda s, t: np.sqrt(t - s), TimeGrid.uniform(10).times,
-                                 product_rule=False)
+    gap, t = _gaps(10)
+    recs = check_superadditivity(np.sqrt(gap), t, product_rule=False)
     assert not recs[0].passed
 
 
 def test_superadditivity_product_rule_records():
-    recs = check_superadditivity(lambda s, t: (t - s) ** 1.5, TimeGrid.uniform(8).times)
+    gap, t = _gaps(8)
+    recs = check_superadditivity(gap**1.5, t)
     ids = [r.check_id for r in recs]
     assert "superadditivity_product_0.5_0.5" in ids
     assert "superadditivity_product_1.0_0.2" in ids
     assert all(r.passed for r in recs)
+
+
+def test_superadditivity_reads_only_cells_above_the_diagonal():
+    gap, t = _gaps(8)
+    junk = gap + np.tril(np.full_like(gap, -np.inf))  # -inf on and below the diagonal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        recs = check_superadditivity(junk, t)
+    assert [r.lhs for r in recs] == [r.lhs for r in check_superadditivity(gap, t)]
+
+
+def _per_pair_records(fn, t, check_id, product_rule):
+    # the per-pair form: w(s, t) called once for every grid pair s < t
+    m = t.size
+    w = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            w[i, j] = fn(t[i], t[j])
+    records = [verify._superadditivity_record(w, check_id, verify.HARD_TOL, "hard")]
+    if product_rule:
+        gap = t[None, :] - t[:, None]
+        for alpha, beta in ((0.5, 0.5), (1.0, 0.2)):
+            prod = np.where(gap > 0, w**alpha * np.maximum(gap, 0.0) ** beta, 0.0)
+            records.append(verify._superadditivity_record(
+                prod, f"{check_id}_product_{alpha}_{beta}", verify.HARD_TOL, "hard"))
+    return records
+
+
+@pytest.mark.parametrize("m", [16, 48])
+@pytest.mark.parametrize("fn, weights, product_rule", [
+    (lambda s, t: t - s, lambda gap: gap, True),
+    (lambda s, t: (t - s) ** 2, lambda gap: gap**2, False),
+    (lambda s, t: np.sqrt(t - s), np.sqrt, False),
+], ids=["length", "square", "sqrt"])
+def test_superadditivity_matrix_form_equals_per_pair_form(m, fn, weights, product_rule):
+    # the weight arrays of the distances suite and the negative control
+    gap, t = _gaps(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = check_superadditivity(weights(gap), t, product_rule=product_rule)
+        want = _per_pair_records(fn, t, "superadditivity", product_rule)
+    assert [(r.check_id, r.lhs, r.passed) for r in got] == \
+        [(r.check_id, r.lhs, r.passed) for r in want]
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +187,8 @@ def test_control_function_zero_for_identical_constant():
     p = EuclideanPath(grid, np.zeros((5, 2)))
     x = lift(p, 2)
     omega = build_control_function(x, x, 0.45, 4.0)
-    assert omega(0.0, 1.0) == 0.0
+    assert omega.shape == (5, 5)
+    assert omega[0, -1] == 0.0
 
 
 def test_control_function_single_segment_by_hand():
@@ -155,7 +207,7 @@ def test_control_function_single_segment_by_hand():
     h1 = homogeneous_norm(signature(x1))
     h2 = homogeneous_norm(signature(x2))
     expected = h1**q + h2**q + 2.0  # both tensor levels differ
-    assert omega(0.0, 1.0) == pytest.approx(expected, rel=1e-12)
+    assert omega[0, 1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_control_function_superadditive_on_random_pair():
