@@ -148,6 +148,7 @@ def rho_riesz_level(x1, x2, delta: float, p: float, k: int, interval=None) -> fl
 def rho_mixed_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:
     """Level-k mixed distance ( sup_P sum rho_qvar_level(...;[u,v])^(p/k) /
     (v-u)^(delta*p-1) )^(k/p), q = 1/delta; equal to ``rho_riesz_level``."""
+    _check_dist(DistKind.MIXED, delta, p)  # so that errors name the mixed distance
     return rho_riesz_level(x1, x2, delta, p, k, interval)
 
 
@@ -181,8 +182,10 @@ def rho_level(x1, x2, kind: DistKind, *, delta=None, p=None, k=1, interval=None)
     """Single-level dispatcher used by rho_aggregate and the CLI."""
     if kind is DistKind.QVAR:
         return rho_qvar_level(x1, x2, p, k, interval)
-    if kind is DistKind.RIESZ or kind is DistKind.MIXED:
+    if kind is DistKind.RIESZ:
         return rho_riesz_level(x1, x2, delta, p, k, interval)
+    if kind is DistKind.MIXED:
+        return rho_mixed_level(x1, x2, delta, p, k, interval)
     if kind is DistKind.NIKOLSKII_HAT:
         return rho_nikolskii_hat_level(x1, x2, delta, p, k, interval)
     raise ParameterError(f"unknown distance kind {kind}")

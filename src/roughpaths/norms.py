@@ -102,22 +102,26 @@ sums start at lo rather than at 0: values move in the last ulps.  As
 S_m[lo] = 0, every term is at most best[j], so no cancellation is amplified.
 
 Large powers d^p can leave the float range, and one policy serves every
-sum: it is formed as written and kept unless an O(M) check after the sum
-(``_sum_kept``) finds a time factor out of the normal range, a non-finite
-sum, or underflow losses that could reach 2^-64 of it; a zero sum is kept
-when every distance is zero.  A partition power sum that fails takes the
-fused weights (``_fused_weights``): the time factor is folded into the
-base, (d g^(e/a) / s)^a with g the block length and s the largest base, so
-the largest term is exactly 1 and the root times s is the finite value
-rather than 0, inf or NaN.  q-variation has no time factor and so divides
-by the largest distance.  Nikolskii and fractional Sobolev sums run the
-same check; Nikolskii then divides each shift by its largest distance (its
-time factor is constant within the shift), and fractional Sobolev takes
-the fused weights in units of the mesh, where every gap is at least 1,
-with mesh^(1 - delta*p) applied outside the root.  The refined Nikolskii
-sweep runs the same kind of check per slice; a slice that fails is swept
-again with the per-shift time factor folded into the base,
-(d (m mesh)^(hexp/power) / B)^power with B the largest base.
+sum: it is formed as written and kept unless one check after the sum,
+``_sum_kept``, the only range check of the module, finds a time factor out
+of the normal range, a non-finite sum, or underflow losses that could reach
+2^-64 of it.  A zero sum is kept when every distance that enters it is
+zero, and the check reads them all (``_columns``): level differences are
+not a metric, so zero one-step differences leave the others free.  A
+partition power sum that fails takes the fused weights
+(``_fused_weights``): the time factor is folded into the base,
+(d g^(e/a) / s)^a with g the block length and s the largest base, so the
+largest term is exactly 1 and the root times s is the finite value rather
+than 0, inf or NaN.  q-variation has no time factor and so divides by the
+largest distance.  Nikolskii and fractional Sobolev sums run the same
+check; Nikolskii then divides each shift by its largest distance (its time
+factor is constant within the shift), and fractional Sobolev takes the
+fused weights in units of the mesh, where every gap is at least 1, with
+mesh^(1 - delta*p) applied outside the root.  The refined Nikolskii sweep
+runs it per source, with the extreme coefficients c_1 and c_span as the
+time factors; a source that fails is swept again with the per-shift time
+factor folded into the base, (d (m mesh)^(hexp/power) / B)^power with B the
+largest base.
 
 Mixed equals Riesz on every grid.  Let q = 1/delta, and split a block I at
 grid points into blocks J_j with endpoint distances d_j.
@@ -348,20 +352,21 @@ def _gaps(times, lo, j0, block, fill) -> np.ndarray:
     return _fill_unread(times[j0 : j0 + rows, None] - times[None, lo : lo + cols], fill)
 
 
-def _sum_kept(total, count, factors, flat) -> bool:
+def _sum_kept(total, count, factors, src, lo, hi) -> bool:
     """Whether a sum of at most ``count`` terms d^p * c, formed as written, is kept.
 
-    ``factors`` are log2 of the extreme time factors c.  The sum is kept
+    ``factors`` are log2 of the extreme time factors c, and the distances d
+    are those of the source ``src`` in the columns lo+1..hi.  The sum is kept
     when every factor lies in the normal float range, the sum is finite, and
     the d-powers and terms lost to underflow (less than 2^-1022 times a
     factor, or 2^-1022, each) add up to at most 2^-64 of it; a zero sum is
-    kept too when ``flat()`` finds every distance zero.
+    kept too when every distance of those columns is zero.
     """
     if not (-1022.0 <= min(factors) and max(factors) <= 1022.0 and math.isfinite(total)):
         return False
     if total > 0.0 and math.log2(total) >= max(max(factors), 0.0) - 958.0 + math.log2(count):
         return True
-    return total == 0.0 and flat()
+    return total == 0.0 and not any(block.any() for _, block in _columns(src, lo, hi))
 
 
 def _fused_weights(src, times, lo, hi, p, e, unit=1.0):
@@ -503,7 +508,7 @@ def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
     for (b, a, e, root), total in zip(members, totals):
         total = float(total)
         if _sum_kept(total, hi - lo, [e * math.log2(shortest), e * math.log2(span)],
-                     lambda: not any(block.any() for _, block in _columns(srcs[b], lo, hi))):
+                     srcs[b], lo, hi):
             values.append(total**root)
         else:
             s, fused = _fused_weights(srcs[b], times, lo, hi, a, e)
@@ -594,7 +599,8 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
             best = max(best, (m * dt) ** (-delta * p) * dt * total)
     # time factors (m*mesh)^(-delta*p) and that times mesh, extreme at m = 1, span
     factors = [-delta * p * math.log2(m * dt) + u for m in (1, span) for u in (0.0, math.log2(dt))]
-    if _sum_kept(best, span, factors, lambda: not path.shift_distances(1, lo, hi - 1).any()):
+    # the last column's distances enter no left Riemann sum
+    if _sum_kept(best, span, factors, path, lo, hi - 1):
         return float(best ** (1.0 / p))
     # out of range: scale shift m by s_m, its largest distance (so its largest
     # power is exactly 1); the time factor is constant within a shift, so
@@ -626,33 +632,32 @@ def shift_partition_sup(srcs, times: np.ndarray, lo: int, hi: int,
     exact maxima, so every value equals the call on its source alone bit
     for bit.
 
-    An O(M) check after the sweep finds, per source, a value that is not
-    finite, or powers and coefficients outside the normal float range that
-    could have lost more than 2^-64 of it; a zero value with zero step
-    distances passes.  A source that fails is swept again on its own with
-    the time factor folded into the base (``_fused_shift_sup``).
+    Each source's sum is kept when ``_sum_kept`` keeps it, with the extreme
+    coefficients c_1 and c_span as its time factors and the columns
+    lo+1..hi-1 as its distances (the last column enters no sum); otherwise
+    that source alone is swept again with the time factor folded into the
+    base (``_fused_shift_sup``).
     """
     span = hi - lo
     if span <= 0:
         return [0.0] * len(srcs)
     dt = (times[hi] - times[lo]) / span
     shifts = np.arange(1, span + 1) * dt
+    # log2 c_m for m = 1 and span, from the logs: c_m itself may overflow
+    factors = [hexp * math.log2(h) + math.log2(dt) for h in (shifts[0], shifts[-1])]
     with np.errstate(over="ignore", invalid="ignore"):
-        best, kept = _shift_sweep(_family_columns(srcs, lo, hi), shifts**hexp * dt, power,
-                                  (len(srcs),))
-        return [float(value) ** root if ok else
-                _fused_shift_sup(src, lo, hi, shifts, power, hexp, root)
-                for src, value, ok in zip(srcs, best, kept)]
+        best = _shift_sweep(_family_columns(srcs, lo, hi), shifts**hexp * dt, power,
+                            (len(srcs),))
+        return [value**root if _sum_kept(value, span, factors, src, lo, hi - 1)
+                else _fused_shift_sup(src, lo, hi, shifts, power, hexp, root)
+                for src, value in zip(srcs, best.tolist())]
 
 
 def _shift_sweep(blocks, coef, power, batch):
-    """The sweep of ``shift_partition_sup`` with coefficients ``coef`` (c_m).
-
-    Returns the partition sums best[hi] (shape ``batch``) and whether each
-    passes the range check.
-    """
+    """The sweep of ``shift_partition_sup`` with coefficients ``coef`` (c_m):
+    the partition sums best[hi], of shape ``batch``, formed as written."""
     span = coef.size
-    acc, run, steps = (np.zeros((*batch, span)) for _ in range(3))
+    acc, run = np.zeros((*batch, span)), np.zeros((*batch, span))
     best = np.zeros((*batch, span + 1))
     flip = (slice(None, None, -1),) * len(batch)
     c = 1
@@ -667,17 +672,8 @@ def _shift_sweep(blocks, coef, power, batch):
             # not match its slices
             rev = np.ascontiguousarray(block[..., r, :c]).reshape(-1)[::-1] ** power
             acc[..., :c] += rev.reshape(*batch, c)[flip]
-            steps[..., c - 1] = block[..., r, c - 1]
             c += 1
-    value = best[..., -1]
-    # underflow loses less than 2^-1022 per power (times c_m) and per product
-    # c_m a_m, and less than 2^-1022 a_m through a subnormal c_m; the last
-    # column's distances enter no Riemann sum
-    tiny = 2.0**-1022
-    lost = tiny * span * (coef.max() + 1.0) + tiny * acc[..., coef < tiny].sum(axis=-1)
-    flat = (value == 0.0) & ~steps[..., :-1].any(axis=-1)
-    kept = np.isfinite(value) & np.isfinite(coef).all() & ((value >= 2.0**64 * lost) | flat)
-    return value, kept
+    return best[..., -1]
 
 
 def _fused_shift_sup(src, lo, hi, shifts, power, hexp, root) -> float:
@@ -700,8 +696,8 @@ def _fused_shift_sup(src, lo, hi, shifts, power, hexp, root) -> float:
 
     s = max(float(base.max()) for _, base in bases()) or 1.0
     mesh = shifts[0]
-    best, _ = _shift_sweep(((j0, base / s) for j0, base in bases()),
-                           np.full(shifts.size, mesh), power, ())
+    best = _shift_sweep(((j0, base / s) for j0, base in bases()),
+                        np.full(shifts.size, mesh), power, ())
     return s * float(best) ** root
 
 
@@ -764,7 +760,7 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
                 chunk[rows, d.shape[1] :] = 0.0
             total += float(np.sum(chunk))
     if _sum_kept(total, span * (span + 1) / 2, [e * math.log2(dt), e * math.log2(span * dt)],
-                 lambda: not path.shift_distances(1, lo, hi).any()):
+                 path, lo, hi):
         return float((2.0 * total * dt * dt) ** (1.0 / p))
     # out of range: in units of the mesh every gap is at least 1, so the bases
     # d g^(e/p) of the fused weights (as ``riesz_norm`` takes them) are at most

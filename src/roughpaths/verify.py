@@ -281,12 +281,10 @@ class RoughPairFamily:
     depth: int = 2
     seed: int = 0
     perturbation: float = 0.1
-    generator: str = "random_walk"
 
     def euclidean_pairs(self, refine: int = 1):
-        base = PathFamily(self.generator, self.count, self.grid_size, self.dim,
-                          seed=self.seed)
-        bump = PathFamily(self.generator, self.count, self.grid_size, self.dim,
+        base = PathFamily("random_walk", self.count, self.grid_size, self.dim, seed=self.seed)
+        bump = PathFamily("random_walk", self.count, self.grid_size, self.dim,
                           seed=self.seed + 7919)
         out = []
         for p1, p2 in zip(base.paths(refine), bump.paths(refine)):
@@ -752,8 +750,7 @@ def check_distance_equivalences(pairs, delta, p, refined_pairs=None) -> list[Che
             dev = max(dev, abs(a - b) / max(a, b, 1e-300))
             c1 = max(c1, _safe_ratio(nh, b))
             c2 = max(c2, _safe_ratio(b, nh))
-    ball = max(max(_family_refined_nikolskii([x for x, _ in pairs], delta, p)),
-               max(_family_refined_nikolskii([x for _, x in pairs], delta, p)))
+    ball = max(_family_refined_nikolskii([x for pair in pairs for x in pair], delta, p))
     x1, x2 = pairs[0]
     sym_dev = abs(
         rho_aggregate(x1, x2, DistKind.RIESZ, delta=delta, p=p)

@@ -39,3 +39,18 @@ def random_walk_path(rng, intervals, dim, scale=1.0, uniform=True):
     steps = rng.standard_normal((len(grid) - 1, dim)) * scale / np.sqrt(len(grid) - 1)
     vals = np.vstack([np.zeros((1, dim)), np.cumsum(steps, axis=0)])
     return EuclideanPath(grid, vals)
+
+
+def dyadic_pair(n):
+    """Two exact 2-D paths of 8 steps of size 2^-n on the uniform grid of [0, 1].
+
+    The second flips the sign of steps 2, 5, 6 and 8.  The level 2 of one
+    step v is v (x) v / 2, so every one-step level-2 difference of the pair
+    is exactly 0, while the longer ones are not.
+    """
+    steps = np.array([(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (1, -1), (1, 0), (0, 1)],
+                     dtype=float) * 2.0**-n
+    flips = np.array([1, -1, 1, 1, -1, -1, 1, -1], dtype=float)[:, None]
+    grid = TimeGrid.uniform(8)
+    return tuple(EuclideanPath(grid, np.vstack([np.zeros((1, 2)), np.cumsum(s, axis=0)]))
+                 for s in (steps, flips * steps))

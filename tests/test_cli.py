@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from roughpaths import DistKind, EuclideanPath, NormKind, TimeGrid
 from roughpaths.cli import main, read_path_csv, write_path_csv
-from conftest import random_walk_path
+from conftest import dyadic_pair, random_walk_path
 
 
 @pytest.fixture
@@ -347,6 +347,20 @@ def test_dist_infinite_or_missing_p_exit3(tmp_path, capsys, rng, p_args):
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
+        if p_args and kind != "qvar":
+            assert err == f"error: the {kind} distance needs a finite p\n"
+
+
+def test_dist_nikolskii_hat_of_zero_one_step_differences(tmp_path, capsys):
+    # every one-step level-2 difference of the pair is 0 and every power
+    # underflows at p = 300; the level-2 distance is not 0
+    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    for f, path in zip((f1, f2), dyadic_pair(8)):
+        write_path_csv(path, f)
+    assert main(["dist", str(f1), str(f2), "--depth", "2", "--kind", "nikolskiihat",
+                 "--delta", "0.5", "--p", "300"]) == 0
+    levels = dict(line.split(": ") for line in capsys.readouterr().out.splitlines()[1:])
+    assert float(levels["level 2"]) > 0.0
 
 
 def test_norm_nan_p_exit3(linear_csv):

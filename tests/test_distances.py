@@ -43,7 +43,7 @@ from roughpaths.oracle import (
 )
 from roughpaths.tensor_core import stacked_inverse, stacked_mul
 from roughpaths.verify import _nested_mixed
-from conftest import random_walk_path
+from conftest import dyadic_pair, random_walk_path
 
 
 def make_pair(rng, intervals=8, dim=2, depth=2, eps=0.15):
@@ -103,6 +103,15 @@ def test_infinite_or_missing_p_rejected(rng, p):
             fn(x1, x2, 0.45, p, 1)
     with pytest.raises(ParameterError):
         rho_qvar_level(x1, x2, p, 1)
+
+
+def test_infinite_p_error_names_the_requested_kind(rng):
+    x1, x2, _, _ = make_pair(rng)
+    for kind in (DistKind.RIESZ, DistKind.MIXED, DistKind.NIKOLSKII_HAT):
+        with pytest.raises(ParameterError, match=f"^the {kind.value} distance needs a finite p$"):
+            rho_level(x1, x2, kind, delta=0.45, p=math.inf)
+    with pytest.raises(ParameterError, match="^the mixed distance needs a finite p$"):
+        rho_mixed_level(x1, x2, 0.45, P_INF, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +348,20 @@ def test_nikolskii_hat_out_of_float_range_folds_the_time_factor(rng):
         for k in (1, 2):
             assert rho_nikolskii_hat_level(y1, y2, 0.5, 300.0, k) == pytest.approx(
                 c**k * rho_nikolskii_hat_level(x1, x2, 0.5, 300.0, k), rel=1e-12)
+
+
+def test_nikolskii_hat_of_zero_one_step_differences():
+    # level differences are not a metric: with every one-step level-2
+    # difference 0, the longer ones still count.  At p = 300 their powers
+    # underflow, so the sums as written read 0, and the folded sweep gives
+    # the value, which scales exactly with the dyadic steps
+    x1, x2 = (lift(f, 2) for f in dyadic_pair(4))
+    assert not np.diagonal(level_diff_matrix(x1, x2, 2), 1).any()
+    want = rho_nikolskii_hat_level(x1, x2, 0.5, 300.0, 2)
+    assert want > 0.0
+    for n in (8, 12):
+        y1, y2 = (lift(f, 2) for f in dyadic_pair(n))
+        assert rho_nikolskii_hat_level(y1, y2, 0.5, 300.0, 2) == want * 2.0 ** (-2 * (n - 4))
 
 
 def test_level_distances_at_huge_exponents(rng):

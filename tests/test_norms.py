@@ -289,6 +289,17 @@ def test_refined_nikolskii_constant_zero():
     assert refined_nikolskii_norm(constant_path(), 0.5, 2.0) == 0.0
 
 
+def test_nikolskii_zero_when_only_the_last_step_moves():
+    # the left Riemann sums read d(f_r, f_(r+m)) with r + m < hi only, so the
+    # last step enters none of them, whether the sums are kept or folded
+    values = np.zeros((17, 2))
+    values[-1] = 1.0
+    f = EuclideanPath(TimeGrid.uniform(16), values)
+    for p in (4.0, 300.0):
+        assert nikolskii_norm(f, 0.5, p) == 0.0
+        assert refined_nikolskii_norm(f, 0.5, p) == 0.0
+
+
 def test_nikolskii_p_inf():
     f = zigzag()
     # lag 1: max |f_{u+h} - f_u| = 1 at h = 1/2; lag 2: 0
