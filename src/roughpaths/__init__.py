@@ -55,7 +55,6 @@ from .norms import (
 )
 from .distances import (
     DistKind,
-    LevelDistanceSpec,
     rho_aggregate,
     rho_level,
     rho_mixed_level,

@@ -152,11 +152,8 @@ def _parse_float(text, option):
 
 
 def _parse_p(text):
-    if text is None:
-        return None
-    if text.strip().lower() in ("inf", "infinity"):
-        return P_INF
-    return _parse_float(text, "--p")
+    # float reads 'inf' and 'infinity' in any case; the checks map it onto P_INF
+    return None if text is None else _parse_float(text, "--p")
 
 
 def _parse_interval(text):
@@ -242,7 +239,7 @@ def cmd_dist(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "kind": kind.value,
             "delta": args.delta,
-            "p": "inf" if p is P_INF else p,
+            "p": p,
             "depth": args.depth,
             "value": value,
             "levels": {str(k): v for k, v in levels.items()},

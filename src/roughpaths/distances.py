@@ -21,7 +21,7 @@ defined here, resample before lifting instead.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import numbers
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -46,28 +46,14 @@ class DistKind(enum.Enum):
     NIKOLSKII_HAT = "nikolskiihat"
 
 
-@dataclass(frozen=True)
-class LevelDistanceSpec:
-    """Selects one level-k distance family with its (delta, p) or q parameters."""
-
-    kind: DistKind
-    delta: float = 1.0
-    p: float = 1.0
-    level: int = 1
-
-    def __post_init__(self):
-        _count(self.level, "tensor level", 1)
-        _check_dist(self.kind, self.delta, self.p)
-
-
 def _check_dist(kind, delta, p):
-    """p after ``norms._check_params`` of q-variation (``QVAR``) or Riesz, p finite."""
+    """p of distance family ``kind``: every kind needs a finite p, and the range
+    is that of ``norms._check_params`` for q-variation (``QVAR``) or Riesz."""
     if not isinstance(kind, DistKind):
         raise ParameterError(f"unknown distance kind {kind!r}")
-    p = _check_params(NormKind.QVAR if kind is DistKind.QVAR else NormKind.RIESZ, delta, p)
-    if p is P_INF:
+    if isinstance(p, numbers.Real) and p == P_INF:
         raise ParameterError(f"the {kind.value} distance needs a finite p")
-    return p
+    return _check_params(NormKind.QVAR if kind is DistKind.QVAR else NormKind.RIESZ, delta, p)
 
 
 def _check_pair(x1: GroupPath, x2: GroupPath, k: int) -> int:

@@ -149,9 +149,10 @@ as the independent reference of the checks ``verify.check_riesz_eq_mixed``
 and ``verify.check_distance_equivalences``, computed per family by
 ``verify._nested_mixed``.
 
-Riesz variation with p = infinity is the Hoelder seminorm by definition;
-infinite integrability is the sentinel ``P_INF``, and a float inf p is
-mapped to it.  The (delta, p) range of every family is decided in one
+Riesz variation with p = infinity is the Hoelder seminorm by definition.
+Infinite integrability is the float inf, exported as ``P_INF``: an infinite
+p of any real type is mapped onto that one object, so the kernels test
+``p is P_INF``.  The (delta, p) range of every family is decided in one
 place, ``_check_params``, whose docstring holds the range table.
 ``NormSpec``, the norm functions and, through ``distances._check_dist``,
 the level distances call it at entry; the kernels trust their arguments.
@@ -170,13 +171,8 @@ from .exceptions import NonUniformGridError, ParameterError
 from .paths import EuclideanPath, GroupPath, _instance, _real
 
 
-class PInf(enum.Enum):
-    """Distinguished marker for infinite integrability."""
-
-    INF = "inf"
-
-
-P_INF = PInf.INF
+#: Infinite integrability p = infinity: the float inf.
+P_INF = math.inf
 
 
 class NormKind(enum.Enum):
@@ -195,13 +191,13 @@ class NormSpec:
 
     QVar reads the variation exponent q from ``p`` and ignores delta;
     Hoelder ignores p.  ``_check_params``, the range table of the families,
-    checks them at construction: a float inf p is stored as ``P_INF``, and
+    checks them at construction: an infinite p is stored as ``P_INF``, and
     any other value as given.
     """
 
     kind: NormKind
     delta: float = 1.0
-    p: float | PInf = P_INF
+    p: float = P_INF
     interval: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -223,7 +219,8 @@ def _check_params(kind, delta, p):
 
     A parameter that is read must be a real number, not a boolean, string,
     None or NaN.  p >= 1/delta means delta * p >= 1 - 1e-12 (see the mixed =
-    Riesz proof).  A float inf p is returned as ``P_INF``, any other p as given.
+    Riesz proof).  An infinite p of any real type is returned as ``P_INF``,
+    any other p as given.
     """
     if not isinstance(kind, NormKind):
         raise ParameterError(f"unknown norm kind {kind!r}")
@@ -232,10 +229,10 @@ def _check_params(kind, delta, p):
         if not (0.0 < d < 1.0 or d == 1.0 and not open_end):
             raise ParameterError(f"{kind.value} needs delta in (0, 1{')' if open_end else ']'}, "
                                  f"got {delta!r}")
+    if isinstance(p, numbers.Real) and p == P_INF:
+        p = P_INF
     if kind is NormKind.HOELDER:
         return p
-    if isinstance(p, numbers.Real) and p == math.inf:
-        p = P_INF
     if p is P_INF:
         if kind in (NormKind.QVAR, NormKind.FRAC_SOBOLEV):
             raise ParameterError(f"{kind.value} needs a finite p")

@@ -44,7 +44,14 @@ left to right, every step one elementwise ufunc call in place on one buffer.
 on the block it is computed in nor, being correctly rounded elementwise
 arithmetic, on the CPU.  At dims 1 to 7 this is the order of NumPy 2.4's
 ``sqrt(einsum("...k,...k->...", d, d))``, whose values it reproduces bit for
-bit.  A group path serves both calls from its level norms (``_distances``).
+bit.  A squared difference leaves the normal float range beyond about
+2^511 or below about 2^-511, so a path whose largest coordinate span lies
+outside [2^-256, 2^256] is measured on its values divided by the power of
+two s nearest that span (``_scaled``, once per path), each distance then
+multiplied by s.  Both steps are exact (for values above 2^-1022 s), and a
+path inside that window is not touched.  A group path serves both calls
+from its level norms (``_distances``); ``_transposed`` rejects a path whose
+squared level norms could leave the normal range (``ParameterError``).
 No code of the package reads the cached dense ``distance_matrix`` of either
 kind of path, which stays a public reference for callers and tests.
 Both calls of both kinds raise ``ParameterError`` on indices outside the grid.
@@ -55,6 +62,7 @@ points only; that is the discrete definition of every norm in this package.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -148,9 +156,9 @@ class TimeGrid:
         return i, j
 
 
-def _euclidean_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a - b| over the leading (coordinate) axis, in the order of the module
-    docstring: even and odd coordinates summed apart, then added.
+def _euclidean_norm(a: np.ndarray, b: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """``scale`` |a - b| over the leading (coordinate) axis, in the order of the
+    module docstring: even and odd coordinates summed apart, then added.
 
     ``a[c]`` and ``b[c]`` broadcast to the shape of the result.
     """
@@ -166,7 +174,10 @@ def _euclidean_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             acc = odd if c % 2 else even
             acc += sq
         even += odd
-    return np.sqrt(even, out=even)
+    np.sqrt(even, out=even)
+    if scale != 1.0:
+        even *= scale
+    return even
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,14 +228,28 @@ class EuclideanPath:
         ``distance_block(lo, j0, j1)[c, r]`` is |f_(lo+r) - f_(j0+c)|.
         """
         lo, j0, j1 = _block_indices(lo, j0, j1, len(self.grid))
-        x = self.values.T
-        return _euclidean_norm(x[:, j0:j1, None], x[:, None, lo:j1])
+        x, s = self._scaled
+        return _euclidean_norm(x[:, j0:j1, None], x[:, None, lo:j1], s)
 
     def shift_distances(self, m: int, lo: int, hi: int) -> np.ndarray:
         """Distances |f_r - f_(r+m)| for r in [lo, hi - m]; m = hi - lo + 1 gives none."""
         m, lo, hi = _shift_indices(m, lo, hi, len(self.grid))
+        x, s = self._scaled
+        return _euclidean_norm(x[:, lo:hi - m + 1], x[:, lo + m:hi + 1], s)
+
+    @cached_property
+    def _scaled(self) -> tuple[np.ndarray, float]:
+        """The values as (dim, M+1) rows divided by s, and s: the power of two
+        nearest the largest coordinate span when that span lies outside
+        [2^-256, 2^256], else 1 (module docstring)."""
         x = self.values.T
-        return _euclidean_norm(x[:, lo:hi - m + 1], x[:, lo + m:hi + 1])
+        half = float((x.max(axis=1) * 0.5 - x.min(axis=1) * 0.5).max())
+        if half == 0.0 or 2.0**-257 <= half <= 2.0**255:
+            return x, 1.0
+        # neither the divided values nor s may leave the float range
+        e = max(round(math.log2(half)) + 1, math.frexp(np.abs(x).max())[1] - 1000)
+        s = 2.0 ** min(e, 1023)
+        return x / s, s
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,10 +320,25 @@ class GroupPath:
     @cached_property
     def _transposed(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Levels of X_{0,t_j}^{-1} and of X_{0,t_j}, each a C-ordered (n^k, M+1)
-        copy: entry e of level k at every grid point is the contiguous row e."""
-        inv = stacked_inverse(self.levels)
+        copy: entry e of level k at every grid point is the contiguous row e.
+
+        Raises ``ParameterError`` when the inverse overflows, or when a level
+        norm of an increment could not be formed in the normal float range:
+        the largest entry of a level of the path or of its inverse has a
+        subnormal square, or the bound sum_h |a_h| |b_(k-h)| on the entries of
+        level k of X_i^{-1} X_j, squared and summed n^k times, overflows.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv = stacked_inverse(self.levels)
         if not all(np.isfinite(lv).all() for lv in inv):
             raise ParameterError("the inverse of the path overflows")
+        a, b = ([1.0] + [float(np.abs(lv).max()) for lv in x[1:]] for x in (inv, self.levels))
+        for k in range(1, self.depth + 1):
+            bound = sum(a[h] * b[k - h] for h in range(k + 1))
+            too_large = bound * bound * self.dim**k > np.finfo(float).max
+            if too_large or 0.0 < min(a[k], b[k]) < 2.0**-511:
+                raise ParameterError(f"the squares of level {k} of the path's increments "
+                                     f"leave the normal float range")
         return ([np.ascontiguousarray(lv.T) for lv in inv],
                 [np.ascontiguousarray(lv.T) for lv in self.levels])
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from roughpaths import DistKind, EuclideanPath, NormKind, TimeGrid
+from roughpaths import DistKind, EuclideanPath, NormKind, TimeGrid, holder_norm, nikolskii_norm
 from roughpaths.cli import main, read_path_csv, write_path_csv
 from conftest import dyadic_pair, random_walk_path
 
@@ -222,6 +222,21 @@ def test_norm_hoelder_inf_p(linear_csv, capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0)
 
 
+def test_norm_of_a_walk_beyond_the_square_range(tmp_path, capsys):
+    # every squared difference of the walk overflows
+    f = random_walk_path(np.random.default_rng(5), 32, 2)
+    csv = tmp_path / "big.csv"
+    write_path_csv(EuclideanPath(f.grid, 1e200 * f.values), csv)
+    big = read_path_csv(csv)
+    for kind, want in (("hoelder", holder_norm(f, 0.4)),
+                       ("nikolskii", nikolskii_norm(f, 0.4, 4.0))):
+        assert main(["norm", str(csv), "--kind", kind, "--delta", "0.4", "--p", "4"]) == 0
+        got = float(capsys.readouterr().out)
+        assert got == pytest.approx(1e200 * want, rel=1e-11)
+    assert main(["norm", str(csv), "--kind", "hoelder", "--delta", "0.4"]) == 0
+    assert capsys.readouterr().out == f"{holder_norm(big, 0.4):.12g}\n"
+
+
 def test_norm_interval(linear_csv, capsys):
     assert main(["norm", linear_csv, "--kind", "qvar", "--p", "1",
                  "--interval", "0.25:0.75"]) == 0
@@ -347,7 +362,7 @@ def test_dist_infinite_or_missing_p_exit3(tmp_path, capsys, rng, p_args):
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
-        if p_args and kind != "qvar":
+        if p_args:
             assert err == f"error: the {kind} distance needs a finite p\n"
 
 

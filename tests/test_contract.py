@@ -51,8 +51,8 @@ POOLS = {
     "interval": [(0.0,), (0.0, "x"), (1.0, 0.0), (0.3, 0.7), (0.0, 0.25, 0.5), "ab", 5,
                  (None, None), (0.0, math.nan), (0.0, 2.0), (0.25, 0.75)],
     "delta": [0.0, -0.5, 1.5, 2, 1],
-    "p": [0.5, 0, -1, rp.P_INF, 3],
-    "q": [0.5, 0, rp.P_INF, 1],
+    "p": [0.5, 0, -1, np.float64(math.inf), 3],
+    "q": [0.5, 0, np.float64(math.inf), 1],
     "level": [0, 3, 1.5, -1, 2.0],
     "depth": [0, 5, 2.5, -1, 2.0],
     "count": [0, -1, 2.5, 3.0],
@@ -62,7 +62,7 @@ POOLS = {
     "tensor": [G, X1],
     "element": [T, X1, rp.identity_element(2, 3)],
     "norm_kind": ["rieszv", rp.DistKind.RIESZ, rp.NormKind.QVAR, rp.NormKind.FRAC_SOBOLEV],
-    "norm_spec": ["rieszv", rp.LevelDistanceSpec(rp.DistKind.RIESZ, 0.5, 4.0)],
+    "norm_spec": ["rieszv", rp.RdeConfig()],
     "dist_kind": ["riesz", rp.NormKind.RIESZ, rp.DistKind.QVAR, rp.DistKind.NIKOLSKII_HAT],
     "family": ["linear", rp.FieldFamily.AFFINE],
     "scheme": ["eulerbv", rp.Scheme.ROUGH_EULER],
@@ -128,8 +128,6 @@ CALLS = [
                    "p": ("p", 4.0), "interval": ("interval", None)}),
     (rp.compute_norm, {"path": ("path", F),
                        "spec": ("norm_spec", rp.NormSpec(rp.NormKind.RIESZ, 0.5, 4.0))}),
-    (rp.LevelDistanceSpec, {"kind": ("dist_kind", rp.DistKind.RIESZ), "delta": ("delta", 0.5),
-                            "p": ("p", 4.0), "level": ("level", 1)}),
     (rp.rho_qvar_level, {"x1": _RHO["x1"], "x2": _RHO["x2"], "q": ("q", 2.0),
                          "k": _RHO["k"], "interval": _RHO["interval"]}),
     *((fn, _RHO) for fn in (rp.rho_riesz_level, rp.rho_mixed_level, rp.rho_nikolskii_hat_level)),
@@ -163,7 +161,7 @@ CALLS = [
 ]
 
 _OBJECTS = (rp.TimeGrid, rp.EuclideanPath, rp.GroupPath, rp.TruncatedTensor, rp.GroupElement,
-            rp.NormSpec, rp.LevelDistanceSpec, rp.RdeConfig, rp.VectorField)
+            rp.NormSpec, rp.RdeConfig, rp.VectorField)
 
 
 def _acceptable(result) -> bool:

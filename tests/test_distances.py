@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 from unittest import mock
 
@@ -13,7 +14,6 @@ from roughpaths import (
     DistKind,
     EuclideanPath,
     GridMismatchError,
-    LevelDistanceSpec,
     P_INF,
     ParameterError,
     TimeGrid,
@@ -85,17 +85,17 @@ def test_level_out_of_range(rng):
         rho_qvar_level(x1, x2, 2.0, 3)
 
 
-def test_spec_validation():
-    LevelDistanceSpec(DistKind.RIESZ, delta=0.45, p=4.0, level=2)
-    with pytest.raises(ParameterError):
-        LevelDistanceSpec(DistKind.RIESZ, delta=0.45, p=1.5, level=1)
-    with pytest.raises(ParameterError):
-        LevelDistanceSpec(DistKind.QVAR, p=0.5, level=1)
-    with pytest.raises(ParameterError):
-        LevelDistanceSpec(DistKind.RIESZ, delta=0.45, p=math.inf, level=1)
+def test_out_of_range_parameters_rejected(rng):
+    x1, x2, _, _ = make_pair(rng, depth=2)
+    assert math.isfinite(rho_riesz_level(x1, x2, 0.45, 4.0, 2))
+    with pytest.raises(ParameterError, match="p >= 1/delta"):
+        rho_riesz_level(x1, x2, 0.45, 1.5, 1)
+    with pytest.raises(ParameterError, match="needs q >= 1"):
+        rho_qvar_level(x1, x2, 0.5, 1)
 
 
-@pytest.mark.parametrize("p", [P_INF, math.inf, None, math.nan])
+@pytest.mark.parametrize("p", [pytest.param(np.float64(math.inf), id="float64-inf"),
+                               math.inf, None, math.nan])
 def test_infinite_or_missing_p_rejected(rng, p):
     x1, x2, _, _ = make_pair(rng)
     for fn in (rho_riesz_level, rho_mixed_level, rho_nikolskii_hat_level):
@@ -107,11 +107,25 @@ def test_infinite_or_missing_p_rejected(rng, p):
 
 def test_infinite_p_error_names_the_requested_kind(rng):
     x1, x2, _, _ = make_pair(rng)
-    for kind in (DistKind.RIESZ, DistKind.MIXED, DistKind.NIKOLSKII_HAT):
+    for kind in DistKind:
         with pytest.raises(ParameterError, match=f"^the {kind.value} distance needs a finite p$"):
             rho_level(x1, x2, kind, delta=0.45, p=math.inf)
     with pytest.raises(ParameterError, match="^the mixed distance needs a finite p$"):
         rho_mixed_level(x1, x2, 0.45, P_INF, 1)
+
+
+@pytest.mark.parametrize("e", [260, -300])
+def test_lifts_beyond_the_square_range_raise(e):
+    # level 2 of the lift is about 2^520 or 2^-600: its squares leave the float range
+    f = random_walk_path(np.random.default_rng(5), 32, 2)
+    x = lift(EuclideanPath(f.grid, 2.0**e * f.values), 2)
+    y = lift(EuclideanPath(f.grid, 1.1 * 2.0**e * f.values), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="normal float range"):
+            qvar_norm(x, 2.5)
+        with pytest.raises(ParameterError, match="normal float range"):
+            rho_qvar_level(x, y, 2.5, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,8 @@ def test_float_inf_p_is_the_sentinel():
     assert mixed_norm(f, 0.5, math.inf) == mixed_norm(f, 0.5, P_INF)
     assert nikolskii_norm(f, 0.5, np.inf) == nikolskii_norm(f, 0.5, P_INF)
     assert NormSpec(NormKind.RIESZ, delta=0.5, p=float("inf")).p is P_INF
+    assert NormSpec(NormKind.RIESZ, 0.5, np.float64("inf")).p is P_INF
+    assert P_INF is math.inf
 
 
 def test_nan_or_missing_p_rejected():
@@ -709,6 +711,33 @@ def test_large_powers_are_scaled_not_overflowed(rng):
         assert norm(small) == pytest.approx(1e-3 * norm(f), rel=1e-12)
     with np.errstate(over="ignore"):  # unscaled, as the parent formula
         assert not math.isnan(frac_sobolev_norm(big, 0.5, 300.0))
+
+
+SEVEN_NORMS = (
+    lambda f: holder_norm(f, 0.4),
+    lambda f: qvar_norm(f, 2.5),
+    lambda f: riesz_norm(f, 0.5, 4.0),
+    lambda f: mixed_norm(f, 0.45, 3.0),
+    lambda f: nikolskii_norm(f, 0.4, 4.0),
+    lambda f: refined_nikolskii_norm(f, 0.4, 4.0),
+    lambda f: frac_sobolev_norm(f, 0.4, 3.0),
+)
+
+
+@pytest.mark.parametrize("e", [600, -600])
+def test_norms_of_walks_beyond_the_square_range(e):
+    # a squared difference of the scaled walk overflows (2^600) or underflows
+    # (2^-600); the path is measured on its values divided by a power of two
+    f = random_walk_path(np.random.default_rng(5), 32, 2)
+    g = EuclideanPath(f.grid, 2.0**e * f.values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [norm(g) for norm in SEVEN_NORMS]
+    want = [2.0**e * norm(f) for norm in SEVEN_NORMS]
+    assert got[0] == want[0]
+    for value, ref in zip(got[1:], want[1:]):
+        assert 0.0 < value < math.inf
+        assert value == pytest.approx(ref, rel=1e-12)
 
 
 def test_riesz_time_factor_folded_into_base_at_large_delta_p():

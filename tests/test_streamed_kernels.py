@@ -5,7 +5,10 @@ squares taken coordinate by coordinate, the even and the odd coordinates
 each summed left to right, then the two sums added and the root taken.  The
 references here form every cell with Python floats in that order, so the
 kernels must equal them exactly, whatever the block shape; at dims 1 and 2
-there is only one rounding order and the formula equals NumPy's einsum.
+there is only one rounding order and the formula equals NumPy's einsum.  A
+path whose largest coordinate span lies outside [2^-256, 2^256] is measured
+on its values divided by the power of two nearest that span, and the
+distances multiplied back (``path_scale``).
 ``norms._gaps`` writes its fill only in the trailing square of a block and
 must equal the full-block ``np.where`` over strictly increasing times.
 """
@@ -34,6 +37,13 @@ def scalar_distance(a, b) -> float:
     for s in sq[3::2]:
         odd += s
     return math.sqrt(even + odd)
+
+
+def path_scale(v) -> float:
+    """1 if the largest coordinate span of the values ``v`` lies in [2^-256, 2^256],
+    else the power of two nearest that span."""
+    span = float(np.ptp(v, axis=0).max())
+    return 1.0 if span == 0.0 or 2.0**-256 <= span <= 2.0**256 else 2.0 ** round(math.log2(span))
 
 
 @st.composite
@@ -102,10 +112,11 @@ def shifts(draw):
 def test_distance_block_equals_scalar_reference(case):
     # lo > 0 and one-column blocks (j1 = j0 + 1) included
     f, lo, j0, j1 = case
-    v = f.values
+    s = path_scale(f.values)
+    v = f.values / s
     got = f.distance_block(lo, j0, j1)
     assert got.shape == (j1 - j0, j1 - lo)
-    want = np.array([[scalar_distance(v[j], v[i]) for i in range(lo, j1)]
+    want = np.array([[scalar_distance(v[j], v[i]) * s for i in range(lo, j1)]
                      for j in range(j0, j1)])
     assert np.array_equal(got, want)
 
@@ -114,9 +125,10 @@ def test_distance_block_equals_scalar_reference(case):
 @given(shifts())
 def test_shift_distances_equal_scalar_reference(case):
     f, m, lo, hi = case
-    v = f.values
+    s = path_scale(f.values)
+    v = f.values / s
     got = f.shift_distances(m, lo, hi)
-    want = np.array([scalar_distance(v[r], v[r + m]) for r in range(lo, hi - m + 1)])
+    want = np.array([scalar_distance(v[r], v[r + m]) * s for r in range(lo, hi - m + 1)])
     assert np.array_equal(got, want)
 
 
