@@ -41,7 +41,7 @@ from .exceptions import (
 )
 from .norms import P_INF, NormKind, NormSpec, compute_norm
 from .paths import EuclideanPath, TimeGrid, lift, signature
-from .rde import RdeConfig, Scheme, VectorField, solve_bv, solve_rough
+from .rde import RdeConfig, Scheme, VectorField, ito_lyons
 from . import verify as verify_mod
 
 SCHEMA_VERSION = 1
@@ -256,12 +256,10 @@ def cmd_solve(args) -> int:
         raise ParameterError(f"cannot read field spec {args.field}: {exc}") from exc
     v = VectorField.from_spec(spec)
     y0 = np.array([_parse_float(t, "--y0") for t in args.y0.split(",")])
-    if args.depth == 1:
-        cfg = RdeConfig(depth=1, substeps=args.substeps, scheme=Scheme.EULER_BV)
-        y = solve_bv(y0, v, driver, cfg)
-    else:
-        cfg = RdeConfig(depth=args.depth, substeps=args.substeps, scheme=Scheme.ROUGH_EULER)
-        y = solve_rough(y0, v, lift(driver, args.depth), cfg)
+    rough = args.depth != 1  # depth 1 drives the BV scheme with the path itself
+    cfg = RdeConfig(depth=args.depth, substeps=args.substeps,
+                    scheme=Scheme.ROUGH_EULER if rough else Scheme.EULER_BV)
+    y = ito_lyons(y0, v, lift(driver, args.depth) if rough else driver, cfg)
     if args.out:
         write_path_csv(y, args.out)
     terminal = ",".join(f"{val:.12g}" for val in y.values[-1])

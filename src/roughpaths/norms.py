@@ -123,6 +123,12 @@ time factors; a source that fails is swept again with the per-shift time
 factor folded into the base, (d (m mesh)^(hexp/power) / B)^power with B the
 largest base.
 
+A norm whose true value lies beyond the float range (a distance near 1e150
+over a gap near 1e-300, say) has no finite answer.  Every norm function
+returns through one exit check, ``_in_range``: it runs with NumPy's float
+warnings off, and an inf or NaN value raises ``ParameterError``.  A finite
+value passes unchanged.
+
 Mixed equals Riesz on every grid.  Let q = 1/delta, and split a block I at
 grid points into blocks J_j with endpoint distances d_j.
 
@@ -161,6 +167,7 @@ the level distances call it at entry; the kernels trust their arguments.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -524,6 +531,26 @@ def _require_uniform(path):
 # the seven families
 # ---------------------------------------------------------------------------
 
+def _in_range(norm):
+    """``norm`` with the one exit check of the norm functions.
+
+    The norm runs with NumPy's float warnings off, and a value beyond the
+    float range, inf or NaN (a distance over a gap can exceed it where no
+    scale helps), raises ``ParameterError``; a finite value is returned as
+    computed, bit for bit.
+    """
+    @functools.wraps(norm)
+    def checked(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            value = norm(*args, **kwargs)
+        if not math.isfinite(value):
+            raise ParameterError(f"{norm.__name__} leaves the float range on this path")
+        return value
+
+    return checked
+
+
+@_in_range
 def holder_norm(path, delta: float, interval=None) -> float:
     """Hoelder seminorm sup_{u<v} d(f_u, f_v) / (v-u)^delta over grid pairs."""
     _check_params(NormKind.HOELDER, delta, None)
@@ -539,6 +566,7 @@ def holder_norm(path, delta: float, interval=None) -> float:
     return best
 
 
+@_in_range
 def qvar_norm(path, q: float, interval=None) -> float:
     """q-variation ( sup_P sum d(f_u, f_v)^q )^(1/q), exact over grid partitions."""
     q = _check_params(NormKind.QVAR, None, q)
@@ -549,6 +577,7 @@ def qvar_norm(path, q: float, interval=None) -> float:
     return _power_sup_family([path], path.grid.times, lo, hi, [(0, q, 0.0, 1.0 / q)])[0]
 
 
+@_in_range
 def riesz_norm(path, delta: float, p, interval=None) -> float:
     """Riesz variation ( sup_P sum d^p / (v-u)^(delta*p-1) )^(1/p); p = P_INF is Hoelder."""
     p = _check_params(NormKind.RIESZ, delta, p)
@@ -565,6 +594,7 @@ def mixed_norm(path, delta: float, p, interval=None) -> float:
     return riesz_norm(path, delta, p, interval)
 
 
+@_in_range
 def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     """Nikolskii seminorm sup_h h^(-delta) ( int_s^{t-h} d(f_u, f_{u+h})^p du )^(1/p).
 
@@ -587,13 +617,12 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
             seg = path.shift_distances(m, lo, hi)
             best = max(best, (m * dt) ** (-delta) * float(np.max(seg)))
         return float(best)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, span + 1):
-            # left Riemann sum over r = lo .. hi-m-1 (exclusive right endpoint)
-            seg = path.shift_distances(m, lo, hi - 1)
-            seg **= p
-            total = float(seg.sum())
-            best = max(best, (m * dt) ** (-delta * p) * dt * total)
+    for m in range(1, span + 1):
+        # left Riemann sum over r = lo .. hi-m-1 (exclusive right endpoint)
+        seg = path.shift_distances(m, lo, hi - 1)
+        seg **= p
+        total = float(seg.sum())
+        best = max(best, (m * dt) ** (-delta * p) * dt * total)
     # time factors (m*mesh)^(-delta*p) and that times mesh, extreme at m = 1, span
     factors = [-delta * p * math.log2(m * dt) + u for m in (1, span) for u in (0.0, math.log2(dt))]
     # the last column's distances enter no left Riemann sum
@@ -698,6 +727,7 @@ def _fused_shift_sup(src, lo, hi, shifts, power, hexp, root) -> float:
     return s * float(best) ** root
 
 
+@_in_range
 def refined_nikolskii_norm(path, delta: float, p, interval=None) -> float:
     """Refined Nikolskii norm ( sup_P sum ||f||_{Nikolskii;[u,v]}^p )^(1/p).
 
@@ -715,6 +745,7 @@ def refined_nikolskii_norm(path, delta: float, p, interval=None) -> float:
     return shift_partition_sup([path], path.grid.times, lo, hi, p, -delta * p, 1.0 / p)[0]
 
 
+@_in_range
 def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
     """Fractional Sobolev (Sobolev-Slobodeckij) seminorm by tensor-grid quadrature.
 
@@ -747,15 +778,14 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
     width, piece = (_width([path], lo, hi, cells) for cells in (_SUM_CELLS, _BLOCK_CELLS))
     buf = np.empty(min(width, span) * (span + 1))
     total = 0.0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for j0 in range(lo + 1, hi + 1, width):
-            j1 = min(j0 + width, hi + 1)
-            chunk = buf[: (j1 - j0) * (j1 - lo)].reshape(j1 - j0, j1 - lo)
-            for c0, d in _columns(path, lo, j1 - 1, piece, j0):
-                rows = slice(c0 - j0, c0 - j0 + d.shape[0])
-                chunk[rows, : d.shape[1]] = terms(c0, d)
-                chunk[rows, d.shape[1] :] = 0.0
-            total += float(np.sum(chunk))
+    for j0 in range(lo + 1, hi + 1, width):
+        j1 = min(j0 + width, hi + 1)
+        chunk = buf[: (j1 - j0) * (j1 - lo)].reshape(j1 - j0, j1 - lo)
+        for c0, d in _columns(path, lo, j1 - 1, piece, j0):
+            rows = slice(c0 - j0, c0 - j0 + d.shape[0])
+            chunk[rows, : d.shape[1]] = terms(c0, d)
+            chunk[rows, d.shape[1] :] = 0.0
+        total += float(np.sum(chunk))
     if _sum_kept(total, span * (span + 1) / 2, [e * math.log2(dt), e * math.log2(span * dt)],
                  path, lo, hi):
         return float((2.0 * total * dt * dt) ** (1.0 / p))

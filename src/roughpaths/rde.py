@@ -14,6 +14,12 @@ Two schemes for dY = V(Y) dX with V = (V_1, ..., V_n):
                    sum_a V_i^a(y) d/dy_a.  Depth is capped at 3, which needs
                    vector field derivatives up to order 2 only.
 
+The scheme is decided by the driver type: an ``RdeConfig`` names one, and
+each solver checks its arguments once, in ``_check_solve``, so a config of
+the other scheme, or a driver of the wrong type, depth or dimension, raises.
+``ito_lyons`` picks the solver from the driver and, without a config, the
+scheme's default one.
+
 Vector fields come in linear / affine / quadratic-polynomial families with
 analytic first and second derivatives.  Solutions that leave the field's
 validity box (a Euclidean ball around the initial condition), or whose state
@@ -426,10 +432,22 @@ def _euler_steps(v: VectorField, y0: np.ndarray, levels, times) -> np.ndarray:
     return ys
 
 
-def _check_solve(v, x, driver, config):
+def _check_solve(y0, v, x, config, scheme) -> np.ndarray:
+    """``y0`` as a state, after the one check of a solver call of ``scheme``:
+    the types (an ``EuclideanPath`` drives BV Euler, a ``GroupPath`` rough
+    Euler) and the config's scheme (``ParameterError``), then the driver's
+    depth and dimension (``DimensionMismatchError``) and the state."""
     _instance(v, VectorField, "vector field")
-    _instance(x, driver, "driver")
+    _instance(x, EuclideanPath if scheme is Scheme.EULER_BV else GroupPath, "driver")
     _instance(config, RdeConfig, "solver config")
+    if config.scheme is not scheme:
+        raise ParameterError(f"{type(x).__name__} drivers need the {scheme.value} scheme, "
+                             f"got {config.scheme.value}")
+    if scheme is Scheme.ROUGH_EULER and x.depth != config.depth:
+        raise DimensionMismatchError(f"driver depth {x.depth} != configured depth {config.depth}")
+    if x.dim != v.n:
+        raise DimensionMismatchError(f"driver dim {x.dim} != field driver dim {v.n}")
+    return _state(y0, v)
 
 
 def solve_bv(y0, v: VectorField, x: EuclideanPath, config: RdeConfig = RdeConfig()) -> EuclideanPath:
@@ -439,10 +457,7 @@ def solve_bv(y0, v: VectorField, x: EuclideanPath, config: RdeConfig = RdeConfig
     equal parts (exact for the linear interpolant); the returned path lives
     on the substepped grid.
     """
-    _check_solve(v, x, EuclideanPath, config)
-    if x.dim != v.n:
-        raise DimensionMismatchError(f"driver dim {x.dim} != field driver dim {v.n}")
-    y0 = _state(y0, v)
+    y0 = _check_solve(y0, v, x, config, Scheme.EULER_BV)
     s = config.substeps
     t = x.grid.times
     sub = t[:-1, None] + (np.diff(t)[:, None] * np.arange(1, s + 1)) / s
@@ -461,29 +476,17 @@ def _group_increments(x: GroupPath) -> list[np.ndarray]:
 
 def solve_rough(y0, v: VectorField, x: GroupPath, config: RdeConfig) -> EuclideanPath:
     """Step-N Euler for dY = V(Y) dX along a group-valued driver."""
-    _check_solve(v, x, GroupPath, config)
-    if config.scheme is not Scheme.ROUGH_EULER:
-        raise ParameterError("solve_rough needs the rough Euler scheme")
-    if x.depth != config.depth:
-        raise DimensionMismatchError(
-            f"driver depth {x.depth} != configured depth {config.depth}"
-        )
-    if x.dim != v.n:
-        raise DimensionMismatchError(f"driver dim {x.dim} != field driver dim {v.n}")
-    y0 = _state(y0, v)
+    y0 = _check_solve(y0, v, x, config, Scheme.ROUGH_EULER)
     return EuclideanPath(x.grid, _euler_steps(v, y0, _group_increments(x), x.grid.times))
 
 
 def ito_lyons(y0, v: VectorField, x, config: RdeConfig | None = None) -> EuclideanPath:
-    """Solution map (y0, V, X) -> Y, dispatching on the driver type."""
-    if config is not None:
-        _instance(config, RdeConfig, "solver config")
-    if isinstance(x, EuclideanPath):
-        config = config or RdeConfig()
-        if config.scheme is not Scheme.EULER_BV:
-            raise ParameterError("Euclidean drivers use the BV Euler scheme")
-        return solve_bv(y0, v, x, config)
+    """Solution map (y0, V, X) -> Y: ``solve_rough`` for a ``GroupPath``
+    driver, else ``solve_bv``, whose check rejects other types.  Without a
+    ``config`` the driver's scheme runs at its default: rough Euler at the
+    driver's depth, or BV Euler without substeps."""
     if isinstance(x, GroupPath):
-        config = config or RdeConfig(depth=x.depth, scheme=Scheme.ROUGH_EULER)
+        if config is None:
+            config = RdeConfig(depth=x.depth, scheme=Scheme.ROUGH_EULER)
         return solve_rough(y0, v, x, config)
-    raise ParameterError(f"unsupported driver type {type(x).__name__}")
+    return solve_bv(y0, v, x, RdeConfig() if config is None else config)

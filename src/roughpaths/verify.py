@@ -44,7 +44,7 @@ from .norms import (
     shift_partition_sup,
 )
 from .paths import EuclideanPath, GroupPath, TimeGrid, _count, lift, resample_uniform
-from .rde import RdeConfig, Scheme, VectorField, max_point_norm, solve_bv, solve_rough
+from .rde import VectorField, ito_lyons, max_point_norm
 from .tensor_core import (
     dilate,
     group_distance,
@@ -845,27 +845,101 @@ def field_distance(v1: VectorField, v2: VectorField, order: float, center,
     return worst
 
 
-def _random_field_pair(rng, m, n, gamma, bound, box_radius, perturbation=0.05):
-    const = rng.standard_normal((n, m)) * 0.3
-    lin = rng.standard_normal((n, m, m)) * 0.3
-    quad = rng.standard_normal((n, m, m, m)) * 0.05
-    v1 = VectorField.polynomial(const, lin, quad, gamma=gamma, box_radius=box_radius)
-    dconst = rng.standard_normal((n, m)) * perturbation
-    dlin = rng.standard_normal((n, m, m)) * perturbation
-    v2 = VectorField.polynomial(const + dconst, lin + dlin, quad, gamma=gamma,
-                                box_radius=box_radius)
-    norm = max(v1.lip_norm(np.zeros(m), radius=2.0), v2.lip_norm(np.zeros(m), radius=2.0))
-    s = 0.98 * bound / norm
-    return v1.scaled(s), v2.scaled(s)
+def _field_pairs(pair_family, seed, stream, gamma, bound):
+    """Pair i of nearby polynomial fields on R^2, one per driver pair, from RNG
+    ``[seed, stream, i]``; both scaled so that the larger Lip norm is 0.98 bound."""
+    m, n, pairs = 2, pair_family.dim, []
+    for i in range(pair_family.count):
+        rng = np.random.default_rng([seed, stream, i])
+        const = rng.standard_normal((n, m)) * 0.3
+        lin = rng.standard_normal((n, m, m)) * 0.3
+        quad = rng.standard_normal((n, m, m, m)) * 0.05
+        v1 = VectorField.polynomial(const, lin, quad, gamma=gamma, box_radius=3.0)
+        dconst = rng.standard_normal((n, m)) * 0.05
+        dlin = rng.standard_normal((n, m, m)) * 0.05
+        v2 = VectorField.polynomial(const + dconst, lin + dlin, quad, gamma=gamma,
+                                    box_radius=3.0)
+        norm = max(v1.lip_norm(np.zeros(m), radius=2.0), v2.lip_norm(np.zeros(m), radius=2.0))
+        s = 0.98 * bound / norm
+        pairs.append((v1.scaled(s), v2.scaled(s)))
+    return pairs
 
 
-def _scaled_group_pair(p1, p2, depth, delta, p, target):
-    x1, x2 = lift(p1, depth), lift(p2, depth)
-    size = max(mixed_norm(x1, delta, p), mixed_norm(x2, delta, p))
+def _scaled_pair(p1, p2, depth, delta, p, target):
+    """The drivers of a path pair, scaled by the one factor that makes the
+    larger of their mixed (delta, p) norms ``target``: the lifts to ``depth``,
+    or the paths themselves when ``depth`` is None."""
+    def drive(f):
+        return f if depth is None else lift(f, depth)
+
+    size = max(mixed_norm(drive(p1), delta, p), mixed_norm(drive(p2), delta, p))
     lam = target / size if size > 0 else 1.0
-    s1 = EuclideanPath(p1.grid, lam * p1.values)
-    s2 = EuclideanPath(p2.grid, lam * p2.values)
-    return lift(s1, depth), lift(s2, depth)
+    return tuple(drive(EuclideanPath(f.grid, lam * f.values)) for f in (p1, p2))
+
+
+def _run_lipschitz(name, pair_family, rng, fields, targets, *, depth, delta, p, order, seed,
+                   params, ball=None, notes=("", "")) -> list[CheckRecord]:
+    """Solution-map Lipschitz records over a family of driver pairs, either solver.
+
+    Trial i solves through ``ito_lyons`` (the driver type picks the scheme)
+    with ``fields[i]``, the drivers of ``_scaled_pair`` at size ``targets[i]``
+    and y01, y02 = y01 + a perturbation, drawn from ``rng`` after the
+    caller's draws.  Its ratio is ||Y1 - Y2||_mixed(delta,p) divided by
+    ||V1 - V2||_Lip^order + |y01 - y02| + rho(X1, X2), rho the mixed distance
+    of group drivers or the mixed norm of X1 - X2.  Trials that blow up are
+    skipped and counted.  Records ``name`` + suffix: non-finite ratios, max
+    ratio, blow-ups, with a ``ball`` radius the max over the surviving
+    trials of target <= ball against the max over all, and the max ratio
+    stable within a factor 2 under one refinement, failed by a refinement
+    without ratios.  ``notes`` go to the first and the last record.
+    """
+    y0_base = rng.standard_normal((pair_family.count, 2)) * 0.1
+    y0_pert = rng.standard_normal((pair_family.count, 2)) * 0.02
+
+    def ratios(refine):
+        rs, kept = [], []
+        for i, (p1, p2) in enumerate(pair_family.euclidean_pairs(refine)):
+            x1, x2 = _scaled_pair(p1, p2, depth, delta, p, targets[i])
+            v1, v2 = fields[i]
+            y01, y02 = y0_base[i], y0_base[i] + y0_pert[i]
+            try:
+                yy1 = ito_lyons(y01, v1, x1)
+                yy2 = ito_lyons(y02, v2, x2)
+            except BlowUpError:
+                continue
+            num = mixed_norm(EuclideanPath(yy1.grid, yy1.values - yy2.values), delta, p)
+            den = (
+                field_distance(v1, v2, order, y01, 2.0, seed=seed)
+                + float(np.linalg.norm(y01 - y02))
+                + (mixed_norm(EuclideanPath(x1.grid, x1.values - x2.values), delta, p)
+                   if depth is None else rho_aggregate(x1, x2, DistKind.MIXED, delta=delta, p=p))
+            )
+            rs.append(lipschitz_ratio(num, den))
+            kept.append(i)
+        return np.array(rs), kept
+
+    rs, kept = ratios(1)
+    recs = [
+        ineq_record(f"{name}_ratios_finite", float(np.sum(~np.isfinite(rs))), 0.0,
+                    tol=0.0, params=params, notes=notes[0]),
+        reported_record(f"{name}_max_ratio", float(rs.max()) if rs.size else 0.0,
+                        params=params),
+        reported_record(f"{name}_blowups", float(pair_family.count - rs.size), params=params),
+    ]
+    if ball is not None and (half := rs[targets[kept] <= ball]).size:
+        recs.append(
+            ineq_record(f"{name}_ball_monotone", float(half.max()),
+                        float(rs.max()), params=params,
+                        notes="max ratio over the half ball <= max over the full ball"))
+    rs2, _ = ratios(2)
+    if rs.size and rs2.size:
+        m1, m2 = float(rs.max()), float(rs2.max())
+        stable = max(_safe_ratio(m1, m2), _safe_ratio(m2, m1))
+    else:  # no ratios, so no stability shown
+        stable = np.inf
+    recs.append(ineq_record(f"{name}_refine_stable", stable, 2.0, constant=1.0,
+                            params=params, notes=notes[1]))
+    return recs
 
 
 def run_lipschitz_suite(pair_family: RoughPairFamily, delta=0.45, p=4.0,
@@ -878,120 +952,28 @@ def run_lipschitz_suite(pair_family: RoughPairFamily, delta=0.45, p=4.0,
     ball, and stability of the max ratio within a factor 2
     under one grid refinement.  Blow-up trials are excluded and counted.
     """
-    depth = pair_family.depth
     rng = np.random.default_rng([seed, 977])
     targets = rng.uniform(0.3, 1.0, pair_family.count) * b
-    y0_base = rng.standard_normal((pair_family.count, 2)) * 0.1
-    y0_pert = rng.standard_normal((pair_family.count, 2)) * 0.02
-    fields = [
-        _random_field_pair(np.random.default_rng([seed, 31, i]), 2, pair_family.dim,
-                           gamma, l, box_radius=3.0)
-        for i in range(pair_family.count)
-    ]
-
-    def ratios(refine):
-        rs, used_targets, blowups = [], [], 0
-        for i, (p1, p2) in enumerate(pair_family.euclidean_pairs(refine)):
-            x1, x2 = _scaled_group_pair(p1, p2, depth, delta, p, targets[i])
-            v1, v2 = fields[i]
-            y01, y02 = y0_base[i], y0_base[i] + y0_pert[i]
-            cfg = RdeConfig(depth=depth, scheme=Scheme.ROUGH_EULER)
-            try:
-                yy1 = solve_rough(y01, v1, x1, cfg)
-                yy2 = solve_rough(y02, v2, x2, cfg)
-            except BlowUpError:
-                blowups += 1
-                continue
-            num = mixed_norm(EuclideanPath(yy1.grid, yy1.values - yy2.values), delta, p)
-            den = (
-                field_distance(v1, v2, gamma - 1.0, y01, 2.0, seed=seed)
-                + float(np.linalg.norm(y01 - y02))
-                + rho_aggregate(x1, x2, DistKind.MIXED, delta=delta, p=p)
-            )
-            rs.append(lipschitz_ratio(num, den))
-            used_targets.append(targets[i])
-        return np.array(rs), np.array(used_targets), blowups
-
-    rs, tg, blowups = ratios(1)
     pr = {"delta": delta, "p": p, "gamma": gamma, "b": b, "l": l,
           "pairs": pair_family.count, "grid_size": pair_family.grid_size}
-    recs = [
-        ineq_record("lipschitz_ratios_finite", float(np.sum(~np.isfinite(rs))), 0.0,
-                    tol=0.0, params=pr, notes="count of non-finite ratios"),
-        reported_record("lipschitz_max_ratio", float(rs.max()) if rs.size else 0.0,
-                        params=pr),
-        reported_record("lipschitz_blowups", float(blowups), params=pr),
-    ]
-    half = rs[tg <= 0.5 * b]
-    if half.size:
-        recs.append(
-            ineq_record("lipschitz_ball_monotone", float(half.max()),
-                        float(rs.max()), params=pr,
-                        notes="max ratio over the half ball <= max over the full ball"))
-    rs2, _, _ = ratios(2)
-    m1, m2 = float(rs.max()), float(rs2.max())
-    recs.append(
-        ineq_record("lipschitz_refine_stable",
-                    max(_safe_ratio(m1, m2), _safe_ratio(m2, m1)), 2.0,
-                    constant=1.0, params=pr,
-                    notes="max ratio stable within factor 2 under one refinement"))
-    return recs
+    return _run_lipschitz(
+        "lipschitz", pair_family, rng, _field_pairs(pair_family, seed, 31, gamma, l), targets,
+        depth=pair_family.depth, delta=delta, p=p, order=gamma - 1.0, seed=seed, params=pr,
+        ball=0.5 * b, notes=("count of non-finite ratios",
+                             "max ratio stable within factor 2 under one refinement"))
 
 
 def run_lipschitz_bv_suite(pair_family: RoughPairFamily, p=4.0, b=1.0, l=1.0,
                            seed=0) -> list[CheckRecord]:
     """Regularity-1 variant driven through the bounded-variation solver:
     r = ||Y1 - Y2||_mixed(1,p) / (||V1 - V2||_inf + |y01 - y02|
-        + ||X1 - X2||_mixed(1,p))."""
+        + ||X1 - X2||_mixed(1,p)), every driver pair scaled to 0.999 b."""
     rng = np.random.default_rng([seed, 978])
-    y0_base = rng.standard_normal((pair_family.count, 2)) * 0.1
-    y0_pert = rng.standard_normal((pair_family.count, 2)) * 0.02
-    fields = [
-        _random_field_pair(np.random.default_rng([seed, 32, i]), 2, pair_family.dim,
-                           2.0, l, box_radius=3.0)
-        for i in range(pair_family.count)
-    ]
-
-    def ratios(refine):
-        rs, blowups = [], 0
-        for i, (p1, p2) in enumerate(pair_family.euclidean_pairs(refine)):
-            size = max(mixed_norm(p1, 1.0, p), mixed_norm(p2, 1.0, p))
-            lam = 0.999 * b / size if size > 0 else 1.0
-            x1 = EuclideanPath(p1.grid, lam * p1.values)
-            x2 = EuclideanPath(p2.grid, lam * p2.values)
-            v1, v2 = fields[i]
-            y01, y02 = y0_base[i], y0_base[i] + y0_pert[i]
-            try:
-                yy1 = solve_bv(y01, v1, x1)
-                yy2 = solve_bv(y02, v2, x2)
-            except BlowUpError:
-                blowups += 1
-                continue
-            num = mixed_norm(EuclideanPath(yy1.grid, yy1.values - yy2.values), 1.0, p)
-            den = (
-                field_distance(v1, v2, 0.0, y01, 2.0, seed=seed)
-                + float(np.linalg.norm(y01 - y02))
-                + mixed_norm(EuclideanPath(x1.grid, x1.values - x2.values), 1.0, p)
-            )
-            rs.append(lipschitz_ratio(num, den))
-        return np.array(rs), blowups
-
-    rs, blowups = ratios(1)
     pr = {"delta": 1.0, "p": p, "b": b, "l": l, "pairs": pair_family.count}
-    recs = [
-        ineq_record("lipschitz_bv_ratios_finite", float(np.sum(~np.isfinite(rs))), 0.0,
-                    tol=0.0, params=pr),
-        reported_record("lipschitz_bv_max_ratio", float(rs.max()) if rs.size else 0.0,
-                        params=pr),
-        reported_record("lipschitz_bv_blowups", float(blowups), params=pr),
-    ]
-    rs2, _ = ratios(2)
-    m1, m2 = float(rs.max()), float(rs2.max())
-    recs.append(
-        ineq_record("lipschitz_bv_refine_stable",
-                    max(_safe_ratio(m1, m2), _safe_ratio(m2, m1)), 2.0,
-                    constant=1.0, params=pr))
-    return recs
+    return _run_lipschitz(
+        "lipschitz_bv", pair_family, rng, _field_pairs(pair_family, seed, 32, 2.0, l),
+        np.full(pair_family.count, 0.999 * b), depth=None, delta=1.0, p=p, order=0.0,
+        seed=seed, params=pr)
 
 
 # ---------------------------------------------------------------------------

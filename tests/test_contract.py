@@ -245,6 +245,26 @@ def test_lift_rejects_the_depths_the_tensor_constructors_reject(depth):
         rp.lift(F, depth)
 
 
+#: Solver calls whose config is of the other scheme than the driver's.
+OTHER_SCHEME = [
+    (rp.solve_bv, F, ROUGH),
+    (rp.solve_bv, F, rp.RdeConfig(depth=1, scheme=rp.Scheme.ROUGH_EULER)),
+    (rp.solve_rough, X1, BV),
+    (rp.ito_lyons, F, ROUGH),
+    (rp.ito_lyons, X1, BV),
+]
+
+
+@pytest.mark.parametrize("fn, x, config", OTHER_SCHEME,
+                         ids=[f"{fn.__name__}-{type(x).__name__}-{c.scheme.value}-{c.depth}"
+                              for fn, x, c in OTHER_SCHEME])
+def test_a_config_of_the_other_scheme_raises(fn, x, config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rp.ParameterError, match="scheme"):
+            fn([0.1], FIELD, x, config)
+
+
 @pytest.mark.parametrize("fn, params", CALLS, ids=[fn.__qualname__ for fn, _ in CALLS])
 def test_valid_arguments_are_accepted(fn, params):
     result = call_with(fn, params, next(iter(params)), next(iter(params.values()))[1])

@@ -740,6 +740,25 @@ def test_norms_of_walks_beyond_the_square_range(e):
         assert value == pytest.approx(ref, rel=1e-12)
 
 
+def test_norms_beyond_the_float_range_raise():
+    # distances near 1e150 over gaps near 1e-300: a quotient leaves the float
+    # range, which no distance scale can fix.  q-variation reads no gap and
+    # keeps its value
+    f = random_walk_path(np.random.default_rng(5), 32, 2)
+    values = 1e150 / np.ptp(f.values) * f.values
+    g = EuclideanPath(TimeGrid.uniform(32, 1e-300), values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in (lambda g: holder_norm(g, 1.0), lambda g: riesz_norm(g, 1.0, 4.0),
+                     lambda g: mixed_norm(g, 1.0, 4.0), lambda g: nikolskii_norm(g, 1.0, 4.0),
+                     lambda g: refined_nikolskii_norm(g, 1.0, 4.0),
+                     lambda g: frac_sobolev_norm(g, 0.9, 3.0)):
+            with pytest.raises(ParameterError, match="float range"):
+                norm(g)
+        assert qvar_norm(g, 2.0) == pytest.approx(1e150 / np.ptp(f.values) * qvar_norm(f, 2.0),
+                                                  rel=1e-12)
+
+
 def test_riesz_time_factor_folded_into_base_at_large_delta_p():
     # g^(1 - delta*p) = 2^894 on one step of 64: formed after the power, the
     # product overflows at c = 4.5 (seed 1) and (d/s)^p of short blocks underflows

@@ -315,6 +315,31 @@ def test_ito_lyons_dispatch(rng):
     assert abs(float(y_rough.values[-1, 0]) - np.e) < 1e-3
 
 
+def test_solvers_reject_a_config_of_the_other_scheme(rng):
+    x = random_walk_path(rng, 8, 2)
+    v = VectorField.linear(0.1 * rng.standard_normal((2, 2, 2)))
+    with pytest.raises(ParameterError, match="eulerbv"):
+        solve_bv([0.1, 0.2], v, x, RdeConfig(depth=2, scheme=Scheme.ROUGH_EULER))
+    with pytest.raises(ParameterError, match="eulerbv"):
+        ito_lyons([0.1, 0.2], v, x, RdeConfig(depth=1, scheme=Scheme.ROUGH_EULER))
+    with pytest.raises(ParameterError, match="rougheulerstepn"):
+        solve_rough([0.1, 0.2], v, lift(x, 2), RdeConfig())
+    with pytest.raises(ParameterError, match="rougheulerstepn"):
+        ito_lyons([0.1, 0.2], v, lift(x, 1), RdeConfig())
+
+
+def test_ito_lyons_defaults_equal_the_solvers(rng):
+    x = random_walk_path(rng, 16, 2)
+    v = VectorField.affine(0.3 * rng.standard_normal((2, 2, 2)),
+                           0.3 * rng.standard_normal((2, 2)))
+    assert np.array_equal(ito_lyons([0.1, 0.2], v, x).values,
+                          solve_bv([0.1, 0.2], v, x).values)
+    for depth in (1, 2, 3):
+        xg = lift(x, depth)
+        want = solve_rough([0.1, 0.2], v, xg, RdeConfig(depth=depth, scheme=Scheme.ROUGH_EULER))
+        assert np.array_equal(ito_lyons([0.1, 0.2], v, xg).values, want.values)
+
+
 def test_ito_lyons_constant_driver(rng):
     x = EuclideanPath(TimeGrid.uniform(10), np.ones((11, 2)))
     v = VectorField.linear(rng.standard_normal((2, 2, 2)))

@@ -353,6 +353,55 @@ def test_lipschitz_ratio_scalar_linear_first_order():
     assert 1.0 <= ratios[0] <= np.e * 2
 
 
+#: Twelve small pairs whose fields (scaled to Lip bound l) blow up in some
+#: trials at l = 10 and in every trial of a refinement at l = 20.
+BLOW_UP_FAMILY = RoughPairFamily(12, 16, dim=2, depth=2, seed=81, perturbation=0.05)
+
+
+def _records(recs):
+    return [(r.check_id, r.lhs, r.rhs, r.passed) for r in recs]
+
+
+def test_lipschitz_records_with_blow_ups_are_pinned():
+    # no verify report reaches the runners' skip branch, so these values pin
+    # it; the half ball reads only the trials that did not blow up
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rough = verify.run_lipschitz_suite(BLOW_UP_FAMILY, b=3.0, l=10.0, seed=0)
+        bv = verify.run_lipschitz_bv_suite(BLOW_UP_FAMILY, b=3.0, l=10.0, seed=0)
+    assert _records(rough) == [
+        ("lipschitz_ratios_finite", 0.0, 0.0, True),
+        ("lipschitz_max_ratio", 1.249271482637137, 0.0, True),
+        ("lipschitz_blowups", 9.0, 0.0, True),
+        ("lipschitz_ball_monotone", 0.6273639040579831, 1.249271482637137, True),
+        ("lipschitz_refine_stable", 1.689645057201518, 2.0, True),
+    ]
+    assert _records(bv) == [
+        ("lipschitz_bv_ratios_finite", 0.0, 0.0, True),
+        ("lipschitz_bv_max_ratio", 1.5447734529129111, 0.0, True),
+        ("lipschitz_bv_blowups", 3.0, 0.0, True),
+        ("lipschitz_bv_refine_stable", 1.3679393535316893, 2.0, True),
+    ]
+    assert [r.notes for r in rough] == [
+        "count of non-finite ratios", "", "", "max ratio over the half ball <= max over the "
+        "full ball", "max ratio stable within factor 2 under one refinement"]
+    assert [r.notes for r in bv] == [""] * 4
+
+
+def test_lipschitz_run_without_surviving_trials_fails_refine_stable():
+    # every trial of the first refinement blows up: the records come back,
+    # and stability, which no ratio shows, fails
+    recs = verify.run_lipschitz_suite(BLOW_UP_FAMILY, b=3.0, l=20.0, seed=0)
+    by_id = {r.check_id: r for r in recs}
+    assert list(by_id) == ["lipschitz_ratios_finite", "lipschitz_max_ratio",
+                           "lipschitz_blowups", "lipschitz_refine_stable"]
+    assert by_id["lipschitz_blowups"].lhs == 12.0
+    assert by_id["lipschitz_max_ratio"].lhs == 0.0 and by_id["lipschitz_max_ratio"].passed
+    assert by_id["lipschitz_refine_stable"].lhs == np.inf
+    assert not by_id["lipschitz_refine_stable"].passed
+    assert not suite_ok(recs)
+
+
 # ---------------------------------------------------------------------------
 # field distance
 # ---------------------------------------------------------------------------
