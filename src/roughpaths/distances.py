@@ -15,7 +15,10 @@ increments X_{i,j} = X_i^{-1} x X_j), the level-k distances are
 
 and the aggregate distance is the maximum over levels k = 1..N.  Both paths
 must live on one common grid; differencing increments across grids is not
-defined here, resample before lifting instead.
+defined here, resample before lifting instead.  Every level distance and
+the aggregate return through the exit check of the norms,
+``norms._in_range``: a value beyond the float range raises
+``ParameterError``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .norms import (
     P_INF,
     NormKind,
     _check_params,
+    _in_range,
     _power_sup_family,
     _require_uniform,
     shift_partition_sup,
@@ -117,6 +121,7 @@ def _pair_source(x1, x2, k, interval):
     return level_diff_matrix(x1, x2, k), *x1.grid.resolve_interval(interval)
 
 
+@_in_range
 def rho_qvar_level(x1, x2, q: float, k: int, interval=None) -> float:
     """Level-k q-variation distance ( sup_P sum D_k^(q/k) )^(k/q)."""
     q = _check_dist(DistKind.QVAR, None, q)
@@ -124,6 +129,7 @@ def rho_qvar_level(x1, x2, q: float, k: int, interval=None) -> float:
     return _power_sup_family([d], x1.grid.times, lo, hi, [(0, q / k, 0.0, k / q)])[0]
 
 
+@_in_range
 def rho_riesz_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:
     """Level-k Riesz distance ( sup_P sum D_k^(p/k) / (v-u)^(delta*p-1) )^(k/p)."""
     p = _check_dist(DistKind.RIESZ, delta, p)
@@ -131,13 +137,15 @@ def rho_riesz_level(x1, x2, delta: float, p: float, k: int, interval=None) -> fl
     return _power_sup_family([d], x1.grid.times, lo, hi, [(0, p / k, 1.0 - delta * p, k / p)])[0]
 
 
+@_in_range
 def rho_mixed_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:
     """Level-k mixed distance ( sup_P sum rho_qvar_level(...;[u,v])^(p/k) /
     (v-u)^(delta*p-1) )^(k/p), q = 1/delta; equal to ``rho_riesz_level``."""
     _check_dist(DistKind.MIXED, delta, p)  # so that errors name the mixed distance
-    return rho_riesz_level(x1, x2, delta, p, k, interval)
+    return rho_riesz_level.__wrapped__(x1, x2, delta, p, k, interval)
 
 
+@_in_range
 def rho_nikolskii_hat_level(x1, x2, delta: float, p: float, k: int, interval=None) -> float:
     """Level-k refined Nikolskii distance on a uniform common grid.
 
@@ -153,6 +161,7 @@ def rho_nikolskii_hat_level(x1, x2, delta: float, p: float, k: int, interval=Non
     return shift_partition_sup([d], x1.grid.times, lo, hi, p / k, -delta * p, k / p)[0]
 
 
+@_in_range
 def rho_aggregate(x1, x2, kind: DistKind, delta: float | None = None,
                   p: float | None = None, interval=None) -> float:
     """Aggregate distance: max over tensor levels k = 1..N of the level-k value."""

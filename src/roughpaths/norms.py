@@ -125,9 +125,10 @@ largest base.
 
 A norm whose true value lies beyond the float range (a distance near 1e150
 over a gap near 1e-300, say) has no finite answer.  Every norm function
-returns through one exit check, ``_in_range``: it runs with NumPy's float
-warnings off, and an inf or NaN value raises ``ParameterError``.  A finite
-value passes unchanged.
+returns through one exit check, ``_in_range`` (the level distances of
+``distances`` too): it runs with NumPy's float warnings off, and an inf or
+NaN value raises ``ParameterError``.  A finite value passes unchanged.  The
+maxima over blocks and shifts taken in Python keep a NaN (``_max``).
 
 Mixed equals Riesz on every grid.  Let q = 1/delta, and split a block I at
 grid points into blocks J_j with endpoint distances d_j.
@@ -532,22 +533,28 @@ def _require_uniform(path):
 # ---------------------------------------------------------------------------
 
 def _in_range(norm):
-    """``norm`` with the one exit check of the norm functions.
+    """``norm`` with the one exit check of the norm and distance functions.
 
-    The norm runs with NumPy's float warnings off, and a value beyond the
-    float range, inf or NaN (a distance over a gap can exceed it where no
-    scale helps), raises ``ParameterError``; a finite value is returned as
-    computed, bit for bit.
+    The function runs with NumPy's float warnings off, and a value beyond
+    the float range, inf or NaN (a distance over a gap can exceed it where
+    no scale helps), raises ``ParameterError``; a finite value is returned
+    as computed, bit for bit.
     """
     @functools.wraps(norm)
     def checked(*args, **kwargs):
         with np.errstate(all="ignore"):
             value = norm(*args, **kwargs)
         if not math.isfinite(value):
-            raise ParameterError(f"{norm.__name__} leaves the float range on this path")
+            raise ParameterError(f"{norm.__name__} leaves the float range on this input")
         return value
 
     return checked
+
+
+def _max(best: float, value: float) -> float:
+    """max(best, value), NaN once either is NaN, so that the exit check sees
+    it: Python's ``max`` keeps a first argument that a NaN does not exceed."""
+    return value if value > best or value != value else best
 
 
 @_in_range
@@ -562,7 +569,7 @@ def holder_norm(path, delta: float, interval=None) -> float:
         w = _gaps(times, lo, j0, block, np.inf)
         w **= delta
         np.divide(block, w, out=w)
-        best = max(best, float(np.max(w)))
+        best = _max(best, float(np.max(w)))
     return best
 
 
@@ -615,14 +622,14 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     if p is P_INF:
         for m in range(1, span + 1):
             seg = path.shift_distances(m, lo, hi)
-            best = max(best, (m * dt) ** (-delta) * float(np.max(seg)))
+            best = _max(best, (m * dt) ** (-delta) * float(np.max(seg)))
         return float(best)
     for m in range(1, span + 1):
         # left Riemann sum over r = lo .. hi-m-1 (exclusive right endpoint)
         seg = path.shift_distances(m, lo, hi - 1)
         seg **= p
         total = float(seg.sum())
-        best = max(best, (m * dt) ** (-delta * p) * dt * total)
+        best = _max(best, (m * dt) ** (-delta * p) * dt * total)
     # time factors (m*mesh)^(-delta*p) and that times mesh, extreme at m = 1, span
     factors = [-delta * p * math.log2(m * dt) + u for m in (1, span) for u in (0.0, math.log2(dt))]
     # the last column's distances enter no left Riemann sum
@@ -636,7 +643,7 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
         seg = path.shift_distances(m, lo, hi - 1)
         if seg.any():
             s = float(seg.max())
-            best = max(best, s * (m * dt) ** (-delta) * (dt * float(np.sum((seg / s) ** p))) ** (1.0 / p))
+            best = _max(best, s * (m * dt) ** (-delta) * (dt * float(np.sum((seg / s) ** p))) ** (1.0 / p))
     return float(best)
 
 

@@ -36,16 +36,28 @@ pi(X_{t_j,t_{j+1}})^word times that word's matrix.  At depth 1 a quadratic
 part adds the column block sum_i dX^i Q_i acting on Y_j (x) Y_j.  All maps
 are built before the loop, word by word with elementwise products (so a map
 does not depend on how many steps are built with it), and the loop is one
-matrix-vector product per step on the monomials (1, Y_j[, Y_j (x) Y_j]).  A
-quadratic field at depth 2 or 3 is evaluated at every step from flattened
-coefficient matrices.  The box is tested once, on all states, after the
-loop; arithmetic past a blow-up is silent.  ``oracle.euler_step_increment``
-keeps the term-by-term formula as the independent reference.
+matrix-vector product per step on the monomials (1, Y_j[, Y_j (x) Y_j]).
+
+A quadratic field at depth N = 2 or 3 has no affine step map: word (i_1..i_k)
+contributes the polynomial P_(i_1..i_k) = (V_{i_1} ... V_{i_k} Id) of degree
+k+1, with P_i = V_i and P_(i,w) = DP_w . V_i.  These are composed once per
+solve, in elementwise products and sums of one fixed order (no BLAS), on the
+graded basis of symmetric monomials of degree <= N+1, W = C(m+N+1, N+1) of
+them (15 at m = 2, N = 3), and stacked with Id (the empty word) as one matrix
+C of m (1 + n + ... + n^N) rows.  A step then forms the monomials mu of Y_j
+(one gather of their factors and one product over them), u = C mu, and
+Y_{j+1} as the step's increment words (1 first) times u: two matrix-vector
+products and no per-step map array.
+
+The box is tested once, on all states, after the loop; arithmetic past a
+blow-up is silent.  ``oracle.euler_step_increment`` keeps the term-by-term
+formula as the independent reference.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -372,57 +384,129 @@ def _map_steps(maps: np.ndarray, y0: np.ndarray) -> np.ndarray:
     return ys
 
 
-def _polynomial_steps(v: VectorField, y0: np.ndarray, levels) -> np.ndarray:
-    """Step-N Euler states, N = 2 or 3, for a field with a quadratic part.
+#: Terms per block of the word-polynomial composition (``_word_polynomials``).
+_BLOCK_TERMS = 1 << 15
 
-    Evaluated one step at a time: V(y), row i equal to V_i(y), is one
-    matrix product with the monomials (1, y, y (x) y), the Jacobian one with
-    (1, y), and the level-2 and level-3 terms are flattened matrix products
-    over these.
+
+def _monomials(m: int, degree: int) -> np.ndarray:
+    """Exponents of the symmetric monomials of degree <= ``degree`` in m
+    variables, shape (W, m) with W = C(m + degree, degree), in the order of
+    ``_monomial_key``: graded, so row 0 is 1 and rows 1..m are y_1..y_m."""
+    exps = np.array([np.bincount(c, minlength=m) for d in range(degree + 1)
+                     for c in itertools.combinations_with_replacement(range(m), d)],
+                    dtype=np.int64).reshape(-1, m)
+    return exps[np.argsort(_monomial_key(exps, degree))]
+
+
+def _monomial_key(e: np.ndarray, degree: int) -> np.ndarray:
+    # the degree, then the exponents as digits base degree + 1
+    digits = (degree + 1) ** np.arange(e.shape[-1] + 1)
+    return e.sum(axis=-1) * digits[-1] + (e * digits[:-1]).sum(axis=-1)
+
+
+def _monomial_rows(exps: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Rows of the table ``exps`` of ``_monomials`` that hold the exponents ``e``."""
+    degree = int(exps[-1].sum())
+    return np.searchsorted(_monomial_key(exps, degree), _monomial_key(e, degree))
+
+
+def _factors(exps: np.ndarray, count: int) -> np.ndarray:
+    """The factors of the monomials ``exps``, shape (count, W): column r holds
+    the variables of monomial r in increasing order, each as often as its
+    exponent, then m (a factor 1) up to ``count``."""
+    return (np.cumsum(exps, axis=1)[:, None, :] <= np.arange(count)[:, None]).sum(axis=2).T
+
+
+def _word_polynomials(v: VectorField, exps: np.ndarray, depth: int) -> np.ndarray:
+    """Coefficients of the step-N Euler word polynomials, N = ``depth``, on the
+    monomials ``exps`` of degree <= N+1.
+
+    Word (i_1..i_k) contributes P_(i_1..i_k)(y) = (V_{i_1} ... V_{i_k} Id)(y);
+    P_i = V_i, and P_(i,w) = DP_w . V_i has degree k+1.  The rows of the
+    result are those of Id (the empty word), then, level by level and in C
+    order of the words, the m rows of every P_w.  Level k+1 applies the
+    derivation D_i P = sum_b V_i^b d_b P to every row of level k: each
+    (source monomial s of degree <= k+1, b with s_b > 0, monomial t of V_i^b)
+    makes one term s_b P[s] V_i^b[t], and the terms of one target monomial
+    are added in one fixed order by ``np.add.reduceat``.  Rows do not
+    interact, so they run in blocks of about ``_BLOCK_TERMS`` terms, and no
+    value depends on the blocks or on BLAS.
     """
-    m, n, depth = v.m, v.n, len(levels)
-    vf = np.concatenate([v.const.reshape(n * m, 1), v.lin.reshape(n * m, m),
-                         v.quad.reshape(n * m, m * m)], axis=1)
-    # jf @ (1, y) is the Jacobian laid out as J[a, (j, b)] = d V_j^a / d y_b
-    jf = np.concatenate([v.lin.transpose(1, 0, 2).reshape(m * n * m, 1),
-                         2.0 * v.quad.transpose(1, 0, 2, 3).reshape(m * n * m, m)], axis=1)
-    hess = 2.0 * v.quad.transpose(1, 3, 2, 0).reshape(m, m * m * n)   # [a, (c, b, k)]
-    steps = levels[0].shape[0]
-    g1 = levels[0]
-    g2t = levels[1].reshape(steps, n, n).transpose(0, 2, 1).copy()      # [j, i] = g2[i, j]
-    if depth > 2:
-        g3t = levels[2].reshape(steps, n, n, n).transpose(0, 2, 1, 3).copy()  # [j, i, k]
-    mono = np.empty(1 + m + m * m)
-    mono[0] = 1.0
-    square = mono[1 + m:].reshape(m, m)
-    y, ys = y0, [y0]
-    for j in range(steps):
-        mono[1:1 + m] = y
-        np.multiply.outer(y, y, out=square)
-        vt = (vf @ mono).reshape(n, m)
-        jac = (jf @ mono[:1 + m]).reshape(m, n * m)
-        inc = g1[j] @ vt + jac @ (g2t[j] @ vt).ravel()
-        if depth > 2:
-            u = vt.T @ g3t[j]                    # [j, c, k] = sum_i V_i^c g3[i, j, k]
-            inc = inc + hess @ (vt.T @ u.reshape(n, m * n)).ravel()
-            inc = inc + jac @ (jac @ u.reshape(n * m, n)).T.ravel()
-        y = y + inc
-        ys.append(y)
-    return np.stack(ys)
+    n, m = v.n, v.m
+    width, quad = exps.shape[0], (m + 1) * (m + 2) // 2      # degree <= N+1, <= 2
+    unit = np.eye(m, dtype=np.int64)
+    # V_i^a on the monomials of degree <= 2: c, A, and Q[b, c] + Q[c, b] on y_b y_c
+    b, c = _factors(exps, 2)[:, 1 + m:quad]
+    field = np.zeros((n, m, quad))
+    field[:, :, 0] = v.const
+    field[:, :, 1:1 + m] = v.lin
+    field[:, :, 1 + m:] = np.where(b == c, v.quad[:, :, b, c],
+                                   v.quad[:, :, b, c] + v.quad[:, :, c, b])
+    level = np.zeros((n * m, width))
+    level[:, :quad] = field.reshape(n * m, quad)
+    rows = [np.eye(m, width, 1), level]
+    degree = exps.sum(axis=1)
+    for k in range(1, depth):
+        # the monomials of degree <= k+1 are the first rows of the table
+        src, b = np.nonzero(exps[degree <= k + 1] > 0)
+        src, b, t = np.repeat(src, quad), np.repeat(b, quad), np.tile(np.arange(quad), src.size)
+        target = _monomial_rows(exps, exps[src] - unit[b] + exps[t])
+        order = np.argsort(target, kind="stable")
+        src, b, t, target = src[order], b[order], t[order], target[order]
+        starts = np.flatnonzero(np.diff(target, prepend=-1))
+        coef = exps[src, b] * field[:, b, t]                    # (n, terms)
+        nxt = np.zeros((n, level.shape[0], width))
+        block, cols = max(1, _BLOCK_TERMS // src.size), target[starts]
+        for r in range(0, level.shape[0], block):
+            terms = level[r:r + block, src]
+            for i in range(n):
+                nxt[i][r:r + block, cols] = np.add.reduceat(terms * coef[i], starts, axis=1)
+        level = nxt.reshape(-1, width)
+        rows.append(level)
+    return np.concatenate(rows)
+
+
+def _word_steps(v: VectorField, y0: np.ndarray, levels) -> np.ndarray:
+    """States Y_0..Y_S of the step-N Euler scheme for a field with a quadratic
+    part at depth N = 2 or 3: one gather, one product reduction and two
+    matrix-vector products a step.
+
+    Row j of one buffer holds Y_j and a 1.  The monomials mu of Y_j are one
+    gather of that row, each monomial's N+1 factors (its variables as often
+    as their exponents, padded with the 1), multiplied factor by factor;
+    u = C mu holds every word polynomial at Y_j (``_word_polynomials``), and
+    Y_{j+1} is step j's increment words, 1 for the empty word first, times u
+    as a (words, m) matrix.
+    """
+    m, depth = v.m, len(levels)
+    exps = _monomials(m, depth + 1)
+    coef = _word_polynomials(v, exps, depth)
+    factors = _factors(exps, depth + 1)
+    words = np.concatenate([np.ones((levels[0].shape[0], 1)), *levels], axis=1)
+    mono, u = np.empty(exps.shape[0]), np.empty(coef.shape[0])
+    terms = u.reshape(-1, m)
+    states = np.ones((words.shape[0] + 1, m + 1))
+    states[0, :m] = y0
+    ys = states[:, :m]
+    for g, row, out in zip(words, states, ys[1:]):
+        np.multiply.reduce(row[factors], axis=0, out=mono)
+        coef.dot(mono, out=u)
+        g.dot(terms, out=out)
+    return ys
 
 
 def _euler_steps(v: VectorField, y0: np.ndarray, levels, times) -> np.ndarray:
     """States Y_0..Y_S of the step-N Euler scheme along stacked increments.
 
     A field without a quadratic part, and any field at depth 1, runs one
-    precomputed step map per step; a quadratic field at depth 2 or 3 is
-    evaluated at every step.  Arithmetic past a blow-up is silent; the first
+    precomputed step map per step; a quadratic field at depth 2 or 3 runs
+    its composed word polynomials.  Arithmetic past a blow-up is silent; the first
     state at ``times[1:]`` outside the box, or not finite, raises
     ``BlowUpError`` with its time.
     """
     with np.errstate(all="ignore"):
         if v.quad.any() and len(levels) > 1:
-            ys = _polynomial_steps(v, y0, levels)
+            ys = _word_steps(v, y0, levels)
         else:
             ys = _map_steps(_step_maps(v, levels), y0)
         dist = np.linalg.norm(ys[1:] - y0, axis=1)

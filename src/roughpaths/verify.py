@@ -463,9 +463,8 @@ def check_inclusion_constants(paths, refined_paths, delta, p, eps=0.1) -> list[C
         ("inclusion_sobolev_riesz", "inclusion_riesz_nikolskii", "inclusion_nik_refined"),
         coarse, fine,
     ):
-        # NumPy's repr of the constant, as the reports have always printed it
         recs.append(reported_record(name, c0, params=pr,
-                                    notes=f"refined-grid constant {np.float64(c1)!r}"))
+                                    notes=f"refined-grid constant {float(c1)!r}"))
         recs.append(ineq_record(f"{name}_stability",
                                 max(_safe_ratio(c0, c1), _safe_ratio(c1, c0)), 2.0,
                                 constant=1.0, params=pr,

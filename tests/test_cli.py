@@ -366,6 +366,22 @@ def test_dist_infinite_or_missing_p_exit3(tmp_path, capsys, rng, p_args):
             assert err == f"error: the {kind} distance needs a finite p\n"
 
 
+def test_dist_beyond_the_float_range_exit3(tmp_path, capsys):
+    # differences near 1e150 over gaps near 1e-300: no value, no warning
+    f = random_walk_path(np.random.default_rng(5), 32, 2)
+    values = 1e150 / np.ptp(f.values) * f.values
+    f1, f2 = tmp_path / "far-a.csv", tmp_path / "far-b.csv"
+    write_path_csv(EuclideanPath(TimeGrid.uniform(32, 1e-300), values), f1)
+    write_path_csv(EuclideanPath(TimeGrid.uniform(32, 1e-300), 1.1 * values), f2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["dist", str(f1), str(f2), "--depth", "1", "--kind", "riesz",
+                     "--delta", "1", "--p", "4"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "error: rho_riesz_level leaves the float range on this input\n"
+
+
 def test_dist_nikolskii_hat_of_zero_one_step_differences(tmp_path, capsys):
     # every one-step level-2 difference of the pair is 0 and every power
     # underflows at p = 300; the level-2 distance is not 0

@@ -114,6 +114,34 @@ def test_infinite_p_error_names_the_requested_kind(rng):
         rho_mixed_level(x1, x2, 0.45, P_INF, 1)
 
 
+def _far_pair():
+    # differences near 1e150 over gaps near 1e-300, lifted to depth 1
+    f = random_walk_path(np.random.default_rng(5), 32, 2)
+    values = 1e150 / np.ptp(f.values) * f.values
+    grid = TimeGrid.uniform(32, 1e-300)
+    return (lift(EuclideanPath(grid, values), 1), lift(EuclideanPath(grid, 1.1 * values), 1),
+            f, values)
+
+
+def test_distances_beyond_the_float_range_raise():
+    # the one exit check of the norms: NaN or inf raises, no warning escapes;
+    # q-variation reads no gap and keeps its value
+    x1, x2, f, values = _far_pair()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, dist in (
+                ("rho_riesz_level", lambda: rho_riesz_level(x1, x2, 1.0, 4.0, 1)),
+                ("rho_mixed_level", lambda: rho_mixed_level(x1, x2, 1.0, 4.0, 1)),
+                ("rho_nikolskii_hat_level",
+                 lambda: rho_nikolskii_hat_level(x1, x2, 1.0, 4.0, 1)),
+                ("rho_riesz_level",
+                 lambda: rho_aggregate(x1, x2, DistKind.RIESZ, delta=1.0, p=4.0))):
+            with pytest.raises(ParameterError, match=f"^{name} leaves the float range"):
+                dist()
+        got = rho_qvar_level(x1, x2, 2.0, 1)
+    assert got == pytest.approx(0.1 * 1e150 / np.ptp(f.values) * qvar_norm(f, 2.0), rel=1e-12)
+
+
 @pytest.mark.parametrize("e", [260, -300])
 def test_lifts_beyond_the_square_range_raise(e):
     # level 2 of the lift is about 2^520 or 2^-600: its squares leave the float range

@@ -759,6 +759,19 @@ def test_norms_beyond_the_float_range_raise():
                                                   rel=1e-12)
 
 
+def test_norms_keep_a_nan_block_or_shift_maximum():
+    # distances beyond the float range: inf / inf turns a block or shift
+    # maximum into NaN, which the sup must keep for the exit check
+    f = EuclideanPath(TimeGrid.uniform(4), [[1.7e308, -1.7e308], [-1.7e308, 1.7e308],
+                                            [1e308, 0.0], [0.0, 0.0], [-1.7e308, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in (lambda: holder_norm(f, 0.5), lambda: nikolskii_norm(f, 0.5, 4.0),
+                     lambda: nikolskii_norm(f, 0.5, P_INF)):
+            with pytest.raises(ParameterError, match="float range"):
+                norm()
+
+
 def test_riesz_time_factor_folded_into_base_at_large_delta_p():
     # g^(1 - delta*p) = 2^894 on one step of 64: formed after the power, the
     # product overflows at c = 4.5 (seed 1) and (d/s)^p of short blocks underflows

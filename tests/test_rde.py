@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -28,7 +29,13 @@ from roughpaths import (
 )
 from roughpaths.oracle import euler_step_increment
 from roughpaths.paths import GroupPath
-from roughpaths.rde import _euler_steps, _group_increments, _step_maps
+from roughpaths.rde import (
+    _euler_steps,
+    _group_increments,
+    _monomials,
+    _step_maps,
+    _word_polynomials,
+)
 from conftest import random_walk_path
 
 
@@ -465,6 +472,76 @@ def test_solvers_match_oracle_step_loop(family, depth, n, m, substeps, intervals
         y = y + euler_step_increment(v, y, [g.level(k) for k in range(depth + 1)])
         ys.append(y)
     _assert_close_to(got.values, np.stack(ys))
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_word_polynomials_equal_oracle_terms(rng, n, m, depth):
+    # the rows of the empty word are Id, then every word w of levels 1..N in
+    # C order: P_w at a point is the oracle's step increment under the one-hot
+    # increment on w
+    v = _random_field(rng, FieldFamily.POLYNOMIAL, n, m, 1.0)
+    exps = _monomials(m, depth + 1)
+    assert exps.shape[0] == math.comb(m + depth + 1, depth + 1)
+    coef = _word_polynomials(v, exps, depth)
+    words = [w for k in range(1, depth + 1) for w in np.ndindex(*(n,) * k)]
+    assert coef.shape == ((1 + len(words)) * m, exps.shape[0])
+    for y in rng.uniform(-1.5, 1.5, (4, m)):
+        u = (coef * np.prod(y**exps, axis=1)).sum(axis=1).reshape(-1, m)
+        np.testing.assert_allclose(u[0], y, rtol=0, atol=1e-15)
+        for w, got in zip(words, u[1:]):
+            g = [None] + [np.zeros((n,) * k) for k in range(1, depth + 1)]
+            g[len(w)][w] = 1.0
+            want = euler_step_increment(v, y, g)
+            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def test_wide_quadratic_solve_matches_oracle_step_loop(rng):
+    # n = 3, m = 6 at depth 3: 210 monomials and 40 words of 6 rows
+    x = _area_driver(_random_driver(rng, 60, 3, uniform=False), 3)
+    v = _random_field(rng, FieldFamily.POLYNOMIAL, 3, 6, 0.3)
+    y0 = rng.uniform(-1.0, 1.0, 6)
+    got = solve_rough(y0, v, x, RdeConfig(depth=3, scheme=Scheme.ROUGH_EULER))
+    y, ys = y0, [y0]
+    for j in range(20):
+        g = group_mul(group_inverse(x.values[j]), x.values[j + 1])
+        y = y + euler_step_increment(v, y, [g.level(k) for k in range(4)])
+        ys.append(y)
+    _assert_close_to(got.values, np.stack(ys))
+
+
+def _oracle_exit_time(v, y0, xg, depth):
+    # the oracle step loop with the solvers' box test; None if it stays inside
+    y = y0
+    with np.errstate(all="ignore"):
+        for j in range(len(xg.grid) - 1):
+            g = group_mul(group_inverse(xg.values[j]), xg.values[j + 1])
+            y = y + euler_step_increment(v, y, [g.level(k) for k in range(depth + 1)])
+            if not (np.linalg.norm(y - y0) <= v.box_radius and np.isfinite(y).all()):
+                return float(xg.grid.times[j + 1])
+    return None
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_quadratic_blow_up_times_equal_oracle_step_loop(depth):
+    blow_ups = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, m = rng.integers(1, 4, size=2)
+        x = _area_driver(_random_driver(rng, 90, n, uniform=bool(seed % 2)), depth)
+        v = _random_field(rng, FieldFamily.POLYNOMIAL, n, m, 2.0, box_radius=3.0)
+        y0 = rng.uniform(-1.0, 1.0, m)
+        want = _oracle_exit_time(v, y0, x, depth)
+        cfg = RdeConfig(depth=depth, scheme=Scheme.ROUGH_EULER)
+        if want is None:
+            solve_rough(y0, v, x, cfg)
+            continue
+        blow_ups += 1
+        with pytest.raises(BlowUpError) as err:
+            solve_rough(y0, v, x, cfg)
+        assert err.value.exit_time == want
+    assert blow_ups >= 10
 
 
 @pytest.mark.parametrize("depth, exit_time", [(1, 0.2), (2, 0.1), (3, 0.1)])

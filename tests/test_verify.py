@@ -371,10 +371,10 @@ def test_lipschitz_records_with_blow_ups_are_pinned():
         bv = verify.run_lipschitz_bv_suite(BLOW_UP_FAMILY, b=3.0, l=10.0, seed=0)
     assert _records(rough) == [
         ("lipschitz_ratios_finite", 0.0, 0.0, True),
-        ("lipschitz_max_ratio", 1.249271482637137, 0.0, True),
+        ("lipschitz_max_ratio", 1.2492714826371365, 0.0, True),
         ("lipschitz_blowups", 9.0, 0.0, True),
-        ("lipschitz_ball_monotone", 0.6273639040579831, 1.249271482637137, True),
-        ("lipschitz_refine_stable", 1.689645057201518, 2.0, True),
+        ("lipschitz_ball_monotone", 0.6273639040579818, 1.2492714826371365, True),
+        ("lipschitz_refine_stable", 1.6896450572015165, 2.0, True),
     ]
     assert _records(bv) == [
         ("lipschitz_bv_ratios_finite", 0.0, 0.0, True),
