@@ -45,7 +45,7 @@ solve, in elementwise products and sums of one fixed order (no BLAS), on the
 graded basis of symmetric monomials of degree <= N+1, W = C(m+N+1, N+1) of
 them (15 at m = 2, N = 3), and stacked with Id (the empty word) as one matrix
 C of m (1 + n + ... + n^N) rows.  A step then forms the monomials mu of Y_j
-(one gather of their factors and one product over them), u = C mu, and
+(one gather of their factors and N products), u = C mu, and
 Y_{j+1} as the step's increment words (1 first) times u: two matrix-vector
 products and no per-step map array.
 
@@ -399,15 +399,11 @@ def _monomials(m: int, degree: int) -> np.ndarray:
 
 
 def _monomial_key(e: np.ndarray, degree: int) -> np.ndarray:
-    # the degree, then the exponents as digits base degree + 1
+    """Sort key of exponent rows of degree <= ``degree``: the degree, then the
+    exponents as digits base degree + 1.  It is linear in the exponents, so
+    the key of a product of monomials is the sum of their keys."""
     digits = (degree + 1) ** np.arange(e.shape[-1] + 1)
     return e.sum(axis=-1) * digits[-1] + (e * digits[:-1]).sum(axis=-1)
-
-
-def _monomial_rows(exps: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Rows of the table ``exps`` of ``_monomials`` that hold the exponents ``e``."""
-    degree = int(exps[-1].sum())
-    return np.searchsorted(_monomial_key(exps, degree), _monomial_key(e, degree))
 
 
 def _factors(exps: np.ndarray, count: int) -> np.ndarray:
@@ -434,7 +430,6 @@ def _word_polynomials(v: VectorField, exps: np.ndarray, depth: int) -> np.ndarra
     """
     n, m = v.n, v.m
     width, quad = exps.shape[0], (m + 1) * (m + 2) // 2      # degree <= N+1, <= 2
-    unit = np.eye(m, dtype=np.int64)
     # V_i^a on the monomials of degree <= 2: c, A, and Q[b, c] + Q[c, b] on y_b y_c
     b, c = _factors(exps, 2)[:, 1 + m:quad]
     field = np.zeros((n, m, quad))
@@ -442,38 +437,42 @@ def _word_polynomials(v: VectorField, exps: np.ndarray, depth: int) -> np.ndarra
     field[:, :, 1:1 + m] = v.lin
     field[:, :, 1 + m:] = np.where(b == c, v.quad[:, :, b, c],
                                    v.quad[:, :, b, c] + v.quad[:, :, c, b])
-    level = np.zeros((n * m, width))
+    coef = np.zeros((m * sum(n**k for k in range(depth + 1)), width))
+    coef[:m] = np.eye(m, width, 1)
+    level, start = coef[m:m + n * m], m + n * m
     level[:, :quad] = field.reshape(n * m, quad)
-    rows = [np.eye(m, width, 1), level]
-    degree = exps.sum(axis=1)
+    degree, key = exps.sum(axis=1), _monomial_key(exps, depth + 1)
     for k in range(1, depth):
-        # the monomials of degree <= k+1 are the first rows of the table
+        # the monomials of degree <= k+1 are the first rows of the table, and
+        # y_b is row 1+b: the target s - y_b + t has the key of s less y_b's plus t's
         src, b = np.nonzero(exps[degree <= k + 1] > 0)
         src, b, t = np.repeat(src, quad), np.repeat(b, quad), np.tile(np.arange(quad), src.size)
-        target = _monomial_rows(exps, exps[src] - unit[b] + exps[t])
+        target = np.searchsorted(key, key[src] - key[1 + b] + key[t])
         order = np.argsort(target, kind="stable")
         src, b, t, target = src[order], b[order], t[order], target[order]
         starts = np.flatnonzero(np.diff(target, prepend=-1))
-        coef = exps[src, b] * field[:, b, t]                    # (n, terms)
-        nxt = np.zeros((n, level.shape[0], width))
+        scale = exps[src, b] * field[:, b, t]                   # (n, terms)
+        rows = level.shape[0]
+        nxt = coef[start:start + n * rows].reshape(n, rows, width)
         block, cols = max(1, _BLOCK_TERMS // src.size), target[starts]
-        for r in range(0, level.shape[0], block):
+        for r in range(0, rows, block):
             terms = level[r:r + block, src]
             for i in range(n):
-                nxt[i][r:r + block, cols] = np.add.reduceat(terms * coef[i], starts, axis=1)
-        level = nxt.reshape(-1, width)
-        rows.append(level)
-    return np.concatenate(rows)
+                nxt[i][r:r + block, cols] = np.add.reduceat(terms * scale[i], starts, axis=1)
+        level, start = coef[start:start + n * rows], start + n * rows
+    return coef
 
 
 def _word_steps(v: VectorField, y0: np.ndarray, levels) -> np.ndarray:
     """States Y_0..Y_S of the step-N Euler scheme for a field with a quadratic
-    part at depth N = 2 or 3: one gather, one product reduction and two
+    part at depth N = 2 or 3: one gather, N products of factors and two
     matrix-vector products a step.
 
     Row j of one buffer holds Y_j and a 1.  The monomials mu of Y_j are one
     gather of that row, each monomial's N+1 factors (its variables as often
-    as their exponents, padded with the 1), multiplied factor by factor;
+    as their exponents, padded with the 1), multiplied factor by factor
+    (N products over all monomials at once, which beats one reduction over
+    the factor axis once there are more than about 70 monomials);
     u = C mu holds every word polynomial at Y_j (``_word_polynomials``), and
     Y_{j+1} is step j's increment words, 1 for the empty word first, times u
     as a (words, m) matrix.
@@ -489,7 +488,10 @@ def _word_steps(v: VectorField, y0: np.ndarray, levels) -> np.ndarray:
     states[0, :m] = y0
     ys = states[:, :m]
     for g, row, out in zip(words, states, ys[1:]):
-        np.multiply.reduce(row[factors], axis=0, out=mono)
+        first, second, *rest = row[factors]
+        np.multiply(first, second, out=mono)
+        for factor in rest:
+            np.multiply(mono, factor, out=mono)
         coef.dot(mono, out=u)
         g.dot(terms, out=out)
     return ys
