@@ -47,7 +47,10 @@ them (15 at m = 2, N = 3), and stacked with Id (the empty word) as one matrix
 C of m (1 + n + ... + n^N) rows.  A step then forms the monomials mu of Y_j
 (one gather of their factors and N products), u = C mu, and
 Y_{j+1} as the step's increment words (1 first) times u: two matrix-vector
-products and no per-step map array.
+products and no per-step map array.  C grows as n^N m^(N+2), so a field
+with more than 256 monomials, or a C of more than 2^16 entries, is instead
+evaluated at every step (V(Y_j) and its Jacobian by flattened products),
+whose cost grows as n m^3 + m n^3.
 
 The box is tested once, on all states, after the loop; arithmetic past a
 blow-up is silent.  ``oracle.euler_step_increment`` keeps the term-by-term
@@ -386,24 +389,47 @@ def _map_steps(maps: np.ndarray, y0: np.ndarray) -> np.ndarray:
 
 #: Terms per block of the word-polynomial composition (``_word_polynomials``).
 _BLOCK_TERMS = 1 << 15
+#: Most monomials and most entries of the composed matrix C (``_word_steps``).
+#: C has m (1 + n + ... + n^N) rows and W = C(m+N+1, N+1) columns, so it
+#: grows as n^N m^(N+2), and the work of its composition as
+#: n^(N-1) m^(N+3); a field beyond either bound is evaluated at every step
+#: (``_polynomial_steps``), whose cost grows as n m^3 + m n^3.  Near the
+#: bounds the two take about equally long at 1024 steps.
+_WORD_WIDTH, _WORD_COEFS = 1 << 8, 1 << 16
 
 
 def _monomials(m: int, degree: int) -> np.ndarray:
     """Exponents of the symmetric monomials of degree <= ``degree`` in m
     variables, shape (W, m) with W = C(m + degree, degree), in the order of
-    ``_monomial_key``: graded, so row 0 is 1 and rows 1..m are y_1..y_m."""
+    ``_monomial_rank``: graded, so row 0 is 1 and rows 1..m are y_1..y_m."""
     exps = np.array([np.bincount(c, minlength=m) for d in range(degree + 1)
                      for c in itertools.combinations_with_replacement(range(m), d)],
-                    dtype=np.int64).reshape(-1, m)
-    return exps[np.argsort(_monomial_key(exps, degree))]
+                    dtype=np.int8).reshape(-1, m)
+    table = np.empty_like(exps)
+    table[_monomial_rank(exps)] = exps
+    return table
 
 
-def _monomial_key(e: np.ndarray, degree: int) -> np.ndarray:
-    """Sort key of exponent rows of degree <= ``degree``: the degree, then the
-    exponents as digits base degree + 1.  It is linear in the exponents, so
-    the key of a product of monomials is the sum of their keys."""
-    digits = (degree + 1) ** np.arange(e.shape[-1] + 1)
-    return e.sum(axis=-1) * digits[-1] + (e * digits[:-1]).sum(axis=-1)
+def _monomial_rank(e: np.ndarray) -> np.ndarray:
+    """Positions of the exponent rows ``e`` in the graded order: by degree,
+    then by the exponents from the last variable to the first.
+
+    The position counts the monomials before the row: those of lower degree,
+    then, variable by variable from the last, those that agree on the later
+    exponents and have a smaller one here.  Each count is one of
+    C(r + v, v), the number of monomials of degree <= r in v variables, so no
+    value exceeds the number of monomials of the rows' largest degree.
+    """
+    m, remaining = e.shape[-1], e.sum(axis=-1)
+    # below[r + 1, v] = C(r + v, v); row 0 (r = -1) counts nothing
+    below = np.array([[0] * (m + 1)] + [[math.comb(r + v, v) for v in range(m + 1)]
+                                        for r in range(int(remaining.max()) + 1)],
+                     dtype=np.int64)
+    rank = below[remaining, m]
+    for var in range(m - 1, 0, -1):
+        rank += below[remaining + 1, var] - below[remaining - e[..., var] + 1, var]
+        remaining = remaining - e[..., var]
+    return rank
 
 
 def _factors(exps: np.ndarray, count: int) -> np.ndarray:
@@ -441,13 +467,13 @@ def _word_polynomials(v: VectorField, exps: np.ndarray, depth: int) -> np.ndarra
     coef[:m] = np.eye(m, width, 1)
     level, start = coef[m:m + n * m], m + n * m
     level[:, :quad] = field.reshape(n * m, quad)
-    degree, key = exps.sum(axis=1), _monomial_key(exps, depth + 1)
+    degree = exps.sum(axis=1)
     for k in range(1, depth):
         # the monomials of degree <= k+1 are the first rows of the table, and
-        # y_b is row 1+b: the target s - y_b + t has the key of s less y_b's plus t's
+        # y_b is row 1+b: the target of a term is the monomial s - y_b + t
         src, b = np.nonzero(exps[degree <= k + 1] > 0)
         src, b, t = np.repeat(src, quad), np.repeat(b, quad), np.tile(np.arange(quad), src.size)
-        target = np.searchsorted(key, key[src] - key[1 + b] + key[t])
+        target = _monomial_rank(exps[src] - exps[1 + b] + exps[t])
         order = np.argsort(target, kind="stable")
         src, b, t, target = src[order], b[order], t[order], target[order]
         starts = np.flatnonzero(np.diff(target, prepend=-1))
@@ -497,20 +523,66 @@ def _word_steps(v: VectorField, y0: np.ndarray, levels) -> np.ndarray:
     return ys
 
 
+def _polynomial_steps(v: VectorField, y0: np.ndarray, levels) -> np.ndarray:
+    """Step-N Euler states, N = 2 or 3, for a field with a quadratic part.
+
+    Evaluated one step at a time: V(y), row i equal to V_i(y), is one
+    matrix product with the monomials (1, y, y (x) y), the Jacobian one with
+    (1, y), and the level-2 and level-3 terms are flattened matrix products
+    over these.
+    """
+    m, n, depth = v.m, v.n, len(levels)
+    vf = np.concatenate([v.const.reshape(n * m, 1), v.lin.reshape(n * m, m),
+                         v.quad.reshape(n * m, m * m)], axis=1)
+    # jf @ (1, y) is the Jacobian laid out as J[a, (j, b)] = d V_j^a / d y_b
+    jf = np.concatenate([v.lin.transpose(1, 0, 2).reshape(m * n * m, 1),
+                         2.0 * v.quad.transpose(1, 0, 2, 3).reshape(m * n * m, m)], axis=1)
+    hess = 2.0 * v.quad.transpose(1, 3, 2, 0).reshape(m, m * m * n)   # [a, (c, b, k)]
+    steps = levels[0].shape[0]
+    g1 = levels[0]
+    g2t = levels[1].reshape(steps, n, n).transpose(0, 2, 1).copy()      # [j, i] = g2[i, j]
+    if depth > 2:
+        g3t = levels[2].reshape(steps, n, n, n).transpose(0, 2, 1, 3).copy()  # [j, i, k]
+    mono = np.empty(1 + m + m * m)
+    mono[0] = 1.0
+    square = mono[1 + m:].reshape(m, m)
+    y, ys = y0, [y0]
+    for j in range(steps):
+        mono[1:1 + m] = y
+        np.multiply.outer(y, y, out=square)
+        vt = (vf @ mono).reshape(n, m)
+        jac = (jf @ mono[:1 + m]).reshape(m, n * m)
+        inc = g1[j] @ vt + jac @ (g2t[j] @ vt).ravel()
+        if depth > 2:
+            u = vt.T @ g3t[j]                    # [j, c, k] = sum_i V_i^c g3[i, j, k]
+            inc = inc + hess @ (vt.T @ u.reshape(n, m * n)).ravel()
+            inc = inc + jac @ (jac @ u.reshape(n * m, n)).T.ravel()
+        y = y + inc
+        ys.append(y)
+    return np.stack(ys)
+
+
 def _euler_steps(v: VectorField, y0: np.ndarray, levels, times) -> np.ndarray:
     """States Y_0..Y_S of the step-N Euler scheme along stacked increments.
 
     A field without a quadratic part, and any field at depth 1, runs one
     precomputed step map per step; a quadratic field at depth 2 or 3 runs
-    its composed word polynomials.  Arithmetic past a blow-up is silent; the first
-    state at ``times[1:]`` outside the box, or not finite, raises
-    ``BlowUpError`` with its time.
+    its composed word polynomials while their basis and matrix stay within
+    ``_WORD_WIDTH`` and ``_WORD_COEFS``, and is evaluated at every step
+    beyond them.  Arithmetic past a blow-up is silent; the first state at
+    ``times[1:]`` outside the box, or not finite, raises ``BlowUpError``
+    with its time.
     """
     with np.errstate(all="ignore"):
-        if v.quad.any() and len(levels) > 1:
+        depth = len(levels)
+        width = math.comb(v.m + depth + 1, depth + 1)
+        if not (v.quad.any() and depth > 1):
+            ys = _map_steps(_step_maps(v, levels), y0)
+        elif (width <= _WORD_WIDTH
+              and width * v.m * sum(v.n**k for k in range(depth + 1)) <= _WORD_COEFS):
             ys = _word_steps(v, y0, levels)
         else:
-            ys = _map_steps(_step_maps(v, levels), y0)
+            ys = _polynomial_steps(v, y0, levels)
         dist = np.linalg.norm(ys[1:] - y0, axis=1)
     inside = (dist <= v.box_radius) & np.isfinite(ys[1:]).all(axis=1)
     if not inside.all():

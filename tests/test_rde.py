@@ -28,10 +28,12 @@ from roughpaths import (
     solve_rough,
 )
 from roughpaths.oracle import euler_step_increment
+from roughpaths import rde
 from roughpaths.paths import GroupPath
 from roughpaths.rde import (
     _euler_steps,
     _group_increments,
+    _monomial_rank,
     _monomials,
     _step_maps,
     _word_polynomials,
@@ -497,16 +499,42 @@ def test_word_polynomials_equal_oracle_terms(rng, n, m, depth):
             assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
-def test_wide_quadratic_solve_matches_oracle_step_loop(rng):
-    # n = 3, m = 6 at depth 3: 210 monomials and 40 words of 6 rows
-    x = _area_driver(_random_driver(rng, 60, 3, uniform=False), 3)
-    v = _random_field(rng, FieldFamily.POLYNOMIAL, 3, 6, 0.3)
-    y0 = rng.uniform(-1.0, 1.0, 6)
-    got = solve_rough(y0, v, x, RdeConfig(depth=3, scheme=Scheme.ROUGH_EULER))
+@pytest.mark.parametrize("m, degree", [(27, 4), (31, 3)])
+def test_monomial_ranks_hold_for_wide_bases(rng, m, degree):
+    # the bases of depth 3 at m = 27 and of depth 2 at m = 31: a sort key
+    # with one digit base degree + 1 per variable passes 2^63 here
+    exps = _monomials(m, degree)
+    assert exps.shape[0] == math.comb(m + degree, degree)
+    assert not exps[0].any() and np.array_equal(exps[1:1 + m], np.eye(m))
+    # graded, then by the exponents from the last variable to the first
+    assert np.array_equal(np.lexsort((*exps.T, exps.sum(axis=1))), np.arange(exps.shape[0]))
+    assert np.array_equal(_monomial_rank(exps), np.arange(exps.shape[0]))
+    low = exps[exps.sum(axis=1) <= degree // 2]
+    a, b = (low[rng.integers(0, low.shape[0], 500)] for _ in range(2))
+    np.testing.assert_array_equal(exps[_monomial_rank(a + b)], a + b)
+
+
+@pytest.mark.parametrize("n, m, depth, stepper", [
+    (3, 6, 3, "_word_steps"),          # 210 monomials, C of 240 x 210
+    (2, 9, 2, "_word_steps"),          # 220 monomials
+    (1, 7, 3, "_polynomial_steps"),    # 330 monomials
+    (13, 2, 3, "_polynomial_steps"),   # C of 4760 x 15
+    (1, 27, 3, "_polynomial_steps"),   # 31 465 monomials
+])
+def test_quadratic_solve_steps_by_basis_size(monkeypatch, rng, n, m, depth, stepper):
+    # a field with a small basis runs its composed word polynomials, a
+    # larger one the per-step evaluation; both stay on the oracle step loop
+    ran, step = [], getattr(rde, stepper)
+    monkeypatch.setattr(rde, stepper, lambda *args: ran.append(stepper) or step(*args))
+    x = _area_driver(_random_driver(rng, 60, n, uniform=False), depth)
+    v = _random_field(rng, FieldFamily.POLYNOMIAL, n, m, 1.0 / (n + m))
+    y0 = rng.uniform(-1.0, 1.0, m)
+    got = solve_rough(y0, v, x, RdeConfig(depth=depth, scheme=Scheme.ROUGH_EULER))
+    assert ran == [stepper]
     y, ys = y0, [y0]
     for j in range(20):
         g = group_mul(group_inverse(x.values[j]), x.values[j + 1])
-        y = y + euler_step_increment(v, y, [g.level(k) for k in range(4)])
+        y = y + euler_step_increment(v, y, [g.level(k) for k in range(depth + 1)])
         ys.append(y)
     _assert_close_to(got.values, np.stack(ys))
 
