@@ -28,29 +28,33 @@ is no longer finite, raise ``BlowUpError`` carrying the exit time.
 Step maps.  Both solvers run on the stacked increments of all steps: the
 driver increments divided by the substep count for ``solve_bv`` (depth 1),
 and levels 1..N of X_j^{-1} x X_{j+1} from one batched inverse and multiply
-for ``solve_rough``.  For a field without a quadratic part,
-V_i(y) = c_i + A_i y, the word (i_1..i_k) contributes
-A_{i_k} ... A_{i_2} (c_{i_1} + A_{i_1} y), so each step is affine in the
-state, Y_{j+1} = P_j Y_j + k_j, with [k_j | P_j - I] the sum over words of
-pi(X_{t_j,t_{j+1}})^word times that word's matrix.  At depth 1 a quadratic
-part adds the column block sum_i dX^i Q_i acting on Y_j (x) Y_j.  All maps
-are built before the loop, word by word with elementwise products (so a map
-does not depend on how many steps are built with it), and the loop is one
-matrix-vector product per step on the monomials (1, Y_j[, Y_j (x) Y_j]).
+for ``solve_rough``.  Word (i_1..i_k) contributes the polynomial
+P_(i_1..i_k) = (V_{i_1} ... V_{i_k} Id), with P_i = V_i and
+P_(i,w) = DP_w . V_i, and one function, ``_word_polynomials``, composes
+them all once per solve, in elementwise products and sums of one fixed
+order (no BLAS), and stacks them with Id (the empty word) as one matrix C of
+m (1 + n + ... + n^N) rows.
 
-A quadratic field at depth N = 2 or 3 has no affine step map: word (i_1..i_k)
-contributes the polynomial P_(i_1..i_k) = (V_{i_1} ... V_{i_k} Id) of degree
-k+1, with P_i = V_i and P_(i,w) = DP_w . V_i.  These are composed once per
-solve, in elementwise products and sums of one fixed order (no BLAS), on the
-graded basis of symmetric monomials of degree <= N+1, W = C(m+N+1, N+1) of
-them (15 at m = 2, N = 3), and stacked with Id (the empty word) as one matrix
-C of m (1 + n + ... + n^N) rows.  A step then forms the monomials mu of Y_j
-(one gather of their factors and N products), u = C mu, and
-Y_{j+1} as the step's increment words (1 first) times u: two matrix-vector
-products and no per-step map array.  C grows as n^N m^(N+2), so a field
-with more than 256 monomials, or a C of more than 2^16 entries, is instead
-evaluated at every step (V(Y_j) and its Jacobian by flattened products),
-whose cost grows as n m^3 + m n^3.
+For a field without a quadratic part, V_i(y) = c_i + A_i y, C is written on
+the monomials (1, y): level 1 is [c_i | A_i], and word (i_1..i_k) is
+A_{i_k} ... A_{i_2} [c_{i_1} | A_{i_1}].  So each step is affine in the state,
+Y_{j+1} = P_j Y_j + k_j, with [k_j | P_j - I] the sum over words of
+pi(X_{t_j,t_{j+1}})^word times that word's rows of C.  The maps are summed
+word by word with elementwise products (so a map does not depend on how
+many steps are built with it), and the loop is one matrix-vector product
+per step on (1, Y_j).
+
+A field with a quadratic part has no affine step map: P_w has degree k+1,
+and C is written on the graded basis of symmetric monomials of degree
+<= N+1, W = C(m+N+1, N+1) of them (15 at m = 2, N = 3).  A step then forms
+the monomials mu of Y_j (one gather of their factors and N products),
+u = C mu, and Y_{j+1} as the step's increment words (1 first) times u: two
+matrix-vector products and no per-step map array.  At depth 1,
+C = [Id; V] is about the size of the field, and every quadratic field
+steps so.  At depths 2 and 3, C grows as n^N m^(N+2), so a field with more
+than 256 monomials, or a C of more than 2^16 entries, is instead evaluated
+at every step (V(Y_j) and its Jacobian by flattened products), whose cost
+grows as n m^3 + m n^3.
 
 The box is tested once, on all states, after the loop; arithmetic past a
 blow-up is silent.  ``oracle.euler_step_increment`` keeps the term-by-term
@@ -337,59 +341,10 @@ def _state(y, v: VectorField, name: str = "y0") -> np.ndarray:
     return y
 
 
-def _step_maps(v: VectorField, levels) -> np.ndarray:
-    """Euler step maps: Y_{j+1} = G_j (1, Y_j[, Y_j (x) Y_j]), shape (steps, m, width).
-
-    ``levels[k-1]`` holds level k of every step's increment, shape
-    ``(steps, n**k)``, its words (i_1..i_k) flattened in C order.  The word
-    matrices of level 1 are [c_i | A_i], with the block Q_i on y (x) y for a
-    quadratic field, which runs here at depth 1 only; those of level k are
-    A_{i_k} times the level k-1 ones, so for an affine field the word's
-    matrix is that of (V_{i_1} ... V_{i_k} Id)(y) acting on (1, y).  The maps
-    are summed word by word with elementwise products, so each step's map
-    does not depend on the others.
-    """
-    n, m = v.n, v.m
-    parts = [v.const[:, :, None], v.lin]
-    if v.quad.any():
-        parts.append(v.quad.reshape(n, m, m * m))
-    words = np.concatenate(parts, axis=2)
-    maps = np.zeros((levels[0].shape[0], m, words.shape[2]))
-    for k, g in enumerate(levels):
-        if k:
-            words = (v.lin[None] @ words[:, None]).reshape(-1, m, words.shape[2])
-        for col, word in zip(g.T, words):
-            maps += col[:, None, None] * word
-    maps[:, :, 1:1 + m] += np.eye(m)
-    return maps
-
-
-def _map_steps(maps: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """States Y_0..Y_S of Y_{j+1} = G_j mu(Y_j), one matrix-vector product a step.
-
-    Row j of one buffer holds the monomials mu(Y_j) = (1, Y_j[, Y_j (x) Y_j]),
-    so the product writes Y_{j+1} in place.
-    """
-    steps, m, width = maps.shape
-    mono = np.zeros((steps + 1, width))
-    mono[:, 0] = 1.0
-    mono[0, 1:1 + m] = y0
-    ys = mono[:, 1:1 + m]
-    if width == 1 + m:
-        for g, mu, out in zip(maps, mono, ys[1:]):
-            np.matmul(g, mu, out=out)
-    else:
-        square = mono[:, 1 + m:].reshape(steps + 1, m, m)
-        for g, mu, out, sq, col, row in zip(maps, mono, ys[1:], square,
-                                            ys[:, :, None], ys[:, None]):
-            np.multiply(col, row, out=sq)
-            np.matmul(g, mu, out=out)
-    return ys
-
-
 #: Terms per block of the word-polynomial composition (``_word_polynomials``).
 _BLOCK_TERMS = 1 << 15
-#: Most monomials and most entries of the composed matrix C (``_word_steps``).
+#: Most monomials and most entries of the composed matrix C (``_word_steps``)
+#: at depth 2 or 3.
 #: C has m (1 + n + ... + n^N) rows and W = C(m+N+1, N+1) columns, so it
 #: grows as n^N m^(N+2), and the work of its composition as
 #: n^(N-1) m^(N+3); a field beyond either bound is evaluated at every step
@@ -441,7 +396,8 @@ def _factors(exps: np.ndarray, count: int) -> np.ndarray:
 
 def _word_polynomials(v: VectorField, exps: np.ndarray, depth: int) -> np.ndarray:
     """Coefficients of the step-N Euler word polynomials, N = ``depth``, on the
-    monomials ``exps`` of degree <= N+1.
+    monomials ``exps`` of degree <= N+1, or, for a field without a quadratic
+    part, of degree <= 1: (1, y).
 
     Word (i_1..i_k) contributes P_(i_1..i_k)(y) = (V_{i_1} ... V_{i_k} Id)(y);
     P_i = V_i, and P_(i,w) = DP_w . V_i has degree k+1.  The rows of the
@@ -455,8 +411,10 @@ def _word_polynomials(v: VectorField, exps: np.ndarray, depth: int) -> np.ndarra
     value depends on the blocks or on BLAS.
     """
     n, m = v.n, v.m
-    width, quad = exps.shape[0], (m + 1) * (m + 2) // 2      # degree <= N+1, <= 2
-    # V_i^a on the monomials of degree <= 2: c, A, and Q[b, c] + Q[c, b] on y_b y_c
+    width = exps.shape[0]
+    quad = min(width, (m + 1) * (m + 2) // 2)                # the monomials of V
+    # V_i^a on the monomials of degree <= 2 (<= 1 on (1, y)): c, A, and
+    # Q[b, c] + Q[c, b] on y_b y_c
     b, c = _factors(exps, 2)[:, 1 + m:quad]
     field = np.zeros((n, m, quad))
     field[:, :, 0] = v.const
@@ -489,9 +447,43 @@ def _word_polynomials(v: VectorField, exps: np.ndarray, depth: int) -> np.ndarra
     return coef
 
 
+def _step_maps(v: VectorField, levels) -> np.ndarray:
+    """Euler step maps of a field without a quadratic part:
+    Y_{j+1} = G_j (1, Y_j), shape (steps, m, m+1).
+
+    ``levels[k-1]`` holds level k of every step's increment, shape
+    ``(steps, n**k)``, its words (i_1..i_k) flattened in C order.  The matrix
+    of a word is its m rows of ``_word_polynomials`` on the monomials (1, y):
+    [c_i | A_i] at level 1, and A_{i_k} ... A_{i_2} [c_{i_1} | A_{i_1}] above.
+    G_j is 0 plus every word's increment times its matrix, added word by
+    word with elementwise products, then [0 | I], so each step's map does
+    not depend on the others.
+    """
+    m = v.m
+    words = _word_polynomials(v, _monomials(m, 1), len(levels))[m:].reshape(-1, m, m + 1)
+    maps = np.zeros((levels[0].shape[0], m, m + 1))
+    for col, word in zip((col for g in levels for col in g.T), words):
+        maps += col[:, None, None] * word
+    maps[:, :, 1:] += np.eye(m)
+    return maps
+
+
+def _map_steps(maps: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """States Y_0..Y_S of Y_{j+1} = G_j (1, Y_j), one matrix-vector product a step.
+
+    Row j of one buffer holds (1, Y_j), so the product writes Y_{j+1} in place.
+    """
+    mono = np.ones((maps.shape[0] + 1, maps.shape[2]))
+    mono[0, 1:] = y0
+    ys = mono[:, 1:]
+    for g, mu, out in zip(maps, mono, ys[1:]):
+        np.matmul(g, mu, out=out)
+    return ys
+
+
 def _word_steps(v: VectorField, y0: np.ndarray, levels) -> np.ndarray:
     """States Y_0..Y_S of the step-N Euler scheme for a field with a quadratic
-    part at depth N = 2 or 3: one gather, N products of factors and two
+    part, N = ``len(levels)``: one gather, N products of factors and two
     matrix-vector products a step.
 
     Row j of one buffer holds Y_j and a 1.  The monomials mu of Y_j are one
@@ -565,21 +557,22 @@ def _polynomial_steps(v: VectorField, y0: np.ndarray, levels) -> np.ndarray:
 def _euler_steps(v: VectorField, y0: np.ndarray, levels, times) -> np.ndarray:
     """States Y_0..Y_S of the step-N Euler scheme along stacked increments.
 
-    A field without a quadratic part, and any field at depth 1, runs one
-    precomputed step map per step; a quadratic field at depth 2 or 3 runs
-    its composed word polynomials while their basis and matrix stay within
-    ``_WORD_WIDTH`` and ``_WORD_COEFS``, and is evaluated at every step
-    beyond them.  Arithmetic past a blow-up is silent; the first state at
+    A field without a quadratic part runs one affine step map per step; a
+    quadratic field runs its composed word polynomials, at depth 2 or 3
+    while their basis and matrix stay within ``_WORD_WIDTH`` and
+    ``_WORD_COEFS``, and is evaluated at every step beyond them.  (At
+    depth 1, C = [Id; V] is about the size of the field itself.)
+    Arithmetic past a blow-up is silent; the first state at
     ``times[1:]`` outside the box, or not finite, raises ``BlowUpError``
     with its time.
     """
     with np.errstate(all="ignore"):
         depth = len(levels)
         width = math.comb(v.m + depth + 1, depth + 1)
-        if not (v.quad.any() and depth > 1):
+        if not v.quad.any():
             ys = _map_steps(_step_maps(v, levels), y0)
-        elif (width <= _WORD_WIDTH
-              and width * v.m * sum(v.n**k for k in range(depth + 1)) <= _WORD_COEFS):
+        elif depth == 1 or (width <= _WORD_WIDTH and width * v.m
+                            * sum(v.n**k for k in range(depth + 1)) <= _WORD_COEFS):
             ys = _word_steps(v, y0, levels)
         else:
             ys = _polynomial_steps(v, y0, levels)

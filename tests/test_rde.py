@@ -396,12 +396,13 @@ def test_solve_rough_equals_per_step_loop(dim, depth, intervals, family, seed):
     assert np.array_equal(got.values, np.stack(ys))
 
 
-@pytest.mark.parametrize("n, m, depth, quadratic", [
+@pytest.mark.parametrize("n, m, depth, linear", [
     (1, 1, 1, True), (3, 5, 1, True), (2, 3, 1, False), (3, 4, 2, False),
     (1, 5, 3, False), (3, 5, 3, False),
 ])
-def test_batched_step_maps_equal_one_step_maps(rng, n, m, depth, quadratic):
-    family = FieldFamily.POLYNOMIAL if quadratic else FieldFamily.AFFINE
+def test_batched_step_maps_equal_one_step_maps(rng, n, m, depth, linear):
+    # only fields without a quadratic part have affine step maps
+    family = FieldFamily.LINEAR if linear else FieldFamily.AFFINE
     v = _random_field(rng, family, n, m, 1.0)
     levels = [rng.standard_normal((1024, n**k)) for k in range(1, depth + 1)]
     maps = _step_maps(v, levels)
@@ -482,21 +483,26 @@ def test_solvers_match_oracle_step_loop(family, depth, n, m, substeps, intervals
 def test_word_polynomials_equal_oracle_terms(rng, n, m, depth):
     # the rows of the empty word are Id, then every word w of levels 1..N in
     # C order: P_w at a point is the oracle's step increment under the one-hot
-    # increment on w
-    v = _random_field(rng, FieldFamily.POLYNOMIAL, n, m, 1.0)
-    exps = _monomials(m, depth + 1)
-    assert exps.shape[0] == math.comb(m + depth + 1, depth + 1)
-    coef = _word_polynomials(v, exps, depth)
+    # increment on w.  A quadratic field is composed on the monomials of
+    # degree <= N+1, an affine one on (1, y), where level 1 is [c_i | A_i]
+    quadratic = _random_field(rng, FieldFamily.POLYNOMIAL, n, m, 1.0)
+    assert _monomials(m, depth + 1).shape[0] == math.comb(m + depth + 1, depth + 1)
+    affine = _random_field(rng, FieldFamily.AFFINE, n, m, 1.0)
     words = [w for k in range(1, depth + 1) for w in np.ndindex(*(n,) * k)]
-    assert coef.shape == ((1 + len(words)) * m, exps.shape[0])
-    for y in rng.uniform(-1.5, 1.5, (4, m)):
-        u = (coef * np.prod(y**exps, axis=1)).sum(axis=1).reshape(-1, m)
-        np.testing.assert_allclose(u[0], y, rtol=0, atol=1e-15)
-        for w, got in zip(words, u[1:]):
-            g = [None] + [np.zeros((n,) * k) for k in range(1, depth + 1)]
-            g[len(w)][w] = 1.0
-            want = euler_step_increment(v, y, g)
-            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+    for v, exps in ((quadratic, _monomials(m, depth + 1)), (affine, _monomials(m, 1))):
+        coef = _word_polynomials(v, exps, depth)
+        assert coef.shape == ((1 + len(words)) * m, exps.shape[0])
+        for y in rng.uniform(-1.5, 1.5, (4, m)):
+            u = (coef * np.prod(y**exps, axis=1)).sum(axis=1).reshape(-1, m)
+            np.testing.assert_allclose(u[0], y, rtol=0, atol=1e-15)
+            for w, got in zip(words, u[1:]):
+                g = [None] + [np.zeros((n,) * k) for k in range(1, depth + 1)]
+                g[len(w)][w] = 1.0
+                want = euler_step_increment(v, y, g)
+                assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+    level1 = coef[m:m + n * m].reshape(n, m, m + 1)
+    assert np.array_equal(level1[:, :, 0], affine.const)
+    assert np.array_equal(level1[:, :, 1:], affine.lin)
 
 
 @pytest.mark.parametrize("m, degree", [(27, 4), (31, 3)])
@@ -515,6 +521,9 @@ def test_monomial_ranks_hold_for_wide_bases(rng, m, degree):
 
 
 @pytest.mark.parametrize("n, m, depth, stepper", [
+    (2, 3, 1, "_word_steps"),          # depth 1: C = [Id; V] at every size
+    (13, 2, 1, "_word_steps"),         # C of 28 x 6
+    (1, 30, 1, "_word_steps"),         # 496 monomials, past the W bound
     (3, 6, 3, "_word_steps"),          # 210 monomials, C of 240 x 210
     (2, 9, 2, "_word_steps"),          # 220 monomials
     (1, 7, 3, "_polynomial_steps"),    # 330 monomials
@@ -522,8 +531,9 @@ def test_monomial_ranks_hold_for_wide_bases(rng, m, degree):
     (1, 27, 3, "_polynomial_steps"),   # 31 465 monomials
 ])
 def test_quadratic_solve_steps_by_basis_size(monkeypatch, rng, n, m, depth, stepper):
-    # a field with a small basis runs its composed word polynomials, a
-    # larger one the per-step evaluation; both stay on the oracle step loop
+    # a field with a small basis, or any field at depth 1, runs its composed
+    # word polynomials, a larger one at depth 2 or 3 the per-step
+    # evaluation; both stay on the oracle step loop
     ran, step = [], getattr(rde, stepper)
     monkeypatch.setattr(rde, stepper, lambda *args: ran.append(stepper) or step(*args))
     x = _area_driver(_random_driver(rng, 60, n, uniform=False), depth)
