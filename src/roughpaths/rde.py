@@ -341,7 +341,9 @@ def _state(y, v: VectorField, name: str = "y0") -> np.ndarray:
     return y
 
 
-#: Terms per block of the word-polynomial composition (``_word_polynomials``).
+#: Terms per block of the word-polynomial composition (``_word_polynomials``),
+#: and entries per block of steps of the affine step maps (``_step_maps``) and
+#: of the group increments (``_group_increments``).
 _BLOCK_TERMS = 1 << 15
 #: Most monomials and most entries of the composed matrix C (``_word_steps``)
 #: at depth 2 or 3.
@@ -447,36 +449,40 @@ def _word_polynomials(v: VectorField, exps: np.ndarray, depth: int) -> np.ndarra
     return coef
 
 
-def _step_maps(v: VectorField, levels) -> np.ndarray:
-    """Euler step maps of a field without a quadratic part:
-    Y_{j+1} = G_j (1, Y_j), shape (steps, m, m+1).
+def _step_maps(v: VectorField, levels):
+    """Euler step maps G_j of a field without a quadratic part, one (m, m+1)
+    array a step: Y_{j+1} = G_j (1, Y_j).
 
     ``levels[k-1]`` holds level k of every step's increment, shape
     ``(steps, n**k)``, its words (i_1..i_k) flattened in C order.  The matrix
     of a word is its m rows of ``_word_polynomials`` on the monomials (1, y):
     [c_i | A_i] at level 1, and A_{i_k} ... A_{i_2} [c_{i_1} | A_{i_1}] above.
     G_j is 0 plus every word's increment times its matrix, added word by
-    word with elementwise products, then [0 | I], so each step's map does
-    not depend on the others.
+    word with elementwise products, then [0 | I].  The maps are built in
+    blocks of about ``_BLOCK_TERMS`` entries and yielded step by step; each
+    depends on its own step only, so no value depends on the blocks.
     """
-    m = v.m
+    m, steps = v.m, levels[0].shape[0]
     words = _word_polynomials(v, _monomials(m, 1), len(levels))[m:].reshape(-1, m, m + 1)
-    maps = np.zeros((levels[0].shape[0], m, m + 1))
-    for col, word in zip((col for g in levels for col in g.T), words):
-        maps += col[:, None, None] * word
-    maps[:, :, 1:] += np.eye(m)
-    return maps
+    block = max(1, _BLOCK_TERMS // (m * (m + 1)))
+    for lo in range(0, steps, block):
+        maps = np.zeros((min(block, steps - lo), m, m + 1))
+        for col, word in zip((col for g in levels for col in g[lo:lo + block].T), words):
+            maps += col[:, None, None] * word
+        maps[:, :, 1:] += np.eye(m)
+        yield from maps
 
 
-def _map_steps(maps: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """States Y_0..Y_S of Y_{j+1} = G_j (1, Y_j), one matrix-vector product a step.
+def _map_steps(v: VectorField, y0: np.ndarray, levels) -> np.ndarray:
+    """States Y_0..Y_S of Y_{j+1} = G_j (1, Y_j) (``_step_maps``), one
+    matrix-vector product a step.
 
     Row j of one buffer holds (1, Y_j), so the product writes Y_{j+1} in place.
     """
-    mono = np.ones((maps.shape[0] + 1, maps.shape[2]))
+    mono = np.ones((levels[0].shape[0] + 1, v.m + 1))
     mono[0, 1:] = y0
     ys = mono[:, 1:]
-    for g, mu, out in zip(maps, mono, ys[1:]):
+    for g, mu, out in zip(_step_maps(v, levels), mono, ys[1:]):
         np.matmul(g, mu, out=out)
     return ys
 
@@ -570,13 +576,15 @@ def _euler_steps(v: VectorField, y0: np.ndarray, levels, times) -> np.ndarray:
         depth = len(levels)
         width = math.comb(v.m + depth + 1, depth + 1)
         if not v.quad.any():
-            ys = _map_steps(_step_maps(v, levels), y0)
+            ys = _map_steps(v, y0, levels)
         elif depth == 1 or (width <= _WORD_WIDTH and width * v.m
                             * sum(v.n**k for k in range(depth + 1)) <= _WORD_COEFS):
             ys = _word_steps(v, y0, levels)
         else:
             ys = _polynomial_steps(v, y0, levels)
-        dist = np.linalg.norm(ys[1:] - y0, axis=1)
+        dist = ys[1:] - y0                  # |Y_j - y0| as np.linalg.norm(axis=1),
+        dist *= dist                        # with no second (steps, m) array
+        dist = np.sqrt(dist.sum(axis=1))
     inside = (dist <= v.box_radius) & np.isfinite(ys[1:]).all(axis=1)
     if not inside.all():
         raise BlowUpError(float(times[1 + np.argmin(inside)]))
@@ -619,10 +627,19 @@ def solve_bv(y0, v: VectorField, x: EuclideanPath, config: RdeConfig = RdeConfig
 
 def _group_increments(x: GroupPath) -> list[np.ndarray]:
     """Levels 1..N of the one-step increments X_j^{-1} x X_{j+1}, level k of
-    shape ``(steps, n**k)``: one batched inverse and one batched multiply."""
-    inc = stacked_mul(stacked_inverse([lv[:-1] for lv in x.levels]),
-                      [lv[1:] for lv in x.levels])
-    return inc[1:]
+    shape ``(steps, n**k)``: one batched inverse and one batched multiply per
+    block of steps of about ``_BLOCK_TERMS`` entries.  Both work step by step,
+    so no value depends on the blocks."""
+    steps = len(x.grid) - 1
+    inc = [np.empty((steps, lv.shape[1])) for lv in x.levels[1:]]
+    block = max(1, _BLOCK_TERMS // sum(lv.shape[1] for lv in x.levels))
+    for lo in range(0, steps, block):
+        hi = min(lo + block, steps)
+        part = stacked_mul(stacked_inverse([lv[lo:hi] for lv in x.levels]),
+                           [lv[lo + 1:hi + 1] for lv in x.levels])
+        for out, lv in zip(inc, part[1:]):
+            out[lo:hi] = lv
+    return inc
 
 
 def solve_rough(y0, v: VectorField, x: GroupPath, config: RdeConfig) -> EuclideanPath:

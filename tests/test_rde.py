@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -405,9 +406,59 @@ def test_batched_step_maps_equal_one_step_maps(rng, n, m, depth, linear):
     family = FieldFamily.LINEAR if linear else FieldFamily.AFFINE
     v = _random_field(rng, family, n, m, 1.0)
     levels = [rng.standard_normal((1024, n**k)) for k in range(1, depth + 1)]
-    maps = _step_maps(v, levels)
+    maps = list(_step_maps(v, levels))
     for j in range(0, 1024, 37):
-        assert np.array_equal(maps[j], _step_maps(v, [lv[j:j + 1] for lv in levels])[0])
+        assert np.array_equal(maps[j], next(_step_maps(v, [lv[j:j + 1] for lv in levels])))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_solves_do_not_depend_on_the_blocks_of_steps(monkeypatch, rng, depth):
+    # affine step maps and group increments are formed in blocks of steps of
+    # about _BLOCK_TERMS entries; blocks of three or four steps, the last one
+    # shorter, give the same bits
+    x = _random_driver(rng, 303, 2, uniform=False)
+    xg = _area_driver(x, depth)
+    v = _random_field(rng, FieldFamily.AFFINE, 2, 3, 0.5)
+    y0 = rng.uniform(-1.0, 1.0, 3)
+    config = RdeConfig(depth=depth, scheme=Scheme.ROUGH_EULER)
+
+    def solves():
+        return (solve_bv(y0, v, x, RdeConfig(substeps=3)).values,
+                solve_rough(y0, v, xg, config).values, *_group_increments(xg))
+
+    want = solves()
+    monkeypatch.setattr(rde, "_BLOCK_TERMS", 50)
+    got = solves()
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family, m, megabytes", [
+    (FieldFamily.POLYNOMIAL, 20, 2.0),     # per-step maps of (1, y, y (x) y): 526 MB
+    (FieldFamily.AFFINE, 80, 8.0),         # the maps of all steps at once: 405 MB
+])
+def test_bv_solve_memory_stays_near_its_output(rng, family, m, megabytes):
+    # 4096 steps, n = 2: the solution takes 0.6 MB at m = 20 and 2.5 MB at
+    # m = 80; a quadratic field steps through C = [Id; V], an affine one
+    # builds its step maps in blocks of steps
+    x = _random_driver(rng, 4096, 2, uniform=True)
+    v = _random_field(rng, family, 2, m, 0.5 / m)
+    assert _peak(solve_bv, rng.uniform(-1.0, 1.0, m), v, x) < megabytes * 2**20
+
+
+def test_group_increments_memory_stays_near_their_output(rng):
+    # n = 12, depth 3, M = 1024: the increments take 14.7 MB; formed for all
+    # steps at once they peaked at 116.6 MB
+    x = lift(random_walk_path(rng, 1024, 12), 3)
+    assert _peak(_group_increments, x) < 20 * 2**20
 
 
 def _random_field(rng, family, n, m, scale, box_radius=1e6):
