@@ -160,7 +160,8 @@ def _euclidean_norm(a: np.ndarray, b: np.ndarray, scale: float = 1.0) -> np.ndar
     """``scale`` |a - b| over the leading (coordinate) axis, in the order of the
     module docstring: even and odd coordinates summed apart, then added.
 
-    ``a[c]`` and ``b[c]`` broadcast to the shape of the result.
+    ``a[c]`` and ``b[c]`` broadcast to the shape of the result.  A distance
+    beyond the float range is inf, without a warning.
     """
     even = np.subtract(a[0], b[0])
     even *= even
@@ -176,7 +177,8 @@ def _euclidean_norm(a: np.ndarray, b: np.ndarray, scale: float = 1.0) -> np.ndar
         even += odd
     np.sqrt(even, out=even)
     if scale != 1.0:
-        even *= scale
+        with np.errstate(over="ignore"):
+            even *= scale
     return even
 
 

@@ -761,11 +761,14 @@ def test_norms_beyond_the_float_range_raise():
 
 def test_norms_keep_a_nan_block_or_shift_maximum():
     # distances beyond the float range: inf / inf turns a block or shift
-    # maximum into NaN, which the sup must keep for the exit check
+    # maximum into NaN, which the sup must keep for the exit check.  The
+    # distances themselves are inf, without a warning
     f = EuclideanPath(TimeGrid.uniform(4), [[1.7e308, -1.7e308], [-1.7e308, 1.7e308],
                                             [1e308, 0.0], [0.0, 0.0], [-1.7e308, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert f.distance_block(0, 0, 5)[1, 0] == np.inf
+        assert np.isinf(f.shift_distances(1, 0, 4)).tolist() == [True, True, False, False]
         for norm in (lambda: holder_norm(f, 0.5), lambda: nikolskii_norm(f, 0.5, 4.0),
                      lambda: nikolskii_norm(f, 0.5, P_INF)):
             with pytest.raises(ParameterError, match="float range"):
