@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .exceptions import ParameterError, PartitionSizeError
 from .paths import EuclideanPath, GroupPath
@@ -259,8 +258,11 @@ def cc_norm_bruteforce(g: GroupElement, segments: int = 24, starts: int = 8,
     the endpoint displacement and the signed (Levy) area, which gives a
     smooth equality-constrained problem solved by SLSQP from several seeded
     starts.  Non-convergence is reported in the result; the best value found
-    is still a valid upper bound.
+    is still a valid upper bound.  SciPy, a test dependency, is imported here
+    and nowhere else in the package.
     """
+    from scipy.optimize import minimize
+
     if g.depth != 2 or g.dim != 2:
         raise ParameterError("the CC oracle supports depth 2 in the plane only")
     if segments < 2 or segments > 32:
