@@ -7,7 +7,7 @@ the dense O(M^3) Nikolskii inner table ``shift_sup_table`` (by prefix
 sums per shift), a penalty-free constrained minimizer for the depth-2
 Carnot-Caratheodory norm, and the step-N Euler increment written term by
 term with einsum.  None of it shares code with the dynamic programs in
-``norms``/``distances`` or with the step maps in ``rde``.
+``norms``/``distances`` or with the word polynomials in ``rde``.
 """
 
 from __future__ import annotations

@@ -25,36 +25,32 @@ analytic first and second derivatives.  Solutions that leave the field's
 validity box (a Euclidean ball around the initial condition), or whose state
 is no longer finite, raise ``BlowUpError`` carrying the exit time.
 
-Step maps.  Both solvers run on the stacked increments of all steps: the
-driver increments divided by the substep count for ``solve_bv`` (depth 1),
-and levels 1..N of X_j^{-1} x X_{j+1} from one batched inverse and multiply
-for ``solve_rough``.  Word (i_1..i_k) contributes the polynomial
-P_(i_1..i_k) = (V_{i_1} ... V_{i_k} Id), with P_i = V_i and
-P_(i,w) = DP_w . V_i, and one function, ``_word_polynomials``, composes
-them all once per solve, in elementwise products and sums of one fixed
-order (no BLAS), and stacks them with Id (the empty word) as one matrix C of
-m (1 + n + ... + n^N) rows.
+Word rows.  Both solvers run on one array of the steps' increments, a row
+a step: 1 (the empty word), then levels 1..N of the increment, each
+flattened in C order.  ``solve_bv`` writes the driver increments divided by
+the substep count (depth 1), ``solve_rough`` levels 1..N of
+X_j^{-1} x X_{j+1} from one batched inverse and multiply per block of steps.
+Word (i_1..i_k) contributes the polynomial P_(i_1..i_k) = (V_{i_1} ...
+V_{i_k} Id), with P_i = V_i and P_(i,w) = DP_w . V_i, and one function,
+``_word_polynomials``, composes them all once per solve, in elementwise
+products and sums of one fixed order (no BLAS), and stacks them with Id
+(the empty word) as one matrix C of m (1 + n + ... + n^N) rows on a basis
+of monomials mu(y).
 
-For a field without a quadratic part, V_i(y) = c_i + A_i y, C is written on
-the monomials (1, y): level 1 is [c_i | A_i], and word (i_1..i_k) is
-A_{i_k} ... A_{i_2} [c_{i_1} | A_{i_1}].  So each step is affine in the state,
-Y_{j+1} = P_j Y_j + k_j, with [k_j | P_j - I] the sum over words of
-pi(X_{t_j,t_{j+1}})^word times that word's rows of C.  The maps are summed
-word by word with elementwise products (so a map does not depend on how
-many steps are built with it), and the loop is one matrix-vector product
-per step on (1, Y_j).
-
-A field with a quadratic part has no affine step map: P_w has degree k+1,
-and C is written on the graded basis of symmetric monomials of degree
-<= N+1, W = C(m+N+1, N+1) of them (15 at m = 2, N = 3).  A step then forms
-the monomials mu of Y_j (one gather of their factors and N products),
-u = C mu, and Y_{j+1} as the step's increment words (1 first) times u: two
-matrix-vector products and no per-step map array.  At depth 1,
-C = [Id; V] is about the size of the field, and every quadratic field
-steps so.  At depths 2 and 3, C grows as n^N m^(N+2), so a field with more
-than 256 monomials, or a C of more than 2^16 entries, is instead evaluated
-at every step (V(Y_j) and its Jacobian by flattened products), whose cost
-grows as n m^3 + m n^3.
+One stepper, ``_word_steps``, runs every field: a buffer holds (1, Y_j) a
+row, and a step is u = C mu(Y_j) and Y_{j+1} = the step's word row times u
+as a (words, m) matrix, two matrix-vector products.  For a field without a
+quadratic part, V_i(y) = c_i + A_i y, C is written on the monomials (1, y),
+so mu(Y_j) is the state row itself: level 1 is [c_i | A_i], and word
+(i_1..i_k) is A_{i_k} ... A_{i_2} [c_{i_1} | A_{i_1}].  For a field with a
+quadratic part, P_w has degree k+1, and C is written on the graded basis of
+symmetric monomials of degree <= N+1, W = C(m+N+1, N+1) of them (15 at
+m = 2, N = 3); mu(Y_j) is one gather of their factors from the state row and
+N products.  At depth 1, C = [Id; V] is about the size of the field.  At
+depths 2 and 3, C grows as n^N m^(N+2), so a quadratic field with more than
+256 monomials, or a C of more than 2^16 entries, is instead evaluated at
+every step (V(Y_j) and its Jacobian by flattened products, on column views
+of the word rows), whose cost grows as n m^3 + m n^3.
 
 The box is tested once, on all states, after the loop; arithmetic past a
 blow-up is silent.  ``oracle.euler_step_increment`` keeps the term-by-term
@@ -342,8 +338,7 @@ def _state(y, v: VectorField, name: str = "y0") -> np.ndarray:
 
 
 #: Terms per block of the word-polynomial composition (``_word_polynomials``),
-#: and entries per block of steps of the affine step maps (``_step_maps``) and
-#: of the group increments (``_group_increments``).
+#: and entries per block of steps of the group increments (``_group_increments``).
 _BLOCK_TERMS = 1 << 15
 #: Most monomials and most entries of the composed matrix C (``_word_steps``)
 #: at depth 2 or 3.
@@ -390,10 +385,12 @@ def _monomial_rank(e: np.ndarray) -> np.ndarray:
 
 
 def _factors(exps: np.ndarray, count: int) -> np.ndarray:
-    """The factors of the monomials ``exps``, shape (count, W): column r holds
-    the variables of monomial r in increasing order, each as often as its
-    exponent, then m (a factor 1) up to ``count``."""
-    return (np.cumsum(exps, axis=1)[:, None, :] <= np.arange(count)[:, None]).sum(axis=2).T
+    """The factors of the monomials ``exps``, shape (count, W), as positions
+    in the state row (1, y): column r holds the variables of monomial r in
+    increasing order, y_b at 1 + b, each as often as its exponent, then 0
+    (the factor 1) up to ``count``."""
+    var = (np.cumsum(exps, axis=1)[:, None, :] <= np.arange(count)[:, None]).sum(axis=2).T
+    return (var + 1) % (exps.shape[1] + 1)
 
 
 def _word_polynomials(v: VectorField, exps: np.ndarray, depth: int) -> np.ndarray:
@@ -417,7 +414,7 @@ def _word_polynomials(v: VectorField, exps: np.ndarray, depth: int) -> np.ndarra
     quad = min(width, (m + 1) * (m + 2) // 2)                # the monomials of V
     # V_i^a on the monomials of degree <= 2 (<= 1 on (1, y)): c, A, and
     # Q[b, c] + Q[c, b] on y_b y_c
-    b, c = _factors(exps, 2)[:, 1 + m:quad]
+    b, c = _factors(exps, 2)[:, 1 + m:quad] - 1
     field = np.zeros((n, m, quad))
     field[:, :, 0] = v.const
     field[:, :, 1:1 + m] = v.lin
@@ -449,98 +446,62 @@ def _word_polynomials(v: VectorField, exps: np.ndarray, depth: int) -> np.ndarra
     return coef
 
 
-def _step_maps(v: VectorField, levels):
-    """Euler step maps G_j of a field without a quadratic part, one (m, m+1)
-    array a step: Y_{j+1} = G_j (1, Y_j).
+def _word_steps(v: VectorField, y0: np.ndarray, words: np.ndarray, depth: int) -> np.ndarray:
+    """States Y_0..Y_S of the step-N Euler scheme, N = ``depth``, on the
+    composed word polynomials C (``_word_polynomials``): two matrix-vector
+    products a step.
 
-    ``levels[k-1]`` holds level k of every step's increment, shape
-    ``(steps, n**k)``, its words (i_1..i_k) flattened in C order.  The matrix
-    of a word is its m rows of ``_word_polynomials`` on the monomials (1, y):
-    [c_i | A_i] at level 1, and A_{i_k} ... A_{i_2} [c_{i_1} | A_{i_1}] above.
-    G_j is 0 plus every word's increment times its matrix, added word by
-    word with elementwise products, then [0 | I].  The maps are built in
-    blocks of about ``_BLOCK_TERMS`` entries and yielded step by step; each
-    depends on its own step only, so no value depends on the blocks.
+    Row j of ``words`` holds 1 (the empty word), then levels 1..N of step
+    j's increment, and row j of one state buffer holds (1, Y_j).  The
+    monomials mu of Y_j are, for a field without a quadratic part, (1, Y_j):
+    that row itself.  For a quadratic field they are one gather of that row,
+    each monomial's N+1 factors (its variables as often as their exponents,
+    padded with the 1), multiplied factor by factor (N products over all
+    monomials at once, which beats one reduction over the factor axis once
+    there are more than about 70 monomials).  u = C mu holds every word
+    polynomial at Y_j, and Y_{j+1} is the word row times u as a (words, m)
+    matrix.
     """
-    m, steps = v.m, levels[0].shape[0]
-    words = _word_polynomials(v, _monomials(m, 1), len(levels))[m:].reshape(-1, m, m + 1)
-    block = max(1, _BLOCK_TERMS // (m * (m + 1)))
-    for lo in range(0, steps, block):
-        maps = np.zeros((min(block, steps - lo), m, m + 1))
-        for col, word in zip((col for g in levels for col in g[lo:lo + block].T), words):
-            maps += col[:, None, None] * word
-        maps[:, :, 1:] += np.eye(m)
-        yield from maps
-
-
-def _map_steps(v: VectorField, y0: np.ndarray, levels) -> np.ndarray:
-    """States Y_0..Y_S of Y_{j+1} = G_j (1, Y_j) (``_step_maps``), one
-    matrix-vector product a step.
-
-    Row j of one buffer holds (1, Y_j), so the product writes Y_{j+1} in place.
-    """
-    mono = np.ones((levels[0].shape[0] + 1, v.m + 1))
-    mono[0, 1:] = y0
-    ys = mono[:, 1:]
-    for g, mu, out in zip(_step_maps(v, levels), mono, ys[1:]):
-        np.matmul(g, mu, out=out)
-    return ys
-
-
-def _word_steps(v: VectorField, y0: np.ndarray, levels) -> np.ndarray:
-    """States Y_0..Y_S of the step-N Euler scheme for a field with a quadratic
-    part, N = ``len(levels)``: one gather, N products of factors and two
-    matrix-vector products a step.
-
-    Row j of one buffer holds Y_j and a 1.  The monomials mu of Y_j are one
-    gather of that row, each monomial's N+1 factors (its variables as often
-    as their exponents, padded with the 1), multiplied factor by factor
-    (N products over all monomials at once, which beats one reduction over
-    the factor axis once there are more than about 70 monomials);
-    u = C mu holds every word polynomial at Y_j (``_word_polynomials``), and
-    Y_{j+1} is step j's increment words, 1 for the empty word first, times u
-    as a (words, m) matrix.
-    """
-    m, depth = v.m, len(levels)
-    exps = _monomials(m, depth + 1)
+    m, quadratic = v.m, v.quad.any()
+    exps = _monomials(m, depth + 1 if quadratic else 1)
     coef = _word_polynomials(v, exps, depth)
     factors = _factors(exps, depth + 1)
-    words = np.concatenate([np.ones((levels[0].shape[0], 1)), *levels], axis=1)
-    mono, u = np.empty(exps.shape[0]), np.empty(coef.shape[0])
+    products, u = np.empty(exps.shape[0]), np.empty(coef.shape[0])
     terms = u.reshape(-1, m)
     states = np.ones((words.shape[0] + 1, m + 1))
-    states[0, :m] = y0
-    ys = states[:, :m]
-    for g, row, out in zip(words, states, ys[1:]):
-        first, second, *rest = row[factors]
-        np.multiply(first, second, out=mono)
-        for factor in rest:
-            np.multiply(mono, factor, out=mono)
+    states[0, 1:] = y0
+    ys = states[:, 1:]
+    for g, mono, out in zip(words, states, ys[1:]):
+        if quadratic:
+            first, second, *rest = mono[factors]
+            mono = np.multiply(first, second, out=products)
+            for factor in rest:
+                np.multiply(mono, factor, out=mono)
         coef.dot(mono, out=u)
         g.dot(terms, out=out)
     return ys
 
 
-def _polynomial_steps(v: VectorField, y0: np.ndarray, levels) -> np.ndarray:
+def _polynomial_steps(v: VectorField, y0: np.ndarray, words: np.ndarray, depth: int) -> np.ndarray:
     """Step-N Euler states, N = 2 or 3, for a field with a quadratic part.
 
     Evaluated one step at a time: V(y), row i equal to V_i(y), is one
     matrix product with the monomials (1, y, y (x) y), the Jacobian one with
     (1, y), and the level-2 and level-3 terms are flattened matrix products
-    over these.
+    over these.  The levels are column views of the word rows ``words``.
     """
-    m, n, depth = v.m, v.n, len(levels)
+    m, n = v.m, v.n
     vf = np.concatenate([v.const.reshape(n * m, 1), v.lin.reshape(n * m, m),
                          v.quad.reshape(n * m, m * m)], axis=1)
     # jf @ (1, y) is the Jacobian laid out as J[a, (j, b)] = d V_j^a / d y_b
     jf = np.concatenate([v.lin.transpose(1, 0, 2).reshape(m * n * m, 1),
                          2.0 * v.quad.transpose(1, 0, 2, 3).reshape(m * n * m, m)], axis=1)
     hess = 2.0 * v.quad.transpose(1, 3, 2, 0).reshape(m, m * m * n)   # [a, (c, b, k)]
-    steps = levels[0].shape[0]
-    g1 = levels[0]
-    g2t = levels[1].reshape(steps, n, n).transpose(0, 2, 1).copy()      # [j, i] = g2[i, j]
+    steps = words.shape[0]
+    g1, g2, g3 = words[:, 1:1 + n], words[:, 1 + n:1 + n + n * n], words[:, 1 + n + n * n:]
+    g2t = g2.reshape(steps, n, n).transpose(0, 2, 1).copy()      # [j, i] = g2[i, j]
     if depth > 2:
-        g3t = levels[2].reshape(steps, n, n, n).transpose(0, 2, 1, 3).copy()  # [j, i, k]
+        g3t = g3.reshape(steps, n, n, n).transpose(0, 2, 1, 3).copy()  # [j, i, k]
     mono = np.empty(1 + m + m * m)
     mono[0] = 1.0
     square = mono[1 + m:].reshape(m, m)
@@ -560,28 +521,26 @@ def _polynomial_steps(v: VectorField, y0: np.ndarray, levels) -> np.ndarray:
     return np.stack(ys)
 
 
-def _euler_steps(v: VectorField, y0: np.ndarray, levels, times) -> np.ndarray:
-    """States Y_0..Y_S of the step-N Euler scheme along stacked increments.
+def _euler_steps(v: VectorField, y0: np.ndarray, words: np.ndarray, depth: int,
+                 times) -> np.ndarray:
+    """States Y_0..Y_S of the step-N Euler scheme, N = ``depth``, along the
+    word rows ``words`` of the steps' increments (``_word_steps``).
 
-    A field without a quadratic part runs one affine step map per step; a
-    quadratic field runs its composed word polynomials, at depth 2 or 3
-    while their basis and matrix stay within ``_WORD_WIDTH`` and
-    ``_WORD_COEFS``, and is evaluated at every step beyond them.  (At
-    depth 1, C = [Id; V] is about the size of the field itself.)
-    Arithmetic past a blow-up is silent; the first state at
-    ``times[1:]`` outside the box, or not finite, raises ``BlowUpError``
-    with its time.
+    Every field runs its composed word polynomials, except a quadratic field
+    at depth 2 or 3 whose basis or matrix exceeds ``_WORD_WIDTH`` or
+    ``_WORD_COEFS``: that one is evaluated at every step.  (At depth 1,
+    C = [Id; V] is about the size of the field itself, and without a
+    quadratic part C is written on (1, y).)  Arithmetic past a blow-up is
+    silent; the first state at ``times[1:]`` outside the box, or not
+    finite, raises ``BlowUpError`` with its time.
     """
     with np.errstate(all="ignore"):
-        depth = len(levels)
         width = math.comb(v.m + depth + 1, depth + 1)
-        if not v.quad.any():
-            ys = _map_steps(v, y0, levels)
-        elif depth == 1 or (width <= _WORD_WIDTH and width * v.m
-                            * sum(v.n**k for k in range(depth + 1)) <= _WORD_COEFS):
-            ys = _word_steps(v, y0, levels)
+        if not v.quad.any() or depth == 1 or (
+                width <= _WORD_WIDTH and width * v.m * words.shape[1] <= _WORD_COEFS):
+            ys = _word_steps(v, y0, words, depth)
         else:
-            ys = _polynomial_steps(v, y0, levels)
+            ys = _polynomial_steps(v, y0, words, depth)
         dist = ys[1:] - y0                  # |Y_j - y0| as np.linalg.norm(axis=1),
         dist *= dist                        # with no second (steps, m) array
         dist = np.sqrt(dist.sum(axis=1))
@@ -621,31 +580,35 @@ def solve_bv(y0, v: VectorField, x: EuclideanPath, config: RdeConfig = RdeConfig
     t = x.grid.times
     sub = t[:-1, None] + (np.diff(t)[:, None] * np.arange(1, s + 1)) / s
     times = np.concatenate([[0.0], sub.ravel()])
-    dx = np.repeat(x.increments() / s, s, axis=0)
-    return EuclideanPath(TimeGrid(times), _euler_steps(v, y0, [dx], times))
+    words = np.ones((len(times) - 1, 1 + x.dim))
+    words[:, 1:] = np.repeat(x.increments() / s, s, axis=0)
+    return EuclideanPath(TimeGrid(times), _euler_steps(v, y0, words, 1, times))
 
 
-def _group_increments(x: GroupPath) -> list[np.ndarray]:
-    """Levels 1..N of the one-step increments X_j^{-1} x X_{j+1}, level k of
-    shape ``(steps, n**k)``: one batched inverse and one batched multiply per
-    block of steps of about ``_BLOCK_TERMS`` entries.  Both work step by step,
-    so no value depends on the blocks."""
+def _group_increments(x: GroupPath) -> np.ndarray:
+    """Word rows of the one-step increments X_j^{-1} x X_{j+1}: row j holds 1,
+    then levels 1..N of step j, shape ``(steps, 1 + n + ... + n^N)``.  One
+    batched inverse and one batched multiply per block of steps of about
+    ``_BLOCK_TERMS`` entries write into it; both work step by step, so no
+    value depends on the blocks."""
     steps = len(x.grid) - 1
-    inc = [np.empty((steps, lv.shape[1])) for lv in x.levels[1:]]
-    block = max(1, _BLOCK_TERMS // sum(lv.shape[1] for lv in x.levels))
+    ends = np.cumsum([lv.shape[1] for lv in x.levels])
+    words = np.ones((steps, ends[-1]))
+    block = max(1, _BLOCK_TERMS // words.shape[1])
     for lo in range(0, steps, block):
         hi = min(lo + block, steps)
         part = stacked_mul(stacked_inverse([lv[lo:hi] for lv in x.levels]),
                            [lv[lo + 1:hi + 1] for lv in x.levels])
-        for out, lv in zip(inc, part[1:]):
-            out[lo:hi] = lv
-    return inc
+        for a, b, lv in zip(ends[:-1], ends[1:], part[1:]):
+            words[lo:hi, a:b] = lv
+    return words
 
 
 def solve_rough(y0, v: VectorField, x: GroupPath, config: RdeConfig) -> EuclideanPath:
     """Step-N Euler for dY = V(Y) dX along a group-valued driver."""
     y0 = _check_solve(y0, v, x, config, Scheme.ROUGH_EULER)
-    return EuclideanPath(x.grid, _euler_steps(v, y0, _group_increments(x), x.grid.times))
+    return EuclideanPath(x.grid, _euler_steps(v, y0, _group_increments(x), config.depth,
+                                                 x.grid.times))
 
 
 def ito_lyons(y0, v: VectorField, x, config: RdeConfig | None = None) -> EuclideanPath:

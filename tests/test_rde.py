@@ -36,7 +36,6 @@ from roughpaths.rde import (
     _group_increments,
     _monomial_rank,
     _monomials,
-    _step_maps,
     _word_polynomials,
 )
 from conftest import random_walk_path
@@ -378,44 +377,33 @@ def test_driver_dim_mismatch(rng):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 40),
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 40),
        st.sampled_from(list(FieldFamily)), st.integers(0, 2**32 - 1))
-def test_solve_rough_equals_per_step_loop(dim, depth, intervals, family, seed):
+def test_solve_rough_equals_per_step_loop(dim, depth, m, intervals, family, seed):
+    # every step depends on its own word row and state only: the increments
+    # and the states of one solve equal those of one step at a time
     rng = np.random.default_rng(seed)
     x = _area_driver(random_walk_path(rng, 3 * intervals, dim), depth)
-    v = _random_field(rng, family, dim, 2, 0.4)
-    y0 = rng.uniform(-1.0, 1.0, 2)
+    v = _random_field(rng, family, dim, m, 0.4)
+    y0 = rng.uniform(-1.0, 1.0, m)
     got = solve_rough(y0, v, x, RdeConfig(depth=depth, scheme=Scheme.ROUGH_EULER))
-    inc = _group_increments(x)
+    words = _group_increments(x)
+    assert words.shape == (intervals, sum(dim**k for k in range(depth + 1)))
     y, ys = y0, [y0]
     for j in range(intervals):
         g = group_mul(group_inverse(x.values[j]), x.values[j + 1])
-        levels = [g.level(k).reshape(1, -1) for k in range(1, depth + 1)]
-        assert all(np.array_equal(lv[j], one[0]) for lv, one in zip(inc, levels))
-        y = _euler_steps(v, y, levels, x.grid.times[j:j + 2])[-1]
+        row = np.concatenate([g.level(k).ravel() for k in range(depth + 1)])
+        assert np.array_equal(words[j], row)
+        y = _euler_steps(v, y, row[None], depth, x.grid.times[j:j + 2])[-1]
         ys.append(y)
     assert np.array_equal(got.values, np.stack(ys))
 
 
-@pytest.mark.parametrize("n, m, depth, linear", [
-    (1, 1, 1, True), (3, 5, 1, True), (2, 3, 1, False), (3, 4, 2, False),
-    (1, 5, 3, False), (3, 5, 3, False),
-])
-def test_batched_step_maps_equal_one_step_maps(rng, n, m, depth, linear):
-    # only fields without a quadratic part have affine step maps
-    family = FieldFamily.LINEAR if linear else FieldFamily.AFFINE
-    v = _random_field(rng, family, n, m, 1.0)
-    levels = [rng.standard_normal((1024, n**k)) for k in range(1, depth + 1)]
-    maps = list(_step_maps(v, levels))
-    for j in range(0, 1024, 37):
-        assert np.array_equal(maps[j], next(_step_maps(v, [lv[j:j + 1] for lv in levels])))
-
-
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_solves_do_not_depend_on_the_blocks_of_steps(monkeypatch, rng, depth):
-    # affine step maps and group increments are formed in blocks of steps of
-    # about _BLOCK_TERMS entries; blocks of three or four steps, the last one
-    # shorter, give the same bits
+    # the group increments are formed in blocks of steps of about
+    # _BLOCK_TERMS entries, and the word polynomials in blocks of terms;
+    # blocks of three or four steps, the last one shorter, give the same bits
     x = _random_driver(rng, 303, 2, uniform=False)
     xg = _area_driver(x, depth)
     v = _random_field(rng, FieldFamily.AFFINE, 2, 3, 0.5)
@@ -424,7 +412,7 @@ def test_solves_do_not_depend_on_the_blocks_of_steps(monkeypatch, rng, depth):
 
     def solves():
         return (solve_bv(y0, v, x, RdeConfig(substeps=3)).values,
-                solve_rough(y0, v, xg, config).values, *_group_increments(xg))
+                solve_rough(y0, v, xg, config).values, _group_increments(xg))
 
     want = solves()
     monkeypatch.setattr(rde, "_BLOCK_TERMS", 50)
@@ -447,18 +435,30 @@ def _peak(fn, *args):
 ])
 def test_bv_solve_memory_stays_near_its_output(rng, family, m, megabytes):
     # 4096 steps, n = 2: the solution takes 0.6 MB at m = 20 and 2.5 MB at
-    # m = 80; a quadratic field steps through C = [Id; V], an affine one
-    # builds its step maps in blocks of steps
+    # m = 80; a quadratic field steps through C = [Id; V] on its monomials,
+    # an affine one through C on (1, y)
     x = _random_driver(rng, 4096, 2, uniform=True)
     v = _random_field(rng, family, 2, m, 0.5 / m)
     assert _peak(solve_bv, rng.uniform(-1.0, 1.0, m), v, x) < megabytes * 2**20
 
 
 def test_group_increments_memory_stays_near_their_output(rng):
-    # n = 12, depth 3, M = 1024: the increments take 14.7 MB; formed for all
+    # n = 12, depth 3, M = 1024: the word rows take 15.4 MB; formed for all
     # steps at once they peaked at 116.6 MB
     x = lift(random_walk_path(rng, 1024, 12), 3)
     assert _peak(_group_increments, x) < 20 * 2**20
+
+
+@pytest.mark.parametrize("family", [FieldFamily.AFFINE, FieldFamily.POLYNOMIAL])
+def test_rough_solve_memory_stays_near_its_word_rows(rng, family):
+    # n = 12, depth 3, M = 1024, m = 2: the word rows of the increments take
+    # 15.4 MB, and both fields step through their composed word polynomials,
+    # which read those rows in place (a concatenated copy of them peaked at
+    # 29.9 MB)
+    x = lift(random_walk_path(rng, 1024, 12), 3)
+    v = _random_field(rng, family, 12, 2, 0.1)
+    config = RdeConfig(depth=3, scheme=Scheme.ROUGH_EULER)
+    assert _peak(solve_rough, rng.uniform(-1.0, 1.0, 2), v, x, config) < 20 * 2**20
 
 
 def _random_field(rng, family, n, m, scale, box_radius=1e6):
@@ -580,24 +580,31 @@ def test_monomial_ranks_hold_for_wide_bases(rng, m, degree):
     (1, 7, 3, "_polynomial_steps"),    # 330 monomials
     (13, 2, 3, "_polynomial_steps"),   # C of 4760 x 15
     (1, 27, 3, "_polynomial_steps"),   # 31 465 monomials
+    (1, 30, 3, "_polynomial_steps"),   # 46 376 monomials
 ])
 def test_quadratic_solve_steps_by_basis_size(monkeypatch, rng, n, m, depth, stepper):
-    # a field with a small basis, or any field at depth 1, runs its composed
-    # word polynomials, a larger one at depth 2 or 3 the per-step
-    # evaluation; both stay on the oracle step loop
-    ran, step = [], getattr(rde, stepper)
-    monkeypatch.setattr(rde, stepper, lambda *args: ran.append(stepper) or step(*args))
+    # the stepper choice for a linear, an affine and a quadratic field of one
+    # size: a field without a quadratic part runs its composed word
+    # polynomials on (1, y) at every size and depth, as does a quadratic
+    # field with a small basis, or at depth 1; a larger quadratic field at
+    # depth 2 or 3 runs the per-step evaluation (``stepper`` names the
+    # quadratic field's).  All stay on the oracle step loop
+    ran = []
+    for name in ("_word_steps", "_polynomial_steps"):
+        monkeypatch.setattr(rde, name, lambda *args, name=name, step=getattr(rde, name):
+                            ran.append(name) or step(*args))
     x = _area_driver(_random_driver(rng, 60, n, uniform=False), depth)
-    v = _random_field(rng, FieldFamily.POLYNOMIAL, n, m, 1.0 / (n + m))
     y0 = rng.uniform(-1.0, 1.0, m)
-    got = solve_rough(y0, v, x, RdeConfig(depth=depth, scheme=Scheme.ROUGH_EULER))
-    assert ran == [stepper]
-    y, ys = y0, [y0]
-    for j in range(20):
-        g = group_mul(group_inverse(x.values[j]), x.values[j + 1])
-        y = y + euler_step_increment(v, y, [g.level(k) for k in range(depth + 1)])
-        ys.append(y)
-    _assert_close_to(got.values, np.stack(ys))
+    for family in (FieldFamily.LINEAR, FieldFamily.AFFINE, FieldFamily.POLYNOMIAL):
+        v = _random_field(rng, family, n, m, 1.0 / (n + m))
+        got = solve_rough(y0, v, x, RdeConfig(depth=depth, scheme=Scheme.ROUGH_EULER))
+        y, ys = y0, [y0]
+        for j in range(20):
+            g = group_mul(group_inverse(x.values[j]), x.values[j + 1])
+            y = y + euler_step_increment(v, y, [g.level(k) for k in range(depth + 1)])
+            ys.append(y)
+        _assert_close_to(got.values, np.stack(ys))
+    assert ran == ["_word_steps", "_word_steps", stepper]
 
 
 def _oracle_exit_time(v, y0, xg, depth):
