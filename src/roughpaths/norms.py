@@ -23,9 +23,9 @@ on both path types: their distances come from the path, about
 is O(M).  The budget, 2^15 cells, keeps the few float arrays a kernel holds
 per block in the L2 cache (256 KB each).
 
-* Hoelder: the maximum of the block maxima.
-* q-variation, Riesz (and so mixed): the DP fed block by block.
-* Nikolskii: one diagonal d(f_r, f_(r+m)) per shift m.
+* Hoelder: the maximum of the block maxima, pruned (below).
+* q-variation, Riesz (and so mixed): the DP fed block by block, pruned.
+* Nikolskii: the diagonals d(f_r, f_(r+m)) in blocks of shifts m.
 * fractional Sobolev: a sum accumulated over summation blocks of
   ``_SUM_CELLS`` cells, each gathered from ``_BLOCK_CELLS`` pieces.
 * refined Nikolskii: the fused sweep ``shift_partition_sup`` (below).
@@ -51,19 +51,54 @@ values of the per-matrix calls bit for bit (elementwise ops and exact
 maxima).  The batch-free calls are the case ``batch = ()``.
 
 Distances reach the kernels as *sources*: a Euclidean path, a group path,
-or a dense distance matrix such as ``distances.level_diff_matrix``.  Two
-functions read them, and only they: ``_columns`` yields the column blocks
-of one source, and ``_family_columns`` stacks the blocks of several sources
-on one grid on a leading axis.  One rule serves every source: each block
+or a dense distance matrix such as ``distances.level_diff_matrix``.  One
+function reads them, ``_block``: the distances of some rows and a range of
+columns of one source.  ``_columns`` yields the column blocks of one
+source, ``_family_columns`` stacks the blocks of several sources on one
+grid on a leading axis (``_stacked``), and Nikolskii reads a path's
+diagonals (``_shift_blocks``).  One rule serves every source: each block
 is fresh, a writable C-ordered array of about ``_BLOCK_CELLS`` cells (a
-group path or a dense matrix counts as dim 1), computed by a path's
-``distance_block`` or copied from a dense matrix.  The kernels
+group path or a dense matrix counts as dim 1), computed by a path or
+copied from a dense matrix.  The kernels
 raise, multiply and divide the blocks in place, and no kernel can write a
 caller's matrix.  They keep the ``**`` / ``**=`` operators on contiguous
 arrays, which take NumPy's fast paths for the exponents 2, 0.5 and -1, so
 the values do not change.  A block's cells with i >= j, which no DP reads,
 are the upper triangle of its trailing rows x rows square, and ``_gaps``
 and ``_fill_unread`` write their fill there and nowhere else.
+
+The Hoelder sup and the partition DP skip the cells that cannot win.  They
+take the column blocks of ``_columns``, the last one with the rest
+(``_spans``).  The rows of a column block J fall into the row blocks of the
+same width before it, I < J, and its band, the rows from the column before
+it on.  ``_bounds`` bounds the distances of row block I in column block J
+from per-coordinate extremes taken once per call: ``_euclidean_norm`` of
+the coordinate spans max(cmax - xmin_I, xmax_I - cmin) dominates every
+distance of the block as computed, with no margin, because subtraction,
+squaring, the even and odd sums, the root and the power-of-two scale of
+``_scaled`` are all monotone under rounding.  Only ``np.power`` (SVML, not
+correctly rounded) needs a margin: each bound on a power, of a distance or
+of a gap (t_j - t_i as computed, extreme at the shortest or longest gap of
+the block), moves out by 2^-40 relative plus 2^-1022 absolute.  A group
+path or a dense matrix reports the bound inf, and a NaN or inf bound
+always keeps its row block, so one code path serves every source.
+
+* Partition DP: best is nondecreasing in floats (best[j] >= best[j-1] +
+  w >= best[j-1] for w >= 0).  If best at the last row of I plus the bound
+  on I's weights is strictly below best[j0 - 1] for every member of the
+  batch, no candidate best[i] + w[i, j] of row block I can be the max of
+  column j >= j0, which some band candidate best[j-1] + w >= best[j0 - 1]
+  reaches.  Such a row block is not computed: it enters
+  ``dp_partition_sup`` with weight 0, and its candidates best[i] <=
+  best[j0 - 1] leave every max, and so every bit of best, as it was.
+* Hoelder: for each chunk of column blocks of ``_bounds``, the bands go
+  first, each with the row block next to it (whose bound seldom lets it
+  go) and the row blocks whose bound is not finite; then the other row
+  blocks are computed only where the ratio bound, the distance bound over
+  the lowered power of the shortest gap, reaches the running max.  The max
+  is exact, so neither the order nor the skipped cells change it.
+
+``_sum_kept`` and the fused fallbacks read every cell, as before.
 
 Every partition power sum, ( sup_P sum D^a (v-u)^e )^(1/a), has one
 kernel, ``_power_sup_family``: q-variation (a = q, e = 0), Riesz (a = p,
@@ -175,6 +210,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import paths
 from .exceptions import NonUniformGridError, ParameterError
 from .paths import EuclideanPath, GroupPath, _instance, _real
 
@@ -300,40 +336,170 @@ def _width(srcs, lo, hi, cells) -> int:
     return max(1, cells // ((hi - lo + 1) * dims))
 
 
+def _spans(lo, hi, width) -> list[tuple[int, int]]:
+    """The column blocks (j0, j1), columns j0..j1-1, of the pruned kernels on
+    [lo, hi]: ``width`` columns each from lo+1 on, the last one with the rest
+    (fewer than 2 * width), so that no block is left too narrow to prune."""
+    n = max((hi - lo) // width, 1) if hi > lo else 0
+    return [(lo + 1 + k * width, lo + 1 + (k + 1) * width if k < n - 1 else hi + 1)
+            for k in range(n)]
+
+
+def _block(src, i0, i1, j0, j1) -> np.ndarray:
+    """Distances d(f_i, f_j) of a source for rows i0..i1-1 and columns j0..j1-1.
+
+    ``block[c, r]`` = d(f_(i0+r), f_(j0+c)), in a fresh, writable, C-ordered
+    array that the caller may overwrite: a path computes it, so no (M+1)^2
+    matrix is built, and a dense matrix is copied from.  The rows end at the
+    last column (i1 = j1), as ``distance_block`` takes them, except on a
+    Euclidean path or a dense matrix, whose cells are formed one by one; only
+    a pruned kernel asks for rows that end earlier, and only of a source
+    with finite bounds (``_bounds``).
+    """
+    if isinstance(src, EuclideanPath):
+        x, s = src._scaled
+        return paths._euclidean_norm(x[:, j0:j1, None], x[:, None, i0:i1], s)
+    if isinstance(src, GroupPath):
+        return src.distance_block(i0, j0, j1)
+    return np.array(src[i0:i1, j0:j1].T, order="C")
+
+
+def _stacked(srcs, i0, i1, j0, j1) -> np.ndarray:
+    """The ``_block`` of each source on one grid, stacked on a leading axis;
+    one source's block gets a length-1 axis without a copy.  A distance does
+    not depend on the block it is computed in, so every slice holds the
+    values of the source's own block."""
+    if len(srcs) == 1:
+        return _block(srcs[0], i0, i1, j0, j1)[None]
+    return np.stack([_block(f, i0, i1, j0, j1) for f in srcs])
+
+
 def _columns(src, lo, hi, width=None, first=None):
     """Distances d(f_i, f_j) of a source's columns j = first..hi, in blocks.
 
-    Yields ``(j0, block)`` with ``block[c, r]`` = d(f_(lo+r), f_(j0+c)) for
-    rows lo..j1-1 of the block's columns j0..j1-1, the columns starting at
-    ``first``, by default lo+1, ``width`` columns (by default about
-    ``_BLOCK_CELLS`` cells) at a time.  Every block is a fresh, writable,
-    C-ordered array that the caller may overwrite: a path computes it
-    (``distance_block``), so no (M+1)^2 matrix is built, and a dense matrix
-    is copied from.
+    Yields ``(j0, block)`` with ``block`` the ``_block`` of rows lo..j1-1 and
+    the block's columns j0..j1-1, ``block[c, r]`` = d(f_(lo+r), f_(j0+c)),
+    the columns starting at ``first``, by default lo+1, ``width`` columns (by
+    default about ``_BLOCK_CELLS`` cells) at a time.  The fused fallback of
+    fractional Sobolev sums its terms block by block, so the blocks keep
+    this layout.
     """
     first = first or lo + 1
     width = width or _width([src], lo, hi, _BLOCK_CELLS)
     for j0 in range(first, hi + 1, width):
         j1 = min(j0 + width, hi + 1)
-        yield j0, (src.distance_block(lo, j0, j1) if isinstance(src, _PATHS)
-                   else np.array(src[lo:j1, j0:j1].T, order="C"))
+        yield j0, _block(src, lo, j1, j0, j1)
 
 
 def _family_columns(srcs, lo, hi):
-    """The ``_columns`` blocks of sources on one grid, stacked on a leading axis.
-
-    Yields ``(j0, block)`` with ``block[b]`` the block of ``srcs[b]``, about
-    ``_BLOCK_CELLS`` cells in all; one source's blocks get a length-1 axis
-    without a copy.  A distance does not depend on the block it is computed
-    in, so every slice holds the values of the source's own ``_columns``.
-    """
-    if len(srcs) == 1:
-        for j0, block in _columns(srcs[0], lo, hi):
-            yield j0, block[None]
-        return
+    """The ``_columns`` blocks of sources on one grid, stacked on a leading axis
+    (``_stacked``): yields ``(j0, block)`` with ``block[b]`` the block of
+    ``srcs[b]``, about ``_BLOCK_CELLS`` cells in all."""
     width = _width(srcs, lo, hi, _BLOCK_CELLS)
-    for parts in zip(*(_columns(f, lo, hi, width) for f in srcs)):
-        yield parts[0][0], np.stack([block for _, block in parts])
+    for j0 in range(lo + 1, hi + 1, width):
+        j1 = min(j0 + width, hi + 1)
+        yield j0, _stacked(srcs, lo, j1, j0, j1)
+
+
+#: The margin of a bound on a power that ``np.power`` computes, not correctly
+#: rounded (SVML): of two powers whose exact values are ordered, the smaller
+#: one computed is at most the larger one computed times 1 + 2^-40, plus
+#: 2^-1022 for the powers below the normal range.
+_POW_REL, _POW_ABS = 2.0**-40, 2.0**-1022
+
+
+def _raised(power):
+    """A computed power, raised in place by the pow margin: at least every
+    computed power whose exact value is at most this one's."""
+    power *= 1.0 + _POW_REL
+    power += _POW_ABS
+    return power
+
+
+def _lowered(power):
+    """A computed power, lowered in place by the pow margin: at most every
+    computed power whose exact value is at least this one's."""
+    power *= 1.0 - _POW_REL
+    power -= _POW_ABS
+    return power
+
+
+def _bounds(srcs, times, lo, hi, width, bound, start):
+    """Bounds of the earlier row blocks of the column blocks of [lo, hi], in chunks.
+
+    The column blocks are the ``_spans`` of ``width`` columns, block J the
+    columns lo+1+J*width onwards, and row block I the rows lo+I*width to
+    lo+(I+1)*width-1; the earlier row blocks of column block J are I < J.
+    For the column blocks J >= ``start``, about ``_BLOCK_CELLS`` cells of
+    them at a time, this yields ``(J0, bound(dist, short, long))``, J0 the
+    chunk's first column block and row r of each array column block J0 + r.
+    Over the cells of row block I in column block J, ``dist[b, r, I]`` bounds
+    every distance of ``srcs[b]`` as ``_block`` computes it, and
+    ``short[r, I]`` and ``long[r, I]`` are the shortest and the longest gap
+    t_j - t_i as ``_gaps`` computes it (entries I >= J are not read).
+    Nothing is computed before the first chunk is asked for.
+
+    On a Euclidean path the bound is ``_euclidean_norm`` of the coordinate
+    spans max(cmax - xmin_I, xmax_I - cmin), the extremes of the scaled
+    values over the row block and the column block, taken once per call.
+    Each coordinate difference of a cell lies between the two spans'
+    negatives and the spans, and subtraction, squaring, the sums, the root
+    and the power-of-two scale are monotone under rounding, so the bound
+    dominates every computed distance with no margin.  Any other source has
+    the bound inf.
+    """
+    n = (hi - lo) // width
+    if n <= start:
+        return
+    starts = np.arange(0, n * width, width)
+    ext = []
+    for src in srcs:
+        if isinstance(src, EuclideanPath):
+            x, s = src._scaled
+            # the values of the rows and, below them, of the columns of each block
+            both = np.concatenate([x[:, lo:hi], x[:, lo + 1 : hi + 1]])
+            ext.append((s, np.minimum.reduceat(both, starts, axis=1),
+                        np.maximum.reduceat(both, starts, axis=1)))
+        else:
+            ext.append(None)
+    first = starts + lo
+    last = first + width  # the last column of J; minus 1, the last row of I
+    last[-1] = hi
+    chunk = _width(srcs, 1, n, _BLOCK_CELLS)  # column blocks of n cells (x dim) each
+    for c0 in range(start, n, chunk):
+        c1 = min(c0 + chunk, n)
+        dist = []
+        for e in ext:
+            if e is None:
+                dist.append(np.full((c1 - c0, n), np.inf))
+                continue
+            s, low, high = e
+            dim = len(low) // 2
+            span = np.maximum(high[dim:, c0:c1, None] - low[:dim, None],
+                              high[:dim, None] - low[dim:, c0:c1, None])
+            dist.append(paths._euclidean_norm(span, np.zeros((dim, 1, 1)), s))
+        dist = np.stack(dist) if len(dist) > 1 else dist[0][None]
+        yield c0, bound(dist, times[first[c0:c1] + 1, None] - times[last - 1],
+                        times[last[c0:c1], None] - times[first])
+
+
+def _runs(keep, spans, lo, width, k0) -> list[tuple[int, int, int, int]]:
+    """The runs of kept row blocks as ``(j0, j1, a, b)``: the rows a..b-1 in the
+    columns j0..j1-1 of column block k0 + r of ``spans``, for each run of
+    ``keep[r]``.
+
+    Entry I of ``keep[r]`` is row block I, the rows from lo+I*width on, and
+    entry k0 + r, the last one that may be set, is the block's band, the
+    rows from there to j1 - 1.
+    """
+    edge = np.zeros((len(keep), 1), dtype=bool)
+    keep = np.concatenate([edge, keep, edge], axis=1)
+    rows, ends = np.nonzero(keep[:, 1:] != keep[:, :-1])
+    runs = []
+    for r, a, b in zip(rows[::2].tolist(), ends[::2].tolist(), ends[1::2].tolist()):
+        j0, j1 = spans[k0 + r]
+        runs.append((j0, j1, lo + a * width, j1 if b == k0 + r + 1 else lo + b * width))
+    return runs
 
 
 def _fill_unread(a, fill):
@@ -351,10 +517,12 @@ def _fill_unread(a, fill):
 
 
 def _gaps(times, lo, j0, block, fill) -> np.ndarray:
-    # t_j - t_i over the cells of a column block whose first row is column
-    # j0 (see ``_columns``), batch axes dropped; ``fill`` in the cells with i >= j
+    # t_j - t_i over the cells of a block of rows lo.. whose first row is
+    # column j0 (see ``_block``), batch axes dropped; ``fill`` in the cells with
+    # i >= j, which only a block whose rows reach j0 has
     rows, cols = block.shape[-2:]
-    return _fill_unread(times[j0 : j0 + rows, None] - times[None, lo : lo + cols], fill)
+    gaps = times[j0 : j0 + rows, None] - times[None, lo : lo + cols]
+    return _fill_unread(gaps, fill) if lo + cols > j0 else gaps
 
 
 def _sum_kept(total, count, factors, src, lo, hi) -> bool:
@@ -402,7 +570,7 @@ def _fused_weights(src, times, lo, hi, p, e, unit=1.0):
     return s, weights(s)
 
 
-def dp_partition_sup(columns, lo: int, hi: int, batch: tuple = ()):
+def dp_partition_sup(columns, lo: int, hi: int, batch: tuple = (), best=None):
     """Exact sup over grid partitions of [lo, hi] of the summed block weights.
 
     ``columns`` is an iterable of blocks of shape ``(*batch, rows, cols)``
@@ -415,12 +583,22 @@ def dp_partition_sup(columns, lo: int, hi: int, batch: tuple = ()):
     a dense weight matrix, or a stack of them, passes
     ``[dense_columns(weight, lo, hi)]``.  Returns a float when ``batch`` is
     empty, otherwise the array of suprema of shape ``batch``.
+
+    ``best``, if given, is a zero array of shape ``(*batch, hi - lo + 1)`` that
+    the DP fills in place: a generator of ``columns`` that holds it reads
+    best[..., :j0 - lo], final, when it is asked for the block of column j0.
     """
     if hi <= lo:
         return np.zeros(batch) if batch else 0.0
-    best = np.zeros((*batch, hi - lo + 1))
+    best = np.zeros((*batch, hi - lo + 1)) if best is None else best
+    one = best.reshape(-1) if best.size == hi - lo + 1 else None  # a batch of one
     c = 1
     for block in columns:
+        if one is not None:  # 1-D rows: fewer NumPy calls a column, the same values
+            for row in block.reshape(block.shape[-2:]):
+                one[c] = np.maximum.reduce(one[:c] + row[:c])
+                c += 1
+            continue
         for r in range(block.shape[-2]):
             best[..., c] = np.maximum.reduce(best[..., :c] + block[..., r, :c], axis=-1)
             c += 1
@@ -468,22 +646,25 @@ def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
     r = 1/p) and the level-k distances of ``distances`` (D_b the level-k
     difference, a = p/k, r = k/p).  ``srcs`` are distance sources on one
     grid (see the module docstring), D_b the distances of ``srcs[b]``, read
-    through ``_family_columns``.
+    through ``_stacked`` in the column blocks of ``_spans``.
 
     The members' weights are formed as written and share one
     ``dp_partition_sup`` of batch ``(len(members),)``, whose slices equal
     the per-member DPs bit for bit; a single member raises its slice of the
-    fresh block in place, several raise copies.  A member's sum is kept when
-    ``_sum_kept`` keeps it, with the time factor g^e extreme at the shortest
-    step and at t_hi - t_lo; otherwise that member alone takes the fused
-    weights of its source.  Cells with i >= j, never read by a DP, get a
-    unit gap.
+    fresh block in place, several raise copies.  A row block that no
+    member's bound lets win in a column block is not computed and enters the
+    DP with weight 0 (the pruning rule of the module docstring).  A member's
+    sum is kept when ``_sum_kept`` keeps it, with the time factor g^e
+    extreme at the shortest step and at t_hi - t_lo; otherwise that member
+    alone takes the fused weights of its source.  Cells with i >= j, never
+    read by a DP, get a unit gap.
     """
     if hi <= lo:
         return [0.0] * len(members)
     exponents = list(dict.fromkeys(e for _, _, e, _ in members if e))
 
-    def weights(j0, block):
+    def weights(j0, i0, block):
+        # the weights of a stacked block of rows i0.. and columns j0..
         if len(members) == 1:  # the fresh block's own slice, raised in place
             b, a = members[0][:2]
             w = block[b : b + 1]
@@ -494,7 +675,7 @@ def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
                 np.copyto(row, block[b])
                 row **= a
         if exponents:
-            gap = _gaps(times, lo, j0, block, 1.0)
+            gap = _gaps(times, i0, j0, block, 1.0)
             factors = {e: gap**e for e in exponents[1:]}
             gap **= exponents[0]  # the gaps' last use: raised in place
             factors[exponents[0]] = gap
@@ -503,10 +684,39 @@ def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
                     row *= factors[e]
         return w
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks = _family_columns(srcs, lo, hi)
-        totals = dp_partition_sup((weights(j0, block) for j0, block in blocks), lo, hi,
-                                  (len(members),))
+    def weight_bounds(dist, short, long):
+        # D^a g^e of a member: the powers of the largest distance and of the
+        # gap where g^e is largest, each raised by the pow margin
+        out = np.empty((len(members), *short.shape))
+        for row, (b, a, e, _) in zip(out, members):
+            _raised(np.power(dist[b], a, out=row))
+            if e:
+                row *= _raised((short if e < 0 else long) ** e)
+        return out
+
+    width = _width(srcs, lo, hi, _BLOCK_CELLS)
+    best = np.zeros((len(members), hi - lo + 1))
+
+    def columns():
+        bounds = _bounds(srcs, times, lo, hi, width, weight_bounds, 1)
+        rows = (chunk[:, r] for _, chunk in bounds for r in range(chunk.shape[1]))
+        spans = _spans(lo, hi, width)
+        for k, (j0, j1) in enumerate(spans):
+            # row block I < k cannot win when, for every member, best at its
+            # last row plus its bound is below best[j0 - 1] (none before k = 1)
+            if k:
+                skip = (best[:, width - 1 : k * width : width] + next(rows)[:, :k]
+                        < best[:, k * width, None]).all(axis=0)
+            if not k or not skip.any():
+                yield weights(j0, lo, _stacked(srcs, lo, j1, j0, j1))
+                continue
+            block = np.zeros((len(members), j1 - j0, j1 - lo))
+            for _, _, a, b in _runs(np.append(~skip, True)[None], spans, lo, width, k):
+                block[..., a - lo : b - lo] = weights(j0, a, _stacked(srcs, a, b, j0, j1))
+            yield block
+
+    with np.errstate(all="ignore"):
+        totals = dp_partition_sup(columns(), lo, hi, (len(members),), best)
     shortest = float(np.diff(times[lo : hi + 1]).min())
     span = float(times[hi] - times[lo])
     values = []
@@ -559,17 +769,46 @@ def _max(best: float, value: float) -> float:
 
 @_in_range
 def holder_norm(path, delta: float, interval=None) -> float:
-    """Hoelder seminorm sup_{u<v} d(f_u, f_v) / (v-u)^delta over grid pairs."""
+    """Hoelder seminorm sup_{u<v} d(f_u, f_v) / (v-u)^delta over grid pairs.
+
+    The column blocks (``_spans``) are taken in two passes over each chunk
+    of ``_bounds``.  The first computes each block's band, its rows
+    from j0 - 1 on, with the row block next to it and every row block whose
+    ratio bound is not finite; the second only the other row blocks whose
+    bound reaches the running max (the pruning rule of the module
+    docstring).  The max is exact, so the order does not change the value.
+    """
     _check_params(NormKind.HOELDER, delta, None)
     _instance(path, _PATHS, "path")
     times = path.grid.times
     lo, hi = path.grid.resolve_interval(interval)
-    best = 0.0
-    for j0, block in _columns(path, lo, hi):
-        w = _gaps(times, lo, j0, block, np.inf)
+    width = _width([path], lo, hi, _BLOCK_CELLS)
+
+    def ratio_bounds(dist, short, long):
+        # d / g^delta: the largest distance over the shortest gap's power,
+        # lowered by the pow margin; inf or NaN where that is not positive
+        return dist[0] / np.maximum(_lowered(short**delta), 0.0)
+
+    def ratio_max(j0, j1, a, b):
+        block = _block(path, a, b, j0, j1)
+        w = _gaps(times, a, j0, block, np.inf)
         w **= delta
         np.divide(block, w, out=w)
-        best = _max(best, float(np.max(w)))
+        return float(np.max(w))
+
+    best = 0.0
+    spans = _spans(lo, hi, width)
+    # column blocks 0 and 1: every row is in the band or the row block next to it
+    for j0, j1 in spans[:2]:
+        best = _max(best, ratio_max(j0, j1, lo, j1))
+    for k0, bound in _bounds([path], times, lo, hi, width, ratio_bounds, 2):
+        k = np.arange(k0, k0 + len(bound))[:, None]
+        rows = np.arange(bound.shape[1])
+        far, finite = rows < k - 1, np.isfinite(bound)
+        for run in _runs((rows >= k - 1) & (rows <= k) | far & ~finite, spans, lo, width, k0):
+            best = _max(best, ratio_max(*run))
+        for run in _runs(far & finite & (bound >= best), spans, lo, width, k0):
+            best = _max(best, ratio_max(*run))
     return best
 
 
@@ -601,13 +840,47 @@ def mixed_norm(path, delta: float, p, interval=None) -> float:
     return riesz_norm(path, delta, p, interval)
 
 
+def _shift_blocks(path, lo, hi, shifts):
+    """The diagonals d(f_r, f_(r+m)), r = lo..hi-m, of the shifts m = 1..``shifts``,
+    in blocks of shifts of about ``_BLOCK_CELLS`` cells (``_width``).
+
+    Yields ``(m0, block)``: row m - m0 of the fresh, C-ordered block holds
+    the hi - lo + 1 - m distances of shift m first, each equal to that of
+    ``shift_distances(m, lo, hi)``; the cells after them are no distances of
+    the shift.  A Euclidean path computes a block at once, its shifted
+    points a window view of the scaled values padded with zeros; a group
+    path fills it shift by shift.
+    """
+    n = hi - lo  # the distances of shift 1
+    width = _width([path], lo, hi, _BLOCK_CELLS)
+    if isinstance(path, EuclideanPath):
+        x, s = path._scaled
+        ends = np.concatenate([x[:, lo + 1 : hi + 1], np.zeros((len(x), shifts))], axis=1)
+        window = np.lib.stride_tricks.sliding_window_view(ends, n, axis=1)
+    for m0 in range(1, shifts + 1, width):
+        m1 = min(m0 + width, shifts + 1)
+        cols = max(n + 1 - m0, 0)
+        if isinstance(path, EuclideanPath):
+            # row m - m0 of the window: the points r + m of shift m
+            yield m0, paths._euclidean_norm(x[:, None, lo : lo + cols],
+                                            window[:, m0 - 1 : m1 - 1, :cols], s)
+            continue
+        block = np.zeros((m1 - m0, cols))
+        for m in range(m0, m1):
+            block[m - m0, : n + 1 - m] = path.shift_distances(m, lo, hi)
+        yield m0, block
+
+
 @_in_range
 def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     """Nikolskii seminorm sup_h h^(-delta) ( int_s^{t-h} d(f_u, f_{u+h})^p du )^(1/p).
 
     Shifts h are integer multiples of the uniform mesh; the integral is a
     left Riemann sum over grid points in [s, t-h).  For p = P_INF the inner
-    integral becomes a maximum.  Each shift reads one diagonal d(f_r, f_(r+m)).
+    integral becomes a maximum.  The diagonals d(f_r, f_(r+m)) come in
+    blocks of shifts (``_shift_blocks``), raised in place; each shift is
+    summed, or maximised, on its own contiguous row, so every shift sees the
+    data and the pairwise sum of its own diagonal.
     """
     p = _check_params(NormKind.NIKOLSKII, delta, p)
     _instance(path, _PATHS, "path")
@@ -619,17 +892,19 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
         return 0.0
     dt = (times[hi] - times[lo]) / span
     best = 0.0
+    # the left Riemann sum leaves the last column out
+    last = hi if p is P_INF else hi - 1
+    for m0, block in _shift_blocks(path, lo, last, span):
+        if p is not P_INF:
+            block **= p
+        for m, row in enumerate(block, m0):
+            seg = row[: last - lo + 1 - m]
+            if p is P_INF:
+                best = _max(best, (m * dt) ** (-delta) * float(np.max(seg)))
+            else:
+                best = _max(best, (m * dt) ** (-delta * p) * dt * float(np.add.reduce(seg)))
     if p is P_INF:
-        for m in range(1, span + 1):
-            seg = path.shift_distances(m, lo, hi)
-            best = _max(best, (m * dt) ** (-delta) * float(np.max(seg)))
         return float(best)
-    for m in range(1, span + 1):
-        # left Riemann sum over r = lo .. hi-m-1 (exclusive right endpoint)
-        seg = path.shift_distances(m, lo, hi - 1)
-        seg **= p
-        total = float(seg.sum())
-        best = _max(best, (m * dt) ** (-delta * p) * dt * total)
     # time factors (m*mesh)^(-delta*p) and that times mesh, extreme at m = 1, span
     factors = [-delta * p * math.log2(m * dt) + u for m in (1, span) for u in (0.0, math.log2(dt))]
     # the last column's distances enter no left Riemann sum

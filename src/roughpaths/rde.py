@@ -488,7 +488,9 @@ def _polynomial_steps(v: VectorField, y0: np.ndarray, words: np.ndarray, depth: 
     Evaluated one step at a time: V(y), row i equal to V_i(y), is one
     matrix product with the monomials (1, y, y (x) y), the Jacobian one with
     (1, y), and the level-2 and level-3 terms are flattened matrix products
-    over these.  The levels are column views of the word rows ``words``.
+    over these.  The levels are column views of the word rows ``words``;
+    each step copies its own level 2 and 3, transposed and C-ordered, for
+    the products, so no copy of the levels of all steps is made.
     """
     m, n = v.m, v.n
     vf = np.concatenate([v.const.reshape(n * m, 1), v.lin.reshape(n * m, m),
@@ -499,9 +501,6 @@ def _polynomial_steps(v: VectorField, y0: np.ndarray, words: np.ndarray, depth: 
     hess = 2.0 * v.quad.transpose(1, 3, 2, 0).reshape(m, m * m * n)   # [a, (c, b, k)]
     steps = words.shape[0]
     g1, g2, g3 = words[:, 1:1 + n], words[:, 1 + n:1 + n + n * n], words[:, 1 + n + n * n:]
-    g2t = g2.reshape(steps, n, n).transpose(0, 2, 1).copy()      # [j, i] = g2[i, j]
-    if depth > 2:
-        g3t = g3.reshape(steps, n, n, n).transpose(0, 2, 1, 3).copy()  # [j, i, k]
     mono = np.empty(1 + m + m * m)
     mono[0] = 1.0
     square = mono[1 + m:].reshape(m, m)
@@ -511,9 +510,11 @@ def _polynomial_steps(v: VectorField, y0: np.ndarray, words: np.ndarray, depth: 
         np.multiply.outer(y, y, out=square)
         vt = (vf @ mono).reshape(n, m)
         jac = (jf @ mono[:1 + m]).reshape(m, n * m)
-        inc = g1[j] @ vt + jac @ (g2t[j] @ vt).ravel()
+        g2t = g2[j].reshape(n, n).T.copy()          # [j, i] = g2[i, j]
+        inc = g1[j] @ vt + jac @ (g2t @ vt).ravel()
         if depth > 2:
-            u = vt.T @ g3t[j]                    # [j, c, k] = sum_i V_i^c g3[i, j, k]
+            g3t = g3[j].reshape(n, n, n).transpose(1, 0, 2).copy()  # [j, i, k]
+            u = vt.T @ g3t                       # [j, c, k] = sum_i V_i^c g3[i, j, k]
             inc = inc + hess @ (vt.T @ u.reshape(n, m * n)).ravel()
             inc = inc + jac @ (jac @ u.reshape(n * m, n)).T.ravel()
         y = y + inc

@@ -10,16 +10,21 @@ path whose largest coordinate span lies outside [2^-256, 2^256] is measured
 on its values divided by the power of two nearest that span, and the
 distances multiplied back (``path_scale``).
 ``norms._gaps`` writes its fill only in the trailing square of a block and
-must equal the full-block ``np.where`` over strictly increasing times.
+must equal the full-block ``np.where`` over strictly increasing times.  The
+pruned kernels also take blocks whose rows end before the columns start
+(``norms._block``) and Nikolskii takes its diagonals in blocks of shifts
+(``norms._shift_blocks``); their cells must be those of the other calls.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughpaths.norms import _gaps
+from roughpaths import norms as norms_module
+from roughpaths.norms import _block, _gaps, _shift_blocks
 from roughpaths.paths import EuclideanPath, TimeGrid, _euclidean_norm
 
 SCALES = (1e-160, 1.0, 1e150)
@@ -95,7 +100,7 @@ def column_blocks(draw):
     lo = draw(st.integers(0, m))
     j0 = draw(st.integers(lo, m))
     j1 = draw(st.one_of(st.just(j0 + 1), st.integers(j0 + 1, m + 1)))
-    return f, lo, j0, j1
+    return f, lo, j0, j1, draw(st.integers(lo, j1))
 
 
 @st.composite
@@ -111,7 +116,8 @@ def shifts(draw):
 @given(column_blocks())
 def test_distance_block_equals_scalar_reference(case):
     # lo > 0 and one-column blocks (j1 = j0 + 1) included
-    f, lo, j0, j1 = case
+    # and the rows lo..i1-1 alone, as a pruned kernel takes them
+    f, lo, j0, j1, i1 = case
     s = path_scale(f.values)
     v = f.values / s
     got = f.distance_block(lo, j0, j1)
@@ -119,6 +125,7 @@ def test_distance_block_equals_scalar_reference(case):
     want = np.array([[scalar_distance(v[j], v[i]) * s for i in range(lo, j1)]
                      for j in range(j0, j1)])
     assert np.array_equal(got, want)
+    assert np.array_equal(_block(f, lo, i1, j0, j1), want[:, : i1 - lo])
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -130,6 +137,12 @@ def test_shift_distances_equal_scalar_reference(case):
     got = f.shift_distances(m, lo, hi)
     want = np.array([scalar_distance(v[r], v[r + m]) * s for r in range(lo, hi - m + 1)])
     assert np.array_equal(got, want)
+    # the row of shift m in the blocks of shifts 1..hi-lo that Nikolskii reads
+    for cells in (1, 97, 1 << 15):
+        with mock.patch.object(norms_module, "_BLOCK_CELLS", cells):
+            rows = {m0 + i: row for m0, block in _shift_blocks(f, lo, hi, hi - lo)
+                    for i, row in enumerate(block)}
+        assert np.array_equal(rows[m][: hi - lo + 1 - m], want)
 
 
 @st.composite
@@ -144,9 +157,11 @@ def gap_blocks(draw):
     lo = draw(st.integers(0, intervals - 1))
     j0 = draw(st.integers(lo + 1, intervals))
     j1 = draw(st.integers(j0 + 1, intervals + 1))
+    # rows up to the last column, or rows that end before the first one
+    i1 = draw(st.one_of(st.just(j1), st.integers(lo + 1, j0)))
     batch = draw(st.sampled_from([(), (3,)]))
     fill = draw(st.sampled_from([np.inf, 1.0, 0.0]))
-    return grid.times, lo, j0, np.zeros((*batch, j1 - j0, j1 - lo)), fill
+    return grid.times, lo, j0, np.zeros((*batch, j1 - j0, i1 - lo)), fill
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
