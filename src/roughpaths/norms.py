@@ -432,7 +432,8 @@ def _bounds(srcs, times, lo, hi, width, bound, start):
     lo+(I+1)*width-1; the earlier row blocks of column block J are I < J.
     For the column blocks J >= ``start``, about ``_BLOCK_CELLS`` cells of
     them at a time, this yields ``(J0, bound(dist, short, long))``, J0 the
-    chunk's first column block and row r of each array column block J0 + r.
+    chunk's first column block, row r of each array column block J0 + r and
+    its columns the row blocks before the chunk's end.
     Over the cells of row block I in column block J, ``dist[b, r, I]`` bounds
     every distance of ``srcs[b]`` as ``_block`` computes it, and
     ``short[r, I]`` and ``long[r, I]`` are the shortest and the longest gap
@@ -467,20 +468,20 @@ def _bounds(srcs, times, lo, hi, width, bound, start):
     last[-1] = hi
     chunk = _width(srcs, 1, n, _BLOCK_CELLS)  # column blocks of n cells (x dim) each
     for c0 in range(start, n, chunk):
-        c1 = min(c0 + chunk, n)
+        c1 = min(c0 + chunk, n)  # the row blocks I < c1 cover the chunk's earlier ones
         dist = []
         for e in ext:
             if e is None:
-                dist.append(np.full((c1 - c0, n), np.inf))
+                dist.append(np.full((c1 - c0, c1), np.inf))
                 continue
             s, low, high = e
             dim = len(low) // 2
-            span = np.maximum(high[dim:, c0:c1, None] - low[:dim, None],
-                              high[:dim, None] - low[dim:, c0:c1, None])
+            span = np.maximum(high[dim:, c0:c1, None] - low[:dim, None, :c1],
+                              high[:dim, None, :c1] - low[dim:, c0:c1, None])
             dist.append(paths._euclidean_norm(span, np.zeros((dim, 1, 1)), s))
         dist = np.stack(dist) if len(dist) > 1 else dist[0][None]
-        yield c0, bound(dist, times[first[c0:c1] + 1, None] - times[last - 1],
-                        times[last[c0:c1], None] - times[first])
+        yield c0, bound(dist, times[first[c0:c1] + 1, None] - times[last[:c1] - 1],
+                        times[last[c0:c1], None] - times[first[:c1]])
 
 
 def _runs(keep, spans, lo, width, k0) -> list[tuple[int, int, int, int]]:

@@ -40,9 +40,11 @@ squared difference of coordinate c, the distance is
 sqrt((s_0 + s_2 + s_4 + ...) + (s_1 + s_3 + ...)), each of the two sums added
 left to right, every step one elementwise ufunc call in place on one buffer.
 ``EuclideanPath.distance_block`` (rows against a range of columns) and
-``shift_distances`` (one diagonal) both use it, so a distance depends neither
-on the block it is computed in nor, being correctly rounded elementwise
-arithmetic, on the CPU.  At dims 1 to 7 this is the order of NumPy 2.4's
+``shift_distances`` (one diagonal) both use it, as do the norm kernels on
+``_scaled`` (``norms._block``, ``norms._shift_blocks`` and the distance
+bounds of ``norms._bounds``), so a distance depends neither on the block it
+is computed in nor, being correctly rounded elementwise arithmetic, on the
+CPU.  At dims 1 to 7 this is the order of NumPy 2.4's
 ``sqrt(einsum("...k,...k->...", d, d))``, whose values it reproduces bit for
 bit.  A squared difference leaves the normal float range beyond about
 2^511 or below about 2^-511, so a path whose largest coordinate span lies
