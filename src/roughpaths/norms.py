@@ -68,10 +68,12 @@ are the upper triangle of its trailing rows x rows square, and ``_gaps``
 and ``_fill_unread`` write their fill there and nowhere else.
 
 The Hoelder sup and the partition DP skip the cells that cannot win.  They
-take the column blocks of ``_columns``, the last one with the rest
-(``_spans``).  The rows of a column block J fall into the row blocks of the
-same width before it, I < J, and its band, the rows from the column before
-it on.  ``_bounds`` bounds the distances of row block I in column block J
+take the column blocks of ``_columns`` (``_spans``).  The rows of a column
+block J fall into the row blocks of the same width before it, I < J, and
+its band, the rows from the column before it on.  They bound the row
+blocks only where the column blocks outnumber the columns of a block
+(``_first_bounded``); on fewer, most rows lie in a band or next to one,
+and every block is computed whole.  ``_bounds`` bounds the distances of row block I in column block J
 from per-coordinate extremes taken once per call: ``_euclidean_norm`` of
 the coordinate spans max(cmax - xmin_I, xmax_I - cmin) dominates every
 distance of the block as computed, with no margin, because subtraction,
@@ -336,13 +338,10 @@ def _width(srcs, lo, hi, cells) -> int:
     return max(1, cells // ((hi - lo + 1) * dims))
 
 
-def _spans(lo, hi, width) -> list[tuple[int, int]]:
-    """The column blocks (j0, j1), columns j0..j1-1, of the pruned kernels on
-    [lo, hi]: ``width`` columns each from lo+1 on, the last one with the rest
-    (fewer than 2 * width), so that no block is left too narrow to prune."""
-    n = max((hi - lo) // width, 1) if hi > lo else 0
-    return [(lo + 1 + k * width, lo + 1 + (k + 1) * width if k < n - 1 else hi + 1)
-            for k in range(n)]
+def _spans(first, hi, width) -> list[tuple[int, int]]:
+    """The column blocks (j0, j1), columns j0..j1-1, of the columns first..hi:
+    ``width`` columns each, the last one the rest."""
+    return [(j0, min(j0 + width, hi + 1)) for j0 in range(first, hi + 1, width)]
 
 
 def _block(src, i0, i1, j0, j1) -> np.ndarray:
@@ -380,14 +379,10 @@ def _columns(src, lo, hi, width=None, first=None):
     Yields ``(j0, block)`` with ``block`` the ``_block`` of rows lo..j1-1 and
     the block's columns j0..j1-1, ``block[c, r]`` = d(f_(lo+r), f_(j0+c)),
     the columns starting at ``first``, by default lo+1, ``width`` columns (by
-    default about ``_BLOCK_CELLS`` cells) at a time.  The fused fallback of
-    fractional Sobolev sums its terms block by block, so the blocks keep
-    this layout.
+    default about ``_BLOCK_CELLS`` cells) at a time (``_spans``).
     """
-    first = first or lo + 1
     width = width or _width([src], lo, hi, _BLOCK_CELLS)
-    for j0 in range(first, hi + 1, width):
-        j1 = min(j0 + width, hi + 1)
+    for j0, j1 in _spans(first or lo + 1, hi, width):
         yield j0, _block(src, lo, j1, j0, j1)
 
 
@@ -395,9 +390,7 @@ def _family_columns(srcs, lo, hi):
     """The ``_columns`` blocks of sources on one grid, stacked on a leading axis
     (``_stacked``): yields ``(j0, block)`` with ``block[b]`` the block of
     ``srcs[b]``, about ``_BLOCK_CELLS`` cells in all."""
-    width = _width(srcs, lo, hi, _BLOCK_CELLS)
-    for j0 in range(lo + 1, hi + 1, width):
-        j1 = min(j0 + width, hi + 1)
+    for j0, j1 in _spans(lo + 1, hi, _width(srcs, lo, hi, _BLOCK_CELLS)):
         yield j0, _stacked(srcs, lo, j1, j0, j1)
 
 
@@ -449,10 +442,10 @@ def _bounds(srcs, times, lo, hi, width, bound, start):
     dominates every computed distance with no margin.  Any other source has
     the bound inf.
     """
-    n = (hi - lo) // width
+    starts = np.arange(0, hi - lo, width)
+    n = len(starts)
     if n <= start:
         return
-    starts = np.arange(0, n * width, width)
     ext = []
     for src in srcs:
         if isinstance(src, EuclideanPath):
@@ -464,8 +457,7 @@ def _bounds(srcs, times, lo, hi, width, bound, start):
         else:
             ext.append(None)
     first = starts + lo
-    last = first + width  # the last column of J; minus 1, the last row of I
-    last[-1] = hi
+    last = np.minimum(first + width, hi)  # the last column of J; minus 1, the last row of I
     chunk = _width(srcs, 1, n, _BLOCK_CELLS)  # column blocks of n cells (x dim) each
     for c0 in range(start, n, chunk):
         c1 = min(c0 + chunk, n)  # the row blocks I < c1 cover the chunk's earlier ones
@@ -482,6 +474,16 @@ def _bounds(srcs, times, lo, hi, width, bound, start):
         dist = np.stack(dist) if len(dist) > 1 else dist[0][None]
         yield c0, bound(dist, times[first[c0:c1] + 1, None] - times[last[:c1] - 1],
                         times[last[c0:c1], None] - times[first[:c1]])
+
+
+def _first_bounded(spans, width, first) -> int:
+    """The first column block that a pruned kernel bounds: ``first``, its
+    first one with a row block it may skip, when the column blocks outnumber
+    the columns of a block, and otherwise none (``len(spans)``), every block
+    then computed whole.  On fewer column blocks most rows lie in a band or
+    next to one, and the bounds' fixed cost of some 30 us a call and 5-10 us
+    a column block outweighs the few cells they skip."""
+    return first if len(spans) > width else len(spans)
 
 
 def _runs(keep, spans, lo, width, k0) -> list[tuple[int, int, int, int]]:
@@ -592,14 +594,8 @@ def dp_partition_sup(columns, lo: int, hi: int, batch: tuple = (), best=None):
     if hi <= lo:
         return np.zeros(batch) if batch else 0.0
     best = np.zeros((*batch, hi - lo + 1)) if best is None else best
-    one = best.reshape(-1) if best.size == hi - lo + 1 else None  # a batch of one
     c = 1
     for block in columns:
-        if one is not None:  # 1-D rows: fewer NumPy calls a column, the same values
-            for row in block.reshape(block.shape[-2:]):
-                one[c] = np.maximum.reduce(one[:c] + row[:c])
-                c += 1
-            continue
         for r in range(block.shape[-2]):
             best[..., c] = np.maximum.reduce(best[..., :c] + block[..., r, :c], axis=-1)
             c += 1
@@ -699,16 +695,17 @@ def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
     best = np.zeros((len(members), hi - lo + 1))
 
     def columns():
-        bounds = _bounds(srcs, times, lo, hi, width, weight_bounds, 1)
+        spans = _spans(lo + 1, hi, width)
+        start = _first_bounded(spans, width, 1)
+        bounds = _bounds(srcs, times, lo, hi, width, weight_bounds, start)
         rows = (chunk[:, r] for _, chunk in bounds for r in range(chunk.shape[1]))
-        spans = _spans(lo, hi, width)
         for k, (j0, j1) in enumerate(spans):
             # row block I < k cannot win when, for every member, best at its
-            # last row plus its bound is below best[j0 - 1] (none before k = 1)
-            if k:
+            # last row plus its bound is below best[j0 - 1]
+            if k >= start:
                 skip = (best[:, width - 1 : k * width : width] + next(rows)[:, :k]
                         < best[:, k * width, None]).all(axis=0)
-            if not k or not skip.any():
+            if k < start or not skip.any():
                 yield weights(j0, lo, _stacked(srcs, lo, j1, j0, j1))
                 continue
             block = np.zeros((len(members), j1 - j0, j1 - lo))
@@ -772,12 +769,12 @@ def _max(best: float, value: float) -> float:
 def holder_norm(path, delta: float, interval=None) -> float:
     """Hoelder seminorm sup_{u<v} d(f_u, f_v) / (v-u)^delta over grid pairs.
 
-    The column blocks (``_spans``) are taken in two passes over each chunk
-    of ``_bounds``.  The first computes each block's band, its rows
-    from j0 - 1 on, with the row block next to it and every row block whose
-    ratio bound is not finite; the second only the other row blocks whose
-    bound reaches the running max (the pruning rule of the module
-    docstring).  The max is exact, so the order does not change the value.
+    The column blocks (``_spans``) from ``_first_bounded`` on are taken in
+    two passes over each chunk of ``_bounds``, the ones before it whole.
+    The first pass computes each block's band, its rows from j0 - 1 on,
+    with the row block next to it and every row block whose ratio bound is
+    not finite; the second only the other row blocks whose bound reaches
+    the running max (the pruning rule of the module docstring).  The max is exact, so the order does not change the value.
     """
     _check_params(NormKind.HOELDER, delta, None)
     _instance(path, _PATHS, "path")
@@ -798,11 +795,13 @@ def holder_norm(path, delta: float, interval=None) -> float:
         return float(np.max(w))
 
     best = 0.0
-    spans = _spans(lo, hi, width)
-    # column blocks 0 and 1: every row is in the band or the row block next to it
-    for j0, j1 in spans[:2]:
+    spans = _spans(lo + 1, hi, width)
+    # whole: column blocks 0 and 1, whose rows are all in the band or the row
+    # block next to it, or every block where there are few
+    start = _first_bounded(spans, width, 2)
+    for j0, j1 in spans[:start]:
         best = _max(best, ratio_max(j0, j1, lo, j1))
-    for k0, bound in _bounds([path], times, lo, hi, width, ratio_bounds, 2):
+    for k0, bound in _bounds([path], times, lo, hi, width, ratio_bounds, start):
         k = np.arange(k0, k0 + len(bound))[:, None]
         rows = np.arange(bound.shape[1])
         far, finite = rows < k - 1, np.isfinite(bound)

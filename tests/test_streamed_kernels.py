@@ -157,21 +157,32 @@ def gap_blocks(draw):
     lo = draw(st.integers(0, intervals - 1))
     j0 = draw(st.integers(lo + 1, intervals))
     j1 = draw(st.integers(j0 + 1, intervals + 1))
-    # rows up to the last column, or rows that end before the first one
-    i1 = draw(st.one_of(st.just(j1), st.integers(lo + 1, j0)))
     batch = draw(st.sampled_from([(), (3,)]))
     fill = draw(st.sampled_from([np.inf, 1.0, 0.0]))
-    return grid.times, lo, j0, np.zeros((*batch, j1 - j0, i1 - lo)), fill
+    # and the end of rows that stop before the first column, as a pruned kernel takes them
+    i1 = draw(st.integers(lo + 1, j0))
+    return grid.times, lo, j0, np.zeros((*batch, j1 - j0, j1 - lo)), fill, i1
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(gap_blocks())
 def test_gaps_equal_full_block_where(case):
-    times, lo, j0, block, fill = case
+    times, lo, j0, block, fill, _ = case
     rows, cols = block.shape[-2:]
     gap = times[j0 : j0 + rows, None] - times[None, lo : lo + cols]
     want = np.where(gap > 0, gap, fill)
     assert np.array_equal(_gaps(times, lo, j0, block, fill), want)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(gap_blocks())
+def test_gaps_of_rows_before_the_columns_are_all_positive(case):
+    # rows lo..i1-1 end before column j0: no cell has i >= j, none is filled
+    times, lo, j0, block, fill, i1 = case
+    rows = block.shape[-2]
+    gap = times[j0 : j0 + rows, None] - times[None, lo:i1]
+    got = _gaps(times, lo, j0, block[..., : i1 - lo], fill)
+    assert np.array_equal(got, gap) and (got > 0).all()
 
 
 def test_gaps_of_dense_columns():
