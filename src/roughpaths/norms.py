@@ -56,7 +56,7 @@ function reads them, ``_block``: the distances of some rows and a range of
 columns of one source.  ``_columns`` yields the column blocks of one
 source, ``_family_columns`` stacks the blocks of several sources on one
 grid on a leading axis (``_stacked``), and Nikolskii reads a path's
-diagonals (``_shift_blocks``).  One rule serves every source: each block
+diagonals (``_shift_rows``).  One rule serves every source: each block
 is fresh, a writable C-ordered array of about ``_BLOCK_CELLS`` cells (a
 group path or a dense matrix counts as dim 1), computed by a path or
 copied from a dense matrix.  The kernels
@@ -73,17 +73,18 @@ block J fall into the row blocks of the same width before it, I < J, and
 its band, the rows from the column before it on.  They bound the row
 blocks only where the column blocks outnumber the columns of a block
 (``_first_bounded``); on fewer, most rows lie in a band or next to one,
-and every block is computed whole.  ``_bounds`` bounds the distances of row block I in column block J
-from per-coordinate extremes taken once per call: ``_euclidean_norm`` of
-the coordinate spans max(cmax - xmin_I, xmax_I - cmin) dominates every
-distance of the block as computed, with no margin, because subtraction,
-squaring, the even and odd sums, the root and the power-of-two scale of
-``_scaled`` are all monotone under rounding.  Only ``np.power`` (SVML, not
-correctly rounded) needs a margin: each bound on a power, of a distance or
-of a gap (t_j - t_i as computed, extreme at the shortest or longest gap of
-the block), moves out by 2^-40 relative plus 2^-1022 absolute.  A group
-path or a dense matrix reports the bound inf, and a NaN or inf bound
-always keeps its row block, so one code path serves every source.
+and every block is computed whole.  ``_bounds`` bounds the distances of
+row block I in column block J from per-coordinate extremes taken once per
+call: ``_euclidean_norm`` of the coordinate spans max(cmax - xmin_I,
+xmax_I - cmin) dominates every distance of the block as computed, with no
+margin, because subtraction, squaring, the even and odd sums, the root and
+the power-of-two scale of ``_scaled`` are all monotone under rounding.
+Only ``np.power`` (SVML, not correctly rounded) needs a margin: each bound
+on a power, of a distance or of a gap (t_j - t_i as computed, extreme at
+the shortest or longest gap of the block), moves out by 2^-40 relative
+plus 2^-1022 absolute.  A group path or a dense matrix reports the bound
+inf, and a NaN or inf bound always keeps its row block, so one code path
+serves every source.
 
 * Partition DP: best is nondecreasing in floats (best[j] >= best[j-1] +
   w >= best[j-1] for w >= 0).  If best at the last row of I plus the bound
@@ -840,35 +841,40 @@ def mixed_norm(path, delta: float, p, interval=None) -> float:
     return riesz_norm(path, delta, p, interval)
 
 
-def _shift_blocks(path, lo, hi, shifts):
-    """The diagonals d(f_r, f_(r+m)), r = lo..hi-m, of the shifts m = 1..``shifts``,
-    in blocks of shifts of about ``_BLOCK_CELLS`` cells (``_width``).
+def _shift_rows(path, lo, hi, shifts, p):
+    """The diagonals d(f_r, f_(r+m))^p, r = lo..hi-m, of the shifts m = 1..``shifts``
+    (not raised for p = P_INF).
 
-    Yields ``(m0, block)``: row m - m0 of the fresh, C-ordered block holds
-    the hi - lo + 1 - m distances of shift m first, each equal to that of
-    ``shift_distances(m, lo, hi)``; the cells after them are no distances of
-    the shift.  A Euclidean path computes a block at once, its shifted
-    points a window view of the scaled values padded with zeros; a group
-    path fills it shift by shift.
+    Yields ``(m, row)``: the hi - lo + 1 - m distances of shift m, each equal
+    to that of ``shift_distances(m, lo, hi)`` and raised elementwise, in a
+    contiguous row.  A Euclidean path computes the diagonals in blocks of
+    shifts of about ``_BLOCK_CELLS`` cells (``_width``), each one broadcast
+    over a window view of the scaled values padded with zeros and raised in
+    place at once.  A group path, which computes its distances shift by
+    shift, raises each shift's row alone, so no padding is raised.
     """
+    if not isinstance(path, EuclideanPath):
+        for m in range(1, shifts + 1):
+            row = path.shift_distances(m, lo, hi)
+            if p is not P_INF:
+                row **= p
+            yield m, row
+        return
     n = hi - lo  # the distances of shift 1
     width = _width([path], lo, hi, _BLOCK_CELLS)
-    if isinstance(path, EuclideanPath):
-        x, s = path._scaled
-        ends = np.concatenate([x[:, lo + 1 : hi + 1], np.zeros((len(x), shifts))], axis=1)
-        window = np.lib.stride_tricks.sliding_window_view(ends, n, axis=1)
+    x, s = path._scaled
+    ends = np.concatenate([x[:, lo + 1 : hi + 1], np.zeros((len(x), shifts))], axis=1)
+    window = np.lib.stride_tricks.sliding_window_view(ends, n, axis=1)
     for m0 in range(1, shifts + 1, width):
         m1 = min(m0 + width, shifts + 1)
         cols = max(n + 1 - m0, 0)
-        if isinstance(path, EuclideanPath):
-            # row m - m0 of the window: the points r + m of shift m
-            yield m0, paths._euclidean_norm(x[:, None, lo : lo + cols],
-                                            window[:, m0 - 1 : m1 - 1, :cols], s)
-            continue
-        block = np.zeros((m1 - m0, cols))
-        for m in range(m0, m1):
-            block[m - m0, : n + 1 - m] = path.shift_distances(m, lo, hi)
-        yield m0, block
+        # row m - m0 of the window: the points r + m of shift m
+        block = paths._euclidean_norm(x[:, None, lo : lo + cols],
+                                      window[:, m0 - 1 : m1 - 1, :cols], s)
+        if p is not P_INF:
+            block **= p
+        for m, row in enumerate(block, m0):
+            yield m, row[: n + 1 - m]
 
 
 @_in_range
@@ -877,10 +883,10 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
 
     Shifts h are integer multiples of the uniform mesh; the integral is a
     left Riemann sum over grid points in [s, t-h).  For p = P_INF the inner
-    integral becomes a maximum.  The diagonals d(f_r, f_(r+m)) come in
-    blocks of shifts (``_shift_blocks``), raised in place; each shift is
-    summed, or maximised, on its own contiguous row, so every shift sees the
-    data and the pairwise sum of its own diagonal.
+    integral becomes a maximum.  The diagonals d(f_r, f_(r+m)), raised, come
+    from ``_shift_rows``; each shift is summed, or maximised, on its own
+    contiguous row, so every shift sees the data and the pairwise sum of its
+    own diagonal.
     """
     p = _check_params(NormKind.NIKOLSKII, delta, p)
     _instance(path, _PATHS, "path")
@@ -894,15 +900,11 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     best = 0.0
     # the left Riemann sum leaves the last column out
     last = hi if p is P_INF else hi - 1
-    for m0, block in _shift_blocks(path, lo, last, span):
-        if p is not P_INF:
-            block **= p
-        for m, row in enumerate(block, m0):
-            seg = row[: last - lo + 1 - m]
-            if p is P_INF:
-                best = _max(best, (m * dt) ** (-delta) * float(np.max(seg)))
-            else:
-                best = _max(best, (m * dt) ** (-delta * p) * dt * float(np.add.reduce(seg)))
+    for m, seg in _shift_rows(path, lo, last, span, p):
+        if p is P_INF:
+            best = _max(best, (m * dt) ** (-delta) * float(np.max(seg)))
+        else:
+            best = _max(best, (m * dt) ** (-delta * p) * dt * float(np.add.reduce(seg)))
     if p is P_INF:
         return float(best)
     # time factors (m*mesh)^(-delta*p) and that times mesh, extreme at m = 1, span

@@ -41,7 +41,7 @@ sqrt((s_0 + s_2 + s_4 + ...) + (s_1 + s_3 + ...)), each of the two sums added
 left to right, every step one elementwise ufunc call in place on one buffer.
 ``EuclideanPath.distance_block`` (rows against a range of columns) and
 ``shift_distances`` (one diagonal) both use it, as do the norm kernels on
-``_scaled`` (``norms._block``, ``norms._shift_blocks`` and the distance
+``_scaled`` (``norms._block``, ``norms._shift_rows`` and the distance
 bounds of ``norms._bounds``), so a distance depends neither on the block it
 is computed in nor, being correctly rounded elementwise arithmetic, on the
 CPU.  At dims 1 to 7 this is the order of NumPy 2.4's

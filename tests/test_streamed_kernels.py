@@ -13,7 +13,7 @@ distances multiplied back (``path_scale``).
 must equal the full-block ``np.where`` over strictly increasing times.  The
 pruned kernels also take blocks whose rows end before the columns start
 (``norms._block``) and Nikolskii takes its diagonals in blocks of shifts
-(``norms._shift_blocks``); their cells must be those of the other calls.
+(``norms._shift_rows``); their cells must be those of the other calls.
 """
 
 import math
@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughpaths import norms as norms_module
-from roughpaths.norms import _block, _gaps, _shift_blocks
+from roughpaths.norms import P_INF, _block, _gaps, _shift_rows
 from roughpaths.paths import EuclideanPath, TimeGrid, _euclidean_norm
 
 SCALES = (1e-160, 1.0, 1e150)
@@ -137,12 +137,14 @@ def test_shift_distances_equal_scalar_reference(case):
     got = f.shift_distances(m, lo, hi)
     want = np.array([scalar_distance(v[r], v[r + m]) * s for r in range(lo, hi - m + 1)])
     assert np.array_equal(got, want)
-    # the row of shift m in the blocks of shifts 1..hi-lo that Nikolskii reads
+    # the row of shift m that Nikolskii reads, from blocks of shifts 1..hi-lo,
+    # as it is and raised (past the float range at the largest scale)
     for cells in (1, 97, 1 << 15):
-        with mock.patch.object(norms_module, "_BLOCK_CELLS", cells):
-            rows = {m0 + i: row for m0, block in _shift_blocks(f, lo, hi, hi - lo)
-                    for i, row in enumerate(block)}
-        assert np.array_equal(rows[m][: hi - lo + 1 - m], want)
+        with mock.patch.object(norms_module, "_BLOCK_CELLS", cells), np.errstate(over="ignore"):
+            rows = dict(_shift_rows(f, lo, hi, hi - lo, P_INF))
+            raised = dict(_shift_rows(f, lo, hi, hi - lo, 2.5))
+            assert np.array_equal(raised[m], want**2.5)
+        assert np.array_equal(rows[m], want)
 
 
 @st.composite
