@@ -482,8 +482,8 @@ def _first_bounded(spans, width, first) -> int:
     first one with a row block it may skip, when the column blocks outnumber
     the columns of a block, and otherwise none (``len(spans)``), every block
     then computed whole.  On fewer column blocks most rows lie in a band or
-    next to one, and the bounds' fixed cost of some 30 us a call and 5-10 us
-    a column block outweighs the few cells they skip."""
+    next to one, and the bounds' fixed cost, a few dozen NumPy calls a call
+    and a few a column block, outweighs the few cells they skip."""
     return first if len(spans) > width else len(spans)
 
 
