@@ -136,12 +136,15 @@ class TimeGrid:
         return float(np.diff(self.times).max())
 
     def index_of(self, t: float) -> int:
-        """Grid index of time ``t`` (must coincide with a grid point)."""
+        """Grid index of time ``t`` (must coincide with a grid point): the
+        nearest grid point, within 1e-9 max(1, |t|) of ``t``."""
         t = _real(t, "a grid time")
+        # times[i - 1] < t <= times[i]
         i = int(np.searchsorted(self.times, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self) and abs(self.times[j] - t) <= 1e-9 * max(1.0, abs(t)):
-                return j
+        if i == len(self) or (i > 0 and t - self.times[i - 1] < self.times[i] - t):
+            i -= 1
+        if abs(self.times[i] - t) <= 1e-9 * max(1.0, abs(t)):
+            return i
         raise ParameterError(f"t={t} is not a grid point")
 
     def resolve_interval(self, interval=None) -> tuple[int, int]:

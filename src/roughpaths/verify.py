@@ -181,14 +181,13 @@ class PathFamily:
 
     def _build(self, refine: int):
         out = []
+        grid = TimeGrid.uniform(self.grid_size * refine)  # shared by the family's paths
         for idx in range(self.count):
             rng = np.random.default_rng([self.seed, idx])
-            m = self.grid_size * refine
-            grid = TimeGrid.uniform(m)
             if self.generator == "smooth_fourier":
                 out.append(_fourier_path(rng, grid, self.dim))
             elif self.generator == "random_walk":
-                out.append((_walk_path(rng, self.grid_size, refine, self.dim), None))
+                out.append((_walk_path(rng, grid, refine, self.dim), None))
             elif self.generator == "fractional":
                 out.append((_fractional_path(rng, grid, self.dim, self.hurst), None))
             elif self.generator == "zigzag":
@@ -212,16 +211,15 @@ def _fourier_path(rng, grid, dim, modes=4):
     return EuclideanPath(grid, vals), df
 
 
-def _walk_path(rng, base_intervals, refine, dim):
+def _walk_path(rng, grid, refine, dim):
     # increments drawn at the finest supported resolution, then subsampled,
     # so refine=2 is a genuine refinement of the refine=1 path
     if refine not in (1, 2):
         raise ParameterError("random_walk families support refine in {1, 2}")
-    fine = base_intervals * 2
+    fine = grid.intervals // refine * 2
     steps = rng.standard_normal((fine, dim)) * np.sqrt(1.0 / fine)
     fine_vals = np.vstack([np.zeros((1, dim)), np.cumsum(steps, axis=0)])
-    return EuclideanPath(TimeGrid.uniform(base_intervals * refine),
-                         fine_vals[:: 2 // refine])
+    return EuclideanPath(grid, fine_vals[:: 2 // refine])
 
 
 def _fractional_path(rng, grid, dim, hurst, modes=48):

@@ -94,6 +94,15 @@ def test_index_of_requires_grid_point():
     assert grid.index_of(0.75) == 3
     with pytest.raises(ParameterError):
         grid.index_of(0.3)
+    # on grids finer than the tolerance, the nearest point, not the first in it
+    fine = TimeGrid.uniform(4000, 1e-6)
+    assert fine.index_of(fine.times[1000]) == 1000
+    assert TimeGrid.uniform(4, 1e-300).index_of(2.5e-301) == 1
+    u = np.sort(np.random.default_rng(23).uniform(0.0, 1.0, 499))
+    for horizon in (1e-300, 1e-12, 1.0, 1e12):
+        for grid in (TimeGrid.uniform(500, horizon),
+                     TimeGrid(np.concatenate([[0.0], u, [1.0]]) * horizon)):
+            assert [grid.index_of(t) for t in grid.times] == list(range(len(grid)))
 
 
 def test_resolve_interval():
@@ -102,6 +111,8 @@ def test_resolve_interval():
     assert grid.resolve_interval((0.25, 0.75)) == (1, 3)
     with pytest.raises(ParameterError):
         grid.resolve_interval((0.75, 0.25))
+    assert TimeGrid.uniform(4, 1e-12).resolve_interval((2.5e-13, 7.5e-13)) == (1, 3)
+    assert TimeGrid.uniform(4, 1e-300).resolve_interval((2.5e-301, 7.5e-301)) == (1, 3)
 
 
 # ---------------------------------------------------------------------------
