@@ -67,24 +67,27 @@ the values do not change.  A block's cells with i >= j, which no DP reads,
 are the upper triangle of its trailing rows x rows square, and ``_gaps``
 and ``_fill_unread`` write their fill there and nowhere else.
 
-The Hoelder sup and the partition DP skip the cells that cannot win.  They
-take the column blocks of ``_columns`` (``_spans``).  The rows of a column
-block J fall into the row blocks of the same width before it, I < J, and
-its band, the rows from the column before it on.  They bound the row
-blocks only where the column blocks outnumber the columns of a block
-(``_first_bounded``); on fewer, most rows lie in a band or next to one,
-and every block is computed whole.  ``_bounds`` bounds the distances of
-row block I in column block J from per-coordinate extremes taken once per
-call: ``_euclidean_norm`` of the coordinate spans max(cmax - xmin_I,
-xmax_I - cmin) dominates every distance of the block as computed, with no
-margin, because subtraction, squaring, the even and odd sums, the root and
-the power-of-two scale of ``_scaled`` are all monotone under rounding.
-Only ``np.power`` (SVML, not correctly rounded) needs a margin: each bound
-on a power, of a distance or of a gap (t_j - t_i as computed, extreme at
-the shortest or longest gap of the block), moves out by 2^-40 relative
-plus 2^-1022 absolute.  A group path or a dense matrix reports the bound
-inf, and a NaN or inf bound always keeps its row block, so one code path
-serves every source.
+The Hoelder sup and the partition DP skip the cells that cannot win, by
+one rule, ``_kept_runs``.  It walks the column blocks of ``_columns``
+(``_spans``) in order.  The rows of a column block J fall into the row
+blocks of the same width before it, I < J, and its band, the rows from the
+column before it on.  The band is always computed, and each row block I
+unless the kernel's ``skip`` finds that its bound cannot win, decided when
+the kernel asks for block J, so ``skip`` reads the kernel's state after
+every earlier block.  A NaN or inf bound compares False, so it keeps its
+row block.  A call is bounded only where the column blocks outnumber the
+columns of a block and every source is a Euclidean path; on fewer, most
+rows lie in a band or next to one, a group path or a dense matrix has no
+bound cheaper than its distances, and every block is computed whole.
+``_bounds`` bounds the distances of row block I in column block J from
+per-coordinate extremes taken once per call: ``_euclidean_norm`` of the
+coordinate spans max(cmax - xmin_I, xmax_I - cmin) dominates every distance
+of the block as computed, with no margin, because subtraction, squaring,
+the even and odd sums, the root and the power-of-two scale of ``_scaled``
+are all monotone under rounding.  Only ``np.power`` (SVML, not correctly
+rounded) needs a margin: each bound on a power, of a distance or of a gap
+(t_j - t_i as computed, extreme at the shortest or longest gap of the
+block), moves out by 2^-40 relative plus 2^-1022 absolute.
 
 * Partition DP: best is nondecreasing in floats (best[j] >= best[j-1] +
   w >= best[j-1] for w >= 0).  If best at the last row of I plus the bound
@@ -94,12 +97,9 @@ serves every source.
   reaches.  Such a row block is not computed: it enters
   ``dp_partition_sup`` with weight 0, and its candidates best[i] <=
   best[j0 - 1] leave every max, and so every bit of best, as it was.
-* Hoelder: for each chunk of column blocks of ``_bounds``, the bands go
-  first, each with the row block next to it (whose bound seldom lets it
-  go) and the row blocks whose bound is not finite; then the other row
-  blocks are computed only where the ratio bound, the distance bound over
-  the lowered power of the shortest gap, reaches the running max.  The max
-  is exact, so neither the order nor the skipped cells change it.
+* Hoelder: a row block is skipped when its ratio bound, the distance bound
+  over the lowered power of the shortest gap, is below the running max.
+  The max is exact, so the skipped cells do not change it.
 
 ``_sum_kept`` and the fused fallbacks read every cell, as before.
 
@@ -353,8 +353,8 @@ def _block(src, i0, i1, j0, j1) -> np.ndarray:
     matrix is built, and a dense matrix is copied from.  The rows end at the
     last column (i1 = j1), as ``distance_block`` takes them, except on a
     Euclidean path or a dense matrix, whose cells are formed one by one; only
-    a pruned kernel asks for rows that end earlier, and only of a source
-    with finite bounds (``_bounds``).
+    a pruned kernel asks for rows that end earlier, and only of a Euclidean
+    path (``_kept_runs``).
     """
     if isinstance(src, EuclideanPath):
         x, s = src._scaled
@@ -418,92 +418,87 @@ def _lowered(power):
     return power
 
 
-def _bounds(srcs, times, lo, hi, width, bound, start):
-    """Bounds of the earlier row blocks of the column blocks of [lo, hi], in chunks.
+def _bounds(srcs, times, lo, hi, width, bound):
+    """Bounds of the earlier row blocks of each column block of [lo, hi].
 
     The column blocks are the ``_spans`` of ``width`` columns, block J the
     columns lo+1+J*width onwards, and row block I the rows lo+I*width to
     lo+(I+1)*width-1; the earlier row blocks of column block J are I < J.
-    For the column blocks J >= ``start``, about ``_BLOCK_CELLS`` cells of
-    them at a time, this yields ``(J0, bound(dist, short, long))``, J0 the
-    chunk's first column block, row r of each array column block J0 + r and
-    its columns the row blocks before the chunk's end.
-    Over the cells of row block I in column block J, ``dist[b, r, I]`` bounds
-    every distance of ``srcs[b]`` as ``_block`` computes it, and
-    ``short[r, I]`` and ``long[r, I]`` are the shortest and the longest gap
-    t_j - t_i as ``_gaps`` computes it (entries I >= J are not read).
-    Nothing is computed before the first chunk is asked for.
+    For J = 0, 1, ... in order this yields ``bound(dist, short, long)``'s
+    row of block J, cut to its entries I < J; the arrays are computed for
+    about ``_BLOCK_CELLS`` cells of column blocks at a time, row r of each
+    the chunk's r-th column block.  Over the cells of row block I in column
+    block J, ``dist[b, r, I]`` bounds every distance of ``srcs[b]`` as
+    ``_block`` computes it, and ``short[r, I]`` and ``long[r, I]`` are the
+    shortest and the longest gap t_j - t_i as ``_gaps`` computes it.
+    Nothing is computed before the first block is asked for.
 
-    On a Euclidean path the bound is ``_euclidean_norm`` of the coordinate
-    spans max(cmax - xmin_I, xmax_I - cmin), the extremes of the scaled
-    values over the row block and the column block, taken once per call.
-    Each coordinate difference of a cell lies between the two spans'
-    negatives and the spans, and subtraction, squaring, the sums, the root
-    and the power-of-two scale are monotone under rounding, so the bound
-    dominates every computed distance with no margin.  Any other source has
-    the bound inf.
+    The sources are Euclidean paths.  The bound is ``_euclidean_norm`` of
+    the coordinate spans max(cmax - xmin_I, xmax_I - cmin), the extremes of
+    the scaled values over the row block and the column block, taken once
+    per call.  Each coordinate difference of a cell lies between the two
+    spans' negatives and the spans, and subtraction, squaring, the sums, the
+    root and the power-of-two scale are monotone under rounding, so the
+    bound dominates every computed distance with no margin.
     """
     starts = np.arange(0, hi - lo, width)
     n = len(starts)
-    if n <= start:
-        return
     ext = []
     for src in srcs:
-        if isinstance(src, EuclideanPath):
-            x, s = src._scaled
-            # the values of the rows and, below them, of the columns of each block
-            both = np.concatenate([x[:, lo:hi], x[:, lo + 1 : hi + 1]])
-            ext.append((s, np.minimum.reduceat(both, starts, axis=1),
-                        np.maximum.reduceat(both, starts, axis=1)))
-        else:
-            ext.append(None)
+        x, s = src._scaled
+        # the values of the rows and, below them, of the columns of each block
+        both = np.concatenate([x[:, lo:hi], x[:, lo + 1 : hi + 1]])
+        ext.append((s, np.minimum.reduceat(both, starts, axis=1),
+                    np.maximum.reduceat(both, starts, axis=1)))
     first = starts + lo
     last = np.minimum(first + width, hi)  # the last column of J; minus 1, the last row of I
     chunk = _width(srcs, 1, n, _BLOCK_CELLS)  # column blocks of n cells (x dim) each
-    for c0 in range(start, n, chunk):
+    for c0 in range(0, n, chunk):
         c1 = min(c0 + chunk, n)  # the row blocks I < c1 cover the chunk's earlier ones
         dist = []
-        for e in ext:
-            if e is None:
-                dist.append(np.full((c1 - c0, c1), np.inf))
-                continue
-            s, low, high = e
+        for s, low, high in ext:
             dim = len(low) // 2
             span = np.maximum(high[dim:, c0:c1, None] - low[:dim, None, :c1],
                               high[:dim, None, :c1] - low[dim:, c0:c1, None])
             dist.append(paths._euclidean_norm(span, np.zeros((dim, 1, 1)), s))
         dist = np.stack(dist) if len(dist) > 1 else dist[0][None]
-        yield c0, bound(dist, times[first[c0:c1] + 1, None] - times[last[:c1] - 1],
-                        times[last[c0:c1], None] - times[first[:c1]])
+        chunk_bound = bound(dist, times[first[c0:c1] + 1, None] - times[last[:c1] - 1],
+                            times[last[c0:c1], None] - times[first[:c1]])
+        for r in range(c1 - c0):
+            yield chunk_bound[..., r, : c0 + r]
 
 
-def _first_bounded(spans, width, first) -> int:
-    """The first column block that a pruned kernel bounds: ``first``, its
-    first one with a row block it may skip, when the column blocks outnumber
-    the columns of a block, and otherwise none (``len(spans)``), every block
-    then computed whole.  On fewer column blocks most rows lie in a band or
+def _kept_runs(srcs, times, lo, hi, width, bound, skip):
+    """The column blocks of [lo, hi] and the rows of each that a pruned kernel computes.
+
+    Yields ``(j0, j1, runs)`` for the column blocks of ``_spans`` in order,
+    ``runs`` the ordered, disjoint row ranges ``(a, b)``, rows a..b-1, of
+    column block k: its band, the rows from lo+k*width to j1-1, always, and
+    each earlier row block I < k unless ``skip(bound_k, k)[I]``, with
+    ``bound_k`` the bounds of ``_bounds`` under ``bound``.  Adjacent ranges
+    are merged, so the last run ends at j1.  Block k is decided when it is
+    asked for, so ``skip`` may read the state of a kernel that has consumed
+    the blocks before it.
+
+    A call is bounded only when the column blocks outnumber the columns of a
+    block and every source is a Euclidean path; otherwise every block is
+    ``[(lo, j1)]``, whole.  On fewer column blocks most rows lie in a band or
     next to one, and the bounds' fixed cost, a few dozen NumPy calls a call
-    and a few a column block, outweighs the few cells they skip."""
-    return first if len(spans) > width else len(spans)
-
-
-def _runs(keep, spans, lo, width, k0) -> list[tuple[int, int, int, int]]:
-    """The runs of kept row blocks as ``(j0, j1, a, b)``: the rows a..b-1 in the
-    columns j0..j1-1 of column block k0 + r of ``spans``, for each run of
-    ``keep[r]``.
-
-    Entry I of ``keep[r]`` is row block I, the rows from lo+I*width on, and
-    entry k0 + r, the last one that may be set, is the block's band, the
-    rows from there to j1 - 1.
+    and a few a column block, outweighs the few cells they skip; a group
+    path or a dense matrix has no bound cheaper than its distances.
     """
-    edge = np.zeros((len(keep), 1), dtype=bool)
-    keep = np.concatenate([edge, keep, edge], axis=1)
-    rows, ends = np.nonzero(keep[:, 1:] != keep[:, :-1])
-    runs = []
-    for r, a, b in zip(rows[::2].tolist(), ends[::2].tolist(), ends[1::2].tolist()):
-        j0, j1 = spans[k0 + r]
-        runs.append((j0, j1, lo + a * width, j1 if b == k0 + r + 1 else lo + b * width))
-    return runs
+    spans = _spans(lo + 1, hi, width)
+    if len(spans) <= width or not all(isinstance(f, EuclideanPath) for f in srcs):
+        for j0, j1 in spans:
+            yield j0, j1, [(lo, j1)]
+        return
+    for k, ((j0, j1), bound_k) in enumerate(zip(spans, _bounds(srcs, times, lo, hi, width, bound))):
+        # the kept row blocks, then the band, between two unkept edges
+        keep = np.concatenate(([False], ~skip(bound_k, k), [True, False]))
+        ends = np.flatnonzero(keep[1:] != keep[:-1]).tolist()
+        runs = [(lo + a * width, lo + b * width) for a, b in zip(ends[::2], ends[1::2])]
+        runs[-1] = (runs[-1][0], j1)
+        yield j0, j1, runs
 
 
 def _fill_unread(a, fill):
@@ -695,22 +690,19 @@ def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
     width = _width(srcs, lo, hi, _BLOCK_CELLS)
     best = np.zeros((len(members), hi - lo + 1))
 
+    def skip(bound, k):
+        # row block I < k cannot win when, for every member, best at its last
+        # row plus its bound is below best[j0 - 1]
+        return (best[:, width - 1 : k * width : width] + bound
+                < best[:, k * width, None]).all(axis=0)
+
     def columns():
-        spans = _spans(lo + 1, hi, width)
-        start = _first_bounded(spans, width, 1)
-        bounds = _bounds(srcs, times, lo, hi, width, weight_bounds, start)
-        rows = (chunk[:, r] for _, chunk in bounds for r in range(chunk.shape[1]))
-        for k, (j0, j1) in enumerate(spans):
-            # row block I < k cannot win when, for every member, best at its
-            # last row plus its bound is below best[j0 - 1]
-            if k >= start:
-                skip = (best[:, width - 1 : k * width : width] + next(rows)[:, :k]
-                        < best[:, k * width, None]).all(axis=0)
-            if k < start or not skip.any():
+        for j0, j1, runs in _kept_runs(srcs, times, lo, hi, width, weight_bounds, skip):
+            if runs[0] == (lo, j1):
                 yield weights(j0, lo, _stacked(srcs, lo, j1, j0, j1))
                 continue
             block = np.zeros((len(members), j1 - j0, j1 - lo))
-            for _, _, a, b in _runs(np.append(~skip, True)[None], spans, lo, width, k):
+            for a, b in runs:
                 block[..., a - lo : b - lo] = weights(j0, a, _stacked(srcs, a, b, j0, j1))
             yield block
 
@@ -770,12 +762,11 @@ def _max(best: float, value: float) -> float:
 def holder_norm(path, delta: float, interval=None) -> float:
     """Hoelder seminorm sup_{u<v} d(f_u, f_v) / (v-u)^delta over grid pairs.
 
-    The column blocks (``_spans``) from ``_first_bounded`` on are taken in
-    two passes over each chunk of ``_bounds``, the ones before it whole.
-    The first pass computes each block's band, its rows from j0 - 1 on,
-    with the row block next to it and every row block whose ratio bound is
-    not finite; the second only the other row blocks whose bound reaches
-    the running max (the pruning rule of the module docstring).  The max is exact, so the order does not change the value.
+    The column blocks (``_spans``) are taken in order, each the runs of
+    ``_kept_runs``: its band, the rows from j0 - 1 on, and every earlier row
+    block whose ratio bound is not below the running max (the pruning rule
+    of the module docstring).  The max is exact, so the skipped cells do not
+    change the value.
     """
     _check_params(NormKind.HOELDER, delta, None)
     _instance(path, _PATHS, "path")
@@ -796,20 +787,10 @@ def holder_norm(path, delta: float, interval=None) -> float:
         return float(np.max(w))
 
     best = 0.0
-    spans = _spans(lo + 1, hi, width)
-    # whole: column blocks 0 and 1, whose rows are all in the band or the row
-    # block next to it, or every block where there are few
-    start = _first_bounded(spans, width, 2)
-    for j0, j1 in spans[:start]:
-        best = _max(best, ratio_max(j0, j1, lo, j1))
-    for k0, bound in _bounds([path], times, lo, hi, width, ratio_bounds, start):
-        k = np.arange(k0, k0 + len(bound))[:, None]
-        rows = np.arange(bound.shape[1])
-        far, finite = rows < k - 1, np.isfinite(bound)
-        for run in _runs((rows >= k - 1) & (rows <= k) | far & ~finite, spans, lo, width, k0):
-            best = _max(best, ratio_max(*run))
-        for run in _runs(far & finite & (bound >= best), spans, lo, width, k0):
-            best = _max(best, ratio_max(*run))
+    for j0, j1, runs in _kept_runs([path], times, lo, hi, width, ratio_bounds,
+                                   lambda bound, k: bound < best):
+        for a, b in runs:
+            best = _max(best, ratio_max(j0, j1, a, b))
     return best
 
 

@@ -20,6 +20,7 @@ from .exceptions import ParameterError, PartitionSizeError
 from .paths import EuclideanPath, GroupPath
 from .tensor_core import (
     GroupElement,
+    _count,
     group_distance,
     group_inverse,
     group_mul,
@@ -265,8 +266,10 @@ def cc_norm_bruteforce(g: GroupElement, segments: int = 24, starts: int = 8,
 
     if g.depth != 2 or g.dim != 2:
         raise ParameterError("the CC oracle supports depth 2 in the plane only")
-    if segments < 2 or segments > 32:
+    segments = _count(segments, "segments", 0)
+    if not 2 <= segments <= 32:
         raise ParameterError("segments must lie in 2..32")
+    starts, seed = _count(starts, "starts", 1), _count(seed, "seed", 0)
     if grouplike_defect(g) > 1e-8:
         raise ParameterError("element is not group-like; no path has this signature")
 

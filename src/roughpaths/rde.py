@@ -69,7 +69,7 @@ import numpy as np
 
 from .exceptions import BlowUpError, DimensionMismatchError, ParameterError
 from .paths import EuclideanPath, GroupPath, TimeGrid, _count, _float_array, _instance, _real
-from .tensor_core import stacked_inverse, stacked_mul
+from .tensor_core import _entries, stacked_inverse, stacked_mul
 
 
 class FieldFamily(enum.Enum):
@@ -219,6 +219,7 @@ class VectorField:
         center = _state(center, self, "center")
         radius = _real(self.box_radius if radius is None else radius, "radius")
         samples = _count(samples, "samples", 0)
+        _entries(samples * self.m, "the sample points")
         rng = np.random.default_rng(_count(seed, "seed", 0))
         with np.errstate(over="ignore", invalid="ignore"):
             pts = center + radius * rng.uniform(-1.0, 1.0, size=(samples, self.m))
@@ -579,6 +580,7 @@ def solve_bv(y0, v: VectorField, x: EuclideanPath, config: RdeConfig = RdeConfig
     y0 = _check_solve(y0, v, x, config, Scheme.EULER_BV)
     s = config.substeps
     t = x.grid.times
+    _entries((len(t) - 1) * s + 1, "the substepped grid")
     sub = t[:-1, None] + (np.diff(t)[:, None] * np.arange(1, s + 1)) / s
     times = np.concatenate([[0.0], sub.ravel()])
     words = np.ones((len(times) - 1, 1 + x.dim))

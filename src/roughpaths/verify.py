@@ -46,6 +46,7 @@ from .norms import (
 from .paths import EuclideanPath, GroupPath, TimeGrid, _count, lift, resample_uniform
 from .rde import VectorField, ito_lyons, max_point_norm
 from .tensor_core import (
+    _entries,
     dilate,
     group_distance,
     group_inverse,
@@ -831,7 +832,9 @@ def field_distance(v1: VectorField, v2: VectorField, order: float, center,
                    radius: float, samples: int = 128, seed: int = 0) -> float:
     """Sampled Lip^(order) distance: max over box points of the value and
     derivative differences (second derivatives included when order > 2)."""
-    rng = np.random.default_rng(seed)
+    samples = _count(samples, "samples", 0)
+    _entries(samples * v1.m, "the sample points")
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     center = np.asarray(center, dtype=float)
     pts = center + radius * rng.uniform(-1.0, 1.0, size=(samples, v1.m))
     worst = max_point_norm(v1.value(pts) - v2.value(pts))

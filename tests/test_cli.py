@@ -502,6 +502,17 @@ def test_solve_bad_field_spec_exit3(tmp_path, capsys, spec):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_solve_oversized_substeps_exit3(tmp_path, field_json, capsys):
+    # 2^50 substeps a step would need petabytes: the grid's size check
+    # rejects them before anything is allocated
+    f = tmp_path / "t.csv"
+    write_path_csv(EuclideanPath.from_function(TimeGrid.uniform(10), lambda t: t), f)
+    assert main(["solve", str(f), "--field", field_json, "--y0", "0.5",
+                 "--substeps", str(2**50)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "entries" in err
+
+
 def test_solve_rough_rejects_substeps_exit3(tmp_path, field_json, capsys):
     f = tmp_path / "t.csv"
     write_path_csv(EuclideanPath.from_function(TimeGrid.uniform(10), lambda t: t), f)

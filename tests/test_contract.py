@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughpaths as rp
-from roughpaths import verify
+from roughpaths import oracle, verify
 
 GRID = rp.TimeGrid.uniform(4)
 F = rp.EuclideanPath(GRID, [[0.0, 0.0], [1.0, 0.3], [0.5, 0.1], [0.2, 0.4], [0.9, 0.2]])
@@ -219,13 +219,20 @@ def test_huge_finite_arguments_raise_parameter_errors(fn, kwargs):
             fn(**kwargs)
 
 
-#: Counts whose tensor levels or grid points exceed ``MAX_ENTRIES``: sizes
-#: beyond what NumPy could allocate, so that no call tries to.
+_FIELDS = {"v1": FIELD, "v2": FIELD, "order": 1.5, "center": [0.1], "radius": 1.0}
+
+#: Counts whose tensor levels, grid points or sample points exceed
+#: ``MAX_ENTRIES``: sizes beyond what NumPy could allocate, so that no call
+#: tries to.
 OVERSIZED = [
     (rp.zero_tensor, {"dim": 2**62, "depth": 1}),
     (rp.unit_tensor, {"dim": 2**62, "depth": 1}),
     (rp.identity_element, {"dim": 2**62, "depth": 1}),
     (rp.TimeGrid.uniform, {"intervals": 2**62}),
+    *((rp.solve_bv, {"y0": [0.1], "v": FIELD, "x": F, "config": rp.RdeConfig(substeps=n)})
+      for n in (2**50, 2**62)),
+    (FIELD.lip_norm, {"center": [0.1], "samples": 2**50}),
+    (verify.field_distance, {**_FIELDS, "samples": 2**50}),
 ]
 
 
@@ -235,6 +242,27 @@ def test_oversized_counts_raise_parameter_errors(fn, kwargs):
         warnings.simplefilter("error")
         with pytest.raises(rp.ParameterError, match="entries"):
             fn(**kwargs)
+
+
+#: Count arguments of the reference helpers out of their range or not whole:
+#: (helper, its valid arguments, the count, its value).
+REFERENCE_COUNTS = [
+    *((oracle.cc_norm_bruteforce, {"g": G}, name, value)
+      for name, value in (("starts", 0), ("starts", 2.5), ("seed", -1), ("segments", 2.5),
+                          ("segments", 1), ("segments", 33))),
+    *((verify.field_distance, _FIELDS, name, value)
+      for name, value in (("samples", -1), ("samples", 2.5), ("seed", -1))),
+]
+
+
+@pytest.mark.parametrize("fn, kwargs, name, value", REFERENCE_COUNTS,
+                         ids=[f"{fn.__name__}-{name}={value}"
+                              for fn, _, name, value in REFERENCE_COUNTS])
+def test_reference_helper_counts_raise_parameter_errors(fn, kwargs, name, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rp.ParameterError, match=name):
+            fn(**kwargs, **{name: value})
 
 
 @pytest.mark.parametrize("depth", [True, False, 0, rp.MAX_DEPTH + 1])

@@ -146,8 +146,8 @@ def test_a_block_with_an_inf_or_nan_weight_is_never_skipped(monkeypatch):
         weight = _dense(f) ** 2.0 * gap**-1.0
     for bad in (np.isinf(weight) & upper, np.isnan(weight) & upper):
         assert bad.any() and computed[bad].all()
-    # d / g^delta is inf in the cluster; with the running max inf, the second
-    # pass of the Hoelder sup skips every row block whose bound is finite
+    # d / g^delta is inf in the cluster; once the running max is inf, the
+    # Hoelder sup skips every row block whose bound is finite
     computed = _computed_cells(monkeypatch, f, lambda: holder_norm(f, 1.0))
     with np.errstate(all="ignore"):
         bad = np.isinf(_dense(f) / gap) & upper
