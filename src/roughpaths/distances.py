@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import numbers
+from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -116,9 +117,23 @@ def level_diff_matrix(x1: GroupPath, x2: GroupPath, k: int) -> np.ndarray:
     return _all_level_diffs(x1, x2)[k - 1]
 
 
+@dataclass(frozen=True, eq=False)
+class DenseSource:
+    """A dense distance matrix as a kernel source (the contract of ``paths``):
+    d(i, j) is ``matrix[i, j]``, read at i < j.  Its blocks are copies, so no
+    kernel writes the matrix, and it has no bounds."""
+
+    matrix: np.ndarray
+    _cells = 1
+    _span_bounds = None
+
+    def _block(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
+        return np.array(self.matrix[i0:i1, j0:j1].T, order="C")
+
+
 def _pair_source(x1, x2, k, interval):
-    # the level-k difference matrix of one pair, a kernel source, and the interval's indices
-    return level_diff_matrix(x1, x2, k), *x1.grid.resolve_interval(interval)
+    # the level-k differences of one pair, a kernel source, and the interval's indices
+    return DenseSource(level_diff_matrix(x1, x2, k)), *x1.grid.resolve_interval(interval)
 
 
 @_in_range

@@ -38,28 +38,21 @@ Group paths compute their blocks from their level norms, summed entry
 by entry in NumPy's own order, so equal to ``np.linalg.norm`` (``paths``).
 Every norm here returns one value over one interval, in O(M^2) at
 most, with no size cap; tables over all subintervals are left to the
-independent references (``oracle.shift_sup_table``, the nested mixed
-definition of ``verify``).
-The one table kept here is ``dp_power_table``, the q-variation powers over
-all subintervals, which the verify control function and that reference
-need: an O(M^3) DP in push form (one NumPy max per finished column), whose
-values are bit-identical to the per-cell recursion.  Both DPs take leading
-batch axes: ``dp_power_table`` weights of shape ``(*batch, N, N)``, and
-``dp_partition_sup`` column blocks of shape ``(*batch, rows, cols)``, so one
-Python loop over the columns serves a stack of same-grid matrices, with the
-values of the per-matrix calls bit for bit (elementwise ops and exact
-maxima).  The batch-free calls are the case ``batch = ()``.
+independent references (``oracle.shift_sup_table``, and the nested mixed
+definition of ``verify`` with its ``dp_power_table``).
+``dp_partition_sup`` takes leading batch axes, column blocks of shape
+``(*batch, rows, cols)``, so one Python loop over the columns serves a
+stack of same-grid sources, with the values of the per-source calls bit for
+bit (elementwise ops and exact maxima).  The batch-free call is the case
+``batch = ()``.
 
-Distances reach the kernels as *sources*: a Euclidean path, a group path,
-or a dense distance matrix such as ``distances.level_diff_matrix``.  One
-function reads them, ``_block``: the distances of some rows and a range of
-columns of one source.  ``_columns`` yields the column blocks of one
-source, ``_family_columns`` stacks the blocks of several sources on one
-grid on a leading axis (``_stacked``), and Nikolskii reads a path's
-diagonals (``_shift_rows``).  One rule serves every source: each block
-is fresh, a writable C-ordered array of about ``_BLOCK_CELLS`` cells (a
-group path or a dense matrix counts as dim 1), computed by a path or
-copied from a dense matrix.  The kernels
+Distances reach the kernels as *sources*, read only through the private
+contract of the ``paths`` module docstring: blocks of distances, the cells
+one distance counts for, bounds where a source has them, and a path's
+diagonals.  ``_columns`` yields the column blocks of sources on one grid,
+stacked on a leading axis (``_stacked``), and Nikolskii reads a path's
+diagonals in blocks of shifts.  Each block is fresh, a writable C-ordered
+array of about ``_BLOCK_CELLS`` cells in all (``_width``).  The kernels
 raise, multiply and divide the blocks in place, and no kernel can write a
 caller's matrix.  They keep the ``**`` / ``**=`` operators on contiguous
 arrays, which take NumPy's fast paths for the exponents 2, 0.5 and -1, so
@@ -76,18 +69,16 @@ unless the kernel's ``skip`` finds that its bound cannot win, decided when
 the kernel asks for block J, so ``skip`` reads the kernel's state after
 every earlier block.  A NaN or inf bound compares False, so it keeps its
 row block.  A call is bounded only where the column blocks outnumber the
-columns of a block and every source is a Euclidean path; on fewer, most
-rows lie in a band or next to one, a group path or a dense matrix has no
-bound cheaper than its distances, and every block is computed whole.
-``_bounds`` bounds the distances of row block I in column block J from
-per-coordinate extremes taken once per call: ``_euclidean_norm`` of the
-coordinate spans max(cmax - xmin_I, xmax_I - cmin) dominates every distance
-of the block as computed, with no margin, because subtraction, squaring,
-the even and odd sums, the root and the power-of-two scale of ``_scaled``
-are all monotone under rounding.  Only ``np.power`` (SVML, not correctly
-rounded) needs a margin: each bound on a power, of a distance or of a gap
-(t_j - t_i as computed, extreme at the shortest or longest gap of the
-block), moves out by 2^-40 relative plus 2^-1022 absolute.
+columns of a block and every source has bounds; on fewer column blocks,
+most rows lie in a band or next to one, and otherwise no bound is cheaper
+than the distances, so every block is computed whole.  ``_bounds`` reads
+each source's bounds on the distances of row block I in column block J,
+which dominate every distance as computed with no margin, and the kernel
+turns them into bounds on its weights.  Only ``np.power`` (SVML, not
+correctly rounded) needs a margin there: each bound on a power, of a
+distance or of a gap (t_j - t_i as computed, extreme at the shortest or
+longest gap of the block), moves out by 2^-40 relative plus 2^-1022
+absolute.
 
 * Partition DP: best is nondecreasing in floats (best[j] >= best[j-1] +
   w >= best[j-1] for w >= 0).  If best at the last row of I plus the bound
@@ -213,7 +204,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import paths
 from .exceptions import NonUniformGridError, ParameterError
 from .paths import EuclideanPath, GroupPath, _instance, _real
 
@@ -298,8 +288,8 @@ def _check_params(kind, delta, p):
 # shared machinery
 # ---------------------------------------------------------------------------
 
-#: Cells (rows x columns x dim, dim 1 for a dense source) of one column block
-#: of distances.  It bounds the scratch memory of the kernels whatever the
+#: Cells (rows x columns x the sources' ``_cells``) of one column block of
+#: distances.  It bounds the scratch memory of the kernels whatever the
 #: grid size, and is sized for the L2 cache: a kernel holds a few float arrays
 #: of a block at once, 256 KB each at 2^15 cells, and a sweep over budgets from
 #: 2^12 to 2^20 cells on a 2-vCPU VM was fastest per cell at 2^14 to 2^16
@@ -315,28 +305,10 @@ _SUM_CELLS = 1 << 18
 _PATHS = (EuclideanPath, GroupPath)
 
 
-def dense_columns(matrix: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Columns lo+1..hi of a dense matrix, rows [lo, hi], as one column block.
-
-    Row c of the result is column lo+1+c, ``matrix[..., lo:hi+1, lo+1+c]``;
-    leading batch axes of a stack of matrices are kept.
-    """
-    return np.swapaxes(matrix[..., lo : hi + 1, lo + 1 : hi + 1], -1, -2)
-
-
-def _dense(src) -> np.ndarray:
-    """The dense (M+1, M+1) distance matrix of a source, for the references:
-    ``distance_block(0, 0, M+1)`` afresh for a path of either kind.  No code
-    of the package reads a path's cached ``distance_matrix``, which would keep
-    the matrix alive with the path; the properties stay public references."""
-    return src.distance_block(0, 0, len(src.grid)) if isinstance(src, _PATHS) else src
-
-
 def _width(srcs, lo, hi, cells) -> int:
-    """Columns per block of about ``cells`` cells (rows x columns x dim) of
-    sources on [lo, hi]; a source that is not a Euclidean path counts as dim 1."""
-    dims = sum(f.dim if isinstance(f, EuclideanPath) else 1 for f in srcs)
-    return max(1, cells // ((hi - lo + 1) * dims))
+    """Columns per block of about ``cells`` cells (rows x columns x ``_cells``)
+    of sources on [lo, hi]."""
+    return max(1, cells // ((hi - lo + 1) * sum(f._cells for f in srcs)))
 
 
 def _spans(first, hi, width) -> list[tuple[int, int]]:
@@ -345,53 +317,28 @@ def _spans(first, hi, width) -> list[tuple[int, int]]:
     return [(j0, min(j0 + width, hi + 1)) for j0 in range(first, hi + 1, width)]
 
 
-def _block(src, i0, i1, j0, j1) -> np.ndarray:
-    """Distances d(f_i, f_j) of a source for rows i0..i1-1 and columns j0..j1-1.
-
-    ``block[c, r]`` = d(f_(i0+r), f_(j0+c)), in a fresh, writable, C-ordered
-    array that the caller may overwrite: a path computes it, so no (M+1)^2
-    matrix is built, and a dense matrix is copied from.  The rows end at the
-    last column (i1 = j1), as ``distance_block`` takes them, except on a
-    Euclidean path or a dense matrix, whose cells are formed one by one; only
-    a pruned kernel asks for rows that end earlier, and only of a Euclidean
-    path (``_kept_runs``).
-    """
-    if isinstance(src, EuclideanPath):
-        x, s = src._scaled
-        return paths._euclidean_norm(x[:, j0:j1, None], x[:, None, i0:i1], s)
-    if isinstance(src, GroupPath):
-        return src.distance_block(i0, j0, j1)
-    return np.array(src[i0:i1, j0:j1].T, order="C")
-
-
 def _stacked(srcs, i0, i1, j0, j1) -> np.ndarray:
     """The ``_block`` of each source on one grid, stacked on a leading axis;
     one source's block gets a length-1 axis without a copy.  A distance does
     not depend on the block it is computed in, so every slice holds the
     values of the source's own block."""
     if len(srcs) == 1:
-        return _block(srcs[0], i0, i1, j0, j1)[None]
-    return np.stack([_block(f, i0, i1, j0, j1) for f in srcs])
+        return srcs[0]._block(i0, i1, j0, j1)[None]
+    return np.stack([f._block(i0, i1, j0, j1) for f in srcs])
 
 
-def _columns(src, lo, hi, width=None, first=None):
-    """Distances d(f_i, f_j) of a source's columns j = first..hi, in blocks.
+def _columns(srcs, lo, hi, width=None, first=None):
+    """Distances d(f_i, f_j) of sources on one grid, columns j = first..hi, in blocks.
 
-    Yields ``(j0, block)`` with ``block`` the ``_block`` of rows lo..j1-1 and
-    the block's columns j0..j1-1, ``block[c, r]`` = d(f_(lo+r), f_(j0+c)),
-    the columns starting at ``first``, by default lo+1, ``width`` columns (by
-    default about ``_BLOCK_CELLS`` cells) at a time (``_spans``).
+    Yields ``(j0, block)`` with ``block[b]`` the ``_block`` of ``srcs[b]`` for
+    rows lo..j1-1 and the block's columns j0..j1-1, ``block[b, c, r]`` =
+    d(f_(lo+r), f_(j0+c)) (``_stacked``), the columns starting at ``first``,
+    by default lo+1, ``width`` columns (by default about ``_BLOCK_CELLS``
+    cells) at a time (``_spans``).  A single source's ``block[0]`` is its
+    fresh block itself.
     """
-    width = width or _width([src], lo, hi, _BLOCK_CELLS)
+    width = width or _width(srcs, lo, hi, _BLOCK_CELLS)
     for j0, j1 in _spans(first or lo + 1, hi, width):
-        yield j0, _block(src, lo, j1, j0, j1)
-
-
-def _family_columns(srcs, lo, hi):
-    """The ``_columns`` blocks of sources on one grid, stacked on a leading axis
-    (``_stacked``): yields ``(j0, block)`` with ``block[b]`` the block of
-    ``srcs[b]``, about ``_BLOCK_CELLS`` cells in all."""
-    for j0, j1 in _spans(lo + 1, hi, _width(srcs, lo, hi, _BLOCK_CELLS)):
         yield j0, _stacked(srcs, lo, j1, j0, j1)
 
 
@@ -429,39 +376,19 @@ def _bounds(srcs, times, lo, hi, width, bound):
     about ``_BLOCK_CELLS`` cells of column blocks at a time, row r of each
     the chunk's r-th column block.  Over the cells of row block I in column
     block J, ``dist[b, r, I]`` bounds every distance of ``srcs[b]`` as
-    ``_block`` computes it, and ``short[r, I]`` and ``long[r, I]`` are the
-    shortest and the longest gap t_j - t_i as ``_gaps`` computes it.
-    Nothing is computed before the first block is asked for.
-
-    The sources are Euclidean paths.  The bound is ``_euclidean_norm`` of
-    the coordinate spans max(cmax - xmin_I, xmax_I - cmin), the extremes of
-    the scaled values over the row block and the column block, taken once
-    per call.  Each coordinate difference of a cell lies between the two
-    spans' negatives and the spans, and subtraction, squaring, the sums, the
-    root and the power-of-two scale are monotone under rounding, so the
-    bound dominates every computed distance with no margin.
+    ``_block`` computes it (its ``_span_bounds``), and ``short[r, I]`` and
+    ``long[r, I]`` are the shortest and the longest gap t_j - t_i as
+    ``_gaps`` computes it.  Nothing is computed before the first block is
+    asked for.
     """
-    starts = np.arange(0, hi - lo, width)
-    n = len(starts)
-    ext = []
-    for src in srcs:
-        x, s = src._scaled
-        # the values of the rows and, below them, of the columns of each block
-        both = np.concatenate([x[:, lo:hi], x[:, lo + 1 : hi + 1]])
-        ext.append((s, np.minimum.reduceat(both, starts, axis=1),
-                    np.maximum.reduceat(both, starts, axis=1)))
-    first = starts + lo
+    first = np.arange(lo, hi, width)
+    n = len(first)
+    readers = [f._span_bounds(lo, hi, width) for f in srcs]
     last = np.minimum(first + width, hi)  # the last column of J; minus 1, the last row of I
-    chunk = _width(srcs, 1, n, _BLOCK_CELLS)  # column blocks of n cells (x dim) each
+    chunk = _width(srcs, 1, n, _BLOCK_CELLS)  # column blocks of n cells (x _cells) each
     for c0 in range(0, n, chunk):
         c1 = min(c0 + chunk, n)  # the row blocks I < c1 cover the chunk's earlier ones
-        dist = []
-        for s, low, high in ext:
-            dim = len(low) // 2
-            span = np.maximum(high[dim:, c0:c1, None] - low[:dim, None, :c1],
-                              high[:dim, None, :c1] - low[dim:, c0:c1, None])
-            dist.append(paths._euclidean_norm(span, np.zeros((dim, 1, 1)), s))
-        dist = np.stack(dist) if len(dist) > 1 else dist[0][None]
+        dist = np.stack([read(c0, c1) for read in readers])
         chunk_bound = bound(dist, times[first[c0:c1] + 1, None] - times[last[:c1] - 1],
                             times[last[c0:c1], None] - times[first[:c1]])
         for r in range(c1 - c0):
@@ -481,14 +408,14 @@ def _kept_runs(srcs, times, lo, hi, width, bound, skip):
     the blocks before it.
 
     A call is bounded only when the column blocks outnumber the columns of a
-    block and every source is a Euclidean path; otherwise every block is
-    ``[(lo, j1)]``, whole.  On fewer column blocks most rows lie in a band or
-    next to one, and the bounds' fixed cost, a few dozen NumPy calls a call
-    and a few a column block, outweighs the few cells they skip; a group
-    path or a dense matrix has no bound cheaper than its distances.
+    block and every source has bounds; otherwise every block is
+    ``[(lo, j1)]``, whole, and no source's ``_span_bounds`` is called.  On
+    fewer column blocks most rows lie in a band or next to one, and the
+    bounds' fixed cost, a few dozen NumPy calls a call and a few a column
+    block, outweighs the few cells they skip.
     """
     spans = _spans(lo + 1, hi, width)
-    if len(spans) <= width or not all(isinstance(f, EuclideanPath) for f in srcs):
+    if len(spans) <= width or any(f._span_bounds is None for f in srcs):
         for j0, j1 in spans:
             yield j0, j1, [(lo, j1)]
         return
@@ -538,7 +465,7 @@ def _sum_kept(total, count, factors, src, lo, hi) -> bool:
         return False
     if total > 0.0 and math.log2(total) >= max(max(factors), 0.0) - 958.0 + math.log2(count):
         return True
-    return total == 0.0 and not any(block.any() for _, block in _columns(src, lo, hi))
+    return total == 0.0 and not any(block.any() for _, block in _columns([src], lo, hi))
 
 
 def _fused_weights(src, times, lo, hi, p, e, unit=1.0):
@@ -559,13 +486,13 @@ def _fused_weights(src, times, lo, hi, p, e, unit=1.0):
         return _fill_unread(base, 0.0)
 
     def weights(s):
-        for j0, block in _columns(src, lo, hi):
+        for j0, (block,) in _columns([src], lo, hi):
             w = bases(j0, block)
             w /= s
             w **= p
             yield w
 
-    s = max(float(bases(j0, block).max()) for j0, block in _columns(src, lo, hi)) or 1.0
+    s = max(float(bases(j0, block).max()) for j0, (block,) in _columns([src], lo, hi)) or 1.0
     return s, weights(s)
 
 
@@ -577,11 +504,11 @@ def dp_partition_sup(columns, lo: int, hi: int, batch: tuple = (), best=None):
     of column j holds the (nonnegative) weight of block [t_i, t_j] at
     position i - lo, for at least every i in [lo, j).  The recursion
     best[j] = max_i ( best[i] + weight[i, j] ) visits every partition into
-    consecutive blocks, for every batch index at once.  Single-value norms
-    of Euclidean paths stream the blocks from the path values; a caller with
-    a dense weight matrix, or a stack of them, passes
-    ``[dense_columns(weight, lo, hi)]``.  Returns a float when ``batch`` is
-    empty, otherwise the array of suprema of shape ``batch``.
+    consecutive blocks, for every batch index at once.  The kernels stream
+    the blocks from their sources; a caller with a dense weight matrix, or a
+    stack of them, passes ``[verify.dense_columns(weight, lo, hi)]``.
+    Returns a float when ``batch`` is empty, otherwise the array of suprema
+    of shape ``batch``.
 
     ``best``, if given, is a zero array of shape ``(*batch, hi - lo + 1)`` that
     the DP fills in place: a generator of ``columns`` that holds it reads
@@ -596,39 +523,6 @@ def dp_partition_sup(columns, lo: int, hi: int, batch: tuple = (), best=None):
             best[..., c] = np.maximum.reduce(best[..., :c] + block[..., r, :c], axis=-1)
             c += 1
     return best[..., -1] if batch else float(best[-1])
-
-
-def dp_power_table(weight: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Partition suprema for every subinterval: B[i, j] = sup over partitions of [i, j].
-
-    B[i, j] = max_{i <= k < j} ( B[i, k] + weight[k, j] ), filled in push
-    form: the cells i < j of the window start at -inf, and each finished
-    column k pushes its candidates B[i, k] + weight[k, j] for all rows
-    i <= k and columns j > k at once, one NumPy ``maximum`` per column.
-    ``weight`` may carry leading batch axes, ``(*batch, N, N)``; each
-    column's push then serves every matrix of the stack, and B has the
-    same shape.  No candidate with k < i is ever formed, so no mask is
-    needed and an infinite weight gives inf, as in the recursion.  Every
-    candidate is the same single addition and max is exact, so the table
-    equals the per-cell recursion bit for bit, batched or not.  The pushes
-    read about (hi-lo)^3/6 cells per matrix; scratch memory is one buffer of
-    at most (hi-lo+1)^2/4 floats per matrix.
-    """
-    b = np.zeros_like(weight)
-    n = hi - lo + 1
-    if n <= 1:
-        return b
-    batch = weight.shape[:-2]
-    size = math.prod(batch)
-    t = b[..., lo : hi + 1, lo : hi + 1]
-    w = weight[..., lo : hi + 1, lo : hi + 1]
-    t[(..., *np.triu_indices(n, 1))] = -np.inf
-    buf = np.empty(size * (n // 2 + 1) * ((n + 1) // 2 + 1))
-    for k in range(n - 1):
-        cand = buf[: size * (k + 1) * (n - k - 1)].reshape(*batch, k + 1, n - k - 1)
-        np.add(t[..., : k + 1, k, None], w[..., k, None, k + 1 :], out=cand)
-        np.maximum(t[..., : k + 1, k + 1 :], cand, out=t[..., : k + 1, k + 1 :])
-    return b
 
 
 def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
@@ -780,7 +674,7 @@ def holder_norm(path, delta: float, interval=None) -> float:
         return dist[0] / np.maximum(_lowered(short**delta), 0.0)
 
     def ratio_max(j0, j1, a, b):
-        block = _block(path, a, b, j0, j1)
+        block = path._block(a, b, j0, j1)
         w = _gaps(times, a, j0, block, np.inf)
         w **= delta
         np.divide(block, w, out=w)
@@ -822,42 +716,6 @@ def mixed_norm(path, delta: float, p, interval=None) -> float:
     return riesz_norm(path, delta, p, interval)
 
 
-def _shift_rows(path, lo, hi, shifts, p):
-    """The diagonals d(f_r, f_(r+m))^p, r = lo..hi-m, of the shifts m = 1..``shifts``
-    (not raised for p = P_INF).
-
-    Yields ``(m, row)``: the hi - lo + 1 - m distances of shift m, each equal
-    to that of ``shift_distances(m, lo, hi)`` and raised elementwise, in a
-    contiguous row.  A Euclidean path computes the diagonals in blocks of
-    shifts of about ``_BLOCK_CELLS`` cells (``_width``), each one broadcast
-    over a window view of the scaled values padded with zeros and raised in
-    place at once.  A group path, which computes its distances shift by
-    shift, raises each shift's row alone, so no padding is raised.
-    """
-    if not isinstance(path, EuclideanPath):
-        for m in range(1, shifts + 1):
-            row = path.shift_distances(m, lo, hi)
-            if p is not P_INF:
-                row **= p
-            yield m, row
-        return
-    n = hi - lo  # the distances of shift 1
-    width = _width([path], lo, hi, _BLOCK_CELLS)
-    x, s = path._scaled
-    ends = np.concatenate([x[:, lo + 1 : hi + 1], np.zeros((len(x), shifts))], axis=1)
-    window = np.lib.stride_tricks.sliding_window_view(ends, n, axis=1)
-    for m0 in range(1, shifts + 1, width):
-        m1 = min(m0 + width, shifts + 1)
-        cols = max(n + 1 - m0, 0)
-        # row m - m0 of the window: the points r + m of shift m
-        block = paths._euclidean_norm(x[:, None, lo : lo + cols],
-                                      window[:, m0 - 1 : m1 - 1, :cols], s)
-        if p is not P_INF:
-            block **= p
-        for m, row in enumerate(block, m0):
-            yield m, row[: n + 1 - m]
-
-
 @_in_range
 def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     """Nikolskii seminorm sup_h h^(-delta) ( int_s^{t-h} d(f_u, f_{u+h})^p du )^(1/p).
@@ -865,9 +723,9 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     Shifts h are integer multiples of the uniform mesh; the integral is a
     left Riemann sum over grid points in [s, t-h).  For p = P_INF the inner
     integral becomes a maximum.  The diagonals d(f_r, f_(r+m)), raised, come
-    from ``_shift_rows``; each shift is summed, or maximised, on its own
-    contiguous row, so every shift sees the data and the pairwise sum of its
-    own diagonal.
+    from the path's ``_shift_rows`` in blocks of about ``_BLOCK_CELLS``
+    cells; each shift is summed, or maximised, on its own contiguous row, so
+    every shift sees the data and the pairwise sum of its own diagonal.
     """
     p = _check_params(NormKind.NIKOLSKII, delta, p)
     _instance(path, _PATHS, "path")
@@ -881,7 +739,7 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     best = 0.0
     # the left Riemann sum leaves the last column out
     last = hi if p is P_INF else hi - 1
-    for m, seg in _shift_rows(path, lo, last, span, p):
+    for m, seg in path._shift_rows(lo, last, span, p, _width([path], lo, last, _BLOCK_CELLS)):
         if p is P_INF:
             best = _max(best, (m * dt) ** (-delta) * float(np.max(seg)))
         else:
@@ -909,17 +767,17 @@ def shift_partition_sup(srcs, times: np.ndarray, lo: int, hi: int,
                         power: float, hexp: float, root: float) -> list[float]:
     """Partition sup of the ``oracle.shift_sup_table`` values over [lo, hi], in O(M^2).
 
-    Returns, for each distance source of ``srcs`` (paths or dense matrices
-    on one uniform grid, see the module docstring), the sup to the power
-    ``root`` (1/power up to rounding), the value of
-    ``dp_partition_sup([dense_columns(oracle.shift_sup_table(...), lo, hi)]) ** root``
+    Returns, for each distance source of ``srcs`` (on one uniform grid, see
+    the module docstring), the sup to the power ``root`` (1/power up to
+    rounding), the value of
+    ``dp_partition_sup([verify.dense_columns(oracle.shift_sup_table(...), lo, hi)]) ** root``
     without the table: with c_m = (m*mesh)^hexp * mesh and S_m[k] the sum of
     d(r, r+m)^power over lo <= r < k, the DP runs
     best[j] = max_m ( c_m S_m[j-m] + R_m ), R_m = max_{i <= j-m} (best[i] - c_m S_m[i]),
     keeping a_m = S_m[j-m] and R_m for every shift m as it goes (see the
     module docstring); column j adds d(j-m, j)^power to a_m after best[j] is
     taken.  The sources are swept at once on the stacked blocks of
-    ``_family_columns``, batch ``(len(srcs),)``.  The ops are elementwise or
+    ``_columns``, batch ``(len(srcs),)``.  The ops are elementwise or
     exact maxima, so every value equals the call on its source alone bit
     for bit.
 
@@ -937,7 +795,7 @@ def shift_partition_sup(srcs, times: np.ndarray, lo: int, hi: int,
     # log2 c_m for m = 1 and span, from the logs: c_m itself may overflow
     factors = [hexp * math.log2(h) + math.log2(dt) for h in (shifts[0], shifts[-1])]
     with np.errstate(over="ignore", invalid="ignore"):
-        best = _shift_sweep(_family_columns(srcs, lo, hi), shifts**hexp * dt, power,
+        best = _shift_sweep(_columns(srcs, lo, hi), shifts**hexp * dt, power,
                             (len(srcs),))
         return [value**root if _sum_kept(value, span, factors, src, lo, hi - 1)
                 else _fused_shift_sup(src, lo, hi, shifts, power, hexp, root)
@@ -979,7 +837,7 @@ def _fused_shift_sup(src, lo, hi, shifts, power, hexp, root) -> float:
     factor = shifts ** (hexp / power)
 
     def bases():
-        for j0, d in _columns(src, lo, hi):
+        for j0, (d,) in _columns([src], lo, hi):
             j = j0 + np.arange(d.shape[-2])[:, None]
             m = j - lo - np.arange(d.shape[-1])
             live = (m >= 1) & (j < hi)
@@ -1046,7 +904,7 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
     for j0 in range(lo + 1, hi + 1, width):
         j1 = min(j0 + width, hi + 1)
         chunk = buf[: (j1 - j0) * (j1 - lo)].reshape(j1 - j0, j1 - lo)
-        for c0, d in _columns(path, lo, j1 - 1, piece, j0):
+        for c0, (d,) in _columns([path], lo, j1 - 1, piece, j0):
             rows = slice(c0 - j0, c0 - j0 + d.shape[0])
             chunk[rows, : d.shape[1]] = terms(c0, d)
             chunk[rows, d.shape[1] :] = 0.0

@@ -39,12 +39,11 @@ Euclidean distances have one formula, ``_euclidean_norm``: with s_c the
 squared difference of coordinate c, the distance is
 sqrt((s_0 + s_2 + s_4 + ...) + (s_1 + s_3 + ...)), each of the two sums added
 left to right, every step one elementwise ufunc call in place on one buffer.
-``EuclideanPath.distance_block`` (rows against a range of columns) and
-``shift_distances`` (one diagonal) both use it, as do the norm kernels on
-``_scaled`` (``norms._block``, ``norms._shift_rows`` and the distance
-bounds of ``norms._bounds``), so a distance depends neither on the block it
-is computed in nor, being correctly rounded elementwise arithmetic, on the
-CPU.  At dims 1 to 7 this is the order of NumPy 2.4's
+Every Euclidean distance and bound is formed by it on ``_scaled``: the
+blocks, diagonals and bounds of the source contract below as much as
+``distance_block`` and ``shift_distances``, so a distance depends neither
+on the block it is computed in nor, being correctly rounded elementwise
+arithmetic, on the CPU.  At dims 1 to 7 this is the order of NumPy 2.4's
 ``sqrt(einsum("...k,...k->...", d, d))``, whose values it reproduces bit for
 bit.  A squared difference leaves the normal float range beyond about
 2^511 or below about 2^-511, so a path whose largest coordinate span lies
@@ -57,6 +56,29 @@ squared level norms could leave the normal range (``ParameterError``).
 No code of the package reads the cached dense ``distance_matrix`` of either
 kind of path, which stays a public reference for callers and tests.
 Both calls of both kinds raise ``ParameterError`` on indices outside the grid.
+
+Both kinds of path are *distance sources*, as is ``distances.DenseSource``,
+a dense matrix such as the level-k differences of a pair.  The kernels of
+``norms`` read a source only through one private, duck-typed contract, and
+trust its arguments:
+
+* ``_block(i0, i1, j0, j1)``: the distances of rows i0..i1-1 and columns
+  j0..j1-1, a fresh, writable, C-ordered (j1-j0, i1-i0) array with
+  ``[c, r]`` = d(i0+r, j0+c), which the kernels overwrite.  The rows end at
+  the last column (i1 = j1) except on a source with bounds.
+  ``distance_block(lo, j0, j1)`` is its checked public form,
+  ``_block(lo, j1, j0, j1)``.
+* ``_cells``: what one distance counts for in the kernels' cell budget
+  (``norms._BLOCK_CELLS``): the dim of a Euclidean path, 1 otherwise.
+* ``_span_bounds``: None on a source without bounds.  Otherwise
+  ``_span_bounds(lo, hi, width)`` returns a function of a chunk (c0, c1) of
+  the column blocks of ``width`` columns of [lo, hi] (block J the columns
+  lo+1+J*width onwards, row block I the rows lo+I*width onwards), whose
+  (c1-c0, c1) result bounds at [r, I] every distance that ``_block``
+  computes in row block I of column block c0+r, with no margin.  Only a
+  Euclidean path has bounds.
+* ``_shift_rows(lo, hi, shifts, p, width)``: the diagonals d(r, r+m)^p of
+  the shifts m = 1..``shifts``, for Nikolskii, which takes paths only.
 
 All partition/pair suprema elsewhere in the library are taken over grid
 points only; that is the discrete definition of every norm in this package.
@@ -219,6 +241,8 @@ class EuclideanPath:
     def dim(self) -> int:
         return self.values.shape[1]
 
+    _cells = dim  # the source contract (module docstring): one cell a coordinate
+
     def increments(self) -> np.ndarray:
         return np.diff(self.values, axis=0)
 
@@ -235,14 +259,66 @@ class EuclideanPath:
         ``distance_block(lo, j0, j1)[c, r]`` is |f_(lo+r) - f_(j0+c)|.
         """
         lo, j0, j1 = _block_indices(lo, j0, j1, len(self.grid))
-        x, s = self._scaled
-        return _euclidean_norm(x[:, j0:j1, None], x[:, None, lo:j1], s)
+        return self._block(lo, j1, j0, j1)
 
     def shift_distances(self, m: int, lo: int, hi: int) -> np.ndarray:
         """Distances |f_r - f_(r+m)| for r in [lo, hi - m]; m = hi - lo + 1 gives none."""
         m, lo, hi = _shift_indices(m, lo, hi, len(self.grid))
         x, s = self._scaled
         return _euclidean_norm(x[:, lo:hi - m + 1], x[:, lo + m:hi + 1], s)
+
+    def _block(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
+        x, s = self._scaled
+        return _euclidean_norm(x[:, j0:j1, None], x[:, None, i0:i1], s)
+
+    def _span_bounds(self, lo: int, hi: int, width: int):
+        """The distance bounds of the source contract, from per-coordinate extremes.
+
+        The bound of row block I in column block J is ``_euclidean_norm`` of
+        the coordinate spans max(cmax - xmin_I, xmax_I - cmin), the extremes
+        of the scaled values over the row block and the column block, taken
+        once per call.  Each coordinate difference of a cell lies between the
+        two spans' negatives and the spans, and subtraction, squaring, the
+        sums, the root and the power-of-two scale are monotone under rounding,
+        so the bound dominates every computed distance with no margin.
+        """
+        x, s = self._scaled
+        starts = np.arange(0, hi - lo, width)
+        # the values of the rows and, below them, of the columns of each block
+        both = np.concatenate([x[:, lo:hi], x[:, lo + 1 : hi + 1]])
+        low, high = (ufunc.reduceat(both, starts, axis=1) for ufunc in (np.minimum, np.maximum))
+        dim = len(x)
+
+        def chunk(c0, c1):
+            span = np.maximum(high[dim:, c0:c1, None] - low[:dim, None, :c1],
+                              high[:dim, None, :c1] - low[dim:, c0:c1, None])
+            return _euclidean_norm(span, np.zeros((dim, 1, 1)), s)
+
+        return chunk
+
+    def _shift_rows(self, lo: int, hi: int, shifts: int, p: float, width: int):
+        """The diagonals of the source contract, computed in blocks of ``width`` shifts.
+
+        Yields ``(m, row)``: the hi - lo + 1 - m distances of shift m, each
+        equal to that of ``shift_distances(m, lo, hi)`` and raised to the
+        power p (not for p = inf), in a contiguous row.  Each block is
+        broadcast over a window view of the scaled values padded with zeros
+        and raised in place at once.
+        """
+        n = hi - lo  # the distances of shift 1
+        x, s = self._scaled
+        ends = np.concatenate([x[:, lo + 1 : hi + 1], np.zeros((len(x), shifts))], axis=1)
+        window = np.lib.stride_tricks.sliding_window_view(ends, n, axis=1)
+        for m0 in range(1, shifts + 1, width):
+            m1 = min(m0 + width, shifts + 1)
+            cols = max(n + 1 - m0, 0)
+            # row m - m0 of the window: the points r + m of shift m
+            block = _euclidean_norm(x[:, None, lo : lo + cols],
+                                    window[:, m0 - 1 : m1 - 1, :cols], s)
+            if p != math.inf:
+                block **= p
+            for m, row in enumerate(block, m0):
+                yield m, row[: n + 1 - m]
 
     @cached_property
     def _scaled(self) -> tuple[np.ndarray, float]:
@@ -267,6 +343,8 @@ class GroupPath:
     is level k of X_{0,t_j} flattened in C order; level 0 is all ones and
     row 0 is the identity.  ``from_elements`` builds a path from one
     ``GroupElement`` per grid point, and ``values`` gives the elements back.
+    As a distance source (module docstring) it has no bounds, so the rows of
+    its blocks end at the last column: ``_block`` reads i1 as j1.
     """
 
     grid: TimeGrid
@@ -404,29 +482,48 @@ class GroupPath:
         return dist
 
     def distance_block(self, lo: int, j0: int, j1: int) -> np.ndarray:
-        """Distances d(X_i, X_j) for rows i in [lo, j1) and columns j in [j0, j1), lo <= j0.
-
-        Laid out as ``EuclideanPath.distance_block``.  A piece of columns [c0, c1),
-        of about ``_BLOCK_PAIRS`` pairs, takes the rows i < c1, reversed only below
-        c0 (see ``_distances``); its rows in [j0, c0) fill, transposed, the cells
-        below earlier pieces.
-        """
+        """Distances d(X_i, X_j) for rows i in [lo, j1) and columns j in [j0, j1), lo <= j0,
+        laid out as ``EuclideanPath.distance_block``."""
         lo, j0, j1 = _block_indices(lo, j0, j1, len(self.grid))
-        block = np.empty((j1 - j0, j1 - lo))
-        width = max(1, _BLOCK_PAIRS // (j1 - lo))
-        for c0 in range(j0, j1, width):
-            c1 = min(c0 + width, j1)
-            cols = np.s_[:, c0:c1, None]
-            d = block[c0 - j0 : c1 - j0, : c1 - lo] = self._distances(
-                np.s_[:, None, lo:c1], cols, (cols, np.s_[:, None, lo:c0]))
-            block[: c0 - j0, c0 - lo : c1 - lo] = d[:, j0 - lo : c0 - lo].T
-        return block
+        return self._block(lo, j1, j0, j1)
 
     def shift_distances(self, m: int, lo: int, hi: int) -> np.ndarray:
         """Distances d(X_r, X_(r+m)) for r in [lo, hi - m]; m = hi - lo + 1 gives none."""
         m, lo, hi = _shift_indices(m, lo, hi, len(self.grid))
         head, tail = np.s_[:, lo : hi - m + 1], np.s_[:, lo + m : hi + 1]
         return self._distances(head, tail, (tail, head))
+
+    #: The source contract (module docstring): one distance is one cell, and no
+    #: bound is cheaper than the distances.
+    _cells = 1
+    _span_bounds = None
+
+    def _block(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
+        """The block of the source contract, rows i0..j1-1 (the class docstring).
+
+        A piece of columns [c0, c1), of about ``_BLOCK_PAIRS`` pairs, takes the
+        rows i < c1, reversed only below c0 (see ``_distances``); its rows in
+        [j0, c0) fill, transposed, the cells below earlier pieces.
+        """
+        block = np.empty((j1 - j0, j1 - i0))
+        width = max(1, _BLOCK_PAIRS // (j1 - i0))
+        for c0 in range(j0, j1, width):
+            c1 = min(c0 + width, j1)
+            cols = np.s_[:, c0:c1, None]
+            d = block[c0 - j0 : c1 - j0, : c1 - i0] = self._distances(
+                np.s_[:, None, i0:c1], cols, (cols, np.s_[:, None, i0:c0]))
+            block[: c0 - j0, c0 - i0 : c1 - i0] = d[:, j0 - i0 : c0 - i0].T
+        return block
+
+    def _shift_rows(self, lo: int, hi: int, shifts: int, p: float, width: int):
+        """The diagonals of the source contract, ``shift_distances(m, lo, hi)``
+        raised to the power p (not for p = inf), yielded as ``(m, row)`` shift by
+        shift; ``width`` is not read, as a group path computes each shift alone."""
+        for m in range(1, shifts + 1):
+            row = self.shift_distances(m, lo, hi)
+            if p != math.inf:
+                row **= p
+            yield m, row
 
 
 def _block_indices(lo, j0, j1, points: int) -> tuple[int, int, int]:

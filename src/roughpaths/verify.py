@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .distances import (
+    DenseSource,
     DistKind,
     _check_dist,
     level_diff_matrix,
@@ -28,12 +29,9 @@ from .distances import (
 )
 from .exceptions import BlowUpError, ParameterError
 from .norms import (
-    _dense,
     _power_sup_family,
     _require_uniform,
-    dense_columns,
     dp_partition_sup,
-    dp_power_table,
     frac_sobolev_norm,
     holder_norm,
     mixed_norm,
@@ -603,6 +601,51 @@ def check_norm_superadditivity(paths, delta, p, seed=0) -> list[CheckRecord]:
     ]
 
 
+def dense_columns(matrix: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Columns lo+1..hi of a dense matrix, rows [lo, hi], as one column block
+    of ``dp_partition_sup``.
+
+    Row c of the result is column lo+1+c, ``matrix[..., lo:hi+1, lo+1+c]``;
+    leading batch axes of a stack of matrices are kept.
+    """
+    return np.swapaxes(matrix[..., lo : hi + 1, lo + 1 : hi + 1], -1, -2)
+
+
+def dp_power_table(weight: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Partition suprema for every subinterval: B[i, j] = sup over partitions of [i, j].
+
+    The one table over all subintervals of the package, the q-variation
+    powers that the pair control function and the nested mixed reference
+    need.  B[i, j] = max_{i <= k < j} ( B[i, k] + weight[k, j] ), filled in
+    push form: the cells i < j of the window start at -inf, and each
+    finished column k pushes its candidates B[i, k] + weight[k, j] for all
+    rows i <= k and columns j > k at once, one NumPy ``maximum`` per column.
+    ``weight`` may carry leading batch axes, ``(*batch, N, N)``; each
+    column's push then serves every matrix of the stack, and B has the
+    same shape.  No candidate with k < i is ever formed, so no mask is
+    needed and an infinite weight gives inf, as in the recursion.  Every
+    candidate is the same single addition and max is exact, so the table
+    equals the per-cell recursion bit for bit, batched or not.  The pushes
+    read about (hi-lo)^3/6 cells per matrix; scratch memory is one buffer of
+    at most (hi-lo+1)^2/4 floats per matrix.
+    """
+    b = np.zeros_like(weight)
+    n = hi - lo + 1
+    if n <= 1:
+        return b
+    batch = weight.shape[:-2]
+    size = int(np.prod(batch))
+    t = b[..., lo : hi + 1, lo : hi + 1]
+    w = weight[..., lo : hi + 1, lo : hi + 1]
+    t[(..., *np.triu_indices(n, 1))] = -np.inf
+    buf = np.empty(size * (n // 2 + 1) * ((n + 1) // 2 + 1))
+    for k in range(n - 1):
+        cand = buf[: size * (k + 1) * (n - k - 1)].reshape(*batch, k + 1, n - k - 1)
+        np.add(t[..., : k + 1, k, None], w[..., k, None, k + 1 :], out=cand)
+        np.maximum(t[..., : k + 1, k + 1 :], cand, out=t[..., : k + 1, k + 1 :])
+    return b
+
+
 #: Cells of one stacked (items, M+1, M+1) array of ``_nested_mixed``: a
 #: family is served in chunks of about this size.
 _FAMILY_CELLS = 1 << 16
@@ -625,7 +668,7 @@ def _family_chunks(family, k):
 
 def _sources(chunk, k):
     # the kernel sources of a chunk: its paths, or the level-k differences of its pairs
-    return chunk if k is None else [level_diff_matrix(x1, x2, k) for x1, x2 in chunk]
+    return chunk if k is None else [DenseSource(level_diff_matrix(x1, x2, k)) for x1, x2 in chunk]
 
 
 def _nested_mixed(family, delta, ps, k=None) -> list[list[float]]:
@@ -645,7 +688,8 @@ def _nested_mixed(family, delta, ps, k=None) -> list[list[float]]:
     for times, chunk in _family_chunks(family, k):
         m = len(times) - 1
         iu = np.triu_indices(m + 1, k=1)
-        d = np.stack([_dense(s) for s in _sources(chunk, k)]) ** (q if k is None else q / k)
+        d = np.stack([f.distance_block(0, 0, m + 1) if k is None else level_diff_matrix(*f, k)
+                      for f in chunk]) ** (q if k is None else q / k)
         inner = dp_power_table(d, 0, m)[:, iu[0], iu[1]]
         gap = times[iu[1]] - times[iu[0]]
         w = np.zeros_like(d)  # each p rewrites the cells i < j
@@ -790,7 +834,7 @@ def build_control_function(x1: GroupPath, x2: GroupPath, delta, p) -> np.ndarray
     q = 1/delta, with 0/0 = 0.  Super-additive on the grid by construction.
     """
     q, hi = 1.0 / delta, len(x1.grid) - 1
-    w = sum(dp_power_table(_dense(x) ** q, 0, hi) for x in (x1, x2))
+    w = sum(dp_power_table(x.distance_block(0, 0, hi + 1) ** q, 0, hi) for x in (x1, x2))
     for k in range(1, x1.depth + 1):
         denom = rho_mixed_level(x1, x2, delta, p, k)
         if denom > 0.0:  # the table is rho_qvar^(q/k) blockwise

@@ -54,3 +54,9 @@ def dyadic_pair(n):
     grid = TimeGrid.uniform(8)
     return tuple(EuclideanPath(grid, np.vstack([np.zeros((1, 2)), np.cumsum(s, axis=0)]))
                  for s in (steps, flips * steps))
+
+
+def dense_distances(path):
+    """The dense (M+1, M+1) distance matrix of a path of either kind, computed
+    afresh: the reference the kernels' streamed values are compared with."""
+    return path.distance_block(0, 0, len(path.grid))

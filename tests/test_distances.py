@@ -33,7 +33,7 @@ from roughpaths import (
 )
 from roughpaths import paths
 from roughpaths.distances import level_diff_matrix, rho_level
-from roughpaths.norms import dense_columns, dp_partition_sup
+from roughpaths.norms import dp_partition_sup
 from roughpaths.oracle import (
     oracle_rho_mixed,
     oracle_rho_nikolskii_hat,
@@ -42,7 +42,7 @@ from roughpaths.oracle import (
     shift_sup_table,
 )
 from roughpaths.tensor_core import stacked_inverse, stacked_mul
-from roughpaths.verify import _nested_mixed
+from roughpaths.verify import _nested_mixed, dense_columns
 from conftest import dyadic_pair, random_walk_path
 
 

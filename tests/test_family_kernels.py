@@ -30,17 +30,16 @@ from roughpaths import (
     riesz_norm,
 )
 from roughpaths import norms, verify
-from roughpaths.distances import level_diff_matrix
+from roughpaths.distances import DenseSource, level_diff_matrix
 from roughpaths.norms import (
     _columns,
-    _dense,
-    _family_columns,
     _power_sup_family,
     _sum_kept,
-    dense_columns,
     dp_partition_sup,
     shift_partition_sup,
 )
+from roughpaths.verify import dense_columns
+from conftest import dense_distances
 
 KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -90,14 +89,15 @@ def test_batched_sweep_equals_each_slice_alone(case, dp):
     got = shift_partition_sup(paths, times, lo, hi, p, -delta * p, 1.0 / p)
     for b, f in enumerate(paths):
         # a path's dense matrix, a source like any other, gives its streamed value
-        alone = shift_partition_sup([_dense(f)], times, lo, hi, p, -delta * p, 1.0 / p)
+        alone = shift_partition_sup([DenseSource(dense_distances(f))], times, lo, hi, p,
+                                    -delta * p, 1.0 / p)
         assert [got[b]] == alone == [refined_nikolskii_norm(f, delta, p, _span(f, lo, hi))]
     # the level-k differences of pairs of lifts: the Nikolskii-hat distances,
     # defined for p >= 1/delta
     pairs = _pairs(paths) if isinstance(paths[0], GroupPath) and delta * p >= 1.0 else []
     for k in range(1, paths[0].depth + 1 if pairs else 1):
-        hat = shift_partition_sup([level_diff_matrix(x1, x2, k) for x1, x2 in pairs], times,
-                                  lo, hi, p / k, -delta * p, k / p)
+        hat = shift_partition_sup([DenseSource(level_diff_matrix(x1, x2, k)) for x1, x2 in pairs],
+                                  times, lo, hi, p / k, -delta * p, k / p)
         assert hat == [rho_nikolskii_hat_level(x1, x2, delta, p, k, _span(x1, lo, hi))
                        for x1, x2 in pairs]
 
@@ -129,15 +129,15 @@ def _items(paths, k, lo, hi):
             return (qvar_norm(paths[b], p, iv) if delta is None
                     else riesz_norm(paths[b], delta, p, iv))
 
-        return paths, np.stack([_dense(f) for f in paths]), per_call
+        return paths, np.stack([dense_distances(f) for f in paths]), per_call
     pairs = _pairs(paths)
-    srcs = [level_diff_matrix(x1, x2, k) for x1, x2 in pairs]
+    srcs = [DenseSource(level_diff_matrix(x1, x2, k)) for x1, x2 in pairs]
 
     def per_call(b, delta, p):
         return (rho_qvar_level(*pairs[b], p, k, iv) if delta is None
                 else rho_riesz_level(*pairs[b], delta, p, k, iv))
 
-    return srcs, np.stack(srcs), per_call
+    return srcs, np.stack([src.matrix for src in srcs]), per_call
 
 
 # (delta, p), delta None for q-variation of exponent p; the exponents 300,
@@ -175,7 +175,7 @@ def _check_power_sup_family(paths, lo, hi, k, data):
             w = dense[b] ** a * gap**e
             total = dp_partition_sup([dense_columns(w, lo, hi)], lo, hi)
         factors = [e * math.log2(shortest), e * math.log2(times[hi] - times[lo])]
-        if _sum_kept(total, hi - lo, factors, dense[b], lo, hi):
+        if _sum_kept(total, hi - lo, factors, DenseSource(dense[b]), lo, hi):
             assert value == total**r
 
     n = data.draw(st.sampled_from([-40, -3, 3, 40]))
@@ -244,15 +244,16 @@ def test_kernels_never_write_a_dense_source(case, dp):
     paths, lo, hi = case
     delta, p = dp
     times = paths[0].grid.times
-    matrix = np.array(_dense(paths[0]))
+    matrix = dense_distances(paths[0])
     frozen = matrix.copy()
     frozen.flags.writeable = False
+    writable, read_only = DenseSource(matrix), DenseSource(frozen)
     member = [(0, p, 0.0 if delta is None else 1.0 - delta * p, 1.0 / p)]
-    assert (_power_sup_family([matrix], times, lo, hi, member)
-            == _power_sup_family([frozen], times, lo, hi, member))
+    assert (_power_sup_family([writable], times, lo, hi, member)
+            == _power_sup_family([read_only], times, lo, hi, member))
     delta = delta or 1.0
-    assert (shift_partition_sup([matrix], times, lo, hi, p, -delta * p, 1.0 / p)
-            == shift_partition_sup([frozen], times, lo, hi, p, -delta * p, 1.0 / p))
+    assert (shift_partition_sup([writable], times, lo, hi, p, -delta * p, 1.0 / p)
+            == shift_partition_sup([read_only], times, lo, hi, p, -delta * p, 1.0 / p))
     assert np.array_equal(matrix, frozen)
 
 
@@ -261,7 +262,8 @@ def test_every_source_yields_fresh_column_blocks(rng):
     # first column past lo + 1, in blocks of any budget: each block is a
     # C-ordered writable array of its own, holding the dense columns
     x = lift(EuclideanPath(TimeGrid.uniform(40), _values(rng, 40, 2, 1.0, False)), 2)
-    matrix = np.array(_dense(x))
+    matrix = dense_distances(x)
+    dense = DenseSource(matrix)
     lo, hi = 5, 37
     want = dense_columns(matrix, lo, hi)
     times, iv = x.grid.times, (x.grid.times[lo], x.grid.times[hi])
@@ -269,25 +271,25 @@ def test_every_source_yields_fresh_column_blocks(rng):
     for cells in (1, 7, 1 << 15):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(norms, "_BLOCK_CELLS", cells)
-            for src in (matrix, x):
+            for src in (dense, x):
                 for first in (lo + 1, lo + 4):
-                    blocks = list(_columns(src, lo, hi, first=first))
+                    blocks = [(j0, block) for j0, (block,) in _columns([src], lo, hi, first=first)]
                     rows = [block.shape[0] for _, block in blocks]
                     assert [j0 for j0, _ in blocks] == list(first + np.cumsum([0] + rows[:-1]))
                     assert sum(rows) == hi - first + 1
                     for j0, block in blocks:
                         assert block.flags.c_contiguous and block.flags.writeable
-                        assert not np.shares_memory(block, _dense(src))
+                        assert not np.shares_memory(block, matrix)
                         c = j0 - lo - 1
                         assert block.shape[1] == j0 + block.shape[0] - lo
                         assert np.array_equal(block, want[c : c + block.shape[0], : block.shape[1]])
-            stacked = list(_family_columns([matrix, x], lo, hi))
-            for b, src in enumerate((matrix, x)):
-                alone = list(_columns(src, lo, hi))
+            stacked = list(_columns([dense, x], lo, hi))
+            for b, src in enumerate((dense, x)):
+                alone = list(_columns([src], lo, hi))
                 assert [j0 for j0, _ in stacked] == [j0 for j0, _ in alone]
-                assert all(np.array_equal(block[b], own)
+                assert all(np.array_equal(block[b], own[0])
                            for (_, block), (_, own) in zip(stacked, alone))
             values.append([holder_norm(x, 0.4, iv), qvar_norm(x, 2.5, iv),
                            riesz_norm(x, 0.5, 4.0, iv), refined_nikolskii_norm(x, 0.4, 4.0, iv)]
-                          + shift_partition_sup([matrix], times, lo, hi, 4.0, -1.6, 0.25))
+                          + shift_partition_sup([dense], times, lo, hi, 4.0, -1.6, 0.25))
     assert values[0] == values[1] == values[2]

@@ -2,17 +2,21 @@
 
 It yields the column blocks of ``_spans`` with the row runs a kernel
 computes: the band always, and each earlier row block unless the kernel's
-``skip`` rejects it.  Only Euclidean paths on grids with more column blocks
-than columns in a block are bounded; every other call computes whole blocks
-and never enters ``_bounds``.
+``skip`` rejects it.  A call is bounded only on a grid with more column
+blocks than columns in a block, and only when every source has bounds
+(``_span_bounds``), which of the library's sources only Euclidean paths
+have.  Every other call computes whole blocks and never enters ``_bounds``:
+a batch that mixes a path with a dense source calls no source's bounds,
+and each of its values is that of its source alone.
 """
 
 import numpy as np
 import pytest
 
 from roughpaths import EuclideanPath, TimeGrid, holder_norm, lift, norms, qvar_norm, riesz_norm
-from roughpaths.distances import level_diff_matrix, rho_riesz_level
-from roughpaths.norms import _dense, _kept_runs, _power_sup_family, _spans
+from roughpaths.distances import DenseSource, level_diff_matrix, rho_riesz_level
+from roughpaths.norms import _kept_runs, _power_sup_family, _spans, _width, shift_partition_sup
+from conftest import dense_distances
 
 
 def _walk(seed, m, dim):
@@ -80,7 +84,7 @@ def _dense_holder(f, delta):
     gap = t[None, :] - t[:, None]
     gap = np.where(gap > 0, gap, np.inf)
     gap **= delta
-    return float(np.max(_dense(f) / gap))
+    return float(np.max(dense_distances(f) / gap))
 
 
 def test_only_euclidean_paths_enter_the_bounds(monkeypatch):
@@ -105,10 +109,46 @@ def test_only_euclidean_paths_enter_the_bounds(monkeypatch):
     got = [qvar_norm(x1, 2.5), riesz_norm(x1, 0.5, 4.0), holder_norm(x1, 0.4),
            rho_riesz_level(x1, x2, 0.5, 4.0, 2)]
     assert entered == []
-    dense = _dense(x1)
-    d2 = level_diff_matrix(x1, x2, 2)
+    dense = DenseSource(dense_distances(x1))
+    d2 = DenseSource(level_diff_matrix(x1, x2, 2))
     monkeypatch.setattr(norms, "_BLOCK_CELLS", (m + 1) * (m + 1))  # one block: unbounded
     want = [*_power_sup_family([dense], t, 0, m, [(0, 2.5, 0.0, 0.4), (0, 4.0, -1.0, 0.25)]),
             _dense_holder(x1, 0.4),
             *_power_sup_family([d2], t, 0, m, [(0, 2.0, -1.0, 0.5)])]
     assert got == want
+
+
+def test_a_batch_that_mixes_a_path_and_a_dense_source_is_unbounded(monkeypatch):
+    # at 1-D M = 2048 the path alone is bounded; with a dense source beside it
+    # no source's bounds are read, every block is whole, and each value is
+    # that of its source alone
+    m = 2048
+    f, g = _walk(2048, m, 1), _walk(2050, m, 1)
+    t = f.grid.times
+    srcs = [f, DenseSource(dense_distances(g))]
+    lo = 100
+    members = [(0, 2.5, 0.0, 0.4), (1, 2.5, 0.0, 0.4), (1, 4.0, -1.0, 0.25), (0, 4.0, -1.0, 0.25)]
+    calls = []
+    span_bounds = EuclideanPath._span_bounds
+    monkeypatch.setattr(EuclideanPath, "_span_bounds",
+                        lambda *args: calls.append(args) or span_bounds(*args))
+    alone = {start: [_power_sup_family([srcs[b]], t, start, m, [(0, *rest)])[0]
+                     for b, *rest in members]
+             for start in (0, lo)}
+    assert calls  # the path alone is bounded
+    swept = {start: [shift_partition_sup([src], t, start, m, 4.0, -2.0, 0.25)[0] for src in srcs]
+             for start in (0, lo)}
+    width = _width(srcs, 0, m, norms._BLOCK_CELLS)
+
+    def no_bounds(*args):
+        raise AssertionError("a mixed batch reads no bounds")
+
+    def skip(bound, k):
+        raise AssertionError("a mixed batch skips no row block")
+
+    monkeypatch.setattr(EuclideanPath, "_span_bounds", no_bounds)
+    assert (list(_kept_runs(srcs, t, 0, m, width, _distances, skip))
+            == [(j0, j1, [(0, j1)]) for j0, j1 in _spans(1, m, width)])
+    for start in (0, lo):
+        assert _power_sup_family(srcs, t, start, m, members) == alone[start]
+        assert shift_partition_sup(srcs, t, start, m, 4.0, -2.0, 0.25) == swept[start]

@@ -28,7 +28,8 @@ from roughpaths import (
     riesz_norm,
 )
 from roughpaths import norms as norms_module
-from roughpaths.norms import dense_columns, dp_partition_sup, dp_power_table
+from roughpaths.distances import DenseSource
+from roughpaths.norms import dp_partition_sup
 from roughpaths.oracle import (
     enumerate_partition_supremum,
     oracle_mixed,
@@ -38,7 +39,7 @@ from roughpaths.oracle import (
     oracle_riesz,
     shift_sup_table,
 )
-from roughpaths.verify import _nested_mixed
+from roughpaths.verify import _nested_mixed, dense_columns, dp_power_table
 from conftest import random_walk_path
 
 
@@ -936,8 +937,8 @@ def test_shift_partition_sup_equals_table_dp_and_oracle(case):
     got = refined_nikolskii_norm(path, delta, p, span)
     dist = path.distance_matrix
     # the dense matrix, as a source, gives the streamed value bit for bit
-    assert [got] == norms_module.shift_partition_sup([dist], times, lo, hi, p, -delta * p,
-                                                     1.0 / p)
+    assert [got] == norms_module.shift_partition_sup([DenseSource(dist)], times, lo, hi, p,
+                                                     -delta * p, 1.0 / p)
     table = shift_sup_table(dist, times, lo, hi, p, -delta * p)
     want = dp_partition_sup([dense_columns(table, lo, hi)], lo, hi) ** (1.0 / p)
     assert got == pytest.approx(want, rel=1e-12)

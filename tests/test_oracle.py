@@ -11,11 +11,12 @@ from roughpaths import (
     identity_element,
     segment_exp,
 )
-from roughpaths.norms import dense_columns, dp_partition_sup
+from roughpaths.norms import dp_partition_sup
 from roughpaths.oracle import (
     cc_norm_bruteforce,
     enumerate_partition_supremum,
 )
+from roughpaths.verify import dense_columns
 
 
 def pure_area_element(a):

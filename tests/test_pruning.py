@@ -1,17 +1,22 @@
 """Exact block pruning of the Hoelder sup and the partition DP.
 
 A row block of a column block is skipped only when its bound cannot reach
-the running max (Hoelder) or best[j0 - 1] (q-variation, Riesz).  A dense
-matrix source (``norms._dense``) has no bound and never prunes, so it is
-the unpruned reference: every value must be ``==`` to it, on every kind of
-path the bounds treat differently.
+the running max (Hoelder) or best[j0 - 1] (q-variation, Riesz).  A
+``distances.DenseSource`` has no bounds and never prunes, so it is the
+unpruned reference: every value must be ``==`` to it, on every kind of path
+the bounds treat differently.  The kernels read bounds only through the
+source contract of ``paths``, so a dense source with exact block maxima as
+bounds prunes too, with the same values; and the Euclidean bound must
+dominate every distance of its block as computed, cell by cell.
 """
 
 import numpy as np
 import pytest
 
 from roughpaths import EuclideanPath, ParameterError, TimeGrid, holder_norm, norms, paths
-from roughpaths.norms import _dense, _power_sup_family, qvar_norm, riesz_norm
+from roughpaths.distances import DenseSource
+from roughpaths.norms import _power_sup_family, _spans, _width, qvar_norm, riesz_norm
+from conftest import dense_distances
 
 
 def _path(rng, kind, intervals, dim, uniform, scale):
@@ -39,7 +44,7 @@ def _dense_holder(f, delta, lo, hi):
     gap = t[None, :] - t[:, None]
     gap = np.where(gap > 0, gap, np.inf)
     gap **= delta
-    return float(np.max(_dense(f)[lo : hi + 1, lo : hi + 1] / gap))
+    return float(np.max(dense_distances(f)[lo : hi + 1, lo : hi + 1] / gap))
 
 
 # (delta, p) of the Riesz sweep: p up to 300 (the fused fallback) and delta p
@@ -61,7 +66,7 @@ def test_pruned_values_equal_the_unpruned_dense_source(monkeypatch, kind, dim, u
     rng = np.random.default_rng([dim, len(kind), int(uniform)])
     f = _path(rng, kind, 240, dim, uniform, scale)
     t = f.grid.times
-    dense = _dense(f)
+    dense = DenseSource(dense_distances(f))
     for lo, hi in ((0, len(t) - 1), (17, len(t) - 30)):
         iv = (t[lo], t[hi])
         assert holder_norm(f, 0.4, iv) == _dense_holder(f, 0.4, lo, hi)
@@ -91,7 +96,8 @@ def test_qvar_computes_few_of_the_cells(monkeypatch):
     value = qvar_norm(f, 2.5)
     assert sum(cells) < 0.15 * m * (m + 1) / 2
     monkeypatch.undo()
-    assert [value] == _power_sup_family([_dense(f)], f.grid.times, 0, m, [(0, 2.5, 0.0, 0.4)])
+    assert [value] == _power_sup_family([DenseSource(dense_distances(f))], f.grid.times, 0, m,
+                                        [(0, 2.5, 0.0, 0.4)])
 
 
 class _Stop(Exception):
@@ -102,7 +108,7 @@ def _computed_cells(monkeypatch, f, run):
     """The cells (i, j) whose distances ``run`` computes before a partition
     sum needs the fused weights (which compute every cell)."""
     computed = np.zeros((len(f.grid), len(f.grid)), dtype=bool)
-    block = norms._block
+    block = EuclideanPath._block
 
     def recorded(src, i0, i1, j0, j1):
         computed[i0:i1, j0:j1] = True
@@ -113,7 +119,7 @@ def _computed_cells(monkeypatch, f, run):
 
     with monkeypatch.context() as mp:
         mp.setattr(norms, "_BLOCK_CELLS", 1 << 10)  # 5 columns a block at M = 200
-        mp.setattr(norms, "_block", recorded)
+        mp.setattr(EuclideanPath, "_block", recorded)
         mp.setattr(norms, "_fused_weights", stop)
         with pytest.raises((_Stop, ParameterError)):
             run()
@@ -130,7 +136,7 @@ def test_a_block_with_an_inf_or_nan_weight_is_never_skipped(monkeypatch):
     f = EuclideanPath(TimeGrid.uniform(200), values)
     computed = _computed_cells(monkeypatch, f, lambda: qvar_norm(f, 5.0))
     with np.errstate(all="ignore"):
-        bad = np.isinf(_dense(f) ** 5.0) & upper
+        bad = np.isinf(dense_distances(f) ** 5.0) & upper
     assert bad.any() and computed[bad].all()
     assert not computed[upper].all()  # before them, row blocks were skipped
     # 40 points 1e-320 apart start the grid: their gaps to one another are
@@ -143,13 +149,80 @@ def test_a_block_with_an_inf_or_nan_weight_is_never_skipped(monkeypatch):
     gap = times[None, :] - times[:, None]
     computed = _computed_cells(monkeypatch, f, lambda: riesz_norm(f, 1.0, 2.0))
     with np.errstate(all="ignore"):
-        weight = _dense(f) ** 2.0 * gap**-1.0
+        weight = dense_distances(f) ** 2.0 * gap**-1.0
     for bad in (np.isinf(weight) & upper, np.isnan(weight) & upper):
         assert bad.any() and computed[bad].all()
     # d / g^delta is inf in the cluster; once the running max is inf, the
     # Hoelder sup skips every row block whose bound is finite
     computed = _computed_cells(monkeypatch, f, lambda: holder_norm(f, 1.0))
     with np.errstate(all="ignore"):
-        bad = np.isinf(_dense(f) / gap) & upper
+        bad = np.isinf(dense_distances(f) / gap) & upper
     assert bad.any() and computed[bad].all()
     assert not computed[upper].all()
+
+
+class _BoundedDense(DenseSource):
+    """A dense source whose bounds are the exact maxima of its matrix over each
+    row block x column block, and which counts the cells of its blocks."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        object.__setattr__(self, "cells", [])
+
+    def _block(self, i0, i1, j0, j1):
+        self.cells.append((i1 - i0) * (j1 - j0))
+        return super()._block(i0, i1, j0, j1)
+
+    def _span_bounds(self, lo, hi, width):
+        starts = np.arange(0, hi - lo, width)
+        cells = self.matrix[lo:hi, lo + 1 : hi + 1]  # row block I, column block J
+        maxima = np.maximum.reduceat(np.maximum.reduceat(cells, starts, axis=0), starts, axis=1)
+        return lambda c0, c1: maxima[:c1, c0:c1].T
+
+
+# (q, delta, p) members: q-variation 2.5 and 300 (the fused fallback), Riesz
+# (0.5, 4), and a batch of the first and the last
+MEMBERS = [[(0, 2.5, 0.0, 0.4)], [(0, 300.0, 0.0, 1.0 / 300.0)], [(0, 4.0, -1.0, 0.25)],
+           [(0, 2.5, 0.0, 0.4), (0, 4.0, -1.0, 0.25)]]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_bounded_dense_source_prunes_with_the_same_values(monkeypatch, seed):
+    # the contract is all the kernels need: bounds on a source that is not a
+    # path prune its DP, and every value stays that of the unbounded source
+    # and of the path itself
+    monkeypatch.setattr(norms, "_BLOCK_CELLS", 1 << 10)  # 4 columns a block at M = 240
+    m = 240
+    f = _path(np.random.default_rng(seed), "walk", m, 1, True, 1.0)
+    t = f.grid.times
+    bounded, dense = _BoundedDense(dense_distances(f)), DenseSource(dense_distances(f))
+    for lo, hi in ((0, m), (17, m - 30)):
+        for members in MEMBERS:
+            got = _power_sup_family([bounded], t, lo, hi, members)
+            assert got == _power_sup_family([dense], t, lo, hi, members)
+            assert got == _power_sup_family([f], t, lo, hi, members), members
+    bounded.cells.clear()
+    _power_sup_family([bounded], t, 0, m, MEMBERS[0])
+    # the whole blocks hold rows 0..j1-1 of each column block (j0, j1)
+    whole = sum((j1 - j0) * j1 for j0, j1 in _spans(1, m, _width([bounded], 0, m, 1 << 10)))
+    assert sum(bounded.cells) < whole / 2
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("scale", [1.0, 2.0**600, 2.0**-600], ids=["1", "2^600", "2^-600"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_the_euclidean_bound_dominates_every_cell_of_its_block(dim, scale, uniform):
+    # no margin: each distance of row block I < J in column block J, as
+    # _block computes it, is at most the bound of (I, J); 2^+-600 take the
+    # scaled path, and both intervals end in a ragged column block
+    f = _path(np.random.default_rng([dim, int(uniform)]), "walk", 97, dim, uniform, scale)
+    for lo, hi, width in ((0, 97, 5), (13, 90, 6)):
+        n = len(range(0, hi - lo, width))
+        chunk = f._span_bounds(lo, hi, width)
+        bounds = chunk(0, n)
+        assert np.array_equal(chunk(n // 3, n // 2), bounds[n // 3 : n // 2, : n // 2])
+        for k in range(n):
+            j0, j1 = lo + 1 + k * width, min(lo + 1 + (k + 1) * width, hi + 1)
+            for i in range(k):
+                cells = f._block(lo + i * width, lo + (i + 1) * width, j0, j1)
+                assert (cells <= bounds[k, i]).all(), (lo, k, i)

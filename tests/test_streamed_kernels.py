@@ -12,19 +12,17 @@ distances multiplied back (``path_scale``).
 ``norms._gaps`` writes its fill only in the trailing square of a block and
 must equal the full-block ``np.where`` over strictly increasing times.  The
 pruned kernels also take blocks whose rows end before the columns start
-(``norms._block``) and Nikolskii takes its diagonals in blocks of shifts
-(``norms._shift_rows``); their cells must be those of the other calls.
+(the path's ``_block``) and Nikolskii takes its diagonals in blocks of
+shifts (the path's ``_shift_rows``); their cells must be those of the other
+calls.
 """
 
 import math
-from unittest import mock
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughpaths import norms as norms_module
-from roughpaths.norms import P_INF, _block, _gaps, _shift_rows
+from roughpaths.norms import P_INF, _gaps, _width
 from roughpaths.paths import EuclideanPath, TimeGrid, _euclidean_norm
 
 SCALES = (1e-160, 1.0, 1e150)
@@ -125,7 +123,7 @@ def test_distance_block_equals_scalar_reference(case):
     want = np.array([[scalar_distance(v[j], v[i]) * s for i in range(lo, j1)]
                      for j in range(j0, j1)])
     assert np.array_equal(got, want)
-    assert np.array_equal(_block(f, lo, i1, j0, j1), want[:, : i1 - lo])
+    assert np.array_equal(f._block(lo, i1, j0, j1), want[:, : i1 - lo])
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -140,9 +138,10 @@ def test_shift_distances_equal_scalar_reference(case):
     # the row of shift m that Nikolskii reads, from blocks of shifts 1..hi-lo,
     # as it is and raised (past the float range at the largest scale)
     for cells in (1, 97, 1 << 15):
-        with mock.patch.object(norms_module, "_BLOCK_CELLS", cells), np.errstate(over="ignore"):
-            rows = dict(_shift_rows(f, lo, hi, hi - lo, P_INF))
-            raised = dict(_shift_rows(f, lo, hi, hi - lo, 2.5))
+        width = _width([f], lo, hi, cells)
+        with np.errstate(over="ignore"):
+            rows = dict(f._shift_rows(lo, hi, hi - lo, P_INF, width))
+            raised = dict(f._shift_rows(lo, hi, hi - lo, 2.5, width))
             assert np.array_equal(raised[m], want**2.5)
         assert np.array_equal(rows[m], want)
 

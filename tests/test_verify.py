@@ -7,13 +7,15 @@ import pytest
 from roughpaths import EuclideanPath, TimeGrid, lift, resample_uniform
 from roughpaths import verify
 from roughpaths.distances import level_diff_matrix
-from roughpaths.norms import dense_columns, dp_partition_sup, dp_power_table
+from roughpaths.norms import dp_partition_sup
 from roughpaths.verify import (
     CheckRecord,
     PathFamily,
     RoughPairFamily,
     build_control_function,
     check_superadditivity,
+    dense_columns,
+    dp_power_table,
     empirical_holder_exponent,
     ineq_record,
     negative_controls,
