@@ -42,7 +42,6 @@ from .exceptions import (
 from .norms import P_INF, NormKind, NormSpec, compute_norm
 from .paths import EuclideanPath, TimeGrid, lift, signature
 from .rde import RdeConfig, Scheme, VectorField, ito_lyons
-from . import verify as verify_mod
 
 SCHEMA_VERSION = 1
 
@@ -268,7 +267,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    records, ok = verify_mod.run_suite(args.suite, seed=args.seed, out_dir=args.out)
+    from . import verify  # only here: the other subcommands never load the suites
+
+    records, ok = verify.run_suite(args.suite, seed=args.seed, out_dir=args.out)
     for r in records:
         status = "pass" if r.passed else "FAIL"
         print(f"[{status}] {r.check_id} ({r.category}) lhs={r.lhs:.6g} "

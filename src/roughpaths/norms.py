@@ -41,10 +41,12 @@ most, with no size cap; tables over all subintervals are left to the
 independent references (``oracle.shift_sup_table``, and the nested mixed
 definition of ``verify`` with its ``dp_power_table``).
 ``dp_partition_sup`` takes leading batch axes, column blocks of shape
-``(*batch, rows, cols)``, so one Python loop over the columns serves a
+``(*batch, cols, rows)``, so one Python loop over the columns serves a
 stack of same-grid sources, with the values of the per-source calls bit for
-bit (elementwise ops and exact maxima).  The batch-free call is the case
-``batch = ()``.
+bit (elementwise ops and exact maxima).  A batch of one, the batch-free
+call ``batch = ()`` among them, advances ``_DP_COLUMNS`` columns at a time:
+one NumPy add and max over the rows before them, then their own triangle of
+candidates in Python floats.  A larger batch advances one column at a time.
 
 Distances reach the kernels as *sources*, read only through the private
 contract of the ``paths`` module docstring: blocks of distances, the cells
@@ -85,9 +87,11 @@ absolute.
   on I's weights is strictly below best[j0 - 1] for every member of the
   batch, no candidate best[i] + w[i, j] of row block I can be the max of
   column j >= j0, which some band candidate best[j-1] + w >= best[j0 - 1]
-  reaches.  Such a row block is not computed: it enters
-  ``dp_partition_sup`` with weight 0, and its candidates best[i] <=
-  best[j0 - 1] leave every max, and so every bit of best, as it was.
+  reaches.  Such a row block is neither computed nor read: the DP gets
+  the kept rows only, band last, and gathers best at them once per column
+  block, so every max, and every bit of best, is the max over all rows.  A
+  NaN in best reaches best[j0 - 1] through the band, and a NaN comparison
+  keeps every row block.
 * Hoelder: a row block is skipped when its ratio bound, the distance bound
   over the lowered power of the shortest gap, is below the running max.
   The max is exact, so the skipped cells do not change it.
@@ -496,19 +500,38 @@ def _fused_weights(src, times, lo, hi, p, e, unit=1.0):
     return s, weights(s)
 
 
+#: Columns that ``dp_partition_sup`` advances at once for a batch of one: one
+#: NumPy add and max give the candidates of the rows before them, and their
+#: own triangle of candidates is finished in Python floats.  On seeded walks
+#: at M = 1024-1536 (2-vCPU VM) widths 8 to 16 were fastest.
+_DP_COLUMNS = 10
+
+
 def dp_partition_sup(columns, lo: int, hi: int, batch: tuple = (), best=None):
     """Exact sup over grid partitions of [lo, hi] of the summed block weights.
 
-    ``columns`` is an iterable of blocks of shape ``(*batch, rows, cols)``
-    whose rows, in order, are the weight columns j = lo+1, ..., hi: the row
-    of column j holds the (nonnegative) weight of block [t_i, t_j] at
-    position i - lo, for at least every i in [lo, j).  The recursion
-    best[j] = max_i ( best[i] + weight[i, j] ) visits every partition into
-    consecutive blocks, for every batch index at once.  The kernels stream
-    the blocks from their sources; a caller with a dense weight matrix, or a
-    stack of them, passes ``[verify.dense_columns(weight, lo, hi)]``.
-    Returns a float when ``batch`` is empty, otherwise the array of suprema
-    of shape ``batch``.
+    ``columns`` yields blocks of shape ``(*batch, cols, n)`` whose rows, in
+    order, are the weight columns j = lo+1, ..., hi: the row of column j
+    holds the (nonnegative) weight of block [t_i, t_j] at position i - lo,
+    for at least every i in [lo, j).  An item may instead be a pair
+    ``(rows, block)``, the block of columns j0..j1-1 holding only the rows
+    ``rows``, offsets i - lo in increasing order, at its positions: the
+    last j1 - j0 of them are the rows j0..j1-1, and row j0 - 1 comes before
+    them.  The recursion best[j] = max_i ( best[i] + weight[i, j] ), over
+    the rows a block holds, visits every partition into consecutive blocks
+    when it holds them all, for every batch index at once.  The kernels
+    stream the blocks from their sources; a caller with a dense weight
+    matrix, or a stack of them, passes ``[verify.dense_columns(weight, lo,
+    hi)]``.  Returns a float when ``batch`` is empty, otherwise the array of
+    suprema of shape ``batch``.
+
+    Each block gathers best at its rows once.  A batch of one advances
+    ``_DP_COLUMNS`` columns at a time: one add and one ``maximum.reduce``
+    give every column's max over the rows before the chunk, and the chunk's
+    own triangle follows in Python floats, in row order, with a max that
+    keeps NaN; a larger batch advances one column at a time.  Each candidate
+    is the one addition best[i] + weight[i, j] and a max is exact, so the
+    value does not depend on the blocks, the chunks or the batch.
 
     ``best``, if given, is a zero array of shape ``(*batch, hi - lo + 1)`` that
     the DP fills in place: a generator of ``columns`` that holds it reads
@@ -517,11 +540,33 @@ def dp_partition_sup(columns, lo: int, hi: int, batch: tuple = (), best=None):
     if hi <= lo:
         return np.zeros(batch) if batch else 0.0
     best = np.zeros((*batch, hi - lo + 1)) if best is None else best
+    one = math.prod(batch) == 1
+    step = _DP_COLUMNS if one else 1
+    flat = best.reshape(hi - lo + 1) if one else best  # a batch of one on 1-D arrays
     c = 1
-    for block in columns:
-        for r in range(block.shape[-2]):
-            best[..., c] = np.maximum.reduce(best[..., :c] + block[..., r, :c], axis=-1)
-            c += 1
+    for item in columns:
+        rows, block = item if isinstance(item, tuple) else (None, item)
+        block = block.reshape(block.shape[-2:]) if one else block
+        cols = block.shape[-2]
+        got = flat[..., : c + cols] if rows is None else flat[..., rows]
+        first = got.shape[-1] - cols  # the rows before the block's own columns
+        for a in range(0, cols, step):
+            end = first + a
+            if step == 1:
+                got[..., end] = np.maximum.reduce(got[..., :end] + block[..., a, :end], axis=-1)
+                continue
+            # a batch of one: the chunk's columns over the rows before it, then
+            # its own triangle in Python floats, in row order
+            cand = np.maximum.reduce(got[:end] + block[a : a + step, :end], axis=-1).tolist()
+            for x, row in enumerate(block[a + 1 : a + step, end : end + step - 1].tolist(), 1):
+                v = cand[x]
+                for y in range(x):
+                    w = cand[y] + row[y]
+                    v = w if w > v or w != w else v  # NaN kept, as ``_max``
+                cand[x] = v
+            got[end : end + len(cand)] = cand
+        flat[..., c : c + cols] = got[..., first:]
+        c += cols
     return best[..., -1] if batch else float(best[-1])
 
 
@@ -539,8 +584,9 @@ def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
     ``dp_partition_sup`` of batch ``(len(members),)``, whose slices equal
     the per-member DPs bit for bit; a single member raises its slice of the
     fresh block in place, several raise copies.  A row block that no
-    member's bound lets win in a column block is not computed and enters the
-    DP with weight 0 (the pruning rule of the module docstring).  A member's
+    member's bound lets win in a column block is neither computed nor passed
+    to the DP, which gets that block's kept rows, band last (the pruning rule
+    of the module docstring).  A member's
     sum is kept when ``_sum_kept`` keeps it, with the time factor g^e
     extreme at the shortest step and at t_hi - t_lo; otherwise that member
     alone takes the fused weights of its source.  Cells with i >= j, never
@@ -595,10 +641,9 @@ def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
             if runs[0] == (lo, j1):
                 yield weights(j0, lo, _stacked(srcs, lo, j1, j0, j1))
                 continue
-            block = np.zeros((len(members), j1 - j0, j1 - lo))
-            for a, b in runs:
-                block[..., a - lo : b - lo] = weights(j0, a, _stacked(srcs, a, b, j0, j1))
-            yield block
+            yield (np.concatenate([np.arange(a - lo, b - lo) for a, b in runs]),
+                   np.concatenate([weights(j0, a, _stacked(srcs, a, b, j0, j1))
+                                   for a, b in runs], axis=-1))
 
     with np.errstate(all="ignore"):
         totals = dp_partition_sup(columns(), lo, hi, (len(members),), best)

@@ -776,11 +776,31 @@ def check_riesz_characterization(paths, refined_paths, delta, p) -> list[CheckRe
 # distance checks and the control function
 # ---------------------------------------------------------------------------
 
-def check_distance_equivalences(pairs, delta, p, refined_pairs=None) -> list[CheckRecord]:
+@dataclass(frozen=True, eq=False)
+class _DensePath(DenseSource):
+    """A path's dense distances with its grid: a source that the family
+    kernels read like the path itself, its distances computed once."""
+
+    grid: TimeGrid
+
+
+def _dense_paths(pairs) -> list[_DensePath]:
+    """The paths of ``pairs``, in order, as ``_DensePath``s."""
+    return [_DensePath(x.distance_block(0, 0, len(x.grid)), x.grid)
+            for pair in pairs for x in pair]
+
+
+def check_distance_equivalences(pairs, delta, p, ball_paths,
+                                refined_pairs=None) -> list[CheckRecord]:
     """Distance-level analogues: grid equality of rho_riesz and the nested
     rho_mixed per level, reported two-sided constants against the
     Nikolskii-hat distance (with the Nikolskii-hat ball bound logged), and
-    symmetry."""
+    symmetry.
+
+    The ball bound reads ``ball_paths``, the ``_dense_paths`` of ``pairs``,
+    which a caller that checks the same pairs at several (delta, p) makes
+    once.
+    """
     p = _check_dist(DistKind.RIESZ, delta, p)
     depth = pairs[0][0].depth
     pr = {"delta": delta, "p": p, "depth": depth, "pairs": len(pairs)}
@@ -793,7 +813,7 @@ def check_distance_equivalences(pairs, delta, p, refined_pairs=None) -> list[Che
             dev = max(dev, abs(a - b) / max(a, b, 1e-300))
             c1 = max(c1, _safe_ratio(nh, b))
             c2 = max(c2, _safe_ratio(b, nh))
-    ball = max(_family_refined_nikolskii([x for pair in pairs for x in pair], delta, p))
+    ball = max(_family_refined_nikolskii(ball_paths, delta, p))
     x1, x2 = pairs[0]
     sym_dev = abs(
         rho_aggregate(x1, x2, DistKind.RIESZ, delta=delta, p=p)
@@ -1210,10 +1230,12 @@ def suite_distances(seed=0, pair_count=20, grid_size=48) -> list[CheckRecord]:
     pairs = fam.pairs()
     fine = RoughPairFamily(4, grid_size, dim=2, depth=2, seed=seed + 71).pairs(refine=2)
     recs = []
+    checked = pairs[: max(6, pair_count // 3)]  # pairs[:4] among them
+    ball_paths = _dense_paths(checked)  # each path's distances once, for all four checks
     for delta, p in ((0.4, 3.0), (0.45, 4.0), (0.6, 8.0)):
-        recs.extend(check_distance_equivalences(pairs[: max(6, pair_count // 3)],
-                                                delta, p))
-    recs.extend(check_distance_equivalences(pairs[:4], 0.45, 4.0, refined_pairs=fine))
+        recs.extend(check_distance_equivalences(checked, delta, p, ball_paths))
+    recs.extend(check_distance_equivalences(pairs[:4], 0.45, 4.0, ball_paths[: 2 * 4],
+                                            refined_pairs=fine))
     x1, x2 = pairs[0]
     recs.extend(check_control_function(x1, x2, 0.45, 4.0))
     gap = _gaps(x1.grid.times)

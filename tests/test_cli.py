@@ -602,6 +602,21 @@ def test_oracle_and_verify_run_without_scipy(tmp_path):
     assert run.stdout.rstrip().endswith("suite ok")
 
 
+def test_cli_import_leaves_the_suites_unloaded():
+    # only `verify` loads the suites: a fresh interpreter's import of the CLI
+    # leaves verify, the oracle and SciPy out of sys.modules
+    code = ("import sys, roughpaths.cli\n"
+            "print(sorted(m for m in sys.modules if m in "
+            "('roughpaths.verify', 'roughpaths.oracle') or m.split('.')[0] == 'scipy'))")
+    src = str(Path(roughpaths.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 def test_verify_unknown_suite_exit3(capsys):
     assert main(["verify", "--suite", "nope"]) == 3
 

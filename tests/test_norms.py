@@ -576,6 +576,58 @@ def test_batched_dp_kernels_equal_per_slice_calls(case):
         assert best[idx] == dp_partition_sup([dense_columns(w[idx], lo, hi)], lo, hi)
 
 
+@st.composite
+def column_streams(draw):
+    """A stack of weight matrices on [lo, hi] and a stream of its columns.
+
+    The blocks have any width up to 2 ``_DP_COLUMNS`` + 1, multiples of it
+    or not, empty and one-column blocks among them; each holds every row or,
+    as a pair ``(rows, block)``, a random set of the rows before its band and
+    then the band, the rows j0-1..j1-1.  Returns the stream and the reference: the
+    stack with the rows each block leaves out set to 0 in its columns.
+    Zero, inf and NaN weights are put in a few drawn cells.
+    """
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    lo = draw(st.integers(0, 2))
+    hi = lo + draw(st.integers(1, 3 * norms_module._DP_COLUMNS + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.0, 1e3, (*batch, hi + 1, hi + 1))
+    for _ in range(draw(st.integers(0, 6))):
+        idx = tuple(draw(st.integers(0, size - 1)) for size in w.shape)
+        w[idx] = draw(st.sampled_from([0.0, np.inf, np.nan]))
+    ref, stream, j0, j1 = w.copy(), [], lo + 1, None
+    while j0 <= hi:
+        # no two empty blocks in a row, so the stream ends
+        j1 = j0 + draw(st.integers(int(j1 == j0), min(2 * norms_module._DP_COLUMNS + 1,
+                                                       hi + 1 - j0)))
+        if draw(st.booleans()):
+            stream.append(dense_columns(w, lo, hi)[..., j0 - lo - 1 : j1 - lo - 1, : j1 - lo])
+        else:
+            kept = [i for i in range(lo, j0 - 1) if draw(st.booleans())]
+            skipped = sorted(set(range(lo, j0 - 1)) - set(kept))
+            ref[..., skipped, j0:j1] = 0.0
+            rows = np.array(kept + list(range(j0 - 1, j1)), dtype=int)
+            stream.append((rows - lo, np.swapaxes(w[..., rows, j0:j1], -1, -2)))
+        j0 = j1
+    return batch, lo, hi, stream, ref
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(column_streams())
+def test_dp_equals_the_per_column_recurrence(case):
+    # every best[j], of every batch index, is the plain recurrence's bit for
+    # bit (NaN where it is NaN), whether a block holds every row or only its
+    # kept rows, band last, the others being set to 0 in the reference
+    batch, lo, hi, stream, ref = case
+    best = np.zeros((*batch, hi - lo + 1))
+    got = dp_partition_sup(iter(stream), lo, hi, batch, best)
+    assert np.shape(got) == batch
+    for idx in np.ndindex(batch):
+        want = [0.0] + [_dense_dp(ref[idx], lo, j) for j in range(lo + 1, hi + 1)]
+        assert np.array_equal(best[idx], want, equal_nan=True)
+    assert np.array_equal(got, best[..., -1], equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # streamed single-value norms against the dense formulas
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from roughpaths import EuclideanPath, TimeGrid, lift, resample_uniform
+from roughpaths import EuclideanPath, TimeGrid, lift, refined_nikolskii_norm, resample_uniform
 from roughpaths import verify
 from roughpaths.distances import level_diff_matrix
 from roughpaths.norms import dp_partition_sup
@@ -313,6 +313,21 @@ def test_nested_mixed_family_equals_one_path_calls(monkeypatch):
     for k in (1, 2):
         row = verify._nested_mixed(pairs, 0.45, [4.0], k)[0]
         assert row == [_one_path_nested_mixed(x1, 0.45, 4.0, x2, k) for x1, x2 in pairs]
+
+
+def test_distance_ball_bounds_are_the_refined_norms_of_the_checked_pairs():
+    # the distances suite reads each path's distances once for all its ball
+    # bounds; every bound is still the largest refined Nikolskii norm of the
+    # paths of the pairs its check covers, bit for bit
+    seed = 3
+    pairs = RoughPairFamily(20, 48, dim=2, depth=2, seed=seed + 71).pairs()
+    bounds = [r.params for r in verify.suite_distances(seed)
+              if r.check_id == "dist_nhat_over_mixed"]
+    assert [(b["pairs"], b["delta"], b["p"]) for b in bounds] == [
+        (6, 0.4, 3.0), (6, 0.45, 4.0), (6, 0.6, 8.0), (4, 0.45, 4.0)]
+    for b in bounds:
+        assert b["ball_bound"] == max(refined_nikolskii_norm(x, b["delta"], b["p"])
+                                      for pair in pairs[: b["pairs"]] for x in pair)
 
 
 def test_embedding_chain_degenerate_on_constant_path():
