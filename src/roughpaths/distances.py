@@ -41,7 +41,7 @@ from .norms import (
     shift_partition_sup,
 )
 from . import paths
-from .paths import GroupPath, _count, _instance
+from .paths import GroupPath, TimeGrid, _count, _instance
 
 
 class DistKind(enum.Enum):
@@ -119,11 +119,12 @@ def level_diff_matrix(x1: GroupPath, x2: GroupPath, k: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DenseSource:
-    """A dense distance matrix as a kernel source (the contract of ``paths``):
-    d(i, j) is ``matrix[i, j]``, read at i < j.  Its blocks are copies, so no
-    kernel writes the matrix, and it has no bounds."""
+    """A dense distance matrix on ``grid`` as a kernel source (the contract of
+    ``paths``): d(i, j) is ``matrix[i, j]``, read at i < j.  Its blocks are
+    copies, so no kernel writes the matrix, and it has no bounds."""
 
     matrix: np.ndarray
+    grid: TimeGrid
     _cells = 1
     _span_bounds = None
 
@@ -133,7 +134,7 @@ class DenseSource:
 
 def _pair_source(x1, x2, k, interval):
     # the level-k differences of one pair, a kernel source, and the interval's indices
-    return DenseSource(level_diff_matrix(x1, x2, k)), *x1.grid.resolve_interval(interval)
+    return DenseSource(level_diff_matrix(x1, x2, k), x1.grid), *x1.grid.resolve_interval(interval)
 
 
 @_in_range
@@ -141,7 +142,7 @@ def rho_qvar_level(x1, x2, q: float, k: int, interval=None) -> float:
     """Level-k q-variation distance ( sup_P sum D_k^(q/k) )^(k/q)."""
     q = _check_dist(DistKind.QVAR, None, q)
     d, lo, hi = _pair_source(x1, x2, k, interval)
-    return _power_sup_family([d], x1.grid.times, lo, hi, [(0, q / k, 0.0, k / q)])[0]
+    return _power_sup_family([d], lo, hi, [(0, q / k, 0.0, k / q)])[0]
 
 
 @_in_range
@@ -149,7 +150,7 @@ def rho_riesz_level(x1, x2, delta: float, p: float, k: int, interval=None) -> fl
     """Level-k Riesz distance ( sup_P sum D_k^(p/k) / (v-u)^(delta*p-1) )^(k/p)."""
     p = _check_dist(DistKind.RIESZ, delta, p)
     d, lo, hi = _pair_source(x1, x2, k, interval)
-    return _power_sup_family([d], x1.grid.times, lo, hi, [(0, p / k, 1.0 - delta * p, k / p)])[0]
+    return _power_sup_family([d], lo, hi, [(0, p / k, 1.0 - delta * p, k / p)])[0]
 
 
 @_in_range
@@ -173,7 +174,7 @@ def rho_nikolskii_hat_level(x1, x2, delta: float, p: float, k: int, interval=Non
     _check_pair(x1, x2, k)
     _require_uniform(x1)
     d, lo, hi = _pair_source(x1, x2, k, interval)
-    return shift_partition_sup([d], x1.grid.times, lo, hi, p / k, -delta * p, k / p)[0]
+    return shift_partition_sup([d], lo, hi, p / k, -delta * p, k / p)[0]
 
 
 @_in_range

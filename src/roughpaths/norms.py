@@ -49,14 +49,17 @@ one NumPy add and max over the rows before them, then their own triangle of
 candidates in Python floats.  A larger batch advances one column at a time.
 
 Distances reach the kernels as *sources*, read only through the private
-contract of the ``paths`` module docstring: blocks of distances, the cells
-one distance counts for, bounds where a source has them, and a path's
-diagonals.  ``_columns`` yields the column blocks of sources on one grid,
-stacked on a leading axis (``_stacked``), and Nikolskii reads a path's
-diagonals in blocks of shifts.  Each block is fresh, a writable C-ordered
-array of about ``_BLOCK_CELLS`` cells in all (``_width``).  The kernels
-raise, multiply and divide the blocks in place, and no kernel can write a
-caller's matrix.  They keep the ``**`` / ``**=`` operators on contiguous
+contract of the ``paths`` module docstring: their grid, blocks of
+distances, the cells one distance counts for, bounds where a source has
+them, and a path's diagonals.  A kernel takes sources alone: its gaps,
+mesh and time factors come from the sources' one grid, so a path and the
+level-k differences of a pair are read one way.  ``_columns`` yields the
+column blocks of sources on one grid, stacked on a leading axis
+(``_stacked``), and Nikolskii reads a path's diagonals in blocks of
+shifts.  Each block is fresh, a writable C-ordered array of about
+``_BLOCK_CELLS`` cells in all (``_width``).  The kernels raise, multiply
+and divide the blocks in place, and no kernel can write a caller's
+matrix.  They keep the ``**`` / ``**=`` operators on contiguous
 arrays, which take NumPy's fast paths for the exponents 2, 0.5 and -1, so
 the values do not change.  A block's cells with i >= j, which no DP reads,
 are the upper triangle of its trailing rows x rows square, and ``_gaps``
@@ -369,7 +372,7 @@ def _lowered(power):
     return power
 
 
-def _bounds(srcs, times, lo, hi, width, bound):
+def _bounds(srcs, lo, hi, width, bound):
     """Bounds of the earlier row blocks of each column block of [lo, hi].
 
     The column blocks are the ``_spans`` of ``width`` columns, block J the
@@ -381,13 +384,14 @@ def _bounds(srcs, times, lo, hi, width, bound):
     the chunk's r-th column block.  Over the cells of row block I in column
     block J, ``dist[b, r, I]`` bounds every distance of ``srcs[b]`` as
     ``_block`` computes it (its ``_span_bounds``), and ``short[r, I]`` and
-    ``long[r, I]`` are the shortest and the longest gap t_j - t_i as
-    ``_gaps`` computes it.  Nothing is computed before the first block is
-    asked for.
+    ``long[r, I]`` are the shortest and the longest gap t_j - t_i of the
+    sources' grid as ``_gaps`` computes it.  Nothing is computed before the
+    first block is asked for.
     """
     first = np.arange(lo, hi, width)
     n = len(first)
     readers = [f._span_bounds(lo, hi, width) for f in srcs]
+    times = srcs[0].grid.times
     last = np.minimum(first + width, hi)  # the last column of J; minus 1, the last row of I
     chunk = _width(srcs, 1, n, _BLOCK_CELLS)  # column blocks of n cells (x _cells) each
     for c0 in range(0, n, chunk):
@@ -399,7 +403,7 @@ def _bounds(srcs, times, lo, hi, width, bound):
             yield chunk_bound[..., r, : c0 + r]
 
 
-def _kept_runs(srcs, times, lo, hi, width, bound, skip):
+def _kept_runs(srcs, lo, hi, width, bound, skip):
     """The column blocks of [lo, hi] and the rows of each that a pruned kernel computes.
 
     Yields ``(j0, j1, runs)`` for the column blocks of ``_spans`` in order,
@@ -423,7 +427,7 @@ def _kept_runs(srcs, times, lo, hi, width, bound, skip):
         for j0, j1 in spans:
             yield j0, j1, [(lo, j1)]
         return
-    for k, ((j0, j1), bound_k) in enumerate(zip(spans, _bounds(srcs, times, lo, hi, width, bound))):
+    for k, ((j0, j1), bound_k) in enumerate(zip(spans, _bounds(srcs, lo, hi, width, bound))):
         # the kept row blocks, then the band, between two unkept edges
         keep = np.concatenate(([False], ~skip(bound_k, k), [True, False]))
         ends = np.flatnonzero(keep[1:] != keep[:-1]).tolist()
@@ -472,17 +476,17 @@ def _sum_kept(total, count, factors, src, lo, hi) -> bool:
     return total == 0.0 and not any(block.any() for _, block in _columns([src], lo, hi))
 
 
-def _fused_weights(src, times, lo, hi, p, e, unit=1.0):
+def _fused_weights(src, lo, hi, p, e, unit=1.0):
     """The terms (d/s)^p * g^e of a source over [lo, hi], time factor folded into the base.
 
     Returns s and the column blocks of (d g^(e/p) / s)^p, laid out as by
     ``_columns``, s the largest base (a first pass over the blocks), so the
     largest term is exactly 1; unread cells get weight 0.  Zero distances
-    give s = 1 and zero weights.  The block lengths g are measured in
-    multiples of ``unit``: (t_j - t_i) / unit.
+    give s = 1 and zero weights.  The block lengths g, from the source's
+    grid, are measured in multiples of ``unit``: (t_j - t_i) / unit.
     """
     def bases(j0, block):
-        base = _gaps(times, lo, j0, block, unit)
+        base = _gaps(src.grid.times, lo, j0, block, unit)
         with np.errstate(invalid="ignore"):
             base /= unit
             base **= e / p
@@ -570,7 +574,7 @@ def dp_partition_sup(columns, lo: int, hi: int, batch: tuple = (), best=None):
     return best[..., -1] if batch else float(best[-1])
 
 
-def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
+def _power_sup_family(srcs, lo, hi, members) -> list[float]:
     """( sup_P sum D_b(u, v)^a (v-u)^e )^r over [lo, hi], one value per member (b, a, e, r).
 
     The one kernel of every partition power sum, r = 1/a up to rounding:
@@ -578,7 +582,8 @@ def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
     r = 1/p) and the level-k distances of ``distances`` (D_b the level-k
     difference, a = p/k, r = k/p).  ``srcs`` are distance sources on one
     grid (see the module docstring), D_b the distances of ``srcs[b]``, read
-    through ``_stacked`` in the column blocks of ``_spans``.
+    through ``_stacked`` in the column blocks of ``_spans``, and the gaps
+    v - u those of the grid of ``srcs[0]``.
 
     The members' weights are formed as written and share one
     ``dp_partition_sup`` of batch ``(len(members),)``, whose slices equal
@@ -608,7 +613,7 @@ def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
                 np.copyto(row, block[b])
                 row **= a
         if exponents:
-            gap = _gaps(times, i0, j0, block, 1.0)
+            gap = _gaps(srcs[0].grid.times, i0, j0, block, 1.0)
             factors = {e: gap**e for e in exponents[1:]}
             gap **= exponents[0]  # the gaps' last use: raised in place
             factors[exponents[0]] = gap
@@ -637,7 +642,7 @@ def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
                 < best[:, k * width, None]).all(axis=0)
 
     def columns():
-        for j0, j1, runs in _kept_runs(srcs, times, lo, hi, width, weight_bounds, skip):
+        for j0, j1, runs in _kept_runs(srcs, lo, hi, width, weight_bounds, skip):
             if runs[0] == (lo, j1):
                 yield weights(j0, lo, _stacked(srcs, lo, j1, j0, j1))
                 continue
@@ -647,8 +652,8 @@ def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
 
     with np.errstate(all="ignore"):
         totals = dp_partition_sup(columns(), lo, hi, (len(members),), best)
-    shortest = float(np.diff(times[lo : hi + 1]).min())
-    span = float(times[hi] - times[lo])
+    shortest = float(np.diff(srcs[0].grid.times[lo : hi + 1]).min())
+    span = float(srcs[0].grid.times[hi] - srcs[0].grid.times[lo])
     values = []
     for (b, a, e, root), total in zip(members, totals):
         total = float(total)
@@ -656,7 +661,7 @@ def _power_sup_family(srcs, times, lo, hi, members) -> list[float]:
                      srcs[b], lo, hi):
             values.append(total**root)
         else:
-            s, fused = _fused_weights(srcs[b], times, lo, hi, a, e)
+            s, fused = _fused_weights(srcs[b], lo, hi, a, e)
             values.append(dp_partition_sup(fused, lo, hi) ** root * s)
     return values
 
@@ -726,7 +731,7 @@ def holder_norm(path, delta: float, interval=None) -> float:
         return float(np.max(w))
 
     best = 0.0
-    for j0, j1, runs in _kept_runs([path], times, lo, hi, width, ratio_bounds,
+    for j0, j1, runs in _kept_runs([path], lo, hi, width, ratio_bounds,
                                    lambda bound, k: bound < best):
         for a, b in runs:
             best = _max(best, ratio_max(j0, j1, a, b))
@@ -741,7 +746,7 @@ def qvar_norm(path, q: float, interval=None) -> float:
     lo, hi = path.grid.resolve_interval(interval)
     if q == 1.0:  # the finest partition is optimal (triangle inequality)
         return float(np.sum(path.shift_distances(1, lo, hi)))
-    return _power_sup_family([path], path.grid.times, lo, hi, [(0, q, 0.0, 1.0 / q)])[0]
+    return _power_sup_family([path], lo, hi, [(0, q, 0.0, 1.0 / q)])[0]
 
 
 @_in_range
@@ -752,8 +757,7 @@ def riesz_norm(path, delta: float, p, interval=None) -> float:
         return holder_norm(path, delta, interval)
     _instance(path, _PATHS, "path")
     lo, hi = path.grid.resolve_interval(interval)
-    return _power_sup_family([path], path.grid.times, lo, hi,
-                             [(0, p, 1.0 - delta * p, 1.0 / p)])[0]
+    return _power_sup_family([path], lo, hi, [(0, p, 1.0 - delta * p, 1.0 / p)])[0]
 
 
 def mixed_norm(path, delta: float, p, interval=None) -> float:
@@ -770,7 +774,9 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     integral becomes a maximum.  The diagonals d(f_r, f_(r+m)), raised, come
     from the path's ``_shift_rows`` in blocks of about ``_BLOCK_CELLS``
     cells; each shift is summed, or maximised, on its own contiguous row, so
-    every shift sees the data and the pairwise sum of its own diagonal.
+    every shift sees the data and the pairwise sum of its own diagonal.  A
+    sum out of the float range is rescaled shift by shift on the raw
+    diagonals of the same reader (``_shift_rows`` at p = P_INF).
     """
     p = _check_params(NormKind.NIKOLSKII, delta, p)
     _instance(path, _PATHS, "path")
@@ -784,7 +790,8 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     best = 0.0
     # the left Riemann sum leaves the last column out
     last = hi if p is P_INF else hi - 1
-    for m, seg in path._shift_rows(lo, last, span, p, _width([path], lo, last, _BLOCK_CELLS)):
+    width = _width([path], lo, last, _BLOCK_CELLS)
+    for m, seg in path._shift_rows(lo, last, span, p, width):
         if p is P_INF:
             best = _max(best, (m * dt) ** (-delta) * float(np.max(seg)))
         else:
@@ -800,21 +807,20 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     # power is exactly 1); the time factor is constant within a shift, so
     # ( c_m sum d^p )^(1/p) = s_m h^(-delta) ( mesh sum (d/s_m)^p )^(1/p)
     best = 0.0
-    for m in range(1, span):
-        seg = path.shift_distances(m, lo, hi - 1)
+    for m, seg in path._shift_rows(lo, hi - 1, span - 1, P_INF, width):
         if seg.any():
             s = float(seg.max())
             best = _max(best, s * (m * dt) ** (-delta) * (dt * float(np.sum((seg / s) ** p))) ** (1.0 / p))
     return float(best)
 
 
-def shift_partition_sup(srcs, times: np.ndarray, lo: int, hi: int,
-                        power: float, hexp: float, root: float) -> list[float]:
+def shift_partition_sup(srcs, lo: int, hi: int, power: float, hexp: float,
+                        root: float) -> list[float]:
     """Partition sup of the ``oracle.shift_sup_table`` values over [lo, hi], in O(M^2).
 
-    Returns, for each distance source of ``srcs`` (on one uniform grid, see
-    the module docstring), the sup to the power ``root`` (1/power up to
-    rounding), the value of
+    Returns, for each distance source of ``srcs`` (on one uniform grid, the
+    mesh that of ``srcs[0]``, see the module docstring), the sup to the
+    power ``root`` (1/power up to rounding), the value of
     ``dp_partition_sup([verify.dense_columns(oracle.shift_sup_table(...), lo, hi)]) ** root``
     without the table: with c_m = (m*mesh)^hexp * mesh and S_m[k] the sum of
     d(r, r+m)^power over lo <= r < k, the DP runs
@@ -835,7 +841,7 @@ def shift_partition_sup(srcs, times: np.ndarray, lo: int, hi: int,
     span = hi - lo
     if span <= 0:
         return [0.0] * len(srcs)
-    dt = (times[hi] - times[lo]) / span
+    dt = (srcs[0].grid.times[hi] - srcs[0].grid.times[lo]) / span
     shifts = np.arange(1, span + 1) * dt
     # log2 c_m for m = 1 and span, from the logs: c_m itself may overflow
     factors = [hexp * math.log2(h) + math.log2(dt) for h in (shifts[0], shifts[-1])]
@@ -910,7 +916,7 @@ def refined_nikolskii_norm(path, delta: float, p, interval=None) -> float:
     _instance(path, _PATHS, "path")
     _require_uniform(path)
     lo, hi = path.grid.resolve_interval(interval)
-    return shift_partition_sup([path], path.grid.times, lo, hi, p, -delta * p, 1.0 / p)[0]
+    return shift_partition_sup([path], lo, hi, p, -delta * p, 1.0 / p)[0]
 
 
 @_in_range
@@ -961,7 +967,7 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
     # d g^(e/p) of the fused weights (as ``riesz_norm`` takes them) are at most
     # d; mesh^(2+e) = mesh^(1 - delta*p) is applied outside the root, as two
     # halves of its p-th root, neither of which leaves the float range
-    s, weights = _fused_weights(path, times, lo, hi, p, e, dt)
+    s, weights = _fused_weights(path, lo, hi, p, e, dt)
     half = float(dt) ** ((2.0 + e) / (2.0 * p))
     return (2.0 * sum(float(np.sum(w)) for w in weights)) ** (1.0 / p) * s * half * half
 

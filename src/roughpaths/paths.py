@@ -58,10 +58,13 @@ kind of path, which stays a public reference for callers and tests.
 Both calls of both kinds raise ``ParameterError`` on indices outside the grid.
 
 Both kinds of path are *distance sources*, as is ``distances.DenseSource``,
-a dense matrix such as the level-k differences of a pair.  The kernels of
-``norms`` read a source only through one private, duck-typed contract, and
-trust its arguments:
+a dense matrix on a grid such as the level-k differences of a pair.  The
+kernels of ``norms`` read a source only through one private, duck-typed
+contract, and trust its arguments:
 
+* ``grid``: the ``TimeGrid`` of the distances, d(i, j) that of the times
+  t_i and t_j.  The kernels take no times beside their sources: the sources
+  of one call share one grid, and the kernels read the first one's.
 * ``_block(i0, i1, j0, j1)``: the distances of rows i0..i1-1 and columns
   j0..j1-1, a fresh, writable, C-ordered (j1-j0, i1-i0) array with
   ``[c, r]`` = d(i0+r, j0+c), which the kernels overwrite.  The rows end at
@@ -518,9 +521,11 @@ class GroupPath:
     def _shift_rows(self, lo: int, hi: int, shifts: int, p: float, width: int):
         """The diagonals of the source contract, ``shift_distances(m, lo, hi)``
         raised to the power p (not for p = inf), yielded as ``(m, row)`` shift by
-        shift; ``width`` is not read, as a group path computes each shift alone."""
+        shift from ``_distances``, whose indices the caller has checked; ``width``
+        is not read, as a group path computes each shift alone."""
         for m in range(1, shifts + 1):
-            row = self.shift_distances(m, lo, hi)
+            head, tail = np.s_[:, lo : hi - m + 1], np.s_[:, lo + m : hi + 1]
+            row = self._distances(head, tail, (tail, head))
             if p != math.inf:
                 row **= p
             yield m, row

@@ -32,7 +32,7 @@ from roughpaths import (
     riesz_norm,
 )
 from roughpaths import paths
-from roughpaths.distances import level_diff_matrix, rho_level
+from roughpaths.distances import DenseSource, level_diff_matrix, rho_level
 from roughpaths.norms import dp_partition_sup
 from roughpaths.oracle import (
     oracle_rho_mixed,
@@ -203,7 +203,8 @@ def test_riesz_equals_mixed_distance(rng):
             for k in (1, 2):
                 # against the nested definition: the grid identity of ``norms``
                 a = rho_riesz_level(x1, x2, delta, p, k)
-                b = _nested_mixed([(x1, x2)], delta, [p], k)[0][0]
+                b = _nested_mixed([DenseSource(level_diff_matrix(x1, x2, k), x1.grid)], delta,
+                                  [p], k)[0][0]
                 assert a == pytest.approx(b, rel=1e-9)
                 assert a <= b * (1 + 1e-9)  # the constant-1 direction on its own
                 assert rho_mixed_level(x1, x2, delta, p, k) == a

@@ -85,25 +85,28 @@ def _span(path, lo, hi):
 def test_batched_sweep_equals_each_slice_alone(case, dp):
     paths, lo, hi = case
     delta, p = dp
-    times = paths[0].grid.times
-    got = shift_partition_sup(paths, times, lo, hi, p, -delta * p, 1.0 / p)
+    got = shift_partition_sup(paths, lo, hi, p, -delta * p, 1.0 / p)
     for b, f in enumerate(paths):
         # a path's dense matrix, a source like any other, gives its streamed value
-        alone = shift_partition_sup([DenseSource(dense_distances(f))], times, lo, hi, p,
+        alone = shift_partition_sup([DenseSource(dense_distances(f), f.grid)], lo, hi, p,
                                     -delta * p, 1.0 / p)
         assert [got[b]] == alone == [refined_nikolskii_norm(f, delta, p, _span(f, lo, hi))]
     # the level-k differences of pairs of lifts: the Nikolskii-hat distances,
     # defined for p >= 1/delta
     pairs = _pairs(paths) if isinstance(paths[0], GroupPath) and delta * p >= 1.0 else []
     for k in range(1, paths[0].depth + 1 if pairs else 1):
-        hat = shift_partition_sup([DenseSource(level_diff_matrix(x1, x2, k)) for x1, x2 in pairs],
-                                  times, lo, hi, p / k, -delta * p, k / p)
+        hat = shift_partition_sup(_level_sources(pairs, k), lo, hi, p / k, -delta * p, k / p)
         assert hat == [rho_nikolskii_hat_level(x1, x2, delta, p, k, _span(x1, lo, hi))
                        for x1, x2 in pairs]
 
 
 def _pairs(paths):
     return list(zip(paths[::2], paths[1::2])) or [(paths[0], paths[0])]
+
+
+def _level_sources(pairs, k):
+    # the level-k differences of each pair, a dense source on the pair's grid
+    return [DenseSource(level_diff_matrix(x1, x2, k), x1.grid) for x1, x2 in pairs]
 
 
 def _dilated(f, lam):
@@ -131,7 +134,7 @@ def _items(paths, k, lo, hi):
 
         return paths, np.stack([dense_distances(f) for f in paths]), per_call
     pairs = _pairs(paths)
-    srcs = [DenseSource(level_diff_matrix(x1, x2, k)) for x1, x2 in pairs]
+    srcs = _level_sources(pairs, k)
 
     def per_call(b, delta, p):
         return (rho_qvar_level(*pairs[b], p, k, iv) if delta is None
@@ -163,7 +166,7 @@ def _check_power_sup_family(paths, lo, hi, k, data):
     root = max(k, 1)
     members = [(b, p / root, 0.0 if delta is None else 1.0 - delta * p, root / p)
                for b, delta, p in drawn]
-    got = _power_sup_family(srcs, times, lo, hi, members)
+    got = _power_sup_family(srcs, lo, hi, members)
     assert np.array_equal(got, [per_call(*m) for m in drawn])
 
     gap = times[None, :] - times[:, None]
@@ -175,12 +178,12 @@ def _check_power_sup_family(paths, lo, hi, k, data):
             w = dense[b] ** a * gap**e
             total = dp_partition_sup([dense_columns(w, lo, hi)], lo, hi)
         factors = [e * math.log2(shortest), e * math.log2(times[hi] - times[lo])]
-        if _sum_kept(total, hi - lo, factors, DenseSource(dense[b]), lo, hi):
+        if _sum_kept(total, hi - lo, factors, DenseSource(dense[b], paths[0].grid), lo, hi):
             assert value == total**r
 
     n = data.draw(st.sampled_from([-40, -3, 3, 40]))
     scaled, *_ = _items([_dilated(f, 2.0**n) for f in paths], k, lo, hi)
-    again = _power_sup_family(scaled, times, lo, hi, members)
+    again = _power_sup_family(scaled, lo, hi, members)
     assert np.allclose(again, np.array(got) * 2.0 ** (n * root), rtol=1e-12, atol=0.0)
 
 
@@ -220,7 +223,7 @@ def test_verify_family_helpers_across_chunk_boundaries(m, count, seed, dim, dept
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_FAMILY_CELLS", 2 * (m + 1) ** 2)
         mp.setattr(norms, "_BLOCK_CELLS", 6 * (m + 2))
-        assert max(len(c) for _, c in verify._family_chunks(paths, None)) <= 2
+        assert max(len(c) for c in verify._family_chunks(paths)) <= 2
         riesz = verify._family_riesz(paths, 0.45, (2.5, 4.0))
         refined = verify._family_refined_nikolskii(paths, 0.45, 4.0)
         assert riesz == [[riesz_norm(f, 0.45, p) for f in paths] for p in (2.5, 4.0)]
@@ -229,9 +232,10 @@ def test_verify_family_helpers_across_chunk_boundaries(m, count, seed, dim, dept
             pairs = _pairs(paths)
             pairs = [(x1, x2) for x1, x2 in pairs if x1.grid is x2.grid]
             for k in range(1, depth + 1):
-                assert verify._family_riesz(pairs, 0.45, (2.5, 4.0), k) == [
+                srcs = _level_sources(pairs, k)
+                assert verify._family_riesz(srcs, 0.45, (2.5, 4.0), k) == [
                     [rho_riesz_level(x1, x2, 0.45, p, k) for x1, x2 in pairs] for p in (2.5, 4.0)]
-                assert verify._family_refined_nikolskii(pairs, 0.45, 4.0, k) == [
+                assert verify._family_refined_nikolskii(srcs, 0.45, 4.0, k) == [
                     rho_nikolskii_hat_level(x1, x2, 0.45, 4.0, k) for x1, x2 in pairs]
 
 
@@ -243,17 +247,16 @@ def test_kernels_never_write_a_dense_source(case, dp):
     # and gives the values of a read-only copy
     paths, lo, hi = case
     delta, p = dp
-    times = paths[0].grid.times
     matrix = dense_distances(paths[0])
     frozen = matrix.copy()
     frozen.flags.writeable = False
-    writable, read_only = DenseSource(matrix), DenseSource(frozen)
+    writable, read_only = (DenseSource(m, paths[0].grid) for m in (matrix, frozen))
     member = [(0, p, 0.0 if delta is None else 1.0 - delta * p, 1.0 / p)]
-    assert (_power_sup_family([writable], times, lo, hi, member)
-            == _power_sup_family([read_only], times, lo, hi, member))
+    assert (_power_sup_family([writable], lo, hi, member)
+            == _power_sup_family([read_only], lo, hi, member))
     delta = delta or 1.0
-    assert (shift_partition_sup([writable], times, lo, hi, p, -delta * p, 1.0 / p)
-            == shift_partition_sup([read_only], times, lo, hi, p, -delta * p, 1.0 / p))
+    assert (shift_partition_sup([writable], lo, hi, p, -delta * p, 1.0 / p)
+            == shift_partition_sup([read_only], lo, hi, p, -delta * p, 1.0 / p))
     assert np.array_equal(matrix, frozen)
 
 
@@ -263,10 +266,10 @@ def test_every_source_yields_fresh_column_blocks(rng):
     # C-ordered writable array of its own, holding the dense columns
     x = lift(EuclideanPath(TimeGrid.uniform(40), _values(rng, 40, 2, 1.0, False)), 2)
     matrix = dense_distances(x)
-    dense = DenseSource(matrix)
+    dense = DenseSource(matrix, x.grid)
     lo, hi = 5, 37
     want = dense_columns(matrix, lo, hi)
-    times, iv = x.grid.times, (x.grid.times[lo], x.grid.times[hi])
+    iv = (x.grid.times[lo], x.grid.times[hi])
     values = []
     for cells in (1, 7, 1 << 15):
         with pytest.MonkeyPatch.context() as mp:
@@ -291,5 +294,5 @@ def test_every_source_yields_fresh_column_blocks(rng):
                            for (_, block), (_, own) in zip(stacked, alone))
             values.append([holder_norm(x, 0.4, iv), qvar_norm(x, 2.5, iv),
                            riesz_norm(x, 0.5, 4.0, iv), refined_nikolskii_norm(x, 0.4, 4.0, iv)]
-                          + shift_partition_sup([dense], times, lo, hi, 4.0, -1.6, 0.25))
+                          + shift_partition_sup([dense], lo, hi, 4.0, -1.6, 0.25))
     assert values[0] == values[1] == values[2]

@@ -47,7 +47,7 @@ def test_the_runs_hold_the_band_and_the_row_blocks_skip_keeps(lo, hi, width):
 
     spans = _spans(lo + 1, hi, width)
     bounded = len(spans) > width
-    blocks = list(_kept_runs([f], f.grid.times, lo, hi, width, _distances, skip))
+    blocks = list(_kept_runs([f], lo, hi, width, _distances, skip))
     assert [(j0, j1) for j0, j1, _ in blocks] == spans
     assert spans[-1][1] - spans[-1][0] < width or not bounded
     for k, (j0, j1, runs) in enumerate(blocks):
@@ -75,7 +75,7 @@ def test_a_group_path_yields_whole_blocks_and_never_asks_skip():
     def skip(bound, k):
         raise AssertionError("a group path has no bounds")
 
-    blocks = list(_kept_runs([x], x.grid.times, 7, 45, 4, _distances, skip))
+    blocks = list(_kept_runs([x], 7, 45, 4, _distances, skip))
     assert blocks == [(j0, j1, [(7, j1)]) for j0, j1 in _spans(8, 45, 4)]
 
 
@@ -94,7 +94,6 @@ def test_only_euclidean_paths_enter_the_bounds(monkeypatch):
     m = 2048
     f, g = _walk(2048, m, 2), _walk(2049, m, 2)
     x1, x2 = lift(f, 2), lift(g, 2)
-    t = f.grid.times
     entered = []
     bounds = norms._bounds
 
@@ -109,12 +108,12 @@ def test_only_euclidean_paths_enter_the_bounds(monkeypatch):
     got = [qvar_norm(x1, 2.5), riesz_norm(x1, 0.5, 4.0), holder_norm(x1, 0.4),
            rho_riesz_level(x1, x2, 0.5, 4.0, 2)]
     assert entered == []
-    dense = DenseSource(dense_distances(x1))
-    d2 = DenseSource(level_diff_matrix(x1, x2, 2))
+    dense = DenseSource(dense_distances(x1), x1.grid)
+    d2 = DenseSource(level_diff_matrix(x1, x2, 2), x1.grid)
     monkeypatch.setattr(norms, "_BLOCK_CELLS", (m + 1) * (m + 1))  # one block: unbounded
-    want = [*_power_sup_family([dense], t, 0, m, [(0, 2.5, 0.0, 0.4), (0, 4.0, -1.0, 0.25)]),
+    want = [*_power_sup_family([dense], 0, m, [(0, 2.5, 0.0, 0.4), (0, 4.0, -1.0, 0.25)]),
             _dense_holder(x1, 0.4),
-            *_power_sup_family([d2], t, 0, m, [(0, 2.0, -1.0, 0.5)])]
+            *_power_sup_family([d2], 0, m, [(0, 2.0, -1.0, 0.5)])]
     assert got == want
 
 
@@ -124,19 +123,18 @@ def test_a_batch_that_mixes_a_path_and_a_dense_source_is_unbounded(monkeypatch):
     # that of its source alone
     m = 2048
     f, g = _walk(2048, m, 1), _walk(2050, m, 1)
-    t = f.grid.times
-    srcs = [f, DenseSource(dense_distances(g))]
+    srcs = [f, DenseSource(dense_distances(g), g.grid)]
     lo = 100
     members = [(0, 2.5, 0.0, 0.4), (1, 2.5, 0.0, 0.4), (1, 4.0, -1.0, 0.25), (0, 4.0, -1.0, 0.25)]
     calls = []
     span_bounds = EuclideanPath._span_bounds
     monkeypatch.setattr(EuclideanPath, "_span_bounds",
                         lambda *args: calls.append(args) or span_bounds(*args))
-    alone = {start: [_power_sup_family([srcs[b]], t, start, m, [(0, *rest)])[0]
+    alone = {start: [_power_sup_family([srcs[b]], start, m, [(0, *rest)])[0]
                      for b, *rest in members]
              for start in (0, lo)}
     assert calls  # the path alone is bounded
-    swept = {start: [shift_partition_sup([src], t, start, m, 4.0, -2.0, 0.25)[0] for src in srcs]
+    swept = {start: [shift_partition_sup([src], start, m, 4.0, -2.0, 0.25)[0] for src in srcs]
              for start in (0, lo)}
     width = _width(srcs, 0, m, norms._BLOCK_CELLS)
 
@@ -147,8 +145,8 @@ def test_a_batch_that_mixes_a_path_and_a_dense_source_is_unbounded(monkeypatch):
         raise AssertionError("a mixed batch skips no row block")
 
     monkeypatch.setattr(EuclideanPath, "_span_bounds", no_bounds)
-    assert (list(_kept_runs(srcs, t, 0, m, width, _distances, skip))
+    assert (list(_kept_runs(srcs, 0, m, width, _distances, skip))
             == [(j0, j1, [(0, j1)]) for j0, j1 in _spans(1, m, width)])
     for start in (0, lo):
-        assert _power_sup_family(srcs, t, start, m, members) == alone[start]
-        assert shift_partition_sup(srcs, t, start, m, 4.0, -2.0, 0.25) == swept[start]
+        assert _power_sup_family(srcs, start, m, members) == alone[start]
+        assert shift_partition_sup(srcs, start, m, 4.0, -2.0, 0.25) == swept[start]

@@ -989,7 +989,7 @@ def test_shift_partition_sup_equals_table_dp_and_oracle(case):
     got = refined_nikolskii_norm(path, delta, p, span)
     dist = path.distance_matrix
     # the dense matrix, as a source, gives the streamed value bit for bit
-    assert [got] == norms_module.shift_partition_sup([DenseSource(dist)], times, lo, hi, p,
+    assert [got] == norms_module.shift_partition_sup([DenseSource(dist, path.grid)], lo, hi, p,
                                                      -delta * p, 1.0 / p)
     table = shift_sup_table(dist, times, lo, hi, p, -delta * p)
     want = dp_partition_sup([dense_columns(table, lo, hi)], lo, hi) ** (1.0 / p)
@@ -1058,3 +1058,37 @@ def test_nikolskii_family_at_large_p(rng):
     flat = EuclideanPath(f.grid, np.ones_like(f.values))
     for norm in (nikolskii_norm, frac_sobolev_norm, refined_nikolskii_norm):
         assert norm(flat, 0.5, 300.0) == 0.0
+
+
+def _nikolskii_rescaled(f, delta, p, lo, hi):
+    # the out-of-range form from the public diagonals, shift by shift: each
+    # shift divided by its largest distance, its time factor outside the root
+    dt = (f.grid.times[hi] - f.grid.times[lo]) / (hi - lo)
+    best = 0.0
+    for m in range(1, hi - lo):
+        seg = f.shift_distances(m, lo, hi - 1)
+        if seg.any():
+            s = float(seg.max())
+            term = dt * float(np.sum((seg / s) ** p))
+            best = max(best, s * (m * dt) ** (-delta) * term ** (1.0 / p))
+    return best
+
+
+@pytest.mark.parametrize("p, scale", [(300.0, 1e-3), (300.0, 1e3), (8.0, 1e-60), (8.0, 1e60)])
+@pytest.mark.parametrize("dim, depth, lo, hi", [(1, 0, 0, 64), (2, 0, 9, 64), (3, 0, 0, 64),
+                                                (3, 0, 5, 51), (2, 2, 0, 64), (2, 2, 7, 58)])
+def test_nikolskii_out_of_range_is_the_per_shift_rescale(monkeypatch, p, scale, dim, depth, lo,
+                                                         hi):
+    # at delta = 0.5 the powers of these walks leave the float range, so the
+    # sum is not kept and every shift is rescaled on its own raw diagonal: the
+    # value is that of the per-shift form bit for bit; at p = 8 every distance
+    # of a diagonal counts, at p = 300 its largest ones
+    f = random_walk_path(np.random.default_rng([dim, depth, lo]), 64, dim, scale)
+    path = lift(f, depth) if depth else f
+    kept = []
+    sum_kept = norms_module._sum_kept
+    monkeypatch.setattr(norms_module, "_sum_kept",
+                        lambda *args: kept.append(sum_kept(*args)) or kept[-1])
+    got = nikolskii_norm(path, 0.5, p, (f.grid.times[lo], f.grid.times[hi]))
+    assert kept == [False]
+    assert got == _nikolskii_rescaled(path, 0.5, p, lo, hi)

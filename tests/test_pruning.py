@@ -66,15 +66,15 @@ def test_pruned_values_equal_the_unpruned_dense_source(monkeypatch, kind, dim, u
     rng = np.random.default_rng([dim, len(kind), int(uniform)])
     f = _path(rng, kind, 240, dim, uniform, scale)
     t = f.grid.times
-    dense = DenseSource(dense_distances(f))
+    dense = DenseSource(dense_distances(f), f.grid)
     for lo, hi in ((0, len(t) - 1), (17, len(t) - 30)):
         iv = (t[lo], t[hi])
         assert holder_norm(f, 0.4, iv) == _dense_holder(f, 0.4, lo, hi)
         for q in QVAR:
-            want = _power_sup_family([dense], t, lo, hi, [(0, q, 0.0, 1.0 / q)])
+            want = _power_sup_family([dense], lo, hi, [(0, q, 0.0, 1.0 / q)])
             assert [qvar_norm(f, q, iv)] == want, q
         for delta, p in RIESZ:
-            want = _power_sup_family([dense], t, lo, hi, [(0, p, 1.0 - delta * p, 1.0 / p)])
+            want = _power_sup_family([dense], lo, hi, [(0, p, 1.0 - delta * p, 1.0 / p)])
             assert [riesz_norm(f, delta, p, iv)] == want, (delta, p)
 
 
@@ -96,7 +96,7 @@ def test_qvar_computes_few_of_the_cells(monkeypatch):
     value = qvar_norm(f, 2.5)
     assert sum(cells) < 0.15 * m * (m + 1) / 2
     monkeypatch.undo()
-    assert [value] == _power_sup_family([DenseSource(dense_distances(f))], f.grid.times, 0, m,
+    assert [value] == _power_sup_family([DenseSource(dense_distances(f), f.grid)], 0, m,
                                         [(0, 2.5, 0.0, 0.4)])
 
 
@@ -165,8 +165,8 @@ class _BoundedDense(DenseSource):
     """A dense source whose bounds are the exact maxima of its matrix over each
     row block x column block, and which counts the cells of its blocks."""
 
-    def __init__(self, matrix):
-        super().__init__(matrix)
+    def __init__(self, matrix, grid):
+        super().__init__(matrix, grid)
         object.__setattr__(self, "cells", [])
 
     def _block(self, i0, i1, j0, j1):
@@ -194,15 +194,14 @@ def test_a_bounded_dense_source_prunes_with_the_same_values(monkeypatch, seed):
     monkeypatch.setattr(norms, "_BLOCK_CELLS", 1 << 10)  # 4 columns a block at M = 240
     m = 240
     f = _path(np.random.default_rng(seed), "walk", m, 1, True, 1.0)
-    t = f.grid.times
-    bounded, dense = _BoundedDense(dense_distances(f)), DenseSource(dense_distances(f))
+    bounded, dense = (cls(dense_distances(f), f.grid) for cls in (_BoundedDense, DenseSource))
     for lo, hi in ((0, m), (17, m - 30)):
         for members in MEMBERS:
-            got = _power_sup_family([bounded], t, lo, hi, members)
-            assert got == _power_sup_family([dense], t, lo, hi, members)
-            assert got == _power_sup_family([f], t, lo, hi, members), members
+            got = _power_sup_family([bounded], lo, hi, members)
+            assert got == _power_sup_family([dense], lo, hi, members)
+            assert got == _power_sup_family([f], lo, hi, members), members
     bounded.cells.clear()
-    _power_sup_family([bounded], t, 0, m, MEMBERS[0])
+    _power_sup_family([bounded], 0, m, MEMBERS[0])
     # the whole blocks hold rows 0..j1-1 of each column block (j0, j1)
     whole = sum((j1 - j0) * j1 for j0, j1 in _spans(1, m, _width([bounded], 0, m, 1 << 10)))
     assert sum(bounded.cells) < whole / 2

@@ -6,7 +6,7 @@ import pytest
 
 from roughpaths import EuclideanPath, TimeGrid, lift, refined_nikolskii_norm, resample_uniform
 from roughpaths import verify
-from roughpaths.distances import level_diff_matrix
+from roughpaths.distances import DenseSource, level_diff_matrix
 from roughpaths.norms import dp_partition_sup
 from roughpaths.verify import (
     CheckRecord,
@@ -231,6 +231,22 @@ def test_negative_controls_fail_as_designed():
     assert all(not r.passed for r in recs)
 
 
+def test_reversed_inequality_control_takes_a_walk_on_which_it_fails(monkeypatch):
+    # at seeds 2460 and 32505 the first walk's whole interval is its best Riesz
+    # partition at both deltas, so the reversed inequality ties there; the
+    # control takes the next walk, and the suites pass
+    assert run_suite("distances", seed=2460)[1]
+    assert run_suite("characterization", seed=32505)[1]
+    # a delta-blind Riesz norm makes every walk tie: the control then passes
+    riesz = verify.riesz_norm
+    monkeypatch.setattr(verify, "riesz_norm",
+                        lambda f, delta, p, interval=None: riesz(f, 0.5, p, interval))
+    for seed in (0, 2460):
+        (control,) = [r for r in negative_controls(seed) if r.check_id == "neg_reversed_inequality"]
+        assert control.passed and control.lhs == control.rhs
+    assert not run_suite("distances", seed=2460)[1]
+
+
 def test_report_roundtrip(tmp_path):
     recs = [ineq_record("a", 0.5, 1.0, params={"p": 2.0}),
             CheckRecord("b", {"x": 1}, 1.0, 0.0, "empirical", True, "reported", "n")]
@@ -302,7 +318,7 @@ def test_nested_mixed_family_equals_one_path_calls(monkeypatch):
     monkeypatch.setattr(verify, "_FAMILY_CELLS", 3 * 33**2)
     paths = verify._mixed_family(5, 8, 32)
     paths.insert(5, resample_uniform(paths[0], 40))
-    assert [len(c) for _, c in verify._family_chunks(paths, None)] == [3, 2, 1, 3]
+    assert [len(c) for c in verify._family_chunks(paths)] == [3, 2, 1, 3]
     ps = (3.0, 5.0, 8.0)
     values = verify._nested_mixed(paths, 0.4, ps)
     assert all("distance_matrix" not in f.__dict__ for f in paths)
@@ -311,7 +327,8 @@ def test_nested_mixed_family_equals_one_path_calls(monkeypatch):
         assert row == [verify._nested_mixed([f], 0.4, [p])[0][0] for f in paths]
     pairs = RoughPairFamily(7, 32, dim=2, depth=2, seed=9).pairs()
     for k in (1, 2):
-        row = verify._nested_mixed(pairs, 0.45, [4.0], k)[0]
+        srcs = [DenseSource(level_diff_matrix(x1, x2, k), x1.grid) for x1, x2 in pairs]
+        row = verify._nested_mixed(srcs, 0.45, [4.0], k)[0]
         assert row == [_one_path_nested_mixed(x1, 0.45, 4.0, x2, k) for x1, x2 in pairs]
 
 
