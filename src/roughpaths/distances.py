@@ -103,7 +103,8 @@ def _level_diffs(x1: GroupPath, x2: GroupPath) -> tuple[np.ndarray, ...]:
         rows, cols = np.s_[:, i0:i1, None], np.s_[:, None, i0:]
         for k in range(1, x1.depth + 1):
             diffs = (np.subtract(e1, e2, out=e1) for e1, e2 in
-                     zip(x1._entries(k, rows, cols), x2._entries(k, rows, cols)))
+                     zip(x1._entries(k, *x1._levels(rows, cols)),
+                         x2._entries(k, *x2._levels(rows, cols))))
             mats[k - 1][i0:i1, i0:] = np.triu(paths._norm(diffs, x1.dim**k))
         i0 = i1
     for mt in mats:

@@ -51,12 +51,13 @@ candidates in Python floats.  A larger batch advances one column at a time.
 Distances reach the kernels as *sources*, read only through the private
 contract of the ``paths`` module docstring: their grid, blocks of
 distances, the cells one distance counts for, bounds where a source has
-them, and a path's diagonals.  A kernel takes sources alone: its gaps,
-mesh and time factors come from the sources' one grid, so a path and the
-level-k differences of a pair are read one way.  ``_columns`` yields the
-column blocks of sources on one grid, stacked on a leading axis
-(``_stacked``), and Nikolskii reads a path's diagonals in blocks of
-shifts.  Each block is fresh, a writable C-ordered array of about
+them, and a path's diagonals (``_shift_blocks``).  A kernel takes sources
+alone: its gaps, mesh and time factors come from the sources' one grid, so
+a path and the level-k differences of a pair are read one way.
+``_columns`` yields the column blocks of sources on one grid, stacked on a
+leading axis (``_stacked``), and Nikolskii reads a path's raw diagonals in
+blocks of shifts, which it raises and cuts into rows itself, whatever the
+kind of path.  Each block is fresh, a writable C-ordered array of about
 ``_BLOCK_CELLS`` cells in all (``_width``).  The kernels raise, multiply
 and divide the blocks in place, and no kernel can write a caller's
 matrix.  They keep the ``**`` / ``**=`` operators on contiguous
@@ -771,27 +772,37 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
 
     Shifts h are integer multiples of the uniform mesh; the integral is a
     left Riemann sum over grid points in [s, t-h).  For p = P_INF the inner
-    integral becomes a maximum.  The diagonals d(f_r, f_(r+m)), raised, come
-    from the path's ``_shift_rows`` in blocks of about ``_BLOCK_CELLS``
-    cells; each shift is summed, or maximised, on its own contiguous row, so
-    every shift sees the data and the pairwise sum of its own diagonal.  A
-    sum out of the float range is rescaled shift by shift on the raw
-    diagonals of the same reader (``_shift_rows`` at p = P_INF).
+    integral becomes a maximum.  The diagonals d(f_r, f_(r+m)) come from the
+    path's ``_shift_blocks`` in blocks of about ``_BLOCK_CELLS`` cells, each
+    raised at once (not for p = P_INF) and cut into its shifts' rows; each
+    shift is summed, or maximised, on its own contiguous row, so every shift
+    sees the data and the pairwise sum of its own diagonal.  A sum out of the
+    float range is rescaled shift by shift on the raw diagonals of a second
+    pass of the same reader.
     """
     p = _check_params(NormKind.NIKOLSKII, delta, p)
     _instance(path, _PATHS, "path")
     _require_uniform(path)
-    times = path.grid.times
     lo, hi = path.grid.resolve_interval(interval)
     span = hi - lo
     if span == 0:
         return 0.0
-    dt = (times[hi] - times[lo]) / span
-    best = 0.0
+    dt = (path.grid.times[hi] - path.grid.times[lo]) / span
     # the left Riemann sum leaves the last column out
     last = hi if p is P_INF else hi - 1
     width = _width([path], lo, last, _BLOCK_CELLS)
-    for m, seg in path._shift_rows(lo, last, span, p, width):
+
+    def diagonals(power):
+        # (m, the distances of shift m on [lo, last] to the power), m = 1..span
+        blocks = path._shift_blocks(lo, last, 1, span + 1, width)
+        for m0, block in zip(range(1, span + 1, width), blocks):
+            if power is not P_INF:
+                block **= power
+            for m, row in enumerate(block, m0):
+                yield m, row[: last + 1 - lo - m]
+
+    best = 0.0
+    for m, seg in diagonals(p):
         if p is P_INF:
             best = _max(best, (m * dt) ** (-delta) * float(np.max(seg)))
         else:
@@ -807,7 +818,7 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     # power is exactly 1); the time factor is constant within a shift, so
     # ( c_m sum d^p )^(1/p) = s_m h^(-delta) ( mesh sum (d/s_m)^p )^(1/p)
     best = 0.0
-    for m, seg in path._shift_rows(lo, hi - 1, span - 1, P_INF, width):
+    for m, seg in diagonals(P_INF):
         if seg.any():
             s = float(seg.max())
             best = _max(best, s * (m * dt) ** (-delta) * (dt * float(np.sum((seg / s) ** p))) ** (1.0 / p))

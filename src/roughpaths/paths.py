@@ -12,7 +12,8 @@ norm |pi_k(X_{i,j})| per grid pair, X_{i,j} = X_i^{-1} x X_j.  They come from
 one primitive, ``GroupPath._entries``, which yields the n^k entries of level k
 of X_{i,j} one at a time, each an array over a block of grid pairs read from
 C-ordered (n^k, M+1) copies of the levels and of the inverses (so entry e of
-a level over all grid points is one contiguous row).  Entry e is
+a level over all grid points is one contiguous row), or, for a block of
+shifts, from one window view of each (``_shifted``).  Entry e is
 
     b_k[e] + a_1[e_1] b_{k-1}[e'] + ... + a_{k-1}[e''] b_1[e_k] + a_k[e],
 
@@ -32,8 +33,8 @@ sums), is that function, and ``np.linalg.norm(x, axis=-1)`` is
 sqrt(add.reduce(x * x)), so every level norm equals that call on the dense
 increments bit for bit (pinned by test), with no (pairs x n^k) array, no
 transpose and no reduction over an axis of 2 to 8 entries.  Each block of
-pairs, about ``_BLOCK_PAIRS`` of them, amortises the n^k k NumPy calls of
-a level.
+pairs, about ``_BLOCK_PAIRS`` of them (for a block of shifts, the ``width``
+shifts its caller asks for), amortises the n^k k NumPy calls of a level.
 
 Euclidean distances have one formula, ``_euclidean_norm``: with s_c the
 squared difference of coordinate c, the distance is
@@ -55,7 +56,8 @@ from its level norms (``_distances``); ``_transposed`` rejects a path whose
 squared level norms could leave the normal range (``ParameterError``).
 No code of the package reads the cached dense ``distance_matrix`` of either
 kind of path, which stays a public reference for callers and tests.
-Both calls of both kinds raise ``ParameterError`` on indices outside the grid.
+Both calls are written once for both kinds (``_PathSource``), on the source
+contract below, and raise ``ParameterError`` on indices outside the grid.
 
 Both kinds of path are *distance sources*, as is ``distances.DenseSource``,
 a dense matrix on a grid such as the level-k differences of a pair.  The
@@ -80,8 +82,14 @@ contract, and trust its arguments:
   (c1-c0, c1) result bounds at [r, I] every distance that ``_block``
   computes in row block I of column block c0+r, with no margin.  Only a
   Euclidean path has bounds.
-* ``_shift_rows(lo, hi, shifts, p, width)``: the diagonals d(r, r+m)^p of
-  the shifts m = 1..``shifts``, for Nikolskii, which takes paths only.
+* ``_shift_blocks(lo, hi, m0, m1, width)``: the diagonals d(r, r+m), r in
+  [lo, hi - m], of the shifts m = m0..m1-1 (1 <= m0 < m1 <= hi - lo + 2),
+  for Nikolskii, which takes paths only.  A generator of fresh, writable,
+  C-ordered blocks of ``width`` shifts each, the last one the rest: the
+  block of the shifts b0..b1-1 has shape (b1 - b0, hi - lo + 1 - b0) and
+  ``[m - b0, r - lo]`` = d(r, r+m); a row's cells past its diagonal hold
+  values that the caller slices off.  ``shift_distances(m, lo, hi)`` is its
+  checked one-shift call.
 
 All partition/pair suprema elsewhere in the library are taken over grid
 points only; that is the discrete definition of every norm in this package.
@@ -212,8 +220,27 @@ def _euclidean_norm(a: np.ndarray, b: np.ndarray, scale: float = 1.0) -> np.ndar
     return even
 
 
+class _PathSource:
+    """The public distance calls of both kinds of path, read from the source
+    contract (module docstring) after checking their indices."""
+
+    def distance_block(self, lo: int, j0: int, j1: int) -> np.ndarray:
+        """Distances d(f_i, f_j) for rows i in [lo, j1) and columns j in [j0, j1), lo <= j0.
+
+        Column j is stored as the contiguous row j - j0 of the result, so
+        ``distance_block(lo, j0, j1)[c, r]`` is d(f_(lo+r), f_(j0+c)).
+        """
+        lo, j0, j1 = _block_indices(lo, j0, j1, len(self.grid))
+        return self._block(lo, j1, j0, j1)
+
+    def shift_distances(self, m: int, lo: int, hi: int) -> np.ndarray:
+        """Distances d(f_r, f_(r+m)) for r in [lo, hi - m]; m = hi - lo + 1 gives none."""
+        m, lo, hi = _shift_indices(m, lo, hi, len(self.grid))
+        return next(self._shift_blocks(lo, hi, m, m + 1, 1))[0]
+
+
 @dataclass(frozen=True, eq=False)
-class EuclideanPath:
+class EuclideanPath(_PathSource):
     """R^n-valued samples on a grid, identified with their linear interpolant."""
 
     grid: TimeGrid
@@ -251,24 +278,11 @@ class EuclideanPath:
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        """Pairwise Euclidean distances |f_j - f_i|, shape (M+1, M+1); a public
-        dense reference that no code of the package reads."""
-        return self.distance_block(0, 0, len(self.grid))
-
-    def distance_block(self, lo: int, j0: int, j1: int) -> np.ndarray:
-        """Distances |f_i - f_j| for rows i in [lo, j1) and columns j in [j0, j1).
-
-        Column j is stored as the contiguous row j - j0 of the result, so
-        ``distance_block(lo, j0, j1)[c, r]`` is |f_(lo+r) - f_(j0+c)|.
-        """
-        lo, j0, j1 = _block_indices(lo, j0, j1, len(self.grid))
-        return self._block(lo, j1, j0, j1)
-
-    def shift_distances(self, m: int, lo: int, hi: int) -> np.ndarray:
-        """Distances |f_r - f_(r+m)| for r in [lo, hi - m]; m = hi - lo + 1 gives none."""
-        m, lo, hi = _shift_indices(m, lo, hi, len(self.grid))
-        x, s = self._scaled
-        return _euclidean_norm(x[:, lo:hi - m + 1], x[:, lo + m:hi + 1], s)
+        """Pairwise Euclidean distances |f_j - f_i|, shape (M+1, M+1), read-only;
+        a public dense reference that no code of the package reads."""
+        dist = self.distance_block(0, 0, len(self.grid))
+        dist.flags.writeable = False
+        return dist
 
     def _block(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
         x, s = self._scaled
@@ -299,29 +313,14 @@ class EuclideanPath:
 
         return chunk
 
-    def _shift_rows(self, lo: int, hi: int, shifts: int, p: float, width: int):
-        """The diagonals of the source contract, computed in blocks of ``width`` shifts.
-
-        Yields ``(m, row)``: the hi - lo + 1 - m distances of shift m, each
-        equal to that of ``shift_distances(m, lo, hi)`` and raised to the
-        power p (not for p = inf), in a contiguous row.  Each block is
-        broadcast over a window view of the scaled values padded with zeros
-        and raised in place at once.
-        """
-        n = hi - lo  # the distances of shift 1
+    def _shift_blocks(self, lo: int, hi: int, m0: int, m1: int, width: int):
+        """The diagonals of the source contract, each block broadcast over one
+        window view (``_shifted``) of the scaled values."""
         x, s = self._scaled
-        ends = np.concatenate([x[:, lo + 1 : hi + 1], np.zeros((len(x), shifts))], axis=1)
-        window = np.lib.stride_tricks.sliding_window_view(ends, n, axis=1)
-        for m0 in range(1, shifts + 1, width):
-            m1 = min(m0 + width, shifts + 1)
-            cols = max(n + 1 - m0, 0)
-            # row m - m0 of the window: the points r + m of shift m
-            block = _euclidean_norm(x[:, None, lo : lo + cols],
-                                    window[:, m0 - 1 : m1 - 1, :cols], s)
-            if p != math.inf:
-                block **= p
-            for m, row in enumerate(block, m0):
-                yield m, row[: n + 1 - m]
+        window = _shifted(x, lo, hi, m0, m1)
+        for b0 in range(m0, m1, width):
+            shifts = np.s_[:, b0 - m0 : min(b0 + width, m1) - m0, : hi + 1 - lo - b0]
+            yield _euclidean_norm(x[:, None, lo : hi + 1 - b0], window[shifts], s)
 
     @cached_property
     def _scaled(self) -> tuple[np.ndarray, float]:
@@ -339,7 +338,7 @@ class EuclideanPath:
 
 
 @dataclass(frozen=True, eq=False)
-class GroupPath:
+class GroupPath(_PathSource):
     """Group-valued path of running signatures X_{0,t_j}, stored as stacked levels.
 
     ``levels[k]`` is a read-only array of shape ``(M+1, dim^k)`` whose row j
@@ -430,16 +429,21 @@ class GroupPath:
         return ([np.ascontiguousarray(lv.T) for lv in inv],
                 [np.ascontiguousarray(lv.T) for lv in self.levels])
 
-    def _entries(self, k: int, i, j):
+    def _levels(self, i, j) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The levels of X_i^{-1} and of X_j as ``_entries`` reads them: the
+        transposed levels at the indices ``i`` and ``j`` of their grid axis (a
+        leading ``:`` for the entries, then grid slices whose results broadcast)."""
+        inv, lev = self._transposed
+        return [lv[i] for lv in inv], [lv[j] for lv in lev]
+
+    def _entries(self, k: int, a, b):
         """Entries e = 0..n^k - 1 of level k of X_i^{-1} x X_j, one fresh array each.
 
-        ``i`` and ``j`` index the grid axis of the transposed levels (a leading
-        ``:`` for the entries, then grid slices whose results broadcast), and
-        entry e is added in the order of the module docstring.
+        ``a`` and ``b`` are the levels of X_i^{-1} and of X_j, level h an
+        (n^h, ...) view of the transposed levels (``_levels``) whose entries,
+        arrays over the grid points i and j, broadcast; entry e is added in the
+        order of the module docstring.
         """
-        inv, lev = self._transposed
-        a = [lv[i] for lv in inv[: k + 1]]
-        b = [lv[j] for lv in lev[: k + 1]]
         n = self.dim
         for e in range(n**k):
             if k == 1:
@@ -452,23 +456,25 @@ class GroupPath:
             entry += a[k][e]
             yield entry
 
-    def _distances(self, i, j, rev) -> np.ndarray:
+    def _distances(self, a, b, a_rev, b_rev) -> np.ndarray:
         """d(X_i, X_j) = max_k max(|pi_k(X_i^{-1} X_j)|, |pi_k(X_j^{-1} X_i)|)^(1/k)
-        over the pairs of the ``_entries`` indices ``i`` and ``j``, one root per
-        level (``np.sqrt`` at k = 2).
+        over the pairs of the ``_entries`` levels ``a`` (X_i^{-1}) and ``b`` (X_j),
+        one root per level (``np.sqrt`` at k = 2).
 
-        The reverse norms are read at ``rev``, the indices (j, i') with i' the
-        leading indices of ``i``; the trailing ones, if any, must form a square
-        with ``j``, whose transpose then holds their reverses.  Level 1 needs no
-        reverse: it is S_1(j) - S_1(i) one way and exactly its negative the other.
+        The reverse norms are read at ``a_rev`` and ``b_rev``, the levels of
+        X_j^{-1} and of X_i' with i' the leading points i; the trailing ones, if
+        any, must form a square with j, whose transpose then holds their
+        reverses.  Level 1 needs no reverse: it is S_1(j) - S_1(i) one way and
+        exactly its negative the other.
         """
-        dist = _norm(self._entries(1, i, j), self.dim)
+        dist = _norm(self._entries(1, a, b), self.dim)
         for k in range(2, self.depth + 1):
-            level = _norm(self._entries(k, i, j), self.dim**k)
-            back = _norm(self._entries(k, *rev), self.dim**k)
+            level = _norm(self._entries(k, a, b), self.dim**k)
+            back = _norm(self._entries(k, a_rev, b_rev), self.dim**k)
             head, square = level[..., : back.shape[-1]], level[..., back.shape[-1] :]
             np.maximum(head, back, out=head)
-            np.maximum(square, square.T, out=square)
+            if square.size:
+                np.maximum(square, square.T, out=square)
             if k == 2:
                 np.sqrt(level, out=level)
             else:
@@ -483,18 +489,6 @@ class GroupPath:
         dist = self.distance_block(0, 0, len(self.grid))
         dist.flags.writeable = False
         return dist
-
-    def distance_block(self, lo: int, j0: int, j1: int) -> np.ndarray:
-        """Distances d(X_i, X_j) for rows i in [lo, j1) and columns j in [j0, j1), lo <= j0,
-        laid out as ``EuclideanPath.distance_block``."""
-        lo, j0, j1 = _block_indices(lo, j0, j1, len(self.grid))
-        return self._block(lo, j1, j0, j1)
-
-    def shift_distances(self, m: int, lo: int, hi: int) -> np.ndarray:
-        """Distances d(X_r, X_(r+m)) for r in [lo, hi - m]; m = hi - lo + 1 gives none."""
-        m, lo, hi = _shift_indices(m, lo, hi, len(self.grid))
-        head, tail = np.s_[:, lo : hi - m + 1], np.s_[:, lo + m : hi + 1]
-        return self._distances(head, tail, (tail, head))
 
     #: The source contract (module docstring): one distance is one cell, and no
     #: bound is cheaper than the distances.
@@ -514,21 +508,20 @@ class GroupPath:
             c1 = min(c0 + width, j1)
             cols = np.s_[:, c0:c1, None]
             d = block[c0 - j0 : c1 - j0, : c1 - i0] = self._distances(
-                np.s_[:, None, i0:c1], cols, (cols, np.s_[:, None, i0:c0]))
+                *self._levels(np.s_[:, None, i0:c1], cols),
+                *self._levels(cols, np.s_[:, None, i0:c0]))
             block[: c0 - j0, c0 - i0 : c1 - i0] = d[:, j0 - i0 : c0 - i0].T
         return block
 
-    def _shift_rows(self, lo: int, hi: int, shifts: int, p: float, width: int):
-        """The diagonals of the source contract, ``shift_distances(m, lo, hi)``
-        raised to the power p (not for p = inf), yielded as ``(m, row)`` shift by
-        shift from ``_distances``, whose indices the caller has checked; ``width``
-        is not read, as a group path computes each shift alone."""
-        for m in range(1, shifts + 1):
-            head, tail = np.s_[:, lo : hi - m + 1], np.s_[:, lo + m : hi + 1]
-            row = self._distances(head, tail, (tail, head))
-            if p != math.inf:
-                row **= p
-            yield m, row
+    def _shift_blocks(self, lo: int, hi: int, m0: int, m1: int, width: int):
+        """The diagonals of the source contract, each block one ``_distances``
+        call over the rows r and the window views (``_shifted``) of the columns r + m."""
+        inv, lev = ([_shifted(lv, lo, hi, m0, m1) for lv in x] for x in self._transposed)
+        for b0 in range(m0, m1, width):
+            rows = np.s_[:, lo : hi + 1 - b0]
+            shifts = np.s_[:, b0 - m0 : min(b0 + width, m1) - m0, : hi + 1 - lo - b0]
+            a, b = self._levels(rows, rows)
+            yield self._distances(a, [lv[shifts] for lv in lev], [lv[shifts] for lv in inv], b)
 
 
 def _block_indices(lo, j0, j1, points: int) -> tuple[int, int, int]:
@@ -546,8 +539,7 @@ def _block_indices(lo, j0, j1, points: int) -> tuple[int, int, int]:
 
 def _shift_indices(m, lo, hi, points: int) -> tuple[int, int, int]:
     """``shift_distances`` arguments: integers (not booleans) with 0 <= lo <= hi < points
-    and 1 <= m <= hi - lo + 1 (the longest shift gives an empty diagonal).  The
-    check is kept to a few C calls: norms call it once per shift."""
+    and 1 <= m <= hi - lo + 1 (the longest shift gives an empty diagonal)."""
     try:
         if bool not in (type(m), type(lo), type(hi)):
             m, lo, hi = operator.index(m), operator.index(lo), operator.index(hi)
@@ -557,6 +549,15 @@ def _shift_indices(m, lo, hi, points: int) -> tuple[int, int, int]:
         pass
     raise ParameterError(f"shift distances need integers 0 <= lo <= hi <= {points - 1} and "
                          f"1 <= m <= hi - lo + 1, got (m, lo, hi) = ({m!r}, {lo!r}, {hi!r})")
+
+
+def _shifted(x: np.ndarray, lo: int, hi: int, m0: int, m1: int) -> np.ndarray:
+    """The shifted columns of a ``_shift_blocks`` call on the rows of ``x``: a
+    window view whose ``[:, m - m0, r - lo]`` is column r + m of ``x`` for r + m
+    <= hi (zero past it), for the shifts m = m0..m1-1, over one copy of the
+    columns lo+m0..hi padded with zeros."""
+    ends = np.concatenate([x[:, lo + m0 : hi + 1], np.zeros((len(x), m1 - m0 - 1))], axis=1)
+    return np.lib.stride_tricks.sliding_window_view(ends, hi + 1 - lo - m0, axis=1)
 
 
 def _norm(entries, count: int) -> np.ndarray:

@@ -91,14 +91,15 @@ def write_cli_outputs(inputs: Path, out: Path) -> list[str]:
 
     # the reports hold maxima over families, where one value that moves can
     # hide; --json keeps every bit of a value, stdout 12 digits.  The p = 300
-    # runs leave the float range and so take the fused fallbacks
+    # runs leave the float range and so take the fused fallbacks, and the
+    # p = inf Nikolskii run takes maxima over the diagonals
     for csv in ("walk-1d", "walk-2d", "walk-3d", "monotone-1d", "nonuniform-1d"):
         for kind in ("hoelder --delta 0.4", "qvar --p 2.5", "rieszv --delta 0.5 --p 4",
                      "mixedv --delta 0.45 --p 3", "nikolskii --delta 0.4 --p 4",
                      "refinednikolskii --delta 0.4 --p 4", "fracsobolev --delta 0.4 --p 3",
                      "rieszv --delta 0.5 --p 300", "nikolskii --delta 0.5 --p 300",
                      "refinednikolskii --delta 0.5 --p 300", "fracsobolev --delta 0.5 --p 300",
-                     "qvar --p 300"):
+                     "qvar --p 300", "nikolskii --delta 0.5 --p inf"):
             kind = kind.split()
             # the other kinds are defined on uniform grids only
             if csv == "nonuniform-1d" and kind[0] not in ("hoelder", "qvar", "rieszv"):
@@ -147,7 +148,9 @@ if __name__ == "__main__":
     # the reports keep only maxima and the CLI has no group-path norm: every
     # value of the seven families on depth-2 and depth-3 lifts of the pair-a
     # walk, and on depth-3 and depth-4 lifts of the 3-D pair3-a walk (27 and
-    # 81 entries at the top level: accumulators and a tail)
+    # 81 entries at the top level: accumulators and a tail); Nikolskii also at
+    # p = inf and at p = 300, whose sums leave the float range and are
+    # rescaled shift by shift
     with open(out / "group-norms.txt", "w") as f:
         for csv, depth in (("pair-a", 2), ("pair-a", 3), ("pair3-a", 3), ("pair3-a", 4)):
             x = rp.lift(read_path_csv(out / "inputs" / f"{csv}.csv"), depth)
@@ -158,6 +161,8 @@ if __name__ == "__main__":
                         ("rieszv", rp.riesz_norm(x, 0.5, 4.0, iv)),
                         ("mixedv", rp.mixed_norm(x, 0.45, 3.0, iv)),
                         ("nikolskii", rp.nikolskii_norm(x, 0.4, 4.0, iv)),
+                        ("nikolskii-inf", rp.nikolskii_norm(x, 0.5, rp.P_INF, iv)),
+                        ("nikolskii-300", rp.nikolskii_norm(x, 0.5, 300.0, iv)),
                         ("refinednikolskii", rp.refined_nikolskii_norm(x, 0.4, 4.0, iv)),
                         ("fracsobolev", rp.frac_sobolev_norm(x, 0.4, 3.0, iv))):
                     print(csv, depth, iv, name, repr(value), file=f)

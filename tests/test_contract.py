@@ -8,6 +8,7 @@ one argument role per parameter and a valid value for it, and ``POOLS``
 the malformed values of each role, on top of the values every role gets.
 """
 
+import inspect
 import math
 import warnings
 from pathlib import Path
@@ -293,7 +294,15 @@ def test_a_config_of_the_other_scheme_raises(fn, x, config):
             fn([0.1], FIELD, x, config)
 
 
-@pytest.mark.parametrize("fn, params", CALLS, ids=[fn.__qualname__ for fn, _ in CALLS])
+def _call_id(fn) -> str:
+    """The test id of a callable: its qualified name, but a method bound to an
+    instance named by the instance's class, as both path kinds share theirs."""
+    if inspect.ismethod(fn) and not isinstance(fn.__self__, type):
+        return f"{type(fn.__self__).__name__}.{fn.__name__}"
+    return fn.__qualname__
+
+
+@pytest.mark.parametrize("fn, params", CALLS, ids=[_call_id(fn) for fn, _ in CALLS])
 def test_valid_arguments_are_accepted(fn, params):
     result = call_with(fn, params, next(iter(params)), next(iter(params.values()))[1])
     if fn is verify.run_suite:  # its output directory is a file, so that no suite runs

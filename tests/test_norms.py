@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from roughpaths import (
     P_INF,
     EuclideanPath,
+    GroupPath,
     NonUniformGridError,
     NormKind,
     NormSpec,
@@ -1092,3 +1093,20 @@ def test_nikolskii_out_of_range_is_the_per_shift_rescale(monkeypatch, p, scale, 
     got = nikolskii_norm(path, 0.5, p, (f.grid.times[lo], f.grid.times[hi]))
     assert kept == [False]
     assert got == _nikolskii_rescaled(path, 0.5, p, lo, hi)
+
+
+def test_nikolskii_reads_a_group_path_one_block_of_shifts_per_call(monkeypatch):
+    # each pass over the diagonals makes one level-norm call per block of
+    # shifts, not one per shift (256 a pass here): p = 4 sums in range, p = inf
+    # takes maxima over the diagonals to hi, and p = 300 leaves the float range
+    # and reads every diagonal again for the rescale
+    x = lift(random_walk_path(np.random.default_rng(34), 256, 2), 2)
+    calls = []
+    distances = GroupPath._distances
+    monkeypatch.setattr(GroupPath, "_distances",
+                        lambda self, *args: calls.append(1) or distances(self, *args))
+    for p, passes, last in ((4.0, 1, 255), (P_INF, 1, 256), (300.0, 2, 255)):
+        calls.clear()
+        nikolskii_norm(x, 0.5, p)
+        width = norms_module._width([x], 0, last, norms_module._BLOCK_CELLS)
+        assert len(calls) == passes * -(-256 // width)

@@ -27,7 +27,7 @@ from roughpaths import (
 )
 from roughpaths import paths
 from roughpaths.tensor_core import stacked_mul
-from conftest import random_walk_path
+from conftest import pointwise_group_distances, random_walk_path
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +294,7 @@ def test_distance_matrix_euclidean(rng):
     i, j = 2, 4
     assert d[i, j] == pytest.approx(np.linalg.norm(path.values[j] - path.values[i]))
     assert np.allclose(d, d.T)
+    assert not d.flags.writeable
 
 
 def test_group_distance_matrix_memory(rng):
@@ -323,27 +324,6 @@ def test_group_distance_matrix_matches_pointwise(rng):
             )
 
 
-def _dense_group_distances(x):
-    """d(X_i, X_j) for every ordered pair, element by element: X_{i,j} as
-    ``increment`` forms it, group_mul(group_inverse(X_i), X_j), the level norms
-    over the last axis of the flattened levels (without an axis, NumPy takes a
-    1-D norm by a dot product, which may round differently), the max of the
-    forward and reverse norms, its root per level (``np.sqrt`` at k = 2, the
-    power 1/k above), and the max over levels."""
-    m, depth = len(x.grid), x.depth
-    inv = [group_inverse(g) for g in x.values]
-    norms = np.empty((depth, m, m))
-    for i in range(m):
-        for j in range(m):
-            g = group_mul(inv[i], x.values[j])
-            norms[:, i, j] = [np.linalg.norm(g.level(k).ravel(), axis=-1)
-                              for k in range(1, depth + 1)]
-    sym = np.maximum(norms, norms.transpose(0, 2, 1))
-    roots = [sym[0]] + [np.sqrt(sym[1]) if k == 2 else sym[k - 1] ** (1.0 / k)
-                        for k in range(2, depth + 1)]
-    return np.max(roots, axis=0)
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
@@ -354,7 +334,7 @@ def test_group_distance_blocks_equal_the_pointwise_formula(dim, depth, intervals
     # any budget of grid pairs: a budget of 1 makes every piece one column
     x = lift(random_walk_path(np.random.default_rng(seed), intervals, dim, uniform=uniform),
              depth)
-    dist, m = _dense_group_distances(x), len(x.grid)
+    dist, m = pointwise_group_distances(x), len(x.grid)
     lo = data.draw(st.integers(0, m - 1), "lo")
     j0 = data.draw(st.integers(lo, m - 1), "j0")
     j1 = data.draw(st.integers(j0 + 1, m), "j1")
@@ -415,8 +395,9 @@ def test_level_norms_equal_numpy_norms_of_the_increments(dim, depth, uniform):
             head, tail = np.s_[lo : c1 - 1], np.s_[lo + 1 : c1]
             diag = stacked_mul([lv[head] for lv in inv], [lv[tail] for lv in x.levels])
             for k in range(1, depth + 1):
-                got = paths._norm(x._entries(k, np.s_[:, None, rows], np.s_[:, cols, None]),
-                                  dim**k)
+                got = paths._norm(x._entries(k, *x._levels(np.s_[:, None, rows],
+                                                           np.s_[:, cols, None])), dim**k)
                 assert np.array_equal(got, np.linalg.norm(want[k], axis=-1))
-                got = paths._norm(x._entries(k, np.s_[:, head], np.s_[:, tail]), dim**k)
+                got = paths._norm(x._entries(k, *x._levels(np.s_[:, head], np.s_[:, tail])),
+                                  dim**k)
                 assert np.array_equal(got, np.linalg.norm(diag[k], axis=-1))

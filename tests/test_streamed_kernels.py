@@ -13,8 +13,9 @@ distances multiplied back (``path_scale``).
 must equal the full-block ``np.where`` over strictly increasing times.  The
 pruned kernels also take blocks whose rows end before the columns start
 (the path's ``_block``) and Nikolskii takes its diagonals in blocks of
-shifts (the path's ``_shift_rows``); their cells must be those of the other
-calls.
+shifts (the path's ``_shift_blocks``); their cells must be those of the other
+calls, on Euclidean paths and on lifts, whose reference is the pointwise
+group formula (``conftest.pointwise_group_distances``).
 """
 
 import math
@@ -22,8 +23,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughpaths.norms import P_INF, _gaps, _width
-from roughpaths.paths import EuclideanPath, TimeGrid, _euclidean_norm
+from roughpaths.norms import _gaps, _width
+from roughpaths.paths import EuclideanPath, TimeGrid, _euclidean_norm, lift
+from conftest import pointwise_group_distances, random_walk_path
 
 SCALES = (1e-160, 1.0, 1e150)
 
@@ -110,6 +112,17 @@ def shifts(draw):
     return f, draw(st.integers(1, hi - lo)), lo, hi
 
 
+@st.composite
+def lifted_shifts(draw):
+    # lifts of depth 2 and 3 of 1-D to 3-D walks, rows from lo > 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 16))
+    x = lift(random_walk_path(rng, m, draw(st.integers(1, 3))), draw(st.integers(2, 3)))
+    lo = draw(st.integers(1, m - 1))
+    hi = draw(st.integers(lo + 1, m))
+    return x, draw(st.integers(1, hi - lo)), lo, hi
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(column_blocks())
 def test_distance_block_equals_scalar_reference(case):
@@ -127,23 +140,33 @@ def test_distance_block_equals_scalar_reference(case):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(shifts())
+@given(st.one_of(shifts(), lifted_shifts()))
 def test_shift_distances_equal_scalar_reference(case):
     f, m, lo, hi = case
-    s = path_scale(f.values)
-    v = f.values / s
+    if isinstance(f, EuclideanPath):
+        s = path_scale(f.values)
+        v = f.values / s
+        want = np.array([scalar_distance(v[r], v[r + m]) * s for r in range(lo, hi - m + 1)])
+    else:
+        want = np.diagonal(pointwise_group_distances(f), m)[lo : hi - m + 1]
     got = f.shift_distances(m, lo, hi)
-    want = np.array([scalar_distance(v[r], v[r + m]) * s for r in range(lo, hi - m + 1)])
     assert np.array_equal(got, want)
-    # the row of shift m that Nikolskii reads, from blocks of shifts 1..hi-lo,
-    # as it is and raised (past the float range at the largest scale)
+    # the row of shift m that Nikolskii reads, from blocks of the shifts 1 or m
+    # up to the empty one, hi-lo+1, as it is and raised in place (past the float
+    # range at the largest scale)
     for cells in (1, 97, 1 << 15):
         width = _width([f], lo, hi, cells)
-        with np.errstate(over="ignore"):
-            rows = dict(f._shift_rows(lo, hi, hi - lo, P_INF, width))
-            raised = dict(f._shift_rows(lo, hi, hi - lo, 2.5, width))
-            assert np.array_equal(raised[m], want**2.5)
-        assert np.array_equal(rows[m], want)
+        for m0 in (1, m):
+            blocks = list(f._shift_blocks(lo, hi, m0, hi - lo + 2, width))
+            assert [b.shape for b in blocks] == [
+                (min(b0 + width, hi - lo + 2) - b0, hi - lo + 1 - b0)
+                for b0 in range(m0, hi - lo + 2, width)]
+            assert all(b.flags.c_contiguous and b.flags.writeable for b in blocks)
+            block, row = blocks[(m - m0) // width], (m - m0) % width
+            assert np.array_equal(block[row, : hi - lo + 1 - m], want)
+            with np.errstate(over="ignore"):
+                block **= 2.5
+                assert np.array_equal(block[row, : hi - lo + 1 - m], want**2.5)
 
 
 @st.composite
