@@ -19,6 +19,11 @@ defined here, resample before lifting instead.  Every level distance and
 the aggregate return through the exit check of the norms,
 ``norms._in_range``: a value beyond the float range raises
 ``ParameterError``.
+
+A level distance reads D_k as ``level_diff_matrix(x1, x2, k)``, a dense
+matrix that the first path builds for its level k alone and keeps while
+both paths live (``GroupPath._level_diff``): a single-level call builds one
+level, and the calls of every level of one pair build each level once.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from __future__ import annotations
 import enum
 import numbers
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -40,7 +44,6 @@ from .norms import (
     _require_uniform,
     shift_partition_sup,
 )
-from . import paths
 from .paths import GroupPath, TimeGrid, _count, _instance
 
 
@@ -77,45 +80,10 @@ def _check_pair(x1: GroupPath, x2: GroupPath, k: int) -> int:
     return k
 
 
-# x1 -> x2 -> level-difference matrices.  Paths hash by identity and are
-# held weakly, so an entry lives exactly as long as both of its paths: the
-# per-level calls on one pair share the matrices, and dropping either path
-# frees them.
-_LEVEL_DIFFS: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _all_level_diffs(x1: GroupPath, x2: GroupPath) -> tuple[np.ndarray, ...]:
-    per_x1 = _LEVEL_DIFFS.setdefault(x1, WeakKeyDictionary())
-    mats = per_x1.get(x2)
-    if mats is None:
-        mats = per_x1[x2] = _level_diffs(x1, x2)
-    return mats
-
-
-def _level_diffs(x1: GroupPath, x2: GroupPath) -> tuple[np.ndarray, ...]:
-    # levels k = 1..N; a row pass over the upper triangle j >= i0, blocks of
-    # about paths._BLOCK_PAIRS pairs, each norm the sum of squares of x1's
-    # entries less x2's (``paths._norm``)
-    m, i0 = len(x1.grid), 0
-    mats = [np.zeros((m, m)) for _ in range(x1.depth)]
-    while i0 < m:
-        i1 = min(m, i0 + max(1, paths._BLOCK_PAIRS // (m - i0)))
-        rows, cols = np.s_[:, i0:i1, None], np.s_[:, None, i0:]
-        for k in range(1, x1.depth + 1):
-            diffs = (np.subtract(e1, e2, out=e1) for e1, e2 in
-                     zip(x1._entries(k, *x1._levels(rows, cols)),
-                         x2._entries(k, *x2._levels(rows, cols))))
-            mats[k - 1][i0:i1, i0:] = np.triu(paths._norm(diffs, x1.dim**k))
-        i0 = i1
-    for mt in mats:
-        mt.flags.writeable = False
-    return tuple(mats)
-
-
 def level_diff_matrix(x1: GroupPath, x2: GroupPath, k: int) -> np.ndarray:
     """Matrix of |pi_k(X1_{i,j} - X2_{i,j})| over all grid pairs (upper triangle)."""
     k = _check_pair(x1, x2, k)
-    return _all_level_diffs(x1, x2)[k - 1]
+    return x1._level_diff(x2, k)
 
 
 @dataclass(frozen=True, eq=False)

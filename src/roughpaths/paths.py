@@ -7,13 +7,18 @@ X_{0,t_j} as stacked levels, one read-only (M+1, n^k) array per level k
 (row j is level k of X_{0,t_j}, flattened in C order).  ``lift`` builds
 level k by one cumulative sum over the grid (Chen's identity).
 
-Group distances and the level differences of ``distances`` need one level
-norm |pi_k(X_{i,j})| per grid pair, X_{i,j} = X_i^{-1} x X_j.  They come from
-one primitive, ``GroupPath._entries``, which yields the n^k entries of level k
-of X_{i,j} one at a time, each an array over a block of grid pairs read from
-C-ordered (n^k, M+1) copies of the levels and of the inverses (so entry e of
-a level over all grid points is one contiguous row), or, for a block of
-shifts, from one window view of each (``_shifted``).  Entry e is
+Group distances and the level differences of a pair need one level norm
+|pi_k(X_{i,j})| per grid pair, X_{i,j} = X_i^{-1} x X_j.  The level-k
+differences |pi_k(X_{i,j} - Y_{i,j})| of a pair (X, Y), which
+``distances.level_diff_matrix`` serves, are ``X._level_diff(Y, k)``: one
+level at a time, built on its first request and kept in a weak map of X
+keyed by Y, so each level of each partner is held while both paths live and
+freed when either dies.  The level norms come from one primitive,
+``GroupPath._entries``, which yields the n^k entries of level k of X_{i,j}
+one at a time, each an array over a block of grid pairs read from C-ordered
+(n^k, M+1) copies of the levels and of the inverses (so entry e of a level
+over all grid points is one contiguous row), or, for a block of shifts, from
+one window view of each (``_shifted``).  Entry e is
 
     b_k[e] + a_1[e_1] b_{k-1}[e'] + ... + a_{k-1}[e''] b_1[e_k] + a_k[e],
 
@@ -101,6 +106,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -436,6 +442,39 @@ class GroupPath(_PathSource):
         inv, lev = self._transposed
         return [lv[i] for lv in inv], [lv[j] for lv in lev]
 
+    @cached_property
+    def _level_diff_cache(self) -> WeakKeyDictionary:
+        """Partner path -> {level k: its ``_level_diff`` matrix}, the partner held weakly."""
+        return WeakKeyDictionary()
+
+    def __getstate__(self):
+        # the weak map holds weak references, which do not pickle; a copy starts without it
+        return {key: v for key, v in vars(self).items() if key != "_level_diff_cache"}
+
+    def _level_diff(self, other: "GroupPath", k: int) -> np.ndarray:
+        """The read-only (M+1, M+1) matrix of |pi_k(X_{i,j} - Y_{i,j})|, Y = ``other``
+        (a path of the same grid, dim and depth), at i <= j and zero below.
+
+        Built on the first request for this partner and level and kept while
+        both paths live.  A row pass over the upper triangle j >= i0, blocks of
+        about ``_BLOCK_PAIRS`` pairs, each norm the sum of squares of the
+        entries of X less those of Y (``_norm``).
+        """
+        mats = self._level_diff_cache.setdefault(other, {})
+        if k not in mats:
+            m, i0 = len(self.grid), 0
+            mat = np.zeros((m, m))
+            while i0 < m:
+                i1 = min(m, i0 + max(1, _BLOCK_PAIRS // (m - i0)))
+                rows, cols = np.s_[:, i0:i1, None], np.s_[:, None, i0:]
+                diffs = (np.subtract(e1, e2, out=e1) for e1, e2 in
+                         zip(*(x._entries(k, *x._levels(rows, cols)) for x in (self, other))))
+                mat[i0:i1, i0:] = np.triu(_norm(diffs, self.dim**k))
+                i0 = i1
+            mat.flags.writeable = False
+            mats[k] = mat
+        return mats[k]
+
     def _entries(self, k: int, a, b):
         """Entries e = 0..n^k - 1 of level k of X_i^{-1} x X_j, one fresh array each.
 
@@ -555,7 +594,9 @@ def _shifted(x: np.ndarray, lo: int, hi: int, m0: int, m1: int) -> np.ndarray:
     """The shifted columns of a ``_shift_blocks`` call on the rows of ``x``: a
     window view whose ``[:, m - m0, r - lo]`` is column r + m of ``x`` for r + m
     <= hi (zero past it), for the shifts m = m0..m1-1, over one copy of the
-    columns lo+m0..hi padded with zeros."""
+    columns lo+m0..hi padded with zeros; for one shift, a view of ``x`` itself."""
+    if m1 == m0 + 1:
+        return x[:, None, lo + m0 : hi + 1]  # one shift needs no padding
     ends = np.concatenate([x[:, lo + m0 : hi + 1], np.zeros((len(x), m1 - m0 - 1))], axis=1)
     return np.lib.stride_tricks.sliding_window_view(ends, hi + 1 - lo - m0, axis=1)
 

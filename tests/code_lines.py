@@ -1,8 +1,9 @@
-"""``python tests/code_lines.py SRC`` prints the code lines of every Python
-module under SRC and their total: the lines that hold a token of code, so
-neither docstrings (module, class and function) nor comments nor blank lines
-count.  A statement that spans lines counts each of its lines.  Run it on two
-trees to report the net change of a commit; it checks nothing.
+"""``python tests/code_lines.py SRC [BASE]`` prints the code lines of every
+Python module under SRC and their total: the lines that hold a token of code,
+so neither docstrings (module, class and function) nor comments nor blank
+lines count.  A statement that spans lines counts each of its lines.  Given a
+base tree BASE (the same sources at an earlier commit), it also prints the
+base's total and the net change of SRC against it; it checks nothing.
 """
 
 import ast
@@ -36,17 +37,25 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
+def tree_lines(root: Path) -> dict[str, int]:
+    """The code lines of every Python module under ``root``, by relative path."""
+    return {str(path.relative_to(root)): code_lines(path.read_text())
+            for path in sorted(root.rglob("*.py"))}
+
+
 def main(argv) -> int:
-    if len(argv) != 2:
+    if len(argv) not in (2, 3):
         print(__doc__, file=sys.stderr)
         return 2
-    root = Path(argv[1])
-    total = 0
-    for path in sorted(root.rglob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6d}  {path.relative_to(root)}")
+    counts = tree_lines(Path(argv[1]))
+    for name, count in counts.items():
+        print(f"{count:6d}  {name}")
+    total = sum(counts.values())
     print(f"{total:6d}  total")
+    if len(argv) == 3:
+        base = sum(tree_lines(Path(argv[2])).values())
+        print(f"{base:6d}  base total")
+        print(f"{total - base:+6d}  net")
     return 0
 
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import pickle
 import warnings
 import weakref
 from unittest import mock
@@ -267,14 +268,28 @@ def test_no_nested_cap_on_nikolskii_hat(rng):
         assert rho_level(big1, big2, DistKind.NIKOLSKII_HAT, delta=0.45, p=4.0, k=k) == nhat
 
 
-def test_level_diff_cache_dies_with_paths(rng):
-    x1, x2, _, _ = make_pair(rng)
-    mat = level_diff_matrix(x1, x2, 2)
-    assert level_diff_matrix(x1, x2, 2) is mat  # shared across the per-level calls
+@pytest.mark.parametrize("dropped", [("x1",), ("x2",), ("x1", "x2")],
+                         ids=["x1", "x2", "both"])
+def test_level_diff_cache_dies_with_paths(rng, dropped):
+    pair = dict(zip(("x1", "x2"), make_pair(rng)))
+    mat = level_diff_matrix(pair["x1"], pair["x2"], 2)
+    assert level_diff_matrix(pair["x1"], pair["x2"], 2) is mat  # shared across the calls
     ref = weakref.ref(mat)
-    del mat, x1, x2
+    del mat
+    for name in dropped:  # either path alone frees the matrix
+        del pair[name]
     gc.collect()
     assert ref() is None
+
+
+def test_a_path_that_holds_level_diffs_pickles(rng):
+    # paths cross process boundaries by pickle; the weak map of level
+    # differences stays behind, and the copy builds its own
+    x1, x2, _, _ = make_pair(rng)
+    want = level_diff_matrix(x1, x2, 2)
+    y1, y2 = pickle.loads(pickle.dumps((x1, x2)))
+    assert all(np.array_equal(a, b) for a, b in zip(y1.levels, x1.levels))
+    assert np.array_equal(level_diff_matrix(y1, y2, 2), want)
 
 
 def _level_norms(g, depth):
