@@ -468,13 +468,14 @@ def _sum_kept(total, count, factors, src, lo, hi) -> bool:
     when every factor lies in the normal float range, the sum is finite, and
     the d-powers and terms lost to underflow (less than 2^-1022 times a
     factor, or 2^-1022, each) add up to at most 2^-64 of it; a zero sum is
-    kept too when every distance of those columns is zero.
+    kept too when every distance of those columns, i < j, is zero.
     """
     if not (-1022.0 <= min(factors) and max(factors) <= 1022.0 and math.isfinite(total)):
         return False
     if total > 0.0 and math.log2(total) >= max(max(factors), 0.0) - 958.0 + math.log2(count):
         return True
-    return total == 0.0 and not any(block.any() for _, block in _columns([src], lo, hi))
+    return total == 0.0 and not any(_fill_unread(block, 0.0).any()
+                                    for _, block in _columns([src], lo, hi))
 
 
 def _fused_weights(src, lo, hi, p, e, unit=1.0):

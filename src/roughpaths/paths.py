@@ -8,7 +8,9 @@ X_{0,t_j} as stacked levels, one read-only (M+1, n^k) array per level k
 level k by one cumulative sum over the grid (Chen's identity).
 
 Group distances and the level differences of a pair need one level norm
-|pi_k(X_{i,j})| per grid pair, X_{i,j} = X_i^{-1} x X_j.  The level-k
+|pi_k(X_{i,j})| per grid pair i < j, X_{i,j} = X_i^{-1} x X_j: the group
+distance d(X_i, X_j) is the forward norm max_k |pi_k(X_{i,j})|^(1/k), one
+level norm per level (``GroupPath``).  The level-k
 differences |pi_k(X_{i,j} - Y_{i,j})| of a pair (X, Y), which
 ``distances.level_diff_matrix`` serves, are ``X._level_diff(Y, k)``: one
 level at a time, built on its first request and kept in a weak map of X
@@ -74,10 +76,10 @@ contract, and trust its arguments:
   of one call share one grid, and the kernels read the first one's.
 * ``_block(i0, i1, j0, j1)``: the distances of rows i0..i1-1 and columns
   j0..j1-1, a fresh, writable, C-ordered (j1-j0, i1-i0) array with
-  ``[c, r]`` = d(i0+r, j0+c), which the kernels overwrite.  The rows end at
-  the last column (i1 = j1) except on a source with bounds.
-  ``distance_block(lo, j0, j1)`` is its checked public form,
-  ``_block(lo, j1, j0, j1)``.
+  ``[c, r]`` = d(i0+r, j0+c), which the kernels overwrite.  The kernels
+  read only its cells with i < j; what a source leaves in the others is its
+  own.  ``distance_block(lo, j0, j1)`` is its checked public form,
+  ``_block(lo, j1, j0, j1)`` with the cells i > j mirrored from i < j.
 * ``_cells``: what one distance counts for in the kernels' cell budget
   (``norms._BLOCK_CELLS``): the dim of a Euclidean path, 1 otherwise.
 * ``_span_bounds``: None on a source without bounds.  Otherwise
@@ -234,10 +236,15 @@ class _PathSource:
         """Distances d(f_i, f_j) for rows i in [lo, j1) and columns j in [j0, j1), lo <= j0.
 
         Column j is stored as the contiguous row j - j0 of the result, so
-        ``distance_block(lo, j0, j1)[c, r]`` is d(f_(lo+r), f_(j0+c)).
+        ``distance_block(lo, j0, j1)[c, r]`` is d(f_(lo+r), f_(j0+c)).  The
+        cells with i > j hold d(f_j, f_i), mirrored from those with i < j, so
+        the blocks are exactly symmetric.
         """
         lo, j0, j1 = _block_indices(lo, j0, j1, len(self.grid))
-        return self._block(lo, j1, j0, j1)
+        block = self._block(lo, j1, j0, j1)
+        square = block[:, j0 - lo :]  # [c, r] = d(f_(j0+r), f_(j0+c)); i > j where r > c
+        np.copyto(square, square.T, where=np.tri(j1 - j0, dtype=bool).T)
+        return block
 
     def shift_distances(self, m: int, lo: int, hi: int) -> np.ndarray:
         """Distances d(f_r, f_(r+m)) for r in [lo, hi - m]; m = hi - lo + 1 gives none."""
@@ -351,8 +358,18 @@ class GroupPath(_PathSource):
     is level k of X_{0,t_j} flattened in C order; level 0 is all ones and
     row 0 is the identity.  ``from_elements`` builds a path from one
     ``GroupElement`` per grid point, and ``values`` gives the elements back.
-    As a distance source (module docstring) it has no bounds, so the rows of
-    its blocks end at the last column: ``_block`` reads i1 as j1.
+
+    Its distance is the forward norm d(X_i, X_j) = max_k |pi_k(X_i^{-1} x X_j)|^(1/k)
+    for i < j, one level norm per level, read at i > j as d(X_j, X_i)
+    (``distance_block``).  On a ``lift`` it is the symmetric norm
+    max_k max(|pi_k(X_{i,j})|, |pi_k(X_{i,j}^{-1})|)^(1/k) of
+    ``tensor_core.group_distance``: the inverse of a group-like element g is
+    its antipode, which maps each word e_(i_1...i_k) to (-1)^k e_(i_k...i_1),
+    so it permutes the entries of each level and flips their signs, and
+    |pi_k(g^{-1})| = |pi_k(g)| in exact arithmetic; the computed values differ
+    by rounding only.  A path built from arbitrary levels or elements, which
+    need not be group-like, gets the forward norm too.  As a distance source
+    (module docstring) it has no bounds.
     """
 
     grid: TimeGrid
@@ -495,25 +512,14 @@ class GroupPath(_PathSource):
             entry += a[k][e]
             yield entry
 
-    def _distances(self, a, b, a_rev, b_rev) -> np.ndarray:
-        """d(X_i, X_j) = max_k max(|pi_k(X_i^{-1} X_j)|, |pi_k(X_j^{-1} X_i)|)^(1/k)
-        over the pairs of the ``_entries`` levels ``a`` (X_i^{-1}) and ``b`` (X_j),
-        one root per level (``np.sqrt`` at k = 2).
-
-        The reverse norms are read at ``a_rev`` and ``b_rev``, the levels of
-        X_j^{-1} and of X_i' with i' the leading points i; the trailing ones, if
-        any, must form a square with j, whose transpose then holds their
-        reverses.  Level 1 needs no reverse: it is S_1(j) - S_1(i) one way and
-        exactly its negative the other.
-        """
+    def _distances(self, a, b) -> np.ndarray:
+        """d(X_i, X_j) = max_k |pi_k(X_i^{-1} X_j)|^(1/k) over the pairs of the
+        ``_entries`` levels ``a`` (X_i^{-1}) and ``b`` (X_j), one level norm and
+        one root per level (``np.sqrt`` at k = 2): the forward norm of the class
+        docstring."""
         dist = _norm(self._entries(1, a, b), self.dim)
         for k in range(2, self.depth + 1):
             level = _norm(self._entries(k, a, b), self.dim**k)
-            back = _norm(self._entries(k, a_rev, b_rev), self.dim**k)
-            head, square = level[..., : back.shape[-1]], level[..., back.shape[-1] :]
-            np.maximum(head, back, out=head)
-            if square.size:
-                np.maximum(square, square.T, out=square)
             if k == 2:
                 np.sqrt(level, out=level)
             else:
@@ -535,32 +541,27 @@ class GroupPath(_PathSource):
     _span_bounds = None
 
     def _block(self, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
-        """The block of the source contract, rows i0..j1-1 (the class docstring).
-
-        A piece of columns [c0, c1), of about ``_BLOCK_PAIRS`` pairs, takes the
-        rows i < c1, reversed only below c0 (see ``_distances``); its rows in
-        [j0, c0) fill, transposed, the cells below earlier pieces.
-        """
-        block = np.empty((j1 - j0, j1 - i0))
-        width = max(1, _BLOCK_PAIRS // (j1 - i0))
+        """The block of the source contract: pieces of columns [c0, c1), of about
+        ``_BLOCK_PAIRS`` pairs each, over the rows i < min(i1, c1); the cells of
+        the rows from c1 on, with i > j, are left at 0."""
+        block = np.zeros((j1 - j0, i1 - i0))
+        width = max(1, _BLOCK_PAIRS // max(1, i1 - i0))
         for c0 in range(j0, j1, width):
             c1 = min(c0 + width, j1)
-            cols = np.s_[:, c0:c1, None]
-            d = block[c0 - j0 : c1 - j0, : c1 - i0] = self._distances(
-                *self._levels(np.s_[:, None, i0:c1], cols),
-                *self._levels(cols, np.s_[:, None, i0:c0]))
-            block[: c0 - j0, c0 - i0 : c1 - i0] = d[:, j0 - i0 : c0 - i0].T
+            r1 = max(i0, min(i1, c1))
+            block[c0 - j0 : c1 - j0, : r1 - i0] = self._distances(
+                *self._levels(np.s_[:, None, i0:r1], np.s_[:, c0:c1, None]))
         return block
 
     def _shift_blocks(self, lo: int, hi: int, m0: int, m1: int, width: int):
         """The diagonals of the source contract, each block one ``_distances``
         call over the rows r and the window views (``_shifted``) of the columns r + m."""
-        inv, lev = ([_shifted(lv, lo, hi, m0, m1) for lv in x] for x in self._transposed)
+        inv, lev = self._transposed
+        windows = [_shifted(lv, lo, hi, m0, m1) for lv in lev]
         for b0 in range(m0, m1, width):
-            rows = np.s_[:, lo : hi + 1 - b0]
             shifts = np.s_[:, b0 - m0 : min(b0 + width, m1) - m0, : hi + 1 - lo - b0]
-            a, b = self._levels(rows, rows)
-            yield self._distances(a, [lv[shifts] for lv in lev], [lv[shifts] for lv in inv], b)
+            yield self._distances([lv[:, lo : hi + 1 - b0] for lv in inv],
+                                  [lv[shifts] for lv in windows])
 
 
 def _block_indices(lo, j0, j1, points: int) -> tuple[int, int, int]:

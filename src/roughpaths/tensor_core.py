@@ -25,7 +25,11 @@ metric.  The Euclidean norm is multiplicative on tensor products and
 
 The same bound holds for (gh)^{-1} = h^{-1} g^{-1}, as |g^{-1}| = |g| by the
 symmetric definition.  The q = 1 variation of a path is therefore the sum
-of its grid steps.
+of its grid steps.  A group path (``paths.GroupPath``) measures d(X_i, X_j),
+i < j, by the forward norm max_k |pi_k(X_i^{-1} X_j)|^(1/k), which equals
+this one on group-like elements.  The bound above holds for the forward
+norm as it stands (it uses |pi_i(g)| <= |g|^i only), so the sum of grid
+steps is that norm's q = 1 variation too.
 
 Batched kernels.  ``stacked_mul`` and ``stacked_inverse`` work on stacked
 levels: one ``(*batch, n^k)`` array per level k, the last axis holding the

@@ -64,21 +64,21 @@ def dense_distances(path):
 
 
 def pointwise_group_distances(x):
-    """d(X_i, X_j) for every ordered pair, element by element: X_{i,j} as
-    ``increment`` forms it, group_mul(group_inverse(X_i), X_j), the level norms
-    over the last axis of the flattened levels (without an axis, NumPy takes a
-    1-D norm by a dot product, which may round differently), the max of the
-    forward and reverse norms, its root per level (``np.sqrt`` at k = 2, the
-    power 1/k above), and the max over levels."""
+    """d(X_i, X_j) for every pair i <= j, element by element, mirrored to i > j:
+    X_{i,j} as ``increment`` forms it, group_mul(group_inverse(X_i), X_j), the
+    level norms over the last axis of the flattened levels (without an axis,
+    NumPy takes a 1-D norm by a dot product, which may round differently), its
+    root per level (``np.sqrt`` at k = 2, the power 1/k above), and the max
+    over levels: the forward norm, in the symmetric layout of the public
+    ``distance_block`` and ``distance_matrix``."""
     m, depth = len(x.grid), x.depth
     inv = [group_inverse(g) for g in x.values]
     norms = np.empty((depth, m, m))
     for i in range(m):
-        for j in range(m):
+        for j in range(i, m):
             g = group_mul(inv[i], x.values[j])
-            norms[:, i, j] = [np.linalg.norm(g.level(k).ravel(), axis=-1)
-                              for k in range(1, depth + 1)]
-    sym = np.maximum(norms, norms.transpose(0, 2, 1))
-    roots = [sym[0]] + [np.sqrt(sym[1]) if k == 2 else sym[k - 1] ** (1.0 / k)
-                        for k in range(2, depth + 1)]
+            norms[:, i, j] = norms[:, j, i] = [np.linalg.norm(g.level(k).ravel(), axis=-1)
+                                               for k in range(1, depth + 1)]
+    roots = [norms[0]] + [np.sqrt(norms[1]) if k == 2 else norms[k - 1] ** (1.0 / k)
+                          for k in range(2, depth + 1)]
     return np.max(roots, axis=0)

@@ -263,7 +263,8 @@ def test_kernels_never_write_a_dense_source(case, dp):
 def test_every_source_yields_fresh_column_blocks(rng):
     # a writable dense matrix and a group path, read from lo > 0 and from a
     # first column past lo + 1, in blocks of any budget: each block is a
-    # C-ordered writable array of its own, holding the dense columns
+    # C-ordered writable array of its own, holding the dense columns in the
+    # cells i < j, the only ones a kernel reads
     x = lift(EuclideanPath(TimeGrid.uniform(40), _values(rng, 40, 2, 1.0, False)), 2)
     matrix = dense_distances(x)
     dense = DenseSource(matrix, x.grid)
@@ -285,7 +286,9 @@ def test_every_source_yields_fresh_column_blocks(rng):
                         assert not np.shares_memory(block, matrix)
                         c = j0 - lo - 1
                         assert block.shape[1] == j0 + block.shape[0] - lo
-                        assert np.array_equal(block, want[c : c + block.shape[0], : block.shape[1]])
+                        read = np.tri(*block.shape, j0 - lo - 1, dtype=bool)  # r < j0 - lo + c
+                        assert np.array_equal(block[read],
+                                              want[c : c + block.shape[0], : block.shape[1]][read])
             stacked = list(_columns([dense, x], lo, hi))
             for b, src in enumerate((dense, x)):
                 alone = list(_columns([src], lo, hi))

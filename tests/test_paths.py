@@ -26,7 +26,7 @@ from roughpaths import (
     time_reversed,
 )
 from roughpaths import paths
-from roughpaths.tensor_core import stacked_mul
+from roughpaths.tensor_core import group_distance, level_norms, stacked_mul
 from conftest import pointwise_group_distances, random_walk_path
 
 
@@ -348,6 +348,70 @@ def test_group_distance_blocks_equal_the_pointwise_formula(dim, depth, intervals
     assert not x.distance_matrix.flags.writeable
 
 
+def _near_return_walk(rng, intervals, dim):
+    # out and back: the second half retraces the first up to steps of 1e-6, so
+    # late increments are small against the excursion of the running signatures
+    half = intervals // 2
+    steps = rng.standard_normal((half, dim)) / np.sqrt(intervals)
+    back = -steps[::-1] + 1e-6 * rng.standard_normal((half, dim))
+    values = np.vstack([np.zeros((1, dim)), np.cumsum(np.vstack([steps, back]), axis=0)])
+    return EuclideanPath(TimeGrid.uniform(2 * half), values)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("depth", [2, 3, 4])
+@pytest.mark.parametrize("near_return", [False, True])
+def test_increments_of_a_lift_and_their_inverses_have_equal_level_norms(dim, depth,
+                                                                        near_return):
+    # the inverse of a group-like g is its antipode, which permutes and negates
+    # the entries of each level, so |pi_k(g^-1)| = |pi_k(g)| exactly; computed,
+    # they differ by rounding, at most c eps sum_h A_h B_(k-h) with c = 2 (j+k+1)
+    # and A_h, B_h the largest |pi_h| of X_t^-1 and of X_t over t <= j: the lift
+    # adds j rounded steps to each level (so the scale is the excursion up to j,
+    # not the values at i and j), and an increment and its inverse k + 1
+    # rounded products per entry.  Seeded sweeps needed at most c = 0.7 (j+1).
+    # Both the path's forward distance and the symmetric ``group_distance``
+    # lie within the same bound of the forward level norms, through the roots
+    # (their pow margin 2^-40 relative, as ``norms`` takes it)
+    rng = np.random.default_rng([36, dim, depth, near_return])
+    walk = (_near_return_walk if near_return else random_walk_path)(rng, 24, dim)
+    x = lift(walk, depth)
+    eps, margin = np.finfo(float).eps, 2.0**-40
+    a, b = (np.maximum.accumulate([[1.0, *level_norms(g)] for g in elements], axis=0)
+            for elements in ([group_inverse(g) for g in x.values], x.values))
+    ks = np.arange(1, depth + 1)
+    dist = x.distance_matrix
+    for j in range(len(x.grid)):
+        scale = np.array([sum(a[j, h] * b[j, k - h] for h in range(k + 1)) for k in ks])
+        bound = 2 * (j + ks + 1) * eps * scale
+        for i in range(j + 1):
+            g = increment(x, i, j)
+            forward, reverse = level_norms(g), level_norms(group_inverse(g))
+            assert (np.abs(reverse - forward) <= bound).all(), (i, j)
+            low = np.max(np.maximum(forward - bound, 0.0) ** (1.0 / ks)) * (1.0 - margin)
+            high = np.max((forward + bound) ** (1.0 / ks)) * (1.0 + margin)
+            for d in (dist[i, j], group_distance(x.element(i), x.element(j))):
+                assert low <= d <= high, (i, j)
+            assert dist[j, i] == dist[i, j]
+
+
+def test_a_path_that_is_not_group_like_gets_the_forward_norm():
+    # X_1 = (1, 1, -3) in dim 1, depth 2 is not group-like (its level 2 is not
+    # 1/2): |pi_2(X_1)| = 3, while its inverse (1, -1, 4) has |pi_2| = 4, so
+    # the path's distance is the forward sqrt(3) at both (0, 1) and (1, 0),
+    # where the symmetric norm of ``group_distance`` reads 2
+    grid = TimeGrid.uniform(1)
+    built = GroupPath(grid, (np.ones((2, 1)), np.array([[0.0], [1.0]]), np.array([[0.0], [-3.0]])))
+    elements = GroupPath.from_elements(grid, [identity_element(1, 2), built.element(1)])
+    root3 = np.sqrt(3.0)
+    for x in (built, elements):
+        assert np.array_equal(x.distance_matrix, [[0.0, root3], [root3, 0.0]])
+        assert np.array_equal(x.shift_distances(1, 0, 1), [root3])
+        assert qvar_norm(x, 1.0) == qvar_norm(x, 2.0) == root3
+    assert group_distance(built.element(0), built.element(1)) == 2.0
+    assert group_distance(built.element(1), built.element(0)) == 2.0
+
+
 def test_block_and_shift_indices_are_checked():
     f = EuclideanPath(TimeGrid.uniform(4), np.arange(10.0).reshape(5, 2) ** 1.5)
     for path in (f, lift(f, 2)):
@@ -360,6 +424,7 @@ def test_block_and_shift_indices_are_checked():
                 path.shift_distances(*args)
         # empty blocks and the empty diagonal of the longest shift are valid
         assert path.distance_block(1, 5, 5).shape == (0, 4)
+        assert path.distance_block(5, 5, 5).shape == (0, 0)
         assert path.shift_distances(5, 0, 4).shape == (0,)
         assert path.shift_distances(np.int64(1), 0, 4).shape == (4,)
 

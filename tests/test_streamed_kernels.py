@@ -12,17 +12,23 @@ distances multiplied back (``path_scale``).
 ``norms._gaps`` writes its fill only in the trailing square of a block and
 must equal the full-block ``np.where`` over strictly increasing times.  The
 pruned kernels also take blocks whose rows end before the columns start
-(the path's ``_block``) and Nikolskii takes its diagonals in blocks of
-shifts (the path's ``_shift_blocks``); their cells must be those of the other
-calls, on Euclidean paths and on lifts, whose reference is the pointwise
-group formula (``conftest.pointwise_group_distances``).
+(the path's ``_block``, on either kind of path) and Nikolskii takes its
+diagonals in blocks of shifts (the path's ``_shift_blocks``); their cells
+with i < j must be those of the other calls, on Euclidean paths and on
+lifts, whose reference is the pointwise group formula
+(``conftest.pointwise_group_distances``).  A group path computes one level
+norm per level for each piece of columns and each block of shifts.
 """
 
 import math
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughpaths import paths
 from roughpaths.norms import _gaps, _width
 from roughpaths.paths import EuclideanPath, TimeGrid, _euclidean_norm, lift
 from conftest import pointwise_group_distances, random_walk_path
@@ -137,6 +143,58 @@ def test_distance_block_equals_scalar_reference(case):
                      for j in range(j0, j1)])
     assert np.array_equal(got, want)
     assert np.array_equal(f._block(lo, i1, j0, j1), want[:, : i1 - lo])
+
+
+@st.composite
+def lifted_blocks(draw):
+    # lifts of depth 1 to 4 of 1-D to 3-D walks; rows lo..i1-1 that end before,
+    # inside or at the end of the columns j0..j1-1; a budget of 1 pair makes
+    # every piece one column
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 16))
+    x = lift(random_walk_path(rng, m, draw(st.integers(1, 3))), draw(st.integers(1, 4)))
+    lo = draw(st.integers(0, m))
+    j0 = draw(st.integers(lo, m))
+    j1 = draw(st.integers(j0 + 1, m + 1))
+    return x, lo, draw(st.integers(lo, j1)), j0, j1, draw(st.sampled_from([1, 5, 1 << 14]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(lifted_blocks())
+def test_group_blocks_honour_their_four_arguments(case):
+    # the rows lo..i1-1 alone, as a pruned kernel takes them, with the dense
+    # distances in every cell i < j
+    x, lo, i1, j0, j1, cells = case
+    want = pointwise_group_distances(x)[lo:i1, j0:j1].T
+    with mock.patch.object(paths, "_BLOCK_PAIRS", cells):
+        got = x._block(lo, i1, j0, j1)
+    assert got.shape == (j1 - j0, i1 - lo)
+    assert got.flags.c_contiguous and got.flags.writeable
+    read = np.tri(*got.shape, j0 - lo - 1, dtype=bool)  # the cells i < j: r < j0 - lo + c
+    assert np.array_equal(got[read], want[read])
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_group_pieces_and_shift_blocks_take_one_level_norm_per_level(monkeypatch, depth):
+    # one ``_norm`` call per level for each piece of columns and each block of
+    # shifts: the forward norms alone, not 2 depth - 1 calls with the reverse
+    # norms of the levels k >= 2
+    x = lift(random_walk_path(np.random.default_rng(36), 40, 2), depth)
+    calls = []
+    norm = paths._norm
+    monkeypatch.setattr(paths, "_norm", lambda *args: calls.append(1) or norm(*args))
+    x._block(3, 30, 20, 30)  # one piece of 10 columns
+    assert len(calls) == depth
+    calls.clear()
+    monkeypatch.setattr(paths, "_BLOCK_PAIRS", 3 * 27)  # pieces of 3 columns: 4 of them
+    x._block(3, 30, 20, 30)
+    assert len(calls) == 4 * depth
+    calls.clear()
+    assert next(x._shift_blocks(0, 40, 1, 8, 7)).shape == (7, 40)  # one block of 7 shifts
+    assert len(calls) == depth
+    calls.clear()
+    assert len(list(x._shift_blocks(2, 30, 1, 30, 7))) == 5
+    assert len(calls) == 5 * depth
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
