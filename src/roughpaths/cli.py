@@ -60,7 +60,8 @@ EXIT_INTERNAL = 6
 def read_path_csv(path) -> EuclideanPath:
     """Parse a ``t,x1,...,xn`` CSV into a sampled path.
 
-    Every line's field count is checked, then one ``np.array(..., dtype=float)``
+    Every line's field count is checked by counting its commas, then the
+    data lines are joined and split once, and one ``np.array(..., dtype=float)``
     call converts all the fields, parsing each as ``float()`` does, and one
     vectorised check finds non-finite fields and times that do not start at
     0 or do not increase.  Only when one of these fails are the lines read
@@ -81,17 +82,18 @@ def read_path_csv(path) -> EuclideanPath:
         if name != f"x{i}":
             raise CsvFormatError(head_no, f"column {i + 1} must be named x{i}, got {name!r}")
     ncols = len(header)
-    linenos = [n for n, _ in numbered[1:]]
-    rows = [line.split(",") for _, line in numbered[1:]]
-    try:
-        if any(len(fields) != ncols for fields in rows):
-            raise ValueError("wrong field count")
-        table = np.array(rows, dtype=float).reshape(-1, ncols)
-    except ValueError:
-        table = None
+    body = [line for _, line in numbered[1:]]
+    table = None
+    if all(line.count(",") == ncols - 1 for line in body):
+        try:
+            table = np.array(",".join(body).split(",") if body else [],
+                             dtype=float).reshape(-1, ncols)
+        except ValueError:
+            pass
     if table is None or not (np.isfinite(table).all() and np.all(table[:1, 0] == 0.0)
                              and np.all(np.diff(table[:, 0]) > 0.0)):
-        _raise_first_bad_line(linenos, rows, ncols)
+        _raise_first_bad_line([n for n, _ in numbered[1:]],
+                              [line.split(",") for line in body], ncols)
     try:
         return EuclideanPath(TimeGrid(table[:, 0]), table[:, 1:])
     except ParameterError as exc:

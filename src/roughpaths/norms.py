@@ -25,15 +25,12 @@ per block in the L2 cache (256 KB each).
 
 * Hoelder: the maximum of the block maxima, pruned (below).
 * q-variation, Riesz (and so mixed): the DP fed block by block, pruned.
-* Nikolskii: the diagonals d(f_r, f_(r+m)) in blocks of shifts m.
-* fractional Sobolev: a sum accumulated over summation blocks of
-  ``_SUM_CELLS`` cells, each gathered from ``_BLOCK_CELLS`` pieces.
+* Nikolskii and fractional Sobolev: the diagonals d(f_r, f_(r+m)) in
+  blocks of shifts m (``_diagonals``), each shift summed on its own.
 * refined Nikolskii: the fused sweep ``shift_partition_sup`` (below).
 
 These give the values of the dense formulas bit for bit, whatever the
-block size, except fractional Sobolev, whose blockwise sum may move the
-last ulp: ``np.sum`` adds pairwise, so the grouping is part of the value,
-and the summation blocks keep one size whatever ``_BLOCK_CELLS`` is.
+block size.
 Group paths compute their blocks from their level norms, summed entry
 by entry in NumPy's own order, so equal to ``np.linalg.norm`` (``paths``).
 Every norm here returns one value over one interval, in O(M^2) at
@@ -117,7 +114,10 @@ NumPy applies the C pow whatever the batch.  The verify checks call both
 once per same-grid chunk of a family.  Nikolskii shifts h run over integer
 multiples of the uniform mesh with a left Riemann sum for the inner
 integral; the fractional Sobolev double integral uses the tensor-grid
-quadrature with the diagonal band |u-v| < mesh excluded.
+quadrature with the diagonal band |u-v| < mesh excluded, read on the same
+shifts: W^p = 2 mesh^2 sum_m (m mesh)^(-(1 + delta*p)) S_m with S_m the sum
+of d(f_r, f_(r+m))^p over the shift's diagonal (``frac_sobolev_norm``), so
+its gaps are the exact multiples m mesh.
 
 Refined Nikolskii (and, level by level, the Nikolskii-hat distance of
 ``distances``) is a partition sup of inner Nikolskii values.  On a uniform
@@ -152,9 +152,11 @@ largest term is exactly 1 and the root times s is the finite value rather
 than 0, inf or NaN.  q-variation has no time factor and so divides by the
 largest distance.  Nikolskii and fractional Sobolev sums run the same
 check; Nikolskii then divides each shift by its largest distance (its time
-factor is constant within the shift), and fractional Sobolev takes the
-fused weights in units of the mesh, where every gap is at least 1, with
-mesh^(1 - delta*p) applied outside the root.  The refined Nikolskii sweep
+factor is constant within the shift), and fractional Sobolev, whose gaps
+in units of the mesh are the integers m, folds m^(-(1 + delta*p)/p) into
+the base of shift m, scales each shift by its largest distance and the
+shifts by their largest base, with mesh^(1 - delta*p) applied outside the
+root.  The refined Nikolskii sweep
 runs it per source, with the extreme coefficients c_1 and c_span as the
 time factors; a source that fails is swept again with the per-shift time
 factor folded into the base, (d (m mesh)^(hexp/power) / B)^power with B the
@@ -303,12 +305,6 @@ def _check_params(kind, delta, p):
 #: 2^12 to 2^20 cells on a 2-vCPU VM was fastest per cell at 2^14 to 2^16
 #: (about 20 % faster than 2^18).  A block has at least one column.
 _BLOCK_CELLS = 1 << 15
-
-#: Cells of one summation block of fractional Sobolev.  ``np.sum`` adds a
-#: block's terms pairwise, so the grouping of the sum, and with it the last
-#: bits of the value, depends on the block size: the terms are computed in
-#: ``_BLOCK_CELLS`` pieces and gathered into summation blocks of this size.
-_SUM_CELLS = 1 << 18
 
 _PATHS = (EuclideanPath, GroupPath)
 
@@ -478,19 +474,18 @@ def _sum_kept(total, count, factors, src, lo, hi) -> bool:
                                     for _, block in _columns([src], lo, hi))
 
 
-def _fused_weights(src, lo, hi, p, e, unit=1.0):
+def _fused_weights(src, lo, hi, p, e):
     """The terms (d/s)^p * g^e of a source over [lo, hi], time factor folded into the base.
 
     Returns s and the column blocks of (d g^(e/p) / s)^p, laid out as by
     ``_columns``, s the largest base (a first pass over the blocks), so the
     largest term is exactly 1; unread cells get weight 0.  Zero distances
-    give s = 1 and zero weights.  The block lengths g, from the source's
-    grid, are measured in multiples of ``unit``: (t_j - t_i) / unit.
+    give s = 1 and zero weights.  The block lengths g come from the
+    source's grid.
     """
     def bases(j0, block):
-        base = _gaps(src.grid.times, lo, j0, block, unit)
+        base = _gaps(src.grid.times, lo, j0, block, 1.0)
         with np.errstate(invalid="ignore"):
-            base /= unit
             base **= e / p
             base *= block
         return _fill_unread(base, 0.0)
@@ -767,19 +762,34 @@ def mixed_norm(path, delta: float, p, interval=None) -> float:
     return riesz_norm(path, delta, p, interval)
 
 
+def _diagonals(path, lo, last, span, power):
+    """(m, the diagonal d(f_r, f_(r+m))^power, r = lo..last-m) for the shifts m = 1..span.
+
+    The diagonals come from the path's ``_shift_blocks`` in blocks of about
+    ``_BLOCK_CELLS`` cells, each raised at once (not for power = P_INF, which
+    gives the distances) and cut into its shifts' contiguous rows, so a sum
+    or max over a row sees the data, and the pairwise sum, of its own
+    diagonal whatever the block.  Nikolskii reads them with last = hi - 1,
+    fractional Sobolev with last = hi.
+    """
+    width = _width([path], lo, last, _BLOCK_CELLS)
+    blocks = path._shift_blocks(lo, last, 1, span + 1, width)
+    for m0, block in zip(range(1, span + 1, width), blocks):
+        if power is not P_INF:
+            block **= power
+        for m, row in enumerate(block, m0):
+            yield m, row[: last + 1 - lo - m]
+
+
 @_in_range
 def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     """Nikolskii seminorm sup_h h^(-delta) ( int_s^{t-h} d(f_u, f_{u+h})^p du )^(1/p).
 
     Shifts h are integer multiples of the uniform mesh; the integral is a
     left Riemann sum over grid points in [s, t-h).  For p = P_INF the inner
-    integral becomes a maximum.  The diagonals d(f_r, f_(r+m)) come from the
-    path's ``_shift_blocks`` in blocks of about ``_BLOCK_CELLS`` cells, each
-    raised at once (not for p = P_INF) and cut into its shifts' rows; each
-    shift is summed, or maximised, on its own contiguous row, so every shift
-    sees the data and the pairwise sum of its own diagonal.  A sum out of the
-    float range is rescaled shift by shift on the raw diagonals of a second
-    pass of the same reader.
+    integral becomes a maximum.  Each shift is summed, or maximised, on its
+    own diagonal (``_diagonals``).  A sum out of the float range is rescaled
+    shift by shift on the raw diagonals of a second pass.
     """
     p = _check_params(NormKind.NIKOLSKII, delta, p)
     _instance(path, _PATHS, "path")
@@ -791,19 +801,8 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     dt = (path.grid.times[hi] - path.grid.times[lo]) / span
     # the left Riemann sum leaves the last column out
     last = hi if p is P_INF else hi - 1
-    width = _width([path], lo, last, _BLOCK_CELLS)
-
-    def diagonals(power):
-        # (m, the distances of shift m on [lo, last] to the power), m = 1..span
-        blocks = path._shift_blocks(lo, last, 1, span + 1, width)
-        for m0, block in zip(range(1, span + 1, width), blocks):
-            if power is not P_INF:
-                block **= power
-            for m, row in enumerate(block, m0):
-                yield m, row[: last + 1 - lo - m]
-
     best = 0.0
-    for m, seg in diagonals(p):
+    for m, seg in _diagonals(path, lo, last, span, p):
         if p is P_INF:
             best = _max(best, (m * dt) ** (-delta) * float(np.max(seg)))
         else:
@@ -819,7 +818,7 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     # power is exactly 1); the time factor is constant within a shift, so
     # ( c_m sum d^p )^(1/p) = s_m h^(-delta) ( mesh sum (d/s_m)^p )^(1/p)
     best = 0.0
-    for m, seg in diagonals(P_INF):
+    for m, seg in _diagonals(path, lo, last, span, P_INF):
         if seg.any():
             s = float(seg.max())
             best = _max(best, s * (m * dt) ** (-delta) * (dt * float(np.sum((seg / s) ** p))) ** (1.0 / p))
@@ -933,55 +932,52 @@ def refined_nikolskii_norm(path, delta: float, p, interval=None) -> float:
 
 @_in_range
 def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
-    """Fractional Sobolev (Sobolev-Slobodeckij) seminorm by tensor-grid quadrature.
+    """Fractional Sobolev (Sobolev-Slobodeckij) seminorm as a sum over shifts.
 
-    ( sum_{i != j} d(f_i, f_j)^p / |t_j - t_i|^(1 + delta*p) * mesh^2 )^(1/p),
-    cells closer than one mesh to the diagonal excluded.  The sum over i < j
-    is accumulated over summation blocks of about ``_SUM_CELLS`` cells, each
-    filled from ``_BLOCK_CELLS`` pieces of terms computed on their own, so
-    a sum that the range check keeps does not depend on ``_BLOCK_CELLS``.
+    On the uniform grid of [s, t], mesh (t - s) / span with span = hi - lo,
+    the tensor-grid quadrature of the double integral with the cells closer
+    than one mesh to the diagonal excluded, each pair at gap h = m mesh:
+
+        ( 2 mesh^2 sum_{m=1..span} (m mesh)^(-(1 + delta*p)) S_m )^(1/p),
+        S_m = sum_{r=lo..hi-m} d(f_r, f_(r+m))^p.
+
+    Each S_m is the pairwise sum of its own diagonal (``_diagonals``, shared
+    with Nikolskii), so no value depends on ``_BLOCK_CELLS``; each factor
+    (m mesh)^(-(1 + delta*p)) is one scalar power, and the terms are added
+    pairwise over m: they fall with m, and a sum left to right would carry
+    the rounding of every large term into the small ones.
     """
     p = _check_params(NormKind.FRAC_SOBOLEV, delta, p)
     _instance(path, _PATHS, "path")
     _require_uniform(path)
-    times = path.grid.times
     lo, hi = path.grid.resolve_interval(interval)
-    if hi == lo:
+    span = hi - lo
+    if span == 0:
         return 0.0
-    dt = (times[hi] - times[lo]) / (hi - lo)
-    span, e = hi - lo, -(1.0 + delta * p)
-
-    def terms(j0, block):
-        # d^p / gap^(1 + delta p) in a fresh C-ordered array; cells i >= j
-        # add 0, never inf/inf
-        gap = _gaps(times, lo, j0, block, np.inf)
-        gap **= -e
-        d = _fill_unread(block, 0.0)
-        d **= p
-        d /= gap
-        return d
-
-    width, piece = (_width([path], lo, hi, cells) for cells in (_SUM_CELLS, _BLOCK_CELLS))
-    buf = np.empty(min(width, span) * (span + 1))
-    total = 0.0
-    for j0 in range(lo + 1, hi + 1, width):
-        j1 = min(j0 + width, hi + 1)
-        chunk = buf[: (j1 - j0) * (j1 - lo)].reshape(j1 - j0, j1 - lo)
-        for c0, (d,) in _columns([path], lo, j1 - 1, piece, j0):
-            rows = slice(c0 - j0, c0 - j0 + d.shape[0])
-            chunk[rows, : d.shape[1]] = terms(c0, d)
-            chunk[rows, d.shape[1] :] = 0.0
-        total += float(np.sum(chunk))
+    dt = (path.grid.times[hi] - path.grid.times[lo]) / span
+    e = -(1.0 + delta * p)
+    terms = np.empty(span)
+    for m, seg in _diagonals(path, lo, hi, span, p):
+        terms[m - 1] = (m * dt) ** e * float(np.add.reduce(seg))
+    total = float(np.add.reduce(terms))
     if _sum_kept(total, span * (span + 1) / 2, [e * math.log2(dt), e * math.log2(span * dt)],
                  path, lo, hi):
         return float((2.0 * total * dt * dt) ** (1.0 / p))
-    # out of range: in units of the mesh every gap is at least 1, so the bases
-    # d g^(e/p) of the fused weights (as ``riesz_norm`` takes them) are at most
-    # d; mesh^(2+e) = mesh^(1 - delta*p) is applied outside the root, as two
-    # halves of its p-th root, neither of which leaves the float range
-    s, weights = _fused_weights(path, lo, hi, p, e, dt)
+    # out of range: in units of the mesh the gap of shift m is the integer m,
+    # so a cell's term is mesh^e (d m^(e/p))^p.  Shift m is scaled by its
+    # largest distance u_m, and the shifts by s, the largest base u_m m^(e/p),
+    # so the largest term is at least 1; mesh^(2+e) = mesh^(1 - delta*p) is
+    # applied outside the root, as two halves of its p-th root, neither of
+    # which leaves the float range
+    shifts = []
+    for m, seg in _diagonals(path, lo, hi, span, P_INF):
+        if seg.any():
+            u = float(seg.max())
+            shifts.append((u * m ** (e / p), float(np.add.reduce((seg / u) ** p))))
+    s = max((base for base, _ in shifts), default=1.0)
+    total = sum((base / s) ** p * inner for base, inner in shifts)
     half = float(dt) ** ((2.0 + e) / (2.0 * p))
-    return (2.0 * sum(float(np.sum(w)) for w in weights)) ** (1.0 / p) * s * half * half
+    return (2.0 * total) ** (1.0 / p) * s * half * half
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,23 @@ def oracle_nikolskii(path, delta: float, p: float, interval=None) -> float:
     return _oracle_nik_inner(d, t, lo, hi, delta, p) ** (1.0 / p)
 
 
+def oracle_frac_sobolev(path, delta: float, p: float, interval=None) -> float:
+    """Reference fractional Sobolev seminorm on a uniform grid, by a double loop
+    over the grid pairs i < j at gap (j - i) * mesh:
+    ( 2 mesh^2 sum_{i<j} d(f_i, f_j)^p / ((j - i) mesh)^(1 + delta*p) )^(1/p)."""
+    d = _dist_fn(path)
+    t = path.grid.times
+    lo, hi = path.grid.resolve_interval(interval)
+    if hi == lo:
+        return 0.0
+    dt = (t[hi] - t[lo]) / (hi - lo)
+    acc = 0.0
+    for i in range(lo, hi):
+        for j in range(i + 1, hi + 1):
+            acc += d(i, j) ** p / ((j - i) * dt) ** (1.0 + delta * p)
+    return float((2.0 * acc * dt * dt) ** (1.0 / p))
+
+
 def shift_sup_table(dist: np.ndarray, times: np.ndarray, lo: int, hi: int,
                     power: float, hexp: float) -> np.ndarray:
     """Nikolskii-type inner table on a uniform mesh, the O(M^3) table that

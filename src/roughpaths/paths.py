@@ -43,22 +43,25 @@ transpose and no reduction over an axis of 2 to 8 entries.  Each block of
 pairs, about ``_BLOCK_PAIRS`` of them (for a block of shifts, the ``width``
 shifts its caller asks for), amortises the n^k k NumPy calls of a level.
 
-Euclidean distances have one formula, ``_euclidean_norm``: with s_c the
-squared difference of coordinate c, the distance is
+Euclidean distances have one formula, ``_euclidean_norm``.  At dim 1 the
+distance is |a - b|, the absolute difference, exact.  At dims 2 and more,
+with s_c the squared difference of coordinate c, the distance is
 sqrt((s_0 + s_2 + s_4 + ...) + (s_1 + s_3 + ...)), each of the two sums added
 left to right, every step one elementwise ufunc call in place on one buffer.
 Every Euclidean distance and bound is formed by it on ``_scaled``: the
 blocks, diagonals and bounds of the source contract below as much as
 ``distance_block`` and ``shift_distances``, so a distance depends neither
 on the block it is computed in nor, being correctly rounded elementwise
-arithmetic, on the CPU.  At dims 1 to 7 this is the order of NumPy 2.4's
+arithmetic, on the CPU.  At dims 2 to 7 this is the order of NumPy 2.4's
 ``sqrt(einsum("...k,...k->...", d, d))``, whose values it reproduces bit for
-bit.  A squared difference leaves the normal float range beyond about
-2^511 or below about 2^-511, so a path whose largest coordinate span lies
-outside [2^-256, 2^256] is measured on its values divided by the power of
-two s nearest that span (``_scaled``, once per path), each distance then
-multiplied by s.  Both steps are exact (for values above 2^-1022 s), and a
-path inside that window is not touched.  A group path serves both calls
+bit; at dim 1 that call's sqrt(d*d) is |d| whenever d*d is normal, and
+where the square underflows |d| is the exact value that it loses.  A
+squared difference leaves the normal float range beyond about 2^511 or
+below about 2^-511, so a path whose largest coordinate span lies outside
+[2^-256, 2^256] is measured on its values divided by the power of two s
+nearest that span (``_scaled``, once per path, at every dim), each distance
+then multiplied by s.  Both steps are exact (for values above 2^-1022 s),
+and a path inside that window is not touched.  A group path serves both calls
 from its level norms (``_distances``); ``_transposed`` rejects a path whose
 squared level norms could leave the normal range (``ParameterError``).
 No code of the package reads the cached dense ``distance_matrix`` of either
@@ -207,11 +210,14 @@ def _euclidean_norm(a: np.ndarray, b: np.ndarray, scale: float = 1.0) -> np.ndar
     module docstring: even and odd coordinates summed apart, then added.
 
     ``a[c]`` and ``b[c]`` broadcast to the shape of the result.  A distance
-    beyond the float range is inf, without a warning.
+    beyond the float range is inf, without a warning.  At dim 1 the distance
+    is |a - b|, exact, with no square to leave the normal range.
     """
     even = np.subtract(a[0], b[0])
-    even *= even
-    if len(a) > 1:
+    if len(a) == 1:
+        np.abs(even, out=even)
+    else:
+        even *= even
         odd = np.subtract(a[1], b[1])
         odd *= odd
         sq = np.empty_like(even)
@@ -221,7 +227,7 @@ def _euclidean_norm(a: np.ndarray, b: np.ndarray, scale: float = 1.0) -> np.ndar
             acc = odd if c % 2 else even
             acc += sq
         even += odd
-    np.sqrt(even, out=even)
+        np.sqrt(even, out=even)
     if scale != 1.0:
         with np.errstate(over="ignore"):
             even *= scale

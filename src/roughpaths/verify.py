@@ -685,8 +685,10 @@ def _nested_mixed(family, delta, ps, k=None) -> list[list[float]]:
         times = chunk[0].grid.times
         m = len(times) - 1
         iu = np.triu_indices(m + 1, k=1)
-        # each source's dense matrix, d(i, j) at [i, j], stacked C-ordered
-        d = np.array([f._block(0, m + 1, 0, m + 1).T for f in chunk]) ** (q / (k or 1))
+        # each source's dense matrix, d(i, j) at [i, j], stacked C-ordered;
+        # dp_power_table reads the cells i < j only, so only they are raised
+        d = np.array([f._block(0, m + 1, 0, m + 1).T for f in chunk])
+        np.power(d, q / (k or 1), out=d, where=np.tri(m + 1, k=-1, dtype=bool).T)
         inner = dp_power_table(d, 0, m)[:, iu[0], iu[1]]
         gap = times[iu[1]] - times[iu[0]]
         w = np.zeros_like(d)  # each p rewrites the cells i < j

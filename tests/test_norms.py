@@ -33,6 +33,7 @@ from roughpaths.distances import DenseSource
 from roughpaths.norms import dp_partition_sup
 from roughpaths.oracle import (
     enumerate_partition_supremum,
+    oracle_frac_sobolev,
     oracle_mixed,
     oracle_nikolskii,
     oracle_qvar,
@@ -325,6 +326,28 @@ def test_frac_sobolev_linear_quadrature():
     expected = np.sqrt(2.0 * (1 / (2 - 2 * delta) - 1 / (3 - 2 * delta)))
     f = linear_path(1024)
     assert frac_sobolev_norm(f, delta, 2.0) == pytest.approx(expected, rel=2e-3)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_frac_sobolev_equals_the_double_loop_reference(dim, seed):
+    # on the whole grid and on sub-intervals from lo > 0
+    rng = np.random.default_rng(seed)
+    f = random_walk_path(rng, 48, dim)
+    t = f.grid.times
+    for lo, hi in ((0, 48), (1, 48), (5, 31), (17, 19)):
+        for delta, p in ((0.4, 3.0), (0.1, 1.0), (0.75, 6.5)):
+            want = oracle_frac_sobolev(f, delta, p, (t[lo], t[hi]))
+            assert frac_sobolev_norm(f, delta, p, (t[lo], t[hi])) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("dim, depth", [(2, 2), (2, 3), (3, 2)])
+def test_frac_sobolev_of_a_lift_equals_the_double_loop_reference(dim, depth):
+    x = lift(random_walk_path(np.random.default_rng(dim * depth), 24, dim), depth)
+    t = x.grid.times
+    for lo, hi in ((0, 24), (3, 20)):
+        want = oracle_frac_sobolev(x, 0.4, 3.0, (t[lo], t[hi]))
+        assert frac_sobolev_norm(x, 0.4, 3.0, (t[lo], t[hi])) == pytest.approx(want, rel=1e-14)
 
 
 def test_frac_sobolev_finite_for_linear_any_delta():
@@ -915,15 +938,14 @@ def test_group_path_norm_memory_is_flat_in_the_grid_size(rng):
 
 
 def test_streamed_norms_keep_scratch_in_cache_sized_blocks(rng):
-    # blocks of 2^15 cells: under 1 MB per call on a 1-D walk at M = 1536,
-    # and fractional Sobolev adds its one 2 MB summation buffer; blocks of
-    # 2^18 cells peaked at 3.9 MB (q-variation) to 7.7 MB (fractional Sobolev)
+    # blocks of 2^15 cells: under 1 MB per call on a 1-D walk at M = 1536;
+    # blocks of 2^18 cells peaked at 3.9 MB (q-variation)
     f = random_walk_path(rng, 1536, 1)
     for norm, bound in ((lambda: holder_norm(f, 0.5), 2), (lambda: qvar_norm(f, 2.5), 2),
                         (lambda: riesz_norm(f, 0.5, 4.0), 2),
                         (lambda: nikolskii_norm(f, 0.4, 4.0), 2),
                         (lambda: refined_nikolskii_norm(f, 0.4, 4.0), 2),
-                        (lambda: frac_sobolev_norm(f, 0.4, 3.0), 4)):
+                        (lambda: frac_sobolev_norm(f, 0.4, 3.0), 2)):
         tracemalloc.start()
         try:
             assert norm() > 0.0
@@ -937,7 +959,8 @@ def test_streamed_norms_keep_scratch_in_cache_sized_blocks(rng):
 @given(st.integers(1, 3), st.integers(2, 900), st.integers(0, 2**32 - 1), st.data())
 @example(1, 1536, 0, None)
 def test_frac_sobolev_does_not_depend_on_the_block_budget(dim, intervals, seed, data):
-    # the terms are computed in _BLOCK_CELLS pieces, summed in _SUM_CELLS blocks
+    # each shift's sum is the pairwise sum of its own diagonal, whatever the
+    # blocks of shifts its diagonals are computed in
     f = random_walk_path(np.random.default_rng(seed), intervals, dim)
     lo, hi = (0, intervals) if data is None else sorted(
         data.draw(st.lists(st.integers(0, intervals), min_size=2, max_size=2, unique=True)))

@@ -1,11 +1,12 @@
 """Bit-level equality of the streamed distance kernels with plain references.
 
 ``paths._euclidean_norm`` is the one distance formula of Euclidean paths:
-squares taken coordinate by coordinate, the even and the odd coordinates
-each summed left to right, then the two sums added and the root taken.  The
-references here form every cell with Python floats in that order, so the
-kernels must equal them exactly, whatever the block shape; at dims 1 and 2
-there is only one rounding order and the formula equals NumPy's einsum.  A
+at dim 1 the absolute difference; otherwise squares taken coordinate by
+coordinate, the even and the odd coordinates each summed left to right, then
+the two sums added and the root taken.  The references here form every cell
+with Python floats in that order, so the kernels must equal them exactly,
+whatever the block shape; at dim 2 there is only one rounding order and the
+formula equals NumPy's einsum, and at dim 1 it is the exact |a - b|.  A
 path whose largest coordinate span lies outside [2^-256, 2^256] is measured
 on its values divided by the power of two nearest that span, and the
 distances multiplied back (``path_scale``).
@@ -37,13 +38,14 @@ SCALES = (1e-160, 1.0, 1e150)
 
 
 def scalar_distance(a, b) -> float:
-    """|a - b| of two points with Python floats, in the declared order."""
+    """|a - b| of two points with Python floats, in the declared order: at
+    dim 1 the exact absolute difference."""
+    if len(a) == 1:
+        return abs(float(a[0]) - float(b[0]))
     sq = [(float(x) - float(y)) * (float(x) - float(y)) for x, y in zip(a, b)]
     even = sq[0]
     for s in sq[2::2]:
         even += s
-    if len(sq) == 1:
-        return math.sqrt(even)
     odd = sq[1]
     for s in sq[3::2]:
         odd += s
@@ -82,10 +84,24 @@ def test_euclidean_norm_equals_scalar_reference(pts):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(point_sets(dims=(1, 2)))
 def test_euclidean_norm_equals_einsum_at_dims_1_and_2(pts):
+    # at dim 1 the reference is the exact |a - b|: einsum's sqrt(d*d) loses
+    # a d whose square underflows
     a, b = pts
     diff = a - b
-    want = np.sqrt(np.einsum("...k,...k->...", diff, diff))
+    if a.shape[1] == 1:
+        want = np.abs(diff[:, 0])
+    else:
+        want = np.sqrt(np.einsum("...k,...k->...", diff, diff))
     assert np.array_equal(_euclidean_norm(a.T, b.T), want)
+
+
+def test_a_tiny_step_of_a_one_dimensional_path_is_read_exactly():
+    # the step's square, 1e-340, underflows, so a squared distance read 0.0;
+    # the unit span leaves the path unscaled
+    f = EuclideanPath(TimeGrid.uniform(3), [0.0, 1e-170, 1.0, 0.5])
+    assert f.distance_block(0, 1, 2)[0, 0] == 1e-170
+    assert f.shift_distances(1, 0, 3)[0] == 1e-170
+    assert f.distance_block(0, 0, 4)[0, 1] == 1e-170
 
 
 @st.composite
