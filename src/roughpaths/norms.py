@@ -97,7 +97,7 @@ absolute.
   over the lowered power of the shortest gap, is below the running max.
   The max is exact, so the skipped cells do not change it.
 
-``_sum_kept`` and the fused fallbacks read every cell, as before.
+``_sum_kept`` and the folded reruns (below) read every cell.
 
 Every partition power sum, ( sup_P sum D^a (v-u)^e )^(1/a), has one
 kernel, ``_power_sup_family``: q-variation (a = q, e = 0), Riesz (a = p,
@@ -138,29 +138,27 @@ order changes from best[i] + c (a - b) to (best[i] - c b) + c a, and the
 sums start at lo rather than at 0: values move in the last ulps.  As
 S_m[lo] = 0, every term is at most best[j], so no cancellation is amplified.
 
-Large powers d^p can leave the float range, and one policy serves every
+Large powers d^p can leave the float range, and one rule serves every
 sum: it is formed as written and kept unless one check after the sum,
 ``_sum_kept``, the only range check of the module, finds a time factor out
 of the normal range, a non-finite sum, or underflow losses that could reach
 2^-64 of it.  A zero sum is kept when every distance that enters it is
 zero, and the check reads them all (``_columns``): level differences are
-not a metric, so zero one-step differences leave the others free.  A
-partition power sum that fails takes the fused weights
-(``_fused_weights``): the time factor is folded into the base,
-(d g^(e/a) / s)^a with g the block length and s the largest base, so the
-largest term is exactly 1 and the root times s is the finite value rather
-than 0, inf or NaN.  q-variation has no time factor and so divides by the
-largest distance.  Nikolskii and fractional Sobolev sums run the same
-check; Nikolskii then divides each shift by its largest distance (its time
-factor is constant within the shift), and fractional Sobolev, whose gaps
-in units of the mesh are the integers m, folds m^(-(1 + delta*p)/p) into
-the base of shift m, scales each shift by its largest distance and the
-shifts by their largest base, with mesh^(1 - delta*p) applied outside the
-root.  The refined Nikolskii sweep
-runs it per source, with the extreme coefficients c_1 and c_span as the
-time factors; a source that fails is swept again with the per-shift time
-factor folded into the base, (d (m mesh)^(hexp/power) / B)^power with B the
-largest base.
+not a metric, so zero one-step differences leave the others free.  A sum
+that fails is formed again by one rule, ``_refolded``: the kernel reruns
+itself, with unit time factors, on its source folded in units u
+(``_Folded``), the distances d (g/u)^x / s with g the gap, x the exponent
+of the kernel's gap factor over its power and s the largest base, so that
+no term exceeds 1; u's own power, the time factor at g = u to the kernel's
+root, is applied outside the root as two halves, neither of which leaves
+the float range where the value does not.  u = 1 for the partition power
+sums (q-variation, Riesz and the level distances, x = e/a), whose gaps are
+t_j - t_i as computed, and u = the mesh for the shift kernels (Nikolskii,
+refined Nikolskii and Nikolskii-hat, fractional Sobolev), whose gaps in
+units of the mesh are the integers m of their shifts: folded before the
+mesh's own power, a base of d m^x cannot overflow where the value is
+finite.  The refined Nikolskii sweep runs the check per source, with the
+extreme coefficients c_1 and c_span as the time factors.
 
 A norm whose true value lies beyond the float range (a distance near 1e150
 over a gap near 1e-300, say) has no finite answer.  Every norm function
@@ -474,31 +472,62 @@ def _sum_kept(total, count, factors, src, lo, hi) -> bool:
                                     for _, block in _columns([src], lo, hi))
 
 
-def _fused_weights(src, lo, hi, p, e):
-    """The terms (d/s)^p * g^e of a source over [lo, hi], time factor folded into the base.
+class _Folded:
+    """The distances of ``src`` with a time factor folded in: d (g/u)^x / s.
 
-    Returns s and the column blocks of (d g^(e/p) / s)^p, laid out as by
-    ``_columns``, s the largest base (a first pass over the blocks), so the
-    largest term is exactly 1; unread cells get weight 0.  Zero distances
-    give s = 1 and zero weights.  The block lengths g come from the
-    source's grid.
+    g/u is the gap of a cell in units u: t_j - t_i as computed for u = 1,
+    and for u the mesh of a shift kernel's uniform grid the integer j - i,
+    which the definition's gaps (j - i) mesh make exact; the diagonals, read
+    by the shift kernels only, have the gap m of their shift.  s is the
+    largest base d (g/u)^x over the cells i < j of [lo, last], found in one
+    first pass, so no distance exceeds 1 (up to the rounding of a power);
+    zero distances give s = 1.  A distance source (the contract of
+    ``paths``), with the diagonals of ``src`` if it has them.
     """
-    def bases(j0, block):
-        base = _gaps(src.grid.times, lo, j0, block, 1.0)
-        with np.errstate(invalid="ignore"):
-            base **= e / p
-            base *= block
-        return _fill_unread(base, 0.0)
 
-    def weights(s):
-        for j0, (block,) in _columns([src], lo, hi):
-            w = bases(j0, block)
-            w /= s
-            w **= p
-            yield w
+    _cells = 1
+    _span_bounds = None
 
-    s = max(float(bases(j0, block).max()) for j0, (block,) in _columns([src], lo, hi)) or 1.0
-    return s, weights(s)
+    def __init__(self, src, lo, last, x, unit):
+        self.grid, self._src, self._x = src.grid, src, x
+        self._times = src.grid.times if unit == 1.0 else np.arange(len(src.grid), dtype=float)
+        self.scale = 1.0  # the first pass reads the bases themselves
+        self.scale = max((float(_fill_unread(block, 0.0).max())
+                          for _, block in _columns([self], lo, last)), default=0.0) or 1.0
+
+    def _fold(self, block, gaps):
+        # the block's distances times gaps^x, over s, in place
+        with np.errstate(all="ignore"):
+            gaps **= self._x
+            block *= gaps
+        block /= self.scale
+        return block
+
+    def _block(self, i0, i1, j0, j1):
+        block = self._src._block(i0, i1, j0, j1)
+        return self._fold(block, _gaps(self._times, i0, j0, block, 1.0))
+
+    def _shift_blocks(self, lo, hi, m0, m1, width):
+        for b0, block in zip(range(m0, m1, width), self._src._shift_blocks(lo, hi, m0, m1, width)):
+            yield self._fold(block, np.arange(b0, b0 + len(block), dtype=float)[:, None])
+
+
+def _refolded(rerun, src, lo, last, x, unit=1.0, c=0.0):
+    """The value of a kernel whose sum ``_sum_kept`` rejects: the one out-of-range rule.
+
+    ``rerun(folded)`` is the kernel's value, to its root, rerun with unit
+    time factors on ``folded = _Folded(src, lo, last, x, unit)``, x the
+    exponent of the kernel's gap factor over its power.  The value is
+    rerun * s * half * half, half = unit^(c/2) with unit^c the kernel's time
+    factor at the gap u, to its root: applied outside the root as two
+    halves, neither leaves the float range where the value does not.  A
+    folded sum that is itself rejected has no finite value (NaN).
+    """
+    if isinstance(src, _Folded):
+        return math.nan
+    folded = _Folded(src, lo, last, x, unit)
+    half = float(unit) ** (c / 2.0)
+    return rerun(folded) * folded.scale * half * half
 
 
 #: Columns that ``dp_partition_sup`` advances at once for a batch of one: one
@@ -591,8 +620,9 @@ def _power_sup_family(srcs, lo, hi, members) -> list[float]:
     of the module docstring).  A member's
     sum is kept when ``_sum_kept`` keeps it, with the time factor g^e
     extreme at the shortest step and at t_hi - t_lo; otherwise that member
-    alone takes the fused weights of its source.  Cells with i >= j, never
-    read by a DP, get a unit gap.
+    alone reruns as the member (0, a, 0, root) of its source folded with
+    x = e/a and u = 1 (``_refolded``).  Cells with i >= j, never read by a
+    DP, get a unit gap.
     """
     if hi <= lo:
         return [0.0] * len(members)
@@ -658,8 +688,9 @@ def _power_sup_family(srcs, lo, hi, members) -> list[float]:
                      srcs[b], lo, hi):
             values.append(total**root)
         else:
-            s, fused = _fused_weights(srcs[b], lo, hi, a, e)
-            values.append(dp_partition_sup(fused, lo, hi) ** root * s)
+            member = [(0, a, 0.0, root)]  # the time factor folded into the base
+            values.append(_refolded(lambda f: _power_sup_family([f], lo, hi, member)[0],
+                                    srcs[b], lo, hi, e / a))
     return values
 
 
@@ -788,8 +819,8 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     Shifts h are integer multiples of the uniform mesh; the integral is a
     left Riemann sum over grid points in [s, t-h).  For p = P_INF the inner
     integral becomes a maximum.  Each shift is summed, or maximised, on its
-    own diagonal (``_diagonals``).  A sum out of the float range is rescaled
-    shift by shift on the raw diagonals of a second pass.
+    own diagonal (``_diagonals``).  A sum out of the float range reruns on
+    the diagonals of the folded path (``_refolded``).
     """
     p = _check_params(NormKind.NIKOLSKII, delta, p)
     _instance(path, _PATHS, "path")
@@ -814,15 +845,12 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     # the last column's distances enter no left Riemann sum
     if _sum_kept(best, span, factors, path, lo, hi - 1):
         return float(best ** (1.0 / p))
-    # out of range: scale shift m by s_m, its largest distance (so its largest
-    # power is exactly 1); the time factor is constant within a shift, so
-    # ( c_m sum d^p )^(1/p) = s_m h^(-delta) ( mesh sum (d/s_m)^p )^(1/p)
-    best = 0.0
-    for m, seg in _diagonals(path, lo, last, span, P_INF):
-        if seg.any():
-            s = float(seg.max())
-            best = _max(best, s * (m * dt) ** (-delta) * (dt * float(np.sum((seg / s) ** p))) ** (1.0 / p))
-    return float(best)
+
+    def rerun(folded):  # the largest shift sum, (m mesh)^(-delta*p) mesh folded in
+        sums = (float(np.add.reduce(seg)) for _, seg in _diagonals(folded, lo, last, span, p))
+        return functools.reduce(_max, sums, 0.0) ** (1.0 / p)
+
+    return _refolded(rerun, path, lo, last, -delta, dt, (1.0 - delta * p) / p)
 
 
 def shift_partition_sup(srcs, lo: int, hi: int, power: float, hexp: float,
@@ -846,8 +874,8 @@ def shift_partition_sup(srcs, lo: int, hi: int, power: float, hexp: float,
     Each source's sum is kept when ``_sum_kept`` keeps it, with the extreme
     coefficients c_1 and c_span as its time factors and the columns
     lo+1..hi-1 as its distances (the last column enters no sum); otherwise
-    that source alone is swept again with the time factor folded into the
-    base (``_fused_shift_sup``).
+    that source alone is swept again, with unit coefficients, on its folded
+    columns (``_refolded``).
     """
     span = hi - lo
     if span <= 0:
@@ -860,7 +888,9 @@ def shift_partition_sup(srcs, lo: int, hi: int, power: float, hexp: float,
         best = _shift_sweep(_columns(srcs, lo, hi), shifts**hexp * dt, power,
                             (len(srcs),))
         return [value**root if _sum_kept(value, span, factors, src, lo, hi - 1)
-                else _fused_shift_sup(src, lo, hi, shifts, power, hexp, root)
+                else _refolded(lambda f: float(_shift_sweep(_columns([f], lo, hi), np.ones(span),
+                                                            power, ())) ** root,
+                               src, lo, hi - 1, hexp / power, dt, (hexp + 1.0) * root)
                 for src, value in zip(srcs, best.tolist())]
 
 
@@ -885,31 +915,6 @@ def _shift_sweep(blocks, coef, power, batch):
             acc[..., :c] += rev.reshape(*batch, c)[flip]
             c += 1
     return best[..., -1]
-
-
-def _fused_shift_sup(src, lo, hi, shifts, power, hexp, root) -> float:
-    """The value of ``shift_partition_sup`` for one source, time factor folded into the base.
-
-    c_m d^power = mesh (d (m mesh)^(hexp/power))^power, so the sweep runs on
-    the bases divided by B, the largest base of a cell that enters a sum (a
-    first pass over the columns; the last column enters none), with every
-    coefficient the mesh; the largest term is then exactly mesh and the
-    value is B sup^root.  Zero distances give B = 1 and 0.
-    """
-    factor = shifts ** (hexp / power)
-
-    def bases():
-        for j0, (d,) in _columns([src], lo, hi):
-            j = j0 + np.arange(d.shape[-2])[:, None]
-            m = j - lo - np.arange(d.shape[-1])
-            live = (m >= 1) & (j < hi)
-            yield j0, np.where(live, d * factor[np.clip(m, 1, None) - 1], 0.0)
-
-    s = max(float(base.max()) for _, base in bases()) or 1.0
-    mesh = shifts[0]
-    best = _shift_sweep(((j0, base / s) for j0, base in bases()),
-                        np.full(shifts.size, mesh), power, ())
-    return s * float(best) ** root
 
 
 @_in_range
@@ -963,21 +968,12 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
     if _sum_kept(total, span * (span + 1) / 2, [e * math.log2(dt), e * math.log2(span * dt)],
                  path, lo, hi):
         return float((2.0 * total * dt * dt) ** (1.0 / p))
-    # out of range: in units of the mesh the gap of shift m is the integer m,
-    # so a cell's term is mesh^e (d m^(e/p))^p.  Shift m is scaled by its
-    # largest distance u_m, and the shifts by s, the largest base u_m m^(e/p),
-    # so the largest term is at least 1; mesh^(2+e) = mesh^(1 - delta*p) is
-    # applied outside the root, as two halves of its p-th root, neither of
-    # which leaves the float range
-    shifts = []
-    for m, seg in _diagonals(path, lo, hi, span, P_INF):
-        if seg.any():
-            u = float(seg.max())
-            shifts.append((u * m ** (e / p), float(np.add.reduce((seg / u) ** p))))
-    s = max((base for base, _ in shifts), default=1.0)
-    total = sum((base / s) ** p * inner for base, inner in shifts)
-    half = float(dt) ** ((2.0 + e) / (2.0 * p))
-    return (2.0 * total) ** (1.0 / p) * s * half * half
+
+    def rerun(folded):  # the shift sums, (m mesh)^e mesh^2 folded in, added pairwise
+        sums = [float(np.add.reduce(seg)) for _, seg in _diagonals(folded, lo, hi, span, p)]
+        return (2.0 * float(np.add.reduce(sums))) ** (1.0 / p)
+
+    return _refolded(rerun, path, lo, hi, e / p, dt, (2.0 + e) / p)
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def write_cli_outputs(inputs: Path, out: Path) -> list[str]:
 
     # the reports hold maxima over families, where one value that moves can
     # hide; --json keeps every bit of a value, stdout 12 digits.  The p = 300
-    # runs leave the float range and so take the fused fallbacks, and the
+    # runs leave the float range and so rerun on their folded sources, and the
     # p = inf Nikolskii run takes maxima over the diagonals
     for csv in ("walk-1d", "walk-2d", "walk-3d", "monotone-1d", "nonuniform-1d"):
         for kind in ("hoelder --delta 0.4", "qvar --p 2.5", "rieszv --delta 0.5 --p 4",
@@ -149,8 +149,8 @@ if __name__ == "__main__":
     # value of the seven families on depth-2 and depth-3 lifts of the pair-a
     # walk, and on depth-3 and depth-4 lifts of the 3-D pair3-a walk (27 and
     # 81 entries at the top level: accumulators and a tail); Nikolskii also at
-    # p = inf and at p = 300, whose sums leave the float range and are
-    # rescaled shift by shift
+    # p = inf and at p = 300, whose sums leave the float range and rerun on
+    # their folded sources
     with open(out / "group-norms.txt", "w") as f:
         for csv, depth in (("pair-a", 2), ("pair-a", 3), ("pair3-a", 3), ("pair3-a", 4)):
             x = rp.lift(read_path_csv(out / "inputs" / f"{csv}.csv"), depth)

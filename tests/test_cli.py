@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import roughpaths
-from roughpaths import DistKind, EuclideanPath, NormKind, TimeGrid, holder_norm, nikolskii_norm
+from roughpaths import (DistKind, EuclideanPath, NormKind, NormSpec, TimeGrid, compute_norm,
+                        holder_norm, nikolskii_norm)
 from roughpaths.cli import main, read_path_csv, write_path_csv
 from conftest import dyadic_pair, random_walk_path
 
@@ -240,6 +241,22 @@ def test_norm_of_a_walk_beyond_the_square_range(tmp_path, capsys):
         assert got == pytest.approx(1e200 * want, rel=1e-11)
     assert main(["norm", str(csv), "--kind", "hoelder", "--delta", "0.4"]) == 0
     assert capsys.readouterr().out == f"{holder_norm(big, 0.4):.12g}\n"
+
+
+def test_norm_of_a_far_walk_in_range(tmp_path, capsys):
+    # steps of 2.5e-201 and values near 1e150: the Nikolskii sums as written
+    # leave the float range, the value, about 1e230, does not
+    f = tmp_path / "far.csv"
+    f.write_text("t,x1,x2\n0,0,0\n2.5e-201,1e150,5e149\n5e-201,5e149,1.5e150\n"
+                 "7.5e-201,1.5e150,1e150\n1e-200,1e150,2e150\n")
+    unit = EuclideanPath(TimeGrid.uniform(4), read_path_csv(f).values / 1e150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in ("nikolskii", "refinednikolskii", "fracsobolev", "rieszv"):
+            assert main(["norm", str(f), "--kind", kind, "--delta", "0.9", "--p", "2"]) == 0
+            got = float(capsys.readouterr().out)
+            want = compute_norm(unit, NormSpec(NormKind(kind), 0.9, 2.0)) * 1e150 * 1e-200**-0.4
+            assert got == pytest.approx(want, rel=1e-11)
 
 
 def test_norm_interval(linear_csv, capsys):

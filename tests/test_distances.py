@@ -143,6 +143,21 @@ def test_distances_beyond_the_float_range_raise():
     assert got == pytest.approx(0.1 * 1e150 / np.ptp(f.values) * qvar_norm(f, 2.0), rel=1e-12)
 
 
+def test_nikolskii_hat_of_a_far_pair_keeps_the_scaling_identity():
+    # the pair of _far_pair over horizon 1e-200: the level-1 distance is
+    # 0.1 c H^(1/p - delta) that of the unit walk, about 1e229, though its
+    # sums as written leave the float range
+    f = random_walk_path(np.random.default_rng(5), 32, 2)
+    c, horizon = 1e150 / np.ptp(f.values), 1e-200
+    grid = TimeGrid.uniform(32, horizon)
+    x1, x2 = (lift(EuclideanPath(grid, k * c * f.values), 1) for k in (1.0, 1.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rho_nikolskii_hat_level(x1, x2, 0.9, 2.0, 1)
+    want = 0.1 * c * horizon ** (0.5 - 0.9) * refined_nikolskii_norm(f, 0.9, 2.0)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 @pytest.mark.parametrize("e", [260, -300])
 def test_lifts_beyond_the_square_range_raise(e):
     # level 2 of the lift is about 2^520 or 2^-600: its squares leave the float range

@@ -144,7 +144,7 @@ def _items(paths, k, lo, hi):
 
 
 # (delta, p), delta None for q-variation of exponent p; the exponents 300,
-# 600 and 2000 leave the float range on most grids (the fused weights)
+# 600 and 2000 leave the float range on most grids (the folded rerun)
 MEMBER_PARAMS = [(None, 2.5), (None, 600.0), (0.3, 4.0), (0.45, 4.0), (0.5, 2.0), (0.5, 7.0),
                  (0.5, 600.0), (1.0, 300.0), (1.0, 2000.0)]
 

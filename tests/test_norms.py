@@ -1,6 +1,8 @@
+import decimal
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -836,6 +838,21 @@ def test_norms_beyond_the_float_range_raise():
                                                   rel=1e-12)
 
 
+def test_far_walks_keep_the_scaling_identity_where_it_is_finite():
+    # the same walk, span 1e150 over horizon 1e-300: at delta = 0.9, p = 2 a
+    # value is c H^(1/p - delta) that of the unit walk, about 1e270, though
+    # the sums of the shift kernels as written leave the float range; folded
+    # in units of the mesh, no base overflows before the mesh's own factor
+    f = random_walk_path(np.random.default_rng(5), 32, 2)
+    c, horizon = 1e150 / np.ptp(f.values), 1e-300
+    g = EuclideanPath(TimeGrid.uniform(32, horizon), c * f.values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in (nikolskii_norm, refined_nikolskii_norm, frac_sobolev_norm, riesz_norm):
+            want = c * horizon ** (0.5 - 0.9) * norm(f, 0.9, 2.0)
+            assert norm(g, 0.9, 2.0) == pytest.approx(want, rel=1e-12)
+
+
 def test_norms_keep_a_nan_block_or_shift_maximum():
     # distances beyond the float range: inf / inf turns a block or shift
     # maximum into NaN, which the sup must keep for the exit check.  The
@@ -912,7 +929,7 @@ def test_single_value_norms_need_no_dense_matrix(rng):
 @pytest.mark.parametrize("p", [4.0, 600.0, P_INF], ids=["in-range", "fused", "inf"])
 def test_group_path_norms_stream_without_the_dense_matrix(rng, p):
     # every family reads a group path through distance_block or shift_distances;
-    # at p = 600 the sums leave the float range and the fused weights run
+    # at p = 600 the sums leave the float range and rerun on their folded sources
     x = lift(random_walk_path(rng, 64, 2), 3)
     values = [holder_norm(x, 0.5), qvar_norm(x, 2.5), qvar_norm(x, 1.0),
               riesz_norm(x, 0.5, p), mixed_norm(x, 0.5, p), nikolskii_norm(x, 0.4, p),
@@ -1084,18 +1101,33 @@ def test_nikolskii_family_at_large_p(rng):
         assert norm(flat, 0.5, 300.0) == 0.0
 
 
-def _nikolskii_rescaled(f, delta, p, lo, hi):
-    # the out-of-range form from the public diagonals, shift by shift: each
-    # shift divided by its largest distance, its time factor outside the root
-    dt = (f.grid.times[hi] - f.grid.times[lo]) / (hi - lo)
-    best = 0.0
-    for m in range(1, hi - lo):
-        seg = f.shift_distances(m, lo, hi - 1)
-        if seg.any():
-            s = float(seg.max())
-            term = dt * float(np.sum((seg / s) ** p))
-            best = max(best, s * (m * dt) ** (-delta) * term ** (1.0 / p))
-    return best
+def _shift_kernels_in_decimal(f, delta, p, lo, hi):
+    """Nikolskii, refined Nikolskii and fractional Sobolev of ``f`` over [lo, hi],
+    each definition evaluated in 80-digit decimals on the path's own
+    ``shift_distances``, with the kernels' mesh (t_hi - t_lo) / span and gaps m mesh."""
+    with decimal.localcontext(decimal.Context(prec=80)):
+        span, dp = hi - lo, Decimal(delta) * Decimal(p)
+        dt = Decimal((f.grid.times[hi] - f.grid.times[lo]) / span)
+        powers = {m: [Decimal(float(d)) ** Decimal(p) for d in f.shift_distances(m, lo, hi)]
+                  for m in range(1, span + 1)}
+        coef = {m: (m * dt) ** -dp * dt for m in powers}
+        # Nikolskii: a left Riemann sum per shift, the last column left out
+        nik = max(coef[m] * sum(powers[m][:-1], Decimal(0)) for m in powers)
+        sob = 2 * dt * dt * sum(((m * dt) ** -(1 + dp) * sum(powers[m], Decimal(0))
+                                 for m in powers), Decimal(0))
+        # refined: prefix sums S_m[k] of shift m over the rows lo..k-1, the
+        # inner table T[i, j] = max_m c_m (S_m[j-m] - S_m[i]), then the partition DP
+        prefix = {m: [Decimal(0)] for m in powers}
+        for m, row in powers.items():
+            for x in row:
+                prefix[m].append(prefix[m][-1] + x)
+        best = [Decimal(0)] * (span + 1)
+        for j in range(1, span + 1):
+            best[j] = max(best[i] + max(coef[m] * (prefix[m][j - m] - prefix[m][i])
+                                        for m in range(1, j - i + 1))
+                          for i in range(j))
+        root = 1 / Decimal(p)
+        return [float(v**root) for v in (nik, best[span], sob)]
 
 
 @pytest.mark.parametrize("p, scale", [(300.0, 1e-3), (300.0, 1e3), (8.0, 1e-60), (8.0, 1e60)])
@@ -1103,33 +1135,42 @@ def _nikolskii_rescaled(f, delta, p, lo, hi):
                                                 (3, 0, 5, 51), (2, 2, 0, 64), (2, 2, 7, 58)])
 def test_nikolskii_out_of_range_is_the_per_shift_rescale(monkeypatch, p, scale, dim, depth, lo,
                                                          hi):
-    # at delta = 0.5 the powers of these walks leave the float range, so the
-    # sum is not kept and every shift is rescaled on its own raw diagonal: the
-    # value is that of the per-shift form bit for bit; at p = 8 every distance
-    # of a diagonal counts, at p = 300 its largest ones
+    # at delta = 0.5 the powers of these walks leave the float range, so no
+    # sum is kept and each shift kernel reruns on its source folded in units
+    # of the mesh (shift m at gap m): Nikolskii, refined Nikolskii and
+    # fractional Sobolev lie within 1e-15 of their definitions evaluated in
+    # decimals; at p = 8 every distance of a diagonal counts, at p = 300 its
+    # largest ones
     f = random_walk_path(np.random.default_rng([dim, depth, lo]), 64, dim, scale)
     path = lift(f, depth) if depth else f
     kept = []
     sum_kept = norms_module._sum_kept
     monkeypatch.setattr(norms_module, "_sum_kept",
                         lambda *args: kept.append(sum_kept(*args)) or kept[-1])
-    got = nikolskii_norm(path, 0.5, p, (f.grid.times[lo], f.grid.times[hi]))
-    assert kept == [False]
-    assert got == _nikolskii_rescaled(path, 0.5, p, lo, hi)
+    span = (f.grid.times[lo], f.grid.times[hi])
+    got = [norm(path, 0.5, p, span)
+           for norm in (nikolskii_norm, refined_nikolskii_norm, frac_sobolev_norm)]
+    assert kept == [False] * 3
+    for value, want in zip(got, _shift_kernels_in_decimal(path, 0.5, p, lo, hi)):
+        assert abs(value - want) <= 1e-15 * want
 
 
 def test_nikolskii_reads_a_group_path_one_block_of_shifts_per_call(monkeypatch):
     # each pass over the diagonals makes one level-norm call per block of
     # shifts, not one per shift (256 a pass here): p = 4 sums in range, p = inf
     # takes maxima over the diagonals to hi, and p = 300 leaves the float range
-    # and reads every diagonal again for the rescale
+    # and reruns on the folded source: its first pass reads the columns of
+    # [0, 255] in blocks, then its diagonals are read again
     x = lift(random_walk_path(np.random.default_rng(34), 256, 2), 2)
     calls = []
     distances = GroupPath._distances
     monkeypatch.setattr(GroupPath, "_distances",
                         lambda self, *args: calls.append(1) or distances(self, *args))
-    for p, passes, last in ((4.0, 1, 255), (P_INF, 1, 256), (300.0, 2, 255)):
+    list(norms_module._columns([x], 0, 255))
+    columns = len(calls)
+    for p, passes, last, first in ((4.0, 1, 255, 0), (P_INF, 1, 256, 0),
+                                   (300.0, 2, 255, columns)):
         calls.clear()
         nikolskii_norm(x, 0.5, p)
         width = norms_module._width([x], 0, last, norms_module._BLOCK_CELLS)
-        assert len(calls) == passes * -(-256 // width)
+        assert len(calls) == passes * -(-256 // width) + first

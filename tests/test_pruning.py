@@ -47,7 +47,7 @@ def _dense_holder(f, delta, lo, hi):
     return float(np.max(dense_distances(f)[lo : hi + 1, lo : hi + 1] / gap))
 
 
-# (delta, p) of the Riesz sweep: p up to 300 (the fused fallback) and delta p
+# (delta, p) of the Riesz sweep: p up to 300 (the folded rerun) and delta p
 # just above 1 - 1e-12, where the gap exponent 1 - delta p is a tiny positive
 RIESZ = [(0.5, 4.0), (0.25, 4.0 * (1.0 - 0.9e-12)), (0.5, 2.0 * (1.0 - 0.5e-12)),
          (0.5, 300.0), (1.0, 1.0)]
@@ -106,7 +106,7 @@ class _Stop(Exception):
 
 def _computed_cells(monkeypatch, f, run):
     """The cells (i, j) whose distances ``run`` computes before a partition
-    sum needs the fused weights (which compute every cell)."""
+    sum is rerun on its folded source (which computes every cell)."""
     computed = np.zeros((len(f.grid), len(f.grid)), dtype=bool)
     block = EuclideanPath._block
 
@@ -120,7 +120,7 @@ def _computed_cells(monkeypatch, f, run):
     with monkeypatch.context() as mp:
         mp.setattr(norms, "_BLOCK_CELLS", 1 << 10)  # 5 columns a block at M = 200
         mp.setattr(EuclideanPath, "_block", recorded)
-        mp.setattr(norms, "_fused_weights", stop)
+        mp.setattr(norms, "_refolded", stop)
         with pytest.raises((_Stop, ParameterError)):
             run()
     return computed
@@ -180,7 +180,7 @@ class _BoundedDense(DenseSource):
         return lambda c0, c1: maxima[:c1, c0:c1].T
 
 
-# (q, delta, p) members: q-variation 2.5 and 300 (the fused fallback), Riesz
+# (q, delta, p) members: q-variation 2.5 and 300 (the folded rerun), Riesz
 # (0.5, 4), and a batch of the first and the last
 MEMBERS = [[(0, 2.5, 0.0, 0.4)], [(0, 300.0, 0.0, 1.0 / 300.0)], [(0, 4.0, -1.0, 0.25)],
            [(0, 2.5, 0.0, 0.4), (0, 4.0, -1.0, 0.25)]]
