@@ -24,6 +24,10 @@ A level distance reads D_k as ``level_diff_matrix(x1, x2, k)``, a dense
 matrix that the first path builds for its level k alone and keeps while
 both paths live (``GroupPath._level_diff``): a single-level call builds one
 level, and the calls of every level of one pair build each level once.
+Each level distance hands D_k to a kernel of ``norms`` with its family's
+own (delta, p) and the level k, and the kernel forms the power p/k, the
+gap exponent and the root k/p itself: q-variation and Riesz through
+``_power_sup_family``, Nikolskii-hat through ``shift_partition_sup``.
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ def rho_qvar_level(x1, x2, q: float, k: int, interval=None) -> float:
     """Level-k q-variation distance ( sup_P sum D_k^(q/k) )^(k/q)."""
     q = _check_dist(DistKind.QVAR, None, q)
     d, lo, hi = _pair_source(x1, x2, k, interval)
-    return _power_sup_family([d], lo, hi, [(0, q / k, 0.0, k / q)])[0]
+    return _power_sup_family([d], lo, hi, [(0, None, q, k)])[0]
 
 
 @_in_range
@@ -119,7 +123,7 @@ def rho_riesz_level(x1, x2, delta: float, p: float, k: int, interval=None) -> fl
     """Level-k Riesz distance ( sup_P sum D_k^(p/k) / (v-u)^(delta*p-1) )^(k/p)."""
     p = _check_dist(DistKind.RIESZ, delta, p)
     d, lo, hi = _pair_source(x1, x2, k, interval)
-    return _power_sup_family([d], lo, hi, [(0, p / k, 1.0 - delta * p, k / p)])[0]
+    return _power_sup_family([d], lo, hi, [(0, delta, p, k)])[0]
 
 
 @_in_range
@@ -143,7 +147,7 @@ def rho_nikolskii_hat_level(x1, x2, delta: float, p: float, k: int, interval=Non
     _check_pair(x1, x2, k)
     _require_uniform(x1)
     d, lo, hi = _pair_source(x1, x2, k, interval)
-    return shift_partition_sup([d], lo, hi, p / k, -delta * p, k / p)[0]
+    return shift_partition_sup([d], lo, hi, delta, p, k)[0]
 
 
 @_in_range

@@ -25,8 +25,10 @@ per block in the L2 cache (256 KB each).
 
 * Hoelder: the maximum of the block maxima, pruned (below).
 * q-variation, Riesz (and so mixed): the DP fed block by block, pruned.
-* Nikolskii and fractional Sobolev: the diagonals d(f_r, f_(r+m)) in
-  blocks of shifts m (``_diagonals``), each shift summed on its own.
+* Nikolskii and fractional Sobolev: one list of shift sums S_m, each the
+  pairwise sum of d(f_r, f_(r+m))^p over its own diagonal, read in blocks
+  of shifts m (``_shift_sums``); Nikolskii takes their largest weighted
+  value, fractional Sobolev their weighted sum.
 * refined Nikolskii: the fused sweep ``shift_partition_sup`` (below).
 
 These give the values of the dense formulas bit for bit, whatever the
@@ -52,12 +54,12 @@ them, and a path's diagonals (``_shift_blocks``).  A kernel takes sources
 alone: its gaps, mesh and time factors come from the sources' one grid, so
 a path and the level-k differences of a pair are read one way.
 ``_columns`` yields the column blocks of sources on one grid, stacked on a
-leading axis (``_stacked``), and Nikolskii reads a path's raw diagonals in
-blocks of shifts, which it raises and cuts into rows itself, whatever the
-kind of path.  Each block is fresh, a writable C-ordered array of about
-``_BLOCK_CELLS`` cells in all (``_width``).  The kernels raise, multiply
-and divide the blocks in place, and no kernel can write a caller's
-matrix.  They keep the ``**`` / ``**=`` operators on contiguous
+leading axis (``_stacked``), and ``_shift_sums`` reads a path's raw
+diagonals in blocks of shifts, which it raises and cuts into rows itself,
+whatever the kind of path.  Each block is fresh, a writable C-ordered
+array of about ``_BLOCK_CELLS`` cells in all (``_width``).  The kernels
+raise, multiply and divide the blocks in place, and no kernel can write a
+caller's matrix.  They keep the ``**`` / ``**=`` operators on contiguous
 arrays, which take NumPy's fast paths for the exponents 2, 0.5 and -1, so
 the values do not change.  A block's cells with i >= j, which no DP reads,
 are the upper triangle of its trailing rows x rows square, and ``_gaps``
@@ -99,25 +101,27 @@ absolute.
 
 ``_sum_kept`` and the folded reruns (below) read every cell.
 
-Every partition power sum, ( sup_P sum D^a (v-u)^e )^(1/a), has one
-kernel, ``_power_sup_family``: q-variation (a = q, e = 0), Riesz (a = p,
-e = 1 - delta*p) and the level-k q-variation and Riesz distances of
-``distances`` (a = p/k on the level-k differences) differ only in a and e.
-It takes a list of sources on one grid and a list of members, each a
-source index with its (a, e) and the root, 1/a up to rounding (k/p for the
-level distances); the members share one batched ``dp_partition_sup``, a
-single member being a batch of one.  ``qvar_norm``, ``riesz_norm`` and the
-level distances are its single-member case.  The refined Nikolskii sweep
-``shift_partition_sup`` takes a list of sources the same way and sweeps
-them all at once; it raises its distances as reversed 1-D arrays, where
-NumPy applies the C pow whatever the batch.  The verify checks call both
-once per same-grid chunk of a family.  Nikolskii shifts h run over integer
-multiples of the uniform mesh with a left Riemann sum for the inner
-integral; the fractional Sobolev double integral uses the tensor-grid
-quadrature with the diagonal band |u-v| < mesh excluded, read on the same
-shifts: W^p = 2 mesh^2 sum_m (m mesh)^(-(1 + delta*p)) S_m with S_m the sum
-of d(f_r, f_(r+m))^p over the shift's diagonal (``frac_sobolev_norm``), so
-its gaps are the exact multiples m mesh.
+Every partition power sum, ( sup_P sum D^(p/k) (v-u)^e )^(k/p), has one
+kernel, ``_power_sup_family``: q-variation (q = p, e = 0), Riesz
+(e = 1 - delta*p) and the level-k q-variation and Riesz distances of
+``distances`` (on the level-k differences) differ only in delta, p and the
+level k, 1 for a path.  It takes a list of sources on one grid and a list
+of members, each a source index with its family's own (delta, p, k),
+delta None for q-variation; the kernel forms the power p/k, the gap
+exponent and the root k/p itself.  The members share one batched
+``dp_partition_sup``, a single member being a batch of one.
+``qvar_norm``, ``riesz_norm`` and the level distances are its
+single-member case.  The refined Nikolskii sweep ``shift_partition_sup``
+takes a list of sources the same way, with one (delta, p, k) for all of
+them, and sweeps them all at once; it raises its distances as reversed
+1-D arrays, where NumPy applies the C pow whatever the batch.  The verify
+checks call both once per same-grid chunk of a family.  Nikolskii shifts h
+run over integer multiples of the uniform mesh with a left Riemann sum for
+the inner integral; the fractional Sobolev double integral uses the
+tensor-grid quadrature with the diagonal band |u-v| < mesh excluded, read
+on the same shifts: W^p = 2 mesh^2 sum_m (m mesh)^(-(1 + delta*p)) S_m
+with S_m the sum of d(f_r, f_(r+m))^p over the shift's diagonal
+(``frac_sobolev_norm``), so its gaps are the exact multiples m mesh.
 
 Refined Nikolskii (and, level by level, the Nikolskii-hat distance of
 ``distances``) is a partition sup of inner Nikolskii values.  On a uniform
@@ -329,18 +333,16 @@ def _stacked(srcs, i0, i1, j0, j1) -> np.ndarray:
     return np.stack([f._block(i0, i1, j0, j1) for f in srcs])
 
 
-def _columns(srcs, lo, hi, width=None, first=None):
-    """Distances d(f_i, f_j) of sources on one grid, columns j = first..hi, in blocks.
+def _columns(srcs, lo, hi):
+    """Distances d(f_i, f_j) of sources on one grid, columns j = lo+1..hi, in blocks.
 
     Yields ``(j0, block)`` with ``block[b]`` the ``_block`` of ``srcs[b]`` for
     rows lo..j1-1 and the block's columns j0..j1-1, ``block[b, c, r]`` =
-    d(f_(lo+r), f_(j0+c)) (``_stacked``), the columns starting at ``first``,
-    by default lo+1, ``width`` columns (by default about ``_BLOCK_CELLS``
-    cells) at a time (``_spans``).  A single source's ``block[0]`` is its
-    fresh block itself.
+    d(f_(lo+r), f_(j0+c)) (``_stacked``), about ``_BLOCK_CELLS`` cells at a
+    time (``_spans``).  A single source's ``block[0]`` is its fresh block
+    itself.
     """
-    width = width or _width(srcs, lo, hi, _BLOCK_CELLS)
-    for j0, j1 in _spans(first or lo + 1, hi, width):
+    for j0, j1 in _spans(lo + 1, hi, _width(srcs, lo, hi, _BLOCK_CELLS)):
         yield j0, _stacked(srcs, lo, j1, j0, j1)
 
 
@@ -601,15 +603,18 @@ def dp_partition_sup(columns, lo: int, hi: int, batch: tuple = (), best=None):
 
 
 def _power_sup_family(srcs, lo, hi, members) -> list[float]:
-    """( sup_P sum D_b(u, v)^a (v-u)^e )^r over [lo, hi], one value per member (b, a, e, r).
+    """( sup_P sum D_b(u, v)^(p/k) (v-u)^e )^(k/p) over [lo, hi] per member (b, delta, p, k).
 
-    The one kernel of every partition power sum, r = 1/a up to rounding:
-    q-variation (a = q, e = 0, r = 1/q), Riesz (a = p, e = 1 - delta*p,
-    r = 1/p) and the level-k distances of ``distances`` (D_b the level-k
-    difference, a = p/k, r = k/p).  ``srcs`` are distance sources on one
-    grid (see the module docstring), D_b the distances of ``srcs[b]``, read
-    through ``_stacked`` in the column blocks of ``_spans``, and the gaps
-    v - u those of the grid of ``srcs[0]``.
+    The one kernel of every partition power sum, each member a source index
+    b with its family's own parameters: e = 1 - delta*p, or e = 0 for
+    ``delta`` None, q-variation with q = p.  k = 1 gives ``qvar_norm`` and
+    ``riesz_norm`` of a path; on the level-k differences of a pair, k the
+    level, the level distances of ``distances``.  The kernel forms each
+    member's power a = p/k, gap exponent e and root r = k/p itself.
+    ``srcs`` are distance sources on one grid (see the module docstring),
+    D_b the distances of ``srcs[b]``, read through ``_stacked`` in the
+    column blocks of ``_spans``, and the gaps v - u those of the grid of
+    ``srcs[0]``.
 
     The members' weights are formed as written and share one
     ``dp_partition_sup`` of batch ``(len(members),)``, whose slices equal
@@ -620,23 +625,26 @@ def _power_sup_family(srcs, lo, hi, members) -> list[float]:
     of the module docstring).  A member's
     sum is kept when ``_sum_kept`` keeps it, with the time factor g^e
     extreme at the shortest step and at t_hi - t_lo; otherwise that member
-    alone reruns as the member (0, a, 0, root) of its source folded with
+    alone reruns as the member (0, None, p, k) of its source folded with
     x = e/a and u = 1 (``_refolded``).  Cells with i >= j, never read by a
     DP, get a unit gap.
     """
     if hi <= lo:
         return [0.0] * len(members)
-    exponents = list(dict.fromkeys(e for _, _, e, _ in members if e))
+    # each member as (b, a, e, r)
+    terms = [(b, p / k, 0.0 if delta is None else 1.0 - delta * p, k / p)
+             for b, delta, p, k in members]
+    exponents = list(dict.fromkeys(e for _, _, e, _ in terms if e))
 
     def weights(j0, i0, block):
         # the weights of a stacked block of rows i0.. and columns j0..
-        if len(members) == 1:  # the fresh block's own slice, raised in place
-            b, a = members[0][:2]
+        if len(terms) == 1:  # the fresh block's own slice, raised in place
+            b, a = terms[0][:2]
             w = block[b : b + 1]
             w **= a
         else:
-            w = np.empty((len(members), *block.shape[-2:]))
-            for row, (b, a, _, _) in zip(w, members):
+            w = np.empty((len(terms), *block.shape[-2:]))
+            for row, (b, a, _, _) in zip(w, terms):
                 np.copyto(row, block[b])
                 row **= a
         if exponents:
@@ -644,7 +652,7 @@ def _power_sup_family(srcs, lo, hi, members) -> list[float]:
             factors = {e: gap**e for e in exponents[1:]}
             gap **= exponents[0]  # the gaps' last use: raised in place
             factors[exponents[0]] = gap
-            for row, (_, _, e, _) in zip(w, members):
+            for row, (_, _, e, _) in zip(w, terms):
                 if e:
                     row *= factors[e]
         return w
@@ -652,15 +660,15 @@ def _power_sup_family(srcs, lo, hi, members) -> list[float]:
     def weight_bounds(dist, short, long):
         # D^a g^e of a member: the powers of the largest distance and of the
         # gap where g^e is largest, each raised by the pow margin
-        out = np.empty((len(members), *short.shape))
-        for row, (b, a, e, _) in zip(out, members):
+        out = np.empty((len(terms), *short.shape))
+        for row, (b, a, e, _) in zip(out, terms):
             _raised(np.power(dist[b], a, out=row))
             if e:
                 row *= _raised((short if e < 0 else long) ** e)
         return out
 
     width = _width(srcs, lo, hi, _BLOCK_CELLS)
-    best = np.zeros((len(members), hi - lo + 1))
+    best = np.zeros((len(terms), hi - lo + 1))
 
     def skip(bound, k):
         # row block I < k cannot win when, for every member, best at its last
@@ -678,17 +686,17 @@ def _power_sup_family(srcs, lo, hi, members) -> list[float]:
                                    for a, b in runs], axis=-1))
 
     with np.errstate(all="ignore"):
-        totals = dp_partition_sup(columns(), lo, hi, (len(members),), best)
+        totals = dp_partition_sup(columns(), lo, hi, (len(terms),), best)
     shortest = float(np.diff(srcs[0].grid.times[lo : hi + 1]).min())
     span = float(srcs[0].grid.times[hi] - srcs[0].grid.times[lo])
     values = []
-    for (b, a, e, root), total in zip(members, totals):
+    for (b, _, p, k), (_, a, e, root), total in zip(members, terms, totals):
         total = float(total)
         if _sum_kept(total, hi - lo, [e * math.log2(shortest), e * math.log2(span)],
                      srcs[b], lo, hi):
             values.append(total**root)
         else:
-            member = [(0, a, 0.0, root)]  # the time factor folded into the base
+            member = [(0, None, p, k)]  # the time factor folded into the base
             values.append(_refolded(lambda f: _power_sup_family([f], lo, hi, member)[0],
                                     srcs[b], lo, hi, e / a))
     return values
@@ -774,7 +782,7 @@ def qvar_norm(path, q: float, interval=None) -> float:
     lo, hi = path.grid.resolve_interval(interval)
     if q == 1.0:  # the finest partition is optimal (triangle inequality)
         return float(np.sum(path.shift_distances(1, lo, hi)))
-    return _power_sup_family([path], lo, hi, [(0, q, 0.0, 1.0 / q)])[0]
+    return _power_sup_family([path], lo, hi, [(0, None, q, 1)])[0]
 
 
 @_in_range
@@ -785,7 +793,7 @@ def riesz_norm(path, delta: float, p, interval=None) -> float:
         return holder_norm(path, delta, interval)
     _instance(path, _PATHS, "path")
     lo, hi = path.grid.resolve_interval(interval)
-    return _power_sup_family([path], lo, hi, [(0, p, 1.0 - delta * p, 1.0 / p)])[0]
+    return _power_sup_family([path], lo, hi, [(0, delta, p, 1)])[0]
 
 
 def mixed_norm(path, delta: float, p, interval=None) -> float:
@@ -793,23 +801,25 @@ def mixed_norm(path, delta: float, p, interval=None) -> float:
     return riesz_norm(path, delta, p, interval)
 
 
-def _diagonals(path, lo, last, span, power):
-    """(m, the diagonal d(f_r, f_(r+m))^power, r = lo..last-m) for the shifts m = 1..span.
+def _shift_sums(path, lo, last, span, p) -> list[float]:
+    """S_m = sum_{r=lo..last-m} d(f_r, f_(r+m))^p for the shifts m = 1..span.
 
     The diagonals come from the path's ``_shift_blocks`` in blocks of about
-    ``_BLOCK_CELLS`` cells, each raised at once (not for power = P_INF, which
-    gives the distances) and cut into its shifts' contiguous rows, so a sum
-    or max over a row sees the data, and the pairwise sum, of its own
-    diagonal whatever the block.  Nikolskii reads them with last = hi - 1,
-    fractional Sobolev with last = hi.
+    ``_BLOCK_CELLS`` cells, each raised at once and cut into its shifts'
+    contiguous rows, so each S_m is the pairwise sum of its own raised
+    diagonal, whatever the block; at p = P_INF it is the diagonal's maximum.
+    Nikolskii reads them with last = hi - 1 (last = hi at P_INF), fractional
+    Sobolev with last = hi.
     """
     width = _width([path], lo, last, _BLOCK_CELLS)
     blocks = path._shift_blocks(lo, last, 1, span + 1, width)
+    reduce = np.max if p is P_INF else np.add.reduce
+    sums = []
     for m0, block in zip(range(1, span + 1, width), blocks):
-        if power is not P_INF:
-            block **= power
-        for m, row in enumerate(block, m0):
-            yield m, row[: last + 1 - lo - m]
+        if p is not P_INF:
+            block **= p
+        sums.extend(float(reduce(row[: last + 1 - lo - m])) for m, row in enumerate(block, m0))
+    return sums
 
 
 @_in_range
@@ -818,9 +828,9 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
 
     Shifts h are integer multiples of the uniform mesh; the integral is a
     left Riemann sum over grid points in [s, t-h).  For p = P_INF the inner
-    integral becomes a maximum.  Each shift is summed, or maximised, on its
-    own diagonal (``_diagonals``).  A sum out of the float range reruns on
-    the diagonals of the folded path (``_refolded``).
+    integral becomes a maximum.  The value is the largest of the shift sums
+    S_m (``_shift_sums``) times their time factors.  A sum out of the float
+    range reruns on the shift sums of the folded path (``_refolded``).
     """
     p = _check_params(NormKind.NIKOLSKII, delta, p)
     _instance(path, _PATHS, "path")
@@ -832,12 +842,10 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     dt = (path.grid.times[hi] - path.grid.times[lo]) / span
     # the left Riemann sum leaves the last column out
     last = hi if p is P_INF else hi - 1
-    best = 0.0
-    for m, seg in _diagonals(path, lo, last, span, p):
-        if p is P_INF:
-            best = _max(best, (m * dt) ** (-delta) * float(np.max(seg)))
-        else:
-            best = _max(best, (m * dt) ** (-delta * p) * dt * float(np.add.reduce(seg)))
+    # shift m's time factor: (m mesh)^(-delta) on a max, (m mesh)^(-delta*p) mesh on a sum
+    expo, unit = (-delta, 1.0) if p is P_INF else (-delta * p, dt)
+    sums = _shift_sums(path, lo, last, span, p)
+    best = functools.reduce(_max, ((m * dt) ** expo * unit * s for m, s in enumerate(sums, 1)), 0.0)
     if p is P_INF:
         return float(best)
     # time factors (m*mesh)^(-delta*p) and that times mesh, extreme at m = 1, span
@@ -847,22 +855,23 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
         return float(best ** (1.0 / p))
 
     def rerun(folded):  # the largest shift sum, (m mesh)^(-delta*p) mesh folded in
-        sums = (float(np.add.reduce(seg)) for _, seg in _diagonals(folded, lo, last, span, p))
-        return functools.reduce(_max, sums, 0.0) ** (1.0 / p)
+        return functools.reduce(_max, _shift_sums(folded, lo, last, span, p), 0.0) ** (1.0 / p)
 
     return _refolded(rerun, path, lo, last, -delta, dt, (1.0 - delta * p) / p)
 
 
-def shift_partition_sup(srcs, lo: int, hi: int, power: float, hexp: float,
-                        root: float) -> list[float]:
+def shift_partition_sup(srcs, lo: int, hi: int, delta: float, p: float, k: int = 1) -> list[float]:
     """Partition sup of the ``oracle.shift_sup_table`` values over [lo, hi], in O(M^2).
 
     Returns, for each distance source of ``srcs`` (on one uniform grid, the
-    mesh that of ``srcs[0]``, see the module docstring), the sup to the
-    power ``root`` (1/power up to rounding), the value of
-    ``dp_partition_sup([verify.dense_columns(oracle.shift_sup_table(...), lo, hi)]) ** root``
-    without the table: with c_m = (m*mesh)^hexp * mesh and S_m[k] the sum of
-    d(r, r+m)^power over lo <= r < k, the DP runs
+    mesh that of ``srcs[0]``, see the module docstring), the refined
+    Nikolskii value of regularity ``delta`` and integrability ``p``: with
+    power = p/k and hexp = -delta*p, the value of
+    ``dp_partition_sup([verify.dense_columns(oracle.shift_sup_table(...), lo, hi)]) ** (k/p)``
+    without the table.  k = 1 gives ``refined_nikolskii_norm`` of a path;
+    on the level-k differences of a pair, k the level, the Nikolskii-hat
+    distance of ``distances``.  With c_m = (m*mesh)^hexp * mesh and S_m[n]
+    the sum of d(r, r+m)^power over lo <= r < n, the DP runs
     best[j] = max_m ( c_m S_m[j-m] + R_m ), R_m = max_{i <= j-m} (best[i] - c_m S_m[i]),
     keeping a_m = S_m[j-m] and R_m for every shift m as it goes (see the
     module docstring); column j adds d(j-m, j)^power to a_m after best[j] is
@@ -880,6 +889,7 @@ def shift_partition_sup(srcs, lo: int, hi: int, power: float, hexp: float,
     span = hi - lo
     if span <= 0:
         return [0.0] * len(srcs)
+    power, hexp, root = p / k, -delta * p, k / p
     dt = (srcs[0].grid.times[hi] - srcs[0].grid.times[lo]) / span
     shifts = np.arange(1, span + 1) * dt
     # log2 c_m for m = 1 and span, from the logs: c_m itself may overflow
@@ -932,7 +942,7 @@ def refined_nikolskii_norm(path, delta: float, p, interval=None) -> float:
     _instance(path, _PATHS, "path")
     _require_uniform(path)
     lo, hi = path.grid.resolve_interval(interval)
-    return shift_partition_sup([path], lo, hi, p, -delta * p, 1.0 / p)[0]
+    return shift_partition_sup([path], lo, hi, delta, p)[0]
 
 
 @_in_range
@@ -946,7 +956,7 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
         ( 2 mesh^2 sum_{m=1..span} (m mesh)^(-(1 + delta*p)) S_m )^(1/p),
         S_m = sum_{r=lo..hi-m} d(f_r, f_(r+m))^p.
 
-    Each S_m is the pairwise sum of its own diagonal (``_diagonals``, shared
+    Each S_m is the pairwise sum of its own diagonal (``_shift_sums``, shared
     with Nikolskii), so no value depends on ``_BLOCK_CELLS``; each factor
     (m mesh)^(-(1 + delta*p)) is one scalar power, and the terms are added
     pairwise over m: they fall with m, and a sum left to right would carry
@@ -961,17 +971,14 @@ def frac_sobolev_norm(path, delta: float, p: float, interval=None) -> float:
         return 0.0
     dt = (path.grid.times[hi] - path.grid.times[lo]) / span
     e = -(1.0 + delta * p)
-    terms = np.empty(span)
-    for m, seg in _diagonals(path, lo, hi, span, p):
-        terms[m - 1] = (m * dt) ** e * float(np.add.reduce(seg))
-    total = float(np.add.reduce(terms))
+    sums = _shift_sums(path, lo, hi, span, p)
+    total = float(np.add.reduce([(m * dt) ** e * s for m, s in enumerate(sums, 1)]))
     if _sum_kept(total, span * (span + 1) / 2, [e * math.log2(dt), e * math.log2(span * dt)],
                  path, lo, hi):
         return float((2.0 * total * dt * dt) ** (1.0 / p))
 
     def rerun(folded):  # the shift sums, (m mesh)^e mesh^2 folded in, added pairwise
-        sums = [float(np.add.reduce(seg)) for _, seg in _diagonals(folded, lo, hi, span, p)]
-        return (2.0 * float(np.add.reduce(sums))) ** (1.0 / p)
+        return (2.0 * float(np.add.reduce(_shift_sums(folded, lo, hi, span, p)))) ** (1.0 / p)
 
     return _refolded(rerun, path, lo, hi, e / p, dt, (2.0 + e) / p)
 

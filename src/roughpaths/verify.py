@@ -373,11 +373,9 @@ def check_embedding_chain(paths, delta, p, seed=0) -> list[CheckRecord]:
     # the Riesz norms at (delta, p), (delta', p) and (delta, p') and the
     # (1/delta)-variation of one path and interval come from one kernel
     # call; at 1/delta = 1 ``qvar_norm`` serves the variation as a step sum
-    members = ([(0, p, 1.0 - delta * p, 1.0 / p)] + [(0, p, 1.0 - dprime * p, 1.0 / p)] * d_ok
-               + [(0, pprime, 1.0 - delta * pprime, 1.0 / pprime)] * p_ok)
+    members = [(0, delta, p, 1)] + [(0, dprime, p, 1)] * d_ok + [(0, delta, pprime, 1)] * p_ok
     if delta != 1.0:
-        q = 1.0 / delta
-        members.append((0, q, 0.0, 1.0 / q))
+        members.append((0, None, 1.0 / delta, 1))
     for f in paths:
         t = f.grid.times
         for s, u in _sub_intervals(rng, t, 3):
@@ -670,7 +668,8 @@ def _nested_mixed(family, delta, ps, k=None) -> list[list[float]]:
     every p of ``ps``: entry [a][b] is the value of source b at p = ps[a].
     With ``k`` None they are the mixed norms of paths, with a level k the
     level-k mixed distances of pairs, the sources their level-k differences;
-    k sets the exponents only.
+    k sets the exponents only.  None is not 1 here: a path's exponent
+    delta*p can differ from the level form p/q in the last bit.
 
     The independent reference for the Riesz = mixed grid identity that
     serves ``mixed_norm`` and ``rho_mixed_level``.  Sources on one grid are
@@ -700,34 +699,30 @@ def _nested_mixed(family, delta, ps, k=None) -> list[list[float]]:
     return values
 
 
-def _family_riesz(family, delta, ps, k=None) -> list[list[float]]:
+def _family_riesz(family, delta, ps, k=1) -> list[list[float]]:
     """The Riesz values of the distance sources ``family`` at every p of
-    ``ps``, laid out and read as by ``_nested_mixed``: ``riesz_norm`` of paths,
-    or ``rho_riesz_level`` of pairs at level k.  One ``_power_sup_family``
+    ``ps``, laid out and read as by ``_nested_mixed``: ``riesz_norm`` of paths
+    (k = 1), or ``rho_riesz_level`` of pairs at level k.  One ``_power_sup_family``
     call per same-grid chunk, its members every (source, p)."""
     ps = [_check_dist(DistKind.RIESZ, delta, p) for p in ps]
-    level = k or 1
     values = [[] for _ in ps]
     for chunk in _family_chunks(family):
         got = _power_sup_family(chunk, 0, chunk[0].grid.intervals,
-                                [(b, p / level, 1.0 - delta * p, level / p)
-                                 for p in ps for b in range(len(chunk))])
+                                [(b, delta, p, k) for p in ps for b in range(len(chunk))])
         for i, out in enumerate(values):
             out.extend(got[i * len(chunk) : (i + 1) * len(chunk)])
     return values
 
 
-def _family_refined_nikolskii(family, delta, p, k=None) -> list[float]:
+def _family_refined_nikolskii(family, delta, p, k=1) -> list[float]:
     """The refined Nikolskii values of the distance sources ``family``, read as
-    by ``_nested_mixed``: ``refined_nikolskii_norm`` of paths, or
+    by ``_nested_mixed``: ``refined_nikolskii_norm`` of paths (k = 1), or
     ``rho_nikolskii_hat_level`` of pairs at level k.  One
     ``shift_partition_sup`` sweep per same-grid chunk."""
-    level = k or 1
     values = []
     for chunk in _family_chunks(family):
         _require_uniform(chunk[0])
-        values.extend(shift_partition_sup(chunk, 0, chunk[0].grid.intervals,
-                                          p / level, -delta * p, level / p))
+        values.extend(shift_partition_sup(chunk, 0, chunk[0].grid.intervals, delta, p, k))
     return values
 
 

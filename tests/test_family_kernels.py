@@ -85,17 +85,16 @@ def _span(path, lo, hi):
 def test_batched_sweep_equals_each_slice_alone(case, dp):
     paths, lo, hi = case
     delta, p = dp
-    got = shift_partition_sup(paths, lo, hi, p, -delta * p, 1.0 / p)
+    got = shift_partition_sup(paths, lo, hi, delta, p)
     for b, f in enumerate(paths):
         # a path's dense matrix, a source like any other, gives its streamed value
-        alone = shift_partition_sup([DenseSource(dense_distances(f), f.grid)], lo, hi, p,
-                                    -delta * p, 1.0 / p)
+        alone = shift_partition_sup([DenseSource(dense_distances(f), f.grid)], lo, hi, delta, p)
         assert [got[b]] == alone == [refined_nikolskii_norm(f, delta, p, _span(f, lo, hi))]
     # the level-k differences of pairs of lifts: the Nikolskii-hat distances,
     # defined for p >= 1/delta
     pairs = _pairs(paths) if isinstance(paths[0], GroupPath) and delta * p >= 1.0 else []
     for k in range(1, paths[0].depth + 1 if pairs else 1):
-        hat = shift_partition_sup(_level_sources(pairs, k), lo, hi, p / k, -delta * p, k / p)
+        hat = shift_partition_sup(_level_sources(pairs, k), lo, hi, delta, p, k)
         assert hat == [rho_nikolskii_hat_level(x1, x2, delta, p, k, _span(x1, lo, hi))
                        for x1, x2 in pairs]
 
@@ -164,15 +163,15 @@ def _check_power_sup_family(paths, lo, hi, k, data):
                                min_size=1, max_size=6))
     drawn = [(b, delta, p) for b, (delta, p) in drawn] + [(0, 1.0, 2000.0)]
     root = max(k, 1)
-    members = [(b, p / root, 0.0 if delta is None else 1.0 - delta * p, root / p)
-               for b, delta, p in drawn]
+    members = [(b, delta, p, root) for b, delta, p in drawn]
     got = _power_sup_family(srcs, lo, hi, members)
     assert np.array_equal(got, [per_call(*m) for m in drawn])
 
     gap = times[None, :] - times[:, None]
     gap[gap <= 0.0] = 1.0
     shortest = float(np.diff(times[lo : hi + 1]).min())
-    for value, (b, a, e, r) in zip(got, members):
+    for value, (b, delta, p, _) in zip(got, members):
+        a, e, r = p / root, 0.0 if delta is None else 1.0 - delta * p, root / p
         assert math.isfinite(value)
         with np.errstate(over="ignore", invalid="ignore"):
             w = dense[b] ** a * gap**e
@@ -251,20 +250,19 @@ def test_kernels_never_write_a_dense_source(case, dp):
     frozen = matrix.copy()
     frozen.flags.writeable = False
     writable, read_only = (DenseSource(m, paths[0].grid) for m in (matrix, frozen))
-    member = [(0, p, 0.0 if delta is None else 1.0 - delta * p, 1.0 / p)]
+    member = [(0, delta, p, 1)]
     assert (_power_sup_family([writable], lo, hi, member)
             == _power_sup_family([read_only], lo, hi, member))
     delta = delta or 1.0
-    assert (shift_partition_sup([writable], lo, hi, p, -delta * p, 1.0 / p)
-            == shift_partition_sup([read_only], lo, hi, p, -delta * p, 1.0 / p))
+    assert (shift_partition_sup([writable], lo, hi, delta, p)
+            == shift_partition_sup([read_only], lo, hi, delta, p))
     assert np.array_equal(matrix, frozen)
 
 
 def test_every_source_yields_fresh_column_blocks(rng):
-    # a writable dense matrix and a group path, read from lo > 0 and from a
-    # first column past lo + 1, in blocks of any budget: each block is a
-    # C-ordered writable array of its own, holding the dense columns in the
-    # cells i < j, the only ones a kernel reads
+    # a writable dense matrix and a group path, read from lo > 0 in blocks of
+    # any budget: each block is a C-ordered writable array of its own, holding
+    # the dense columns in the cells i < j, the only ones a kernel reads
     x = lift(EuclideanPath(TimeGrid.uniform(40), _values(rng, 40, 2, 1.0, False)), 2)
     matrix = dense_distances(x)
     dense = DenseSource(matrix, x.grid)
@@ -276,19 +274,18 @@ def test_every_source_yields_fresh_column_blocks(rng):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(norms, "_BLOCK_CELLS", cells)
             for src in (dense, x):
-                for first in (lo + 1, lo + 4):
-                    blocks = [(j0, block) for j0, (block,) in _columns([src], lo, hi, first=first)]
-                    rows = [block.shape[0] for _, block in blocks]
-                    assert [j0 for j0, _ in blocks] == list(first + np.cumsum([0] + rows[:-1]))
-                    assert sum(rows) == hi - first + 1
-                    for j0, block in blocks:
-                        assert block.flags.c_contiguous and block.flags.writeable
-                        assert not np.shares_memory(block, matrix)
-                        c = j0 - lo - 1
-                        assert block.shape[1] == j0 + block.shape[0] - lo
-                        read = np.tri(*block.shape, j0 - lo - 1, dtype=bool)  # r < j0 - lo + c
-                        assert np.array_equal(block[read],
-                                              want[c : c + block.shape[0], : block.shape[1]][read])
+                blocks = [(j0, block) for j0, (block,) in _columns([src], lo, hi)]
+                rows = [block.shape[0] for _, block in blocks]
+                assert [j0 for j0, _ in blocks] == list(lo + 1 + np.cumsum([0] + rows[:-1]))
+                assert sum(rows) == hi - lo
+                for j0, block in blocks:
+                    assert block.flags.c_contiguous and block.flags.writeable
+                    assert not np.shares_memory(block, matrix)
+                    c = j0 - lo - 1
+                    assert block.shape[1] == j0 + block.shape[0] - lo
+                    read = np.tri(*block.shape, j0 - lo - 1, dtype=bool)  # r < j0 - lo + c
+                    assert np.array_equal(block[read],
+                                          want[c : c + block.shape[0], : block.shape[1]][read])
             stacked = list(_columns([dense, x], lo, hi))
             for b, src in enumerate((dense, x)):
                 alone = list(_columns([src], lo, hi))
@@ -297,5 +294,5 @@ def test_every_source_yields_fresh_column_blocks(rng):
                            for (_, block), (_, own) in zip(stacked, alone))
             values.append([holder_norm(x, 0.4, iv), qvar_norm(x, 2.5, iv),
                            riesz_norm(x, 0.5, 4.0, iv), refined_nikolskii_norm(x, 0.4, 4.0, iv)]
-                          + shift_partition_sup([dense], lo, hi, 4.0, -1.6, 0.25))
+                          + shift_partition_sup([dense], lo, hi, 0.4, 4.0))
     assert values[0] == values[1] == values[2]

@@ -111,9 +111,9 @@ def test_only_euclidean_paths_enter_the_bounds(monkeypatch):
     dense = DenseSource(dense_distances(x1), x1.grid)
     d2 = DenseSource(level_diff_matrix(x1, x2, 2), x1.grid)
     monkeypatch.setattr(norms, "_BLOCK_CELLS", (m + 1) * (m + 1))  # one block: unbounded
-    want = [*_power_sup_family([dense], 0, m, [(0, 2.5, 0.0, 0.4), (0, 4.0, -1.0, 0.25)]),
+    want = [*_power_sup_family([dense], 0, m, [(0, None, 2.5, 1), (0, 0.5, 4.0, 1)]),
             _dense_holder(x1, 0.4),
-            *_power_sup_family([d2], 0, m, [(0, 2.0, -1.0, 0.5)])]
+            *_power_sup_family([d2], 0, m, [(0, 0.5, 4.0, 2)])]
     assert got == want
 
 
@@ -125,7 +125,7 @@ def test_a_batch_that_mixes_a_path_and_a_dense_source_is_unbounded(monkeypatch):
     f, g = _walk(2048, m, 1), _walk(2050, m, 1)
     srcs = [f, DenseSource(dense_distances(g), g.grid)]
     lo = 100
-    members = [(0, 2.5, 0.0, 0.4), (1, 2.5, 0.0, 0.4), (1, 4.0, -1.0, 0.25), (0, 4.0, -1.0, 0.25)]
+    members = [(0, None, 2.5, 1), (1, None, 2.5, 1), (1, 0.5, 4.0, 1), (0, 0.5, 4.0, 1)]
     calls = []
     span_bounds = EuclideanPath._span_bounds
     monkeypatch.setattr(EuclideanPath, "_span_bounds",
@@ -134,7 +134,7 @@ def test_a_batch_that_mixes_a_path_and_a_dense_source_is_unbounded(monkeypatch):
                      for b, *rest in members]
              for start in (0, lo)}
     assert calls  # the path alone is bounded
-    swept = {start: [shift_partition_sup([src], start, m, 4.0, -2.0, 0.25)[0] for src in srcs]
+    swept = {start: [shift_partition_sup([src], start, m, 0.5, 4.0)[0] for src in srcs]
              for start in (0, lo)}
     width = _width(srcs, 0, m, norms._BLOCK_CELLS)
 
@@ -149,4 +149,4 @@ def test_a_batch_that_mixes_a_path_and_a_dense_source_is_unbounded(monkeypatch):
             == [(j0, j1, [(0, j1)]) for j0, j1 in _spans(1, m, width)])
     for start in (0, lo):
         assert _power_sup_family(srcs, start, m, members) == alone[start]
-        assert shift_partition_sup(srcs, start, m, 4.0, -2.0, 0.25) == swept[start]
+        assert shift_partition_sup(srcs, start, m, 0.5, 4.0) == swept[start]

@@ -988,6 +988,32 @@ def test_frac_sobolev_does_not_depend_on_the_block_budget(dim, intervals, seed, 
             assert frac_sobolev_norm(f, 0.4, 3.0, (t[lo], t[hi])) == want
 
 
+@pytest.mark.parametrize("p", [2.5, 300.0, P_INF], ids=["2.5", "300", "inf"])
+def test_shift_sums_are_the_sums_of_each_raised_diagonal(p):
+    # each S_m is the pairwise sum of shift m's raised diagonal as
+    # shift_distances gives it (its max at P_INF), bit for bit, on Euclidean
+    # paths and lifts, from lo > 0, to last = hi - 1 and to hi, whatever the
+    # budget; p = 300 overflows and underflows some powers
+    rng = np.random.default_rng(39)
+    m = 150
+    paths = [random_walk_path(rng, m, 1), random_walk_path(rng, m, 3),
+             lift(random_walk_path(rng, m, 2), 2), lift(random_walk_path(rng, m, 1), 3)]
+    for path in paths:
+        for lo, hi in ((0, m), (13, m - 20)):
+            for last in (hi - 1, hi):
+                # the callers' spans: every shift of [lo, hi] for a sum, every
+                # shift with a nonempty diagonal for a max
+                span = hi - lo if p is not P_INF else last - lo
+                with np.errstate(all="ignore"):
+                    want = [float(np.max(d) if p is P_INF else np.add.reduce(d**p))
+                            for d in (path.shift_distances(s, lo, last)
+                                      for s in range(1, span + 1))]
+                    for cells in (97, 1 << 12, 1 << 15):
+                        with mock.patch.object(norms_module, "_BLOCK_CELLS", cells):
+                            got = norms_module._shift_sums(path, lo, last, span, p)
+                        assert got == want, (type(path).__name__, lo, last, cells)
+
+
 @pytest.mark.parametrize("scale", [1e-320, 1e300])
 @pytest.mark.parametrize("delta, p", [(0.5, 2.0), (1.0 / 3.0, 3.0), (0.25, 4.0)])
 def test_frac_sobolev_on_grids_with_extreme_steps(scale, delta, p):
@@ -1030,8 +1056,8 @@ def test_shift_partition_sup_equals_table_dp_and_oracle(case):
     got = refined_nikolskii_norm(path, delta, p, span)
     dist = path.distance_matrix
     # the dense matrix, as a source, gives the streamed value bit for bit
-    assert [got] == norms_module.shift_partition_sup([DenseSource(dist, path.grid)], lo, hi, p,
-                                                     -delta * p, 1.0 / p)
+    assert [got] == norms_module.shift_partition_sup([DenseSource(dist, path.grid)], lo, hi,
+                                                     delta, p)
     table = shift_sup_table(dist, times, lo, hi, p, -delta * p)
     want = dp_partition_sup([dense_columns(table, lo, hi)], lo, hi) ** (1.0 / p)
     assert got == pytest.approx(want, rel=1e-12)

@@ -71,10 +71,10 @@ def test_pruned_values_equal_the_unpruned_dense_source(monkeypatch, kind, dim, u
         iv = (t[lo], t[hi])
         assert holder_norm(f, 0.4, iv) == _dense_holder(f, 0.4, lo, hi)
         for q in QVAR:
-            want = _power_sup_family([dense], lo, hi, [(0, q, 0.0, 1.0 / q)])
+            want = _power_sup_family([dense], lo, hi, [(0, None, q, 1)])
             assert [qvar_norm(f, q, iv)] == want, q
         for delta, p in RIESZ:
-            want = _power_sup_family([dense], lo, hi, [(0, p, 1.0 - delta * p, 1.0 / p)])
+            want = _power_sup_family([dense], lo, hi, [(0, delta, p, 1)])
             assert [riesz_norm(f, delta, p, iv)] == want, (delta, p)
 
 
@@ -97,7 +97,7 @@ def test_qvar_computes_few_of_the_cells(monkeypatch):
     assert sum(cells) < 0.15 * m * (m + 1) / 2
     monkeypatch.undo()
     assert [value] == _power_sup_family([DenseSource(dense_distances(f), f.grid)], 0, m,
-                                        [(0, 2.5, 0.0, 0.4)])
+                                        [(0, None, 2.5, 1)])
 
 
 class _Stop(Exception):
@@ -180,10 +180,10 @@ class _BoundedDense(DenseSource):
         return lambda c0, c1: maxima[:c1, c0:c1].T
 
 
-# (q, delta, p) members: q-variation 2.5 and 300 (the folded rerun), Riesz
+# (b, delta, p, k) members: q-variation 2.5 and 300 (the folded rerun), Riesz
 # (0.5, 4), and a batch of the first and the last
-MEMBERS = [[(0, 2.5, 0.0, 0.4)], [(0, 300.0, 0.0, 1.0 / 300.0)], [(0, 4.0, -1.0, 0.25)],
-           [(0, 2.5, 0.0, 0.4), (0, 4.0, -1.0, 0.25)]]
+MEMBERS = [[(0, None, 2.5, 1)], [(0, None, 300.0, 1)], [(0, 0.5, 4.0, 1)],
+           [(0, None, 2.5, 1), (0, 0.5, 4.0, 1)]]
 
 
 @pytest.mark.parametrize("seed", range(6))
