@@ -8,8 +8,9 @@ Subcommands:
     verify  run a verification suite and persist JSON/CSV reports
 
 Path CSV format: header ``t,x1,...,xn``, one row per grid point, UTF-8
-(a leading byte order mark is skipped), LF line endings, plain decimal
-floats; times start at 0 and increase strictly.  Floats in all outputs use
+(a leading byte order mark is skipped), LF line endings; each field a
+finite number as ``float()`` reads it, without underscores (``1_0`` is
+rejected); times start at 0 and increase strictly.  Floats in all outputs use
 the shortest round-trip representation, so identical inputs give
 byte-identical reports.
 
@@ -64,13 +65,18 @@ def read_path_csv(path) -> EuclideanPath:
     data lines are joined and split once, and one ``np.array(..., dtype=float)``
     call converts all the fields, parsing each as ``float()`` does, and one
     vectorised check finds non-finite fields and times that do not start at
-    0 or do not increase.  Only when one of these fails are the lines read
-    one by one, to name the first bad line by its number in the file.
+    0 or do not increase.  Only when one of these fails, or an underscore
+    appears, are the lines read one by one, to name the first bad line by
+    its number in the file.  A byte that is not UTF-8 names its line too.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CsvFormatError(0, f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        head = exc.object[:exc.start]  # lines end as in text mode: \n, \r\n or \r
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise CsvFormatError(lineno, f"not UTF-8: {exc.reason}") from exc
     numbered = [(n, ln) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip() != ""]
     if not numbered:
         raise CsvFormatError(0, "empty file")
@@ -84,7 +90,7 @@ def read_path_csv(path) -> EuclideanPath:
     ncols = len(header)
     body = [line for _, line in numbered[1:]]
     table = None
-    if all(line.count(",") == ncols - 1 for line in body):
+    if "_" not in text and all(line.count(",") == ncols - 1 for line in body):
         try:
             table = np.array(",".join(body).split(",") if body else [],
                              dtype=float).reshape(-1, ncols)
@@ -101,13 +107,15 @@ def read_path_csv(path) -> EuclideanPath:
 
 
 def _raise_first_bad_line(linenos, rows, ncols):
-    # the error of the first data line with a wrong field count, a field that
-    # float() rejects or that is not finite, or a time that does not start
-    # at 0 or does not increase
+    # the error of the first data line with a wrong field count, a field with
+    # an underscore, that float() rejects or that is not finite, or a time
+    # that does not start at 0 or does not increase
     prev = None
     for lineno, fields in zip(linenos, rows):
         if len(fields) != ncols:
             raise CsvFormatError(lineno, f"expected {ncols} fields, got {len(fields)}")
+        if any("_" in f for f in fields):
+            raise CsvFormatError(lineno, "underscores are not allowed in numbers")
         try:
             nums = [float(f) for f in fields]
         except ValueError as exc:
@@ -252,8 +260,8 @@ def cmd_dist(args) -> int:
 def cmd_solve(args) -> int:
     driver = read_path_csv(args.driver)
     try:
-        spec = json.loads(Path(args.field).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        spec = json.loads(Path(args.field).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParameterError(f"cannot read field spec {args.field}: {exc}") from exc
     v = VectorField.from_spec(spec)
     y0 = np.array([_parse_float(t, "--y0") for t in args.y0.split(",")])
@@ -309,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="compute a path norm from a CSV path")
     p.add_argument("input")
     p.add_argument("--kind", required=True,
-                   help="hoelder|qvar|rieszv|mixedv|nikolskii|refinednikolskii|fracsobolev; "
-                        "every kind takes O(M^2) time on M grid intervals, no size cap")
+                   help="|".join(_NORM_KINDS) + "; every kind takes O(M^2) time on M "
+                        "grid intervals, no size cap")
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--p", default=None, help="integrability (number or 'inf'); "
                                              "for qvar this is the exponent q")
@@ -328,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--kind", required=True,
-                   help="qvar|riesz|mixed|nikolskiihat; every kind takes O(M^2) time per "
+                   help="|".join(_DIST_KINDS) + "; every kind takes O(M^2) time per "
                         "level on M grid intervals, no size cap")
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--p", default=None, help="finite integrability, required "

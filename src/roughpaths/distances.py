@@ -24,10 +24,8 @@ A level distance reads D_k as ``level_diff_matrix(x1, x2, k)``, a dense
 matrix that the first path builds for its level k alone and keeps while
 both paths live (``GroupPath._level_diff``): a single-level call builds one
 level, and the calls of every level of one pair build each level once.
-Each level distance hands D_k to a kernel of ``norms`` with its family's
-own (delta, p) and the level k, and the kernel forms the power p/k, the
-gap exponent and the root k/p itself: q-variation and Riesz through
-``_power_sup_family``, Nikolskii-hat through ``shift_partition_sup``.
+Each level distance hands D_k, its (delta, p) and the level k to a kernel
+of ``norms``: ``_power_sup_family`` or ``shift_partition_sup``.
 """
 
 from __future__ import annotations

@@ -32,10 +32,7 @@ per block in the L2 cache (256 KB each).
 * refined Nikolskii: the fused sweep ``shift_partition_sup`` (below).
 
 These give the values of the dense formulas bit for bit, whatever the
-block size.
-Group paths compute their blocks from their level norms, summed entry
-by entry in NumPy's own order, so equal to ``np.linalg.norm`` (``paths``).
-Every norm here returns one value over one interval, in O(M^2) at
+block size.  Every norm here returns one value over one interval, in O(M^2) at
 most, with no size cap; tables over all subintervals are left to the
 independent references (``oracle.shift_sup_table``, and the nested mixed
 definition of ``verify`` with its ``dp_power_table``).
@@ -48,11 +45,9 @@ one NumPy add and max over the rows before them, then their own triangle of
 candidates in Python floats.  A larger batch advances one column at a time.
 
 Distances reach the kernels as *sources*, read only through the private
-contract of the ``paths`` module docstring: their grid, blocks of
-distances, the cells one distance counts for, bounds where a source has
-them, and a path's diagonals (``_shift_blocks``).  A kernel takes sources
-alone: its gaps, mesh and time factors come from the sources' one grid, so
-a path and the level-k differences of a pair are read one way.
+contract of the ``paths`` module docstring.  A kernel takes sources alone:
+its gaps, mesh and time factors come from the sources' one grid, so a path
+and the level-k differences of a pair are read one way.
 ``_columns`` yields the column blocks of sources on one grid, stacked on a
 leading axis (``_stacked``), and ``_shift_sums`` reads a path's raw
 diagonals in blocks of shifts, which it raises and cuts into rows itself,

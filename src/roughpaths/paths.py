@@ -156,8 +156,12 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, intervals: int, horizon: float = 1.0) -> "TimeGrid":
-        return cls(np.linspace(0.0, _real(horizon, "the horizon"),
+        grid = cls(np.linspace(0.0, _real(horizon, "the horizon"),
                                _entries(_count(intervals, "intervals", 1) + 1, "the grid")))
+        if not grid.is_uniform:  # subnormal steps round apart
+            raise ParameterError(f"the horizon {horizon!r} is too small for "
+                                 f"{intervals} uniform intervals")
+        return grid
 
     def __len__(self):
         return self.times.size

@@ -40,6 +40,10 @@ product and the inverse: ``tensor_mul``, ``group_mul`` and ``group_inverse``
 are their one-element calls, so one element and a stacked path get the same
 floating-point operations in the same order, and batched results equal
 per-element ones bit for bit.
+
+Every module checks its arguments at entry with the helpers here: ``_real``,
+``_count`` (a whole float counts), ``_float_array``, ``_instance`` and
+``_shape``, through which every dim and depth goes, ``lift``'s included.
 """
 
 from __future__ import annotations

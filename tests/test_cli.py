@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -79,12 +80,22 @@ def test_csv_with_utf8_bom(tmp_path, capsys):
 
 
 def per_line_read(path) -> EuclideanPath:
-    """Reference reader: the path CSV converted line by line with float(),
-    each error named by its line number in the file."""
+    """Reference reader: the path CSV decoded and converted line by line with
+    float(), numbers with an underscore refused, each error named by its line
+    number in the file."""
     from roughpaths import CsvFormatError, ParameterError
 
-    text = path.read_text(encoding="utf-8-sig")
-    lines = [(n, ln) for n, ln in enumerate(text.split("\n"), start=1) if ln.strip() != ""]
+    # universal newlines, as the reader's text mode reads them
+    raw = re.split(rb"\r\n|\r|\n", path.read_bytes().removeprefix(b"\xef\xbb\xbf"))
+    text = []
+    for n, line in enumerate(raw, start=1):
+        # the newline after a line ends a truncated sequence as it does in the file
+        end = b"\n" if n < len(raw) else b""
+        try:
+            text.append((line + end).decode("utf-8").removesuffix("\n"))
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(n, f"not UTF-8: {exc.reason}") from exc
+    lines = [(n, ln) for n, ln in enumerate(text, start=1) if ln.strip() != ""]
     if not lines:
         raise CsvFormatError(0, "empty file")
     ncols = len(lines[0][1].split(","))
@@ -93,6 +104,8 @@ def per_line_read(path) -> EuclideanPath:
         fields = line.split(",")
         if len(fields) != ncols:
             raise CsvFormatError(lineno, f"expected {ncols} fields, got {len(fields)}")
+        if any("_" in f for f in fields):
+            raise CsvFormatError(lineno, "underscores are not allowed in numbers")
         try:
             nums = [float(f) for f in fields]
         except ValueError as exc:
@@ -115,6 +128,7 @@ def per_line_read(path) -> EuclideanPath:
 CSV_BODIES = {
     "crlf": "t,x1,x2\r\n0,0.5,1\r\n0.25,1e-3,-2\r\n1,3,4\r\n",
     "blank-lines": "t,x1\n\n0,1\n  \n0.5,2\n\n\n1,3\n\n",
+    "spaces": "t,x1\n 0 , 1000.5\n0.5\t,20\n10, -0.0 \n",
     "spaces-underscores": "t,x1\n 0 , 1_000.5\n0.5\t,2_0\n1_0, -0.0 \n",
     "bom": "\ufefft,x1\n0,1\n1,2\n",
     "field-count": "t,x1\n0,1\n0.5,2\n0.75,1,2\n1,3,4\n",
@@ -142,21 +156,21 @@ CSV_BODIES = {
     ("t,x1\n0,1\n\n0.5,nan\n", 4),
     ("t,x1\n0,1\n0.5,2\n\n0.25,3\n", 5),
     ("t,x1\n\n0.5,1\n1,2\n", 3),
+    ("t,x1\n0,0\n0.5,1_0\n1,2\n", 3),
+    (b"t,x1\n0,0\n0.5,\xff1\n1,2\n", 3),
+    (b"\xef\xbb\xbft,x1\n\n0,0\n0.5,\xe2\x82\n1,2\n", 4),
 ])
 def test_csv_errors_name_the_line_of_the_file(tmp_path, capsys, body, line):
     # blank lines count: the number is the bad line's own line in the file
     f = tmp_path / "p.csv"
-    f.write_text(body)
+    f.write_bytes(body if isinstance(body, bytes) else body.encode())
     assert main(["norm", str(f), "--kind", "qvar", "--p", "2"]) == 2
     assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
 
-@pytest.mark.parametrize("name", sorted(CSV_BODIES))
-def test_csv_parse_equals_per_line_reading(tmp_path, name):
+def assert_reads_as_per_line(f):
     from roughpaths import CsvFormatError
 
-    f = tmp_path / f"{name}.csv"
-    f.write_bytes(CSV_BODIES[name].encode("utf-8"))
     try:
         want = per_line_read(f)
     except CsvFormatError as exc:
@@ -167,6 +181,13 @@ def test_csv_parse_equals_per_line_reading(tmp_path, name):
     got = read_path_csv(f)
     assert np.array_equal(got.grid.times, want.grid.times)
     assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("name", sorted(CSV_BODIES))
+def test_csv_parse_equals_per_line_reading(tmp_path, name):
+    f = tmp_path / f"{name}.csv"
+    f.write_bytes(CSV_BODIES[name].encode("utf-8"))
+    assert_reads_as_per_line(f)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -175,20 +196,23 @@ def test_csv_parse_equals_per_line_reading(tmp_path, name):
                          min_size=2, max_size=3),
                 min_size=1, max_size=6))
 def test_csv_parse_equals_per_line_reading_fuzz(tmp_path_factory, rows):
-    from roughpaths import CsvFormatError
-
     f = tmp_path_factory.mktemp("csv") / "p.csv"
     f.write_text("t,x1\n" + "".join(",".join(r) + "\n" for r in rows))
-    try:
-        want = per_line_read(f)
-    except CsvFormatError as exc:
-        with pytest.raises(CsvFormatError) as err:
-            read_path_csv(f)
-        assert (err.value.line, str(err.value)) == (exc.line, str(exc))
-        return
-    got = read_path_csv(f)
-    assert np.array_equal(got.grid.times, want.grid.times)
-    assert np.array_equal(got.values, want.values)
+    assert_reads_as_per_line(f)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.binary(max_size=8),
+                          st.sampled_from([b"0,0", b"0.5,1", b"1,2", b"0.5,1_0",
+                                           b"\xef\xbb\xbf", b"\xc3\xa9"])),
+                min_size=1, max_size=5))
+@example([b"0,0", b"0.5,\xff1", b"1,2"])
+@example([b"0,0", b"0.5,\xc3", b"1,2"])
+def test_csv_bytes_parse_equals_per_line_reading_fuzz(tmp_path_factory, lines):
+    # raw bytes, UTF-8 or not: a bad byte names its line as any other error
+    f = tmp_path_factory.mktemp("csv") / "p.csv"
+    f.write_bytes(b"t,x1\n" + b"\n".join(lines))
+    assert_reads_as_per_line(f)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +541,16 @@ def test_solve_bad_field_spec_exit3(tmp_path, capsys, spec):
     assert main(["solve", str(f), "--field", str(fj), "--y0", "1.0"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_solve_field_spec_not_utf8_exit3(tmp_path, capsys):
+    fj = tmp_path / "f.json"
+    fj.write_bytes(b"\xff\xfe" + json.dumps({"family": "linear"}).encode("utf-16-le"))
+    f = tmp_path / "t.csv"
+    write_path_csv(EuclideanPath.from_function(TimeGrid.uniform(10), lambda t: t), f)
+    assert main(["solve", str(f), "--field", str(fj), "--y0", "1.0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read field spec {fj}: ") and err.count("\n") == 1
 
 
 def test_solve_oversized_substeps_exit3(tmp_path, field_json, capsys):

@@ -29,6 +29,7 @@ from roughpaths import (
     qvar_norm,
     refined_nikolskii_norm,
     riesz_norm,
+    time_reversed,
 )
 from roughpaths import norms as norms_module
 from roughpaths.distances import DenseSource
@@ -305,6 +306,26 @@ def test_nikolskii_zero_when_only_the_last_step_moves():
     for p in (4.0, 300.0):
         assert nikolskii_norm(f, 0.5, p) == 0.0
         assert refined_nikolskii_norm(f, 0.5, p) == 0.0
+
+
+@pytest.mark.parametrize("intervals", [10, 200])
+def test_nikolskii_left_riemann_sum_is_not_reversal_symmetric(intervals):
+    # the pair (hi - m, hi) enters no shift sum, so reversing time moves both
+    # Nikolskii norms, while the partition and double-integral norms keep
+    # their value: a change of the inner integral's rule fails here
+    f = random_walk_path(np.random.default_rng(3), intervals, 2)
+    back = time_reversed(f)
+    delta, p = 0.4, 4.0
+    for norm, oracle in ((nikolskii_norm, oracle_nikolskii),
+                         (refined_nikolskii_norm, oracle_refined_nikolskii)):
+        a, b = norm(f, delta, p), norm(back, delta, p)
+        assert abs(a - b) > 1e-5 * max(a, b)
+        if intervals == 10:
+            assert a == pytest.approx(oracle(f, delta, p), rel=1e-12, abs=0)
+            assert b == pytest.approx(oracle(back, delta, p), rel=1e-12, abs=0)
+    for a, b in ((qvar_norm(f, p), qvar_norm(back, p)),
+                 (frac_sobolev_norm(f, delta, p), frac_sobolev_norm(back, delta, p))):
+        assert abs(a - b) <= 2 * np.spacing(max(a, b))
 
 
 def test_nikolskii_p_inf():

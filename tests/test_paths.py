@@ -89,6 +89,21 @@ def test_uniform_flag():
     assert not TimeGrid([0.0, 0.1, 1.0]).is_uniform
 
 
+@pytest.mark.parametrize("intervals", [4, 32, 1024])
+def test_uniform_grids_pass_their_own_check(intervals):
+    # subnormal steps round apart: such a horizon raises rather than giving a
+    # grid that every uniform-grid norm rejects
+    built = 0
+    for horizon in [float(f"{m}e{e}") for e in range(-324, -289) for m in (1, 2, 4, 7)]:
+        try:
+            grid = TimeGrid.uniform(intervals, horizon)
+        except ParameterError:
+            continue
+        assert grid.is_uniform, horizon
+        built += 1
+    assert built > 60
+
+
 def test_index_of_requires_grid_point():
     grid = TimeGrid.uniform(4)
     assert grid.index_of(0.75) == 3
