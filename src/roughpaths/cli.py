@@ -9,10 +9,12 @@ Subcommands:
 
 Path CSV format: header ``t,x1,...,xn``, one row per grid point, UTF-8
 (a leading byte order mark is skipped), LF line endings; each field a
-finite number as ``float()`` reads it, without underscores (``1_0`` is
-rejected); times start at 0 and increase strictly.  Floats in all outputs use
-the shortest round-trip representation, so identical inputs give
-byte-identical reports.
+finite number; times start at 0 and increase strictly.  Every number the
+CLI reads, a CSV field or a numeric option, is ASCII text that ``float()``
+(``int()`` for a count) reads, without underscores: ``1_0`` and digits of
+other scripts (``١``, ``２``) are rejected, a CSV field naming its line.
+``--p inf`` is p = infinity.  Floats in all outputs use the shortest
+round-trip representation, so identical inputs give byte-identical reports.
 
 Exit codes: 0 success; 1 verification failure; 2 CSV parse error (message
 carries the line number); 3 parameter violation, command-line usage error
@@ -65,9 +67,10 @@ def read_path_csv(path) -> EuclideanPath:
     data lines are joined and split once, and one ``np.array(..., dtype=float)``
     call converts all the fields, parsing each as ``float()`` does, and one
     vectorised check finds non-finite fields and times that do not start at
-    0 or do not increase.  Only when one of these fails, or an underscore
-    appears, are the lines read one by one, to name the first bad line by
-    its number in the file.  A byte that is not UTF-8 names its line too.
+    0 or do not increase.  Only when one of these fails, or the data lines
+    are not ASCII or hold an underscore, are the lines read one by one with
+    ``_number``, to name the first bad line by its number in the file.  A
+    byte that is not UTF-8 names its line too.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -89,11 +92,12 @@ def read_path_csv(path) -> EuclideanPath:
             raise CsvFormatError(head_no, f"column {i + 1} must be named x{i}, got {name!r}")
     ncols = len(header)
     body = [line for _, line in numbered[1:]]
+    fields = ",".join(body)
     table = None
-    if "_" not in text and all(line.count(",") == ncols - 1 for line in body):
+    if fields.isascii() and "_" not in fields and all(line.count(",") == ncols - 1
+                                                      for line in body):
         try:
-            table = np.array(",".join(body).split(",") if body else [],
-                             dtype=float).reshape(-1, ncols)
+            table = np.array(fields.split(",") if body else [], dtype=float).reshape(-1, ncols)
         except ValueError:
             pass
     if table is None or not (np.isfinite(table).all() and np.all(table[:1, 0] == 0.0)
@@ -107,17 +111,15 @@ def read_path_csv(path) -> EuclideanPath:
 
 
 def _raise_first_bad_line(linenos, rows, ncols):
-    # the error of the first data line with a wrong field count, a field with
-    # an underscore, that float() rejects or that is not finite, or a time
-    # that does not start at 0 or does not increase
+    # the error of the first data line with a wrong field count, a field that
+    # ``_number`` rejects or that is not finite, or a time that does not
+    # start at 0 or does not increase
     prev = None
     for lineno, fields in zip(linenos, rows):
         if len(fields) != ncols:
             raise CsvFormatError(lineno, f"expected {ncols} fields, got {len(fields)}")
-        if any("_" in f for f in fields):
-            raise CsvFormatError(lineno, "underscores are not allowed in numbers")
         try:
-            nums = [float(f) for f in fields]
+            nums = [_number(f) for f in fields]
         except ValueError as exc:
             raise CsvFormatError(lineno, str(exc)) from exc
         t = nums[0]
@@ -153,26 +155,31 @@ _NORM_KINDS = {k.value: k for k in NormKind}
 _DIST_KINDS = {k.value: k for k in DistKind}
 
 
-def _parse_float(text, option):
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ParameterError(f"{option} must be a number, got {text!r}") from exc
+def _number(text, kind=float):
+    """``kind(text)``, ``kind`` float or int, for ASCII ``text`` without
+    underscores: the one number grammar of CSV fields and numeric options.
+    Other text raises ``ValueError``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number without underscores: {text!r}")
+    return kind(text)
 
 
-def _parse_p(text):
-    # float reads 'inf' and 'infinity' in any case; the checks map it onto P_INF
-    return None if text is None else _parse_float(text, "--p")
+def _option(read):
+    """An argparse ``type``: ``read(text)``, whose ``ValueError`` is a usage error (exit 3)."""
+    def parse(text):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
-def _parse_interval(text):
-    if text is None:
-        return None
-    try:
-        s, t = text.split(":")
-        return float(s), float(t)
-    except ValueError as exc:
-        raise ParameterError(f"--interval must look like s:t, got {text!r}") from exc
+_FLOAT = _option(_number)
+_INT = _option(functools.partial(_number, kind=int))
+# --interval s:t, whose length the library checks, and --y0, comma separated
+_INTERVAL = _option(lambda text: tuple(map(_number, text.split(":"))))
+_FLOATS = _option(lambda text: [_number(t) for t in text.split(",")])
 
 
 def _print_value(value: float):
@@ -189,9 +196,7 @@ def cmd_norm(args) -> int:
     if kind is None:
         raise ParameterError(f"unknown norm kind {args.kind!r}; choose from "
                              f"{sorted(_NORM_KINDS)}")
-    p = _parse_p(args.p)
-    spec = NormSpec(kind, delta=args.delta, p=P_INF if p is None else p,
-                    interval=_parse_interval(args.interval))
+    spec = NormSpec(kind, delta=args.delta, p=args.p, interval=args.interval)
     value = compute_norm(f, spec)
     _print_value(value)
     if args.json:
@@ -233,10 +238,8 @@ def cmd_dist(args) -> int:
         raise ParameterError(f"unknown distance kind {args.kind!r}; choose from "
                              f"{sorted(_DIST_KINDS)}")
     x1, x2 = lift(f1, args.depth), lift(f2, args.depth)
-    p = _parse_p(args.p)
     levels = {
-        k: rho_level(x1, x2, kind, delta=args.delta, p=p, k=k,
-                     interval=_parse_interval(args.interval))
+        k: rho_level(x1, x2, kind, delta=args.delta, p=args.p, k=k, interval=args.interval)
         for k in range(1, args.depth + 1)
     }
     value = max(levels.values())
@@ -248,7 +251,7 @@ def cmd_dist(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "kind": kind.value,
             "delta": args.delta,
-            "p": p,
+            "p": args.p,
             "depth": args.depth,
             "value": value,
             "levels": {str(k): v for k, v in levels.items()},
@@ -264,11 +267,10 @@ def cmd_solve(args) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParameterError(f"cannot read field spec {args.field}: {exc}") from exc
     v = VectorField.from_spec(spec)
-    y0 = np.array([_parse_float(t, "--y0") for t in args.y0.split(",")])
     rough = args.depth != 1  # depth 1 drives the BV scheme with the path itself
     cfg = RdeConfig(depth=args.depth, substeps=args.substeps,
                     scheme=Scheme.ROUGH_EULER if rough else Scheme.EULER_BV)
-    y = ito_lyons(y0, v, lift(driver, args.depth) if rough else driver, cfg)
+    y = ito_lyons(args.y0, v, lift(driver, args.depth) if rough else driver, cfg)
     if args.out:
         write_path_csv(y, args.out)
     terminal = ",".join(f"{val:.12g}" for val in y.values[-1])
@@ -319,16 +321,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    help="|".join(_NORM_KINDS) + "; every kind takes O(M^2) time on M "
                         "grid intervals, no size cap")
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--p", default=None, help="integrability (number or 'inf'); "
-                                             "for qvar this is the exponent q")
-    p.add_argument("--interval", default=None, help="subinterval s:t (grid points)")
+    p.add_argument("--delta", type=_FLOAT, default=1.0)
+    p.add_argument("--p", type=_FLOAT, default=P_INF, help="integrability (number or 'inf'); "
+                                                           "for qvar this is the exponent q")
+    p.add_argument("--interval", type=_INTERVAL, default=None,
+                   help="subinterval s:t (grid points)")
     p.add_argument("--json", default=None, help="also write a JSON result")
     p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("sig", help="truncated signature of a CSV path")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_INT, default=2)
     p.add_argument("--json", default=None)
     p.set_defaults(fn=cmd_sig)
 
@@ -338,27 +341,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    help="|".join(_DIST_KINDS) + "; every kind takes O(M^2) time per "
                         "level on M grid intervals, no size cap")
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--p", default=None, help="finite integrability, required "
-                                             "(for qvar, the exponent q)")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--interval", default=None)
+    p.add_argument("--delta", type=_FLOAT, default=0.5)
+    p.add_argument("--p", type=_FLOAT, default=None, help="finite integrability, required "
+                                                          "(for qvar, the exponent q)")
+    p.add_argument("--depth", type=_INT, default=2)
+    p.add_argument("--interval", type=_INTERVAL, default=None)
     p.add_argument("--json", default=None)
     p.set_defaults(fn=cmd_dist)
 
     p = sub.add_parser("solve", help="integrate dY = V(Y) dX along a CSV driver")
     p.add_argument("driver")
     p.add_argument("--field", required=True, help="vector field spec JSON")
-    p.add_argument("--y0", required=True, help="initial condition, comma separated")
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--substeps", type=int, default=1)
+    p.add_argument("--y0", type=_FLOATS, required=True,
+                   help="initial condition, comma separated")
+    p.add_argument("--depth", type=_INT, default=1)
+    p.add_argument("--substeps", type=_INT, default=1)
     p.add_argument("--out", default=None, help="solution CSV path")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
                    help="algebra|embeddings|characterization|distances|lipschitz|all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_INT, default=0)
     p.add_argument("--out", default=None, help="report output directory")
     p.set_defaults(fn=cmd_verify)
     return ap

@@ -825,7 +825,10 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     left Riemann sum over grid points in [s, t-h).  For p = P_INF the inner
     integral becomes a maximum.  The value is the largest of the shift sums
     S_m (``_shift_sums``) times their time factors.  A sum out of the float
-    range reruns on the shift sums of the folded path (``_refolded``).
+    range reruns on the shift sums of the folded path (``_refolded``); a
+    maximum out of range, as (m mesh)^(-delta) overflows on a subnormal
+    mesh, is taken of m^(-delta) S_m and then multiplied by mesh^(-delta/2)
+    twice.
     """
     p = _check_params(NormKind.NIKOLSKII, delta, p)
     _instance(path, _PATHS, "path")
@@ -842,6 +845,9 @@ def nikolskii_norm(path, delta: float, p, interval=None) -> float:
     sums = _shift_sums(path, lo, last, span, p)
     best = functools.reduce(_max, ((m * dt) ** expo * unit * s for m, s in enumerate(sums, 1)), 0.0)
     if p is P_INF:
+        if not math.isfinite(best):  # (m mesh)^(-delta) overflows on a subnormal mesh
+            best = functools.reduce(_max, (m**-delta * s for m, s in enumerate(sums, 1)), 0.0)
+            best = best * dt ** (-delta / 2) * dt ** (-delta / 2)  # left to right, in range
         return float(best)
     # time factors (m*mesh)^(-delta*p) and that times mesh, extreme at m = 1, span
     factors = [-delta * p * math.log2(m * dt) + u for m in (1, span) for u in (0.0, math.log2(dt))]

@@ -128,6 +128,7 @@ from .tensor_core import (
     _shape,
     group_inverse,
     group_mul,
+    stacked_exp,
     stacked_inverse,
 )
 
@@ -656,22 +657,22 @@ def lift(path: EuclideanPath, depth: int) -> GroupPath:
 
         S^k_{j+1} - S^k_j = e_k + S^1_j x e_{k-1} + ... + S^{k-1}_j x e_1,
 
-    e_i = d^(x)i / i! as ``segment_exp`` computes it and S_j the running
-    signature, built level by level from the lower levels.  Terms are added
-    in this order, the order of ``group_mul(S_j, segment_exp(d, depth))``,
-    so the levels equal that per-step chain bit for bit.
+    e_i = d^(x)i / i!, level i of the one segment exponential
+    ``tensor_core.stacked_exp`` (``segment_exp`` is its one-row call), and
+    S_j the running signature, built level by level from the lower levels.
+    Terms are added in this order, the order of
+    ``group_mul(S_j, segment_exp(d, depth))``, so the levels equal that
+    per-step chain bit for bit.
     """
     if not isinstance(depth, (int, np.integer)):
         raise ParameterError(f"depth must be an integer in 1..{MAX_DEPTH}, got {depth!r}")
     d = _instance(path, EuclideanPath, "path").increments()
     _, depth = _shape(path.dim, depth)  # a boolean or a depth out of range raises
     steps = d.shape[0]
-    e = [np.ones((steps, 1))]
     s = [np.ones((steps + 1, 1))]
     # a level that overflows is rejected by ``GroupPath`` (ParameterError)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, depth + 1):
-            e.append((e[-1][:, :, None] * d[:, None, :]).reshape(steps, -1) / k)
+        e = stacked_exp(d, depth)
         for k in range(1, depth + 1):
             inc = 0.0
             for i in range(k):

@@ -31,15 +31,24 @@ this one on group-like elements.  The bound above holds for the forward
 norm as it stands (it uses |pi_i(g)| <= |g|^i only), so the sum of grid
 steps is that norm's q = 1 variation too.
 
-Batched kernels.  ``stacked_mul`` and ``stacked_inverse`` work on stacked
-levels: one ``(*batch, n^k)`` array per level k, the last axis holding the
-C-order flattened level k of one element.  Leading batch axes broadcast
-(axes of 1 against axes of N), so a path's rows times a single element is an
-``(N, n^k)`` by ``(1, n^k)`` call.  They are the only implementation of the
-product and the inverse: ``tensor_mul``, ``group_mul`` and ``group_inverse``
-are their one-element calls, so one element and a stacked path get the same
-floating-point operations in the same order, and batched results equal
-per-element ones bit for bit.
+Batched kernels.  Each operation has one implementation, a stacked form
+that works on stacked levels: one ``(*batch, n^k)`` array per level k, the
+last axis holding the C-order flattened level k of one element.  Leading
+batch axes broadcast (axes of 1 against axes of N), so a path's rows times a
+single element is an ``(N, n^k)`` by ``(1, n^k)`` call.  The public
+per-element functions check their arguments and call a stacked form on one
+row:
+
+    stacked_mul               tensor_mul, group_mul
+    stacked_inverse           group_inverse
+    stacked_exp               segment_exp (and ``paths.lift`` on every step)
+    stacked_dilate            dilate
+    stacked_level_norms       level_norms
+    stacked_homogeneous_norm  homogeneous_norm
+    stacked_distance          group_distance
+
+So one element and a stack get the same floating-point operations in the
+same order, and batched results equal per-element ones bit for bit.
 
 Every module checks its arguments at entry with the helpers here: ``_real``,
 ``_count`` (a whole float counts), ``_float_array``, ``_instance`` and
@@ -216,11 +225,8 @@ def segment_exp(delta, depth: int) -> GroupElement:
     """Signature of one linear segment with increment ``delta``: pi_k = delta^(x)k / k!."""
     delta = _float_array(delta, "the increment").reshape(-1)
     dim, depth = _shape(delta.size, depth)
-    levels = [np.ones(())]
     with np.errstate(over="ignore", invalid="ignore"):  # ``TruncatedTensor`` rejects overflow
-        for k in range(1, depth + 1):
-            levels.append(np.multiply.outer(levels[-1], delta) / k)
-    return GroupElement(TruncatedTensor(dim, depth, tuple(levels)))
+        return GroupElement(_from_row(dim, depth, stacked_exp(delta[None], depth)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +282,68 @@ def stacked_inverse(levels) -> list[np.ndarray]:
     return [np.ones(scalar)] + acc[1:]
 
 
+def stacked_exp(d, depth: int) -> list[np.ndarray]:
+    """Segment exponentials of stacked increments ``d`` of shape ``(*batch, n)``.
+
+    Level k, of shape ``(*batch, n^k)``, is pi_k = d^(x)k / k!: level k - 1
+    times d, flattened in C order, divided by k.
+    """
+    batch, n = d.shape[:-1], d.shape[-1]
+    levels = [np.ones(batch + (1,))]
+    for k in range(1, depth + 1):
+        levels.append((levels[-1][..., :, None] * d[..., None, :]).reshape(*batch, n**k) / k)
+    return levels
+
+
+def stacked_dilate(levels, lam) -> list[np.ndarray]:
+    """Dilation of stacked levels: level k times lam^k, level 0 set to 1.
+
+    ``lam`` is one factor, or one per element of shape ``(*batch, 1)``.
+    NumPy may round an array's power lam^k, k >= 3, differently from a
+    scalar's, so factors whose powers are exact give equal results either way.
+    """
+    return [np.ones_like(levels[0])] + [lam**k * lv for k, lv in enumerate(levels[1:], 1)]
+
+
+def stacked_level_norms(levels) -> np.ndarray:
+    """Euclidean norm of each element's levels, shape ``(*batch, len(levels))``.
+
+    Entry k is the square root of level k's row ``np.vecdot`` with itself,
+    which is ``np.linalg.norm`` of that row as a 1-D vector, bit for bit.
+    """
+    return np.sqrt(np.stack([np.vecdot(lv, lv) for lv in levels], axis=-1))
+
+
+def stacked_homogeneous_norm(levels) -> np.ndarray:
+    """Symmetric homogeneous norm of each element, shape ``(*batch,)``: the max
+    over k >= 1 of max(|pi_k(g)|, |pi_k(g^-1)|)^(1/k)."""
+    fwd = stacked_level_norms(levels[1:])
+    bwd = stacked_level_norms(stacked_inverse(levels)[1:])
+    return np.max(np.maximum(fwd, bwd) ** (1.0 / np.arange(1, len(levels))), axis=-1)
+
+
+def stacked_distance(g, h) -> np.ndarray:
+    """Homogeneous distance |g^{-1} x h| of each pair of elements, shape ``(*batch,)``."""
+    return stacked_homogeneous_norm(stacked_mul(stacked_inverse(g), h))
+
+
 def _rows(t: TruncatedTensor) -> list[np.ndarray]:
     return [lv.reshape(1, -1) for lv in t.levels]
 
 
 def _from_row(dim: int, depth: int, levels) -> TruncatedTensor:
     return TruncatedTensor(dim, depth, tuple(lv[0] for lv in levels))
+
+
+def _one_row(form, *rows) -> float:
+    """The stacked norm ``form`` of one-row levels as a float, computed with
+    NumPy's float warnings off; a value out of the float range (an inverse
+    or a product that overflows) raises ``ParameterError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(form(*rows)[0])
+    if not math.isfinite(value):
+        raise ParameterError(f"{form.__name__} leaves the float range on this input")
+    return value
 
 
 def tensor_mul(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
@@ -306,8 +368,7 @@ def dilate(g: GroupElement, lam: float) -> GroupElement:
     lam = np.float64(_real(lam, "the dilation factor"))
     _instance(g, GroupElement, "group element")
     with np.errstate(over="ignore", invalid="ignore"):
-        levels = [np.ones(())] + [lam**k * g.level(k) for k in range(1, g.depth + 1)]
-    return GroupElement(TruncatedTensor(g.dim, g.depth, tuple(levels)))
+        return GroupElement(_from_row(g.dim, g.depth, stacked_dilate(_rows(g.tensor), lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,24 +377,19 @@ def dilate(g: GroupElement, lam: float) -> GroupElement:
 
 def level_norms(g: GroupElement) -> np.ndarray:
     """Euclidean norms |pi_k(g)| for k = 1..N."""
-    return np.array(
-        [np.linalg.norm(g.level(k).ravel()) for k in range(1, g.depth + 1)]
-    )
+    return stacked_level_norms(_rows(g.tensor)[1:])[0]
 
 
 def homogeneous_norm(g: GroupElement) -> float:
     """Symmetric homogeneous norm max_k max(|pi_k(g)|, |pi_k(g^-1)|)^(1/k)."""
     _instance(g, GroupElement, "group element")
-    fwd = level_norms(g)
-    bwd = level_norms(group_inverse(g))
-    ks = np.arange(1, g.depth + 1)
-    return float(np.max(np.maximum(fwd, bwd) ** (1.0 / ks)))
+    return _one_row(stacked_homogeneous_norm, _rows(g.tensor))
 
 
 def group_distance(g: GroupElement, h: GroupElement) -> float:
     """Left-invariant homogeneous distance |g^{-1} x h|."""
     _check_compatible(g, h, GroupElement)
-    return homogeneous_norm(group_mul(group_inverse(g), h))
+    return _one_row(stacked_distance, _rows(g.tensor), _rows(h.tensor))
 
 
 def grouplike_defect(g: GroupElement) -> float:

@@ -81,8 +81,8 @@ def test_csv_with_utf8_bom(tmp_path, capsys):
 
 def per_line_read(path) -> EuclideanPath:
     """Reference reader: the path CSV decoded and converted line by line with
-    float(), numbers with an underscore refused, each error named by its line
-    number in the file."""
+    float(), numbers that are not ASCII or hold an underscore refused, each
+    error named by its line number in the file."""
     from roughpaths import CsvFormatError, ParameterError
 
     # universal newlines, as the reader's text mode reads them
@@ -104,12 +104,14 @@ def per_line_read(path) -> EuclideanPath:
         fields = line.split(",")
         if len(fields) != ncols:
             raise CsvFormatError(lineno, f"expected {ncols} fields, got {len(fields)}")
-        if any("_" in f for f in fields):
-            raise CsvFormatError(lineno, "underscores are not allowed in numbers")
-        try:
-            nums = [float(f) for f in fields]
-        except ValueError as exc:
-            raise CsvFormatError(lineno, str(exc)) from exc
+        nums = []
+        for f in fields:
+            if not f.isascii() or "_" in f:
+                raise CsvFormatError(lineno, f"not an ASCII number without underscores: {f!r}")
+            try:
+                nums.append(float(f))
+            except ValueError as exc:
+                raise CsvFormatError(lineno, str(exc)) from exc
         if not all(math.isfinite(v) for v in nums):
             raise CsvFormatError(lineno, "times and values must be finite")
         if not times and nums[0] != 0.0:
@@ -130,6 +132,11 @@ CSV_BODIES = {
     "blank-lines": "t,x1\n\n0,1\n  \n0.5,2\n\n\n1,3\n\n",
     "spaces": "t,x1\n 0 , 1000.5\n0.5\t,20\n10, -0.0 \n",
     "spaces-underscores": "t,x1\n 0 , 1_000.5\n0.5\t,2_0\n1_0, -0.0 \n",
+    "other-digits": "t,x1\n0,0\n0.5,\u0661\n1,\uff12\n",
+    "other-digit-after-bad-number": "t,x1\n0,0\n0.5,x,\uff12\n",
+    "bad-number-after-other-digit": "t,x1\n0,0\n0.5,\uff12\n1,x\n",
+    "other-space": "t,x1\n0,0\n0.5,\u00a01\n1,2\n",
+    "other-space-line": "t,x1\n0,0\n\u00a0\n0.5,1\n1,2\n",
     "bom": "\ufefft,x1\n0,1\n1,2\n",
     "field-count": "t,x1\n0,1\n0.5,2\n0.75,1,2\n1,3,4\n",
     "field-count-after-bad-number": "t,x1\n0,1\n0.5,x\n0.75,1,2\n",
@@ -157,6 +164,8 @@ CSV_BODIES = {
     ("t,x1\n0,1\n0.5,2\n\n0.25,3\n", 5),
     ("t,x1\n\n0.5,1\n1,2\n", 3),
     ("t,x1\n0,0\n0.5,1_0\n1,2\n", 3),
+    ("t,x1\n0,0\n0.5,\u0661\n1,\uff12\n", 3),
+    ("t,x1\n0,0\n0.5,1\n\n1,\uff12\n", 5),
     (b"t,x1\n0,0\n0.5,\xff1\n1,2\n", 3),
     (b"\xef\xbb\xbft,x1\n\n0,0\n0.5,\xe2\x82\n1,2\n", 4),
 ])
@@ -192,7 +201,8 @@ def test_csv_parse_equals_per_line_reading(tmp_path, name):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
-                                   st.sampled_from(["1_0", " 2 ", "3\r", "x", "", "1e999"])),
+                                   st.sampled_from(["1_0", " 2 ", "3\r", "x", "", "1e999",
+                                                    "\u0661", "\uff12"])),
                          min_size=2, max_size=3),
                 min_size=1, max_size=6))
 def test_csv_parse_equals_per_line_reading_fuzz(tmp_path_factory, rows):
@@ -321,8 +331,14 @@ def test_unexpected_exception_exit6(linear_csv, capsys, monkeypatch):
     ["dist", "{csv}", "{csv}", "--kind", "nikolskiihat", "--p", "4", "--max-nested", "600"],
     [],
     ["nope"],
+    ["norm", "{csv}", "--kind", "hoelder", "--delta", "0.5", "--interval", "0.0:0.5_0"],
+    ["norm", "{csv}", "--kind", "hoelder", "--delta", "0.5_0"],
+    ["norm", "{csv}", "--kind", "qvar", "--p", "\uff14"],
+    ["dist", "{csv}", "{csv}", "--kind", "qvar", "--p", "2", "--depth", "\uff12"],
+    ["verify", "--suite", "algebra", "--seed", "\u0661"],
 ], ids=["missing-kind", "depth-not-int", "norm-max-nested", "dist-max-nested", "no-command",
-        "unknown-command"])
+        "unknown-command", "interval-underscore", "delta-underscore", "p-fullwidth",
+        "depth-fullwidth", "seed-arabic-indic"])
 def test_usage_errors_exit3(linear_csv, capsys, argv):
     assert main([a.format(csv=linear_csv) for a in argv]) == 3
     err = capsys.readouterr().err
@@ -515,9 +531,10 @@ def test_solve_constant_field_affine_output(tmp_path, capsys):
 def test_solve_non_numeric_y0_exit3(tmp_path, field_json, capsys):
     f = tmp_path / "t.csv"
     write_path_csv(EuclideanPath.from_function(TimeGrid.uniform(10), lambda t: t), f)
-    assert main(["solve", str(f), "--field", field_json, "--y0", "abc"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    for y0 in ("abc", "1_0", "\u0661"):  # an underscore or another script's digit too
+        assert main(["solve", str(f), "--field", field_json, "--y0", y0]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("spec", [

@@ -198,10 +198,13 @@ def malformed_calls(draw):
 
 
 #: Huge finite arguments: counts beyond ``sys.maxsize``, a dilation and a
-#: segment whose powers overflow, and Lip-norm balls on which |V| leaves the
-#: float range.
+#: segment whose powers overflow, an element whose inverse overflows, and
+#: Lip-norm balls on which |V| leaves the float range.
+BIG = rp.GroupElement(rp.TruncatedTensor(2, 2, (1.0, [1e200, 0.0], np.zeros((2, 2)))))
 HUGE = [
     (rp.dilate, {"g": G, "lam": 1e300}),
+    (rp.homogeneous_norm, {"g": BIG}),
+    (rp.group_distance, {"g": BIG, "h": G}),
     (rp.segment_exp, {"delta": [1e200, 1.0], "depth": 3}),
     (rp.zero_tensor, {"dim": 1e300, "depth": 2}),
     (rp.TimeGrid.uniform, {"intervals": 1e300}),

@@ -1049,6 +1049,20 @@ def test_frac_sobolev_on_grids_with_extreme_steps(scale, delta, p):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("delta", [0.3, 0.5, 1.0])
+def test_nikolskii_at_p_inf_on_a_subnormal_mesh_is_hoelder(delta):
+    # (m mesh)^(-delta) overflows at mesh 1e-320, yet the value is finite; on a
+    # uniform grid the p = inf Nikolskii sup is the Hoelder sup, which agrees
+    # to the precision of the subnormal times (about 2^-11 relative)
+    f = EuclideanPath(TimeGrid.uniform(4, 4e-320), [[0.0], [1e-100], [0.0], [2e-100], [0.0]])
+    want = holder_norm(f, delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in (nikolskii_norm, refined_nikolskii_norm):
+            got = norm(f, delta, P_INF)
+            assert math.isfinite(got) and got == pytest.approx(want, rel=2.0**-11)
+
+
 # ---------------------------------------------------------------------------
 # the fused refined Nikolskii sweep and the push-form power table
 # ---------------------------------------------------------------------------

@@ -22,7 +22,16 @@ from roughpaths import (
     zero_tensor,
 )
 from roughpaths import tensor_core
-from roughpaths.tensor_core import stacked_inverse, stacked_mul
+from roughpaths.tensor_core import (
+    level_norms,
+    stacked_dilate,
+    stacked_distance,
+    stacked_exp,
+    stacked_homogeneous_norm,
+    stacked_inverse,
+    stacked_level_norms,
+    stacked_mul,
+)
 from conftest import random_group_element, random_tensor
 
 
@@ -286,9 +295,27 @@ def _loop_inverse(g, dim):
     return [np.ones(batch + (1,))] + acc[1:]
 
 
+def _check_group_forms(dim, g, h, lam):
+    """The stacked exponential, dilation, level norms, homogeneous norm and
+    distance of group rows ``g`` and ``h`` (level 0 all ones) equal their
+    public per-element functions row by row, and the level norms equal
+    ``np.linalg.norm`` of each row as a 1-D vector, all bit for bit."""
+    depth = len(g) - 1
+    exp, dilated = stacked_exp(g[1], depth), stacked_dilate(g, lam)
+    norms, hom = stacked_level_norms(g[1:]), stacked_homogeneous_norm(g)
+    dist = stacked_distance(g, h)
+    for r in range(g[0].shape[0]):
+        x, y = (GroupElement(TruncatedTensor(dim, depth, [lv[r] for lv in v])) for v in (g, h))
+        for got, want in ((exp, segment_exp(g[1][r], depth)), (dilated, dilate(x, lam))):
+            assert all(np.array_equal(lv[r], w.ravel()) for lv, w in zip(got, want.tensor.levels))
+        assert np.array_equal(norms[r], level_norms(x))
+        assert np.array_equal(norms[r], [np.linalg.norm(lv[r]) for lv in g[1:]])
+        assert hom[r] == homogeneous_norm(x) and dist[r] == group_distance(x, y)
+
+
 @st.composite
 def stacked_operands(draw):
-    dim, depth = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dim, depth = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     rows = draw(st.integers(1, 40))
     layout = draw(st.sampled_from([None, "a", "b", "block"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -309,6 +336,12 @@ def test_stacked_kernels_equal_per_element_loops(case):
         assert np.array_equal(got, want)
     for got, want in zip(stacked_inverse(b), _loop_inverse(b, dim)):
         assert np.array_equal(got, want)
+    # b's rows as group elements, against the same rows reversed, in a batch of more and of one
+    g = [np.ones((b[0].size, 1))] + [lv.reshape(b[0].size, -1) for lv in b[1:]]
+    h = [lv[::-1] for lv in g]
+    lam = float(a[0].flat[0])
+    for rows in (slice(None), slice(1)):
+        _check_group_forms(dim, [lv[rows] for lv in g], [lv[rows] for lv in h], lam)
 
 
 @pytest.mark.parametrize("shapes", [((0,), (0,)), ((0, 1), (1, 5)), ((3, 1), (3, 0)),
