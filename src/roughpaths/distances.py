@@ -16,9 +16,8 @@ increments X_{i,j} = X_i^{-1} x X_j), the level-k distances are
 and the aggregate distance is the maximum over levels k = 1..N.  Both paths
 must live on one common grid; differencing increments across grids is not
 defined here, resample before lifting instead.  Every level distance and
-the aggregate return through the exit check of the norms,
-``norms._in_range``: a value beyond the float range raises
-``ParameterError``.
+the aggregate return through the float-range exit rule of the package,
+``tensor_core._in_range``.
 
 A level distance reads D_k as ``level_diff_matrix(x1, x2, k)``, a dense
 matrix that the first path builds for its level k alone and keeps while
@@ -41,12 +40,11 @@ from .norms import (
     P_INF,
     NormKind,
     _check_params,
-    _in_range,
     _power_sup_family,
     _require_uniform,
     shift_partition_sup,
 )
-from .paths import GroupPath, TimeGrid, _count, _instance
+from .paths import GroupPath, TimeGrid, _count, _in_range, _instance
 
 
 class DistKind(enum.Enum):

@@ -161,9 +161,8 @@ extreme coefficients c_1 and c_span as the time factors.
 
 A norm whose true value lies beyond the float range (a distance near 1e150
 over a gap near 1e-300, say) has no finite answer.  Every norm function
-returns through one exit check, ``_in_range`` (the level distances of
-``distances`` too): it runs with NumPy's float warnings off, and an inf or
-NaN value raises ``ParameterError``.  A finite value passes unchanged.  The
+returns through the float-range exit rule of the package,
+``tensor_core._in_range``, which raises ``ParameterError`` on it.  The
 maxima over blocks and shifts taken in Python keep a NaN (``_max``).
 
 Mixed equals Riesz on every grid.  Let q = 1/delta, and split a block I at
@@ -212,7 +211,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NonUniformGridError, ParameterError
-from .paths import EuclideanPath, GroupPath, _instance, _real
+from .paths import EuclideanPath, GroupPath, _in_range, _instance, _real
 
 
 #: Infinite integrability p = infinity: the float inf.
@@ -707,25 +706,6 @@ def _require_uniform(path):
 # ---------------------------------------------------------------------------
 # the seven families
 # ---------------------------------------------------------------------------
-
-def _in_range(norm):
-    """``norm`` with the one exit check of the norm and distance functions.
-
-    The function runs with NumPy's float warnings off, and a value beyond
-    the float range, inf or NaN (a distance over a gap can exceed it where
-    no scale helps), raises ``ParameterError``; a finite value is returned
-    as computed, bit for bit.
-    """
-    @functools.wraps(norm)
-    def checked(*args, **kwargs):
-        with np.errstate(all="ignore"):
-            value = norm(*args, **kwargs)
-        if not math.isfinite(value):
-            raise ParameterError(f"{norm.__name__} leaves the float range on this input")
-        return value
-
-    return checked
-
 
 def _max(best: float, value: float) -> float:
     """max(best, value), NaN once either is NaN, so that the exit check sees

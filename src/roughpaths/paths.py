@@ -123,6 +123,7 @@ from .tensor_core import (
     _count,
     _entries,
     _float_array,
+    _in_range,
     _instance,
     _real,
     _shape,
@@ -648,6 +649,7 @@ def _pairwise_sum(terms, count: int) -> np.ndarray:
 # operations
 # ---------------------------------------------------------------------------
 
+@_in_range
 def lift(path: EuclideanPath, depth: int) -> GroupPath:
     """Exact signature lift of the piecewise-linear interpolant.
 
@@ -670,16 +672,14 @@ def lift(path: EuclideanPath, depth: int) -> GroupPath:
     _, depth = _shape(path.dim, depth)  # a boolean or a depth out of range raises
     steps = d.shape[0]
     s = [np.ones((steps + 1, 1))]
-    # a level that overflows is rejected by ``GroupPath`` (ParameterError)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = stacked_exp(d, depth)
-        for k in range(1, depth + 1):
-            inc = 0.0
-            for i in range(k):
-                term = s[i][:-1, :, None] * e[k - i][:, None, :]
-                inc = inc + term.reshape(steps, -1)
-            s.append(np.cumsum(np.vstack([np.zeros((1, inc.shape[1])), inc]), axis=0))
-    return GroupPath(path.grid, tuple(s))
+    e = stacked_exp(d, depth)
+    for k in range(1, depth + 1):
+        inc = 0.0
+        for i in range(k):
+            term = s[i][:-1, :, None] * e[k - i][:, None, :]
+            inc = inc + term.reshape(steps, -1)
+        s.append(np.cumsum(np.vstack([np.zeros((1, inc.shape[1])), inc]), axis=0))
+    return GroupPath(path.grid, tuple(s))  # a level that overflows raises here
 
 
 def increment(x: GroupPath, i: int, j: int) -> GroupElement:

@@ -69,7 +69,7 @@ import numpy as np
 
 from .exceptions import BlowUpError, DimensionMismatchError, ParameterError
 from .paths import EuclideanPath, GroupPath, TimeGrid, _count, _float_array, _instance, _real
-from .tensor_core import _entries, stacked_inverse, stacked_mul
+from .tensor_core import _entries, _in_range, stacked_inverse, stacked_mul
 
 
 class FieldFamily(enum.Enum):
@@ -148,6 +148,7 @@ class VectorField:
                    gamma, box_radius)
 
     @classmethod
+    @_in_range
     def polynomial(cls, constants, matrices, quadratics, gamma=2.5,
                    box_radius=10.0) -> "VectorField":
         c = _float_array(constants, "the field entry 'offsets'", 2)
@@ -159,6 +160,7 @@ class VectorField:
 
     # -- evaluation ---------------------------------------------------------
 
+    @_in_range
     def value(self, y: np.ndarray) -> np.ndarray:
         """V(y) as an (m, n) matrix; column i is V_i(y).  Points stacked
         along leading axes, shape (..., m), give shape (..., m, n)."""
@@ -168,6 +170,7 @@ class VectorField:
             out = out + np.einsum("iabc,...b,...c->...ia", self.quad, y, y)
         return np.swapaxes(out, -1, -2)
 
+    @_in_range
     def jac(self, y: np.ndarray) -> np.ndarray:
         """J[i, a, b] = d V_i^a / d y_b; shape (..., n, m, m) for stacked points."""
         y = np.asarray(y, dtype=float)
@@ -176,58 +179,57 @@ class VectorField:
             j = j + 2.0 * np.einsum("iabc,...c->...iab", self.quad, y)
         return j
 
+    @_in_range
     def hess(self, y: np.ndarray) -> np.ndarray:
         """H[i, a, b, c] = d^2 V_i^a / d y_b d y_c (constant for these families)."""
         return 2.0 * self.quad
 
+    @_in_range
     def scaled(self, factor: float) -> "VectorField":
         return VectorField(self.family, self.m, self.n, factor * self.const,
                            factor * self.lin, factor * self.quad, self.gamma,
                            self.box_radius)
 
+    @_in_range
     def derivative_defect(self, points, h: float = 1e-5) -> float:
         """Max relative error of the analytic Jacobian/Hessian vs central differences at
-        ``points`` (count, m), step ``h`` > 0; ``ParameterError`` off the float range."""
+        ``points`` (count, m), step ``h`` > 0; a value or derivative off the float
+        range raises ``ParameterError`` (``tensor_core._in_range``)."""
         if (h := _real(h, "the step h")) <= 0.0:
             raise ParameterError(f"the step h must be positive, got {h!r}")
         defects = [0.0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for y in _float_array(points, "points", 2):
-                y = _state(y, self, "a point")
-                jac_fd = np.empty((self.n, self.m, self.m))
-                hess_fd = np.empty((self.n, self.m, self.m, self.m))
-                for b in range(self.m):
-                    e = np.zeros(self.m)
-                    e[b] = h
-                    jac_fd[:, :, b] = (self.value(y + e) - self.value(y - e)).T / (2 * h)
-                    hess_fd[:, :, b, :] = (self.jac(y + e) - self.jac(y - e)) / (2 * h)
-                for exact, fd in ((self.jac(y), jac_fd), (self.hess(y), hess_fd)):
-                    scale = max(np.abs(exact).max(), np.abs(fd).max(), 1.0)
-                    defects.append(float(np.abs(exact - fd).max() / scale))
-        if not all(map(math.isfinite, defects)):
-            raise ParameterError("derivative_defect leaves the float range at these points")
+        for y in _float_array(points, "points", 2):
+            y = _state(y, self, "a point")
+            jac_fd = np.empty((self.n, self.m, self.m))
+            hess_fd = np.empty((self.n, self.m, self.m, self.m))
+            for b in range(self.m):
+                e = np.zeros(self.m)
+                e[b] = h
+                jac_fd[:, :, b] = (self.value(y + e) - self.value(y - e)).T / (2 * h)
+                hess_fd[:, :, b, :] = (self.jac(y + e) - self.jac(y - e)) / (2 * h)
+            for exact, fd in ((self.jac(y), jac_fd), (self.hess(y), hess_fd)):
+                scale = max(np.abs(exact).max(), np.abs(fd).max(), 1.0)
+                defects.append(float(np.abs(exact - fd).max() / scale))
         return max(defects)
 
+    @_in_range
     def lip_norm(self, center, radius=None, samples: int = 256, seed: int = 0) -> float:
         """Sampled bound for the Lip-gamma norm on the validity ball.
 
         Maximum over sampled ball points of |V|, |DV| and |D^2 V| (operator
         norms replaced by Frobenius norms); the top-derivative Hoelder
         constant vanishes for these polynomial families.  A ball on which
-        one of them leaves the float range raises ``ParameterError``.
+        one of them leaves the float range raises ``ParameterError``
+        (``tensor_core._in_range``).
         """
         center = _state(center, self, "center")
         radius = _real(self.box_radius if radius is None else radius, "radius")
         samples = _count(samples, "samples", 0)
         _entries(samples * self.m, "the sample points")
         rng = np.random.default_rng(_count(seed, "seed", 0))
-        with np.errstate(over="ignore", invalid="ignore"):
-            pts = center + radius * rng.uniform(-1.0, 1.0, size=(samples, self.m))
-            norms = [max_point_norm(self.value(pts)), max_point_norm(self.jac(pts)),
-                     float(np.linalg.norm(self.hess(center).ravel())) if samples else 0.0]
-        if not all(map(math.isfinite, norms)):
-            raise ParameterError(f"lip_norm leaves the float range on the ball of radius {radius!r}")
-        return max(norms)
+        pts = center + radius * rng.uniform(-1.0, 1.0, size=(samples, self.m))
+        return max(max_point_norm(self.value(pts)), max_point_norm(self.jac(pts)),
+                   float(np.linalg.norm(self.hess(center).ravel())) if samples else 0.0)
 
     # -- JSON spec ----------------------------------------------------------
 
@@ -282,6 +284,7 @@ class VectorField:
         )
 
 
+@_in_range
 def max_point_norm(stack: np.ndarray) -> float:
     """Largest Frobenius norm over the points stacked along the first axis."""
     flat = stack.reshape(stack.shape[0], int(np.prod(stack.shape[1:])))

@@ -53,10 +53,17 @@ same order, and batched results equal per-element ones bit for bit.
 Every module checks its arguments at entry with the helpers here: ``_real``,
 ``_count`` (a whole float counts), ``_float_array``, ``_instance`` and
 ``_shape``, through which every dim and depth goes, ``lift``'s included.
+Every public call whose arithmetic can leave the float range on finite
+arguments exits through the one rule here, ``_in_range``: the call runs with
+NumPy's float warnings off, and a float result that is inf or NaN, or an
+array result with such an entry, raises ``ParameterError``; a finite value
+is returned as computed, bit for bit.  An object result is returned as
+built, because its constructor rejects non-finite entries.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -110,6 +117,20 @@ def _instance(value, cls, what: str):
     if not isinstance(value, cls):
         raise ParameterError(f"unsupported {what} type {type(value).__name__}")
     return value
+
+
+def _in_range(fn):
+    """``fn`` with the one float-range exit rule (module docstring)."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            value = fn(*args, **kwargs)
+        if isinstance(value, float) and not math.isfinite(value) or (
+                isinstance(value, np.ndarray) and not np.isfinite(value).all()):
+            raise ParameterError(f"{fn.__name__} leaves the float range on this input")
+        return value
+
+    return checked
 
 
 def _entries(count: int, what: str) -> int:
@@ -221,12 +242,12 @@ def identity_element(dim: int, depth: int) -> GroupElement:
     return GroupElement(unit_tensor(dim, depth))
 
 
+@_in_range
 def segment_exp(delta, depth: int) -> GroupElement:
     """Signature of one linear segment with increment ``delta``: pi_k = delta^(x)k / k!."""
     delta = _float_array(delta, "the increment").reshape(-1)
     dim, depth = _shape(delta.size, depth)
-    with np.errstate(over="ignore", invalid="ignore"):  # ``TruncatedTensor`` rejects overflow
-        return GroupElement(_from_row(dim, depth, stacked_exp(delta[None], depth)))
+    return GroupElement(_from_row(dim, depth, stacked_exp(delta[None], depth)))
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +356,7 @@ def _from_row(dim: int, depth: int, levels) -> TruncatedTensor:
     return TruncatedTensor(dim, depth, tuple(lv[0] for lv in levels))
 
 
-def _one_row(form, *rows) -> float:
-    """The stacked norm ``form`` of one-row levels as a float, computed with
-    NumPy's float warnings off; a value out of the float range (an inverse
-    or a product that overflows) raises ``ParameterError``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(form(*rows)[0])
-    if not math.isfinite(value):
-        raise ParameterError(f"{form.__name__} leaves the float range on this input")
-    return value
-
-
+@_in_range
 def tensor_mul(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
     """Truncated tensor product: pi_k(a x b) = sum_{i+j=k} pi_i(a) x pi_j(b)."""
     _check_compatible(a, b, TruncatedTensor)
@@ -357,41 +368,47 @@ def group_mul(g: GroupElement, h: GroupElement) -> GroupElement:
     return GroupElement(tensor_mul(g.tensor, h.tensor))
 
 
+@_in_range
 def group_inverse(g: GroupElement) -> GroupElement:
     """Group inverse via the finite Neumann series (``stacked_inverse``)."""
     _instance(g, GroupElement, "group element")
     return GroupElement(_from_row(g.dim, g.depth, stacked_inverse(_rows(g.tensor))))
 
 
+@_in_range
 def dilate(g: GroupElement, lam: float) -> GroupElement:
-    """Dilation: pi_k -> lam^k * pi_k; a level that overflows raises ``ParameterError``."""
+    """Dilation: pi_k -> lam^k * pi_k; a level that overflows is rejected by
+    the element's constructor (``ParameterError``)."""
     lam = np.float64(_real(lam, "the dilation factor"))
     _instance(g, GroupElement, "group element")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return GroupElement(_from_row(g.dim, g.depth, stacked_dilate(_rows(g.tensor), lam)))
+    return GroupElement(_from_row(g.dim, g.depth, stacked_dilate(_rows(g.tensor), lam)))
 
 
 # ---------------------------------------------------------------------------
 # homogeneous norm and distance
 # ---------------------------------------------------------------------------
 
+@_in_range
 def level_norms(g: GroupElement) -> np.ndarray:
     """Euclidean norms |pi_k(g)| for k = 1..N."""
     return stacked_level_norms(_rows(g.tensor)[1:])[0]
 
 
+@_in_range
 def homogeneous_norm(g: GroupElement) -> float:
     """Symmetric homogeneous norm max_k max(|pi_k(g)|, |pi_k(g^-1)|)^(1/k)."""
     _instance(g, GroupElement, "group element")
-    return _one_row(stacked_homogeneous_norm, _rows(g.tensor))
+    return float(stacked_homogeneous_norm(_rows(g.tensor))[0])
 
 
+@_in_range
 def group_distance(g: GroupElement, h: GroupElement) -> float:
     """Left-invariant homogeneous distance |g^{-1} x h|."""
     _check_compatible(g, h, GroupElement)
-    return _one_row(stacked_distance, _rows(g.tensor), _rows(h.tensor))
+    return float(stacked_distance(_rows(g.tensor), _rows(h.tensor))[0])
 
 
+@_in_range
 def grouplike_defect(g: GroupElement) -> float:
     """Relative defect of the depth-2 group-like identity sym(pi_2) = pi_1 x pi_1 / 2.
 

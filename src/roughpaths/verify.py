@@ -42,10 +42,11 @@ from .norms import (
     riesz_norm,
     shift_partition_sup,
 )
-from .paths import EuclideanPath, GroupPath, TimeGrid, _count, lift, resample_uniform
+from .paths import EuclideanPath, GroupPath, TimeGrid, _count, _instance, lift, resample_uniform
 from .rde import VectorField, ito_lyons, max_point_norm
 from .tensor_core import (
     _entries,
+    _in_range,
     stacked_dilate,
     stacked_distance,
     stacked_exp,
@@ -255,8 +256,12 @@ def _zigzag_path(rng, grid, dim, pieces=8):
 
 
 def empirical_holder_exponent(path: EuclideanPath) -> float:
-    """Log-log slope of the increment sup against dyadic lags (diagnostic)."""
-    m = path.grid.intervals
+    """Log-log slope of the increment sup against the dyadic lags up to a
+    quarter of the grid (diagnostic); a slope needs two lags, so the grid
+    needs at least 8 intervals."""
+    m = _instance(path, EuclideanPath, "path").grid.intervals
+    if m < 8:
+        raise ParameterError(f"empirical_holder_exponent needs at least 8 grid intervals, got {m}")
     lags, sups = [], []
     lag = 1
     while lag <= m // 4:
@@ -341,6 +346,13 @@ def _safe_ratio(lhs, rhs):
     if rhs <= 0.0:
         return 0.0 if lhs <= 1e-14 else np.inf
     return lhs / rhs
+
+
+def _stability_record(check_id, c0, c1, params, notes="") -> CheckRecord:
+    """A constant ``c0`` and its value ``c1`` after one grid refinement within
+    a factor 2 of each other: max(c0/c1, c1/c0) <= 2."""
+    return ineq_record(check_id, max(_safe_ratio(c0, c1), _safe_ratio(c1, c0)), 2.0,
+                       constant=1.0, params=params, notes=notes)
 
 
 def _sub_intervals(rng, times, count):
@@ -461,10 +473,8 @@ def check_inclusion_constants(paths, refined_paths, delta, p, eps=0.1) -> list[C
     ):
         recs.append(reported_record(name, c0, params=pr,
                                     notes=f"refined-grid constant {float(c1)!r}"))
-        recs.append(ineq_record(f"{name}_stability",
-                                max(_safe_ratio(c0, c1), _safe_ratio(c1, c0)), 2.0,
-                                constant=1.0, params=pr,
-                                notes="constant ratio across one refinement within factor 2"))
+        recs.append(_stability_record(f"{name}_stability", c0, c1, pr,
+                                      "constant ratio across one refinement within factor 2"))
     return recs
 
 
@@ -762,9 +772,7 @@ def check_riesz_characterization(paths, refined_paths, delta, p) -> list[CheckRe
                          ("charact_mixed_over_nhat", c2, c2f)):
         recs.append(reported_record(name, c0, params=pr,
                                     notes=f"refined-grid constant {cf!r}"))
-        recs.append(ineq_record(f"{name}_stability",
-                                max(_safe_ratio(c0, cf), _safe_ratio(cf, c0)), 2.0,
-                                constant=1.0, params=pr))
+        recs.append(_stability_record(f"{name}_stability", c0, cf, pr))
     return recs
 
 
@@ -821,11 +829,8 @@ def check_distance_equivalences(pairs, delta, p, ball_paths,
                              _family_refined_nikolskii(srcs, delta, p, k)):
                 c1f = max(c1f, _safe_ratio(nh, b))
                 c2f = max(c2f, _safe_ratio(b, nh))
-        for name, c0, cf in (("dist_nhat_over_mixed", c1, c1f),
-                             ("dist_mixed_over_nhat", c2, c2f)):
-            recs.append(ineq_record(f"{name}_stability",
-                                    max(_safe_ratio(c0, cf), _safe_ratio(cf, c0)), 2.0,
-                                    constant=1.0, params=pr))
+        recs += [_stability_record("dist_nhat_over_mixed_stability", c1, c1f, pr),
+                 _stability_record("dist_mixed_over_nhat_stability", c2, c2f, pr)]
     return recs
 
 
@@ -877,6 +882,7 @@ def lipschitz_ratio(num: float, den: float) -> float:
     return num / den
 
 
+@_in_range
 def field_distance(v1: VectorField, v2: VectorField, order: float, center,
                    radius: float, samples: int = 128, seed: int = 0) -> float:
     """Sampled Lip^(order) distance: max over box points of the value and
@@ -981,13 +987,9 @@ def _run_lipschitz(name, pair_family, rng, fields, targets, *, depth, delta, p, 
                         float(rs.max()), params=params,
                         notes="max ratio over the half ball <= max over the full ball"))
     rs2, _ = ratios(2)
-    if rs.size and rs2.size:
-        m1, m2 = float(rs.max()), float(rs2.max())
-        stable = max(_safe_ratio(m1, m2), _safe_ratio(m2, m1))
-    else:  # no ratios, so no stability shown
-        stable = np.inf
-    recs.append(ineq_record(f"{name}_refine_stable", stable, 2.0, constant=1.0,
-                            params=params, notes=notes[1]))
+    # no ratios, so no stability shown: (inf, 0) fails the record
+    c0, c1 = (float(rs.max()), float(rs2.max())) if rs.size and rs2.size else (np.inf, 0.0)
+    recs.append(_stability_record(f"{name}_refine_stable", c0, c1, params, notes[1]))
     return recs
 
 

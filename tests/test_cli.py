@@ -548,8 +548,12 @@ def test_solve_non_numeric_y0_exit3(tmp_path, field_json, capsys):
     {"family": "polynomial", "m": 1, "n": "x", "coefficients": {"matrices": [[[1.0]]]}},
     {"family": "linear", "m": 1, "n": 1, "coefficients": {"matrices": [[[1.0]]]},
      "box_radius": -1.0},
+    # symmetrising overflows: refused with no NumPy warning before the error line
+    {"family": "polynomial", "m": 1, "n": 1,
+     "coefficients": {"matrices": [[[0.1]]], "quadratics": [[[[1e308]]]]}},
 ], ids=["no-coefficients", "no-matrices", "no-offsets", "unknown-family", "no-family",
-        "coefficients-list", "matrices-string", "n-not-integer", "negative-box-radius"])
+        "coefficients-list", "matrices-string", "n-not-integer", "negative-box-radius",
+        "huge-quadratic"])
 def test_solve_bad_field_spec_exit3(tmp_path, capsys, spec):
     fj = tmp_path / "f.json"
     fj.write_text(json.dumps(spec))

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roughpaths as rp
-from roughpaths import oracle, verify
+from roughpaths import oracle, rde, tensor_core, verify
 
 GRID = rp.TimeGrid.uniform(4)
 F = rp.EuclideanPath(GRID, [[0.0, 0.0], [1.0, 0.3], [0.5, 0.1], [0.2, 0.4], [0.9, 0.2]])
@@ -198,9 +198,13 @@ def malformed_calls(draw):
 
 
 #: Huge finite arguments: counts beyond ``sys.maxsize``, a dilation and a
-#: segment whose powers overflow, an element whose inverse overflows, and
-#: Lip-norm balls on which |V| leaves the float range.
+#: segment whose powers overflow, an element whose products, inverse and
+#: level norms overflow, fields whose coefficients, values or derivatives
+#: leave the float range, and Lip-norm balls on which |V| does.
 BIG = rp.GroupElement(rp.TruncatedTensor(2, 2, (1.0, [1e200, 0.0], np.zeros((2, 2)))))
+UNIT_QUAD = rp.VectorField.polynomial(np.zeros((1, 1)), np.zeros((1, 1, 1)), np.ones((1, 1, 1, 1)))
+HUGE_QUAD = rp.VectorField(rp.FieldFamily.POLYNOMIAL, 1, 1, np.zeros((1, 1)), np.zeros((1, 1, 1)),
+                           np.full((1, 1, 1, 1), 1e308))
 HUGE = [
     (rp.dilate, {"g": G, "lam": 1e300}),
     (rp.homogeneous_norm, {"g": BIG}),
@@ -211,6 +215,22 @@ HUGE = [
     (FIELD.lip_norm, {"center": [0.1], "samples": 1e300}),
     (FIELD.lip_norm, {"center": [0.1], "radius": 1e300}),
     (FIELD.lip_norm, {"center": [1e300]}),
+    (rp.grouplike_defect, {"g": BIG}),
+    (rp.group_mul, {"g": BIG, "h": BIG}),
+    (rp.tensor_mul, {"a": BIG.tensor, "b": BIG.tensor}),
+    (rp.group_inverse, {"g": BIG}),
+    (tensor_core.level_norms,
+     {"g": rp.GroupElement(rp.TruncatedTensor(2, 1, (1.0, [1e200, 1e200])))}),
+    (rp.VectorField.polynomial, {"constants": np.zeros((1, 1)), "matrices": np.zeros((1, 1, 1)),
+                                 "quadratics": np.full((1, 1, 1, 1), 1e308)}),
+    (rp.VectorField.polynomial(np.full((1, 1), 0.3), np.full((1, 1, 1), 0.3),
+                               np.full((1, 1, 1, 1), 0.05)).value, {"y": [1e300]}),
+    (UNIT_QUAD.jac, {"y": [1e308]}),
+    (HUGE_QUAD.hess, {"y": [0.0]}),
+    (FIELD.scaled(1e300).scaled, {"factor": 1e300}),
+    (rde.max_point_norm, {"stack": np.full((2, 3), 1e300)}),
+    (verify.field_distance, {"v1": FIELD, "v2": FIELD.scaled(2.0), "order": 1.5,
+                             "center": [0.1], "radius": 1e300}),
 ]
 
 

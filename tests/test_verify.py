@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from roughpaths import EuclideanPath, TimeGrid, lift, refined_nikolskii_norm, resample_uniform
+from roughpaths import (EuclideanPath, ParameterError, TimeGrid, lift, refined_nikolskii_norm,
+                        resample_uniform)
 from roughpaths import verify
 from roughpaths.distances import DenseSource, level_diff_matrix
 from roughpaths.norms import dp_partition_sup
@@ -160,6 +161,18 @@ def test_fractional_exponent_diagnostic():
         assert abs(est - h) < 0.2
 
 
+@pytest.mark.parametrize("intervals", [1, 3, 4, 7])
+def test_exponent_diagnostic_needs_two_lags(intervals):
+    # below 8 intervals there is at most one dyadic lag up to a quarter of the
+    # grid: no slope, where np.polyfit raised a TypeError or warned
+    f = EuclideanPath(TimeGrid.uniform(intervals), np.arange(intervals + 1.0)[:, None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="at least 8 grid intervals"):
+            empirical_holder_exponent(f)
+    assert empirical_holder_exponent(resample_uniform(f, 8)) == pytest.approx(1.0)
+
+
 def test_zigzag_paths_alternate():
     (z,) = PathFamily("zigzag", 1, 64, seed=2).paths()
     d = np.diff(z.values[::8, 0])
@@ -167,8 +180,6 @@ def test_zigzag_paths_alternate():
 
 
 def test_unknown_generator():
-    from roughpaths import ParameterError
-
     with pytest.raises(ParameterError):
         PathFamily("bogus", 1, 8).paths()
 
@@ -270,8 +281,6 @@ def test_algebra_suite_deterministic(tmp_path):
 
 
 def test_run_suite_unknown_name():
-    from roughpaths import ParameterError
-
     with pytest.raises(ParameterError):
         run_suite("nope")
 
@@ -282,9 +291,9 @@ def test_run_suite_bad_out_dir_fails_before_any_suite(tmp_path, monkeypatch):
     monkeypatch.setattr(verify, "negative_controls", lambda seed: ran.append(seed) or [])
     f = tmp_path / "afile"
     f.write_text("x")
-    with pytest.raises(verify.ParameterError, match="cannot write"):
+    with pytest.raises(ParameterError, match="cannot write"):
         run_suite("distances", seed=0, out_dir=f)
-    with pytest.raises(verify.ParameterError, match="cannot write"):
+    with pytest.raises(ParameterError, match="cannot write"):
         run_suite("all", seed=0, out_dir=f / "below")
     assert ran == []
 
